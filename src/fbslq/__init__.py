@@ -31,7 +31,9 @@ from .problem import (
 )
 from .riccati import (
     ConstraintReport,
+    P2Field,
     characterization_residual,
+    characterization_residual_from_fields,
     check_constraints,
     feedback_map,
     solve_p1,
@@ -74,7 +76,9 @@ __all__ = [
     "feedback_map",
     "check_constraints",
     "characterization_residual",
+    "characterization_residual_from_fields",
     "ConstraintReport",
+    "P2Field",
     "SolverConfig",
     "EquilibriumSolution",
     "solve_equilibrium",

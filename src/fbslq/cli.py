@@ -125,7 +125,6 @@ def cmd_solve(args) -> int:
                 "out": os.path.abspath(outdir),
                 "theta0": args.theta0,
                 "grid_steps": spec.grid.steps,
-                "threads": args.threads,
                 "wall_seconds": time.time() - start,
             },
         ),
@@ -247,7 +246,6 @@ def cmd_simulate(args) -> int:
                 "seed": args.seed,
                 "t": args.t,
                 "spike_v": args.spike_v,
-                "threads": args.threads,
                 "wall_seconds": time.time() - start,
             },
         ),
@@ -292,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-assumption-check", dest="assumption_check", action="store_false")
     p.add_argument("--dump-fields", action="store_true",
                    help="also dump the full two-time fields (t, s, entries)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (single-process build)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=1.0)
     p.add_argument("--out", default=None, help="output directory (default: solution dir)")
     p.add_argument("--dump-paths", action="store_true", help="dump up to 100 paths as CSV")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("example", help="write the built-in scenario files")

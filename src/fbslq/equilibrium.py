@@ -34,8 +34,8 @@ import numpy as np
 
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec, check_one_dim_positivity
-from .riccati import check_constraints, solve_p1, solve_p2, solve_p3
-from .riccati import ConstraintReport
+from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples
+from .riccati import check_constraints, solve_p1, solve_p3
 
 __all__ = [
     "SolverConfig",
@@ -93,9 +93,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IntegralState:
-    """Converged integral-route fields: p2t, p1t, lam(s,t) and the gain."""
+    """Converged integral-route fields: p2t, p1t, lam(s,t) and the gain.
 
-    p2_tilde: OneTimeField
+    ``p2_tilde`` is the same field as :attr:`EquilibriumSolution.p2`.
+    """
+
+    p2_tilde: P2Field
     p1_tilde: OneTimeField
     lambda_factor: TwoTimeField
     theta: Strategy
@@ -138,7 +141,7 @@ class EquilibriumSolution:
     theta_star: Strategy
     integral_state: IntegralState
     p1: TwoTimeField
-    p2: OneTimeField
+    p2: P2Field
     p3: TwoTimeField
     constraint_report: ConstraintReport
     diagnostics: SolverDiagnostics
@@ -168,22 +171,10 @@ class _Workspace:
 
         self.A, self.B = f1(c.A, nodes), f1(c.B, nodes)
         self.C, self.D = f1(c.C, nodes), f1(c.D, nodes)
-        self.Ahat, self.Bhat = f1(c.Ahat, nodes), f1(c.Bhat, nodes)
-        self.Chat, self.Dhat = f1(c.Chat, nodes), f1(c.Dhat, nodes)
-        self.H = float(np.asarray(c.H).reshape(()))
+        self.Bhat, self.Dhat = f1(c.Bhat, nodes), f1(c.Dhat, nodes)
         self.G1, self.G2 = f1(w.G1, nodes), f1(w.G2, nodes)
 
-        mids = grid.midpoints
-        q1 = 0.75 * nodes[:-1] + 0.25 * nodes[1:]
-        q3 = 0.25 * nodes[:-1] + 0.75 * nodes[1:]
-        self.half_times = {
-            "mid": (f1(c.A, mids), f1(c.B, mids), f1(c.C, mids), f1(c.D, mids),
-                    f1(c.Ahat, mids), f1(c.Bhat, mids), f1(c.Chat, mids), f1(c.Dhat, mids)),
-            "q1": (f1(c.A, q1), f1(c.B, q1), f1(c.C, q1), f1(c.D, q1),
-                   f1(c.Ahat, q1), f1(c.Bhat, q1), f1(c.Chat, q1), f1(c.Dhat, q1)),
-            "q3": (f1(c.A, q3), f1(c.B, q3), f1(c.C, q3), f1(c.D, q3),
-                   f1(c.Ahat, q3), f1(c.Bhat, q3), f1(c.Chat, q3), f1(c.Dhat, q3)),
-        }
+        self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
 
         ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
         self.Q_tab = w.Q(ss, tt)[..., 0, 0]
@@ -197,53 +188,6 @@ class _Workspace:
         self.interval_mask = (jj >= ii).astype(float)
 
     # -- integral-route fields -------------------------------------------------
-
-    def p2_tilde(self, th: np.ndarray) -> np.ndarray:
-        """Backward RK4 (two half-steps per interval) for the scalar p2t."""
-        th_iv = th[:-1]
-        a_l = self.A[:-1] + self.B[:-1] * th_iv
-        c_l = self.C[:-1] + self.D[:-1] * th_iv
-        ah_l = self.Ahat[:-1] + self.Bhat[:-1] * th_iv
-        a_r = self.A[1:] + self.B[1:] * th_iv
-        c_r = self.C[1:] + self.D[1:] * th_iv
-        ah_r = self.Ahat[1:] + self.Bhat[1:] * th_iv
-
-        def closed(key):
-            A, B, C, D, Ah, Bh, Ch, Dh = self.half_times[key]
-            return (A + B * th_iv, C + D * th_iv, Ah + Bh * th_iv, Ch, Dh)
-
-        a_m, c_m, ah_m, ch_m, dh_m = closed("mid")
-        a_1, c_1, ah_1, ch_1, dh_1 = closed("q1")
-        a_3, c_3, ah_3, ch_3, dh_3 = closed("q3")
-        ch_l, dh_l = self.Chat[:-1], self.Dhat[:-1]
-        ch_r, dh_r = self.Chat[1:], self.Dhat[1:]
-
-        # p' = -(alpha p + beta) with alpha = a_th + chat + dhat c_th, beta = ahat_th
-        al_l, be_l = a_l + ch_l + dh_l * c_l, ah_l
-        al_r, be_r = a_r + ch_r + dh_r * c_r, ah_r
-        al_m, be_m = a_m + ch_m + dh_m * c_m, ah_m
-        al_1, be_1 = a_1 + ch_1 + dh_1 * c_1, ah_1
-        al_3, be_3 = a_3 + ch_3 + dh_3 * c_3, ah_3
-
-        hh = 0.5 * self.h
-        out = np.empty(self.L)
-        out[-1] = self.H
-        p = self.H
-        for j in range(self.L - 2, -1, -1):
-            for hi_a, hi_b, md_a, md_b, lo_a, lo_b in (
-                (al_r[j], be_r[j], al_3[j], be_3[j], al_m[j], be_m[j]),
-                (al_m[j], be_m[j], al_1[j], be_1[j], al_l[j], be_l[j]),
-            ):
-                k1 = -(hi_a * p + hi_b)
-                p2 = p - 0.5 * hh * k1
-                k2 = -(md_a * p2 + md_b)
-                p3 = p - 0.5 * hh * k2
-                k3 = -(md_a * p3 + md_b)
-                p4 = p - hh * k3
-                k4 = -(lo_a * p4 + lo_b)
-                p = p - (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[j] = p
-        return out
 
     def exponent(self, th: np.ndarray) -> np.ndarray:
         """Cumulative per-interval trapezoid of 2 A_Th + C_Th^2."""
@@ -310,7 +254,7 @@ class _Workspace:
         extra information and are silenced here.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            p2t = self.p2_tilde(th)
+            p2t = _integrate_p2(self.spec, self.p2_samples, th[:, None, None]).flat()
             expo = self.exponent(th)
             cols = slice(lo, hi + 1)
             p1t = self.p1_tilde(th, p2t, expo, cols)
@@ -455,15 +399,16 @@ def solve_equilibrium(
     theta_star = Strategy.from_flat(grid, th)
 
     # Integral-route state at the converged gain.
+    p2 = _integrate_p2(spec, ws.p2_samples, theta_star.values)
+    p2t = p2.flat()
     with np.errstate(over="ignore", invalid="ignore"):
-        p2t = ws.p2_tilde(th)
         expo = ws.exponent(th)
         p1t = ws.p1_tilde(th, p2t, expo)
         lam = np.exp(expo[None, :] - expo[:, None])
     ii, jj = np.indices(lam.shape)
     lam[jj < ii] = np.nan
     state = IntegralState(
-        p2_tilde=OneTimeField.from_flat(grid, p2t),
+        p2_tilde=p2,
         p1_tilde=OneTimeField.from_flat(grid, p1t),
         lambda_factor=TwoTimeField(grid, lam[..., None, None]),
         theta=theta_star,
@@ -473,8 +418,7 @@ def solve_equilibrium(
         0
     ].tolist()
 
-    # Matrix-route reconstruction and the constraint audit.
-    p2 = solve_p2(spec, theta_star)
+    # Matrix-route reconstruction, on the same P2, and the constraint audit.
     p1 = solve_p1(spec, theta_star)
     p3 = solve_p3(spec, theta_star, p2)
     p1d, p3d = p1.diagonal(), p3.diagonal()

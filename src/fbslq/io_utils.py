@@ -8,6 +8,7 @@ p3_diag.csv, diagnostics.csv, summary.json and a copy of the scenario.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -17,6 +18,7 @@ from .equilibrium import (
     EquilibriumSolution,
     IntegralState,
     SolverDiagnostics,
+    WindowDiagnostics,
     second_moment_factor,
 )
 from .fields import OneTimeField, Strategy, TwoTimeField
@@ -31,6 +33,11 @@ __all__ = [
     "two_time_field_rows",
     "write_solution_dir",
     "load_solution_dir",
+]
+
+
+_DIAGNOSTICS_HEADER = [
+    "window_lo", "window_hi", "iterations", "final_residual", "max_contraction_ratio", "halvings"
 ]
 
 
@@ -90,7 +97,7 @@ def write_solution_dir(outdir, solution: EquilibriumSolution, scenario: dict, th
     diag = solution.diagnostics
     write_csv(
         os.path.join(outdir, "diagnostics.csv"),
-        ["window_lo", "window_hi", "iterations", "final_residual", "max_contraction_ratio", "halvings"],
+        _DIAGNOSTICS_HEADER,
         (
             [w.lo, w.hi, w.iterations, w.final_residual, w.max_contraction_ratio, w.halvings]
             for w in diag.windows
@@ -115,7 +122,8 @@ def load_solution_dir(path) -> EquilibriumSolution:
 
     The gain is read from theta.csv; every derived field is recomputed from
     it, so a corrupted gain shows up in the verification suites rather than
-    being masked by stored values.
+    being masked by stored values.  The solver diagnostics are read back from
+    diagnostics.csv and summary.json.
     """
     from .scenario import load_scenario
 
@@ -154,7 +162,25 @@ def load_solution_dir(path) -> EquilibriumSolution:
         p2=p2,
         p3=p3,
         constraint_report=report,
-        diagnostics=SolverDiagnostics(),
+        diagnostics=_load_diagnostics(path, summary.get("diagnostics", {})),
+    )
+
+
+def _load_diagnostics(path, summary: dict) -> SolverDiagnostics:
+    """Window history from diagnostics.csv, the rest from the summary block."""
+    with open(os.path.join(path, "diagnostics.csv"), "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != _DIAGNOSTICS_HEADER:
+        raise ValueError("diagnostics.csv does not start with the diagnostics header")
+    windows = [
+        WindowDiagnostics(int(lo), int(hi), int(its), float(res), float(ratio), int(halvings))
+        for lo, hi, its, res, ratio, halvings in rows[1:]
+    ]
+    return SolverDiagnostics(
+        windows=windows,
+        consistency_gap=float(summary.get("consistency_gap", "nan")),
+        passthrough_nodes=[int(i) for i in summary.get("passthrough_nodes", [])],
+        fp_tolerance=float(summary.get("fp_tolerance", "nan")),
     )
 
 

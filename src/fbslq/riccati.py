@@ -31,6 +31,7 @@ from .problem import ProblemSpec
 __all__ = [
     "ClosedLoopCoefficients",
     "ConstraintReport",
+    "P2Field",
     "closed_loop_coefficients",
     "solve_p1",
     "solve_p2",
@@ -38,6 +39,7 @@ __all__ = [
     "feedback_map",
     "check_constraints",
     "characterization_residual",
+    "characterization_residual_from_fields",
 ]
 
 
@@ -161,100 +163,119 @@ def solve_p1(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
     return _sweep_two_time(spec, clc, terminal, source)
 
 
-def solve_p2(spec: ProblemSpec, theta: Strategy) -> OneTimeField:
-    """One-time coupling field with terminal value H."""
-    nodes_vals, _ = _integrate_p2(spec, theta)
-    return OneTimeField(spec.grid, nodes_vals)
+@dataclass(frozen=True)
+class P2Field(OneTimeField):
+    """P2 at the grid nodes, plus ``mids[j]``: P2 at the midpoint of interval j.
+
+    The stage inputs of P3, of the spike coupling field and of the
+    backward-equation check read the midpoints, so P2 is integrated once per
+    gain and this field is passed down to all of them.
+    """
+
+    mids: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        want = (self.grid.steps,) + self.entry_shape
+        if self.mids.shape != want:
+            raise ValueError(f"P2 midpoint data {self.mids.shape}, want {want}")
 
 
-def _p2_rhs(p, a, ct, ahat, chat, dhat):
-    return -(p @ a + ahat + chat @ p + dhat @ (p @ ct))
+_P2_COEFFS = ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat")
+# Quarter-point indices (left = 0 .. right = 4) of the RK4 stages of each
+# half-step: mid -> left first, then right -> mid.
+_HALF_STEP_STAGES = np.array([[2, 1, 0], [4, 3, 2]])
 
 
-def _p2_half_step(p, h_half, stages):
-    """One backward RK4 step of length h_half; stages = coefficient triple."""
-    (a_hi, c_hi, ah_hi, ch_hi, dh_hi), (a_md, c_md, ah_md, ch_md, dh_md), (
-        a_lo,
-        c_lo,
-        ah_lo,
-        ch_lo,
-        dh_lo,
-    ) = stages
-    k1 = _p2_rhs(p, a_hi, c_hi, ah_hi, ch_hi, dh_hi)
-    k2 = _p2_rhs(p - 0.5 * h_half * k1, a_md, c_md, ah_md, ch_md, dh_md)
-    k3 = _p2_rhs(p - 0.5 * h_half * k2, a_md, c_md, ah_md, ch_md, dh_md)
-    k4 = _p2_rhs(p - h_half * k3, a_lo, c_lo, ah_lo, ch_lo, dh_lo)
-    return p - (h_half / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _p2_samples(spec: ProblemSpec) -> dict[str, np.ndarray]:
+    """Open-loop coefficients at the five quarter points of every interval.
+
+    Each entry has shape (steps, 5, r, c).  They do not depend on the gain, so
+    a caller that integrates P2 for many gains samples them once.
+    """
+    nodes = spec.grid.nodes
+    lo, hi = nodes[:-1], nodes[1:]
+    times = np.stack([lo, 0.75 * lo + 0.25 * hi, 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi, hi], axis=1)
+    return {name: getattr(spec.coeffs, name)(times) for name in _P2_COEFFS}
 
 
-def _p2_interval_coeffs(spec: ProblemSpec, theta: Strategy):
-    """Closed-loop coefficient tuples at node/quarter/mid points per interval."""
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker product over the two trailing axes; leading axes broadcast."""
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    lead = out.shape[:-4]
+    return out.reshape(lead + (x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1]))
+
+
+def _integrate_p2(spec: ProblemSpec, samples: dict[str, np.ndarray], theta_values: np.ndarray) -> P2Field:
+    """P2 at the nodes and midpoints: backward RK4, two half-steps per interval.
+
+    The equation is linear in P2, so every RK4 half-step is an affine map
+    vec(P2) -> S vec(P2) + r on the row-major vectorization (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.1).  All maps are built at once by running the
+    RK4 stages on the augmented matrix [I | 0], whose right-hand side is
+    -(K [I | 0] + [0 | vec(Ahat_Th)]) with the generator
+    K = I (x) A_Th' + Chat (x) I + Dhat (x) C_Th'.  A single backward
+    recursion then applies the maps.  ``samples`` comes from
+    :func:`_p2_samples`; ``theta_values[j]`` is the gain on interval j.
+    """
     grid = spec.grid
-    nodes, mids = grid.nodes, grid.midpoints
-    c = spec.coeffs
-    th_iv = theta.values[:-1]
-
-    def closed(times):
-        A, B, C, D = c.A(times), c.B(times), c.C(times), c.D(times)
-        Ah, Bh, Ch, Dh = c.Ahat(times), c.Bhat(times), c.Chat(times), c.Dhat(times)
-        return (A + B @ th_iv, C + D @ th_iv, Ah + Bh @ th_iv, Ch, Dh)
-
-    left = closed(nodes[:-1])
-    right = closed(nodes[1:])
-    mid = closed(mids)
-    q1 = closed(0.75 * nodes[:-1] + 0.25 * nodes[1:])
-    q3 = closed(0.25 * nodes[:-1] + 0.75 * nodes[1:])
-    return left, q1, mid, q3, right
-
-
-def _integrate_p2(spec: ProblemSpec, theta: Strategy):
-    """P2 at grid nodes and interval midpoints (half-step RK4, backward)."""
-    _require_same_grid(spec, theta)
-    grid = spec.grid
-    L, h = grid.num_nodes, grid.h
     m, n = spec.dims.m, spec.dims.n
-    left, q1, mid, q3, right = _p2_interval_coeffs(spec, theta)
+    d = m * n
+    th = theta_values[:-1, None]  # (steps, 1, k, n): each interval's own gain at all five points
+    c = samples
+    a_th = c["A"] + c["B"] @ th
+    c_th = c["C"] + c["D"] @ th
+    ahat_th = c["Ahat"] + c["Bhat"] @ th
+    gen = (
+        _kron(np.eye(m), np.swapaxes(a_th, -1, -2))
+        + _kron(c["Chat"], np.eye(n))
+        + _kron(c["Dhat"], np.swapaxes(c_th, -1, -2))
+    )  # (steps, 5, d, d)
+    force = np.zeros(gen.shape[:-1] + (d + 1,))
+    force[..., d] = ahat_th.reshape(ahat_th.shape[:-2] + (d,))
 
-    def pick(tup, j):
-        return tuple(arr[j] for arr in tup)
+    # Stage k of half-step i of interval j reads quarter point _HALF_STEP_STAGES[i, k].
+    gen, force = gen[:, _HALF_STEP_STAGES], force[:, _HALF_STEP_STAGES]
 
-    p_nodes = np.empty((L, m, n))
-    p_mids = np.empty((L - 1, m, n))
-    p_nodes[L - 1] = np.asarray(spec.coeffs.H, dtype=float)
-    p = p_nodes[L - 1].copy()
-    for j in range(grid.steps - 1, -1, -1):
-        p = _p2_half_step(p, 0.5 * h, (pick(right, j), pick(q3, j), pick(mid, j)))
-        p_mids[j] = p
-        p = _p2_half_step(p, 0.5 * h, (pick(mid, j), pick(q1, j), pick(left, j)))
-        p_nodes[j] = p
-    return p_nodes, p_mids
+    def rhs(stage, z):
+        return -(gen[:, :, stage] @ z + force[:, :, stage])
+
+    g = 0.5 * grid.h
+    z = np.eye(d, d + 1)
+    k1 = rhs(0, z)
+    k2 = rhs(1, z - 0.5 * g * k1)
+    k3 = rhs(1, z - 0.5 * g * k2)
+    k4 = rhs(2, z - g * k3)
+    maps = (z - (g / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(2 * grid.steps, d, d + 1)
+
+    # vals[2j] = P2(t_j), vals[2j + 1] = P2 at the midpoint of interval j; the
+    # trailing 1 lets [S | r] act as one matrix product.
+    vals = np.ones((2 * grid.steps + 1, d + 1))
+    vals[-1, :d] = np.asarray(spec.coeffs.H, dtype=float).reshape(d)
+    for q in range(2 * grid.steps - 1, -1, -1):
+        np.matmul(maps[q], vals[q + 1], out=vals[q, :d])
+    vals = vals[:, :d].reshape(-1, m, n)
+    return P2Field(grid, vals[0::2].copy(), vals[1::2].copy())
 
 
-def solve_p3(spec: ProblemSpec, theta: Strategy, p2: OneTimeField) -> TwoTimeField:
+def solve_p2(spec: ProblemSpec, theta: Strategy) -> P2Field:
+    """One-time coupling field with terminal value H, carrying its midpoints."""
+    _require_same_grid(spec, theta)
+    return _integrate_p2(spec, _p2_samples(spec), theta.values)
+
+
+def solve_p3(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> TwoTimeField:
     """Two-time field sourced by the backward-state weights; P3(T;t) = 0.
 
-    ``p2`` must come from :func:`solve_p2` on the same grid; midpoint values
-    are regenerated from it with the same half-step rule, so the stage inputs
-    match the dense P2 integration bit for bit.
+    ``p2`` is :func:`solve_p2` for the same gain; its node and midpoint values
+    are the stage inputs of the sweep.
     """
     _require_same_grid(spec, theta)
     grid = spec.grid
     nodes, mids = grid.nodes, grid.midpoints
-    h = grid.h
     clc = closed_loop_coefficients(spec, theta)
     n = spec.dims.n
-
-    left, q1, mid, q3, right = _p2_interval_coeffs(spec, theta)
-    p2_nodes = p2.data
-    p2_mids = np.empty((grid.steps,) + p2.entry_shape)
-    for j in range(grid.steps):
-        stages = (
-            tuple(arr[j] for arr in right),
-            tuple(arr[j] for arr in q3),
-            tuple(arr[j] for arr in mid),
-        )
-        p2_mids[j] = _p2_half_step(p2_nodes[j + 1], 0.5 * h, stages)
-
+    p2_nodes, p2_mids = p2.data, p2.mids
     M, N = spec.weights.M, spec.weights.N
 
     def source(j, stage, idx):
@@ -418,17 +439,29 @@ def check_constraints(
     )
 
 
+def characterization_residual_from_fields(
+    spec: ProblemSpec,
+    p1_diag: OneTimeField,
+    p3_diag: OneTimeField,
+    p2: OneTimeField,
+    theta: Strategy,
+) -> OneTimeField:
+    """Gamma(t) + Lambda(t) Theta(t) from Riccati fields already solved for ``theta``.
+
+    The field vanishes exactly at a true closed-loop equilibrium.
+    """
+    lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
+    return OneTimeField(spec.grid, gam + lam @ theta.values)
+
+
 def characterization_residual(spec: ProblemSpec, theta: Strategy) -> OneTimeField:
     """Node-wise defect of the equilibrium characterization equation.
 
-    Solves the Riccati system for the given strategy and evaluates
-    Gamma(t) + Lambda(t) Theta(t); the field vanishes exactly at a true
-    closed-loop equilibrium.
+    Solves the Riccati system for the given strategy, for a gain whose fields
+    are not at hand, and evaluates
+    :func:`characterization_residual_from_fields`.
     """
-    _require_same_grid(spec, theta)
     p2 = solve_p2(spec, theta)
     p1_diag = solve_p1(spec, theta).diagonal()
     p3_diag = solve_p3(spec, theta, p2).diagonal()
-    lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    resid = gam + lam @ theta.values
-    return OneTimeField(spec.grid, resid)
+    return characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)

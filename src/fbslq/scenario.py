@@ -41,6 +41,8 @@ _COEFF_KEYS = ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat")
 
 def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
     """Build a problem instance from a parsed scenario document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     try:
         dims = Dimensions(int(doc["dims"]["n"]), int(doc["dims"]["m"]), int(doc["dims"]["k"]))
         horizon = float(doc["horizon"])
@@ -70,6 +72,8 @@ def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
         )
     except KeyError as exc:
         raise ValueError(f"scenario is missing required field {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"scenario field has the wrong JSON type: {exc}") from exc
     coeffs = Coefficients(**coeff_fns, H=H, horizon=horizon)
     return ProblemSpec(dims=dims, coeffs=coeffs, weights=weights, grid=TimeGrid(horizon, steps))
 

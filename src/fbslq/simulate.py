@@ -29,8 +29,8 @@ import numpy as np
 from .fields import OneTimeField, Strategy
 from .problem import ProblemSpec
 from .riccati import (
-    _integrate_p2,
-    characterization_residual,
+    P2Field,
+    characterization_residual_from_fields,
     gain_denominator_numerator,
     solve_p1,
     solve_p3,
@@ -109,7 +109,7 @@ class PathBundle:
 
     spec: ProblemSpec
     theta: Strategy
-    p2: OneTimeField
+    p2: P2Field
     t_index: int
     x0: np.ndarray
     X: np.ndarray  # (paths, range_nodes, n)
@@ -206,7 +206,7 @@ def _blocks(paths: int):
 class _SimPrep:
     """Deterministic per-run arrays shared by all simulation entry points."""
 
-    def __init__(self, spec: ProblemSpec, theta: Strategy, p2: OneTimeField, cfg: SimConfig):
+    def __init__(self, spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig):
         grid = spec.grid
         self.spec, self.theta, self.cfg = spec, theta, cfg
         self.i0 = grid.index_of(cfg.t_start)
@@ -256,12 +256,13 @@ class _SimPrep:
         return mask
 
 
-def _solve_p7(spec: ProblemSpec, theta: Strategy, p2: OneTimeField, i0: int, eps_steps: int, v: np.ndarray):
+def _solve_p7(spec: ProblemSpec, p2: P2Field, i0: int, eps_steps: int, v: np.ndarray):
     """Spike coupling field on the range nodes: nonzero only on [t, t + eps).
 
     Backward RK4 of  dP7/ds = -(Chat P7 + chi (P2 B + Bhat + Dhat P2 D)) v
     with P7(T) = 0; the source is constant per interval (the indicator is
     aligned with whole grid steps), so only the window intervals integrate.
+    The stages read P2 at the nodes and midpoints carried by ``p2``.
     """
     grid = spec.grid
     m, k = spec.dims.m, spec.dims.k
@@ -271,7 +272,7 @@ def _solve_p7(spec: ProblemSpec, theta: Strategy, p2: OneTimeField, i0: int, eps
         return out
     h = grid.h
     c = spec.coeffs
-    p2_nodes, p2_mids = _integrate_p2(spec, theta)
+    p2_nodes, p2_mids = p2.data, p2.mids
 
     def source(time, p2val):
         sv = (p2val @ c.B(time) + c.Bhat(time) + c.Dhat(time) @ p2val @ c.D(time)) @ v
@@ -331,7 +332,7 @@ def _spike_sources(prep: _SimPrep, v: np.ndarray, eps_steps: int):
 
 
 def simulate_closed_loop(
-    spec: ProblemSpec, theta: Strategy, p2: OneTimeField, cfg: SimConfig
+    spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig
 ) -> PathBundle:
     """Paths of the closed-loop system with decoupled backward components."""
     return _simulate_bundle(spec, theta, p2, cfg, v=None, eps_steps=0)
@@ -340,7 +341,7 @@ def simulate_closed_loop(
 def simulate_spike(
     spec: ProblemSpec,
     theta: Strategy,
-    p2: OneTimeField,
+    p2: P2Field,
     cfg: SimConfig,
     spike: SpikeSpec,
     eps: float,
@@ -366,7 +367,7 @@ def _simulate_bundle(spec, theta, p2, cfg, v, eps_steps) -> PathBundle:
     prep = _SimPrep(spec, theta, p2, cfg)
     vvec = np.zeros(prep.k) if v is None else v
     chi, bv, dv = _spike_sources(prep, vvec, eps_steps)
-    p7v = _solve_p7(spec, theta, p2, prep.i0, eps_steps, vvec)  # (range_nodes, m)
+    p7v = _solve_p7(spec, p2, prep.i0, eps_steps, vvec)  # (range_nodes, m)
 
     R = prep.n_coarse + 1
     paths = cfg.paths
@@ -528,7 +529,7 @@ class _LadderRun:
         for q, steps in enumerate(eps_steps, start=1):
             self.chi_fine[q] = prep.spike_fine_mask(steps)
             self.chi_node[q] = prep.spike_node_mask(steps)
-            self.p7v[q] = _solve_p7(spec, theta, p2, prep.i0, steps, v)
+            self.p7v[q] = _solve_p7(spec, p2, prep.i0, steps, v)
         self.bv = prep.b_fine @ v
         self.dv = prep.d_fine @ v
         self.dv_left = prep.d_left @ v  # (n_coarse, n)
@@ -687,7 +688,7 @@ def _snap_eps(grid, i0: int, epsilons) -> list[tuple[float, int]]:
 def spike_test(
     spec: ProblemSpec,
     theta: Strategy,
-    p2: OneTimeField,
+    p2: P2Field,
     cfg: SimConfig,
     spike: SpikeSpec,
     t: float,
@@ -716,7 +717,7 @@ def spike_test(
     lam_t = lam[i0]
     quad_theory = 0.5 * float(v @ lam_t @ v)
     if residual is None:
-        residual = characterization_residual(spec, theta)
+        residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
     x0 = cfg.x0_vector(spec.dims.n)
     first_theory = float(v @ residual.data[i0] @ x0)
 
@@ -752,7 +753,7 @@ def spike_test(
 def perturbation_scaling(
     spec: ProblemSpec,
     theta: Strategy,
-    p2: OneTimeField,
+    p2: P2Field,
     cfg: SimConfig,
     spike: SpikeSpec,
     t: float,
@@ -805,7 +806,7 @@ def perturbation_scaling(
     ]
 
 
-def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: OneTimeField, cfg: SimConfig) -> float:
+def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig) -> float:
     """Root-mean-square accumulated defect of the discrete backward equation.
 
     Along closed-loop paths with (Y, Z) = (P2 X, P2 C_Th X), the one-step
@@ -817,9 +818,9 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: OneTimeField, cf
     grid = spec.grid
     c = spec.coeffs
 
-    # P2 on the fine grid: exact at halves from the dense integration,
-    # linearly interpolated elsewhere.
-    p2_nodes, p2_mids = _integrate_p2(spec, theta)
+    # P2 on the fine grid: exact at the nodes and midpoints that ``p2``
+    # carries, linearly interpolated elsewhere.
+    p2_nodes, p2_mids = p2.data, p2.mids
     half_times = np.empty(2 * grid.steps + 1)
     half_times[0::2] = grid.nodes
     half_times[1::2] = grid.midpoints

@@ -17,7 +17,7 @@ from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .fields import OneTimeField, Strategy
 from .presets import example_2_5_problem
 from .problem import ProblemSpec
-from .riccati import characterization_residual
+from .riccati import characterization_residual, characterization_residual_from_fields
 from .simulate import SimConfig, SpikeSpec, spike_test
 
 __all__ = [
@@ -215,28 +215,30 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     """Full equilibrium audit of a converged solution.
 
     Characterization residual, the three constraints, integral/matrix route
-    consistency, and spike tests at four interior times with both unit
-    perturbation directions.
+    consistency, and spike tests at the grid nodes (q * steps) // 4,
+    q = 0..3, with both unit perturbation directions.  The residual is read
+    off the solution's own fields, which must be solved for its gain.
     """
     report = SuiteReport(suite="equilibrium")
     theta = solution.theta_star
     spec = solution.spec
     scale = 1.0 + theta.sup_norm()
+    p1d, p3d = solution.p1.diagonal(), solution.p3.diagonal()
 
-    resid = characterization_residual(spec, theta)
+    resid = characterization_residual_from_fields(spec, p1d, p3d, solution.p2, theta)
     report.add_upper("characterization_residual", resid.sup_norm(), 1e-6 * scale)
 
     rep = solution.constraint_report
     report.add("constraints_all_pass", float(rep.all_pass), 1.0, rep.all_pass)
 
     p1t = solution.integral_state.p1_tilde.data[:, 0, 0]
-    diag_sum = solution.p1.diagonal().data[:, 0, 0] + solution.p3.diagonal().data[:, 0, 0]
+    diag_sum = p1d.data[:, 0, 0] + p3d.data[:, 0, 0]
     gap = float(np.max(np.abs(p1t - diag_sum)))
     report.add_upper("integral_route_consistency", gap, 1e-6 * (1.0 + float(np.max(np.abs(p1t)))))
 
-    p1d, p3d = solution.p1.diagonal(), solution.p3.diagonal()
-    T = spec.grid.horizon
-    for t_frac in (0.0, 0.25, 0.5, 0.75):
+    grid = spec.grid
+    for q in range(4):
+        t = float(grid.nodes[(q * grid.steps) // 4])
         for v in (1.0, -1.0):
             rep_s = spike_test(
                 spec,
@@ -244,13 +246,13 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
                 solution.p2,
                 sim_cfg,
                 SpikeSpec(v=v),
-                t_frac * T,
+                t,
                 p1_diag=p1d,
                 p3_diag=p3d,
                 residual=resid,
             )
             report.add(
-                f"spike_liminf_t{t_frac}_v{v:+g}",
+                f"spike_liminf_t{q / 4}_v{v:+g}",
                 float(rep_s.liminf_pass),
                 1.0,
                 rep_s.liminf_pass,

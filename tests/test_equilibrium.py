@@ -140,6 +140,13 @@ class TestSolveEquilibrium:
         assert diag.consistency_gap <= 1e-6
         assert diag.passthrough_nodes == []
 
+    def test_both_routes_share_one_p2(self, smoke_solution):
+        sol = smoke_solution
+        assert sol.integral_state.p2_tilde is sol.p2
+        again = solve_p2(sol.spec, sol.theta_star)
+        assert np.array_equal(again.data, sol.p2.data)
+        assert np.array_equal(again.mids, sol.p2.mids)
+
     def test_fields_nonnegative_under_positivity_floor(self, smoke_solution):
         # Transported nonnegative weights keep the integral field nonnegative,
         # and both Riccati diagonals inherit it.

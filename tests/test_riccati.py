@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fbslq.fields import Strategy, TimeGrid
-from fbslq.kernels import ConstantFn, ConstantKernel
+from fbslq.kernels import AffineFn, ConstantFn, ConstantKernel, DiscountedFn
 from fbslq.presets import example_2_5_problem, trivial_problem
 from fbslq.problem import Coefficients, Dimensions, ProblemSpec, Weights
 from fbslq.riccati import (
+    P2Field,
     characterization_residual,
+    characterization_residual_from_fields,
     check_constraints,
     feedback_map,
     solve_p1,
@@ -38,6 +41,62 @@ def zero_theta(spec):
     return Strategy.zeros(spec.grid, spec.dims.k, spec.dims.n)
 
 
+def matrix_p2_problem(steps, n=2, m=2, k=1):
+    """Every coefficient time-varying and coupled; only the P2 data matter."""
+    rng = np.random.default_rng(7)
+
+    def affine(shape):
+        return AffineFn(0.5 * rng.standard_normal(shape), 0.5 * rng.standard_normal(shape))
+
+    return ProblemSpec(
+        dims=Dimensions(n, m, k),
+        coeffs=Coefficients(
+            A=affine((n, n)), B=affine((n, k)), C=affine((n, n)), D=affine((n, k)),
+            Ahat=affine((m, n)), Bhat=affine((m, k)),
+            Chat=DiscountedFn(0.5 * rng.standard_normal((m, m)), 1.5), Dhat=affine((m, m)),
+            H=rng.standard_normal((m, n)), horizon=1.0,
+        ),
+        weights=Weights(
+            Q=ConstantKernel(np.eye(n)), R=ConstantKernel(np.eye(k)), M=ConstantKernel(np.eye(m)),
+            N=ConstantKernel(np.eye(m)), G1=ConstantFn(np.eye(n)), G2=ConstantFn(np.eye(m)),
+        ),
+        grid=TimeGrid(1.0, steps),
+    )
+
+
+def stage_form_p2(spec, theta):
+    """Oracle: P2 by classical RK4 stepped stage by stage, two half-steps per interval.
+
+    dP2/ds = -(P2 A_Th + Ahat_Th + Chat P2 + Dhat P2 C_Th), each stage sampling
+    the coefficients at its own time under the interval's gain.
+    """
+    c = spec.coeffs
+    nodes, g = spec.grid.nodes, 0.5 * spec.grid.h
+
+    def rhs(s, p, th):
+        a = c.A(s) + c.B(s) @ th
+        ct = c.C(s) + c.D(s) @ th
+        ah = c.Ahat(s) + c.Bhat(s) @ th
+        return -(p @ a + ah + c.Chat(s) @ p + c.Dhat(s) @ p @ ct)
+
+    def half_step(p, s_hi, s_md, s_lo, th):
+        k1 = rhs(s_hi, p, th)
+        k2 = rhs(s_md, p - 0.5 * g * k1, th)
+        k3 = rhs(s_md, p - 0.5 * g * k2, th)
+        k4 = rhs(s_lo, p - g * k3, th)
+        return p - (g / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    p = np.asarray(c.H, dtype=float)
+    at_nodes, at_mids = [p], []
+    for j in range(spec.grid.steps - 1, -1, -1):
+        lo, hi, th = nodes[j], nodes[j + 1], theta.values[j]
+        p = half_step(p, hi, 0.25 * lo + 0.75 * hi, 0.5 * (lo + hi), th)
+        at_mids.append(p)
+        p = half_step(p, 0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, lo, th)
+        at_nodes.append(p)
+    return np.array(at_nodes[::-1]), np.array(at_mids[::-1])
+
+
 class TestSolveP2:
     def test_zero_data_gives_zero(self):
         spec = build_scalar()
@@ -54,6 +113,44 @@ class TestSolveP2:
     def test_example_reduction_vanishes(self):
         p2 = solve_p2(example_2_5_problem(100), zero_theta(example_2_5_problem(100)))
         assert p2.sup_norm() == 0.0
+
+    def test_order_of_accuracy_fourth(self):
+        # A(s) = 0.5 + s and Ahat = k A: P2(t) = (H + k) exp(int_t^T A) - k.
+        k, h0, T = 0.4, 0.3, 1.0
+
+        def errors(steps):
+            base = build_scalar(H=h0, steps=steps, T=T)
+            coeffs = replace(base.coeffs, A=AffineFn(1.0, 0.5), Ahat=AffineFn(k, 0.5 * k))
+            spec = replace(base, coeffs=coeffs)
+            p2 = solve_p2(spec, zero_theta(spec))
+
+            def exact(t):
+                return (h0 + k) * np.exp(0.5 * (T - t) + 0.5 * (T**2 - t**2)) - k
+
+            return (np.max(np.abs(p2.flat() - exact(spec.grid.nodes))),
+                    np.max(np.abs(p2.mids[:, 0, 0] - exact(spec.grid.midpoints))))
+
+        coarse, fine = errors(20), errors(40)
+        assert coarse[0] > 1e-9  # truncation, not roundoff, sets the ratio
+        assert coarse[0] / fine[0] > 14.0
+        assert coarse[1] / fine[1] > 14.0
+
+    @pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
+    def test_matches_stage_form_rk4(self, m, n, rng):
+        spec = matrix_p2_problem(200, n=n, m=m)
+        theta = Strategy(spec.grid, 0.5 * rng.standard_normal((spec.grid.num_nodes, 1, n)))
+        p2 = solve_p2(spec, theta)
+        want_nodes, want_mids = stage_form_p2(spec, theta)
+        scale = np.max(np.abs(want_nodes))
+        assert np.max(np.abs(p2.data - want_nodes)) <= 1e-13 * scale
+        assert np.max(np.abs(p2.mids - want_mids)) <= 1e-13 * scale
+
+    def test_midpoints_must_match_grid(self):
+        spec = build_scalar(Ahat=0.7, H=0.3, steps=10)
+        p2 = solve_p2(spec, zero_theta(spec))
+        assert p2.mids.shape == (10, 1, 1)
+        with pytest.raises(ValueError):
+            P2Field(spec.grid, p2.data, p2.mids[:-1])
 
 
 class TestSolveP1:
@@ -220,6 +317,14 @@ class TestCharacterizationResidual:
         resid = characterization_residual(smoke_solution.spec, smoke_solution.theta_star)
         scale = 1.0 + smoke_solution.theta_star.sup_norm()
         assert resid.sup_norm() <= 1e-6 * scale
+
+    def test_solution_fields_give_the_same_residual(self, smoke_solution):
+        sol = smoke_solution
+        from_fields = characterization_residual_from_fields(
+            sol.spec, sol.p1.diagonal(), sol.p3.diagonal(), sol.p2, sol.theta_star
+        )
+        resolved = characterization_residual(sol.spec, sol.theta_star)
+        assert np.array_equal(from_fields.data, resolved.data)
 
 
 def test_strategy_grid_mismatch_rejected():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fbslq.cli import main
+from fbslq.equilibrium import solve_equilibrium
+from fbslq.fields import Strategy
 from fbslq.io_utils import load_solution_dir
 from fbslq.problem import validate
 from fbslq.scenario import (
@@ -82,6 +84,20 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("case", ["list", "null", "nan_horizon", "inf_horizon", "nan_coeff", "inf_coeff"])
+    def test_bad_document_exits_2_without_traceback(self, tmp_path, capsys, case):
+        doc = smoke_scenario(20)
+        if case in ("nan_horizon", "inf_horizon"):
+            doc["horizon"] = float(case[:3])
+        elif case in ("nan_coeff", "inf_coeff"):
+            doc["coeffs"]["A"]["params"]["value"] = [[float(case[:3])]]
+        else:
+            doc = {"list": [], "null": None}[case]
+        scen = write(tmp_path, "bad.json", doc)
+        assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_validation_failure_exits_2(self, tmp_path):
         doc = trivial_scenario(20)
         doc["weights"]["Q"] = {"type": "constant", "params": {"value": [[1.0, 0.0]]}}
@@ -120,6 +136,10 @@ class TestCliSolve:
         # Round-trip through the CSV is lossless.
         direct = np.genfromtxt(os.path.join(out, "theta.csv"), delimiter=",", skip_header=1)
         assert np.array_equal(direct[:, 1], sol.theta_star.flat())
+        # So is the solver's diagnostics record.
+        solved = solve_equilibrium(sol.spec, Strategy.zeros(sol.spec.grid, 1, 1))
+        assert len(sol.diagnostics.windows) > 1
+        assert sol.diagnostics.summary() == solved.diagnostics.summary()
 
 
 class TestCliVerify:
@@ -157,6 +177,15 @@ class TestCliVerify:
         open(path, "w").write("\n".join(lines) + "\n")
         assert main(["verify", out, "--suite", "equilibrium", "--paths", "400",
                      "--seed", "3", "--out", str(tmp_path / "rep.json")]) == 1
+
+    def test_equilibrium_suite_on_grid_not_a_multiple_of_4(self, tmp_path, capsys):
+        scen = write(tmp_path, "smoke.json", smoke_scenario(402))
+        out = str(tmp_path / "sol")
+        assert main(["solve", scen, "--out", out]) == 0
+        code = main(["verify", out, "--suite", "equilibrium", "--paths", "64",
+                     "--seed", "1", "--out", str(tmp_path / "rep.json")])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_target_exits_2(self, tmp_path):
         assert main(["verify", "--suite", "equilibrium",
