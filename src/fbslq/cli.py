@@ -12,6 +12,7 @@ run-dependent bytes).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -30,7 +31,7 @@ from .scenario import (
     smoke_scenario,
     trivial_scenario,
 )
-from .simulate import SimConfig, SpikeSpec, build_controls, evaluate_cost, simulate_closed_loop, spike_test
+from .simulate import BLOCK_PATHS, SimConfig, SpikeSpec, simulate_closed_loop, spike_test
 from .verify import suite_classical_reduction, suite_equilibrium, suite_example_2_5
 
 EXIT_OK = 0
@@ -211,8 +212,7 @@ def cmd_simulate(args) -> int:
         ),
     )
 
-    bundle = simulate_closed_loop(spec, solution.theta_star, solution.p2, cfg)
-    cost = evaluate_cost(spec, bundle, build_controls(spec, bundle), args.t)
+    cost = report.closed_loop
     write_json(
         os.path.join(outdir, "costs.json"),
         {
@@ -224,6 +224,10 @@ def cmd_simulate(args) -> int:
         },
     )
     if args.dump_paths:
+        # The first block's normals do not depend on the path count, so these
+        # are the first paths of the spike test's closed loop.
+        dump_cfg = dataclasses.replace(cfg, paths=min(cfg.paths, BLOCK_PATHS))
+        bundle = simulate_closed_loop(spec, solution.theta_star, solution.p2, dump_cfg)
         cap = min(100, bundle.paths)
         header = ["path", "t"] + [f"x{i}" for i in range(spec.dims.n)] + [
             f"y{i}" for i in range(spec.dims.m)

@@ -47,6 +47,7 @@ __all__ = [
     "NonContractiveError",
     "NoConvergenceError",
     "AssumptionViolatedError",
+    "integral_state",
     "second_moment_factor",
     "p1_tilde_from_theta",
     "fixed_point_map",
@@ -262,6 +263,31 @@ class _Workspace:
         return new_vals
 
 
+def _lambda_field(grid, expo: np.ndarray) -> TwoTimeField:
+    """lam[i, j] = exp(E_j - E_i) on the stored triangle j >= i, NaN below."""
+    lam = np.exp(expo[None, :] - expo[:, None])
+    ii, jj = np.indices(lam.shape)
+    lam[jj < ii] = np.nan
+    return TwoTimeField(grid, lam[..., None, None])
+
+
+def _integral_state(ws: _Workspace, theta: Strategy, p2: P2Field) -> IntegralState:
+    """p1t and lam of a gain from one exponent sweep; ``p2`` is P2 at that gain."""
+    th = theta.flat()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = ws.exponent(th)
+        p1t = ws.p1_tilde(th, p2.flat(), expo)
+        lam = _lambda_field(ws.grid, expo)
+    return IntegralState(
+        p2_tilde=p2, p1_tilde=OneTimeField.from_flat(ws.grid, p1t), lambda_factor=lam, theta=theta
+    )
+
+
+def integral_state(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> IntegralState:
+    """Integral-route fields of a scalar gain, as the solver records them at Theta*."""
+    return _integral_state(_Workspace(spec), theta, p2)
+
+
 def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
     """lam(s, t) = E[Phi(s, t)^2] for the scalar closed-loop transition.
 
@@ -270,11 +296,7 @@ def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
     exponent quadrature is.
     """
     ws = _Workspace(spec)
-    expo = ws.exponent(theta.flat())
-    lam = np.exp(expo[None, :] - expo[:, None])  # [i, j] = exp(E_j - E_i)
-    ii, jj = np.indices(lam.shape)
-    lam[jj < ii] = np.nan
-    return TwoTimeField(spec.grid, lam[..., None, None])
+    return _lambda_field(spec.grid, ws.exponent(theta.flat()))
 
 
 def p1_tilde_from_theta(
@@ -400,19 +422,8 @@ def solve_equilibrium(
 
     # Integral-route state at the converged gain.
     p2 = _integrate_p2(spec, ws.p2_samples, theta_star.values)
-    p2t = p2.flat()
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = ws.exponent(th)
-        p1t = ws.p1_tilde(th, p2t, expo)
-        lam = np.exp(expo[None, :] - expo[:, None])
-    ii, jj = np.indices(lam.shape)
-    lam[jj < ii] = np.nan
-    state = IntegralState(
-        p2_tilde=p2,
-        p1_tilde=OneTimeField.from_flat(grid, p1t),
-        lambda_factor=TwoTimeField(grid, lam[..., None, None]),
-        theta=theta_star,
-    )
+    state = _integral_state(ws, theta_star, p2)
+    p2t, p1t = p2.flat(), state.p1_tilde.flat()
     _, den = ws.gain(p1t, p2t, slice(0, L), th0, config.denominator_floor)
     diagnostics.passthrough_nodes = np.nonzero(np.abs(den) <= config.denominator_floor)[
         0

@@ -16,10 +16,9 @@ import numpy as np
 
 from .equilibrium import (
     EquilibriumSolution,
-    IntegralState,
     SolverDiagnostics,
     WindowDiagnostics,
-    second_moment_factor,
+    integral_state,
 )
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec
@@ -145,14 +144,9 @@ def load_solution_dir(path) -> EquilibriumSolution:
     p1d, p3d = p1.diagonal(), p3.diagonal()
     report = check_constraints(spec, p1d, p3d, p2, theta0)
 
-    if spec.is_one_dimensional():
-        lam = second_moment_factor(spec, theta)
-        from .equilibrium import p1_tilde_from_theta
-
-        p1t = p1_tilde_from_theta(spec, theta, p2, lam)
-        state = IntegralState(p2_tilde=p2, p1_tilde=p1t, lambda_factor=lam, theta=theta)
-    else:
+    if not spec.is_one_dimensional():
         raise ValueError("solution directories are produced by the scalar solver only")
+    state = integral_state(spec, theta, p2)
 
     return EquilibriumSolution(
         spec=spec,

@@ -18,6 +18,13 @@ Cost quadrature is trapezoidal in time, applied interval by interval with
 one-sided limits: the control (and hence Z) is frozen at its interval value,
 matching both the Euler dynamics and the closed-left/open-right indicator
 convention of the spike window.
+
+The spike ladder streams in perturbation form: it carries the closed loop
+and each rung's perturbation, which is exactly linear in the direction v, and
+splits every cost difference into a part linear and a part quadratic in v.
+One pass therefore yields the ladder for +v and for -v, and the closed-loop
+cost estimate from the same paths.  In the scalar case the rungs collapse
+into a single process once the widest spike window has closed.
 """
 
 from __future__ import annotations
@@ -162,6 +169,8 @@ class SpikeReport:
     liminf_pass: bool = False
     limit_converged: bool = False
     first_order_estimate: float = float("nan")
+    closed_loop: CostEstimate | None = None  # from the ladder's unperturbed paths
+    opposite: SpikeReport | None = None  # the report for -v from the same pass
 
     def summary(self) -> dict:
         return {
@@ -183,6 +192,7 @@ class SpikeReport:
                 }
                 for r in self.rows
             ],
+            "opposite": None if self.opposite is None else self.opposite.summary(),
         }
 
 
@@ -256,46 +266,47 @@ class _SimPrep:
         return mask
 
 
-def _solve_p7(spec: ProblemSpec, p2: P2Field, i0: int, eps_steps: int, v: np.ndarray):
+def _p7_samples(spec: ProblemSpec, p2: P2Field, i0: int, steps: int, v: np.ndarray):
+    """Coefficients of the spike coupling equation on the widest window, sampled once.
+
+    Returns Chat and the source (P2 B + Bhat + Dhat P2 D) v at the nodes
+    i0 .. i0 + steps and at the midpoints of those intervals; every rung of
+    a ladder integrates over a leading part of them.
+    """
+    grid, c = spec.grid, spec.coeffs
+    nodes = grid.nodes[i0 : i0 + steps + 1]
+    mids = grid.midpoints[i0 : i0 + steps]
+
+    def source(times, p2val):
+        return (p2val @ c.B(times) + c.Bhat(times) + c.Dhat(times) @ p2val @ c.D(times)) @ v
+
+    return (
+        c.Chat(nodes),
+        c.Chat(mids),
+        source(nodes, p2.data[i0 : i0 + steps + 1]),
+        source(mids, p2.mids[i0 : i0 + steps]),
+    )
+
+
+def _solve_p7(samples, h: float, eps_steps: int, range_nodes: int) -> np.ndarray:
     """Spike coupling field on the range nodes: nonzero only on [t, t + eps).
 
     Backward RK4 of  dP7/ds = -(Chat P7 + chi (P2 B + Bhat + Dhat P2 D)) v
     with P7(T) = 0; the source is constant per interval (the indicator is
     aligned with whole grid steps), so only the window intervals integrate.
-    The stages read P2 at the nodes and midpoints carried by ``p2``.
+    ``samples`` comes from :func:`_p7_samples` for a window at least
+    ``eps_steps`` wide.  The field is linear in v.
     """
-    grid = spec.grid
-    m, k = spec.dims.m, spec.dims.k
-    range_nodes = grid.steps - i0 + 1
-    out = np.zeros((range_nodes, m))
-    if eps_steps <= 0:
-        return out
-    h = grid.h
-    c = spec.coeffs
-    p2_nodes, p2_mids = p2.data, p2.mids
-
-    def source(time, p2val):
-        sv = (p2val @ c.B(time) + c.Bhat(time) + c.Dhat(time) @ p2val @ c.D(time)) @ v
-        return sv  # (m,)
-
-    p = np.zeros(m)
-    for j in range(i0 + eps_steps - 1, i0 - 1, -1):
-        s0, s1 = grid.nodes[j], grid.nodes[j + 1]
-        sm = 0.5 * (s0 + s1)
-        ch0, chm, ch1 = c.Chat(s0), c.Chat(sm), c.Chat(s1)
-        w0 = source(s0, p2_nodes[j])
-        wm = source(sm, p2_mids[j])
-        w1 = source(s1, p2_nodes[j + 1])
-
-        def rhs(pv, ch, w):
-            return -(ch @ pv + w)
-
-        k1 = rhs(p, ch1, w1)
-        k2 = rhs(p - 0.5 * h * k1, chm, wm)
-        k3 = rhs(p - 0.5 * h * k2, chm, wm)
-        k4 = rhs(p - h * k3, ch0, w0)
+    ch_nodes, ch_mids, w_nodes, w_mids = samples
+    out = np.zeros((range_nodes, w_nodes.shape[-1]))
+    p = np.zeros(w_nodes.shape[-1])
+    for j in range(eps_steps - 1, -1, -1):
+        k1 = -(ch_nodes[j + 1] @ p + w_nodes[j + 1])
+        k2 = -(ch_mids[j] @ (p - 0.5 * h * k1) + w_mids[j])
+        k3 = -(ch_mids[j] @ (p - 0.5 * h * k2) + w_mids[j])
+        k4 = -(ch_nodes[j] @ (p - h * k3) + w_nodes[j])
         p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j - i0] = p
+        out[j] = p
     return out
 
 
@@ -367,7 +378,8 @@ def _simulate_bundle(spec, theta, p2, cfg, v, eps_steps) -> PathBundle:
     prep = _SimPrep(spec, theta, p2, cfg)
     vvec = np.zeros(prep.k) if v is None else v
     chi, bv, dv = _spike_sources(prep, vvec, eps_steps)
-    p7v = _solve_p7(spec, p2, prep.i0, eps_steps, vvec)  # (range_nodes, m)
+    samples = _p7_samples(spec, p2, prep.i0, eps_steps, vvec)
+    p7v = _solve_p7(samples, prep.h, eps_steps, prep.n_coarse + 1)  # (range_nodes, m)
 
     R = prep.n_coarse + 1
     paths = cfg.paths
@@ -503,33 +515,85 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Streaming engines: spike ladder statistics without materializing bundles.
+#
+# The ladder runs in perturbation form.  Next to the closed-loop state x it
+# carries, for every rung q, the perturbation d_q = X^q - x under +v, which
+# starts at zero and follows
+#
+#     d <- d + (A_Th d + chi_q B v) h_f + (C_Th d + chi_q D v) dW.
+#
+# Every cost term is a quadratic form wt <W L x, L x> of a linear function of
+# the state, and rung q moves its argument by e_q = L d_q + s_q, where s_q
+# holds the chi v, chi D v and P7 sources.  Per path the cost difference of
+# rung q is (quad_q + cross_q) / 2 under +v and (quad_q - cross_q) / 2 under
+# -v, with
+#
+#     cross_q = sum wt <(W + W') L x, e_q>,   quad_q = sum wt <W e_q, e_q>,
+#
+# because e_q is exactly linear in v.  One pass therefore gives both
+# directions, bit for bit what a separate -v pass gives.  The generic kernel
+# evaluates every term so and carries each rung to the horizon.  The scalar
+# kernel (m = n = k = 1) groups the terms by node and stops carrying the
+# rungs at node e, the end of the widest window: past e no rung has a
+# source, so d_q(r) = d_q(e) Psi(r) with one process Psi, Psi(e) = 1,
+# stepped like x.
 # ---------------------------------------------------------------------------
 
 
-class _LadderRun:
-    """Simultaneous closed-loop + spike-variant simulation, one pass per block.
+def _rmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m; a 1 x 1 matrix scales instead, since numpy's matmul over a
+    trailing axis of length one is several times slower than the product."""
+    return x * m[0, 0] if m.shape == (1, 1) else x @ m
 
-    Variant 0 is the unperturbed system; variant q >= 1 applies the spike of
-    ``eps_steps[q-1]`` coarse steps.  All variants share each block's normals
-    (common random numbers).
+
+def _add_form(sums, wt: float, w: np.ndarray, a: np.ndarray, e: np.ndarray) -> None:
+    """Add the term wt <W y, y> at y = a (closed loop) and at y = a + e (rungs).
+
+    ``sums`` is (base, cross, quad): the closed-loop term per path, and per
+    rung and path the parts of the difference linear and quadratic in e.
+    """
+    base, cross, quad = sums
+    base += wt * np.einsum("pi,ij,pj->p", a, w, a)
+    cross += wt * np.einsum("pi,ij,qpj->qp", a, w + w.T, e)
+    quad += wt * np.einsum("qpi,ij,qpj->qp", e, w, e)
+
+
+def _merge_moments(moments, samples: np.ndarray):
+    """Fold one block of samples into (count, mean, M2), by the pairwise update
+    of Chan, Golub & LeVeque."""
+    count, mean, m2 = moments
+    k = samples.size
+    k_mean = float(np.mean(samples))
+    k_m2 = float(np.sum((samples - k_mean) ** 2))
+    total = count + k
+    delta = k_mean - mean
+    return total, mean + delta * k / total, m2 + k_m2 + delta**2 * count * k / total
+
+
+class _LadderRun:
+    """Closed loop plus the +v perturbation of every spike rung, one pass per block.
+
+    Rung q applies the spike of ``eps_steps[q]`` coarse steps; every rung
+    shares each block's normals with the closed loop (common random numbers).
     """
 
     def __init__(self, spec, theta, p2, cfg, v: np.ndarray, eps_steps: list[int], t: float):
         self.prep = _SimPrep(spec, theta, p2, cfg)
-        self.spec, self.cfg = spec, cfg
-        self.t = t
+        self.cfg = cfg
         self.v = v
         self.eps_steps = eps_steps
-        self.V = 1 + len(eps_steps)
+        self.widest = max(eps_steps)
         prep = self.prep
+        rungs = len(eps_steps)
 
-        self.chi_fine = np.zeros((self.V, prep.F))
-        self.chi_node = np.zeros((self.V, prep.n_coarse))
-        self.p7v = np.zeros((self.V, prep.n_coarse + 1, prep.m))
-        for q, steps in enumerate(eps_steps, start=1):
+        self.chi_fine = np.zeros((rungs, prep.F))
+        self.chi_node = np.zeros((rungs, prep.n_coarse))
+        self.p7v = np.zeros((rungs, prep.n_coarse + 1, prep.m))
+        samples = _p7_samples(spec, p2, prep.i0, self.widest, v)
+        for q, steps in enumerate(eps_steps):
             self.chi_fine[q] = prep.spike_fine_mask(steps)
             self.chi_node[q] = prep.spike_node_mask(steps)
-            self.p7v[q] = _solve_p7(spec, p2, prep.i0, steps, v)
+            self.p7v[q] = _solve_p7(samples, prep.h, steps, prep.n_coarse + 1)
         self.bv = prep.b_fine @ v
         self.dv = prep.d_fine @ v
         self.dv_left = prep.d_left @ v  # (n_coarse, n)
@@ -545,133 +609,158 @@ class _LadderRun:
         self.g2 = w.G2(t)
 
     def run(self, per_node=None):
-        """Accumulate pathwise costs; optionally observe states at every node.
+        """Stream every block; optionally observe the perturbations at every node.
 
-        ``per_node(r, X)`` receives the (V, width, n) state at coarse node r.
-        Returns per-variant running sums (sum, sumsq) of the pathwise cost
-        differences against variant 0, plus the plain cost sums.
+        ``per_node(r, d)`` receives the (rungs, width, n) perturbations at
+        coarse node r; it forces the generic kernel.  Returns the running
+        sums (sum, sumsq) over paths of the pathwise cost differences, each
+        (2, rungs) with row 0 for +v and row 1 for -v, and the moments
+        (paths, mean, M2) of the closed loop's pathwise cost.
         """
         prep = self.prep
         scalar = prep.n == prep.m == prep.k == 1 and per_node is None
-        V = self.V
-        sum_d = np.zeros(V - 1)
-        sumsq_d = np.zeros(V - 1)
-        sum_j = np.zeros(V)
-        sumsq_j = np.zeros(V)
-
-        y0 = prep.p2_range[0] @ prep.x0 + self.p7v[:, 0]  # (V, m)
-        init_term = np.einsum("vi,ij,vj->v", y0, self.g2, y0)
-
-        for block, start, width in _blocks(self.cfg.paths):
+        weights = self._scalar_weights() if scalar else None
+        sum_d = np.zeros((2, len(self.eps_steps)))
+        sumsq_d = np.zeros_like(sum_d)
+        moments = (0, 0.0, 0.0)
+        for block, _, width in _blocks(self.cfg.paths):
             normals = _philox_normals(self.cfg.seed, block, prep.F, width)
             if scalar:
-                costs = self._block_costs_scalar(normals, width, init_term)
+                base, cross, quad = self._block_scalar(normals, width, weights)
             else:
-                costs = self._block_costs_generic(normals, width, init_term, per_node)
-            d = costs[1:] - costs[0]
-            sum_d += d.sum(axis=1)
-            sumsq_d += (d**2).sum(axis=1)
-            sum_j += costs.sum(axis=1)
-            sumsq_j += (costs**2).sum(axis=1)
-        return sum_d, sumsq_d, sum_j, sumsq_j
+                base, cross, quad = self._block_generic(normals, width, per_node)
+            for sign, d in enumerate((0.5 * (quad + cross), 0.5 * (quad - cross))):
+                sum_d[sign] += d.sum(axis=1)
+                sumsq_d[sign] += (d**2).sum(axis=1)
+            moments = _merge_moments(moments, 0.5 * base)
+        return sum_d, sumsq_d, moments
 
-    def _block_costs_generic(self, normals, width, init_term, per_node):
+    def _block_generic(self, normals, width, per_node):
+        """Cross and quad sums term by term, every rung carried to the horizon."""
         prep = self.prep
-        V = self.V
-        sqrt_hf = np.sqrt(prep.hf)
-        x = np.broadcast_to(prep.x0, (V, width, prep.n)).copy()
-        acc = 0.5 * prep.h * self._state_terms(0, x)
-        if per_node is not None:
-            per_node(0, x)
-        for r in range(prep.n_coarse):
-            acc += prep.h * self._control_term(r, x)
-            acc += 0.5 * prep.h * self._z_term(r, x, left=True)
-            for s in range(prep.sub):
-                ell = r * prep.sub + s
-                dw = (normals[ell] * sqrt_hf)[None, :, None]
-                drift = x @ prep.a_fine[ell].T + self.chi_fine[:, ell, None, None] * self.bv[ell]
-                diff = x @ prep.c_fine[ell].T + self.chi_fine[:, ell, None, None] * self.dv[ell]
-                x = x + drift * prep.hf + diff * dw
-            acc += 0.5 * prep.h * self._z_term(r, x, left=False)
-            weight = prep.h if r + 1 < prep.n_coarse else 0.5 * prep.h
-            acc += weight * self._state_terms(r + 1, x)
-            if per_node is not None:
-                per_node(r + 1, x)
-        acc += np.einsum("vpi,ij,vpj->vp", x, self.g1, x)
-        acc += init_term[:, None]
-        return 0.5 * acc
-
-    def _block_costs_scalar(self, normals, width, init_term):
-        """Squeezed (V, width) arithmetic for m = n = k = 1; same quadrature."""
-        prep = self.prep
-        V = self.V
         h, hf = prep.h, prep.hf
-        a_f = prep.a_fine[:, 0, 0]
-        c_f = prep.c_fine[:, 0, 0]
-        bv_f = self.bv[:, 0]
-        dv_f = self.dv[:, 0]
-        p2r = prep.p2_range[:, 0, 0]
-        p7 = self.p7v[:, :, 0]  # (V, nodes)
-        th_iv = prep.theta_iv[:, 0, 0]
-        ct_l = prep.ct_left[:, 0, 0]
-        ct_r = prep.ct_right[:, 0, 0]
-        dv_l = self.dv_left[:, 0]
-        dv_r = self.dv_right[:, 0]
-        qk = self.qk[:, 0, 0]
-        mk = self.mk[:, 0, 0]
-        nk = self.nk[:, 0, 0]
-        rk = self.rk_iv[:, 0, 0]
-        g1 = self.g1[0, 0]
-        vval = self.v[0]
-        chi_f = self.chi_fine
-        chi_n = self.chi_node
-
         sqrt_hf = np.sqrt(hf)
-        x = np.full((V, width), prep.x0[0])
+        rungs = len(self.eps_steps)
+        x = np.broadcast_to(prep.x0, (width, prep.n)).copy()
+        dx = np.zeros((rungs, width, prep.n))
+        sums = (np.zeros(width), np.zeros((rungs, width)), np.zeros((rungs, width)))
 
-        def state(r, xx):
-            y = p2r[r] * xx + p7[:, r][:, None]
-            return qk[r] * xx**2 + mk[r] * y**2
-
-        acc = 0.5 * h * state(0, x)
+        y0 = np.broadcast_to(prep.p2_range[0] @ prep.x0, (width, prep.m))
+        _add_form(sums, 1.0, self.g2, y0, np.broadcast_to(self.p7v[:, 0, None], (rungs, width, prep.m)))
+        self._add_state(sums, 0, 0.5 * h, x, dx)
+        if per_node is not None:
+            per_node(0, dx)
         for r in range(prep.n_coarse):
-            u = th_iv[r] * x + (chi_n[:, r] * vval)[:, None]
-            acc += (h * rk[r]) * u**2
-            z = p2r[r] * (ct_l[r] * x + (chi_n[:, r] * dv_l[r])[:, None])
-            acc += (0.5 * h * nk[r]) * z**2
-            for s in range(prep.sub):
-                ell = r * prep.sub + s
-                dw = (normals[ell] * sqrt_hf)[None, :]
-                drift = a_f[ell] * x + (chi_f[:, ell] * bv_f[ell])[:, None]
-                diff = c_f[ell] * x + (chi_f[:, ell] * dv_f[ell])[:, None]
-                x = x + drift * hf + diff * dw
-            z = p2r[r + 1] * (ct_r[r] * x + (chi_n[:, r] * dv_r[r])[:, None])
-            acc += (0.5 * h * nk[r + 1]) * z**2
+            chi = self.chi_node[:, r, None, None]
+            th = prep.theta_iv[r].T
+            _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
+            self._add_z(sums, r, prep.ct_left[r], self.dv_left[r], chi, x, dx)
+            for ell in range(r * prep.sub, (r + 1) * prep.sub):
+                dw = (normals[ell] * sqrt_hf)[:, None]
+                a, c = prep.a_fine[ell].T, prep.c_fine[ell].T
+                chi_f = self.chi_fine[:, ell, None, None]
+                x = x + _rmul(x, a) * hf + _rmul(x, c) * dw
+                dx = dx + (_rmul(dx, a) + chi_f * self.bv[ell]) * hf + (_rmul(dx, c) + chi_f * self.dv[ell]) * dw
+            self._add_z(sums, r + 1, prep.ct_right[r], self.dv_right[r], chi, x, dx)
             weight = h if r + 1 < prep.n_coarse else 0.5 * h
-            acc += weight * state(r + 1, x)
-        acc += g1 * x**2
-        acc += init_term[:, None]
-        return 0.5 * acc
+            self._add_state(sums, r + 1, weight, x, dx)
+            if per_node is not None:
+                per_node(r + 1, dx)
+        _add_form(sums, 1.0, self.g1, x, dx)
+        return sums
 
-    def _state_terms(self, r, x):
-        qx = np.einsum("vpi,ij,vpj->vp", x, self.qk[r], x)
-        y = x @ self.prep.p2_range[r].T + self.p7v[:, r][:, None, :]
-        my = np.einsum("vpi,ij,vpj->vp", y, self.mk[r], y)
-        return qx + my
+    def _add_state(self, sums, r, wt, x, dx):
+        _add_form(sums, wt, self.qk[r], x, dx)
+        p2 = self.prep.p2_range[r].T
+        _add_form(sums, wt, self.mk[r], _rmul(x, p2), _rmul(dx, p2) + self.p7v[:, r, None])
 
-    def _control_term(self, r, x):
-        u = np.einsum("kn,vpn->vpk", self.prep.theta_iv[r], x)
-        u = u + self.chi_node[:, r, None, None] * self.v
-        return np.einsum("vpi,ij,vpj->vp", u, self.rk_iv[r], u)
+    def _add_z(self, sums, node, ct, dvv, chi, x, dx):
+        """Z = P2 (C_Th X + chi D v) of an interval at one of its ends, weight N h / 2."""
+        p2 = self.prep.p2_range[node].T
+        z = _rmul(_rmul(x, ct.T), p2)
+        dz = _rmul(_rmul(dx, ct.T) + chi * dvv, p2)
+        _add_form(sums, 0.5 * self.prep.h, self.nk[node], z, dz)
 
-    def _z_term(self, r, x, left: bool):
-        ct = self.prep.ct_left[r] if left else self.prep.ct_right[r]
-        dvv = self.dv_left[r] if left else self.dv_right[r]
-        p2 = self.prep.p2_range[r] if left else self.prep.p2_range[r + 1]
-        nkr = self.nk[r] if left else self.nk[r + 1]
-        zc = x @ ct.T + self.chi_node[:, r, None, None] * dvv
-        z = zc @ p2.T
-        return np.einsum("vpi,ij,vpj->vp", z, nkr, z)
+    def _scalar_weights(self):
+        """Node weights of the scalar kernel, and the spike drive per fine step.
+
+        Every cost term at node r reads wt (l x + s_q)^2 with a deterministic
+        weight wt, multiplier l and rung source s_q.  Summed over the terms of
+        the node, the closed loop pays alpha_r x^2 and rung q adds
+        2 x (alpha_r d + beta_qr) to its cross sum and
+        d (alpha_r d + 2 beta_qr) + gamma_qr to its quad sum, where
+        alpha = sum wt l^2, beta = sum wt l s and gamma = sum wt s^2.  The
+        gammas are the same on every path and are summed once.
+        """
+        prep = self.prep
+        h, n = prep.h, prep.n_coarse
+        p2 = prep.p2_range[:, 0, 0]
+        chi = self.chi_node
+        p7 = self.p7v[:, :, 0]
+        w_state = np.full(n + 1, h)
+        w_state[0] = w_state[-1] = 0.5 * h
+        nk = self.nk[:, 0, 0]
+        alpha = w_state * self.qk[:, 0, 0]
+        alpha[-1] += self.g1[0, 0]
+        beta = np.zeros((len(self.eps_steps), n + 1))
+        gamma = np.zeros(len(self.eps_steps))
+        left, right = slice(0, n), slice(1, n + 1)
+        sourced = (  # (nodes, weight, multiplier, source per rung)
+            (left, h * self.rk_iv[:, 0, 0], prep.theta_iv[:, 0, 0], chi * self.v[0]),
+            (left, 0.5 * h * nk[:-1], p2[:-1] * prep.ct_left[:, 0, 0], p2[:-1] * chi * self.dv_left[:, 0]),
+            (right, 0.5 * h * nk[1:], p2[1:] * prep.ct_right[:, 0, 0], p2[1:] * chi * self.dv_right[:, 0]),
+            (slice(0, n + 1), w_state * self.mk[:, 0, 0], p2, p7),
+            (slice(0, 1), self.g2[0, 0], p2[:1], p7[:, :1]),  # G2 Y(t)^2 at the deterministic start
+        )
+        for nodes, wt, ell, src in sourced:
+            alpha[nodes] += wt * ell**2
+            beta[:, nodes] += wt * ell * src
+            gamma += (wt * src**2).sum(axis=1)
+        drive_h = self.chi_fine * (self.bv[:, 0] * prep.hf)
+        drive_w = self.chi_fine * self.dv[:, 0]
+        return alpha, beta, gamma, drive_h, drive_w
+
+    def _block_scalar(self, normals, width, weights):
+        """Node-grouped sums for m = n = k = 1, the rungs collapsed past the widest window."""
+        alpha, beta, gamma, drive_h, drive_w = weights
+        prep = self.prep
+        sub, hf = prep.sub, prep.hf
+        sqrt_hf = np.sqrt(hf)
+        a_h = prep.a_fine[:, 0, 0] * hf
+        c_f = prep.c_fine[:, 0, 0]
+        e = self.widest
+
+        x = np.full(width, prep.x0[0])
+        dx = np.zeros((len(self.eps_steps), width))
+        base = np.zeros(width)
+        cross = np.zeros_like(dx)
+        quad = np.zeros_like(dx)
+        for r in range(e + 1):
+            if r:
+                for ell in range((r - 1) * sub, r * sub):
+                    dw = normals[ell] * sqrt_hf
+                    f = a_h[ell] + c_f[ell] * dw
+                    x = x + f * x
+                    dx = dx + f * dx + (drive_h[:, ell, None] + drive_w[:, ell, None] * dw)
+            base += alpha[r] * x * x
+            t = alpha[r] * dx + beta[:, r, None]
+            cross += (2.0 * x) * t
+            quad += dx * (t + beta[:, r, None])
+
+        # Past node e: d_q(r) = d_q(e) Psi(r); carry x and Psi only.
+        xp = np.stack([x, np.ones(width)])
+        big_a = np.zeros(width)  # sum alpha Psi^2
+        big_b = np.zeros(width)  # sum alpha x Psi
+        for r in range(e + 1, prep.n_coarse + 1):
+            for ell in range((r - 1) * sub, r * sub):
+                xp += (a_h[ell] + c_f[ell] * (normals[ell] * sqrt_hf)) * xp
+            ax = alpha[r] * xp
+            base += ax[0] * xp[0]
+            big_b += ax[0] * xp[1]
+            big_a += ax[1] * xp[1]
+        cross += (2.0 * dx) * big_b
+        quad += (dx * dx) * big_a + gamma[:, None]
+        return base, cross, quad
 
 
 def _snap_eps(grid, i0: int, epsilons) -> list[tuple[float, int]]:
@@ -702,7 +791,9 @@ def spike_test(
     is estimated with common random numbers.  The report carries the liminf
     flag (every Delta >= -3 stderr) and compares the smallest-eps estimate
     against the expansion limit: the quadratic form built from the Riccati
-    diagonal plus the first-order characterization-residual term.
+    diagonal plus the first-order characterization-residual term.  The same
+    pass yields the report for -v (``opposite``) and the closed-loop cost
+    estimate (``closed_loop``).
     """
     grid = spec.grid
     cfg = SimConfig(paths=cfg.paths, seed=cfg.seed, sub_steps=cfg.sub_steps, t_start=t, x0=cfg.x0)
@@ -715,39 +806,45 @@ def spike_test(
         p3_diag = solve_p3(spec, theta, p2).diagonal()
     lam, _ = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
     lam_t = lam[i0]
-    quad_theory = 0.5 * float(v @ lam_t @ v)
     if residual is None:
         residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
     x0 = cfg.x0_vector(spec.dims.n)
-    first_theory = float(v @ residual.data[i0] @ x0)
 
     run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder], t)
-    sum_d, sumsq_d, _, _ = run.run()
-    paths = cfg.paths
+    sum_d, sumsq_d, (paths, mean_j, m2_j) = run.run()
+    stderr_j = float(np.sqrt(m2_j / (paths - 1)) / np.sqrt(paths)) if paths > 1 else 0.0
+    closed_loop = CostEstimate(estimate=float(mean_j), stderr=stderr_j, paths=paths)
 
-    report = SpikeReport(t=t, v=v, paths=paths, seed=cfg.seed)
-    for q, (eps_req, steps) in enumerate(ladder):
-        eps_used = steps * grid.h
-        mean_d = sum_d[q] / paths
-        var_d = max(0.0, sumsq_d[q] / paths - mean_d**2)
-        se_d = np.sqrt(var_d / max(1, paths - 1))
-        report.rows.append(
-            SpikeRow(
-                eps_requested=eps_req,
-                eps_used=float(eps_used),
-                delta=float(mean_d / eps_used),
-                stderr=float(se_d / eps_used),
-                theory_quadratic=quad_theory,
-                theory_first_order=first_theory,
+    def report(sign: int, vv: np.ndarray) -> SpikeReport:
+        quad_theory = 0.5 * float(vv @ lam_t @ vv)
+        first_theory = float(vv @ residual.data[i0] @ x0)
+        rep = SpikeReport(t=t, v=vv, paths=paths, seed=cfg.seed, closed_loop=closed_loop)
+        for q, (eps_req, steps) in enumerate(ladder):
+            eps_used = steps * grid.h
+            mean_d = sum_d[sign, q] / paths
+            var_d = max(0.0, sumsq_d[sign, q] / paths - mean_d**2)
+            se_d = np.sqrt(var_d / max(1, paths - 1))
+            rep.rows.append(
+                SpikeRow(
+                    eps_requested=eps_req,
+                    eps_used=float(eps_used),
+                    delta=float(mean_d / eps_used),
+                    stderr=float(se_d / eps_used),
+                    theory_quadratic=quad_theory,
+                    theory_first_order=first_theory,
+                )
             )
+        rep.liminf_pass = bool(all(r.delta >= -3.0 * r.stderr for r in rep.rows))
+        tail = min(rep.rows, key=lambda r: r.eps_used)
+        rep.limit_converged = bool(
+            abs(tail.delta - (quad_theory + first_theory)) <= 3.0 * tail.stderr
         )
-    report.liminf_pass = bool(all(r.delta >= -3.0 * r.stderr for r in report.rows))
-    tail = min(report.rows, key=lambda r: r.eps_used)
-    report.limit_converged = bool(
-        abs(tail.delta - (quad_theory + first_theory)) <= 3.0 * tail.stderr
-    )
-    report.first_order_estimate = float(tail.delta - quad_theory)
-    return report
+        rep.first_order_estimate = float(tail.delta - quad_theory)
+        return rep
+
+    result = report(0, v)
+    result.opposite = report(1, -v)
+    return result
 
 
 def perturbation_scaling(
@@ -772,10 +869,9 @@ def perturbation_scaling(
     prep = run.prep
     state = {}
 
-    def per_node(r, x):
-        dx = x[1:] - x[0]
+    def per_node(r, dx):
         dxn = np.einsum("vpi,vpi->vp", dx, dx)
-        dy = dx @ prep.p2_range[r].T + run.p7v[1:, r][:, None, :]
+        dy = _rmul(dx, prep.p2_range[r].T) + run.p7v[:, r, None]
         dyn = np.einsum("vpi,vpi->vp", dy, dy)
         if r == 0:
             state["mx"] = dxn
@@ -785,8 +881,8 @@ def perturbation_scaling(
             np.maximum(state["mx"], dxn, out=state["mx"])
             np.maximum(state["my"], dyn, out=state["my"])
         if r < prep.n_coarse:
-            zc = dx @ prep.ct_left[r].T + run.chi_node[1:, r, None, None] * run.dv_left[r]
-            dz = zc @ prep.p2_range[r].T
+            zc = _rmul(dx, prep.ct_left[r].T) + run.chi_node[:, r, None, None] * run.dv_left[r]
+            dz = _rmul(zc, prep.p2_range[r].T)
             state["iz"] += prep.h * np.einsum("vpi,vpi->vp", dz, dz)
         else:
             state["sum_x"] = state.get("sum_x", 0.0) + state["mx"].sum(axis=1)

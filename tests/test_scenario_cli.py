@@ -18,6 +18,7 @@ from fbslq.scenario import (
     smoke_scenario,
     trivial_scenario,
 )
+from fbslq.simulate import SimConfig, build_controls, evaluate_cost, simulate_closed_loop
 
 
 @pytest.mark.parametrize(
@@ -141,6 +142,17 @@ class TestCliSolve:
         assert len(sol.diagnostics.windows) > 1
         assert sol.diagnostics.summary() == solved.diagnostics.summary()
 
+    def test_load_reproduces_integral_state_bitwise(self, tmp_path):
+        doc = smoke_scenario(60)
+        scen = write(tmp_path, "smoke.json", doc)
+        out = str(tmp_path / "sol")
+        assert main(["solve", scen, "--out", out]) == 0
+        spec = scenario_to_spec(doc)
+        solved = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1)).integral_state
+        loaded = load_solution_dir(out).integral_state
+        assert np.array_equal(loaded.p1_tilde.data, solved.p1_tilde.data)
+        assert np.array_equal(loaded.lambda_factor.data, solved.lambda_factor.data, equal_nan=True)
+
 
 class TestCliVerify:
     def test_example25_suite_exit_zero(self, tmp_path):
@@ -212,6 +224,30 @@ class TestCliSimulate:
                      "--t", "0.0", "--spike-v", "0", "--out", str(tmp_path / "sim")]) == 0
         rows = np.genfromtxt(tmp_path / "sim" / "spike_report.csv", delimiter=",", skip_header=1)
         assert np.array_equal(rows[:, 1], np.zeros(len(rows)))
+
+    def test_simulate_cost_matches_bundle_route(self, tmp_path):
+        scen = write(tmp_path, "smoke.json", smoke_scenario(100))
+        out = str(tmp_path / "sol")
+        assert main(["solve", scen, "--out", out]) == 0
+        paths, seed, t = 8192 + 500, 7, 0.25  # two RNG blocks
+        assert main(["simulate", out, "--paths", str(paths), "--seed", str(seed), "--t", str(t),
+                     "--dump-paths", "--out", str(tmp_path / "sim")]) == 0
+        costs = json.loads((tmp_path / "sim" / "costs.json").read_text())
+        sol = load_solution_dir(out)
+        cfg = SimConfig(paths=paths, seed=seed, t_start=t)
+        bundle = simulate_closed_loop(sol.spec, sol.theta_star, sol.p2, cfg)
+        cost = evaluate_cost(sol.spec, bundle, build_controls(sol.spec, bundle), t)
+        assert costs["paths"] == paths
+        assert costs["closed_loop_cost"] == pytest.approx(cost.estimate, rel=1e-12)
+        assert costs["stderr"] == pytest.approx(cost.stderr, rel=1e-9)
+        assert costs["spike"]["opposite"]["v"] == [-1.0]
+        # The dumped paths are the first ones of the full closed loop.
+        dumped = np.genfromtxt(tmp_path / "sim" / "paths.csv", delimiter=",", skip_header=1)
+        nodes = bundle.range_nodes
+        assert dumped.shape == (100 * nodes, 5)
+        assert np.array_equal(dumped[:, 2].reshape(100, nodes), bundle.X[:100, :, 0])
+        assert np.array_equal(dumped[:, 3].reshape(100, nodes), bundle.Y[:100, :, 0])
+        assert np.array_equal(dumped[:, 4].reshape(100, nodes), bundle.Z[:100, :, 0])
 
     def test_simulate_missing_dir_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope"), "--paths", "10"]) == 2

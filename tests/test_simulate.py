@@ -3,10 +3,12 @@ import pytest
 
 from fbslq.equilibrium import second_moment_factor
 from fbslq.fields import Strategy
+from fbslq.presets import matrix_reduction_problem
 from fbslq.riccati import characterization_residual, solve_p2
 from fbslq.simulate import (
     SimConfig,
     SpikeSpec,
+    _LadderRun,
     bsde_residual_check,
     build_controls,
     evaluate_cost,
@@ -230,6 +232,83 @@ class TestSpikeTest:
         expected_first = row.theory_first_order
         assert expected_first != 0.0
         assert rep.first_order_estimate == pytest.approx(expected_first, abs=3.0 * row.stderr + 0.05)
+
+
+def row_values(rep):
+    return [
+        (r.eps_used, r.delta, r.stderr, r.theory_quadratic, r.theory_first_order) for r in rep.rows
+    ] + [(rep.liminf_pass, rep.limit_converged, rep.first_order_estimate)]
+
+
+def matrix_inputs():
+    spec = matrix_reduction_problem(40)
+    rng = np.random.default_rng(3)
+    theta = Strategy(spec.grid, 0.3 * rng.standard_normal((spec.grid.num_nodes, 2, 2)))
+    return spec, theta, solve_p2(spec, theta)
+
+
+class TestSpikeDirections:
+    """One ladder pass gives both directions, exactly linear in v."""
+
+    @pytest.mark.parametrize("problem", ["smoke", "matrix"])
+    def test_opposite_is_the_separate_negative_run_bitwise(self, smoke_solution, problem):
+        if problem == "smoke":
+            spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+            v, t, kw = 1.0, 0.25, {"p1_diag": smoke_solution.p1.diagonal(),
+                                   "p3_diag": smoke_solution.p3.diagonal()}
+        else:  # n = k = 2: the generic kernel
+            spec, th, p2 = matrix_inputs()
+            v, t, kw = np.array([1.0, -0.5]), 0.5, {}
+        cfg = SimConfig(paths=300, seed=4, x0=1.0)
+        eps = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
+        plus = spike_test(spec, th, p2, cfg, eps, t, **kw)
+        minus = spike_test(spec, th, p2, cfg, SpikeSpec(v=-np.asarray(v), epsilons=eps.epsilons), t, **kw)
+        assert np.array_equal(plus.opposite.v, minus.v)
+        assert row_values(plus.opposite) == row_values(minus)
+        assert row_values(minus.opposite) == row_values(plus)
+        assert plus.opposite.opposite is None
+        assert plus.closed_loop == minus.closed_loop
+        assert any(r.delta != 0.0 for r in plus.rows)
+
+    def test_linear_in_the_direction(self, smoke_solution):
+        spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+        cfg = SimConfig(paths=2000, seed=41, x0=1.0)
+        d = {}
+        for c in (1.0, 2.0):
+            rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=c), 0.5,
+                             p1_diag=smoke_solution.p1.diagonal(),
+                             p3_diag=smoke_solution.p3.diagonal())
+            d[c] = np.array([r.delta for r in rep.rows])
+            d[-c] = np.array([r.delta for r in rep.opposite.rows])
+        # The quadratic part scales with c^2, the cross part with c.
+        even, odd = d[1.0] + d[-1.0], d[1.0] - d[-1.0]
+        assert np.all(np.abs(d[2.0] + d[-2.0] - 4.0 * even) <= 1e-12 * np.abs(4.0 * even))
+        assert np.all(np.abs(d[2.0] - d[-2.0] - 2.0 * odd) <= 1e-12 * np.abs(2.0 * odd))
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_collapsed_scalar_kernel_matches_generic(self, smoke_solution, t):
+        spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+        cfg = SimConfig(paths=600, seed=8, t_start=t, x0=1.0)
+        run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), [64, 20, 5, 1], t)
+        scalar = run.run()
+        generic = run.run(per_node=lambda r, d: None)
+        for a, b in zip(scalar[:2], generic[:2]):  # (sum, sumsq) per sign and rung
+            assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b))
+        assert scalar[2][0] == generic[2][0]
+        assert scalar[2][1] == pytest.approx(generic[2][1], rel=1e-12)
+        assert scalar[2][2] == pytest.approx(generic[2][2], rel=1e-10)
+
+    def test_closed_loop_cost_matches_bundle_route(self, smoke_solution):
+        spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+        cfg = SimConfig(paths=8192 + 300, seed=6, t_start=0.5, x0=1.0)  # two RNG blocks
+        rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(0.125,)), 0.5,
+                         p1_diag=smoke_solution.p1.diagonal(),
+                         p3_diag=smoke_solution.p3.diagonal())
+        bundle = simulate_closed_loop(spec, th, p2, cfg)
+        cost = evaluate_cost(spec, bundle, build_controls(spec, bundle), 0.5)
+        assert rep.closed_loop.paths == cost.paths
+        assert rep.closed_loop.estimate == pytest.approx(cost.estimate, rel=1e-12)
+        assert rep.closed_loop.stderr == pytest.approx(cost.stderr, rel=1e-9)
 
 
 class TestBsdeResidual:
