@@ -3,10 +3,13 @@
 Exit codes follow the subcommand contracts: ``solve`` returns 2 on
 parse/validation failure and 3 on solver failure; ``verify`` returns 2 on
 invalid input and 1 on a failing suite; ``simulate`` returns 2 on missing
-inputs.  Every output directory receives a manifest recording the exact
-command line, seeds and tool version; re-running the command reproduces all
-data files byte for byte (the manifest's wall-clock stamps are the only
-run-dependent bytes).
+or invalid inputs.  Every command exits 2, with one ``error:`` line on
+stderr, on an option outside its domain: a count (``--paths``,
+``--grid-steps``) below one, a non-finite number, or a ``simulate --t``
+that is not a grid node before the horizon.  Every output directory
+receives a manifest recording the exact command line, seeds and tool
+version; re-running the command reproduces all data files byte for byte
+(the manifest's wall-clock stamps are the only run-dependent bytes).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -50,6 +54,34 @@ def _manifest(args, command: str, extras: dict) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a single ``error:`` line and exit code 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_INPUT)
+
+
 def _theta0_strategy(desc: str, spec) -> Strategy:
     if desc.startswith("const:"):
         return Strategy.constant(spec.grid, float(desc.split(":", 1)[1]))
@@ -79,7 +111,6 @@ def _load_spec_or_exit(path, grid_steps):
 def cmd_solve(args) -> int:
     start = time.time()
     spec = _load_spec_or_exit(args.scenario, args.grid_steps)
-    theta0 = _theta0_strategy(args.theta0, spec)
 
     assumption_note = None
     check = args.assumption_check
@@ -89,12 +120,17 @@ def cmd_solve(args) -> int:
             # The solver itself still runs: the audit is advisory at the CLI.
             assumption_note = audit.details
             check = False
-    cfg = SolverConfig(
-        fp_tolerance=args.fp_tolerance,
-        check_assumptions=check,
-        initial_window=args.window,
-        damping=args.damping,
-    )
+    try:
+        theta0 = _theta0_strategy(args.theta0, spec)
+        cfg = SolverConfig(
+            fp_tolerance=args.fp_tolerance,
+            check_assumptions=check,
+            initial_window=args.window,
+            damping=args.damping,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         solution = solve_equilibrium(spec, theta0, cfg)
     except EquilibriumError as exc:
@@ -143,7 +179,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     start = time.time()
     if args.suite == "example25":
-        report = suite_example_2_5(args.grid_steps or 1000)
+        report = suite_example_2_5(1000 if args.grid_steps is None else args.grid_steps)
     elif args.suite == "classical":
         if args.target is None:
             print("error: the classical suite needs a scenario file", file=sys.stderr)
@@ -187,6 +223,14 @@ def cmd_simulate(args) -> int:
         print(f"error: cannot load solution: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     spec = solution.spec
+    try:
+        start_node = spec.grid.index_of(args.t)
+    except ValueError:
+        start_node = spec.grid.steps
+    if start_node >= spec.grid.steps:
+        print(f"error: --t must be a grid node before the horizon {spec.grid.horizon:g}, got {args.t}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     cfg = SimConfig(paths=args.paths, seed=args.seed, t_start=args.t, x0=args.x0)
     spike = SpikeSpec(v=args.spike_v)
 
@@ -263,11 +307,12 @@ def cmd_simulate(args) -> int:
 def cmd_example(args) -> int:
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
+    steps = 1000 if args.grid_steps is None else args.grid_steps
     docs = {
-        "example25.json": example_2_5_scenario(args.grid_steps or 1000),
+        "example25.json": example_2_5_scenario(steps),
         "trivial.json": trivial_scenario(),
-        "smoke.json": smoke_scenario(args.grid_steps or 1000),
-        "classical.json": classical_reduction_scenario(args.grid_steps or 1000),
+        "smoke.json": smoke_scenario(steps),
+        "classical.json": classical_reduction_scenario(steps),
     }
     for name, doc in docs.items():
         write_json(os.path.join(outdir, name), doc)
@@ -276,7 +321,7 @@ def cmd_example(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbslq",
         description="Equilibrium strategies for time-inconsistent LQ control of FBSDEs",
     )
@@ -285,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a scenario for its equilibrium gain")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--grid-steps", type=int, default=None)
+    p.add_argument("--grid-steps", type=_positive_int, default=None)
     p.add_argument("--theta0", default="const:0", help="pass-through parameter, const:<value>")
     p.add_argument("--out", default="solution", help="output directory")
-    p.add_argument("--fp-tolerance", type=float, default=1e-10)
-    p.add_argument("--window", type=float, default=None, help="initial window width (time units)")
-    p.add_argument("--damping", type=float, default=1.0)
+    p.add_argument("--fp-tolerance", type=_finite_float, default=1e-10)
+    p.add_argument("--window", type=_finite_float, default=None, help="initial window width (time units)")
+    p.add_argument("--damping", type=_finite_float, default=1.0)
     p.add_argument("--no-assumption-check", dest="assumption_check", action="store_false")
     p.add_argument("--dump-fields", action="store_true",
                    help="also dump the full two-time fields (t, s, entries)")
@@ -299,34 +344,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("target", nargs="?", help="scenario file or solution directory")
     p.add_argument("--suite", required=True, choices=["example25", "classical", "equilibrium"])
-    p.add_argument("--grid-steps", type=int, default=None)
-    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--grid-steps", type=_positive_int, default=None)
+    p.add_argument("--paths", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--x0", type=float, default=1.0)
+    p.add_argument("--x0", type=_finite_float, default=1.0)
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="spike-variation Monte Carlo on a solved gain")
     p.add_argument("solution_dir")
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--spike-v", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=0.0)
+    p.add_argument("--spike-v", type=_finite_float, default=1.0)
+    p.add_argument("--x0", type=_finite_float, default=1.0)
     p.add_argument("--out", default=None, help="output directory (default: solution dir)")
     p.add_argument("--dump-paths", action="store_true", help="dump up to 100 paths as CSV")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("example", help="write the built-in scenario files")
     p.add_argument("--out", default="scenarios")
-    p.add_argument("--grid-steps", type=int, default=None)
+    p.add_argument("--grid-steps", type=_positive_int, default=None)
     p.set_defaults(func=cmd_example)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK

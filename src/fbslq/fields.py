@@ -30,6 +30,8 @@ class TimeGrid:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
+        if not self.horizon / self.steps > 0:
+            raise ValueError(f"horizon {self.horizon} is too small for {self.steps} steps")
 
     @property
     def h(self) -> float:
@@ -50,7 +52,8 @@ class TimeGrid:
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         """Node index of time t; t must sit on the grid."""
-        i = int(round(t / self.h))
+        ratio = t / self.h
+        i = int(round(ratio)) if np.isfinite(ratio) else -1
         if i < 0 or i > self.steps or abs(i * self.h - t) > tol * max(1.0, self.horizon):
             raise ValueError(f"time {t} is not a grid node")
         return i

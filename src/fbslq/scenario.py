@@ -74,6 +74,8 @@ def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
         raise ValueError(f"scenario is missing required field {exc}") from exc
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"scenario field has the wrong JSON type: {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"scenario number out of range: {exc}") from exc
     coeffs = Coefficients(**coeff_fns, H=H, horizon=horizon)
     return ProblemSpec(dims=dims, coeffs=coeffs, weights=weights, grid=TimeGrid(horizon, steps))
 

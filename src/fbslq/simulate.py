@@ -19,12 +19,15 @@ one-sided limits: the control (and hence Z) is frozen at its interval value,
 matching both the Euler dynamics and the closed-left/open-right indicator
 convention of the spike window.
 
-The spike ladder streams in perturbation form: it carries the closed loop
-and each rung's perturbation, which is exactly linear in the direction v, and
-splits every cost difference into a part linear and a part quadratic in v.
-One pass therefore yields the ladder for +v and for -v, and the closed-loop
-cost estimate from the same paths.  In the scalar case the rungs collapse
-into a single process once the widest spike window has closed.
+One Euler march steps every generic path: the closed loop and, per spike
+rung, its perturbation, which is exactly linear in the direction v.  The
+bundle API records it at the coarse nodes (no rung for the closed loop, one
+for a spike), the backward-equation check reads the closed loop off it, and
+the spike ladder streams its cost sums over it, split into a part linear
+and a part quadratic in v; one pass therefore yields the ladder for +v and
+for -v, and the closed-loop cost estimate from the same paths.  The one
+other Euler loop is the scalar ladder's fast path, which collapses the
+rungs into a single process once the widest spike window has closed.
 """
 
 from __future__ import annotations
@@ -254,17 +257,6 @@ class _SimPrep:
         self.p2_range = p2.data[self.i0 :]  # (range_nodes, m, n)
         self.p2 = p2
 
-    def spike_fine_mask(self, eps_steps: int) -> np.ndarray:
-        mask = np.zeros(self.F)
-        mask[: eps_steps * self.sub] = 1.0
-        return mask
-
-    def spike_node_mask(self, eps_steps: int) -> np.ndarray:
-        """chi at coarse interval r (closed left, open right)."""
-        mask = np.zeros(self.n_coarse)
-        mask[:eps_steps] = 1.0
-        return mask
-
 
 def _p7_samples(spec: ProblemSpec, p2: P2Field, i0: int, steps: int, v: np.ndarray):
     """Coefficients of the spike coupling equation on the widest window, sampled once.
@@ -310,43 +302,11 @@ def _solve_p7(samples, h: float, eps_steps: int, range_nodes: int) -> np.ndarray
     return out
 
 
-def _forward_block(prep: _SimPrep, normals: np.ndarray, chi_fine: np.ndarray, bv: np.ndarray, dv: np.ndarray):
-    """Euler-Maruyama for one block; yields (node_index, X, dW_sum_of_interval).
-
-    ``normals`` is (F, width); chi_fine masks the spike source per fine step.
-    Yields the state at every coarse node including the first.
-    """
-    width = normals.shape[1]
-    x = np.broadcast_to(prep.x0, (width, prep.n)).copy()
-    sqrt_hf = np.sqrt(prep.hf)
-    yield 0, x, None
-    for r in range(prep.n_coarse):
-        dw_coarse = np.zeros(width)
-        for s in range(prep.sub):
-            ell = r * prep.sub + s
-            dw = normals[ell] * sqrt_hf
-            dw_coarse += dw
-            drift = x @ prep.a_fine[ell].T
-            diff = x @ prep.c_fine[ell].T
-            if chi_fine[ell]:
-                drift = drift + bv[ell]
-                diff = diff + dv[ell]
-            x = x + drift * prep.hf + diff * dw[:, None]
-        yield r + 1, x, dw_coarse
-
-
-def _spike_sources(prep: _SimPrep, v: np.ndarray, eps_steps: int):
-    chi = prep.spike_fine_mask(eps_steps)
-    bv = prep.b_fine @ v  # (F, n)
-    dv = prep.d_fine @ v
-    return chi, bv, dv
-
-
 def simulate_closed_loop(
     spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig
 ) -> PathBundle:
     """Paths of the closed-loop system with decoupled backward components."""
-    return _simulate_bundle(spec, theta, p2, cfg, v=None, eps_steps=0)
+    return _simulate_bundle(spec, theta, p2, cfg, np.zeros(spec.dims.k), [])
 
 
 def simulate_spike(
@@ -371,39 +331,39 @@ def simulate_spike(
     if i0 + steps > grid.steps:
         raise ValueError("spike window extends past the horizon")
     v = spike.v_vector(spec.dims.k)
-    return _simulate_bundle(spec, theta, p2, cfg, v=v, eps_steps=steps)
+    return _simulate_bundle(spec, theta, p2, cfg, v, [steps])
 
 
-def _simulate_bundle(spec, theta, p2, cfg, v, eps_steps) -> PathBundle:
-    prep = _SimPrep(spec, theta, p2, cfg)
-    vvec = np.zeros(prep.k) if v is None else v
-    chi, bv, dv = _spike_sources(prep, vvec, eps_steps)
-    samples = _p7_samples(spec, p2, prep.i0, eps_steps, vvec)
-    p7v = _solve_p7(samples, prep.h, eps_steps, prep.n_coarse + 1)  # (range_nodes, m)
-
-    R = prep.n_coarse + 1
-    paths = cfg.paths
-    X = np.empty((paths, R, prep.n))
-    increments = np.empty((paths, prep.F))
-    for block, start, width in _blocks(paths):
+def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
+    """The ladder's march with no rung (closed loop) or one (spike), recorded at
+    the coarse nodes; a spike bundle is the closed loop plus its perturbation."""
+    run = _LadderRun(spec, theta, p2, cfg, v, rungs, cfg.t_start)
+    prep = run.prep
+    R, sub = prep.n_coarse + 1, prep.sub
+    X = np.empty((cfg.paths, R, prep.n))
+    increments = np.empty((cfg.paths, prep.F))
+    for block, start, width in _blocks(cfg.paths):
         normals = _philox_normals(cfg.seed, block, prep.F, width)
         increments[start : start + width] = (normals * np.sqrt(prep.hf)).T
-        for r, x, _ in _forward_block(prep, normals, chi, bv, dv):
-            X[start : start + width, r] = x
+        for ell, x, dx, _ in run.march(normals):
+            if ell % sub == 0:
+                X[start : start + width, ell // sub] = x + dx[0] if rungs else x
+        del normals  # free this block before drawing the next
+    p7v = run.p7v[0] if rungs else np.zeros((R, prep.m))  # (range_nodes, m)
+    chi = run.chi_node[0] if rungs else np.zeros(prep.n_coarse)
 
     # Decoupled backward components at the coarse nodes.
     Y = np.einsum("rmn,prn->prm", prep.p2_range, X) + p7v[None, :, :]
-    Z = np.empty((paths, R, prep.m))
-    node_chi = prep.spike_node_mask(eps_steps)
+    Z = np.empty((cfg.paths, R, prep.m))
     for r in range(prep.n_coarse):
         zc = X[:, r] @ prep.ct_left[r].T
-        if node_chi[r]:
-            zc = zc + prep.d_left[r] @ vvec
+        if chi[r]:
+            zc = zc + run.dv_left[r]
         Z[:, r] = zc @ prep.p2_range[r].T
     # Terminal node: left limit of the last interval.
     zc = X[:, -1] @ prep.ct_right[-1].T
-    if node_chi[-1]:
-        zc = zc + prep.d_right[-1] @ vvec
+    if chi[-1]:
+        zc = zc + run.dv_right[-1]
     Z[:, -1] = zc @ prep.p2_range[-1].T
 
     return PathBundle(
@@ -418,8 +378,8 @@ def _simulate_bundle(spec, theta, p2, cfg, v, eps_steps) -> PathBundle:
         increments=increments,
         sub_steps=cfg.sub_steps,
         seed=cfg.seed,
-        spike_v=None if v is None else vvec,
-        spike_steps=eps_steps,
+        spike_v=v if rungs else None,
+        spike_steps=rungs[0] if rungs else 0,
         p7v=p7v,
     )
 
@@ -453,6 +413,11 @@ def evaluate_cost(
     terms; kernels are evaluated at (s, t).  Returns the plain-mean estimate
     (the conditional expectation at a deterministic start) and its standard
     error.
+
+    This is the independent oracle of the streaming cost sums in
+    :func:`spike_test`: it evaluates materialised paths with vectorised
+    trapezoids and never splits the cost into parts linear and quadratic
+    in v.
     """
     grid = spec.grid
     if grid.index_of(t) != bundle.t_index:
@@ -516,11 +481,14 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Streaming engines: spike ladder statistics without materializing bundles.
 #
-# The ladder runs in perturbation form.  Next to the closed-loop state x it
-# carries, for every rung q, the perturbation d_q = X^q - x under +v, which
-# starts at zero and follows
+# The ladder runs in perturbation form.  Next to the closed-loop state x its
+# march (``_LadderRun.march``) carries, for every rung q, the perturbation
+# d_q = X^q - x under +v, which starts at zero and follows
 #
 #     d <- d + (A_Th d + chi_q B v) h_f + (C_Th d + chi_q D v) dW.
+#
+# The bundle route and ``bsde_residual_check`` consume the same march, so
+# every generic path shares one Euler update and each block's normals.
 #
 # Every cost term is a quadratic form wt <W L x, L x> of a linear function of
 # the state, and rung q moves its argument by e_q = L d_q + s_q, where s_q
@@ -532,11 +500,11 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 #
 # because e_q is exactly linear in v.  One pass therefore gives both
 # directions, bit for bit what a separate -v pass gives.  The generic kernel
-# evaluates every term so and carries each rung to the horizon.  The scalar
-# kernel (m = n = k = 1) groups the terms by node and stops carrying the
-# rungs at node e, the end of the widest window: past e no rung has a
-# source, so d_q(r) = d_q(e) Psi(r) with one process Psi, Psi(e) = 1,
-# stepped like x.
+# evaluates every term so over the march, every rung carried to the horizon.
+# The scalar kernel (m = n = k = 1) is the fast path with its own loop: it
+# groups the terms by node and stops carrying the rungs at node e, the end
+# of the widest window: past e no rung has a source, so d_q(r) = d_q(e)
+# Psi(r) with one process Psi, Psi(e) = 1, stepped like x.
 # ---------------------------------------------------------------------------
 
 
@@ -582,17 +550,17 @@ class _LadderRun:
         self.cfg = cfg
         self.v = v
         self.eps_steps = eps_steps
-        self.widest = max(eps_steps)
+        self.widest = max(eps_steps, default=0)
         prep = self.prep
-        rungs = len(eps_steps)
 
-        self.chi_fine = np.zeros((rungs, prep.F))
-        self.chi_node = np.zeros((rungs, prep.n_coarse))
-        self.p7v = np.zeros((rungs, prep.n_coarse + 1, prep.m))
+        # The spike indicators per fine step and per coarse interval (closed
+        # left, open right), and each rung's coupling field.
+        rung_steps = np.asarray(eps_steps, dtype=int).reshape(-1, 1)
+        self.chi_fine = (np.arange(prep.F) < rung_steps * prep.sub).astype(float)
+        self.chi_node = (np.arange(prep.n_coarse) < rung_steps).astype(float)
+        self.p7v = np.zeros((len(eps_steps), prep.n_coarse + 1, prep.m))
         samples = _p7_samples(spec, p2, prep.i0, self.widest, v)
         for q, steps in enumerate(eps_steps):
-            self.chi_fine[q] = prep.spike_fine_mask(steps)
-            self.chi_node[q] = prep.spike_node_mask(steps)
             self.p7v[q] = _solve_p7(samples, prep.h, steps, prep.n_coarse + 1)
         self.bv = prep.b_fine @ v
         self.dv = prep.d_fine @ v
@@ -628,44 +596,65 @@ class _LadderRun:
             if scalar:
                 base, cross, quad = self._block_scalar(normals, width, weights)
             else:
-                base, cross, quad = self._block_generic(normals, width, per_node)
+                base, cross, quad = self._block_generic(normals, per_node)
+            del normals  # free this block before drawing the next
             for sign, d in enumerate((0.5 * (quad + cross), 0.5 * (quad - cross))):
                 sum_d[sign] += d.sum(axis=1)
                 sumsq_d[sign] += (d**2).sum(axis=1)
             moments = _merge_moments(moments, 0.5 * base)
         return sum_d, sumsq_d, moments
 
-    def _block_generic(self, normals, width, per_node):
-        """Cross and quad sums term by term, every rung carried to the horizon."""
-        prep = self.prep
-        h, hf = prep.h, prep.hf
-        sqrt_hf = np.sqrt(hf)
-        rungs = len(self.eps_steps)
-        x = np.broadcast_to(prep.x0, (width, prep.n)).copy()
-        dx = np.zeros((rungs, width, prep.n))
-        sums = (np.zeros(width), np.zeros((rungs, width)), np.zeros((rungs, width)))
+    def march(self, normals):
+        """Euler-Maruyama of the closed loop x and every rung's perturbation d.
 
+        ``normals`` is one block, (fine steps, width).  Yields (ell, x, d, dW)
+        before fine step ell, with x (width, n), d (rungs, width, n) and dW
+        (width, 1) the increment of that step, and (F, x, d, None) at the
+        horizon.  Coarse node r is fine step r * sub_steps.  Each step binds
+        new arrays, so a consumer may keep what it was given.
+        """
+        prep = self.prep
+        hf = prep.hf
+        sqrt_hf = np.sqrt(hf)
+        x = np.broadcast_to(prep.x0, (normals.shape[1], prep.n)).copy()
+        dx = np.zeros((len(self.eps_steps),) + x.shape)
+        for ell in range(prep.F):
+            dw = (normals[ell] * sqrt_hf)[:, None]
+            yield ell, x, dx, dw
+            a, c = prep.a_fine[ell].T, prep.c_fine[ell].T
+            chi = self.chi_fine[:, ell, None, None]
+            x = x + _rmul(x, a) * hf + _rmul(x, c) * dw
+            dx = dx + (_rmul(dx, a) + chi * self.bv[ell]) * hf + (_rmul(dx, c) + chi * self.dv[ell]) * dw
+        yield prep.F, x, dx, None
+
+    def _block_generic(self, normals, per_node):
+        """Cross and quad sums term by term, every rung carried to the horizon.
+
+        At coarse node r the terms of interval r - 1 that read its right end
+        come first, then the state terms of node r, then the terms of
+        interval r that read its left end.
+        """
+        prep = self.prep
+        h, n_coarse = prep.h, prep.n_coarse
+        width, rungs = normals.shape[1], len(self.eps_steps)
+        sums = (np.zeros(width), np.zeros((rungs, width)), np.zeros((rungs, width)))
         y0 = np.broadcast_to(prep.p2_range[0] @ prep.x0, (width, prep.m))
         _add_form(sums, 1.0, self.g2, y0, np.broadcast_to(self.p7v[:, 0, None], (rungs, width, prep.m)))
-        self._add_state(sums, 0, 0.5 * h, x, dx)
-        if per_node is not None:
-            per_node(0, dx)
-        for r in range(prep.n_coarse):
-            chi = self.chi_node[:, r, None, None]
-            th = prep.theta_iv[r].T
-            _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
-            self._add_z(sums, r, prep.ct_left[r], self.dv_left[r], chi, x, dx)
-            for ell in range(r * prep.sub, (r + 1) * prep.sub):
-                dw = (normals[ell] * sqrt_hf)[:, None]
-                a, c = prep.a_fine[ell].T, prep.c_fine[ell].T
-                chi_f = self.chi_fine[:, ell, None, None]
-                x = x + _rmul(x, a) * hf + _rmul(x, c) * dw
-                dx = dx + (_rmul(dx, a) + chi_f * self.bv[ell]) * hf + (_rmul(dx, c) + chi_f * self.dv[ell]) * dw
-            self._add_z(sums, r + 1, prep.ct_right[r], self.dv_right[r], chi, x, dx)
-            weight = h if r + 1 < prep.n_coarse else 0.5 * h
-            self._add_state(sums, r + 1, weight, x, dx)
+        for ell, x, dx, _ in self.march(normals):
+            if ell % prep.sub:
+                continue
+            r = ell // prep.sub
+            if r:
+                chi = self.chi_node[:, r - 1, None, None]
+                self._add_z(sums, r, prep.ct_right[r - 1], self.dv_right[r - 1], chi, x, dx)
+            self._add_state(sums, r, 0.5 * h if r in (0, n_coarse) else h, x, dx)
             if per_node is not None:
-                per_node(r + 1, dx)
+                per_node(r, dx)
+            if r < n_coarse:
+                chi = self.chi_node[:, r, None, None]
+                th = prep.theta_iv[r].T
+                _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
+                self._add_z(sums, r, prep.ct_left[r], self.dv_left[r], chi, x, dx)
         _add_form(sums, 1.0, self.g1, x, dx)
         return sums
 
@@ -910,7 +899,8 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     paths is returned; first-order in the fine step, so doubling ``sub_steps``
     halves it.
     """
-    prep = _SimPrep(spec, theta, p2, cfg)
+    run = _LadderRun(spec, theta, p2, cfg, np.zeros(spec.dims.k), [], cfg.t_start)
+    prep = run.prep
     grid = spec.grid
     c = spec.coeffs
 
@@ -940,21 +930,17 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     p2ct_f = p2_fine[:-1] @ ct_f  # (F, m, n)
 
     sq_sum = 0.0
-    count = 0
-    sqrt_hf = np.sqrt(prep.hf)
-    for block, start, width in _blocks(cfg.paths):
+    for block, _, width in _blocks(cfg.paths):
         normals = _philox_normals(cfg.seed, block, prep.F, width)
-        x = np.broadcast_to(prep.x0, (width, prep.n)).copy()
         cum = np.zeros((width, prep.m))
-        y = x @ p2_fine[0].T
-        for ell in range(prep.F):
-            dw = normals[ell] * sqrt_hf
-            z = x @ p2ct_f[ell].T
-            driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T
-            x_next = x + (x @ prep.a_fine[ell].T) * prep.hf + (x @ prep.c_fine[ell].T) * dw[:, None]
-            y_next = x_next @ p2_fine[ell + 1].T
-            cum += y_next - y + driver * prep.hf - z * dw[:, None]
-            x, y = x_next, y_next
+        for ell, x, _, dw in run.march(normals):
+            y = x @ p2_fine[ell].T
+            if ell:  # the defect of the step just taken
+                cum += y - y_prev + driver * prep.hf - z * dw_prev
+            if dw is not None:
+                z = x @ p2ct_f[ell].T
+                driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T
+            y_prev, dw_prev = y, dw
+        del normals  # free this block before drawing the next
         sq_sum += float(np.sum(np.einsum("pi,pi->p", cum, cum)))
-        count += width
-    return float(np.sqrt(sq_sum / count))
+    return float(np.sqrt(sq_sum / cfg.paths))

@@ -1,0 +1,157 @@
+"""Property tests of the CLI exit-code contract under random inputs.
+
+``solve`` exits 0, 2 or 3 on any scenario document; ``simulate`` exits 0 on
+valid numeric options and ``verify --suite equilibrium`` 0 or 1, and both
+exit 2 on an invalid one.  No input may end in a traceback.  The examples
+are derandomized, so every run draws the same cases.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fbslq.cli import main
+from fbslq.scenario import (
+    classical_reduction_scenario,
+    example_2_5_scenario,
+    smoke_scenario,
+    trivial_scenario,
+)
+
+GRID_STEPS = 16  # fixed by the flag, so no mutation can ask for a large grid
+SIM_STEPS = 40
+H = 1.0 / SIM_STEPS
+DOCS = {
+    "example25": example_2_5_scenario(GRID_STEPS),
+    "trivial": trivial_scenario(GRID_STEPS),
+    "smoke": smoke_scenario(GRID_STEPS),
+    "classical": classical_reduction_scenario(GRID_STEPS),
+}
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def run_cli(argv):
+    """Exit code and stderr of one in-process CLI call; an uncaught exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow on extreme values
+            code = main(argv)
+    return code, err.getvalue()
+
+
+def paths_in(doc, prefix=()):
+    """Every key path of a JSON document, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from paths_in(value, prefix + (key,))
+
+
+extremes = st.sampled_from([10**400, -(10**400), 5e-324, -5e-324, 1.7976931348623157e308, 0.0])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | extremes | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(DOCS[draw(st.sampled_from(sorted(DOCS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(paths_in(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@FUZZ
+@given(doc=mutated_documents())
+def test_solve_exits_with_a_documented_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = os.path.join(tmp, "doc.json")
+        with open(scen, "w") as fh:
+            json.dump(doc, fh)
+        code, err = run_cli(["solve", scen, "--grid-steps", str(GRID_STEPS),
+                             "--out", os.path.join(tmp, "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def solution_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    scen = root / "smoke.json"
+    scen.write_text(json.dumps(smoke_scenario(SIM_STEPS)))
+    code, _ = run_cli(["solve", str(scen), "--out", str(root / "sol")])
+    assert code == 0
+    return str(root / "sol")
+
+
+# (value, valid) pairs.  Options are passed as --name=value, since argparse
+# reads a separate "-1e-05" as an option name.
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan]).map(lambda x: (x, False))
+path_counts = st.integers(1, 64).map(lambda p: (p, True)) | st.integers(-5, 0).map(lambda p: (p, False))
+start_times = (
+    st.integers(0, SIM_STEPS - 1).map(lambda i: (i * H, True))
+    | st.integers(SIM_STEPS, 3 * SIM_STEPS).map(lambda i: (i * H, False))  # the horizon and past it
+    | st.integers(-3 * SIM_STEPS, -1).map(lambda i: (i * H, False))
+    | st.tuples(st.integers(-5, SIM_STEPS + 5), st.floats(0.05, 0.95)).map(lambda p: ((p[0] + p[1]) * H, False))
+    | non_finite
+)
+states = (
+    st.integers(-SIM_STEPS, SIM_STEPS).map(lambda i: (i * H, True))
+    | st.floats(-3.0, 3.0).map(lambda x: (x, True))
+    | non_finite
+)
+
+
+@FUZZ
+@given(paths=path_counts, t=start_times, x0=states, seed=st.integers(0, 2**32))
+def test_simulate_options_exit_with_a_documented_code(solution_dir, paths, t, x0, seed):
+    valid = paths[1] and t[1] and x0[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_cli(["simulate", solution_dir, f"--paths={paths[0]}", f"--t={t[0]!r}",
+                             f"--x0={x0[0]!r}", f"--seed={seed}", "--out", tmp])
+    assert code == (0 if valid else 2)
+    assert "Traceback" not in err
+    if not valid:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@settings(FUZZ, max_examples=25)
+@given(paths=path_counts, x0=states)
+def test_verify_options_exit_with_a_documented_code(solution_dir, paths, x0):
+    valid = paths[1] and x0[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_cli(["verify", solution_dir, "--suite", "equilibrium", f"--paths={paths[0]}",
+                             f"--x0={x0[0]!r}", "--out", os.path.join(tmp, "rep.json")])
+    assert code in ((0, 1) if valid else (2,))
+    assert "Traceback" not in err
+    if not valid:
+        assert err.startswith("error:") and err.count("\n") == 1

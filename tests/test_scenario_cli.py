@@ -59,6 +59,20 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def solved_smoke(tmp_path_factory):
+    """A solution directory of the smoke scenario on 100 steps."""
+    root = tmp_path_factory.mktemp("solved")
+    scen = write(root, "smoke.json", smoke_scenario(100))
+    assert main(["solve", scen, "--out", str(root / "sol")]) == 0
+    return str(root / "sol")
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestCliSolve:
     def test_trivial_scenario_solves_to_zeros(self, tmp_path):
         scen = write(tmp_path, "trivial.json", trivial_scenario(60))
@@ -85,19 +99,33 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
-    @pytest.mark.parametrize("case", ["list", "null", "nan_horizon", "inf_horizon", "nan_coeff", "inf_coeff"])
+    @pytest.mark.parametrize("case", ["list", "null", "nan_horizon", "inf_horizon", "nan_coeff", "inf_coeff",
+                                      "huge_int_coeff", "inf_dimension", "subnormal_horizon"])
     def test_bad_document_exits_2_without_traceback(self, tmp_path, capsys, case):
         doc = smoke_scenario(20)
         if case in ("nan_horizon", "inf_horizon"):
             doc["horizon"] = float(case[:3])
         elif case in ("nan_coeff", "inf_coeff"):
             doc["coeffs"]["A"]["params"]["value"] = [[float(case[:3])]]
+        elif case == "huge_int_coeff":  # no float holds it
+            doc["coeffs"]["A"]["params"]["value"] = [[10**400]]
+        elif case == "inf_dimension":
+            doc["dims"]["n"] = float("inf")
+        elif case == "subnormal_horizon":  # its grid step underflows to zero
+            doc["horizon"] = 5e-324
         else:
             doc = {"list": [], "null": None}[case]
         scen = write(tmp_path, "bad.json", doc)
         assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--grid-steps=0", "--fp-tolerance=-1", "--fp-tolerance=nan",
+                                        "--damping=0", "--window=nan", "--theta0=const:nan"])
+    def test_bad_option_exits_2_without_traceback(self, tmp_path, capsys, option):
+        scen = write(tmp_path, "smoke.json", smoke_scenario(20))
+        assert main(["solve", scen, "--out", str(tmp_path / "x"), option]) == 2
+        assert_one_error_line(capsys)
 
     def test_validation_failure_exits_2(self, tmp_path):
         doc = trivial_scenario(20)
@@ -199,6 +227,18 @@ class TestCliVerify:
         assert code in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite, option", [
+        ("equilibrium", "--paths=0"),
+        ("equilibrium", "--paths=-4"),
+        ("equilibrium", "--x0=nan"),
+        ("example25", "--grid-steps=0"),
+    ])
+    def test_bad_numeric_option_exits_2_without_traceback(self, tmp_path, capsys, solved_smoke, suite, option):
+        target = [solved_smoke] if suite == "equilibrium" else []
+        assert main(["verify", *target, "--suite", suite, option, "--out", str(tmp_path / "rep.json")]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "rep.json").exists()
+
     def test_missing_target_exits_2(self, tmp_path):
         assert main(["verify", "--suite", "equilibrium",
                      "--out", str(tmp_path / "rep.json")]) == 2
@@ -249,6 +289,22 @@ class TestCliSimulate:
         assert np.array_equal(dumped[:, 3].reshape(100, nodes), bundle.Y[:100, :, 0])
         assert np.array_equal(dumped[:, 4].reshape(100, nodes), bundle.Z[:100, :, 0])
 
+    @pytest.mark.parametrize("option", [
+        "--paths=0",
+        "--t=5",
+        "--t=0.3337",  # not a grid node
+        "--t=nan",
+        "--t=1.0",  # the horizon
+        "--t=1e308",
+        "--x0=nan",
+        "--spike-v=inf",
+    ])
+    def test_bad_numeric_option_exits_2_without_traceback(self, tmp_path, capsys, solved_smoke, option):
+        assert main(["simulate", solved_smoke, "--paths", "16", option,
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "sim").exists()
+
     def test_simulate_missing_dir_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope"), "--paths", "10"]) == 2
 
@@ -270,6 +326,12 @@ def test_cli_example_writes_scenarios(tmp_path):
     assert main(["example", "--out", out, "--grid-steps", "100"]) == 0
     names = sorted(os.listdir(out))
     assert names == ["classical.json", "example25.json", "smoke.json", "trivial.json"]
+
+
+@pytest.mark.parametrize("steps", ["-5", "0"])
+def test_cli_example_rejects_bad_grid_steps(tmp_path, capsys, steps):
+    assert main(["example", "--out", str(tmp_path / "scen"), "--grid-steps", steps]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_console_script_entry_point():

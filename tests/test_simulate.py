@@ -6,6 +6,7 @@ from fbslq.fields import Strategy
 from fbslq.presets import matrix_reduction_problem
 from fbslq.riccati import characterization_residual, solve_p2
 from fbslq.simulate import (
+    BLOCK_PATHS,
     SimConfig,
     SpikeSpec,
     _LadderRun,
@@ -53,6 +54,20 @@ class TestForwardPaths:
         H = spec.coeffs.H[0, 0]
         assert np.array_equal(bundle.Y[:, -1, 0], H * bundle.X[:, -1, 0])
 
+    def test_first_block_does_not_depend_on_the_path_count(self, smoke_solution):
+        # Chunk invariance: normals are drawn per fixed block, so the first
+        # block of a two-block bundle is the one-block bundle, bit for bit.
+        spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+        for spike in (None, SpikeSpec(v=1.0)):
+            bundles = []
+            for paths in (BLOCK_PATHS, BLOCK_PATHS + 100):
+                cfg = SimConfig(paths=paths, seed=19, sub_steps=2, t_start=0.75, x0=1.0)
+                bundles.append(simulate_closed_loop(spec, th, p2, cfg) if spike is None
+                               else simulate_spike(spec, th, p2, cfg, spike, 0.125))
+            one, two = bundles
+            for name in ("X", "Y", "Z", "increments"):
+                assert np.array_equal(getattr(two, name)[:BLOCK_PATHS], getattr(one, name)), name
+
     def test_second_moment_matches_factor(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         cfg = SimConfig(paths=20_000, seed=17, x0=1.0)
@@ -61,6 +76,27 @@ class TestForwardPaths:
         sq = bundle.X[:, -1, 0] ** 2
         err = (np.mean(sq) - lam) / (np.std(sq) / np.sqrt(cfg.paths))
         assert abs(err) <= 3.0
+
+
+def direct_spiked_euler(spec, theta, cfg, v, eps_steps, increments):
+    """Plain Euler-Maruyama of the spiked state equation, one fine step at a
+    time: dX = ((A + B Th) X + chi B v) ds + ((C + D Th) X + chi D v) dW."""
+    grid, c = spec.grid, spec.coeffs
+    i0, sub = grid.index_of(cfg.t_start), cfg.sub_steps
+    hf = grid.h / sub
+    x = np.tile(cfg.x0_vector(spec.dims.n), (increments.shape[0], 1))
+    out = [x]
+    for r in range(grid.steps - i0):
+        th = theta.values[i0 + r]
+        chi = 1.0 if r < eps_steps else 0.0
+        for s in range(sub):
+            ell = r * sub + s
+            t = grid.nodes[i0] + hf * ell
+            drift = x @ (c.A(t) + c.B(t) @ th).T + chi * (c.B(t) @ v)
+            diffusion = x @ (c.C(t) + c.D(t) @ th).T + chi * (c.D(t) @ v)
+            x = x + drift * hf + diffusion * increments[:, ell, None]
+        out.append(x)
+    return np.stack(out, axis=1)
 
 
 class TestSpikePaths:
@@ -72,6 +108,21 @@ class TestSpikePaths:
         assert np.array_equal(base.X, spiked.X)
         assert np.array_equal(base.Y, spiked.Y)
         assert np.array_equal(base.Z, spiked.Z)
+
+    @pytest.mark.parametrize("problem", ["scalar", "matrix"])
+    def test_spiked_bundle_matches_direct_euler(self, smoke_solution, problem):
+        if problem == "scalar":
+            spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+            v, t, eps = np.array([1.0]), 0.25, 0.0625
+        else:
+            spec, th, p2 = matrix_inputs()
+            v, t, eps = np.array([1.0, -0.5]), 0.5, 0.125
+        for sub in (1, 2):
+            cfg = SimConfig(paths=300, seed=12, sub_steps=sub, t_start=t, x0=1.0)
+            bundle = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=v), eps)
+            direct = direct_spiked_euler(spec, th, cfg, v, bundle.spike_steps, bundle.increments)
+            assert bundle.spike_steps == round(eps / spec.grid.h)
+            assert np.all(np.abs(bundle.X - direct) <= 1e-13 * np.abs(direct).max())
 
     def test_eps_below_grid_step_rejected(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
