@@ -19,7 +19,7 @@ cfg = SolverConfig(check_assumptions=False)  # D == 0 sits outside the positivit
 
 for label, theta0 in (("zero", 0.0), ("minus half", -0.5)):
     sol = solve_equilibrium(spec, Strategy.constant(spec.grid, theta0), cfg)
-    diag = sol.p1.diagonal().flat()
+    diag = sol.p1_diag.flat()
     rep = sol.constraint_report
     print(f"pass-through parameter = {theta0:+.1f} ({label} branch)")
     print(f"  gain:             constant {sol.theta_star.flat()[0]:+.3f}")

@@ -13,7 +13,6 @@ from .equilibrium import (
     NonContractiveError,
     SolverConfig,
     fixed_point_map,
-    p1_tilde_from_theta,
     second_moment_factor,
     solve_equilibrium,
 )
@@ -39,6 +38,7 @@ from .riccati import (
     solve_p1,
     solve_p2,
     solve_p3,
+    two_time_diagonals,
 )
 from .simulate import (
     PathBundle,
@@ -73,6 +73,7 @@ __all__ = [
     "solve_p1",
     "solve_p2",
     "solve_p3",
+    "two_time_diagonals",
     "feedback_map",
     "check_constraints",
     "characterization_residual",
@@ -84,7 +85,6 @@ __all__ = [
     "solve_equilibrium",
     "fixed_point_map",
     "second_moment_factor",
-    "p1_tilde_from_theta",
     "NonContractiveError",
     "NoConvergenceError",
     "AssumptionViolatedError",

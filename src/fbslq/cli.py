@@ -6,10 +6,13 @@ invalid input and 1 on a failing suite; ``simulate`` returns 2 on missing
 or invalid inputs.  Every command exits 2, with one ``error:`` line on
 stderr, on an option outside its domain: a count (``--paths``,
 ``--grid-steps``) below one, a non-finite number, or a ``simulate --t``
-that is not a grid node before the horizon.  Every output directory
-receives a manifest recording the exact command line, seeds and tool
-version; re-running the command reproduces all data files byte for byte
-(the manifest's wall-clock stamps are the only run-dependent bytes).
+that is not a grid node before the horizon.  ``simulate`` and ``verify
+--suite equilibrium`` also exit 2, and write no result, when ``--x0`` or
+``--spike-v`` is so large that the Monte-Carlo cost sums overflow.  Every
+output directory receives a manifest recording the exact command line,
+seeds and tool version; re-running the command reproduces all data files
+byte for byte (the manifest's wall-clock stamps are the only run-dependent
+bytes).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -76,6 +80,12 @@ def _finite_float(text: str) -> float:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a single ``error:`` line and exit code 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative number in exponent form (-1e-05) is a value, not an option
+        # name; the subparsers are built from this class and inherit it.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -145,10 +155,12 @@ def cmd_solve(args) -> int:
     summary = write_solution_dir(outdir, solution, scenario_doc, args.theta0)
     if args.dump_fields:
         from .io_utils import two_time_field_rows
+        from .riccati import solve_p1, solve_p3
 
-        for name, fieldval in (("p1_full.csv", solution.p1), ("p3_full.csv", solution.p3)):
-            header, rows = two_time_field_rows(fieldval)
-            write_csv(os.path.join(outdir, name), header, rows)
+        header, rows = two_time_field_rows(solve_p1(spec, solution.theta_star))
+        write_csv(os.path.join(outdir, "p1_full.csv"), header, rows)
+        header, rows = two_time_field_rows(solve_p3(spec, solution.theta_star, solution.p2))
+        write_csv(os.path.join(outdir, "p3_full.csv"), header, rows)
     if assumption_note is not None:
         summary["positivity_audit_failed"] = assumption_note
         write_json(os.path.join(outdir, "summary.json"), summary)
@@ -200,7 +212,11 @@ def cmd_verify(args) -> int:
             print(f"error: cannot load solution: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         cfg = SimConfig(paths=args.paths, seed=args.seed, x0=args.x0)
-        report = suite_equilibrium(solution, cfg)
+        try:
+            report = suite_equilibrium(solution, cfg)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     else:  # pragma: no cover - argparse enforces choices
         return EXIT_BAD_INPUT
 
@@ -234,19 +250,15 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(paths=args.paths, seed=args.seed, t_start=args.t, x0=args.x0)
     spike = SpikeSpec(v=args.spike_v)
 
+    try:
+        report = spike_test(spec, solution.theta_star, solution.p2, cfg, spike, args.t,
+                            p1_diag=solution.p1_diag, p3_diag=solution.p3_diag)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+
     outdir = args.out or args.solution_dir
     os.makedirs(outdir, exist_ok=True)
-
-    report = spike_test(
-        spec,
-        solution.theta_star,
-        solution.p2,
-        cfg,
-        spike,
-        args.t,
-        p1_diag=solution.p1.diagonal(),
-        p3_diag=solution.p3.diagonal(),
-    )
     write_csv(
         os.path.join(outdir, "spike_report.csv"),
         ["eps", "delta", "stderr", "theory_quadratic", "theory_first_order"],

@@ -35,7 +35,7 @@ import numpy as np
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec, check_one_dim_positivity
 from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples
-from .riccati import check_constraints, solve_p1, solve_p3
+from .riccati import check_constraints, two_time_diagonals
 
 __all__ = [
     "SolverConfig",
@@ -49,7 +49,6 @@ __all__ = [
     "AssumptionViolatedError",
     "integral_state",
     "second_moment_factor",
-    "p1_tilde_from_theta",
     "fixed_point_map",
     "solve_equilibrium",
 ]
@@ -94,14 +93,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IntegralState:
-    """Converged integral-route fields: p2t, p1t, lam(s,t) and the gain.
+    """Converged integral-route fields: p2t, p1t and the gain.
 
-    ``p2_tilde`` is the same field as :attr:`EquilibriumSolution.p2`.
+    ``p2_tilde`` is the same field as :attr:`EquilibriumSolution.p2`.  The
+    second-moment factor lam(s, t) is L x L; :func:`second_moment_factor`
+    builds it on demand.
     """
 
     p2_tilde: P2Field
     p1_tilde: OneTimeField
-    lambda_factor: TwoTimeField
     theta: Strategy
 
 
@@ -138,12 +138,18 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
+    """The gain and the fields its readers read: P2 and the diagonals P1(t;t), P3(t;t).
+
+    The full two-time triangles come from :func:`~fbslq.riccati.solve_p1` and
+    :func:`~fbslq.riccati.solve_p3` on request.
+    """
+
     spec: ProblemSpec
     theta_star: Strategy
     integral_state: IntegralState
-    p1: TwoTimeField
+    p1_diag: OneTimeField
     p2: P2Field
-    p3: TwoTimeField
+    p3_diag: OneTimeField
     constraint_report: ConstraintReport
     diagnostics: SolverDiagnostics
 
@@ -153,27 +159,32 @@ def _require_scalar(spec: ProblemSpec):
         raise ValueError("the equilibrium solver handles m = n = k = 1 only")
 
 
+def _at_nodes(spec: ProblemSpec, *fns) -> list[np.ndarray]:
+    """Flat node samples of scalar coefficient or weight functions."""
+    return [fn(spec.grid.nodes)[..., 0, 0] for fn in fns]
+
+
+def _exponent(A, B, C, D, th, h: float) -> np.ndarray:
+    """Cumulative per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples."""
+    th_iv = th[:-1]
+    g_l = 2.0 * (A[:-1] + B[:-1] * th_iv) + (C[:-1] + D[:-1] * th_iv) ** 2
+    g_r = 2.0 * (A[1:] + B[1:] * th_iv) + (C[1:] + D[1:] * th_iv) ** 2
+    e = np.zeros(len(th))
+    np.cumsum(0.5 * h * (g_l + g_r), out=e[1:])
+    return e
+
+
 class _Workspace:
     """Precomputed node samples for the scalar integral system."""
 
     def __init__(self, spec: ProblemSpec):
         _require_scalar(spec)
-        self.spec = spec
-        grid = spec.grid
-        self.grid = grid
-        self.h = grid.h
-        self.L = grid.num_nodes
-        nodes = grid.nodes
-        self.nodes = nodes
+        self.spec, self.grid = spec, spec.grid
+        self.h, self.L = spec.grid.h, spec.grid.num_nodes
+        nodes = spec.grid.nodes
         c, w = spec.coeffs, spec.weights
-
-        def f1(fn, times):
-            return fn(times)[..., 0, 0]
-
-        self.A, self.B = f1(c.A, nodes), f1(c.B, nodes)
-        self.C, self.D = f1(c.C, nodes), f1(c.D, nodes)
-        self.Bhat, self.Dhat = f1(c.Bhat, nodes), f1(c.Dhat, nodes)
-        self.G1, self.G2 = f1(w.G1, nodes), f1(w.G2, nodes)
+        self.A, self.B, self.C, self.D = _at_nodes(spec, c.A, c.B, c.C, c.D)
+        self.Bhat, self.Dhat, self.G1, self.G2 = _at_nodes(spec, c.Bhat, c.Dhat, w.G1, w.G2)
 
         self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
 
@@ -191,13 +202,7 @@ class _Workspace:
     # -- integral-route fields -------------------------------------------------
 
     def exponent(self, th: np.ndarray) -> np.ndarray:
-        """Cumulative per-interval trapezoid of 2 A_Th + C_Th^2."""
-        th_iv = th[:-1]
-        g_l = 2.0 * (self.A[:-1] + self.B[:-1] * th_iv) + (self.C[:-1] + self.D[:-1] * th_iv) ** 2
-        g_r = 2.0 * (self.A[1:] + self.B[1:] * th_iv) + (self.C[1:] + self.D[1:] * th_iv) ** 2
-        e = np.zeros(self.L)
-        np.cumsum(0.5 * self.h * (g_l + g_r), out=e[1:])
-        return e
+        return _exponent(self.A, self.B, self.C, self.D, th, self.h)
 
     def p1_tilde(self, th, p2t, expo, cols=None) -> np.ndarray:
         """Quadrature of the transported running weights from each node t_i.
@@ -263,24 +268,12 @@ class _Workspace:
         return new_vals
 
 
-def _lambda_field(grid, expo: np.ndarray) -> TwoTimeField:
-    """lam[i, j] = exp(E_j - E_i) on the stored triangle j >= i, NaN below."""
-    lam = np.exp(expo[None, :] - expo[:, None])
-    ii, jj = np.indices(lam.shape)
-    lam[jj < ii] = np.nan
-    return TwoTimeField(grid, lam[..., None, None])
-
-
 def _integral_state(ws: _Workspace, theta: Strategy, p2: P2Field) -> IntegralState:
-    """p1t and lam of a gain from one exponent sweep; ``p2`` is P2 at that gain."""
+    """p1t of a gain from one exponent sweep; ``p2`` is P2 at that gain."""
     th = theta.flat()
     with np.errstate(over="ignore", invalid="ignore"):
-        expo = ws.exponent(th)
-        p1t = ws.p1_tilde(th, p2.flat(), expo)
-        lam = _lambda_field(ws.grid, expo)
-    return IntegralState(
-        p2_tilde=p2, p1_tilde=OneTimeField.from_flat(ws.grid, p1t), lambda_factor=lam, theta=theta
-    )
+        p1t = ws.p1_tilde(th, p2.flat(), ws.exponent(th))
+    return IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(ws.grid, p1t), theta=theta)
 
 
 def integral_state(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> IntegralState:
@@ -293,22 +286,16 @@ def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
 
     Computed as exp of the cumulative quadrature of 2 A_Th + C_Th^2 (one
     sweep, reused for all t through exponent differences); exact whenever the
-    exponent quadrature is.
+    exponent quadrature is.  Only A, B, C and D are sampled, at the nodes.
+    Stored as lam[i, j] = exp(E_j - E_i) on the triangle j >= i, NaN below.
     """
-    ws = _Workspace(spec)
-    return _lambda_field(spec.grid, ws.exponent(theta.flat()))
-
-
-def p1_tilde_from_theta(
-    spec: ProblemSpec, theta: Strategy, p2_tilde: OneTimeField, lam: TwoTimeField
-) -> OneTimeField:
-    """Grid quadrature of the transported-weights representation of p1t."""
-    ws = _Workspace(spec)
-    th = theta.flat()
-    # The factor's first row spans all s with exp(E_s - E_0), E_0 = 0.
-    expo = np.log(lam.data[0, :, 0, 0])
-    vals = ws.p1_tilde(th, p2_tilde.flat(), expo)
-    return OneTimeField.from_flat(spec.grid, vals)
+    _require_scalar(spec)
+    c = spec.coeffs
+    expo = _exponent(*_at_nodes(spec, c.A, c.B, c.C, c.D), theta.flat(), spec.grid.h)
+    lam = np.exp(expo[None, :] - expo[:, None])
+    ii, jj = np.indices(lam.shape)
+    lam[jj < ii] = np.nan
+    return TwoTimeField(spec.grid, lam[..., None, None])
 
 
 def fixed_point_map(
@@ -430,9 +417,7 @@ def solve_equilibrium(
     ].tolist()
 
     # Matrix-route reconstruction, on the same P2, and the constraint audit.
-    p1 = solve_p1(spec, theta_star)
-    p3 = solve_p3(spec, theta_star, p2)
-    p1d, p3d = p1.diagonal(), p3.diagonal()
+    p1d, p3d = two_time_diagonals(spec, theta_star, p2)
     diagnostics.consistency_gap = float(
         np.max(np.abs(p1t - p1d.data[:, 0, 0] - p3d.data[:, 0, 0]))
     )
@@ -442,9 +427,9 @@ def solve_equilibrium(
         spec=spec,
         theta_star=theta_star,
         integral_state=state,
-        p1=p1,
+        p1_diag=p1d,
         p2=p2,
-        p3=p3,
+        p3_diag=p3d,
         constraint_report=report,
         diagnostics=diagnostics,
     )

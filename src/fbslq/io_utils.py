@@ -22,7 +22,7 @@ from .equilibrium import (
 )
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec
-from .riccati import check_constraints, solve_p1, solve_p2, solve_p3
+from .riccati import check_constraints, solve_p2, two_time_diagonals
 
 __all__ = [
     "fmt",
@@ -86,11 +86,11 @@ def write_solution_dir(outdir, solution: EquilibriumSolution, scenario: dict, th
 
     header, rows = one_time_field_rows(solution.theta_star)
     write_csv(os.path.join(outdir, "theta.csv"), header, rows)
-    header, rows = one_time_field_rows(solution.p1.diagonal())
+    header, rows = one_time_field_rows(solution.p1_diag)
     write_csv(os.path.join(outdir, "p1_diag.csv"), header, rows)
     header, rows = one_time_field_rows(solution.p2)
     write_csv(os.path.join(outdir, "p2.csv"), header, rows)
-    header, rows = one_time_field_rows(solution.p3.diagonal())
+    header, rows = one_time_field_rows(solution.p3_diag)
     write_csv(os.path.join(outdir, "p3_diag.csv"), header, rows)
 
     diag = solution.diagnostics
@@ -139,9 +139,7 @@ def load_solution_dir(path) -> EquilibriumSolution:
 
     theta0 = _theta0_from_desc(summary.get("theta0", "const:0"), spec)
     p2 = solve_p2(spec, theta)
-    p1 = solve_p1(spec, theta)
-    p3 = solve_p3(spec, theta, p2)
-    p1d, p3d = p1.diagonal(), p3.diagonal()
+    p1d, p3d = two_time_diagonals(spec, theta, p2)
     report = check_constraints(spec, p1d, p3d, p2, theta0)
 
     if not spec.is_one_dimensional():
@@ -152,9 +150,9 @@ def load_solution_dir(path) -> EquilibriumSolution:
         spec=spec,
         theta_star=theta,
         integral_state=state,
-        p1=p1,
+        p1_diag=p1d,
         p2=p2,
-        p3=p3,
+        p3_diag=p3d,
         constraint_report=report,
         diagnostics=_load_diagnostics(path, summary.get("diagnostics", {})),
     )

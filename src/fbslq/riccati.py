@@ -9,8 +9,11 @@ For a fixed feedback gain Theta the three fields solve, backward in s
            + P2^T M(s,t) P2 + C_Th^T P2^T N(s,t) P2 C_Th = 0
 
 with P1(T;t) = G1(t), P2(T) = H, P3(T;t) = 0.  P1 and P3 are two-time
-fields: one backward sweep per grid node t, all sweeps advanced together so
-the kernel evaluations vectorize across t.
+fields: one backward sweep per grid node t, all sweeps, and both fields
+(they share one linear operator), advanced together in one stacked sweep.
+The feedback map, the constraints and the residual read only the diagonal
+P(t;t), which :func:`two_time_diagonals` keeps; :func:`solve_p1` and
+:func:`solve_p3` build the whole triangle on request.
 
 The stepper is classical RK4 on the uniform grid.  Theta is read as
 piecewise-constant on [t_i, t_{i+1}), so every stage evaluation inside a step
@@ -36,6 +39,7 @@ __all__ = [
     "solve_p1",
     "solve_p2",
     "solve_p3",
+    "two_time_diagonals",
     "feedback_map",
     "check_constraints",
     "characterization_residual",
@@ -54,103 +58,37 @@ def _require_same_grid(spec: ProblemSpec, strategy: Strategy):
 
 @dataclass(frozen=True)
 class ClosedLoopCoefficients:
-    """A + B Theta, C + D Theta, Ahat + Bhat Theta under one strategy.
+    """A + B Theta and C + D Theta at the RK4 stages of every interval.
 
-    ``*_node[i]`` uses the gain of interval i at time t_i (the value the
-    feedback and residual formulas read).  The ``*_stage`` arrays hold, per
-    interval j, the matrices at the left node, midpoint and right node, all
-    with the interval's own gain -- what the RK4 stages consume.
+    ``*_stage[j]`` holds the matrices at the left node, midpoint and right
+    node of interval j, all with the interval's own gain.
     """
 
-    a_node: OneTimeField
-    c_node: OneTimeField
-    ahat_node: OneTimeField
     a_stage: np.ndarray  # (steps, 3, n, n): left, mid, right
     c_stage: np.ndarray  # (steps, 3, n, n)
-    ahat_stage: np.ndarray  # (steps, 3, m, n)
 
 
 def closed_loop_coefficients(spec: ProblemSpec, theta: Strategy) -> ClosedLoopCoefficients:
     _require_same_grid(spec, theta)
-    grid = spec.grid
-    nodes, mids = grid.nodes, grid.midpoints
+    nodes, mids = spec.grid.nodes, spec.grid.midpoints
     c = spec.coeffs
-    th = theta.values  # (L, k, n)
+    th_iv = theta.values[:-1]  # gain of interval j
 
-    A_n, B_n, C_n, D_n = c.A(nodes), c.B(nodes), c.C(nodes), c.D(nodes)
-    Ah_n, Bh_n = c.Ahat(nodes), c.Bhat(nodes)
-    A_m, B_m, C_m, D_m = c.A(mids), c.B(mids), c.C(mids), c.D(mids)
-    Ah_m, Bh_m = c.Ahat(mids), c.Bhat(mids)
+    def stages(x, y):  # x + y Theta at the left node, midpoint and right node
+        x_n, y_n, x_m, y_m = x(nodes), y(nodes), x(mids), y(mids)
+        left, right = x_n[:-1] + y_n[:-1] @ th_iv, x_n[1:] + y_n[1:] @ th_iv
+        return np.stack([left, x_m + y_m @ th_iv, right], axis=1)
 
-    a_node = A_n + B_n @ th
-    c_node = C_n + D_n @ th
-    ahat_node = Ah_n + Bh_n @ th
-
-    th_iv = th[:-1]  # gain of interval j
-    a_stage = np.stack(
-        [A_n[:-1] + B_n[:-1] @ th_iv, A_m + B_m @ th_iv, A_n[1:] + B_n[1:] @ th_iv], axis=1
-    )
-    c_stage = np.stack(
-        [C_n[:-1] + D_n[:-1] @ th_iv, C_m + D_m @ th_iv, C_n[1:] + D_n[1:] @ th_iv], axis=1
-    )
-    ahat_stage = np.stack(
-        [Ah_n[:-1] + Bh_n[:-1] @ th_iv, Ah_m + Bh_m @ th_iv, Ah_n[1:] + Bh_n[1:] @ th_iv], axis=1
-    )
-    return ClosedLoopCoefficients(
-        a_node=OneTimeField(spec.grid, a_node),
-        c_node=OneTimeField(spec.grid, c_node),
-        ahat_node=OneTimeField(spec.grid, ahat_node),
-        a_stage=a_stage,
-        c_stage=c_stage,
-        ahat_stage=ahat_stage,
-    )
+    return ClosedLoopCoefficients(a_stage=stages(c.A, c.B), c_stage=stages(c.C, c.D))
 
 
 def _sym(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + np.swapaxes(p, -1, -2))
 
 
-def _sweep_two_time(spec: ProblemSpec, clc: ClosedLoopCoefficients, terminal: np.ndarray, source):
-    """Shared backward sweep for the P1/P3 equations.
-
-    ``source(j, stage, t_idx)`` returns the inhomogeneous term W(s_stage, t_i)
-    for the active t-batch (stage 0/1/2 = left/mid/right of interval j).
-    """
-    grid = spec.grid
-    L, h = grid.num_nodes, grid.h
-    n = terminal.shape[-1]
-    data = np.full((L, L, n, n), np.nan)
-    data[:, L - 1] = terminal
-    p = terminal.copy()
-
-    def rhs(pb, a, ct, w):
-        return -(pb @ a + np.swapaxes(a, -1, -2) @ pb + np.swapaxes(ct, -1, -2) @ pb @ ct + w)
-
-    for j in range(grid.steps - 1, -1, -1):
-        idx = slice(0, j + 1)
-        pj = p[idx]
-        a0, am, a1 = clc.a_stage[j]
-        c0, cm, c1 = clc.c_stage[j]
-        w0 = source(j, 0, idx)
-        wm = source(j, 1, idx)
-        w1 = source(j, 2, idx)
-        k1 = rhs(pj, a1, c1, w1)
-        k2 = rhs(pj - 0.5 * h * k1, am, cm, wm)
-        k3 = rhs(pj - 0.5 * h * k2, am, cm, wm)
-        k4 = rhs(pj - h * k3, a0, c0, w0)
-        pj = _sym(pj - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        data[idx, j] = pj
-        p[idx] = pj
-    return TwoTimeField(grid, data)
-
-
-def solve_p1(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
-    """Two-time state-weight field with terminal value G1(t)."""
-    _require_same_grid(spec, theta)
-    grid = spec.grid
-    nodes, mids = grid.nodes, grid.midpoints
-    clc = closed_loop_coefficients(spec, theta)
-    terminal = _sym(spec.weights.G1(nodes))
+def _p1_equation(spec: ProblemSpec, theta: Strategy):
+    """Terminal value G1(t) and source Q(s,t) + Th^T R(s,t) Th of P1."""
+    nodes, mids = spec.grid.nodes, spec.grid.midpoints
     Q, R = spec.weights.Q, spec.weights.R
     th = theta.values
 
@@ -160,7 +98,74 @@ def solve_p1(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
         thj = th[j]
         return Q(s, t) + np.swapaxes(thj, -1, -2) @ R(s, t) @ thj
 
-    return _sweep_two_time(spec, clc, terminal, source)
+    return _sym(spec.weights.G1(nodes)), source
+
+
+def _p3_equation(spec: ProblemSpec, clc: ClosedLoopCoefficients, p2: P2Field):
+    """Terminal value 0 and source P2^T M P2 + (P2 C_Th)^T N (P2 C_Th) of P3.
+
+    The node and midpoint values of ``p2``, at the gain of ``clc``, are the stage inputs.
+    """
+    nodes, mids = spec.grid.nodes, spec.grid.midpoints
+    p2_nodes, p2_mids = p2.data, p2.mids
+    M, N = spec.weights.M, spec.weights.N
+
+    def source(j, stage, idx):
+        s = (nodes[j], mids[j], nodes[j + 1])[stage]
+        t = nodes[idx]
+        p2s = (p2_nodes[j], p2_mids[j], p2_nodes[j + 1])[stage]
+        p2c = p2s @ clc.c_stage[j, stage]
+        term_m = np.swapaxes(p2s, -1, -2) @ M(s, t) @ p2s
+        term_n = np.swapaxes(p2c, -1, -2) @ N(s, t) @ p2c
+        return term_m + term_n
+
+    return np.zeros((spec.grid.num_nodes, spec.dims.n, spec.dims.n)), source
+
+
+def _sweep_two_time(spec: ProblemSpec, clc: ClosedLoopCoefficients, equations):
+    """Backward RK4 of two-time equations that share the operator of ``clc``.
+
+    ``equations`` is a sequence of (terminal, source) pairs, stacked on a
+    leading axis and stepped together; ``source(j, stage, t_idx)`` returns the
+    inhomogeneous term W(s_stage, t_i) for the active t-batch (stage 0/1/2 =
+    left/mid/right of interval j).  Yields (j, p) with p[e, i] = P_e(s_j; t_i)
+    for i <= j, from the terminal values at j = steps down to j = 0; each
+    yield binds a new array, so a consumer may keep it.
+    """
+    h, steps = spec.grid.h, spec.grid.steps
+    p = np.stack([terminal for terminal, _ in equations])
+    yield steps, p
+
+    def rhs(pb, a, ct, w):
+        return -(pb @ a + np.swapaxes(a, -1, -2) @ pb + np.swapaxes(ct, -1, -2) @ pb @ ct + w)
+
+    for j in range(steps - 1, -1, -1):
+        idx = slice(0, j + 1)
+        pj = p[:, idx]
+        a0, am, a1 = clc.a_stage[j]
+        c0, cm, c1 = clc.c_stage[j]
+        w0, wm, w1 = (np.stack([source(j, stage, idx) for _, source in equations]) for stage in range(3))
+        k1 = rhs(pj, a1, c1, w1)
+        k2 = rhs(pj - 0.5 * h * k1, am, cm, wm)
+        k3 = rhs(pj - 0.5 * h * k2, am, cm, wm)
+        k4 = rhs(pj - h * k3, a0, c0, w0)
+        p = _sym(pj - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        yield j, p
+
+
+def _two_time_field(spec: ProblemSpec, clc: ClosedLoopCoefficients, equation) -> TwoTimeField:
+    """The whole stored triangle of one two-time equation."""
+    L = spec.grid.num_nodes
+    data = np.full((L, L) + equation[0].shape[1:], np.nan)
+    for j, p in _sweep_two_time(spec, clc, (equation,)):
+        data[: j + 1, j] = p[0]
+    return TwoTimeField(spec.grid, data)
+
+
+def solve_p1(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
+    """Two-time state-weight field with terminal value G1(t), the whole triangle."""
+    clc = closed_loop_coefficients(spec, theta)
+    return _two_time_field(spec, clc, _p1_equation(spec, theta))
 
 
 @dataclass(frozen=True)
@@ -267,29 +272,27 @@ def solve_p2(spec: ProblemSpec, theta: Strategy) -> P2Field:
 def solve_p3(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> TwoTimeField:
     """Two-time field sourced by the backward-state weights; P3(T;t) = 0.
 
-    ``p2`` is :func:`solve_p2` for the same gain; its node and midpoint values
-    are the stage inputs of the sweep.
+    ``p2`` is :func:`solve_p2` for the same gain.  Returns the whole triangle.
     """
-    _require_same_grid(spec, theta)
-    grid = spec.grid
-    nodes, mids = grid.nodes, grid.midpoints
     clc = closed_loop_coefficients(spec, theta)
-    n = spec.dims.n
-    p2_nodes, p2_mids = p2.data, p2.mids
-    M, N = spec.weights.M, spec.weights.N
+    return _two_time_field(spec, clc, _p3_equation(spec, clc, p2))
 
-    def source(j, stage, idx):
-        s = (nodes[j], mids[j], nodes[j + 1])[stage]
-        t = nodes[idx]
-        p2s = (p2_nodes[j], p2_mids[j], p2_nodes[j + 1])[stage]
-        cs = clc.c_stage[j, stage]
-        p2c = p2s @ cs
-        term_m = np.swapaxes(p2s, -1, -2) @ M(s, t) @ p2s
-        term_n = np.swapaxes(p2c, -1, -2) @ N(s, t) @ p2c
-        return term_m + term_n
 
-    terminal = np.zeros((grid.num_nodes, n, n))
-    return _sweep_two_time(spec, clc, terminal, source)
+def two_time_diagonals(
+    spec: ProblemSpec, theta: Strategy, p2: P2Field
+) -> tuple[OneTimeField, OneTimeField]:
+    """P1(t;t) and P3(t;t) from one stacked sweep that keeps only the diagonal.
+
+    ``p2`` is :func:`solve_p2` for the same gain.  The values are the
+    diagonals of :func:`solve_p1` and :func:`solve_p3`, bit for bit, without
+    an L x L array.
+    """
+    clc = closed_loop_coefficients(spec, theta)
+    equations = (_p1_equation(spec, theta), _p3_equation(spec, clc, p2))
+    diag = np.empty((len(equations),) + equations[0][0].shape)
+    for j, p in _sweep_two_time(spec, clc, equations):
+        diag[:, j] = p[:, j]
+    return OneTimeField(spec.grid, diag[0]), OneTimeField(spec.grid, diag[1])
 
 
 def _diag_weights(spec: ProblemSpec):
@@ -462,6 +465,5 @@ def characterization_residual(spec: ProblemSpec, theta: Strategy) -> OneTimeFiel
     :func:`characterization_residual_from_fields`.
     """
     p2 = solve_p2(spec, theta)
-    p1_diag = solve_p1(spec, theta).diagonal()
-    p3_diag = solve_p3(spec, theta, p2).diagonal()
+    p1_diag, p3_diag = two_time_diagonals(spec, theta, p2)
     return characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)

@@ -42,8 +42,7 @@ from .riccati import (
     P2Field,
     characterization_residual_from_fields,
     gain_denominator_numerator,
-    solve_p1,
-    solve_p3,
+    two_time_diagonals,
 )
 
 __all__ = [
@@ -782,7 +781,8 @@ def spike_test(
     against the expansion limit: the quadratic form built from the Riccati
     diagonal plus the first-order characterization-residual term.  The same
     pass yields the report for -v (``opposite``) and the closed-loop cost
-    estimate (``closed_loop``).
+    estimate (``closed_loop``).  Raises ``ValueError`` when the cost sums
+    are not finite, as when a huge x0 or v overflows them.
     """
     grid = spec.grid
     cfg = SimConfig(paths=cfg.paths, seed=cfg.seed, sub_steps=cfg.sub_steps, t_start=t, x0=cfg.x0)
@@ -791,16 +791,18 @@ def spike_test(
     ladder = _snap_eps(grid, i0, spike.epsilons)
 
     if p1_diag is None or p3_diag is None:
-        p1_diag = solve_p1(spec, theta).diagonal()
-        p3_diag = solve_p3(spec, theta, p2).diagonal()
+        p1_diag, p3_diag = two_time_diagonals(spec, theta, p2)
     lam, _ = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
     lam_t = lam[i0]
     if residual is None:
         residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
     x0 = cfg.x0_vector(spec.dims.n)
 
-    run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder], t)
-    sum_d, sumsq_d, (paths, mean_j, m2_j) = run.run()
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder], t)
+        sum_d, sumsq_d, (paths, mean_j, m2_j) = run.run()
+    if not all(np.all(np.isfinite(s)) for s in (sum_d, sumsq_d, mean_j, m2_j)):
+        raise ValueError("the Monte-Carlo cost sums overflow; x0 or v is too large for this problem")
     stderr_j = float(np.sqrt(m2_j / (paths - 1)) / np.sqrt(paths)) if paths > 1 else 0.0
     closed_loop = CostEstimate(estimate=float(mean_j), stderr=stderr_j, paths=paths)
 

@@ -151,7 +151,7 @@ def suite_example_2_5(grid_steps: int = 1000, q: str = "unit") -> SuiteReport:
     sol0 = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), cfg)
     report.add_upper("zero_branch_gain_sup", sol0.theta_star.sup_norm(), 1e-12)
     report.add_upper(
-        "zero_branch_p1_diag_sup", float(np.max(np.abs(sol0.p1.diagonal().data))), 1e-6
+        "zero_branch_p1_diag_sup", float(np.max(np.abs(sol0.p1_diag.data))), 1e-6
     )
     rep0 = sol0.constraint_report
     report.add("zero_branch_constraints", float(rep0.all_pass), 1.0, rep0.all_pass)
@@ -167,7 +167,7 @@ def suite_example_2_5(grid_steps: int = 1000, q: str = "unit") -> SuiteReport:
         target = float(np.exp(-1.0) + 0.125)
         report.add_upper(
             "half_branch_p1_origin",
-            abs(float(solh.p1.data[0, 0, 0, 0]) - target),
+            abs(float(solh.p1_diag.data[0, 0, 0]) - target),
             1e-4,
             note=f"target {target}",
         )
@@ -224,7 +224,7 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     theta = solution.theta_star
     spec = solution.spec
     scale = 1.0 + theta.sup_norm()
-    p1d, p3d = solution.p1.diagonal(), solution.p3.diagonal()
+    p1d, p3d = solution.p1_diag, solution.p3_diag
 
     resid = characterization_residual_from_fields(spec, p1d, p3d, solution.p2, theta)
     report.add_upper("characterization_residual", resid.sup_norm(), 1e-6 * scale)

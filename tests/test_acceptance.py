@@ -35,7 +35,7 @@ def test_criterion_1_example_zero_branch():
     sol = solve_equilibrium(
         spec, Strategy.zeros(spec.grid, 1, 1), SolverConfig(check_assumptions=False)
     )
-    diag_sup = float(np.max(np.abs(sol.p1.diagonal().data)))
+    diag_sup = float(np.max(np.abs(sol.p1_diag.data)))
     constraints = sol.constraint_report.all_pass
     elapsed = time.time() - start
     passed = diag_sup <= 1e-6 and constraints and elapsed < 5.0
@@ -54,7 +54,7 @@ def test_criterion_2_example_half_branch():
         spec, Strategy.constant(spec.grid, -0.5), SolverConfig(check_assumptions=False)
     )
     target = math.exp(-1.0) + 0.125
-    origin_err = abs(float(sol.p1.data[0, 0, 0, 0]) - target)
+    origin_err = abs(float(sol.p1_diag.data[0, 0, 0]) - target)
     interior_fail = not bool(np.any(sol.constraint_report.range_ok_per_node[:-1]))
     elapsed = time.time() - start
     passed = origin_err <= 1e-4 and interior_fail and elapsed < 5.0
@@ -110,7 +110,7 @@ def test_criterion_5_spike_variation_monte_carlo(smoke_solution_1000):
     start = time.time()
     sol = smoke_solution_1000
     spec = sol.spec
-    p1d, p3d = sol.p1.diagonal(), sol.p3.diagonal()
+    p1d, p3d = sol.p1_diag, sol.p3_diag
     resid = characterization_residual(spec, sol.theta_star)
     all_liminf = True
     all_limit = True

@@ -2,8 +2,10 @@
 
 ``solve`` exits 0, 2 or 3 on any scenario document; ``simulate`` exits 0 on
 valid numeric options and ``verify --suite equilibrium`` 0 or 1, and both
-exit 2 on an invalid one.  No input may end in a traceback.  The examples
-are derandomized, so every run draws the same cases.
+exit 2 on an invalid one, or on an ``--x0`` or ``--spike-v`` so large that
+the Monte-Carlo cost sums overflow.  No input may end in a traceback.  Each
+option is passed as ``--name=value`` or as two tokens, as drawn.  The
+examples are derandomized, so every run draws the same cases.
 """
 
 import contextlib
@@ -113,9 +115,15 @@ def solution_dir(tmp_path_factory):
     return str(root / "sol")
 
 
-# (value, valid) pairs.  Options are passed as --name=value, since argparse
-# reads a separate "-1e-05" as an option name.
+def option(name, value, joined):
+    """``--name=value`` or the two tokens ``--name value``."""
+    return [f"--{name}={value!r}"] if joined else [f"--{name}", repr(value)]
+
+
+# (value, valid) pairs; a huge finite number is not valid, since the cost
+# sums overflow and the command gives no verdict.
 non_finite = st.sampled_from([math.inf, -math.inf, math.nan]).map(lambda x: (x, False))
+huge = (st.floats(1e160, 1e300) | st.floats(-1e300, -1e160)).map(lambda x: (x, False))
 path_counts = st.integers(1, 64).map(lambda p: (p, True)) | st.integers(-5, 0).map(lambda p: (p, False))
 start_times = (
     st.integers(0, SIM_STEPS - 1).map(lambda i: (i * H, True))
@@ -128,16 +136,21 @@ states = (
     st.integers(-SIM_STEPS, SIM_STEPS).map(lambda i: (i * H, True))
     | st.floats(-3.0, 3.0).map(lambda x: (x, True))
     | non_finite
+    | huge
 )
+directions = st.floats(-3.0, 3.0).map(lambda x: (x, True)) | non_finite | huge
+forms = st.lists(st.booleans(), min_size=5, max_size=5)
 
 
 @FUZZ
-@given(paths=path_counts, t=start_times, x0=states, seed=st.integers(0, 2**32))
-def test_simulate_options_exit_with_a_documented_code(solution_dir, paths, t, x0, seed):
-    valid = paths[1] and t[1] and x0[1]
+@given(paths=path_counts, t=start_times, x0=states, v=directions, seed=st.integers(0, 2**32),
+       joined=forms)
+def test_simulate_options_exit_with_a_documented_code(solution_dir, paths, t, x0, v, seed, joined):
+    valid = paths[1] and t[1] and x0[1] and v[1]
+    drawn = (("paths", paths[0]), ("t", t[0]), ("x0", x0[0]), ("spike-v", v[0]), ("seed", seed))
+    options = [tok for (name, value), j in zip(drawn, joined) for tok in option(name, value, j)]
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = run_cli(["simulate", solution_dir, f"--paths={paths[0]}", f"--t={t[0]!r}",
-                             f"--x0={x0[0]!r}", f"--seed={seed}", "--out", tmp])
+        code, err = run_cli(["simulate", solution_dir, *options, "--out", tmp])
     assert code == (0 if valid else 2)
     assert "Traceback" not in err
     if not valid:
@@ -145,12 +158,13 @@ def test_simulate_options_exit_with_a_documented_code(solution_dir, paths, t, x0
 
 
 @settings(FUZZ, max_examples=25)
-@given(paths=path_counts, x0=states)
-def test_verify_options_exit_with_a_documented_code(solution_dir, paths, x0):
+@given(paths=path_counts, x0=states, joined=forms)
+def test_verify_options_exit_with_a_documented_code(solution_dir, paths, x0, joined):
     valid = paths[1] and x0[1]
+    options = option("paths", paths[0], joined[0]) + option("x0", x0[0], joined[1])
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = run_cli(["verify", solution_dir, "--suite", "equilibrium", f"--paths={paths[0]}",
-                             f"--x0={x0[0]!r}", "--out", os.path.join(tmp, "rep.json")])
+        code, err = run_cli(["verify", solution_dir, "--suite", "equilibrium", *options,
+                             "--out", os.path.join(tmp, "rep.json")])
     assert code in ((0, 1) if valid else (2,))
     assert "Traceback" not in err
     if not valid:

@@ -4,8 +4,9 @@ import pytest
 from fbslq.equilibrium import (
     AssumptionViolatedError,
     SolverConfig,
+    _Workspace,
     fixed_point_map,
-    p1_tilde_from_theta,
+    integral_state,
     second_moment_factor,
     solve_equilibrium,
 )
@@ -37,34 +38,38 @@ class TestSecondMomentFactor:
         assert np.allclose(lam.data[:, -1, 0, 0], expected, atol=1e-6)
 
     def test_diagonal_is_one(self, smoke_solution):
-        lam = smoke_solution.integral_state.lambda_factor
+        lam = second_moment_factor(smoke_solution.spec, smoke_solution.theta_star)
         idx = np.arange(lam.grid.num_nodes)
         assert np.array_equal(lam.data[idx, idx, 0, 0], np.ones(len(idx)))
         mask = lam.triangle_mask()
         assert np.all(lam.data[mask] > 0)
+
+    def test_shares_the_fixed_point_exponent(self, smoke_solution):
+        # Sampling only A, B, C and D gives the solver's exponent bit for bit.
+        spec, th = smoke_solution.spec, smoke_solution.theta_star
+        lam = second_moment_factor(spec, th)
+        expo = _Workspace(spec).exponent(th.flat())
+        assert np.array_equal(lam.data[0, :, 0, 0], np.exp(expo))
 
 
 class TestP1Tilde:
     def test_zero_weights(self):
         spec = build_scalar(A=0.2)
         th = zero_theta(spec)
-        lam = second_moment_factor(spec, th)
-        p1t = p1_tilde_from_theta(spec, th, solve_p2(spec, th), lam)
+        p1t = integral_state(spec, th, solve_p2(spec, th)).p1_tilde
         assert p1t.sup_norm() == 0.0
 
     def test_pure_terminal_transport(self):
         g = 0.8
         spec = build_scalar(G1=g)
         th = zero_theta(spec)
-        lam = second_moment_factor(spec, th)
-        p1t = p1_tilde_from_theta(spec, th, solve_p2(spec, th), lam)
+        p1t = integral_state(spec, th, solve_p2(spec, th)).p1_tilde
         assert np.allclose(p1t.flat(), g, atol=1e-12)
 
     def test_unit_running_weight_hand_integral(self):
         spec = build_scalar(Q=1.0, steps=200)
         th = zero_theta(spec)
-        lam = second_moment_factor(spec, th)
-        p1t = p1_tilde_from_theta(spec, th, solve_p2(spec, th), lam)
+        p1t = integral_state(spec, th, solve_p2(spec, th)).p1_tilde
         assert np.allclose(p1t.flat(), 1.0 - spec.grid.nodes, atol=1e-12)
 
 
@@ -151,8 +156,8 @@ class TestSolveEquilibrium:
         # Transported nonnegative weights keep the integral field nonnegative,
         # and both Riccati diagonals inherit it.
         assert np.min(smoke_solution.integral_state.p1_tilde.data) >= -1e-12
-        assert np.min(smoke_solution.p1.diagonal().data) >= -1e-10
-        assert np.min(smoke_solution.p3.diagonal().data) >= -1e-10
+        assert np.min(smoke_solution.p1_diag.data) >= -1e-10
+        assert np.min(smoke_solution.p3_diag.data) >= -1e-10
 
     def test_theta0_independence(self, smoke_spec, smoke_solution):
         other = solve_equilibrium(smoke_spec, Strategy.constant(smoke_spec.grid, 5.0))

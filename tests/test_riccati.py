@@ -6,7 +6,13 @@ import pytest
 
 from fbslq.fields import Strategy, TimeGrid
 from fbslq.kernels import AffineFn, ConstantFn, ConstantKernel, DiscountedFn
-from fbslq.presets import example_2_5_problem, trivial_problem
+from fbslq.presets import (
+    assumption_smoke_problem,
+    classical_reduction_problem,
+    example_2_5_problem,
+    matrix_reduction_problem,
+    trivial_problem,
+)
 from fbslq.problem import Coefficients, Dimensions, ProblemSpec, Weights
 from fbslq.riccati import (
     P2Field,
@@ -17,6 +23,7 @@ from fbslq.riccati import (
     solve_p1,
     solve_p2,
     solve_p3,
+    two_time_diagonals,
 )
 
 
@@ -238,6 +245,69 @@ class TestSolveP3:
         p3 = solve_p3(spec, th, solve_p2(spec, th))
         assert np.max(np.abs(p3.data[:, -1])) == 0.0
 
+    def test_linearity_in_weights(self):
+        # For a fixed gain, P2 does not see (M, N) and P3 is linear in them.
+        coeffs = dict(A=0.2, B=1.0, C=0.1, D=0.5, Ahat=0.3, Chat=-0.2, Dhat=0.4, H=0.8)
+        spec_a = build_scalar(**coeffs, M=0.7, N=0.2)
+        spec_b = build_scalar(**coeffs, M=0.4, N=1.1)
+        spec_ab = build_scalar(**coeffs, M=1.1, N=1.3)
+        th = Strategy.constant(spec_a.grid, 0.4)
+        p2 = solve_p2(spec_a, th)
+        p_a = solve_p3(spec_a, th, p2).data
+        p_b = solve_p3(spec_b, th, p2).data
+        p_ab = solve_p3(spec_ab, th, p2).data
+        mask = ~np.isnan(p_ab)
+        assert np.max(np.abs(p_ab[mask])) > 0.1
+        assert np.allclose((p_a + p_b)[mask], p_ab[mask], atol=1e-12)
+
+
+def _random_gain(spec, rng, scale=0.3):
+    shape = (spec.grid.num_nodes, spec.dims.k, spec.dims.n)
+    return Strategy(spec.grid, scale * rng.standard_normal(shape))
+
+
+class TestTwoTimeDiagonals:
+    """One stacked sweep for P1 and P3 that keeps only P(t;t)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: trivial_problem(60),
+        lambda: example_2_5_problem(80),
+        lambda: assumption_smoke_problem(80),
+        lambda: classical_reduction_problem(80),
+        lambda: matrix_reduction_problem(80),
+        lambda: matrix_p2_problem(80, n=2, m=2),
+        lambda: matrix_p2_problem(60, n=2, m=1),
+    ])
+    def test_bitwise_the_diagonals_of_the_separate_sweeps(self, build, rng):
+        spec = build()
+        theta = _random_gain(spec, rng)
+        p2 = solve_p2(spec, theta)
+        p1d, p3d = two_time_diagonals(spec, theta, p2)
+        assert np.array_equal(p1d.data, solve_p1(spec, theta).diagonal().data)
+        assert np.array_equal(p3d.data, solve_p3(spec, theta, p2).diagonal().data)
+
+    def test_p3_diagonal_symmetric_matrix_case(self, rng):
+        spec = matrix_p2_problem(80, n=2, m=2)
+        theta = _random_gain(spec, rng)
+        _, p3d = two_time_diagonals(spec, theta, solve_p2(spec, theta))
+        gap = np.max(np.abs(p3d.data - np.swapaxes(p3d.data, -1, -2)))
+        assert p3d.sup_norm() > 0.1
+        assert gap <= 1e-10 * (1.0 + p3d.sup_norm())
+
+    def test_superposition_of_the_stacked_sources(self):
+        # RK4 on a linear equation is a linear map: the P1 sweep of (Q, G1)
+        # plus the P3 sweep of (M, N) is the P1 sweep of both sources.  With
+        # A_Th = 0 and no hat terms P2 == H, so the P3 source P2^2 (M + C^2 N)
+        # folds into a constant Q; C keeps the operator nontrivial.
+        spec = build_scalar(C=0.6, H=0.5, Q=0.6, M=0.7, N=0.4, G1=0.9)
+        th = zero_theta(spec)
+        p2 = solve_p2(spec, th)
+        assert np.array_equal(p2.flat(), np.full(spec.grid.num_nodes, 0.5))
+        p1d, p3d = two_time_diagonals(spec, th, p2)
+        folded = build_scalar(C=0.6, Q=0.6 + 0.25 * (0.7 + 0.36 * 0.4), G1=0.9)
+        both = solve_p1(folded, th).diagonal()
+        assert np.allclose(p1d.data + p3d.data, both.data, rtol=0.0, atol=1e-12)
+
 
 class TestFeedbackMap:
     def test_theta0_cancels_when_invertible(self, smoke_spec):
@@ -321,7 +391,7 @@ class TestCharacterizationResidual:
     def test_solution_fields_give_the_same_residual(self, smoke_solution):
         sol = smoke_solution
         from_fields = characterization_residual_from_fields(
-            sol.spec, sol.p1.diagonal(), sol.p3.diagonal(), sol.p2, sol.theta_star
+            sol.spec, sol.p1_diag, sol.p3_diag, sol.p2, sol.theta_star
         )
         resolved = characterization_residual(sol.spec, sol.theta_star)
         assert np.array_equal(from_fields.data, resolved.data)

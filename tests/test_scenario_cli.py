@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from fbslq.cli import main
-from fbslq.equilibrium import solve_equilibrium
+from fbslq.equilibrium import second_moment_factor, solve_equilibrium
 from fbslq.fields import Strategy
-from fbslq.io_utils import load_solution_dir
+from fbslq.io_utils import load_solution_dir, two_time_field_rows, write_csv
 from fbslq.problem import validate
+from fbslq.riccati import solve_p1, solve_p2, solve_p3
 from fbslq.scenario import (
     classical_reduction_scenario,
     example_2_5_scenario,
@@ -179,7 +180,31 @@ class TestCliSolve:
         solved = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1)).integral_state
         loaded = load_solution_dir(out).integral_state
         assert np.array_equal(loaded.p1_tilde.data, solved.p1_tilde.data)
-        assert np.array_equal(loaded.lambda_factor.data, solved.lambda_factor.data, equal_nan=True)
+        assert np.array_equal(second_moment_factor(spec, loaded.theta).data,
+                              second_moment_factor(spec, solved.theta).data, equal_nan=True)
+
+    def test_load_reproduces_diagonals_bitwise(self, tmp_path):
+        doc = smoke_scenario(60)
+        out = str(tmp_path / "sol")
+        assert main(["solve", write(tmp_path, "smoke.json", doc), "--out", out]) == 0
+        spec = scenario_to_spec(doc)
+        solved = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
+        loaded = load_solution_dir(out)
+        assert np.array_equal(loaded.p1_diag.data, solved.p1_diag.data)
+        assert np.array_equal(loaded.p3_diag.data, solved.p3_diag.data)
+
+    def test_dump_fields_match_direct_solves(self, tmp_path):
+        # The triangles are built on request from solve_p1 / solve_p3.
+        doc = smoke_scenario(40)
+        out = tmp_path / "sol"
+        assert main(["solve", write(tmp_path, "smoke.json", doc), "--out", str(out), "--dump-fields"]) == 0
+        spec = scenario_to_spec(doc)
+        theta = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1)).theta_star
+        direct = {"p1_full.csv": solve_p1(spec, theta),
+                  "p3_full.csv": solve_p3(spec, theta, solve_p2(spec, theta))}
+        for name, field in direct.items():
+            write_csv(tmp_path / name, *two_time_field_rows(field))
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 class TestCliVerify:
@@ -242,6 +267,13 @@ class TestCliVerify:
     def test_missing_target_exits_2(self, tmp_path):
         assert main(["verify", "--suite", "equilibrium",
                      "--out", str(tmp_path / "rep.json")]) == 2
+
+    def test_overflowing_cost_exits_2_without_report(self, tmp_path, capsys, solved_smoke):
+        # A huge finite x0 overflows the spike tests' cost sums: no verdict.
+        assert main(["verify", solved_smoke, "--suite", "equilibrium", "--paths", "64",
+                     "--x0=1e200", "--out", str(tmp_path / "rep.json")]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "rep.json").exists()
 
 
 class TestCliSimulate:
@@ -307,6 +339,22 @@ class TestCliSimulate:
 
     def test_simulate_missing_dir_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope"), "--paths", "10"]) == 2
+
+    @pytest.mark.parametrize("option", ["--x0=1e200", "--x0=-1e200", "--spike-v=1e200"])
+    def test_overflowing_cost_exits_2_without_output(self, tmp_path, capsys, solved_smoke, option):
+        assert main(["simulate", solved_smoke, "--paths", "64", option,
+                     "--out", str(tmp_path / "sim")]) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("option, value", [("--x0", "-1e-05"), ("--spike-v", "-2.5E+3"),
+                                               ("--t", "-0.0"), ("--x0", "-.5e1")])
+    def test_negative_number_as_a_separate_token(self, tmp_path, solved_smoke, option, value):
+        args = ["simulate", solved_smoke, "--paths", "16", "--out"]
+        assert main(args + [str(tmp_path / "a"), option, value]) == 0
+        assert main(args + [str(tmp_path / "b"), f"{option}={value}"]) == 0
+        for name in ("spike_report.csv", "costs.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_simulate_outputs_reproduce_byte_for_byte(self, tmp_path):
         scen = write(tmp_path, "smoke.json", smoke_scenario(80))

@@ -230,8 +230,8 @@ class TestSpikeTest:
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         cfg = SimConfig(paths=500, seed=2, x0=1.0)
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=0.0, epsilons=(0.25, 0.125)), 0.0,
-                         p1_diag=smoke_solution.p1.diagonal(),
-                         p3_diag=smoke_solution.p3.diagonal())
+                         p1_diag=smoke_solution.p1_diag,
+                         p3_diag=smoke_solution.p3_diag)
         assert all(r.delta == 0.0 and r.stderr == 0.0 for r in rep.rows)
         assert rep.liminf_pass
 
@@ -240,8 +240,8 @@ class TestSpikeTest:
         cfg = SimConfig(paths=400, seed=13, x0=1.0)
         eps = 0.25
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(eps,)), 0.0,
-                         p1_diag=smoke_solution.p1.diagonal(),
-                         p3_diag=smoke_solution.p3.diagonal())
+                         p1_diag=smoke_solution.p1_diag,
+                         p3_diag=smoke_solution.p3_diag)
         base = simulate_closed_loop(spec, th, p2, cfg)
         spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=1.0), eps)
         j0 = evaluate_cost(spec, base, build_controls(spec, base), 0.0)
@@ -257,8 +257,8 @@ class TestSpikeTest:
         d = {}
         for c in (1.0, 2.0, -1.0):
             rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=c, epsilons=eps), 0.5,
-                             p1_diag=smoke_solution.p1.diagonal(),
-                             p3_diag=smoke_solution.p3.diagonal())
+                             p1_diag=smoke_solution.p1_diag,
+                             p3_diag=smoke_solution.p3_diag)
             d[c] = (rep.rows[0].delta, rep.rows[0].stderr)
         quad = d[1.0][0]
         # c = 2 quadruples the quadratic part; c = -1 keeps it.
@@ -305,8 +305,8 @@ class TestSpikeDirections:
     def test_opposite_is_the_separate_negative_run_bitwise(self, smoke_solution, problem):
         if problem == "smoke":
             spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
-            v, t, kw = 1.0, 0.25, {"p1_diag": smoke_solution.p1.diagonal(),
-                                   "p3_diag": smoke_solution.p3.diagonal()}
+            v, t, kw = 1.0, 0.25, {"p1_diag": smoke_solution.p1_diag,
+                                   "p3_diag": smoke_solution.p3_diag}
         else:  # n = k = 2: the generic kernel
             spec, th, p2 = matrix_inputs()
             v, t, kw = np.array([1.0, -0.5]), 0.5, {}
@@ -327,8 +327,8 @@ class TestSpikeDirections:
         d = {}
         for c in (1.0, 2.0):
             rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=c), 0.5,
-                             p1_diag=smoke_solution.p1.diagonal(),
-                             p3_diag=smoke_solution.p3.diagonal())
+                             p1_diag=smoke_solution.p1_diag,
+                             p3_diag=smoke_solution.p3_diag)
             d[c] = np.array([r.delta for r in rep.rows])
             d[-c] = np.array([r.delta for r in rep.opposite.rows])
         # The quadratic part scales with c^2, the cross part with c.
@@ -353,8 +353,8 @@ class TestSpikeDirections:
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         cfg = SimConfig(paths=8192 + 300, seed=6, t_start=0.5, x0=1.0)  # two RNG blocks
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(0.125,)), 0.5,
-                         p1_diag=smoke_solution.p1.diagonal(),
-                         p3_diag=smoke_solution.p3.diagonal())
+                         p1_diag=smoke_solution.p1_diag,
+                         p3_diag=smoke_solution.p3_diag)
         bundle = simulate_closed_loop(spec, th, p2, cfg)
         cost = evaluate_cost(spec, bundle, build_controls(spec, bundle), 0.5)
         assert rep.closed_loop.paths == cost.paths

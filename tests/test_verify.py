@@ -83,9 +83,9 @@ def test_suite_equilibrium_rejects_corrupted_gain(smoke_solution):
         spec=spec,
         theta_star=bad_theta,
         integral_state=smoke_solution.integral_state,
-        p1=smoke_solution.p1,
+        p1_diag=smoke_solution.p1_diag,
         p2=smoke_solution.p2,
-        p3=smoke_solution.p3,
+        p3_diag=smoke_solution.p3_diag,
         constraint_report=smoke_solution.constraint_report,
         diagnostics=smoke_solution.diagnostics,
     )
