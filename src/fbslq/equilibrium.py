@@ -21,6 +21,12 @@ fixed point; Monte-Carlo only appears as an external cross-check.  The map is
 iterated window by window from the terminal time; a window is halved whenever
 its observed contraction ratio exceeds the configured target.
 
+The integral is a trapezoid over the grid.  When Q, R, M and N are lag
+kernels (constant, discounted, difference) it is one backward recursion over
+their factors with rho_i = exp(E_{i+1} - E_i), E the cumulative exponent, so
+p1t costs O(L) and no exponent spans the horizon.  Table and callable kernels
+take the dense quadrature over L x L weight tables instead.
+
 When den(s) falls below the configured floor the update routes through the
 theta0 pass-through (the zero-pseudoinverse convention); nodes where the
 floor binds are recorded in the diagnostics.
@@ -34,7 +40,7 @@ import numpy as np
 
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec, check_one_dim_positivity
-from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples
+from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples, _transport
 from .riccati import check_constraints, two_time_diagonals
 
 __all__ = [
@@ -95,9 +101,10 @@ class SolverConfig:
 class IntegralState:
     """Converged integral-route fields: p2t, p1t and the gain.
 
-    ``p2_tilde`` is the same field as :attr:`EquilibriumSolution.p2`.  The
-    second-moment factor lam(s, t) is L x L; :func:`second_moment_factor`
-    builds it on demand.
+    ``p2_tilde`` is the same field as :attr:`EquilibriumSolution.p2`.
+    ``p1_tilde`` comes from the factor recursion for lag kernels and from the
+    dense quadrature otherwise; neither keeps the L x L second-moment factor
+    lam(s, t), which :func:`second_moment_factor` builds on demand.
     """
 
     p2_tilde: P2Field
@@ -164,18 +171,28 @@ def _at_nodes(spec: ProblemSpec, *fns) -> list[np.ndarray]:
     return [fn(spec.grid.nodes)[..., 0, 0] for fn in fns]
 
 
-def _exponent(A, B, C, D, th, h: float) -> np.ndarray:
-    """Cumulative per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples."""
+def _increments(A, B, C, D, th, h: float) -> np.ndarray:
+    """Per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples."""
     th_iv = th[:-1]
     g_l = 2.0 * (A[:-1] + B[:-1] * th_iv) + (C[:-1] + D[:-1] * th_iv) ** 2
     g_r = 2.0 * (A[1:] + B[1:] * th_iv) + (C[1:] + D[1:] * th_iv) ** 2
+    return 0.5 * h * (g_l + g_r)
+
+
+def _exponent(A, B, C, D, th, h: float) -> np.ndarray:
+    """Cumulative per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples."""
     e = np.zeros(len(th))
-    np.cumsum(0.5 * h * (g_l + g_r), out=e[1:])
+    np.cumsum(_increments(A, B, C, D, th, h), out=e[1:])
     return e
 
 
 class _Workspace:
-    """Precomputed node samples for the scalar integral system."""
+    """Precomputed node samples for the scalar integral system.
+
+    With lag kernels (constant, discounted, difference) p1t is a suffix
+    recursion over their factors in O(L); otherwise the four weights are
+    tabulated on the L x L node grid for the dense quadrature.
+    """
 
     def __init__(self, spec: ProblemSpec):
         _require_scalar(spec)
@@ -188,6 +205,13 @@ class _Workspace:
 
         self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
 
+        weights = (w.Q, w.R, w.M, w.N)
+        self.factors = [k.lag_factors() for k in weights]
+        if all(f is not None for f in self.factors):
+            self.R_diag = w.R(nodes, nodes)[:, 0, 0]
+            self.N_diag = w.N(nodes, nodes)[:, 0, 0]
+            return
+        self.factors = None
         ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
         self.Q_tab = w.Q(ss, tt)[..., 0, 0]
         self.R_tab = w.R(ss, tt)[..., 0, 0]
@@ -204,13 +228,43 @@ class _Workspace:
     def exponent(self, th: np.ndarray) -> np.ndarray:
         return _exponent(self.A, self.B, self.C, self.D, th, self.h)
 
-    def p1_tilde(self, th, p2t, expo, cols=None) -> np.ndarray:
+    def p1_tilde(self, th, p2t, cols=None) -> np.ndarray:
         """Quadrature of the transported running weights from each node t_i.
 
         ``cols`` restricts the evaluation to a slice of t-indices.
         """
         if cols is None:
             cols = slice(0, self.L)
+        if self.factors is None:
+            return self._dense_p1_tilde(th, p2t, self.exponent(th), cols)
+        lo, hi, _ = cols.indices(self.L)
+        return self._factor_p1_tilde(th, p2t, lo)[: hi - lo]
+
+    def _factor_p1_tilde(self, th, p2t, lo) -> np.ndarray:
+        """p1t at nodes lo.. by one suffix recursion with rho_i = exp(E_{i+1} - E_i).
+
+        Interval j adds h/2 (f(t_j, t_i) lam(t_j, t_i) + f(t_{j+1}, t_i) lam(t_{j+1}, t_i))
+        to node i <= j; with each weight's lag factors that is u_j S^(j-i) b(0),
+        carried from node to node by ``riccati._transport``.
+        """
+        th_iv = th[lo:-1]
+        p2_l, p2_r = p2t[lo:-1] ** 2, p2t[lo + 1 :] ** 2
+        c_l = self.C[lo:-1] + self.D[lo:-1] * th_iv
+        c_r = self.C[lo + 1 :] + self.D[lo + 1 :] * th_iv
+        ones = np.ones_like(th_iv)
+        ends = ((ones, ones), (th_iv**2, th_iv**2), (p2_l, p2_r), (c_l**2 * p2_l, c_r**2 * p2_r))
+        rho = np.exp(_increments(self.A[lo:], self.B[lo:], self.C[lo:], self.D[lo:], th[lo:], self.h))
+        blocks = []
+        for (w_l, w_r), lag in zip(ends, self.factors):
+            coef = lag.coefs[:, 0, 0]
+            shift = lag.shift(self.h)
+            u = 0.5 * self.h * (np.multiply.outer(w_l, coef) + np.multiply.outer(rho * w_r, coef @ shift))
+            blocks.append((u[:, None, :], shift))
+        transport, heads = _transport(rho[:, None, None], blocks)
+        return self.G1[lo:] * transport[:, 0, 0] + sum(head[:, 0] for head in heads)
+
+    def _dense_p1_tilde(self, th, p2t, expo, cols) -> np.ndarray:
+        """The same quadrature over the L x L weight tables."""
         th_iv = th[:-1, None]
         c_l = (self.C[:-1] + self.D[:-1] * th[:-1])[:, None]
         c_r = (self.C[1:] + self.D[1:] * th[:-1])[:, None]
@@ -261,9 +315,8 @@ class _Workspace:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             p2t = _integrate_p2(self.spec, self.p2_samples, th[:, None, None]).flat()
-            expo = self.exponent(th)
             cols = slice(lo, hi + 1)
-            p1t = self.p1_tilde(th, p2t, expo, cols)
+            p1t = self.p1_tilde(th, p2t, cols)
             new_vals, _ = self.gain(p1t, p2t[cols], cols, theta0, floor)
         return new_vals
 
@@ -272,7 +325,7 @@ def _integral_state(ws: _Workspace, theta: Strategy, p2: P2Field) -> IntegralSta
     """p1t of a gain from one exponent sweep; ``p2`` is P2 at that gain."""
     th = theta.flat()
     with np.errstate(over="ignore", invalid="ignore"):
-        p1t = ws.p1_tilde(th, p2.flat(), ws.exponent(th))
+        p1t = ws.p1_tilde(th, p2.flat())
     return IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(ws.grid, p1t), theta=theta)
 
 
@@ -417,7 +470,12 @@ def solve_equilibrium(
     ].tolist()
 
     # Matrix-route reconstruction, on the same P2, and the constraint audit.
-    p1d, p3d = two_time_diagonals(spec, theta_star, p2)
+    # RK4 on the Riccati route can blow up where the integral route stays
+    # finite (a step far outside its stability region); that is a failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1d, p3d = two_time_diagonals(spec, theta_star, p2)
+    if not (np.all(np.isfinite(p1d.data)) and np.all(np.isfinite(p3d.data))):
+        raise EquilibriumError("non-finite Riccati diagonals at the converged gain")
     diagnostics.consistency_gap = float(
         np.max(np.abs(p1t - p1d.data[:, 0, 0] - p3d.data[:, 0, 0]))
     )

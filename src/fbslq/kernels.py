@@ -4,7 +4,12 @@ Two families live here:
 
 * :class:`TwoTimeKernel` -- matrix functions K(s, t) on [0, T]^2, used for the
   running cost weights.  The cost integral only reads the triangle t <= s, but
-  the kernels are defined on the whole square.
+  the kernels are defined on the whole square.  The constant, discounted and
+  difference kernels depend on the lag d = s - t alone and expose it as
+  :class:`LagFactors`: coefficients over a basis exp(-rate d) d^k that an
+  h-shift maps into itself.  The Riccati diagonals and the integral route
+  advance those few factor sums node by node instead of sampling L x L
+  tables; table and callable kernels have no factors and are sampled.
 * :class:`TimeFunction` -- matrix functions of a single time, used for the
   dynamics coefficients and the terminal/initial weights.
 
@@ -16,9 +21,13 @@ the same arguments always produce bit-identical values.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
+    "LagFactors",
     "TwoTimeKernel",
     "ConstantKernel",
     "DiscountedKernel",
@@ -51,6 +60,30 @@ def _scale(w, m: np.ndarray) -> np.ndarray:
     return w[..., None, None] * m if w.ndim else w * m
 
 
+@dataclass(frozen=True)
+class LagFactors:
+    """A kernel of the lag d = s - t: K = exp(-rate d) (coefs[0] + d coefs[1] + ...).
+
+    The basis b_k(d) = exp(-rate d) d^k is shift-invariant,
+    b(d + step) = shift(step) @ b(d), and b(0) is the first unit vector.  So a
+    sum of K(s_j, t_i) over nodes s_j can be carried relative to the current
+    node t_i and moved one node back by a small matrix, without an exponent
+    that spans the horizon.
+    """
+
+    rate: float
+    coefs: np.ndarray  # (degree + 1, r, c)
+
+    def shift(self, step: float) -> np.ndarray:
+        """Lower-triangular S with S[k, q] = exp(-rate step) C(k, q) step^(k - q)."""
+        size = len(self.coefs)
+        out = np.zeros((size, size))
+        for k in range(size):
+            for q in range(k + 1):
+                out[k, q] = math.comb(k, q) * step ** (k - q)
+        return math.exp(-self.rate * step) * out
+
+
 class TwoTimeKernel:
     """Matrix-valued kernel K(s, t); subclasses implement ``evaluate``."""
 
@@ -69,11 +102,18 @@ class TwoTimeKernel:
     def to_spec(self) -> dict:
         raise TypeError(f"{type(self).__name__} is not serializable")
 
+    def lag_factors(self) -> LagFactors | None:
+        """The kernel as a function of the lag s - t, or None when it is not one."""
+        return None
+
 
 class ConstantKernel(TwoTimeKernel):
     def __init__(self, value):
         self.value = _as_matrix(value)
         self.shape = self.value.shape
+
+    def lag_factors(self):
+        return LagFactors(0.0, self.value[None])
 
     def evaluate(self, s, t):
         lead = np.broadcast_shapes(np.shape(s), np.shape(t))
@@ -95,6 +135,9 @@ class DiscountedKernel(TwoTimeKernel):
         w = np.exp(-self.rate * (np.asarray(s, float) - np.asarray(t, float)))
         return _scale(w, self.base)
 
+    def lag_factors(self):
+        return LagFactors(self.rate, self.base[None])
+
     def to_spec(self):
         return {"type": "discounted", "params": {"base": self.base.tolist(), "rate": self.rate}}
 
@@ -114,6 +157,9 @@ class DifferenceKernel(TwoTimeKernel):
         if np.ndim(d):
             return d[..., None, None] * self.alpha + self.beta
         return d * self.alpha + self.beta
+
+    def lag_factors(self):
+        return LagFactors(0.0, np.stack([self.beta, self.alpha]))
 
     def to_spec(self):
         return {

@@ -173,6 +173,7 @@ def validate(spec: ProblemSpec, sym_tol: float = 1e-9) -> ValidationReport:
         if not np.all(np.isfinite(vals)):
             report.issues.append(f"non-finite samples {name}")
 
+    # Two-time weights are sampled on the triangle s >= t, the only part the cost reads.
     ss, tt = np.meshgrid(ts, ts, indexing="ij")
     tri = ss >= tt
     for name, shape_spec in _WEIGHT_SHAPES.items():
@@ -181,14 +182,12 @@ def validate(spec: ProblemSpec, sym_tol: float = 1e-9) -> ValidationReport:
         if tuple(kern.shape) != want:
             report.issues.append(f"dimension mismatch {name}: got {tuple(kern.shape)}, want {want}")
             continue
-        vals = kern(ss, tt) if isinstance(kern, TwoTimeKernel) else kern(ts)
+        vals = kern(ss[tri], tt[tri]) if isinstance(kern, TwoTimeKernel) else kern(ts)
         if not np.all(np.isfinite(vals)):
             report.issues.append(f"non-finite samples {name}")
             continue
         if name in _SYMMETRIC_WEIGHTS:
             gap = np.abs(vals - np.swapaxes(vals, -1, -2))
-            if isinstance(kern, TwoTimeKernel):
-                gap = gap[tri]
             scale = 1.0 + float(np.max(np.abs(vals)))
             if float(np.max(gap)) > sym_tol * scale:
                 report.issues.append(f"symmetry violation {name}")
@@ -268,6 +267,22 @@ def check_lipschitz_in_t(spec: ProblemSpec, probe_count: int = 200) -> Assumptio
     )
 
 
+def _triangle_min(kern: TwoTimeKernel, nodes: np.ndarray, rows: int = 64) -> float:
+    """Minimum of a scalar kernel over the node pairs s >= t, a block of s-rows at a time.
+
+    Each call samples at most ``rows`` x len(nodes) points, so the audit
+    needs O(L) memory.
+    """
+    lowest = np.inf
+    for a in range(0, len(nodes), rows):
+        s = nodes[a : a + rows, None]
+        t = nodes[None, : a + len(s)]
+        vals = kern(s, t)[..., 0, 0]
+        tri = np.arange(a, a + len(s))[:, None] >= np.arange(t.shape[1])[None, :]
+        lowest = np.minimum(lowest, np.min(vals[tri]))  # a NaN sample propagates
+    return float(lowest)
+
+
 def check_one_dim_positivity(spec: ProblemSpec, delta_floor: float = 1e-8) -> AssumptionReport:
     """Audit of the one-dimensional positivity assumption.
 
@@ -288,10 +303,8 @@ def check_one_dim_positivity(spec: ProblemSpec, delta_floor: float = 1e-8) -> As
     d_sq = c.D(nodes)[:, 0, 0] ** 2
     delta = float(min(r_diag.min(), n_diag.min(), d_sq.min()))
 
-    ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
-    tri = ss >= tt
-    q_min = float(np.min(w.Q(ss, tt)[tri]))
-    m_min = float(np.min(w.M(ss, tt)[tri]))
+    q_min = _triangle_min(w.Q, nodes)
+    m_min = _triangle_min(w.M, nodes)
     g1_min = float(np.min(w.G1(nodes)))
 
     floor_ok = delta >= delta_floor

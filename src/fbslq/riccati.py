@@ -9,18 +9,29 @@ For a fixed feedback gain Theta the three fields solve, backward in s
            + P2^T M(s,t) P2 + C_Th^T P2^T N(s,t) P2 C_Th = 0
 
 with P1(T;t) = G1(t), P2(T) = H, P3(T;t) = 0.  P1 and P3 are two-time
-fields: one backward sweep per grid node t, all sweeps, and both fields
-(they share one linear operator), advanced together in one stacked sweep.
-The feedback map, the constraints and the residual read only the diagonal
-P(t;t), which :func:`two_time_diagonals` keeps; :func:`solve_p1` and
-:func:`solve_p3` build the whole triangle on request.
+fields, but the feedback map, the constraints and the residual read only the
+diagonal P(t;t), which :func:`two_time_diagonals` returns.
 
 The stepper is classical RK4 on the uniform grid.  Theta is read as
 piecewise-constant on [t_i, t_{i+1}), so every stage evaluation inside a step
 uses the gain of that interval while coefficient functions and kernels are
-sampled exactly at the stage times.
-"""
+sampled exactly at the stage times.  The equations are linear, so every RK4
+step is a matrix map built once for all steps by :func:`_rk4_maps` (Hairer,
+Norsett & Wanner, Solving ODEs I, II.1).  Two routes give the diagonals:
 
+* Factor route, when Q, R, M and N all have :class:`~fbslq.kernels.LagFactors`
+  (constant, discounted and difference kernels).  Each source then separates
+  over a small lag basis, and P(t_i;t_i) is the transported terminal value
+  plus the suffix sums sum_{j >= i} Phi_i ... Phi_{j-1} u_j S^(j-i), carried
+  relative to the current node by one backward recursion
+  (:func:`_transport`): O(r L) time and memory for a basis of size r.
+* Dense route, for table and callable kernels: one backward sweep per grid
+  node t, all sweeps (and both fields, which share one operator) advanced
+  together in one stacked sweep that samples the kernels at every (s, t).
+  :func:`solve_p1` and :func:`solve_p3` take this route for the whole
+  triangle on request, and the tests use it as the oracle of the factor
+  route.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -87,39 +98,44 @@ def _sym(p: np.ndarray) -> np.ndarray:
 
 
 def _p1_equation(spec: ProblemSpec, theta: Strategy):
-    """Terminal value G1(t) and source Q(s,t) + Th^T R(s,t) Th of P1."""
-    nodes, mids = spec.grid.nodes, spec.grid.midpoints
-    Q, R = spec.weights.Q, spec.weights.R
-    th = theta.values
+    """Terminal value G1(t) and source terms Q(s,t) + Th^T R(s,t) Th of P1.
 
-    def source(j, stage, idx):
-        s = (nodes[j], mids[j], nodes[j + 1])[stage]
-        t = nodes[idx]
-        thj = th[j]
-        return Q(s, t) + np.swapaxes(thj, -1, -2) @ R(s, t) @ thj
-
-    return _sym(spec.weights.G1(nodes)), source
+    A source is a list of terms (kernel, X): X^T K(s,t) X, with X[j, stage]
+    at the left node, midpoint and right node of interval j (None reads as
+    the identity).
+    """
+    th_iv = np.broadcast_to(theta.values[:-1, None], (spec.grid.steps, 3) + theta.entry_shape)
+    terms = [(spec.weights.Q, None), (spec.weights.R, th_iv)]
+    return _sym(spec.weights.G1(spec.grid.nodes)), terms
 
 
 def _p3_equation(spec: ProblemSpec, clc: ClosedLoopCoefficients, p2: P2Field):
-    """Terminal value 0 and source P2^T M P2 + (P2 C_Th)^T N (P2 C_Th) of P3.
+    """Terminal value 0 and source terms P2^T M P2 + (P2 C_Th)^T N (P2 C_Th) of P3.
 
     The node and midpoint values of ``p2``, at the gain of ``clc``, are the stage inputs.
     """
+    p2s = np.stack([p2.data[:-1], p2.mids, p2.data[1:]], axis=1)
+    terms = [(spec.weights.M, p2s), (spec.weights.N, p2s @ clc.c_stage)]
+    return np.zeros((spec.grid.num_nodes, spec.dims.n, spec.dims.n)), terms
+
+
+def _dense_source(spec: ProblemSpec, terms):
+    """``source(j, stage, t_idx)`` of :func:`_sweep_two_time`: the terms sampled at (s_stage, t_i)."""
     nodes, mids = spec.grid.nodes, spec.grid.midpoints
-    p2_nodes, p2_mids = p2.data, p2.mids
-    M, N = spec.weights.M, spec.weights.N
 
     def source(j, stage, idx):
         s = (nodes[j], mids[j], nodes[j + 1])[stage]
         t = nodes[idx]
-        p2s = (p2_nodes[j], p2_mids[j], p2_nodes[j + 1])[stage]
-        p2c = p2s @ clc.c_stage[j, stage]
-        term_m = np.swapaxes(p2s, -1, -2) @ M(s, t) @ p2s
-        term_n = np.swapaxes(p2c, -1, -2) @ N(s, t) @ p2c
-        return term_m + term_n
+        parts = []
+        for kern, x in terms:
+            k = kern(s, t)
+            if x is not None:
+                xs = x[j, stage]
+                k = np.swapaxes(xs, -1, -2) @ k @ xs
+            parts.append(k)
+        return sum(parts[1:], parts[0])
 
-    return np.zeros((spec.grid.num_nodes, spec.dims.n, spec.dims.n)), source
+    return source
 
 
 def _sweep_two_time(spec: ProblemSpec, clc: ClosedLoopCoefficients, equations):
@@ -154,10 +170,11 @@ def _sweep_two_time(spec: ProblemSpec, clc: ClosedLoopCoefficients, equations):
 
 
 def _two_time_field(spec: ProblemSpec, clc: ClosedLoopCoefficients, equation) -> TwoTimeField:
-    """The whole stored triangle of one two-time equation."""
+    """The whole stored triangle of one two-time equation, by the dense sweep."""
+    terminal, terms = equation
     L = spec.grid.num_nodes
-    data = np.full((L, L) + equation[0].shape[1:], np.nan)
-    for j, p in _sweep_two_time(spec, clc, (equation,)):
+    data = np.full((L, L) + terminal.shape[1:], np.nan)
+    for j, p in _sweep_two_time(spec, clc, [(terminal, _dense_source(spec, terms))]):
         data[: j + 1, j] = p[0]
     return TwoTimeField(spec.grid, data)
 
@@ -211,17 +228,38 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1]))
 
 
+def _rk4_maps(gen: np.ndarray, force: np.ndarray, g: float) -> np.ndarray:
+    """Every backward RK4 step of length g of dz/ds = -(K z + F) as one matrix.
+
+    The equation is linear, so a step is a linear map of the start value and
+    of the forcing.  Running the RK4 stages on the augmented matrix [I | 0]
+    builds all steps' maps at once: ``gen[..., q, :, :]`` and
+    ``force[..., q, :, :]`` are K and F at stage q (0: the step's start,
+    1: its midpoint, 2: its end).  The map's first columns act on the start
+    value, and each further column on the forcing that the same column of F
+    carries (F is zero in its first columns).
+    """
+    z = np.eye(gen.shape[-1], force.shape[-1])
+
+    def rhs(stage, z):
+        return -(gen[..., stage, :, :] @ z + force[..., stage, :, :])
+
+    k1 = rhs(0, z)
+    k2 = rhs(1, z - 0.5 * g * k1)
+    k3 = rhs(1, z - 0.5 * g * k2)
+    k4 = rhs(2, z - g * k3)
+    return z - (g / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _integrate_p2(spec: ProblemSpec, samples: dict[str, np.ndarray], theta_values: np.ndarray) -> P2Field:
     """P2 at the nodes and midpoints: backward RK4, two half-steps per interval.
 
-    The equation is linear in P2, so every RK4 half-step is an affine map
-    vec(P2) -> S vec(P2) + r on the row-major vectorization (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.1).  All maps are built at once by running the
-    RK4 stages on the augmented matrix [I | 0], whose right-hand side is
-    -(K [I | 0] + [0 | vec(Ahat_Th)]) with the generator
-    K = I (x) A_Th' + Chat (x) I + Dhat (x) C_Th'.  A single backward
-    recursion then applies the maps.  ``samples`` comes from
-    :func:`_p2_samples`; ``theta_values[j]`` is the gain on interval j.
+    Every RK4 half-step is an affine map vec(P2) -> S vec(P2) + r on the
+    row-major vectorization, built by :func:`_rk4_maps` with the generator
+    K = I (x) A_Th' + Chat (x) I + Dhat (x) C_Th' and the forcing
+    [0 | vec(Ahat_Th)].  A single backward recursion then applies the maps.
+    ``samples`` comes from :func:`_p2_samples`; ``theta_values[j]`` is the
+    gain on interval j.
     """
     grid = spec.grid
     m, n = spec.dims.m, spec.dims.n
@@ -239,19 +277,9 @@ def _integrate_p2(spec: ProblemSpec, samples: dict[str, np.ndarray], theta_value
     force = np.zeros(gen.shape[:-1] + (d + 1,))
     force[..., d] = ahat_th.reshape(ahat_th.shape[:-2] + (d,))
 
-    # Stage k of half-step i of interval j reads quarter point _HALF_STEP_STAGES[i, k].
+    # Stage q of half-step i of interval j reads quarter point _HALF_STEP_STAGES[i, q].
     gen, force = gen[:, _HALF_STEP_STAGES], force[:, _HALF_STEP_STAGES]
-
-    def rhs(stage, z):
-        return -(gen[:, :, stage] @ z + force[:, :, stage])
-
-    g = 0.5 * grid.h
-    z = np.eye(d, d + 1)
-    k1 = rhs(0, z)
-    k2 = rhs(1, z - 0.5 * g * k1)
-    k3 = rhs(1, z - 0.5 * g * k2)
-    k4 = rhs(2, z - g * k3)
-    maps = (z - (g / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(2 * grid.steps, d, d + 1)
+    maps = _rk4_maps(gen, force, 0.5 * grid.h).reshape(2 * grid.steps, d, d + 1)
 
     # vals[2j] = P2(t_j), vals[2j + 1] = P2 at the midpoint of interval j; the
     # trailing 1 lets [S | r] act as one matrix product.
@@ -278,19 +306,127 @@ def solve_p3(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> TwoTimeField:
     return _two_time_field(spec, clc, _p3_equation(spec, clc, p2))
 
 
+def _two_time_maps(clc: ClosedLoopCoefficients, h: float) -> np.ndarray:
+    """[Phi | G_right | G_mid | G_left] of every backward RK4 step of the two-time equation.
+
+    Step j maps vec P(s_{j+1}) and the sources at the right node, midpoint and
+    left node of interval j to vec P(s_j), symmetrized as the dense sweep
+    symmetrizes every step.  Shape (steps, n^2, 4 n^2).
+    """
+    a_t = np.swapaxes(clc.a_stage[:, ::-1], -1, -2)  # A_Th' at the right node, midpoint, left node
+    c_t = np.swapaxes(clc.c_stage[:, ::-1], -1, -2)
+    n = a_t.shape[-1]
+    d = n * n
+    eye = np.eye(n)
+    gen = _kron(eye, a_t) + _kron(a_t, eye) + _kron(c_t, c_t)
+    force = np.zeros((3, d, 4 * d))
+    for q in range(3):
+        force[q, :, (q + 1) * d : (q + 2) * d] = np.eye(d)
+    maps = _rk4_maps(gen, force, h)
+    transpose = np.arange(d).reshape(n, n).T.reshape(d)
+    return 0.5 * (maps + maps[:, transpose])
+
+
+def _suffix_sums(phi: np.ndarray, u: np.ndarray, shift: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Every R_i of R_i = u_i + phi_i R_{i+1} shift, backward from R_steps = ``last``.
+
+    ``phi`` is (steps, d, d), ``u`` (steps, d, r), ``shift`` (r, r) and
+    ``last`` (d, r); returns (steps + 1, d, r).  A scalar field (d = 1) folds
+    each step into one matrix product [phi_i shift' | u_i] on [R_{i+1}; 1].
+    """
+    steps, d, r = u.shape
+    if d == 1:  # the fixed point's hot path; for d > 1 the fold would hold (d r)^2 floats a step
+        maps = np.empty((steps, r, r + 1))
+        maps[:, :, :r] = phi[:, 0, 0, None, None] * shift.T
+        maps[:, :, r] = u[:, 0]
+        vals = np.ones((steps + 1, r + 1))
+        vals[-1, :r] = last[0]
+        for i in range(steps - 1, -1, -1):
+            np.matmul(maps[i], vals[i + 1], out=vals[i, :r])
+        return vals[:, None, :r]
+    out = np.empty((steps + 1, d, r))
+    out[-1] = last
+    for i in range(steps - 1, -1, -1):
+        out[i] = u[i] + phi[i] @ out[i + 1] @ shift
+    return out
+
+
+def _transport(phi: np.ndarray, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Terminal transport and suffix sums of lag-factor sources, at every node.
+
+    ``phi[i]`` maps a value at node i + 1 to node i; each block (u, S) holds
+    the per-interval source u[i] (d x r) over a lag basis with h-shift S.
+    Returns T with T[i] = phi_i ... phi_{steps-1}, and per block the first
+    column of R_i = sum_{j >= i} phi_i ... phi_{j-1} u_j S^(j-i), which is the
+    block's contribution at node i because b(0) is the first unit vector.
+    All blocks and the transport advance in one recursion.
+    """
+    steps, d = phi.shape[:2]
+    width = d + sum(u.shape[-1] for u, _ in blocks)
+    u_all = np.zeros((steps, d, width))
+    shift = np.eye(width)
+    heads = []
+    col = d
+    for u, s in blocks:
+        r = u.shape[-1]
+        u_all[:, :, col : col + r] = u
+        shift[col : col + r, col : col + r] = s
+        heads.append(col)
+        col += r
+    sums = _suffix_sums(phi, u_all, shift, np.eye(d, width))
+    return sums[:, :, :d], [sums[:, :, c] for c in heads]
+
+
+def _factor_diagonals(spec: ProblemSpec, clc: ClosedLoopCoefficients, equations) -> list[np.ndarray]:
+    """P(t;t) of each (terminal, terms) equation by the factor route; O(r L)."""
+    grid, n = spec.grid, spec.dims.n
+    d, h = n * n, grid.h
+    maps = _two_time_maps(clc, h)
+    phi = maps[:, :, :d]
+    g_right, g_mid, g_left = (maps[:, :, (q + 1) * d : (q + 2) * d] for q in range(3))
+    blocks, owner = [], []
+    for e, (_, terms) in enumerate(equations):
+        for kern, x in terms:
+            lag = kern.lag_factors()
+            if x is None:
+                u = np.broadcast_to(lag.coefs, (1, 3) + lag.coefs.shape)
+            else:
+                u = np.swapaxes(x, -1, -2)[:, :, None] @ lag.coefs @ x[:, :, None]
+            u = np.swapaxes(u.reshape(u.shape[:3] + (d,)), -1, -2)  # (steps, 3, d, r): vec of each factor
+            src = (
+                g_left @ u[:, 0]
+                + g_mid @ u[:, 1] @ lag.shift(0.5 * h)
+                + g_right @ u[:, 2] @ lag.shift(h)
+            )
+            blocks.append((src, lag.shift(h)))
+            owner.append(e)
+    transport, heads = _transport(phi, blocks)
+    out = []
+    for e, (terminal, _) in enumerate(equations):
+        diag = (transport @ terminal.reshape(-1, d, 1))[..., 0]
+        diag = sum((head for head, o in zip(heads, owner) if o == e), diag)
+        out.append(diag.reshape(-1, n, n))
+    return out
+
+
 def two_time_diagonals(
     spec: ProblemSpec, theta: Strategy, p2: P2Field
 ) -> tuple[OneTimeField, OneTimeField]:
-    """P1(t;t) and P3(t;t) from one stacked sweep that keeps only the diagonal.
+    """P1(t;t) and P3(t;t), without an L x L array.
 
-    ``p2`` is :func:`solve_p2` for the same gain.  The values are the
-    diagonals of :func:`solve_p1` and :func:`solve_p3`, bit for bit, without
-    an L x L array.
+    ``p2`` is :func:`solve_p2` for the same gain.  Lag kernels take the
+    factor route; otherwise one stacked dense sweep keeps only the diagonal,
+    whose values are the diagonals of :func:`solve_p1` and :func:`solve_p3`
+    bit for bit.
     """
     clc = closed_loop_coefficients(spec, theta)
     equations = (_p1_equation(spec, theta), _p3_equation(spec, clc, p2))
+    if all(kern.lag_factors() is not None for _, terms in equations for kern, _ in terms):
+        p1, p3 = _factor_diagonals(spec, clc, equations)
+        return OneTimeField(spec.grid, p1), OneTimeField(spec.grid, p3)
+    stacked = [(terminal, _dense_source(spec, terms)) for terminal, terms in equations]
     diag = np.empty((len(equations),) + equations[0][0].shape)
-    for j, p in _sweep_two_time(spec, clc, equations):
+    for j, p in _sweep_two_time(spec, clc, stacked):
         diag[:, j] = p[:, j]
     return OneTimeField(spec.grid, diag[0]), OneTimeField(spec.grid, diag[1])
 

@@ -1,3 +1,7 @@
+import copy
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +21,11 @@ from fbslq.presets import (
     example_2_5_problem,
     trivial_problem,
 )
-from fbslq.riccati import solve_p2
+from fbslq.kernels import ConstantKernel, DifferenceKernel, DiscountedKernel
+from fbslq.problem import validate
+from fbslq.riccati import solve_p2, two_time_diagonals
 from fbslq.verify import classical_riccati_feedback
-from tests.test_riccati import build_scalar, zero_theta
+from tests.test_riccati import build_scalar, dense_kernels, max_rel_gap, zero_theta
 
 
 class TestSecondMomentFactor:
@@ -71,6 +77,23 @@ class TestP1Tilde:
         th = zero_theta(spec)
         p1t = integral_state(spec, th, solve_p2(spec, th)).p1_tilde
         assert np.allclose(p1t.flat(), 1.0 - spec.grid.nodes, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: trivial_problem(60),
+        lambda: example_2_5_problem(80),
+        lambda: assumption_smoke_problem(120),
+        lambda: classical_reduction_problem(80),
+    ])
+    def test_factor_route_matches_dense_quadrature(self, build, rng):
+        spec = build()
+        th = 0.3 * rng.standard_normal(spec.grid.num_nodes)
+        p2t = solve_p2(spec, Strategy.from_flat(spec.grid, th)).flat()
+        factor, dense = _Workspace(spec), _Workspace(dense_kernels(spec))
+        assert factor.factors is not None and dense.factors is None
+        want = dense.p1_tilde(th, p2t)
+        assert max_rel_gap(factor.p1_tilde(th, p2t), want) <= 1e-12
+        window = slice(spec.grid.steps // 3, spec.grid.steps // 2)
+        assert max_rel_gap(factor.p1_tilde(th, p2t, window), want[window]) <= 1e-12
 
 
 class TestFixedPointMap:
@@ -228,6 +251,47 @@ class TestSolveEquilibrium:
             solve_equilibrium(
                 spec, zero_theta(spec), SolverConfig(contraction_target=1e-9)
             )
+
+
+class TestLagKernels:
+    def test_steep_discounted_weight_solves(self):
+        # Q = 0.5 exp(-800 (s - t)) is at most 0.5 on s >= t and overflows
+        # below the diagonal, which no route may read.
+        base = assumption_smoke_problem(200)
+        spec = replace(base, weights=replace(base.weights, Q=DiscountedKernel(0.5, 800.0)))
+        assert validate(spec).ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_equilibrium(spec, zero_theta(spec))
+        assert np.all(np.isfinite(sol.theta_star.values))
+        # The dense sweep samples the triangle only, so it is the oracle here.
+        p1d, p3d = two_time_diagonals(dense_kernels(spec), sol.theta_star, sol.p2)
+        assert max_rel_gap(sol.p1_diag.data, p1d.data) <= 1e-12
+        assert max_rel_gap(sol.p3_diag.data, p3d.data) <= 1e-12
+
+    def test_no_kernel_call_samples_a_table(self):
+        # Every two-time kernel call of a solve evaluates at most 64 L points.
+        points = []
+
+        def recording(kern):
+            class Recording(type(kern)):
+                def evaluate(self, s, t):
+                    points.append(np.broadcast(s, t).size)
+                    return super().evaluate(s, t)
+
+            rec = copy.copy(kern)
+            rec.__class__ = Recording
+            return rec
+
+        base = assumption_smoke_problem(400)
+        w = base.weights
+        spec = replace(base, weights=replace(
+            w, Q=recording(w.Q), R=recording(w.R), M=recording(w.M), N=recording(w.N)))
+        assert isinstance(spec.weights.Q, ConstantKernel)
+        assert isinstance(spec.weights.R, DifferenceKernel)
+        sol = solve_equilibrium(spec, zero_theta(spec))
+        assert sol.constraint_report.all_pass
+        assert points and max(points) <= 64 * spec.grid.num_nodes
 
 
 def test_solver_config_validation():

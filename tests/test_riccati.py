@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fbslq.fields import Strategy, TimeGrid
-from fbslq.kernels import AffineFn, ConstantFn, ConstantKernel, DiscountedFn
+from fbslq.kernels import AffineFn, CallableKernel, ConstantFn, ConstantKernel, DiscountedFn
 from fbslq.presets import (
     assumption_smoke_problem,
     classical_reduction_problem,
@@ -266,25 +266,53 @@ def _random_gain(spec, rng, scale=0.3):
     return Strategy(spec.grid, scale * rng.standard_normal(shape))
 
 
-class TestTwoTimeDiagonals:
-    """One stacked sweep for P1 and P3 that keeps only P(t;t)."""
+def dense_kernels(spec):
+    """The same problem with Q, R, M and N behind callables, which have no lag factors.
 
-    @pytest.mark.parametrize("build", [
-        lambda: trivial_problem(60),
-        lambda: example_2_5_problem(80),
-        lambda: assumption_smoke_problem(80),
-        lambda: classical_reduction_problem(80),
-        lambda: matrix_reduction_problem(80),
-        lambda: matrix_p2_problem(80, n=2, m=2),
-        lambda: matrix_p2_problem(60, n=2, m=1),
-    ])
+    Every route then samples the kernels at each (s, t): the dense oracle.
+    """
+    def wrap(kern):
+        return CallableKernel(lambda s, t: kern(s, t), kern.shape)
+
+    w = spec.weights
+    return replace(spec, weights=replace(w, Q=wrap(w.Q), R=wrap(w.R), M=wrap(w.M), N=wrap(w.N)))
+
+
+DIAGONAL_PRESETS = [
+    lambda: trivial_problem(60),
+    lambda: example_2_5_problem(80),
+    lambda: assumption_smoke_problem(80),
+    lambda: classical_reduction_problem(80),
+    lambda: matrix_reduction_problem(80),
+    lambda: matrix_p2_problem(80, n=2, m=2),
+    lambda: matrix_p2_problem(60, n=2, m=1),
+]
+
+
+def max_rel_gap(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
+
+
+class TestTwoTimeDiagonals:
+    """P1(t;t) and P3(t;t): the factor route for lag kernels, one stacked dense sweep otherwise."""
+
+    @pytest.mark.parametrize("build", DIAGONAL_PRESETS)
     def test_bitwise_the_diagonals_of_the_separate_sweeps(self, build, rng):
-        spec = build()
+        spec = dense_kernels(build())
         theta = _random_gain(spec, rng)
         p2 = solve_p2(spec, theta)
         p1d, p3d = two_time_diagonals(spec, theta, p2)
         assert np.array_equal(p1d.data, solve_p1(spec, theta).diagonal().data)
         assert np.array_equal(p3d.data, solve_p3(spec, theta, p2).diagonal().data)
+
+    @pytest.mark.parametrize("build", DIAGONAL_PRESETS)
+    def test_factor_route_matches_the_dense_sweeps(self, build, rng):
+        spec = build()
+        theta = _random_gain(spec, rng)
+        p2 = solve_p2(spec, theta)
+        p1d, p3d = two_time_diagonals(spec, theta, p2)
+        assert max_rel_gap(p1d.data, solve_p1(spec, theta).diagonal().data) <= 1e-12
+        assert max_rel_gap(p3d.data, solve_p3(spec, theta, p2).diagonal().data) <= 1e-12
 
     def test_p3_diagonal_symmetric_matrix_case(self, rng):
         spec = matrix_p2_problem(80, n=2, m=2)

@@ -135,8 +135,9 @@ class TestCliSolve:
         assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 2
 
     def test_solver_failure_exits_3(self, tmp_path, capsys):
-        # Strong feedback through a vanishing control weight: the transported
-        # weights overflow and the solver signals failure.
+        # Strong feedback through a vanishing control weight: the Riccati
+        # route at the converged gain overflows (an RK4 step far outside its
+        # stability region) and the solver signals failure.
         doc = trivial_scenario(100)
         doc["coeffs"]["B"] = {"type": "constant", "params": {"value": [[40.0]]}}
         doc["weights"]["Q"] = {"type": "constant", "params": {"value": [[1.0]]}}
@@ -146,6 +147,18 @@ class TestCliSolve:
         scen = write(tmp_path, "vicious.json", doc)
         assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 3
         assert "solver failed" in capsys.readouterr().err
+
+    def test_steep_discounted_weight_solves(self, tmp_path, capsys):
+        # Q = 0.5 exp(-800 (s - t)) is at most 0.5 on s >= t, the only part
+        # the cost reads, and overflows below the diagonal.
+        doc = smoke_scenario(200)
+        doc["weights"]["Q"] = {"type": "discounted", "params": {"base": [[0.5]], "rate": 800.0}}
+        scen = write(tmp_path, "steep.json", doc)
+        out = tmp_path / "sol"
+        assert main(["solve", scen, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        theta = np.genfromtxt(out / "theta.csv", delimiter=",", skip_header=1)[:, 1]
+        assert len(theta) == 201 and np.all(np.isfinite(theta))
 
     def test_outputs_reproduce_byte_for_byte(self, tmp_path):
         scen = write(tmp_path, "smoke.json", smoke_scenario(60))
