@@ -205,13 +205,11 @@ class _Workspace:
 
         self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
 
-        weights = (w.Q, w.R, w.M, w.N)
-        self.factors = [k.lag_factors() for k in weights]
-        if all(f is not None for f in self.factors):
+        self.factors = w.lag_factors()
+        if self.factors is not None:
             self.R_diag = w.R(nodes, nodes)[:, 0, 0]
             self.N_diag = w.N(nodes, nodes)[:, 0, 0]
             return
-        self.factors = None
         ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
         self.Q_tab = w.Q(ss, tt)[..., 0, 0]
         self.R_tab = w.R(ss, tt)[..., 0, 0]
@@ -252,10 +250,16 @@ class _Workspace:
         c_l = self.C[lo:-1] + self.D[lo:-1] * th_iv
         c_r = self.C[lo + 1 :] + self.D[lo + 1 :] * th_iv
         ones = np.ones_like(th_iv)
-        ends = ((ones, ones), (th_iv**2, th_iv**2), (p2_l, p2_r), (c_l**2 * p2_l, c_r**2 * p2_r))
+        ends = {
+            "Q": (ones, ones),
+            "R": (th_iv**2, th_iv**2),
+            "M": (p2_l, p2_r),
+            "N": (c_l**2 * p2_l, c_r**2 * p2_r),
+        }
         rho = np.exp(_increments(self.A[lo:], self.B[lo:], self.C[lo:], self.D[lo:], th[lo:], self.h))
         blocks = []
-        for (w_l, w_r), lag in zip(ends, self.factors):
+        for name, (w_l, w_r) in ends.items():
+            lag = self.factors[name]
             coef = lag.coefs[:, 0, 0]
             shift = lag.shift(self.h)
             u = 0.5 * self.h * (np.multiply.outer(w_l, coef) + np.multiply.outer(rho * w_r, coef @ shift))

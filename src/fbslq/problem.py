@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import TimeGrid
-from .kernels import TimeFunction, TwoTimeKernel
+from .kernels import LagFactors, TimeFunction, TwoTimeKernel
 
 __all__ = [
     "Dimensions",
@@ -68,6 +68,15 @@ class Weights:
     N: TwoTimeKernel  # m x m, symmetric
     G1: TimeFunction  # n x n, symmetric
     G2: TimeFunction  # m x m, symmetric
+
+    def lag_factors(self) -> dict[str, LagFactors] | None:
+        """Lag factors of Q, R, M and N by name, or None unless all four have them.
+
+        This decides the route of the Riccati diagonals and of p1t: factor
+        sums when it returns factors, dense sampling otherwise.
+        """
+        factors = {name: getattr(self, name).lag_factors() for name in "QRMN"}
+        return factors if all(f is not None for f in factors.values()) else None
 
 
 @dataclass(frozen=True)
@@ -267,15 +276,19 @@ def check_lipschitz_in_t(spec: ProblemSpec, probe_count: int = 200) -> Assumptio
     )
 
 
-def _triangle_min(kern: TwoTimeKernel, nodes: np.ndarray, rows: int = 64) -> float:
+# s-rows per kernel call of the positivity audit
+_AUDIT_ROWS = 64
+
+
+def _triangle_min(kern: TwoTimeKernel, nodes: np.ndarray) -> float:
     """Minimum of a scalar kernel over the node pairs s >= t, a block of s-rows at a time.
 
-    Each call samples at most ``rows`` x len(nodes) points, so the audit
-    needs O(L) memory.
+    Each call samples at most ``_AUDIT_ROWS`` x len(nodes) points, so the
+    audit needs O(L) memory.
     """
     lowest = np.inf
-    for a in range(0, len(nodes), rows):
-        s = nodes[a : a + rows, None]
+    for a in range(0, len(nodes), _AUDIT_ROWS):
+        s = nodes[a : a + _AUDIT_ROWS, None]
         t = nodes[None, : a + len(s)]
         vals = kern(s, t)[..., 0, 0]
         tri = np.arange(a, a + len(s))[:, None] >= np.arange(t.shape[1])[None, :]

