@@ -21,11 +21,21 @@ fixed point; Monte-Carlo only appears as an external cross-check.  The map is
 iterated window by window from the terminal time; a window is halved whenever
 its observed contraction ratio exceeds the configured target.
 
+The gain after a window [lo, hi] is final while the window iterates, and so
+are P2 and the p1t recursion state at node stop = min(hi + 1, L - 1).  Each
+iteration therefore integrates only the intervals lo..stop - 1, from that
+frozen state, in time proportional to the window width; the window's last
+map application, at its converged gain, yields the state at lo, which it
+hands to the next window.  The first window starts from the terminal state.
+Every backward step is the one a whole-grid integration would take, so the
+gain is the same to the bit.
+
 The integral is a trapezoid over the grid.  When Q, R, M and N are lag
 kernels (constant, discounted, difference) it is one backward recursion over
 their factors with rho_i = exp(E_{i+1} - E_i), E the cumulative exponent, so
 p1t costs O(L) and no exponent spans the horizon.  Table and callable kernels
-take the dense quadrature over L x L weight tables instead.
+take the dense quadrature over L x L weight tables instead; it reads P2 on
+the whole tail, which the windows keep in a full-length buffer.
 
 When den(s) falls below the configured floor the update routes through the
 theta0 pass-through (the zero-pseudoinverse convention); nodes where the
@@ -40,7 +50,7 @@ import numpy as np
 
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec, check_one_dim_positivity
-from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples, _transport
+from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_field, _p2_samples, _transport
 from .riccati import check_constraints, two_time_diagonals
 
 __all__ = [
@@ -186,12 +196,28 @@ def _exponent(A, B, C, D, th, h: float) -> np.ndarray:
     return e
 
 
+@dataclass(frozen=True)
+class _Tail:
+    """The frozen state at node ``node`` that the integration of the nodes before it starts from.
+
+    ``p2`` is P2(t_node); ``row`` is the p1t suffix-sum row [transport | factor
+    sums] of :func:`~fbslq.riccati._transport` there.  It is None at T, where
+    the row is the terminal [1 | 0], and on the dense route, which has none.
+    """
+
+    node: int
+    p2: np.ndarray
+    row: np.ndarray | None
+
+
 class _Workspace:
     """Precomputed node samples for the scalar integral system.
 
     With lag kernels (constant, discounted, difference) p1t is a suffix
     recursion over their factors in O(L); otherwise the four weights are
-    tabulated on the L x L node grid for the dense quadrature.
+    tabulated on the L x L node grid for the dense quadrature, which reads
+    P2 at every node after the window from the buffer ``p2t`` that
+    :meth:`apply_map` fills.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -204,6 +230,7 @@ class _Workspace:
         self.Bhat, self.Dhat, self.G1, self.G2 = _at_nodes(spec, c.Bhat, c.Dhat, w.G1, w.G2)
 
         self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
+        self.p2t = np.zeros(self.L)
 
         self.factors = w.lag_factors()
         if self.factors is not None:
@@ -217,9 +244,10 @@ class _Workspace:
         self.N_tab = w.N(ss, tt)[..., 0, 0]
         self.R_diag = np.diagonal(self.R_tab).copy()
         self.N_diag = np.diagonal(self.N_tab).copy()
-        # mask[j, i] = interval j contributes to the integral from t_i
-        jj, ii = np.meshgrid(np.arange(self.L - 1), np.arange(self.L), indexing="ij")
-        self.interval_mask = (jj >= ii).astype(float)
+
+    def terminal(self) -> _Tail:
+        """The state at T: P2 = H and the terminal suffix-sum row."""
+        return _Tail(self.L - 1, self.spec.coeffs.H, None)
 
     # -- integral-route fields -------------------------------------------------
 
@@ -229,26 +257,34 @@ class _Workspace:
     def p1_tilde(self, th, p2t, cols=None) -> np.ndarray:
         """Quadrature of the transported running weights from each node t_i.
 
-        ``cols`` restricts the evaluation to a slice of t-indices.
+        ``cols`` restricts the evaluation to a slice of t-indices; the nodes
+        from its first one to T are integrated as one span from the terminal state.
         """
-        if cols is None:
-            cols = slice(0, self.L)
-        if self.factors is None:
-            return self._dense_p1_tilde(th, p2t, self.exponent(th), cols)
-        lo, hi, _ = cols.indices(self.L)
-        return self._factor_p1_tilde(th, p2t, lo)[: hi - lo]
+        lo, hi, _ = (slice(0, self.L) if cols is None else cols).indices(self.L)
+        return self.span_p1_tilde(th, p2t, lo, self.terminal())[0][: hi - lo]
 
-    def _factor_p1_tilde(self, th, p2t, lo) -> np.ndarray:
-        """p1t at nodes lo.. by one suffix recursion with rho_i = exp(E_{i+1} - E_i).
+    def span_p1_tilde(self, th, p2t, lo, tail: _Tail):
+        """p1t at nodes lo..tail.node, from the state ``tail``, and the suffix-sum row at lo.
+
+        ``p2t`` holds P2 by node index; the factor route reads it on
+        lo..tail.node, the dense quadrature on lo..T.
+        """
+        if self.factors is None:
+            return self._dense_p1_tilde(th, p2t, lo, tail.node), None
+        return self._factor_p1_tilde(th, p2t, lo, tail)
+
+    def _factor_p1_tilde(self, th, p2t, lo, tail):
+        """p1t at nodes lo..tail.node by one suffix recursion with rho_i = exp(E_{i+1} - E_i).
 
         Interval j adds h/2 (f(t_j, t_i) lam(t_j, t_i) + f(t_{j+1}, t_i) lam(t_{j+1}, t_i))
         to node i <= j; with each weight's lag factors that is u_j S^(j-i) b(0),
-        carried from node to node by ``riccati._transport``.
+        carried from node to node by ``riccati._transport`` from ``tail.row``.
         """
-        th_iv = th[lo:-1]
-        p2_l, p2_r = p2t[lo:-1] ** 2, p2t[lo + 1 :] ** 2
-        c_l = self.C[lo:-1] + self.D[lo:-1] * th_iv
-        c_r = self.C[lo + 1 :] + self.D[lo + 1 :] * th_iv
+        stop = tail.node
+        th_iv = th[lo:stop]
+        p2_l, p2_r = p2t[lo:stop] ** 2, p2t[lo + 1 : stop + 1] ** 2
+        c_l = self.C[lo:stop] + self.D[lo:stop] * th_iv
+        c_r = self.C[lo + 1 : stop + 1] + self.D[lo + 1 : stop + 1] * th_iv
         ones = np.ones_like(th_iv)
         ends = {
             "Q": (ones, ones),
@@ -256,7 +292,8 @@ class _Workspace:
             "M": (p2_l, p2_r),
             "N": (c_l**2 * p2_l, c_r**2 * p2_r),
         }
-        rho = np.exp(_increments(self.A[lo:], self.B[lo:], self.C[lo:], self.D[lo:], th[lo:], self.h))
+        span = slice(lo, stop + 1)
+        rho = np.exp(_increments(self.A[span], self.B[span], self.C[span], self.D[span], th[span], self.h))
         blocks = []
         for name, (w_l, w_r) in ends.items():
             lag = self.factors[name]
@@ -264,32 +301,41 @@ class _Workspace:
             shift = lag.shift(self.h)
             u = 0.5 * self.h * (np.multiply.outer(w_l, coef) + np.multiply.outer(rho * w_r, coef @ shift))
             blocks.append((u[:, None, :], shift))
-        transport, heads = _transport(rho[:, None, None], blocks)
-        return self.G1[lo:] * transport[:, 0, 0] + sum(head[:, 0] for head in heads)
+        transport, heads, row = _transport(rho[:, None, None], blocks, tail.row)
+        return self.G1[span] * transport[:, 0, 0] + sum(head[:, 0] for head in heads), row
 
-    def _dense_p1_tilde(self, th, p2t, expo, cols) -> np.ndarray:
-        """The same quadrature over the L x L weight tables."""
-        th_iv = th[:-1, None]
-        c_l = (self.C[:-1] + self.D[:-1] * th[:-1])[:, None]
-        c_r = (self.C[1:] + self.D[1:] * th[:-1])[:, None]
-        p2_l, p2_r = p2t[:-1, None], p2t[1:, None]
+    def _dense_p1_tilde(self, th, p2t, lo, stop) -> np.ndarray:
+        """The same quadrature over the L x L weight tables, at nodes lo..stop.
+
+        Only intervals j >= lo enter, and the transport exp(E_j - E_i) is
+        taken on the triangle j >= i alone: below it the exponent can
+        overflow, and the terms there are zero, not inf * 0.
+        """
+        expo = self.exponent(th)
+        cols = slice(lo, stop + 1)
+        th_iv = th[lo:-1, None]
+        c_l = (self.C[lo:-1] + self.D[lo:-1] * th[lo:-1])[:, None]
+        c_r = (self.C[lo + 1 :] + self.D[lo + 1 :] * th[lo:-1])[:, None]
+        p2_l, p2_r = p2t[lo:-1, None], p2t[lo + 1 :, None]
 
         f_l = (
-            self.Q_tab[:-1, cols]
-            + th_iv**2 * self.R_tab[:-1, cols]
-            + p2_l**2 * self.M_tab[:-1, cols]
-            + c_l**2 * p2_l**2 * self.N_tab[:-1, cols]
+            self.Q_tab[lo:-1, cols]
+            + th_iv**2 * self.R_tab[lo:-1, cols]
+            + p2_l**2 * self.M_tab[lo:-1, cols]
+            + c_l**2 * p2_l**2 * self.N_tab[lo:-1, cols]
         )
         f_r = (
-            self.Q_tab[1:, cols]
-            + th_iv**2 * self.R_tab[1:, cols]
-            + p2_r**2 * self.M_tab[1:, cols]
-            + c_r**2 * p2_r**2 * self.N_tab[1:, cols]
+            self.Q_tab[lo + 1 :, cols]
+            + th_iv**2 * self.R_tab[lo + 1 :, cols]
+            + p2_r**2 * self.M_tab[lo + 1 :, cols]
+            + c_r**2 * p2_r**2 * self.N_tab[lo + 1 :, cols]
         )
+        # upper[j - lo, i - lo]: interval j contributes to the integral from t_i
+        upper = np.arange(lo, self.L - 1)[:, None] >= np.arange(lo, stop + 1)[None, :]
         e_cols = expo[cols][None, :]
-        lam_l = np.exp(expo[:-1, None] - e_cols)
-        lam_r = np.exp(expo[1:, None] - e_cols)
-        contrib = 0.5 * self.h * (f_l * lam_l + f_r * lam_r) * self.interval_mask[:, cols]
+        lam_l = np.exp(expo[lo:-1, None] - e_cols, out=np.zeros(upper.shape), where=upper)
+        lam_r = np.exp(expo[lo + 1 :, None] - e_cols, out=np.zeros(upper.shape), where=upper)
+        contrib = np.where(upper, 0.5 * self.h * (f_l * lam_l + f_r * lam_r), 0.0)
         terminal = self.G1[cols] * np.exp(expo[-1] - expo[cols])
         return terminal + contrib.sum(axis=0)
 
@@ -310,26 +356,29 @@ class _Workspace:
         out = np.where(safe, -num / np.where(safe, den, 1.0), theta0[cols])
         return out, den
 
-    def apply_map(self, th, theta0, lo, hi, floor):
-        """One application of the window map: update nodes lo..hi of th.
+    def apply_map(self, th, theta0, lo, hi, tail: _Tail, floor):
+        """One application of the window map: new values of nodes lo..hi of th, and the state at lo.
 
-        Overflow in the transported weights produces non-finite values that
-        the gain update reports as an error, so the float warnings carry no
-        extra information and are silenced here.
+        Only the intervals lo..tail.node - 1 are integrated, from ``tail``,
+        the state at a node tail.node >= hi whose later gains are final; the
+        returned state at lo is the tail of the next window.  Overflow in the
+        transported weights produces non-finite values that the gain update
+        reports as an error, so the float warnings carry no extra
+        information and are silenced here.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            p2t = _integrate_p2(self.spec, self.p2_samples, th[:, None, None]).flat()
+            vals = _integrate_p2(self.spec, self.p2_samples, th[:, None, None], (lo, tail.node), tail.p2)
+            self.p2t[lo : tail.node + 1] = vals[0::2, 0, 0]
+            p1t, row = self.span_p1_tilde(th, self.p2t, lo, tail)
             cols = slice(lo, hi + 1)
-            p1t = self.p1_tilde(th, p2t, cols)
-            new_vals, _ = self.gain(p1t, p2t[cols], cols, theta0, floor)
-        return new_vals
+            new_vals, _ = self.gain(p1t[: hi - lo + 1], self.p2t[cols], cols, theta0, floor)
+        return new_vals, _Tail(lo, vals[0], row)
 
 
 def _integral_state(ws: _Workspace, theta: Strategy, p2: P2Field) -> IntegralState:
-    """p1t of a gain from one exponent sweep; ``p2`` is P2 at that gain."""
-    th = theta.flat()
+    """p1t of a gain over the whole grid from the terminal state; ``p2`` is P2 at that gain."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p1t = ws.p1_tilde(th, p2.flat())
+        p1t = ws.p1_tilde(theta.flat(), p2.flat())
     return IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(ws.grid, p1t), theta=theta)
 
 
@@ -374,7 +423,7 @@ def fixed_point_map(
     if lo > hi:
         raise ValueError("window must satisfy a <= b")
     th = theta.flat().copy()
-    th[lo : hi + 1] = ws.apply_map(th, theta0.flat(), lo, hi, denominator_floor)
+    th[lo : hi + 1], _ = ws.apply_map(th, theta0.flat(), lo, hi, ws.terminal(), denominator_floor)
     return Strategy.from_flat(spec.grid, th)
 
 
@@ -408,6 +457,7 @@ def solve_equilibrium(
 
     diagnostics = SolverDiagnostics(fp_tolerance=config.fp_tolerance)
     hi = L - 1
+    tail = ws.terminal()  # the state at node min(hi + 1, L - 1), handed on by the window after hi
     while hi >= 0:
         w_steps = min(base_steps, hi + 1)
         halvings = 0
@@ -420,7 +470,7 @@ def solve_equilibrium(
             contractive = True
             while iterations < config.max_iterations_per_window:
                 iterations += 1
-                new_vals = ws.apply_map(th, th0, lo, hi, config.denominator_floor)
+                new_vals, _ = ws.apply_map(th, th0, lo, hi, tail, config.denominator_floor)
                 change = float(np.max(np.abs(new_vals - th[lo : hi + 1])))
                 th[lo : hi + 1] = (1.0 - config.damping) * th[
                     lo : hi + 1
@@ -440,7 +490,7 @@ def solve_equilibrium(
                     f"within {config.max_iterations_per_window} iterations"
                 )
             if contractive:
-                resid_vals = ws.apply_map(th, th0, lo, hi, config.denominator_floor)
+                resid_vals, next_tail = ws.apply_map(th, th0, lo, hi, tail, config.denominator_floor)
                 residual = float(np.max(np.abs(resid_vals - th[lo : hi + 1])))
                 diagnostics.windows.append(
                     WindowDiagnostics(
@@ -452,7 +502,7 @@ def solve_equilibrium(
                         halvings=halvings,
                     )
                 )
-                hi = lo - 1
+                hi, tail = lo - 1, next_tail
                 break
             if w_steps <= config.min_window_steps:
                 raise NonContractiveError(
@@ -465,7 +515,7 @@ def solve_equilibrium(
     theta_star = Strategy.from_flat(grid, th)
 
     # Integral-route state at the converged gain.
-    p2 = _integrate_p2(spec, ws.p2_samples, theta_star.values)
+    p2 = _p2_field(spec, ws.p2_samples, theta_star.values)
     state = _integral_state(ws, theta_star, p2)
     p2t, p1t = p2.flat(), state.p1_tilde.flat()
     _, den = ws.gain(p1t, p2t, slice(0, L), th0, config.denominator_floor)

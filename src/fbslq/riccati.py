@@ -251,21 +251,45 @@ def _rk4_maps(gen: np.ndarray, force: np.ndarray, g: float) -> np.ndarray:
     return z - (g / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_p2(spec: ProblemSpec, samples: dict[str, np.ndarray], theta_values: np.ndarray) -> P2Field:
-    """P2 at the nodes and midpoints: backward RK4, two half-steps per interval.
+def _affine_recursion(maps: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Every z_i of z_i = maps_i [z_{i+1}; 1], backward from z_steps = ``last``.
 
-    Every RK4 half-step is an affine map vec(P2) -> S vec(P2) + r on the
-    row-major vectorization, built by :func:`_rk4_maps` with the generator
-    K = I (x) A_Th' + Chat (x) I + Dhat (x) C_Th' and the forcing
-    [0 | vec(Ahat_Th)].  A single backward recursion then applies the maps.
-    ``samples`` comes from :func:`_p2_samples`; ``theta_values[j]`` is the
-    gain on interval j.
+    ``maps`` is (steps, w, w + 1) and ``last`` (w,); returns (steps + 1, w).
+    The trailing 1 lets the affine step act as one matrix product.
     """
-    grid = spec.grid
+    steps, w = maps.shape[:2]
+    vals = np.ones((steps + 1, w + 1))
+    vals[-1, :w] = last
+    for i in range(steps - 1, -1, -1):
+        np.matmul(maps[i], vals[i + 1], out=vals[i, :w])
+    return vals[:, :w]
+
+
+def _integrate_p2(
+    spec: ProblemSpec,
+    samples: dict[str, np.ndarray],
+    theta_values: np.ndarray,
+    span: tuple[int, int] | None = None,
+    end: np.ndarray | None = None,
+) -> np.ndarray:
+    """P2 on the nodes lo..stop of ``span`` and the midpoints between them.
+
+    Backward RK4, two half-steps per interval, from ``end`` = P2(t_stop);
+    ``span`` defaults to the whole grid and ``end`` to H.  Every RK4
+    half-step is an affine map vec(P2) -> S vec(P2) + r on the row-major
+    vectorization, built by :func:`_rk4_maps` with the generator
+    K = I (x) A_Th' + Chat (x) I + Dhat (x) C_Th' and the forcing
+    [0 | vec(Ahat_Th)], and one backward recursion applies the maps.
+    ``samples`` comes from :func:`_p2_samples`; ``theta_values[j]`` is the
+    gain on interval j.  Returns (2 (stop - lo) + 1, m, n): entry 2 (i - lo)
+    is P2(t_i) and entry 2 (j - lo) + 1 P2 at the midpoint of interval j.
+    """
     m, n = spec.dims.m, spec.dims.n
     d = m * n
-    th = theta_values[:-1, None]  # (steps, 1, k, n): each interval's own gain at all five points
-    c = samples
+    lo, stop = (0, spec.grid.steps) if span is None else span
+    end = spec.coeffs.H if end is None else end
+    th = theta_values[lo:stop, None]  # (w, 1, k, n): each interval's own gain at all five points
+    c = {name: v[lo:stop] for name, v in samples.items()}
     a_th = c["A"] + c["B"] @ th
     c_th = c["C"] + c["D"] @ th
     ahat_th = c["Ahat"] + c["Bhat"] @ th
@@ -273,28 +297,27 @@ def _integrate_p2(spec: ProblemSpec, samples: dict[str, np.ndarray], theta_value
         _kron(np.eye(m), np.swapaxes(a_th, -1, -2))
         + _kron(c["Chat"], np.eye(n))
         + _kron(c["Dhat"], np.swapaxes(c_th, -1, -2))
-    )  # (steps, 5, d, d)
+    )  # (w, 5, d, d)
     force = np.zeros(gen.shape[:-1] + (d + 1,))
     force[..., d] = ahat_th.reshape(ahat_th.shape[:-2] + (d,))
 
     # Stage q of half-step i of interval j reads quarter point _HALF_STEP_STAGES[i, q].
     gen, force = gen[:, _HALF_STEP_STAGES], force[:, _HALF_STEP_STAGES]
-    maps = _rk4_maps(gen, force, 0.5 * grid.h).reshape(2 * grid.steps, d, d + 1)
+    maps = _rk4_maps(gen, force, 0.5 * spec.grid.h).reshape(2 * (stop - lo), d, d + 1)
+    vals = _affine_recursion(maps, np.asarray(end, dtype=float).reshape(d))
+    return vals.reshape(-1, m, n)
 
-    # vals[2j] = P2(t_j), vals[2j + 1] = P2 at the midpoint of interval j; the
-    # trailing 1 lets [S | r] act as one matrix product.
-    vals = np.ones((2 * grid.steps + 1, d + 1))
-    vals[-1, :d] = np.asarray(spec.coeffs.H, dtype=float).reshape(d)
-    for q in range(2 * grid.steps - 1, -1, -1):
-        np.matmul(maps[q], vals[q + 1], out=vals[q, :d])
-    vals = vals[:, :d].reshape(-1, m, n)
-    return P2Field(grid, vals[0::2].copy(), vals[1::2].copy())
+
+def _p2_field(spec: ProblemSpec, samples: dict[str, np.ndarray], theta_values: np.ndarray) -> P2Field:
+    """P2 on the whole grid from H, as a :class:`P2Field`."""
+    vals = _integrate_p2(spec, samples, theta_values)
+    return P2Field(spec.grid, vals[0::2].copy(), vals[1::2].copy())
 
 
 def solve_p2(spec: ProblemSpec, theta: Strategy) -> P2Field:
     """One-time coupling field with terminal value H, carrying its midpoints."""
     _require_same_grid(spec, theta)
-    return _integrate_p2(spec, _p2_samples(spec), theta.values)
+    return _p2_field(spec, _p2_samples(spec), theta.values)
 
 
 def solve_p3(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> TwoTimeField:
@@ -335,19 +358,15 @@ def _suffix_sums(phi: np.ndarray, u: np.ndarray, shift: np.ndarray, last: np.nda
     each step into one matrix product [phi_i shift' | u_i] on [R_{i+1}; 1].
     """
     steps, d, r = u.shape
-    # Every p1t of the fixed point is a d = 1 recursion.  With the plain loop
-    # alone solve-2000 took 0.91 s against 0.75 s (perfbench wall_s medians,
-    # ten alternating pairs, 2 vCPU).  For d > 1 the fold would hold (d r)^2
-    # floats a step.
+    # Every p1t of the fixed point is a d = 1 recursion over one window.  With
+    # the plain loop alone solve-2000 took 0.203 s against 0.162 s (perfbench
+    # wall_s medians, ten alternating pairs, 2 vCPU).  For d > 1 the fold
+    # would hold (d r)^2 floats a step.
     if d == 1:
         maps = np.empty((steps, r, r + 1))
         maps[:, :, :r] = phi[:, 0, 0, None, None] * shift.T
         maps[:, :, r] = u[:, 0]
-        vals = np.ones((steps + 1, r + 1))
-        vals[-1, :r] = last[0]
-        for i in range(steps - 1, -1, -1):
-            np.matmul(maps[i], vals[i + 1], out=vals[i, :r])
-        return vals[:, None, :r]
+        return _affine_recursion(maps, last[0])[:, None, :]
     out = np.empty((steps + 1, d, r))
     out[-1] = last
     for i in range(steps - 1, -1, -1):
@@ -355,7 +374,7 @@ def _suffix_sums(phi: np.ndarray, u: np.ndarray, shift: np.ndarray, last: np.nda
     return out
 
 
-def _transport(phi: np.ndarray, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
+def _transport(phi: np.ndarray, blocks, last: np.ndarray | None = None):
     """Terminal transport and suffix sums of lag-factor sources, at every node.
 
     ``phi[i]`` maps a value at node i + 1 to node i; each block (u, S) holds
@@ -363,7 +382,10 @@ def _transport(phi: np.ndarray, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
     Returns T with T[i] = phi_i ... phi_{steps-1}, and per block the first
     column of R_i = sum_{j >= i} phi_i ... phi_{j-1} u_j S^(j-i), which is the
     block's contribution at node i because b(0) is the first unit vector.
-    All blocks and the transport advance in one recursion.
+    All blocks and the transport advance in one recursion, whose row
+    [T | R] starts from ``last`` (default: the terminal row [I | 0]) and is
+    returned, third, at the first node: a later span of nodes ending there
+    starts from it.
     """
     steps, d = phi.shape[:2]
     width = d + sum(u.shape[-1] for u, _ in blocks)
@@ -377,8 +399,8 @@ def _transport(phi: np.ndarray, blocks) -> tuple[np.ndarray, list[np.ndarray]]:
         shift[col : col + r, col : col + r] = s
         heads.append(col)
         col += r
-    sums = _suffix_sums(phi, u_all, shift, np.eye(d, width))
-    return sums[:, :, :d], [sums[:, :, c] for c in heads]
+    sums = _suffix_sums(phi, u_all, shift, np.eye(d, width) if last is None else last)
+    return sums[:, :, :d], [sums[:, :, c] for c in heads], sums[0]
 
 
 def _factor_diagonals(
@@ -409,7 +431,7 @@ def _factor_diagonals(
             )
             blocks.append((src, lag.shift(h)))
             owner.append(e)
-    transport, heads = _transport(phi, blocks)
+    transport, heads, _ = _transport(phi, blocks)
     out = []
     for e, (terminal, _) in enumerate(equations):
         diag = (transport @ terminal.reshape(-1, d, 1))[..., 0]

@@ -27,6 +27,7 @@ __all__ = [
     "suite_example_2_5",
     "suite_classical_reduction",
     "suite_equilibrium",
+    "consistency_bound",
 ]
 
 
@@ -211,6 +212,16 @@ def suite_classical_reduction(spec: ProblemSpec) -> SuiteReport:
     return report
 
 
+def consistency_bound(solution: EquilibriumSolution) -> float:
+    """Bound of the integral/matrix route gap: 1e-6 relative to 1 + max |p1t|.
+
+    A gap above it means the grid under-resolves the problem, for example a
+    weight that decays within a few steps.
+    """
+    p1t = solution.integral_state.p1_tilde.data[:, 0, 0]
+    return 1e-6 * (1.0 + float(np.max(np.abs(p1t))))
+
+
 def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> SuiteReport:
     """Full equilibrium audit of a converged solution.
 
@@ -235,7 +246,7 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     p1t = solution.integral_state.p1_tilde.data[:, 0, 0]
     diag_sum = p1d.data[:, 0, 0] + p3d.data[:, 0, 0]
     gap = float(np.max(np.abs(p1t - diag_sum)))
-    report.add_upper("integral_route_consistency", gap, 1e-6 * (1.0 + float(np.max(np.abs(p1t)))))
+    report.add_upper("integral_route_consistency", gap, consistency_bound(solution))
 
     grid = spec.grid
     for q in range(4):

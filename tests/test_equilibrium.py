@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fbslq import riccati
 from fbslq.equilibrium import (
     AssumptionViolatedError,
     SolverConfig,
+    _Tail,
     _Workspace,
     fixed_point_map,
     integral_state,
@@ -23,9 +27,16 @@ from fbslq.presets import (
 )
 from fbslq.kernels import ConstantKernel, DifferenceKernel, DiscountedKernel
 from fbslq.problem import _AUDIT_ROWS, validate
-from fbslq.riccati import solve_p2, two_time_diagonals
+from fbslq.riccati import _integrate_p2, _p2_samples, solve_p2, two_time_diagonals
+from fbslq.scenario import scenario_to_spec, trivial_scenario
 from fbslq.verify import classical_riccati_feedback
-from tests.test_riccati import build_scalar, dense_kernels, max_rel_gap, zero_theta
+from tests.test_riccati import (
+    build_scalar,
+    dense_kernels,
+    matrix_p2_problem,
+    max_rel_gap,
+    zero_theta,
+)
 
 
 class TestSecondMomentFactor:
@@ -94,6 +105,123 @@ class TestP1Tilde:
         assert max_rel_gap(factor.p1_tilde(th, p2t), want) <= 1e-12
         window = slice(spec.grid.steps // 3, spec.grid.steps // 2)
         assert max_rel_gap(factor.p1_tilde(th, p2t, window), want[window]) <= 1e-12
+
+    def test_dense_quadrature_finite_where_the_transport_overflows(self):
+        # The problem of TestCliSolve::test_solver_failure_exits_3 at its
+        # converged gain: exp(E_j - E_i) overflows below the diagonal j < i,
+        # which the quadrature must not read.
+        doc = trivial_scenario(100)
+        for where, name, value in [("coeffs", "B", 40.0), ("weights", "Q", 1.0),
+                                   ("weights", "R", 1e-4), ("weights", "N", 1e-4),
+                                   ("weights", "G1", 1.0)]:
+            doc[where][name] = {"type": "constant", "params": {"value": [[value]]}}
+        spec = scenario_to_spec(doc)
+        th = Strategy.constant(spec.grid, -39.3)
+        p2t = solve_p2(spec, th).flat()
+        want = _Workspace(spec).p1_tilde(th.flat(), p2t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _Workspace(dense_kernels(spec)).p1_tilde(th.flat(), p2t)
+        assert np.all(np.isfinite(got))
+        assert max_rel_gap(got, want) <= 1e-12
+
+
+def _windows(rng, steps, count=6):
+    """Random node spans (lo, stop) with 0 <= lo < stop <= steps."""
+    out = [(0, steps), (steps - 1, steps), (0, 1)]
+    for _ in range(count):
+        lo, stop = sorted(rng.choice(steps + 1, 2, replace=False))
+        out.append((int(lo), int(stop)))
+    return out
+
+
+class TestFrozenTail:
+    """A window integrated from the state handed on at its end equals the whole-grid integration."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: assumption_smoke_problem(150),
+        lambda: matrix_p2_problem(90),
+    ], ids=["smoke", "matrix"])
+    def test_p2_span_from_the_frozen_end_is_bitwise(self, build, rng):
+        spec = build()
+        samples = _p2_samples(spec)
+        k, n = spec.dims.k, spec.dims.n
+        for _ in range(3):
+            th = 0.5 * rng.standard_normal((spec.grid.num_nodes, k, n))
+            full = _integrate_p2(spec, samples, th)
+            assert full.shape == (2 * spec.grid.steps + 1, spec.dims.m, n)
+            for lo, stop in _windows(rng, spec.grid.steps):
+                span = _integrate_p2(spec, samples, th, (lo, stop), full[2 * stop])
+                assert np.array_equal(span, full[2 * lo : 2 * stop + 1])
+
+    @pytest.mark.parametrize("steps", [1, 7, 120])
+    def test_p1_tilde_from_a_handed_on_state_is_bitwise(self, steps, rng):
+        spec = assumption_smoke_problem(steps)
+        ws = _Workspace(spec)
+        th = 0.3 * rng.standard_normal(spec.grid.num_nodes)
+        p2t = solve_p2(spec, Strategy.from_flat(spec.grid, th)).flat()
+        full = ws.p1_tilde(th, p2t)
+        tail = ws.terminal()
+        while tail.node > 0:
+            lo = int(rng.integers(0, tail.node))
+            p1t, row = ws.span_p1_tilde(th, p2t, lo, tail)
+            assert np.array_equal(p1t, full[lo : tail.node + 1])
+            tail = _Tail(lo, p2t[lo], row)
+
+    def test_chained_windows_give_the_map_from_the_terminal_state(self, smoke_spec, rng):
+        # Each window reads the state its successor handed on; fixed_point_map
+        # integrates from T.  The new values agree bit for bit.
+        th = 0.3 * rng.standard_normal(smoke_spec.grid.num_nodes)
+        th0 = np.zeros_like(th)
+        ws = _Workspace(smoke_spec)
+        tail, hi = ws.terminal(), smoke_spec.grid.steps
+        while hi >= 0:
+            lo = max(0, hi - int(rng.integers(1, 90)))
+            got, tail = ws.apply_map(th, th0, lo, hi, tail, 1e-12)
+            window = (smoke_spec.grid.nodes[lo], smoke_spec.grid.nodes[hi])
+            want = fixed_point_map(smoke_spec, Strategy.from_flat(smoke_spec.grid, th),
+                                   zero_theta(smoke_spec), window)
+            assert np.array_equal(got, want.flat()[lo : hi + 1])
+            hi = lo - 1
+
+    def test_no_iteration_integrates_beyond_its_window(self, monkeypatch):
+        # Inside a window map every RK4 map and suffix recursion covers at
+        # most the window's own intervals lo..hi; only the final whole-grid
+        # passes (P2, p1t and the diagonals at Theta*) are longer.
+        calls, window = [], []
+        rk4_maps, suffix_sums, apply_map = riccati._rk4_maps, riccati._suffix_sums, _Workspace.apply_map
+
+        def record_rk4(gen, force, g):
+            steps = int(np.prod(gen.shape[:-3]))  # half-steps for P2, steps for P1/P3
+            calls.append(("rk4", steps, window[-1] if window else None))
+            return rk4_maps(gen, force, g)
+
+        def record_sums(phi, u, shift, last):
+            calls.append(("sums", u.shape[0], window[-1] if window else None))
+            return suffix_sums(phi, u, shift, last)
+
+        def recording_map(self, th, theta0, lo, hi, tail, floor):
+            window.append((lo, hi))
+            try:
+                return apply_map(self, th, theta0, lo, hi, tail, floor)
+            finally:
+                window.pop()
+
+        monkeypatch.setattr(riccati, "_rk4_maps", record_rk4)
+        monkeypatch.setattr(riccati, "_suffix_sums", record_sums)
+        monkeypatch.setattr(_Workspace, "apply_map", recording_map)
+        spec = assumption_smoke_problem(400)
+        sol = solve_equilibrium(spec, zero_theta(spec))
+        steps = spec.grid.steps
+
+        inside = [c for c in calls if c[2] is not None]
+        assert len(inside) == 2 * sum(w.iterations + 1 for w in sol.diagnostics.windows)
+        for kind, length, (lo, hi) in inside:
+            assert length <= (2 if kind == "rk4" else 1) * (hi - lo + 1)
+        assert max(hi - lo for _, _, (lo, hi) in inside) < steps // 4
+        outside = [(kind, length) for kind, length, w in calls if w is None]
+        assert sorted(outside) == sorted(
+            [("rk4", 2 * steps), ("sums", steps), ("rk4", steps), ("sums", steps)])
 
 
 class TestFixedPointMap:
@@ -186,6 +314,28 @@ class TestSolveEquilibrium:
         other = solve_equilibrium(smoke_spec, Strategy.constant(smoke_spec.grid, 5.0))
         gap = np.max(np.abs(other.theta_star.values - smoke_solution.theta_star.values))
         assert gap <= 10.0 * 1e-10
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(16, 80),
+        st.one_of(
+            st.floats(-50.0, 50.0).map(lambda v: ("const", v)),
+            st.integers(0, 2**32 - 1).map(lambda seed: ("random", seed)),
+        ),
+    )
+    def test_theta_star_does_not_depend_on_theta0(self, steps, theta0):
+        # theta0 enters only at pass-through nodes; with none, Theta* is the same to the bit.
+        spec = assumption_smoke_problem(steps)
+        kind, value = theta0
+        if kind == "const":
+            th0 = Strategy.constant(spec.grid, value)
+        else:
+            vals = 10.0 * np.random.default_rng(value).standard_normal(spec.grid.num_nodes)
+            th0 = Strategy.from_flat(spec.grid, vals)
+        sol = solve_equilibrium(spec, th0)
+        assert sol.diagnostics.passthrough_nodes == []
+        ref = solve_equilibrium(spec, zero_theta(spec))
+        assert np.array_equal(sol.theta_star.values, ref.theta_star.values)
 
     def test_classical_reduction_matches_oracle(self):
         spec = classical_reduction_problem(400)

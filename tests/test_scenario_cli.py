@@ -20,6 +20,7 @@ from fbslq.scenario import (
     trivial_scenario,
 )
 from fbslq.simulate import SimConfig, build_controls, evaluate_cost, simulate_closed_loop
+from fbslq.verify import consistency_bound
 
 
 @pytest.mark.parametrize(
@@ -159,6 +160,28 @@ class TestCliSolve:
         assert capsys.readouterr().err == ""
         theta = np.genfromtxt(out / "theta.csv", delimiter=",", skip_header=1)[:, 1]
         assert len(theta) == 201 and np.all(np.isfinite(theta))
+
+    @pytest.mark.parametrize("steep,within", [(True, False), (False, True)], ids=["steep200", "smoke"])
+    def test_prints_the_consistency_gap_and_bound(self, tmp_path, capsys, steep, within):
+        # At 200 steps the rate-800 weight is under-resolved: the gap exceeds
+        # the bound of verify's integral_route_consistency, and solve says so
+        # on stdout while still exiting 0.
+        doc = smoke_scenario(200)
+        if steep:
+            doc["weights"]["Q"] = {"type": "discounted", "params": {"base": [[0.5]], "rate": 800.0}}
+        scen = write(tmp_path, "scen.json", doc)
+        out = tmp_path / "sol"
+        assert main(["solve", scen, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[1].startswith("constraints:") and lines[2].startswith("consistency:")
+        fields = dict(part.split("=") for part in lines[2][len("consistency: "):].split(", "))
+        gap, bound = float(fields["gap"]), float(fields["bound"])
+        summary = json.loads((out / "summary.json").read_text())
+        assert gap == float(f"{summary['diagnostics']['consistency_gap']:.6g}")
+        assert bound == float(f"{consistency_bound(load_solution_dir(str(out))):.6g}")
+        assert fields["within_bound"] == str(within) and (gap <= bound) == within
 
     def test_outputs_reproduce_byte_for_byte(self, tmp_path):
         scen = write(tmp_path, "smoke.json", smoke_scenario(60))
