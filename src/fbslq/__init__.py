@@ -51,6 +51,7 @@ from .simulate import (
     simulate_closed_loop,
     simulate_spike,
     spike_test,
+    spike_tests,
 )
 from .verify import suite_classical_reduction, suite_equilibrium, suite_example_2_5
 
@@ -96,6 +97,7 @@ __all__ = [
     "build_controls",
     "evaluate_cost",
     "spike_test",
+    "spike_tests",
     "perturbation_scaling",
     "bsde_residual_check",
     "suite_example_2_5",

@@ -28,7 +28,8 @@ frozen state, in time proportional to the window width; the window's last
 map application, at its converged gain, yields the state at lo, which it
 hands to the next window.  The first window starts from the terminal state.
 Every backward step is the one a whole-grid integration would take, so the
-gain is the same to the bit.
+gain is the same to the bit, and so are P2 and (for lag kernels) p1t at the
+solved gain, which the solver takes from the windows' last applications.
 
 The integral is a trapezoid over the grid.  When Q, R, M and N are lag
 kernels (constant, discounted, difference) it is one backward recursion over
@@ -50,7 +51,7 @@ import numpy as np
 
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec, check_one_dim_positivity
-from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_field, _p2_samples, _transport
+from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples, _transport
 from .riccati import check_constraints, two_time_diagonals
 
 __all__ = [
@@ -215,9 +216,11 @@ class _Workspace:
 
     With lag kernels (constant, discounted, difference) p1t is a suffix
     recursion over their factors in O(L); otherwise the four weights are
-    tabulated on the L x L node grid for the dense quadrature, which reads
-    P2 at every node after the window from the buffer ``p2t`` that
-    :meth:`apply_map` fills.
+    tabulated on the triangle s >= t of the L x L node grid for the dense
+    quadrature, which reads P2 at every node after the window from the
+    buffer ``p2t`` that :meth:`apply_map` fills.  :meth:`apply_map` also
+    keeps P2 at the midpoints and p1t at the window's nodes, so after the
+    last window of a solve the buffers hold both fields at the solved gain.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -231,17 +234,24 @@ class _Workspace:
 
         self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
         self.p2t = np.zeros(self.L)
+        self.p2_mids = np.zeros(self.L - 1)
+        self.p1t = np.zeros(self.L)
 
         self.factors = w.lag_factors()
         if self.factors is not None:
             self.R_diag = w.R(nodes, nodes)[:, 0, 0]
             self.N_diag = w.N(nodes, nodes)[:, 0, 0]
             return
+        # Only s >= t is read, and a weight may overflow below it; zeros there.
         ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
-        self.Q_tab = w.Q(ss, tt)[..., 0, 0]
-        self.R_tab = w.R(ss, tt)[..., 0, 0]
-        self.M_tab = w.M(ss, tt)[..., 0, 0]
-        self.N_tab = w.N(ss, tt)[..., 0, 0]
+        tri = ss >= tt
+
+        def table(kern):
+            tab = np.zeros((self.L, self.L))
+            tab[tri] = kern(ss[tri], tt[tri])[..., 0, 0]
+            return tab
+
+        self.Q_tab, self.R_tab, self.M_tab, self.N_tab = (table(k) for k in (w.Q, w.R, w.M, w.N))
         self.R_diag = np.diagonal(self.R_tab).copy()
         self.N_diag = np.diagonal(self.N_tab).copy()
 
@@ -369,9 +379,11 @@ class _Workspace:
         with np.errstate(over="ignore", invalid="ignore"):
             vals = _integrate_p2(self.spec, self.p2_samples, th[:, None, None], (lo, tail.node), tail.p2)
             self.p2t[lo : tail.node + 1] = vals[0::2, 0, 0]
+            self.p2_mids[lo : tail.node] = vals[1::2, 0, 0]
             p1t, row = self.span_p1_tilde(th, self.p2t, lo, tail)
             cols = slice(lo, hi + 1)
-            new_vals, _ = self.gain(p1t[: hi - lo + 1], self.p2t[cols], cols, theta0, floor)
+            self.p1t[cols] = p1t[: hi - lo + 1]
+            new_vals, _ = self.gain(self.p1t[cols], self.p2t[cols], cols, theta0, floor)
         return new_vals, _Tail(lo, vals[0], row)
 
 
@@ -514,9 +526,11 @@ def solve_equilibrium(
 
     theta_star = Strategy.from_flat(grid, th)
 
-    # Integral-route state at the converged gain.
-    p2 = _p2_field(spec, ws.p2_samples, theta_star.values)
-    state = _integral_state(ws, theta_star, p2)
+    # Integral-route state at the converged gain: each window's last map
+    # application, at its converged gain, left P2 and p1t on its nodes in
+    # the workspace's buffers.
+    p2 = P2Field(grid, ws.p2t[:, None, None].copy(), ws.p2_mids[:, None, None].copy())
+    state = IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(grid, ws.p1t), theta=theta_star)
     p2t, p1t = p2.flat(), state.p1_tilde.flat()
     _, den = ws.gain(p1t, p2t, slice(0, L), th0, config.denominator_floor)
     diagnostics.passthrough_nodes = np.nonzero(np.abs(den) <= config.denominator_floor)[

@@ -12,7 +12,9 @@ Randomness is counter-based: normals come from independent Philox streams
 keyed by (seed, path-block), drawn in (step, path) order inside each fixed
 8192-path block.  Chunked or streamed execution therefore reproduces the
 bundle API bit for bit, and a spike simulation with v = 0 equals its paired
-closed-loop simulation exactly.
+closed-loop simulation exactly.  A run that starts later reads the leading
+rows of an earlier run's draw, so one draw per block serves every spike
+time of a pass (:func:`spike_tests`).
 
 Cost quadrature is trapezoidal in time, applied interval by interval with
 one-sided limits: the control (and hence Z) is frozen at its interval value,
@@ -58,6 +60,7 @@ __all__ = [
     "build_controls",
     "evaluate_cost",
     "spike_test",
+    "spike_tests",
     "perturbation_scaling",
     "bsde_residual_check",
 ]
@@ -537,6 +540,41 @@ def _merge_moments(moments, samples: np.ndarray):
     return total, mean + delta * k / total, m2 + k_m2 + delta**2 * count * k / total
 
 
+class _PassSums:
+    """The running sums of one ladder pass, folded in block by block."""
+
+    def __init__(self, rungs: int):
+        self.sum_d = np.zeros((2, rungs))
+        self.sumsq_d = np.zeros_like(self.sum_d)
+        self.moments = (0, 0.0, 0.0)
+
+    def add(self, base, cross, quad) -> None:
+        for sign, d in enumerate((0.5 * (quad + cross), 0.5 * (quad - cross))):
+            self.sum_d[sign] += d.sum(axis=1)
+            self.sumsq_d[sign] += (d**2).sum(axis=1)
+        self.moments = _merge_moments(self.moments, 0.5 * base)
+
+
+def _stream(runs, per_node=None):
+    """Stream every block through each of ``runs``, which share (seed, paths).
+
+    The stream of a block is filled in (step, path) order, so the normals of
+    a run that starts later are the leading rows of the draw for the longest
+    run: each block is drawn once, for every run.  Each run folds its blocks
+    in block order, so its sums are bitwise those of a pass of its own.
+    Returns :meth:`_LadderRun.run`'s triple per run.
+    """
+    cfg = runs[0].cfg
+    rows = max(run.prep.F for run in runs)
+    passes = [(run.prep.F, run.kernel(per_node), _PassSums(len(run.eps_steps))) for run in runs]
+    for block, _, width in _blocks(cfg.paths):
+        normals = _philox_normals(cfg.seed, block, rows, width)
+        for fine, kernel, sums in passes:
+            sums.add(*kernel(normals[:fine]))
+        del normals  # free this block before drawing the next
+    return [(sums.sum_d, sums.sumsq_d, sums.moments) for _, _, sums in passes]
+
+
 class _LadderRun:
     """Closed loop plus the +v perturbation of every spike rung, one pass per block.
 
@@ -584,24 +622,16 @@ class _LadderRun:
         (2, rungs) with row 0 for +v and row 1 for -v, and the moments
         (paths, mean, M2) of the closed loop's pathwise cost.
         """
+        return _stream([self], per_node)[0]
+
+    def kernel(self, per_node=None):
+        """The per-block step: one block's normals (fine steps, width) to the
+        per-path sums (base, cross, quad); scalar unless ``per_node`` is given."""
         prep = self.prep
-        scalar = prep.n == prep.m == prep.k == 1 and per_node is None
-        weights = self._scalar_weights() if scalar else None
-        sum_d = np.zeros((2, len(self.eps_steps)))
-        sumsq_d = np.zeros_like(sum_d)
-        moments = (0, 0.0, 0.0)
-        for block, _, width in _blocks(self.cfg.paths):
-            normals = _philox_normals(self.cfg.seed, block, prep.F, width)
-            if scalar:
-                base, cross, quad = self._block_scalar(normals, width, weights)
-            else:
-                base, cross, quad = self._block_generic(normals, per_node)
-            del normals  # free this block before drawing the next
-            for sign, d in enumerate((0.5 * (quad + cross), 0.5 * (quad - cross))):
-                sum_d[sign] += d.sum(axis=1)
-                sumsq_d[sign] += (d**2).sum(axis=1)
-            moments = _merge_moments(moments, 0.5 * base)
-        return sum_d, sumsq_d, moments
+        if prep.n == prep.m == prep.k == 1 and per_node is None:
+            weights = self._scalar_weights()
+            return lambda normals: self._block_scalar(normals, weights)
+        return lambda normals: self._block_generic(normals, per_node)
 
     def march(self, normals):
         """Euler-Maruyama of the closed loop x and every rung's perturbation d.
@@ -708,8 +738,15 @@ class _LadderRun:
         drive_w = self.chi_fine * self.dv[:, 0]
         return alpha, beta, gamma, drive_h, drive_w
 
-    def _block_scalar(self, normals, width, weights):
-        """Node-grouped sums for m = n = k = 1, the rungs collapsed past the widest window."""
+    def _block_scalar(self, normals, weights):
+        """Node-grouped sums for m = n = k = 1, the rungs collapsed past the widest window.
+
+        Every step writes into buffers allocated once per block: a fresh
+        (rungs, width) temporary per operation would be large enough for the
+        allocator to map and unmap it each time.  The operations and their
+        order are those of the plain expressions in the comments, so the
+        sums are the same to the bit.
+        """
         alpha, beta, gamma, drive_h, drive_w = weights
         prep = self.prep
         sub, hf = prep.sub, prep.hf
@@ -717,35 +754,65 @@ class _LadderRun:
         a_h = prep.a_fine[:, 0, 0] * hf
         c_f = prep.c_fine[:, 0, 0]
         e = self.widest
+        width = normals.shape[1]
 
         x = np.full(width, prep.x0[0])
         dx = np.zeros((len(self.eps_steps), width))
         base = np.zeros(width)
         cross = np.zeros_like(dx)
         quad = np.zeros_like(dx)
+        dw, f, tmp = np.empty(width), np.empty(width), np.empty(width)
+        t, big_tmp = np.empty_like(dx), np.empty_like(dx)
+
+        def advance(ell):  # f = a_h + c_f dW, then x <- x + f x
+            np.multiply(normals[ell], sqrt_hf, out=dw)
+            np.multiply(dw, c_f[ell], out=f)
+            np.add(f, a_h[ell], out=f)
+            np.multiply(f, x, out=tmp)
+            np.add(x, tmp, out=x)
+
         for r in range(e + 1):
             if r:
                 for ell in range((r - 1) * sub, r * sub):
-                    dw = normals[ell] * sqrt_hf
-                    f = a_h[ell] + c_f[ell] * dw
-                    x = x + f * x
-                    dx = dx + f * dx + (drive_h[:, ell, None] + drive_w[:, ell, None] * dw)
-            base += alpha[r] * x * x
-            t = alpha[r] * dx + beta[:, r, None]
-            cross += (2.0 * x) * t
-            quad += dx * (t + beta[:, r, None])
+                    advance(ell)
+                    # dx <- dx + f dx + (drive_h + drive_w dW)
+                    np.multiply(f, dx, out=big_tmp)
+                    np.add(dx, big_tmp, out=dx)
+                    np.multiply(drive_w[:, ell, None], dw, out=big_tmp)
+                    np.add(drive_h[:, ell, None], big_tmp, out=big_tmp)
+                    np.add(dx, big_tmp, out=dx)
+            # base += alpha x x;  t = alpha dx + beta;  cross += (2 x) t;  quad += dx (t + beta)
+            np.multiply(x, alpha[r], out=tmp)
+            np.multiply(tmp, x, out=tmp)
+            np.add(base, tmp, out=base)
+            np.multiply(dx, alpha[r], out=t)
+            np.add(t, beta[:, r, None], out=t)
+            np.multiply(x, 2.0, out=tmp)
+            np.multiply(tmp, t, out=big_tmp)
+            np.add(cross, big_tmp, out=cross)
+            np.add(t, beta[:, r, None], out=t)
+            np.multiply(dx, t, out=t)
+            np.add(quad, t, out=quad)
 
         # Past node e: d_q(r) = d_q(e) Psi(r); carry x and Psi only.
-        xp = np.stack([x, np.ones(width)])
+        psi = np.ones(width)
         big_a = np.zeros(width)  # sum alpha Psi^2
         big_b = np.zeros(width)  # sum alpha x Psi
+        ax = np.empty(width)
         for r in range(e + 1, prep.n_coarse + 1):
             for ell in range((r - 1) * sub, r * sub):
-                xp += (a_h[ell] + c_f[ell] * (normals[ell] * sqrt_hf)) * xp
-            ax = alpha[r] * xp
-            base += ax[0] * xp[0]
-            big_b += ax[0] * xp[1]
-            big_a += ax[1] * xp[1]
+                advance(ell)  # and Psi <- Psi + f Psi
+                np.multiply(f, psi, out=tmp)
+                np.add(psi, tmp, out=psi)
+            # base += (alpha x) x;  big_b += (alpha x) Psi;  big_a += (alpha Psi) Psi
+            np.multiply(x, alpha[r], out=ax)
+            np.multiply(ax, x, out=tmp)
+            np.add(base, tmp, out=base)
+            np.multiply(ax, psi, out=tmp)
+            np.add(big_b, tmp, out=big_b)
+            np.multiply(psi, alpha[r], out=ax)
+            np.multiply(ax, psi, out=tmp)
+            np.add(big_a, tmp, out=big_a)
         cross += (2.0 * dx) * big_b
         quad += (dx * dx) * big_a + gamma[:, None]
         return base, cross, quad
@@ -773,7 +840,22 @@ def spike_test(
     p3_diag: OneTimeField | None = None,
     residual: OneTimeField | None = None,
 ) -> SpikeReport:
-    """Monte-Carlo test of the equilibrium inequality at time t.
+    """Monte-Carlo test of the equilibrium inequality at time t: :func:`spike_tests` at one time."""
+    return spike_tests(spec, theta, p2, cfg, spike, [t], p1_diag, p3_diag, residual)[0]
+
+
+def spike_tests(
+    spec: ProblemSpec,
+    theta: Strategy,
+    p2: P2Field,
+    cfg: SimConfig,
+    spike: SpikeSpec,
+    times,
+    p1_diag: OneTimeField | None = None,
+    p3_diag: OneTimeField | None = None,
+    residual: OneTimeField | None = None,
+) -> list[SpikeReport]:
+    """Monte-Carlo tests of the equilibrium inequality at each of ``times``, one report per time.
 
     For every eps in the (snapped) ladder, Delta(eps) = (J(u^eps) - J(u))/eps
     is estimated with common random numbers.  The report carries the liminf
@@ -783,31 +865,35 @@ def spike_test(
     pass yields the report for -v (``opposite``) and the closed-loop cost
     estimate (``closed_loop``).  Raises ``ValueError`` when the cost sums
     are not finite, as when a huge x0 or v overflows them.
-    """
-    grid = spec.grid
-    cfg = SimConfig(paths=cfg.paths, seed=cfg.seed, sub_steps=cfg.sub_steps, t_start=t, x0=cfg.x0)
-    i0 = grid.index_of(t)
-    v = spike.v_vector(spec.dims.k)
-    ladder = _snap_eps(grid, i0, spike.epsilons)
 
+    The times share one stream: each RNG block is drawn once, for the
+    earliest time, and a later time reads its leading rows.  Every report
+    is bitwise the report of a call at its time alone.
+    """
+    grid, times = spec.grid, list(times)
+    v = spike.v_vector(spec.dims.k)
     if p1_diag is None or p3_diag is None:
         p1_diag, p3_diag = two_time_diagonals(spec, theta, p2)
     lam, _ = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    lam_t = lam[i0]
     if residual is None:
         residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
     x0 = cfg.x0_vector(spec.dims.n)
 
+    ladders, runs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder], t)
-        sum_d, sumsq_d, (paths, mean_j, m2_j) = run.run()
-    if not all(np.all(np.isfinite(s)) for s in (sum_d, sumsq_d, mean_j, m2_j)):
-        raise ValueError("the Monte-Carlo cost sums overflow; x0 or v is too large for this problem")
-    stderr_j = float(np.sqrt(m2_j / (paths - 1)) / np.sqrt(paths)) if paths > 1 else 0.0
-    closed_loop = CostEstimate(estimate=float(mean_j), stderr=stderr_j, paths=paths)
+        for t in times:
+            cfg_t = SimConfig(paths=cfg.paths, seed=cfg.seed, sub_steps=cfg.sub_steps, t_start=t, x0=cfg.x0)
+            ladders.append(_snap_eps(grid, grid.index_of(t), spike.epsilons))
+            runs.append(_LadderRun(spec, theta, p2, cfg_t, v, [steps for _, steps in ladders[-1]], t))
+        totals = _stream(runs)
+    for sum_d, sumsq_d, (_, mean_j, m2_j) in totals:
+        if not all(np.all(np.isfinite(s)) for s in (sum_d, sumsq_d, mean_j, m2_j)):
+            raise ValueError("the Monte-Carlo cost sums overflow; x0 or v is too large for this problem")
 
-    def report(sign: int, vv: np.ndarray) -> SpikeReport:
-        quad_theory = 0.5 * float(vv @ lam_t @ vv)
+    def report(t, ladder, sums, sign: int, vv: np.ndarray, closed_loop) -> SpikeReport:
+        i0, paths = grid.index_of(t), closed_loop.paths
+        sum_d, sumsq_d, _ = sums
+        quad_theory = 0.5 * float(vv @ lam[i0] @ vv)
         first_theory = float(vv @ residual.data[i0] @ x0)
         rep = SpikeReport(t=t, v=vv, paths=paths, seed=cfg.seed, closed_loop=closed_loop)
         for q, (eps_req, steps) in enumerate(ladder):
@@ -833,9 +919,15 @@ def spike_test(
         rep.first_order_estimate = float(tail.delta - quad_theory)
         return rep
 
-    result = report(0, v)
-    result.opposite = report(1, -v)
-    return result
+    results = []
+    for t, ladder, sums in zip(times, ladders, totals):
+        paths, mean_j, m2_j = sums[2]
+        stderr_j = float(np.sqrt(m2_j / (paths - 1)) / np.sqrt(paths)) if paths > 1 else 0.0
+        closed_loop = CostEstimate(estimate=float(mean_j), stderr=stderr_j, paths=paths)
+        result = report(t, ladder, sums, 0, v, closed_loop)
+        result.opposite = report(t, ladder, sums, 1, -v, closed_loop)
+        results.append(result)
+    return results
 
 
 def perturbation_scaling(

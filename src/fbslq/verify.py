@@ -18,7 +18,7 @@ from .fields import OneTimeField, Strategy
 from .presets import example_2_5_problem
 from .problem import ProblemSpec
 from .riccati import characterization_residual, characterization_residual_from_fields
-from .simulate import SimConfig, SpikeSpec, spike_test
+from .simulate import SimConfig, SpikeSpec, spike_tests
 
 __all__ = [
     "CheckResult",
@@ -228,8 +228,10 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     Characterization residual, the three constraints, integral/matrix route
     consistency, and spike tests at the grid nodes (q * steps) // 4,
     q = 0..3, with both unit perturbation directions (one spike test per
-    node gives both).  The residual is read
-    off the solution's own fields, which must be solved for its gain.
+    node gives both).  The four tests run as one pass of
+    :func:`~fbslq.simulate.spike_tests`: one draw per RNG block serves every
+    node.  The diagonals and the residual are read off the solution's own
+    fields, which must be solved for its gain, once for all four nodes.
     """
     report = SuiteReport(suite="equilibrium")
     theta = solution.theta_star
@@ -249,19 +251,12 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     report.add_upper("integral_route_consistency", gap, consistency_bound(solution))
 
     grid = spec.grid
-    for q in range(4):
-        t = float(grid.nodes[(q * grid.steps) // 4])
-        rep_s = spike_test(
-            spec,
-            theta,
-            solution.p2,
-            sim_cfg,
-            SpikeSpec(v=1.0),
-            t,
-            p1_diag=p1d,
-            p3_diag=p3d,
-            residual=resid,
-        )
+    times = [float(grid.nodes[(q * grid.steps) // 4]) for q in range(4)]
+    reports = spike_tests(
+        spec, theta, solution.p2, sim_cfg, SpikeSpec(v=1.0), times,
+        p1_diag=p1d, p3_diag=p3d, residual=resid,
+    )
+    for q, rep_s in enumerate(reports):
         for v, rep_v in ((1.0, rep_s), (-1.0, rep_s.opposite)):
             report.add(
                 f"spike_liminf_t{q / 4}_v{v:+g}",

@@ -19,7 +19,7 @@ from fbslq.presets import (
     example_2_5_problem,
 )
 from fbslq.riccati import characterization_residual, solve_p1
-from fbslq.simulate import SimConfig, SpikeSpec, bsde_residual_check, perturbation_scaling, spike_test
+from fbslq.simulate import SimConfig, SpikeSpec, bsde_residual_check, perturbation_scaling, spike_tests
 from fbslq.verify import classical_riccati_feedback, suite_example_2_5
 
 
@@ -107,6 +107,9 @@ def test_criterion_4_classical_reduction_oracle():
 
 
 def test_criterion_5_spike_variation_monte_carlo(smoke_solution_1000):
+    # One pass per t gives both directions: the -v report is ``opposite``,
+    # bitwise the separate -v run (TestSpikeDirections), and one draw per RNG
+    # block serves all four times (TestSpikeTests).
     start = time.time()
     sol = smoke_solution_1000
     spec = sol.spec
@@ -115,13 +118,14 @@ def test_criterion_5_spike_variation_monte_carlo(smoke_solution_1000):
     all_liminf = True
     all_limit = True
     worst = ""
-    for t in (0.0, 0.25, 0.5, 0.75):
-        for v in (1.0, -1.0):
-            cfg = SimConfig(paths=100_000, seed=0, x0=1.0)
-            rep = spike_test(
-                spec, sol.theta_star, sol.p2, cfg, SpikeSpec(v=v), t,
-                p1_diag=p1d, p3_diag=p3d, residual=resid,
-            )
+    times = (0.0, 0.25, 0.5, 0.75)
+    cfg = SimConfig(paths=100_000, seed=0, x0=1.0)
+    reports = spike_tests(
+        spec, sol.theta_star, sol.p2, cfg, SpikeSpec(v=1.0), times,
+        p1_diag=p1d, p3_diag=p3d, residual=resid,
+    )
+    for t, plus in zip(times, reports):
+        for v, rep in ((1.0, plus), (-1.0, plus.opposite)):
             all_liminf &= rep.liminf_pass
             all_limit &= rep.limit_converged
             if not (rep.liminf_pass and rep.limit_converged):

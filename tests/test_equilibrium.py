@@ -25,7 +25,7 @@ from fbslq.presets import (
     example_2_5_problem,
     trivial_problem,
 )
-from fbslq.kernels import ConstantKernel, DifferenceKernel, DiscountedKernel
+from fbslq.kernels import CallableKernel, ConstantKernel, DifferenceKernel, DiscountedKernel
 from fbslq.problem import _AUDIT_ROWS, validate
 from fbslq.riccati import _integrate_p2, _p2_samples, solve_p2, two_time_diagonals
 from fbslq.scenario import scenario_to_spec, trivial_scenario
@@ -186,8 +186,9 @@ class TestFrozenTail:
 
     def test_no_iteration_integrates_beyond_its_window(self, monkeypatch):
         # Inside a window map every RK4 map and suffix recursion covers at
-        # most the window's own intervals lo..hi; only the final whole-grid
-        # passes (P2, p1t and the diagonals at Theta*) are longer.
+        # most the window's own intervals lo..hi; only the diagonals at
+        # Theta* are a whole-grid pass.  P2 and p1t at Theta* come from the
+        # windows' last map applications, so neither is integrated again.
         calls, window = [], []
         rk4_maps, suffix_sums, apply_map = riccati._rk4_maps, riccati._suffix_sums, _Workspace.apply_map
 
@@ -220,8 +221,7 @@ class TestFrozenTail:
             assert length <= (2 if kind == "rk4" else 1) * (hi - lo + 1)
         assert max(hi - lo for _, _, (lo, hi) in inside) < steps // 4
         outside = [(kind, length) for kind, length, w in calls if w is None]
-        assert sorted(outside) == sorted(
-            [("rk4", 2 * steps), ("sums", steps), ("rk4", steps), ("sums", steps)])
+        assert sorted(outside) == [("rk4", steps), ("sums", steps)]
 
 
 class TestFixedPointMap:
@@ -282,6 +282,29 @@ class TestFixedPointMap:
 
 
 class TestSolveEquilibrium:
+    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(contraction_target=0.05, initial_window=1.0)],
+                             ids=["default", "halvings"])
+    @pytest.mark.parametrize("route", ["factor", "dense"])
+    def test_fields_from_the_windows_are_the_whole_grid_ones(self, route, config):
+        # P2 and p1t at Theta* are assembled from each window's last map
+        # application; they are a whole-grid integration at Theta*, bit for
+        # bit.  The dense quadrature differs in the last bits: a window
+        # cumsums its exponent from node 0 under the gain of that moment.
+        base = assumption_smoke_problem(200)
+        spec = base if route == "factor" else dense_kernels(base)
+        sol = solve_equilibrium(spec, zero_theta(spec), config)
+        if config.initial_window is not None:
+            assert any(w.halvings for w in sol.diagnostics.windows)
+        p2 = solve_p2(spec, sol.theta_star)
+        assert np.array_equal(sol.p2.data, p2.data)
+        assert np.array_equal(sol.p2.mids, p2.mids)
+        got = sol.integral_state.p1_tilde.data
+        want = integral_state(spec, sol.theta_star, p2).p1_tilde.data
+        if route == "factor":
+            assert np.array_equal(got, want)
+        else:
+            assert max_rel_gap(got, want) <= 8 * np.finfo(float).eps
+
     def test_trivial_solution_is_zero(self):
         spec = trivial_problem(100)
         sol = solve_equilibrium(spec, zero_theta(spec))
@@ -418,6 +441,33 @@ class TestLagKernels:
         p1d, p3d = two_time_diagonals(dense_kernels(spec), sol.theta_star, sol.p2)
         assert max_rel_gap(sol.p1_diag.data, p1d.data) <= 1e-12
         assert max_rel_gap(sol.p3_diag.data, p3d.data) <= 1e-12
+
+    def test_steep_callable_weight_raises_no_warning(self):
+        # The same Q behind a callable takes the dense route, whose weight
+        # tables must be sampled on s >= t alone: below the diagonal the
+        # callable overflows.
+        base = assumption_smoke_problem(200)
+        steep = DiscountedKernel(0.5, 800.0)
+        spec = replace(base, weights=replace(
+            base.weights, Q=CallableKernel(lambda s, t: steep(s, t), steep.shape)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_equilibrium(spec, zero_theta(spec))
+        assert np.all(np.isfinite(sol.theta_star.values))
+        lag = solve_equilibrium(replace(base, weights=replace(base.weights, Q=steep)), zero_theta(spec))
+        assert max_rel_gap(sol.theta_star.values, lag.theta_star.values) <= 1e-12
+
+    def test_dense_tables_are_the_triangle_samples(self):
+        # The tables hold the kernels' own values on s >= t, bit for bit, and zeros below.
+        spec = dense_kernels(assumption_smoke_problem(60))
+        ws = _Workspace(spec)
+        nodes = spec.grid.nodes
+        ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
+        for name in ("Q", "R", "M", "N"):
+            tab = getattr(ws, f"{name}_tab")
+            want = getattr(spec.weights, name)(ss, tt)[..., 0, 0]
+            assert np.array_equal(tab[ss >= tt], want[ss >= tt]), name
+            assert not np.any(tab[ss < tt]), name
 
     def test_no_kernel_call_samples_a_table(self):
         # Every two-time kernel call of a solve evaluates at most one audit block of L-point rows.

@@ -10,6 +10,7 @@ from fbslq.simulate import (
     SimConfig,
     SpikeSpec,
     _LadderRun,
+    _philox_normals,
     bsde_residual_check,
     build_controls,
     evaluate_cost,
@@ -17,7 +18,9 @@ from fbslq.simulate import (
     simulate_closed_loop,
     simulate_spike,
     spike_test,
+    spike_tests,
 )
+from fbslq.verify import suite_equilibrium
 from tests.test_riccati import build_scalar, zero_theta
 
 
@@ -360,6 +363,108 @@ class TestSpikeDirections:
         assert rep.closed_loop.paths == cost.paths
         assert rep.closed_loop.estimate == pytest.approx(cost.estimate, rel=1e-12)
         assert rep.closed_loop.stderr == pytest.approx(cost.stderr, rel=1e-9)
+
+
+def plain_block_scalar(run, normals, weights):
+    """The scalar ladder kernel as plain array expressions, a new array per
+    operation: the oracle of the buffered ``_LadderRun._block_scalar``."""
+    alpha, beta, gamma, drive_h, drive_w = weights
+    prep = run.prep
+    sub, hf = prep.sub, prep.hf
+    sqrt_hf = np.sqrt(hf)
+    a_h = prep.a_fine[:, 0, 0] * hf
+    c_f = prep.c_fine[:, 0, 0]
+    e = run.widest
+    width = normals.shape[1]
+
+    x = np.full(width, prep.x0[0])
+    dx = np.zeros((len(run.eps_steps), width))
+    base = np.zeros(width)
+    cross = np.zeros_like(dx)
+    quad = np.zeros_like(dx)
+    for r in range(e + 1):
+        if r:
+            for ell in range((r - 1) * sub, r * sub):
+                dw = normals[ell] * sqrt_hf
+                f = a_h[ell] + c_f[ell] * dw
+                x = x + f * x
+                dx = dx + f * dx + (drive_h[:, ell, None] + drive_w[:, ell, None] * dw)
+        base += alpha[r] * x * x
+        t = alpha[r] * dx + beta[:, r, None]
+        cross += (2.0 * x) * t
+        quad += dx * (t + beta[:, r, None])
+
+    xp = np.stack([x, np.ones(width)])
+    big_a = np.zeros(width)
+    big_b = np.zeros(width)
+    for r in range(e + 1, prep.n_coarse + 1):
+        for ell in range((r - 1) * sub, r * sub):
+            xp += (a_h[ell] + c_f[ell] * (normals[ell] * sqrt_hf)) * xp
+        ax = alpha[r] * xp
+        base += ax[0] * xp[0]
+        big_b += ax[0] * xp[1]
+        big_a += ax[1] * xp[1]
+    cross += (2.0 * dx) * big_b
+    quad += (dx * dx) * big_a + gamma[:, None]
+    return base, cross, quad
+
+
+class TestSpikeTests:
+    """One draw per RNG block serves every spike time of a pass."""
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    @pytest.mark.parametrize("paths", [300, BLOCK_PATHS + 200])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix"])
+    def test_every_time_is_its_separate_test_bitwise(self, smoke_solution, problem, paths, sub):
+        if problem == "smoke":  # the scalar kernel
+            spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+            v, kw = 1.0, {"p1_diag": smoke_solution.p1_diag, "p3_diag": smoke_solution.p3_diag}
+        else:  # n = k = 2: the generic kernel
+            spec, th, p2 = matrix_inputs()
+            v, kw = np.array([1.0, -0.5]), {}
+        spike = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
+        cfg = SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0)
+        times = [0.5, 0.0, 0.75, 0.25]  # unsorted: the earliest is not first
+        joint = spike_tests(spec, th, p2, cfg, spike, times, **kw)
+        assert [rep.t for rep in joint] == times
+        for t, rep in zip(times, joint):
+            alone = spike_test(spec, th, p2, cfg, spike, t, **kw)
+            assert rep.summary() == alone.summary()
+            assert rep.closed_loop == alone.closed_loop
+            assert any(r.delta != 0.0 for r in rep.rows)
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    def test_buffered_scalar_kernel_is_the_plain_one_bitwise(self, smoke_solution, sub):
+        spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+        for t in (0.0, 0.25, 0.5, 0.75):
+            cfg = SimConfig(paths=500, seed=11, sub_steps=sub, t_start=t, x0=1.0)
+            left = spec.grid.steps - spec.grid.index_of(t)
+            # The last ladder reaches the horizon, so nothing is collapsed.
+            for rungs in ([64, 20, 5, 1], [left, 3]):
+                run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), rungs, t)
+                normals = _philox_normals(cfg.seed, 0, run.prep.F, cfg.paths)
+                weights = run._scalar_weights()
+                got = run._block_scalar(normals, weights)
+                want = plain_block_scalar(run, normals, weights)
+                for a, b in zip(got, want):  # base, cross, quad
+                    assert np.array_equal(a, b), (t, rungs)
+
+    def test_suite_draws_each_block_once(self, smoke_solution, monkeypatch):
+        # suite_equilibrium's four spike times share one draw per block,
+        # sized for t = 0, its earliest.
+        from fbslq import simulate
+
+        calls = []
+
+        def recording(seed, block, steps, width):
+            calls.append((seed, block, steps, width))
+            return _philox_normals(seed, block, steps, width)
+
+        monkeypatch.setattr(simulate, "_philox_normals", recording)
+        report = suite_equilibrium(smoke_solution, SimConfig(paths=BLOCK_PATHS + 100, seed=5, x0=1.0))
+        assert report.passed
+        steps = smoke_solution.spec.grid.steps
+        assert calls == [(5, 0, steps, BLOCK_PATHS), (5, 1, steps, 100)]
 
 
 class TestBsdeResidual:
