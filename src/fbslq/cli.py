@@ -1,7 +1,8 @@
 """Command-line front end: solve scenarios, run suites, simulate spikes.
 
 Exit codes follow the subcommand contracts: ``solve`` returns 2 on
-parse/validation failure and 3 on solver failure; ``verify`` returns 2 on
+parse/validation failure, a scenario with n, m or k above one included
+(the solver is scalar), and 3 on solver failure; ``verify`` returns 2 on
 invalid input and 1 on a failing suite; ``simulate`` returns 2 on missing
 or invalid inputs.  Every command exits 2, with one ``error:`` line on
 stderr, on an option outside its domain: a count (``--paths``,
@@ -29,8 +30,7 @@ import time
 
 from . import __version__
 from .equilibrium import EquilibriumError, SolverConfig, solve_equilibrium
-from .fields import Strategy
-from .io_utils import load_solution_dir, write_csv, write_json, write_solution_dir
+from .io_utils import load_solution_dir, theta0_from_desc, write_csv, write_json, write_solution_dir
 from .problem import check_one_dim_positivity, validate
 from .scenario import (
     classical_reduction_scenario,
@@ -92,12 +92,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-def _theta0_strategy(desc: str, spec) -> Strategy:
-    if desc.startswith("const:"):
-        return Strategy.constant(spec.grid, float(desc.split(":", 1)[1]))
-    raise ValueError(f"--theta0 must look like const:<value>, got {desc!r}")
-
-
 def _load_spec_or_exit(path, grid_steps):
     try:
         spec = load_scenario(path, grid_steps)
@@ -121,17 +115,21 @@ def _load_spec_or_exit(path, grid_steps):
 def cmd_solve(args) -> int:
     start = time.time()
     spec = _load_spec_or_exit(args.scenario, args.grid_steps)
+    if not spec.is_one_dimensional():
+        d = spec.dims
+        print(f"error: the solver handles n = m = k = 1 only, got n = {d.n}, m = {d.m}, k = {d.k}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     assumption_note = None
     check = args.assumption_check
-    if check and spec.is_one_dimensional():
+    if check:
         audit = check_one_dim_positivity(spec)
         if not audit.passed:
             # The solver itself still runs: the audit is advisory at the CLI.
             assumption_note = audit.details
             check = False
     try:
-        theta0 = _theta0_strategy(args.theta0, spec)
+        theta0 = theta0_from_desc(args.theta0, spec)
         cfg = SolverConfig(
             fp_tolerance=args.fp_tolerance,
             check_assumptions=check,

@@ -32,6 +32,7 @@ __all__ = [
     "two_time_field_rows",
     "write_solution_dir",
     "load_solution_dir",
+    "theta0_from_desc",
 ]
 
 
@@ -127,6 +128,8 @@ def load_solution_dir(path) -> EquilibriumSolution:
     from .scenario import load_scenario
 
     spec = load_scenario(os.path.join(path, "scenario.json"))
+    if not spec.is_one_dimensional():
+        raise ValueError("solution directories are produced by the scalar solver only")
     with open(os.path.join(path, "summary.json"), "r", encoding="utf-8") as fh:
         summary = json.load(fh)
 
@@ -137,13 +140,10 @@ def load_solution_dir(path) -> EquilibriumSolution:
     k, n = spec.dims.k, spec.dims.n
     theta = Strategy(spec.grid, raw[:, 1:].reshape(spec.grid.num_nodes, k, n))
 
-    theta0 = _theta0_from_desc(summary.get("theta0", "const:0"), spec)
+    theta0 = theta0_from_desc(summary.get("theta0", "const:0"), spec)
     p2 = solve_p2(spec, theta)
     p1d, p3d = two_time_diagonals(spec, theta, p2)
     report = check_constraints(spec, p1d, p3d, p2, theta0)
-
-    if not spec.is_one_dimensional():
-        raise ValueError("solution directories are produced by the scalar solver only")
     state = integral_state(spec, theta, p2)
 
     return EquilibriumSolution(
@@ -176,7 +176,9 @@ def _load_diagnostics(path, summary: dict) -> SolverDiagnostics:
     )
 
 
-def _theta0_from_desc(desc: str, spec: ProblemSpec) -> Strategy:
+def theta0_from_desc(desc: str, spec: ProblemSpec) -> Strategy:
+    """The initial gain of a ``const:<value>`` description, as ``solve --theta0``
+    takes it and summary.json records it."""
     if desc.startswith("const:"):
         return Strategy.constant(spec.grid, float(desc.split(":", 1)[1]))
-    raise ValueError(f"unknown theta0 description {desc!r}")
+    raise ValueError(f"theta0 must look like const:<value>, got {desc!r}")

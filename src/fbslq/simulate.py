@@ -24,16 +24,20 @@ convention of the spike window.
 One Euler march steps every generic path: the closed loop and, per spike
 rung, its perturbation, which is exactly linear in the direction v.  The
 bundle API records it at the coarse nodes (no rung for the closed loop, one
-for a spike), the backward-equation check reads the closed loop off it, and
-the spike ladder streams its cost sums over it, split into a part linear
-and a part quadratic in v; one pass therefore yields the ladder for +v and
-for -v, and the closed-loop cost estimate from the same paths.  The one
-other Euler loop is the scalar ladder's fast path, which collapses the
-rungs into a single process once the widest spike window has closed.
+for a spike), the backward-equation check reads the closed loop off it,
+:func:`perturbation_scaling` reads the rungs' perturbations at the coarse
+nodes, and the generic spike ladder streams its cost sums over it, split
+into a part linear and a part quadratic in v; one pass therefore yields the
+ladder for +v and for -v, and the closed-loop cost estimate from the same
+paths.  The one other Euler loop is the scalar ladder's fast path, which
+collapses the rungs into a single process once the widest spike window has
+closed.  The dimensions alone choose the ladder kernel: no caller selects
+it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,14 +86,6 @@ class SimConfig:
         if self.sub_steps < 1:
             raise ValueError("sub_steps must be a positive integer")
 
-    def x0_vector(self, n: int) -> np.ndarray:
-        x = np.asarray(self.x0, dtype=float).reshape(-1)
-        if x.size == 1 and n > 1:
-            x = np.full(n, float(x[0]))
-        if x.size != n:
-            raise ValueError(f"x0 has {x.size} entries, state dimension is {n}")
-        return x
-
 
 @dataclass(frozen=True)
 class SpikeSpec:
@@ -101,13 +97,15 @@ class SpikeSpec:
         if eps.size == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
             raise ValueError("epsilons must be a strictly decreasing positive sequence")
 
-    def v_vector(self, k: int) -> np.ndarray:
-        v = np.asarray(self.v, dtype=float).reshape(-1)
-        if v.size == 1 and k > 1:
-            v = np.full(k, float(v[0]))
-        if v.size != k:
-            raise ValueError(f"v has {v.size} entries, control dimension is {k}")
-        return v
+
+def _as_vector(value, size: int, name: str, dimension: str) -> np.ndarray:
+    """``value`` (x0 or v) as a vector of ``size`` entries; a scalar is broadcast."""
+    x = np.asarray(value, dtype=float).reshape(-1)
+    if x.size == 1 and size > 1:
+        x = np.full(size, float(x[0]))
+    if x.size != size:
+        raise ValueError(f"{name} has {x.size} entries, {dimension} dimension is {size}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -218,48 +216,6 @@ def _blocks(paths: int):
         start += width
 
 
-class _SimPrep:
-    """Deterministic per-run arrays shared by all simulation entry points."""
-
-    def __init__(self, spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig):
-        grid = spec.grid
-        self.spec, self.theta, self.cfg = spec, theta, cfg
-        self.i0 = grid.index_of(cfg.t_start)
-        self.n_coarse = grid.steps - self.i0
-        if self.n_coarse < 1:
-            raise ValueError("t_start must lie strictly before the horizon")
-        self.sub = cfg.sub_steps
-        self.h = grid.h
-        self.hf = grid.h / self.sub
-        self.F = self.n_coarse * self.sub
-        nodes = grid.nodes[self.i0 :]
-        self.nodes = nodes  # (range_nodes,)
-        n, m, k = spec.dims.n, spec.dims.m, spec.dims.k
-        self.n, self.m, self.k = n, m, k
-        self.x0 = cfg.x0_vector(n)
-
-        c = spec.coeffs
-        fine_t = grid.nodes[self.i0] + self.hf * np.arange(self.F)
-        iv = self.i0 + np.arange(self.F) // self.sub  # coarse interval per fine step
-        th = theta.values
-        self.a_fine = c.A(fine_t) + c.B(fine_t) @ th[iv]  # (F, n, n)
-        self.c_fine = c.C(fine_t) + c.D(fine_t) @ th[iv]
-        self.b_fine = c.B(fine_t)  # (F, n, k)
-        self.d_fine = c.D(fine_t)
-
-        # Coarse-interval stage data for costs and decoupled Z values.
-        left_t, right_t = nodes[:-1], nodes[1:]
-        th_iv = th[self.i0 : self.i0 + self.n_coarse]
-        self.theta_iv = th_iv  # (n_coarse, k, n)
-        self.ct_left = c.C(left_t) + c.D(left_t) @ th_iv
-        self.ct_right = c.C(right_t) + c.D(right_t) @ th_iv
-        self.d_left = c.D(left_t)
-        self.d_right = c.D(right_t)
-
-        self.p2_range = p2.data[self.i0 :]  # (range_nodes, m, n)
-        self.p2 = p2
-
-
 def _p7_samples(spec: ProblemSpec, p2: P2Field, i0: int, steps: int, v: np.ndarray):
     """Coefficients of the spike coupling equation on the widest window, sampled once.
 
@@ -332,48 +288,47 @@ def simulate_spike(
     i0 = grid.index_of(cfg.t_start)
     if i0 + steps > grid.steps:
         raise ValueError("spike window extends past the horizon")
-    v = spike.v_vector(spec.dims.k)
+    v = _as_vector(spike.v, spec.dims.k, "v", "control")
     return _simulate_bundle(spec, theta, p2, cfg, v, [steps])
 
 
 def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
     """The ladder's march with no rung (closed loop) or one (spike), recorded at
     the coarse nodes; a spike bundle is the closed loop plus its perturbation."""
-    run = _LadderRun(spec, theta, p2, cfg, v, rungs, cfg.t_start)
-    prep = run.prep
-    R, sub = prep.n_coarse + 1, prep.sub
-    X = np.empty((cfg.paths, R, prep.n))
-    increments = np.empty((cfg.paths, prep.F))
+    run = _LadderRun(spec, theta, p2, cfg, v, rungs)
+    R, sub = run.n_coarse + 1, run.sub
+    X = np.empty((cfg.paths, R, run.n))
+    increments = np.empty((cfg.paths, run.F))
     for block, start, width in _blocks(cfg.paths):
-        normals = _philox_normals(cfg.seed, block, prep.F, width)
-        increments[start : start + width] = (normals * np.sqrt(prep.hf)).T
+        normals = _philox_normals(cfg.seed, block, run.F, width)
+        increments[start : start + width] = (normals * np.sqrt(run.hf)).T
         for ell, x, dx, _ in run.march(normals):
             if ell % sub == 0:
                 X[start : start + width, ell // sub] = x + dx[0] if rungs else x
         del normals  # free this block before drawing the next
-    p7v = run.p7v[0] if rungs else np.zeros((R, prep.m))  # (range_nodes, m)
-    chi = run.chi_node[0] if rungs else np.zeros(prep.n_coarse)
+    p7v = run.p7v[0] if rungs else np.zeros((R, run.m))  # (range_nodes, m)
+    chi = run.chi_node[0] if rungs else np.zeros(run.n_coarse)
 
     # Decoupled backward components at the coarse nodes.
-    Y = np.einsum("rmn,prn->prm", prep.p2_range, X) + p7v[None, :, :]
-    Z = np.empty((cfg.paths, R, prep.m))
-    for r in range(prep.n_coarse):
-        zc = X[:, r] @ prep.ct_left[r].T
+    Y = np.einsum("rmn,prn->prm", run.p2_range, X) + p7v[None, :, :]
+    Z = np.empty((cfg.paths, R, run.m))
+    for r in range(run.n_coarse):
+        zc = X[:, r] @ run.ct_left[r].T
         if chi[r]:
             zc = zc + run.dv_left[r]
-        Z[:, r] = zc @ prep.p2_range[r].T
+        Z[:, r] = zc @ run.p2_range[r].T
     # Terminal node: left limit of the last interval.
-    zc = X[:, -1] @ prep.ct_right[-1].T
+    zc = X[:, -1] @ run.ct_right[-1].T
     if chi[-1]:
         zc = zc + run.dv_right[-1]
-    Z[:, -1] = zc @ prep.p2_range[-1].T
+    Z[:, -1] = zc @ run.p2_range[-1].T
 
     return PathBundle(
         spec=spec,
         theta=theta,
         p2=p2,
-        t_index=prep.i0,
-        x0=prep.x0,
+        t_index=run.i0,
+        x0=run.x0,
         X=X,
         Y=Y,
         Z=Z,
@@ -489,8 +444,9 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 #
 #     d <- d + (A_Th d + chi_q B v) h_f + (C_Th d + chi_q D v) dW.
 #
-# The bundle route and ``bsde_residual_check`` consume the same march, so
-# every generic path shares one Euler update and each block's normals.
+# The bundle route, ``bsde_residual_check`` and ``perturbation_scaling`` read
+# the same march, so every generic path shares one Euler update and each
+# block's normals.
 #
 # Every cost term is a quadratic form wt <W L x, L x> of a linear function of
 # the state, and rung q moves its argument by e_q = L d_q + s_q, where s_q
@@ -506,7 +462,8 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 # The scalar kernel (m = n = k = 1) is the fast path with its own loop: it
 # groups the terms by node and stops carrying the rungs at node e, the end
 # of the widest window: past e no rung has a source, so d_q(r) = d_q(e)
-# Psi(r) with one process Psi, Psi(e) = 1, stepped like x.
+# Psi(r) with one process Psi, Psi(e) = 1, stepped like x.  The dimensions
+# alone pick the kernel (``_LadderRun.kernel``); no caller selects it.
 # ---------------------------------------------------------------------------
 
 
@@ -555,18 +512,20 @@ class _PassSums:
         self.moments = _merge_moments(self.moments, 0.5 * base)
 
 
-def _stream(runs, per_node=None):
+def _stream(runs):
     """Stream every block through each of ``runs``, which share (seed, paths).
 
     The stream of a block is filled in (step, path) order, so the normals of
     a run that starts later are the leading rows of the draw for the longest
     run: each block is drawn once, for every run.  Each run folds its blocks
     in block order, so its sums are bitwise those of a pass of its own.
-    Returns :meth:`_LadderRun.run`'s triple per run.
+    Returns per run the sums (sum, sumsq) over paths of the pathwise cost
+    differences, each (2, rungs) with row 0 for +v and row 1 for -v, and the
+    moments (paths, mean, M2) of the closed loop's pathwise cost.
     """
     cfg = runs[0].cfg
-    rows = max(run.prep.F for run in runs)
-    passes = [(run.prep.F, run.kernel(per_node), _PassSums(len(run.eps_steps))) for run in runs]
+    rows = max(run.F for run in runs)
+    passes = [(run.F, run.kernel(), _PassSums(len(run.eps_steps))) for run in runs]
     for block, _, width in _blocks(cfg.paths):
         normals = _philox_normals(cfg.seed, block, rows, width)
         for fine, kernel, sums in passes:
@@ -576,36 +535,61 @@ def _stream(runs, per_node=None):
 
 
 class _LadderRun:
-    """Closed loop plus the +v perturbation of every spike rung, one pass per block.
+    """Closed loop plus the +v perturbation of every spike rung, from
+    ``cfg.t_start`` to the horizon, one pass per block.
 
-    Rung q applies the spike of ``eps_steps[q]`` coarse steps; every rung
-    shares each block's normals with the closed loop (common random numbers).
+    Holds every deterministic array that the march, the ladder kernels and
+    the consumers of the march read.  Rung q applies the spike of
+    ``eps_steps[q]`` coarse steps; every rung shares each block's normals
+    with the closed loop (common random numbers).
     """
 
-    def __init__(self, spec, theta, p2, cfg, v: np.ndarray, eps_steps: list[int], t: float):
-        self.prep = _SimPrep(spec, theta, p2, cfg)
+    def __init__(self, spec, theta, p2, cfg, v: np.ndarray, eps_steps: list[int]):
+        grid, c, w = spec.grid, spec.coeffs, spec.weights
+        t = cfg.t_start
         self.cfg = cfg
         self.v = v
         self.eps_steps = eps_steps
         self.widest = max(eps_steps, default=0)
-        prep = self.prep
+        self.i0 = grid.index_of(t)
+        self.n_coarse = grid.steps - self.i0
+        if self.n_coarse < 1:
+            raise ValueError("t_start must lie strictly before the horizon")
+        self.sub = cfg.sub_steps
+        self.h = grid.h
+        self.hf = grid.h / self.sub
+        self.F = self.n_coarse * self.sub
+        nodes = grid.nodes[self.i0 :]  # (range_nodes,)
+        self.n, self.m, self.k = spec.dims.n, spec.dims.m, spec.dims.k
+        self.x0 = _as_vector(cfg.x0, self.n, "x0", "state")
+
+        fine_t = grid.nodes[self.i0] + self.hf * np.arange(self.F)
+        self.iv = self.i0 + np.arange(self.F) // self.sub  # coarse interval per fine step
+        th = theta.values
+        self.a_fine = c.A(fine_t) + c.B(fine_t) @ th[self.iv]  # (F, n, n)
+        self.c_fine = c.C(fine_t) + c.D(fine_t) @ th[self.iv]
+
+        # Coarse-interval stage data for costs and decoupled Z values.
+        left_t, right_t = nodes[:-1], nodes[1:]
+        self.theta_iv = th[self.i0 : self.i0 + self.n_coarse]  # (n_coarse, k, n)
+        self.ct_left = c.C(left_t) + c.D(left_t) @ self.theta_iv
+        self.ct_right = c.C(right_t) + c.D(right_t) @ self.theta_iv
+        self.p2_range = p2.data[self.i0 :]  # (range_nodes, m, n)
 
         # The spike indicators per fine step and per coarse interval (closed
         # left, open right), and each rung's coupling field.
         rung_steps = np.asarray(eps_steps, dtype=int).reshape(-1, 1)
-        self.chi_fine = (np.arange(prep.F) < rung_steps * prep.sub).astype(float)
-        self.chi_node = (np.arange(prep.n_coarse) < rung_steps).astype(float)
-        self.p7v = np.zeros((len(eps_steps), prep.n_coarse + 1, prep.m))
-        samples = _p7_samples(spec, p2, prep.i0, self.widest, v)
+        self.chi_fine = (np.arange(self.F) < rung_steps * self.sub).astype(float)
+        self.chi_node = (np.arange(self.n_coarse) < rung_steps).astype(float)
+        self.p7v = np.zeros((len(eps_steps), self.n_coarse + 1, self.m))
+        samples = _p7_samples(spec, p2, self.i0, self.widest, v)
         for q, steps in enumerate(eps_steps):
-            self.p7v[q] = _solve_p7(samples, prep.h, steps, prep.n_coarse + 1)
-        self.bv = prep.b_fine @ v
-        self.dv = prep.d_fine @ v
-        self.dv_left = prep.d_left @ v  # (n_coarse, n)
-        self.dv_right = prep.d_right @ v
+            self.p7v[q] = _solve_p7(samples, self.h, steps, self.n_coarse + 1)
+        self.bv = c.B(fine_t) @ v
+        self.dv = c.D(fine_t) @ v
+        self.dv_left = c.D(left_t) @ v  # (n_coarse, n)
+        self.dv_right = c.D(right_t) @ v
 
-        w = spec.weights
-        nodes = prep.nodes
         self.qk = w.Q(nodes, t)
         self.rk_iv = 0.5 * (w.R(nodes, t)[:-1] + w.R(nodes, t)[1:])
         self.mk = w.M(nodes, t)
@@ -613,25 +597,13 @@ class _LadderRun:
         self.g1 = w.G1(t)
         self.g2 = w.G2(t)
 
-    def run(self, per_node=None):
-        """Stream every block; optionally observe the perturbations at every node.
-
-        ``per_node(r, d)`` receives the (rungs, width, n) perturbations at
-        coarse node r; it forces the generic kernel.  Returns the running
-        sums (sum, sumsq) over paths of the pathwise cost differences, each
-        (2, rungs) with row 0 for +v and row 1 for -v, and the moments
-        (paths, mean, M2) of the closed loop's pathwise cost.
-        """
-        return _stream([self], per_node)[0]
-
-    def kernel(self, per_node=None):
+    def kernel(self):
         """The per-block step: one block's normals (fine steps, width) to the
-        per-path sums (base, cross, quad); scalar unless ``per_node`` is given."""
-        prep = self.prep
-        if prep.n == prep.m == prep.k == 1 and per_node is None:
+        per-path sums (base, cross, quad); the scalar kernel when m = n = k = 1."""
+        if self.n == self.m == self.k == 1:
             weights = self._scalar_weights()
             return lambda normals: self._block_scalar(normals, weights)
-        return lambda normals: self._block_generic(normals, per_node)
+        return self._block_generic
 
     def march(self, normals):
         """Euler-Maruyama of the closed loop x and every rung's perturbation d.
@@ -642,62 +614,58 @@ class _LadderRun:
         horizon.  Coarse node r is fine step r * sub_steps.  Each step binds
         new arrays, so a consumer may keep what it was given.
         """
-        prep = self.prep
-        hf = prep.hf
+        hf = self.hf
         sqrt_hf = np.sqrt(hf)
-        x = np.broadcast_to(prep.x0, (normals.shape[1], prep.n)).copy()
+        x = np.broadcast_to(self.x0, (normals.shape[1], self.n)).copy()
         dx = np.zeros((len(self.eps_steps),) + x.shape)
-        for ell in range(prep.F):
+        for ell in range(self.F):
             dw = (normals[ell] * sqrt_hf)[:, None]
             yield ell, x, dx, dw
-            a, c = prep.a_fine[ell].T, prep.c_fine[ell].T
+            a, c = self.a_fine[ell].T, self.c_fine[ell].T
             chi = self.chi_fine[:, ell, None, None]
             x = x + _rmul(x, a) * hf + _rmul(x, c) * dw
             dx = dx + (_rmul(dx, a) + chi * self.bv[ell]) * hf + (_rmul(dx, c) + chi * self.dv[ell]) * dw
-        yield prep.F, x, dx, None
+        yield self.F, x, dx, None
 
-    def _block_generic(self, normals, per_node):
+    def _block_generic(self, normals):
         """Cross and quad sums term by term, every rung carried to the horizon.
 
         At coarse node r the terms of interval r - 1 that read its right end
         come first, then the state terms of node r, then the terms of
         interval r that read its left end.
         """
-        prep = self.prep
-        h, n_coarse = prep.h, prep.n_coarse
+        h, n_coarse = self.h, self.n_coarse
         width, rungs = normals.shape[1], len(self.eps_steps)
         sums = (np.zeros(width), np.zeros((rungs, width)), np.zeros((rungs, width)))
-        y0 = np.broadcast_to(prep.p2_range[0] @ prep.x0, (width, prep.m))
-        _add_form(sums, 1.0, self.g2, y0, np.broadcast_to(self.p7v[:, 0, None], (rungs, width, prep.m)))
+        y0 = np.broadcast_to(self.p2_range[0] @ self.x0, (width, self.m))
+        _add_form(sums, 1.0, self.g2, y0, np.broadcast_to(self.p7v[:, 0, None], (rungs, width, self.m)))
         for ell, x, dx, _ in self.march(normals):
-            if ell % prep.sub:
+            if ell % self.sub:
                 continue
-            r = ell // prep.sub
+            r = ell // self.sub
             if r:
                 chi = self.chi_node[:, r - 1, None, None]
-                self._add_z(sums, r, prep.ct_right[r - 1], self.dv_right[r - 1], chi, x, dx)
+                self._add_z(sums, r, self.ct_right[r - 1], self.dv_right[r - 1], chi, x, dx)
             self._add_state(sums, r, 0.5 * h if r in (0, n_coarse) else h, x, dx)
-            if per_node is not None:
-                per_node(r, dx)
             if r < n_coarse:
                 chi = self.chi_node[:, r, None, None]
-                th = prep.theta_iv[r].T
+                th = self.theta_iv[r].T
                 _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
-                self._add_z(sums, r, prep.ct_left[r], self.dv_left[r], chi, x, dx)
+                self._add_z(sums, r, self.ct_left[r], self.dv_left[r], chi, x, dx)
         _add_form(sums, 1.0, self.g1, x, dx)
         return sums
 
     def _add_state(self, sums, r, wt, x, dx):
         _add_form(sums, wt, self.qk[r], x, dx)
-        p2 = self.prep.p2_range[r].T
+        p2 = self.p2_range[r].T
         _add_form(sums, wt, self.mk[r], _rmul(x, p2), _rmul(dx, p2) + self.p7v[:, r, None])
 
     def _add_z(self, sums, node, ct, dvv, chi, x, dx):
         """Z = P2 (C_Th X + chi D v) of an interval at one of its ends, weight N h / 2."""
-        p2 = self.prep.p2_range[node].T
+        p2 = self.p2_range[node].T
         z = _rmul(_rmul(x, ct.T), p2)
         dz = _rmul(_rmul(dx, ct.T) + chi * dvv, p2)
-        _add_form(sums, 0.5 * self.prep.h, self.nk[node], z, dz)
+        _add_form(sums, 0.5 * self.h, self.nk[node], z, dz)
 
     def _scalar_weights(self):
         """Node weights of the scalar kernel, and the spike drive per fine step.
@@ -710,9 +678,8 @@ class _LadderRun:
         alpha = sum wt l^2, beta = sum wt l s and gamma = sum wt s^2.  The
         gammas are the same on every path and are summed once.
         """
-        prep = self.prep
-        h, n = prep.h, prep.n_coarse
-        p2 = prep.p2_range[:, 0, 0]
+        h, n = self.h, self.n_coarse
+        p2 = self.p2_range[:, 0, 0]
         chi = self.chi_node
         p7 = self.p7v[:, :, 0]
         w_state = np.full(n + 1, h)
@@ -724,9 +691,9 @@ class _LadderRun:
         gamma = np.zeros(len(self.eps_steps))
         left, right = slice(0, n), slice(1, n + 1)
         sourced = (  # (nodes, weight, multiplier, source per rung)
-            (left, h * self.rk_iv[:, 0, 0], prep.theta_iv[:, 0, 0], chi * self.v[0]),
-            (left, 0.5 * h * nk[:-1], p2[:-1] * prep.ct_left[:, 0, 0], p2[:-1] * chi * self.dv_left[:, 0]),
-            (right, 0.5 * h * nk[1:], p2[1:] * prep.ct_right[:, 0, 0], p2[1:] * chi * self.dv_right[:, 0]),
+            (left, h * self.rk_iv[:, 0, 0], self.theta_iv[:, 0, 0], chi * self.v[0]),
+            (left, 0.5 * h * nk[:-1], p2[:-1] * self.ct_left[:, 0, 0], p2[:-1] * chi * self.dv_left[:, 0]),
+            (right, 0.5 * h * nk[1:], p2[1:] * self.ct_right[:, 0, 0], p2[1:] * chi * self.dv_right[:, 0]),
             (slice(0, n + 1), w_state * self.mk[:, 0, 0], p2, p7),
             (slice(0, 1), self.g2[0, 0], p2[:1], p7[:, :1]),  # G2 Y(t)^2 at the deterministic start
         )
@@ -734,7 +701,7 @@ class _LadderRun:
             alpha[nodes] += wt * ell**2
             beta[:, nodes] += wt * ell * src
             gamma += (wt * src**2).sum(axis=1)
-        drive_h = self.chi_fine * (self.bv[:, 0] * prep.hf)
+        drive_h = self.chi_fine * (self.bv[:, 0] * self.hf)
         drive_w = self.chi_fine * self.dv[:, 0]
         return alpha, beta, gamma, drive_h, drive_w
 
@@ -748,15 +715,14 @@ class _LadderRun:
         sums are the same to the bit.
         """
         alpha, beta, gamma, drive_h, drive_w = weights
-        prep = self.prep
-        sub, hf = prep.sub, prep.hf
+        sub, hf = self.sub, self.hf
         sqrt_hf = np.sqrt(hf)
-        a_h = prep.a_fine[:, 0, 0] * hf
-        c_f = prep.c_fine[:, 0, 0]
+        a_h = self.a_fine[:, 0, 0] * hf
+        c_f = self.c_fine[:, 0, 0]
         e = self.widest
         width = normals.shape[1]
 
-        x = np.full(width, prep.x0[0])
+        x = np.full(width, self.x0[0])
         dx = np.zeros((len(self.eps_steps), width))
         base = np.zeros(width)
         cross = np.zeros_like(dx)
@@ -799,7 +765,7 @@ class _LadderRun:
         big_a = np.zeros(width)  # sum alpha Psi^2
         big_b = np.zeros(width)  # sum alpha x Psi
         ax = np.empty(width)
-        for r in range(e + 1, prep.n_coarse + 1):
+        for r in range(e + 1, self.n_coarse + 1):
             for ell in range((r - 1) * sub, r * sub):
                 advance(ell)  # and Psi <- Psi + f Psi
                 np.multiply(f, psi, out=tmp)
@@ -870,32 +836,31 @@ def spike_tests(
     earliest time, and a later time reads its leading rows.  Every report
     is bitwise the report of a call at its time alone.
     """
-    grid, times = spec.grid, list(times)
-    v = spike.v_vector(spec.dims.k)
+    grid = spec.grid
+    v = _as_vector(spike.v, spec.dims.k, "v", "control")
     if p1_diag is None or p3_diag is None:
         p1_diag, p3_diag = two_time_diagonals(spec, theta, p2)
     lam, _ = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
     if residual is None:
         residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
-    x0 = cfg.x0_vector(spec.dims.n)
 
     ladders, runs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in times:
-            cfg_t = SimConfig(paths=cfg.paths, seed=cfg.seed, sub_steps=cfg.sub_steps, t_start=t, x0=cfg.x0)
             ladders.append(_snap_eps(grid, grid.index_of(t), spike.epsilons))
-            runs.append(_LadderRun(spec, theta, p2, cfg_t, v, [steps for _, steps in ladders[-1]], t))
+            cfg_t = dataclasses.replace(cfg, t_start=t)
+            runs.append(_LadderRun(spec, theta, p2, cfg_t, v, [steps for _, steps in ladders[-1]]))
         totals = _stream(runs)
     for sum_d, sumsq_d, (_, mean_j, m2_j) in totals:
         if not all(np.all(np.isfinite(s)) for s in (sum_d, sumsq_d, mean_j, m2_j)):
             raise ValueError("the Monte-Carlo cost sums overflow; x0 or v is too large for this problem")
 
-    def report(t, ladder, sums, sign: int, vv: np.ndarray, closed_loop) -> SpikeReport:
-        i0, paths = grid.index_of(t), closed_loop.paths
+    def report(run, ladder, sums, sign: int, vv: np.ndarray, closed_loop) -> SpikeReport:
+        i0, paths = run.i0, closed_loop.paths
         sum_d, sumsq_d, _ = sums
         quad_theory = 0.5 * float(vv @ lam[i0] @ vv)
-        first_theory = float(vv @ residual.data[i0] @ x0)
-        rep = SpikeReport(t=t, v=vv, paths=paths, seed=cfg.seed, closed_loop=closed_loop)
+        first_theory = float(vv @ residual.data[i0] @ run.x0)
+        rep = SpikeReport(t=run.cfg.t_start, v=vv, paths=paths, seed=cfg.seed, closed_loop=closed_loop)
         for q, (eps_req, steps) in enumerate(ladder):
             eps_used = steps * grid.h
             mean_d = sum_d[sign, q] / paths
@@ -920,12 +885,12 @@ def spike_tests(
         return rep
 
     results = []
-    for t, ladder, sums in zip(times, ladders, totals):
+    for run, ladder, sums in zip(runs, ladders, totals):
         paths, mean_j, m2_j = sums[2]
         stderr_j = float(np.sqrt(m2_j / (paths - 1)) / np.sqrt(paths)) if paths > 1 else 0.0
         closed_loop = CostEstimate(estimate=float(mean_j), stderr=stderr_j, paths=paths)
-        result = report(t, ladder, sums, 0, v, closed_loop)
-        result.opposite = report(t, ladder, sums, 1, -v, closed_loop)
+        result = report(run, ladder, sums, 0, v, closed_loop)
+        result.opposite = report(run, ladder, sums, 1, -v, closed_loop)
         results.append(result)
     return results
 
@@ -941,39 +906,39 @@ def perturbation_scaling(
     """Per-eps moments E sup|X^eps - X|^2 and E[sup|Y^eps - Y|^2 + int|Z^eps - Z|^2].
 
     Streaming companion of the spike test, used to regress the perturbation
-    growth rate against eps (slope one in log-log).
+    growth rate against eps (slope one in log-log).  It reads every rung's
+    perturbation off the Euler march at the coarse nodes, one RNG block at
+    a time, and computes no cost sums.
     """
     grid = spec.grid
-    cfg = SimConfig(paths=cfg.paths, seed=cfg.seed, sub_steps=cfg.sub_steps, t_start=t, x0=cfg.x0)
-    i0 = grid.index_of(t)
-    v = spike.v_vector(spec.dims.k)
-    ladder = _snap_eps(grid, i0, spike.epsilons)
-    run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder], t)
-    prep = run.prep
-    state = {}
-
-    def per_node(r, dx):
-        dxn = np.einsum("vpi,vpi->vp", dx, dx)
-        dy = _rmul(dx, prep.p2_range[r].T) + run.p7v[:, r, None]
-        dyn = np.einsum("vpi,vpi->vp", dy, dy)
-        if r == 0:
-            state["mx"] = dxn
-            state["my"] = dyn
-            state["iz"] = np.zeros_like(dxn)
-        else:
-            np.maximum(state["mx"], dxn, out=state["mx"])
-            np.maximum(state["my"], dyn, out=state["my"])
-        if r < prep.n_coarse:
-            zc = _rmul(dx, prep.ct_left[r].T) + run.chi_node[:, r, None, None] * run.dv_left[r]
-            dz = _rmul(zc, prep.p2_range[r].T)
-            state["iz"] += prep.h * np.einsum("vpi,vpi->vp", dz, dz)
-        else:
-            state["sum_x"] = state.get("sum_x", 0.0) + state["mx"].sum(axis=1)
-            state["sum_yz"] = state.get("sum_yz", 0.0) + (state["my"] + state["iz"]).sum(axis=1)
-
-    run.run(per_node=per_node)
-    sup_x = state["sum_x"] / cfg.paths
-    sup_yz = state["sum_yz"] / cfg.paths
+    ladder = _snap_eps(grid, grid.index_of(t), spike.epsilons)
+    v = _as_vector(spike.v, spec.dims.k, "v", "control")
+    cfg = dataclasses.replace(cfg, t_start=t)
+    run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder])
+    sum_x = sum_yz = 0.0
+    for block, _, width in _blocks(cfg.paths):
+        normals = _philox_normals(cfg.seed, block, run.F, width)
+        for ell, _, dx, _ in run.march(normals):
+            if ell % run.sub:
+                continue
+            r = ell // run.sub
+            dxn = np.einsum("vpi,vpi->vp", dx, dx)
+            dy = _rmul(dx, run.p2_range[r].T) + run.p7v[:, r, None]
+            dyn = np.einsum("vpi,vpi->vp", dy, dy)
+            if r == 0:
+                mx, my, iz = dxn, dyn, np.zeros_like(dxn)
+            else:
+                np.maximum(mx, dxn, out=mx)
+                np.maximum(my, dyn, out=my)
+            if r < run.n_coarse:  # Z is frozen on [s_r, s_{r+1})
+                zc = _rmul(dx, run.ct_left[r].T) + run.chi_node[:, r, None, None] * run.dv_left[r]
+                dz = _rmul(zc, run.p2_range[r].T)
+                iz += run.h * np.einsum("vpi,vpi->vp", dz, dz)
+        del normals  # free this block before drawing the next
+        sum_x += mx.sum(axis=1)
+        sum_yz += (my + iz).sum(axis=1)
+    sup_x = sum_x / cfg.paths
+    sup_yz = sum_yz / cfg.paths
     return [
         {
             "eps_requested": eps_req,
@@ -993,8 +958,7 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     paths is returned; first-order in the fine step, so doubling ``sub_steps``
     halves it.
     """
-    run = _LadderRun(spec, theta, p2, cfg, np.zeros(spec.dims.k), [], cfg.t_start)
-    prep = run.prep
+    run = _LadderRun(spec, theta, p2, cfg, np.zeros(spec.dims.k), [])
     grid = spec.grid
     c = spec.coeffs
 
@@ -1008,29 +972,26 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     half_vals[0::2] = p2_nodes
     half_vals[1::2] = p2_mids
 
-    fine_t = grid.nodes[prep.i0] + prep.hf * np.arange(prep.F + 1)
+    fine_t = grid.nodes[run.i0] + run.hf * np.arange(run.F + 1)
     flat = half_vals.reshape(len(half_times), -1)
     p2_fine = np.stack(
         [np.interp(fine_t, half_times, flat[:, j]) for j in range(flat.shape[1])], axis=1
-    ).reshape((prep.F + 1,) + p2_nodes.shape[1:])
+    ).reshape((run.F + 1,) + p2_nodes.shape[1:])
 
-    iv = prep.i0 + np.arange(prep.F) // prep.sub
-    th = theta.values
     fine_left = fine_t[:-1]
-    ahat_f = c.Ahat(fine_left) + c.Bhat(fine_left) @ th[iv]
+    ahat_f = c.Ahat(fine_left) + c.Bhat(fine_left) @ theta.values[run.iv]
     chat_f = c.Chat(fine_left)
     dhat_f = c.Dhat(fine_left)
-    ct_f = c.C(fine_left) + c.D(fine_left) @ th[iv]
-    p2ct_f = p2_fine[:-1] @ ct_f  # (F, m, n)
+    p2ct_f = p2_fine[:-1] @ run.c_fine  # (F, m, n)
 
     sq_sum = 0.0
     for block, _, width in _blocks(cfg.paths):
-        normals = _philox_normals(cfg.seed, block, prep.F, width)
-        cum = np.zeros((width, prep.m))
+        normals = _philox_normals(cfg.seed, block, run.F, width)
+        cum = np.zeros((width, run.m))
         for ell, x, _, dw in run.march(normals):
             y = x @ p2_fine[ell].T
             if ell:  # the defect of the step just taken
-                cum += y - y_prev + driver * prep.hf - z * dw_prev
+                cum += y - y_prev + driver * run.hf - z * dw_prev
             if dw is not None:
                 z = x @ p2ct_f[ell].T
                 driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T

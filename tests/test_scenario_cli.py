@@ -55,6 +55,29 @@ def test_example_scenario_matches_preset_at_nodes():
     assert np.allclose(spec.weights.G1(nodes), preset.weights.G1(nodes), atol=1e-15)
 
 
+def matrix_reduction_scenario():
+    """``presets.matrix_reduction_problem(40)`` as a scenario document: n = 2, m = 1, k = 2."""
+    eye, z22 = np.eye(2).tolist(), np.zeros((2, 2)).tolist()
+
+    def const(value):
+        return {"type": "constant", "params": {"value": value}}
+
+    return {
+        "dims": {"n": 2, "m": 1, "k": 2},
+        "horizon": 1.0,
+        "grid_steps": 40,
+        "coeffs": {
+            "A": const([[0.0, 0.2], [0.0, 0.0]]), "B": const(eye), "C": const(z22), "D": const(eye),
+            "Ahat": const([[0.0, 0.0]]), "Bhat": const([[0.0, 0.0]]), "Chat": const([[0.0]]),
+            "Dhat": const([[0.0]]), "H": [[0.0, 0.0]],
+        },
+        "weights": {
+            "Q": const(eye), "R": const(eye), "M": const([[0.0]]), "N": const([[0.0]]),
+            "G1": const(eye), "G2": const([[0.0]]),
+        },
+    }
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -102,7 +125,7 @@ class TestCliSolve:
         assert "line" in err and "column" in err
 
     @pytest.mark.parametrize("case", ["list", "null", "nan_horizon", "inf_horizon", "nan_coeff", "inf_coeff",
-                                      "huge_int_coeff", "inf_dimension", "subnormal_horizon"])
+                                      "huge_int_coeff", "inf_dimension", "subnormal_horizon", "matrix_dims"])
     def test_bad_document_exits_2_without_traceback(self, tmp_path, capsys, case):
         doc = smoke_scenario(20)
         if case in ("nan_horizon", "inf_horizon"):
@@ -115,12 +138,17 @@ class TestCliSolve:
             doc["dims"]["n"] = float("inf")
         elif case == "subnormal_horizon":  # its grid step underflows to zero
             doc["horizon"] = 5e-324
+        elif case == "matrix_dims":  # well formed, but the solver is scalar
+            doc = matrix_reduction_scenario()
         else:
             doc = {"list": [], "null": None}[case]
         scen = write(tmp_path, "bad.json", doc)
         assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        if case == "matrix_dims":
+            assert_one_error_line(capsys)
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("option", ["--grid-steps=0", "--fp-tolerance=-1", "--fp-tolerance=nan",
                                         "--damping=0", "--window=nan", "--theta0=const:nan"])
@@ -241,6 +269,13 @@ class TestCliSolve:
         for name, field in direct.items():
             write_csv(tmp_path / name, *two_time_field_rows(field))
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_load_rejects_a_matrix_scenario_before_any_other_work(self, tmp_path):
+        # Only scenario.json is there: the dimension check comes before the
+        # summary, the gain and the Riccati solves are read or computed.
+        write(tmp_path, "scenario.json", matrix_reduction_scenario())
+        with pytest.raises(ValueError, match="scalar solver only"):
+            load_solution_dir(str(tmp_path))
 
 
 class TestCliVerify:

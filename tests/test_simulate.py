@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fbslq.equilibrium import second_moment_factor
+from fbslq.equilibrium import second_moment_factor, solve_equilibrium
 from fbslq.fields import Strategy
-from fbslq.presets import matrix_reduction_problem
+from fbslq.presets import assumption_smoke_problem, matrix_reduction_problem
 from fbslq.riccati import characterization_residual, solve_p2
 from fbslq.simulate import (
     BLOCK_PATHS,
     SimConfig,
     SpikeSpec,
+    _as_vector,
     _LadderRun,
+    _PassSums,
     _philox_normals,
     bsde_residual_check,
     build_controls,
@@ -22,6 +26,12 @@ from fbslq.simulate import (
 )
 from fbslq.verify import suite_equilibrium
 from tests.test_riccati import build_scalar, zero_theta
+
+
+@pytest.fixture(scope="module")
+def smoke_200():
+    spec = assumption_smoke_problem(200)
+    return solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
 
 
 def closed_loop_inputs(spec, theta=None):
@@ -87,7 +97,7 @@ def direct_spiked_euler(spec, theta, cfg, v, eps_steps, increments):
     grid, c = spec.grid, spec.coeffs
     i0, sub = grid.index_of(cfg.t_start), cfg.sub_steps
     hf = grid.h / sub
-    x = np.tile(cfg.x0_vector(spec.dims.n), (increments.shape[0], 1))
+    x = np.tile(_as_vector(cfg.x0, spec.dims.n, "x0", "state"), (increments.shape[0], 1))
     out = [x]
     for r in range(grid.steps - i0):
         th = theta.values[i0 + r]
@@ -142,6 +152,36 @@ class TestSpikePaths:
         eyz = np.array([r["ex_sup_dy2_int_dz2"] for r in rows])
         assert np.polyfit(np.log(eps), np.log(ex), 1)[0] == pytest.approx(1.0, abs=0.2)
         assert np.polyfit(np.log(eps), np.log(eyz), 1)[0] == pytest.approx(1.0, abs=0.2)
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix"])
+    def test_perturbation_scaling_matches_the_bundle_route(self, smoke_200, problem, t, sub):
+        # The bundle route differences materialised spiked and closed-loop
+        # paths; the rows read the perturbations off the march.
+        if problem == "smoke":
+            spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+            spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.02))
+        else:  # n = k = 2
+            spec, th, p2 = matrix_inputs()
+            spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.25, 0.1, 0.05))
+        cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, t_start=t, x0=1.0)  # two blocks
+        rows = perturbation_scaling(spec, th, p2, cfg, spike, t)
+        base = simulate_closed_loop(spec, th, p2, cfg)
+        for row in rows:
+            sup_x, sup_yz = bundle_moments(base, simulate_spike(spec, th, p2, cfg, spike, row["eps_used"]))
+            assert sup_x > 0.0 and (sup_yz > 0.0 or problem == "matrix")  # its H and hats are 0, so Y = Z = 0
+            assert row["ex_sup_dx2"] == pytest.approx(sup_x, rel=1e-12, abs=0.0)
+            assert row["ex_sup_dy2_int_dz2"] == pytest.approx(sup_yz, rel=1e-12, abs=0.0)
+
+
+def bundle_moments(base, spiked):
+    """E max_r |dX_r|^2 and E[max_r |dY_r|^2 + h sum_{r<n} |dZ_r|^2] at the coarse nodes."""
+    h = base.spec.grid.h
+    dx, dy, dz = (getattr(spiked, name) - getattr(base, name) for name in ("X", "Y", "Z"))
+    sup_x = np.mean(np.max(np.sum(dx**2, axis=2), axis=1))
+    sup_yz = np.mean(np.max(np.sum(dy**2, axis=2), axis=1) + h * np.sum(dz[:, :-1] ** 2, axis=(1, 2)))
+    return sup_x, sup_yz
 
 
 class TestEvaluateCost:
@@ -343,14 +383,16 @@ class TestSpikeDirections:
     def test_collapsed_scalar_kernel_matches_generic(self, smoke_solution, t):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         cfg = SimConfig(paths=600, seed=8, t_start=t, x0=1.0)
-        run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), [64, 20, 5, 1], t)
-        scalar = run.run()
-        generic = run.run(per_node=lambda r, d: None)
-        for a, b in zip(scalar[:2], generic[:2]):  # (sum, sumsq) per sign and rung
-            assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b))
-        assert scalar[2][0] == generic[2][0]
-        assert scalar[2][1] == pytest.approx(generic[2][1], rel=1e-12)
-        assert scalar[2][2] == pytest.approx(generic[2][2], rel=1e-10)
+        run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), [64, 20, 5, 1])
+        normals = _philox_normals(cfg.seed, 0, run.F, cfg.paths)  # the one block
+        scalar, generic = _PassSums(4), _PassSums(4)
+        scalar.add(*run._block_scalar(normals, run._scalar_weights()))
+        generic.add(*run._block_generic(normals))
+        for a, b in ((scalar.sum_d, generic.sum_d), (scalar.sumsq_d, generic.sumsq_d)):
+            assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b))  # per sign and rung
+        assert scalar.moments[0] == generic.moments[0]
+        assert scalar.moments[1] == pytest.approx(generic.moments[1], rel=1e-12)
+        assert scalar.moments[2] == pytest.approx(generic.moments[2], rel=1e-10)
 
     def test_closed_loop_cost_matches_bundle_route(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
@@ -369,15 +411,14 @@ def plain_block_scalar(run, normals, weights):
     """The scalar ladder kernel as plain array expressions, a new array per
     operation: the oracle of the buffered ``_LadderRun._block_scalar``."""
     alpha, beta, gamma, drive_h, drive_w = weights
-    prep = run.prep
-    sub, hf = prep.sub, prep.hf
+    sub, hf = run.sub, run.hf
     sqrt_hf = np.sqrt(hf)
-    a_h = prep.a_fine[:, 0, 0] * hf
-    c_f = prep.c_fine[:, 0, 0]
+    a_h = run.a_fine[:, 0, 0] * hf
+    c_f = run.c_fine[:, 0, 0]
     e = run.widest
     width = normals.shape[1]
 
-    x = np.full(width, prep.x0[0])
+    x = np.full(width, run.x0[0])
     dx = np.zeros((len(run.eps_steps), width))
     base = np.zeros(width)
     cross = np.zeros_like(dx)
@@ -397,7 +438,7 @@ def plain_block_scalar(run, normals, weights):
     xp = np.stack([x, np.ones(width)])
     big_a = np.zeros(width)
     big_b = np.zeros(width)
-    for r in range(e + 1, prep.n_coarse + 1):
+    for r in range(e + 1, run.n_coarse + 1):
         for ell in range((r - 1) * sub, r * sub):
             xp += (a_h[ell] + c_f[ell] * (normals[ell] * sqrt_hf)) * xp
         ax = alpha[r] * xp
@@ -441,8 +482,8 @@ class TestSpikeTests:
             left = spec.grid.steps - spec.grid.index_of(t)
             # The last ladder reaches the horizon, so nothing is collapsed.
             for rungs in ([64, 20, 5, 1], [left, 3]):
-                run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), rungs, t)
-                normals = _philox_normals(cfg.seed, 0, run.prep.F, cfg.paths)
+                run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), rungs)
+                normals = _philox_normals(cfg.seed, 0, run.F, cfg.paths)
                 weights = run._scalar_weights()
                 got = run._block_scalar(normals, weights)
                 want = plain_block_scalar(run, normals, weights)
@@ -465,6 +506,30 @@ class TestSpikeTests:
         assert report.passed
         steps = smoke_solution.spec.grid.steps
         assert calls == [(5, 0, steps, BLOCK_PATHS), (5, 1, steps, 100)]
+
+
+class TestOneBlockLive:
+    """Every block loop frees a block's normals before it draws the next."""
+
+    @pytest.mark.parametrize("call", ["spike_tests", "perturbation_scaling", "bsde_residual_check"])
+    def test_peak_stays_below_two_blocks(self, smoke_200, call):
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=2 * BLOCK_PATHS, seed=3, x0=1.0)
+        spike = SpikeSpec(v=1.0)
+        run = {
+            "spike_tests": lambda: spike_tests(spec, th, p2, cfg, spike, [0.0, 0.5],
+                                               p1_diag=smoke_200.p1_diag, p3_diag=smoke_200.p3_diag),
+            "perturbation_scaling": lambda: perturbation_scaling(spec, th, p2, cfg, spike, 0.0),
+            "bsde_residual_check": lambda: bsde_residual_check(spec, th, p2, cfg),
+        }[call]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = spec.grid.steps * BLOCK_PATHS * np.dtype(float).itemsize  # one block of normals
+        assert peak < 2 * block, peak / block
 
 
 class TestBsdeResidual:
