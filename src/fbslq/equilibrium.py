@@ -106,6 +106,8 @@ class SolverConfig:
             raise ValueError("contraction_target must lie in (0, 1)")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
+        if self.initial_window is not None and not self.initial_window > 0.0:
+            raise ValueError("initial_window must be positive")
 
 
 @dataclass(frozen=True)

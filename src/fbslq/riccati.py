@@ -256,8 +256,24 @@ def _affine_recursion(maps: np.ndarray, last: np.ndarray) -> np.ndarray:
 
     ``maps`` is (steps, w, w + 1) and ``last`` (w,); returns (steps + 1, w).
     The trailing 1 lets the affine step act as one matrix product.
+
+    A scalar state (w = 1, every scalar P2) steps over Python floats: a numpy
+    call per step costs more than its one multiply and one add.  The step
+    ``0.0 + b + z * a`` gives the 1 x 2 matrix product bit for bit: the
+    product's sum starts at +0.0, so it never returns -0.0, and this operand
+    order propagates the same NaN.  For w > 1 the product (a BLAS gemv) sums
+    each row in its own order, which no float loop reproduces, so the matrix
+    product stays.
     """
     steps, w = maps.shape[:2]
+    if w == 1:
+        a, b = maps[:, 0, 0].tolist(), maps[:, 0, 1].tolist()
+        z = float(last[0])
+        out = [z] * (steps + 1)
+        for i in range(steps - 1, -1, -1):
+            z = 0.0 + b[i] + z * a[i]
+            out[i] = z
+        return np.array(out).reshape(steps + 1, 1)
     vals = np.ones((steps + 1, w + 1))
     vals[-1, :w] = last
     for i in range(steps - 1, -1, -1):

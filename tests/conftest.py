@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fbslq.equilibrium import solve_equilibrium
-from fbslq.fields import Strategy
+from fbslq.fields import Strategy, TimeGrid
+from fbslq.kernels import AffineFn, ConstantFn, ConstantKernel, DiscountedFn
 from fbslq.presets import assumption_smoke_problem
+from fbslq.problem import Coefficients, Dimensions, ProblemSpec, Weights
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +27,30 @@ def smoke_solution_1000():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def matrix_p2_problem(steps, n=2, m=2, k=1):
+    """Every coefficient time-varying and coupled, every weight the identity.
+
+    H, the hat coefficients, M, N and G2 are all nonzero, so P2, P7 and the
+    backward state Y, Z are too.
+    """
+    rng = np.random.default_rng(7)
+
+    def affine(shape):
+        return AffineFn(0.5 * rng.standard_normal(shape), 0.5 * rng.standard_normal(shape))
+
+    return ProblemSpec(
+        dims=Dimensions(n, m, k),
+        coeffs=Coefficients(
+            A=affine((n, n)), B=affine((n, k)), C=affine((n, n)), D=affine((n, k)),
+            Ahat=affine((m, n)), Bhat=affine((m, k)),
+            Chat=DiscountedFn(0.5 * rng.standard_normal((m, m)), 1.5), Dhat=affine((m, m)),
+            H=rng.standard_normal((m, n)), horizon=1.0,
+        ),
+        weights=Weights(
+            Q=ConstantKernel(np.eye(n)), R=ConstantKernel(np.eye(k)), M=ConstantKernel(np.eye(m)),
+            N=ConstantKernel(np.eye(m)), G1=ConstantFn(np.eye(n)), G2=ConstantFn(np.eye(m)),
+        ),
+        grid=TimeGrid(1.0, steps),
+    )

@@ -30,10 +30,10 @@ from fbslq.problem import _AUDIT_ROWS, validate
 from fbslq.riccati import _integrate_p2, _p2_samples, solve_p2, two_time_diagonals
 from fbslq.scenario import scenario_to_spec, trivial_scenario
 from fbslq.verify import classical_riccati_feedback
+from tests.conftest import matrix_p2_problem
 from tests.test_riccati import (
     build_scalar,
     dense_kernels,
-    matrix_p2_problem,
     max_rel_gap,
     zero_theta,
 )

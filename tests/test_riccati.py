@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fbslq.fields import Strategy, TimeGrid
-from fbslq.kernels import AffineFn, CallableKernel, ConstantFn, ConstantKernel, DiscountedFn
+from fbslq.kernels import AffineFn, CallableKernel, ConstantFn, ConstantKernel
 from fbslq.presets import (
     assumption_smoke_problem,
     classical_reduction_problem,
@@ -16,6 +16,7 @@ from fbslq.presets import (
 from fbslq.problem import Coefficients, Dimensions, ProblemSpec, Weights
 from fbslq.riccati import (
     P2Field,
+    _affine_recursion,
     characterization_residual,
     characterization_residual_from_fields,
     check_constraints,
@@ -25,6 +26,7 @@ from fbslq.riccati import (
     solve_p3,
     two_time_diagonals,
 )
+from tests.conftest import matrix_p2_problem
 
 
 def build_scalar(A=0.0, B=0.0, C=0.0, D=0.0, Ahat=0.0, Bhat=0.0, Chat=0.0, Dhat=0.0,
@@ -46,29 +48,6 @@ def build_scalar(A=0.0, B=0.0, C=0.0, D=0.0, Ahat=0.0, Bhat=0.0, Chat=0.0, Dhat=
 
 def zero_theta(spec):
     return Strategy.zeros(spec.grid, spec.dims.k, spec.dims.n)
-
-
-def matrix_p2_problem(steps, n=2, m=2, k=1):
-    """Every coefficient time-varying and coupled; only the P2 data matter."""
-    rng = np.random.default_rng(7)
-
-    def affine(shape):
-        return AffineFn(0.5 * rng.standard_normal(shape), 0.5 * rng.standard_normal(shape))
-
-    return ProblemSpec(
-        dims=Dimensions(n, m, k),
-        coeffs=Coefficients(
-            A=affine((n, n)), B=affine((n, k)), C=affine((n, n)), D=affine((n, k)),
-            Ahat=affine((m, n)), Bhat=affine((m, k)),
-            Chat=DiscountedFn(0.5 * rng.standard_normal((m, m)), 1.5), Dhat=affine((m, m)),
-            H=rng.standard_normal((m, n)), horizon=1.0,
-        ),
-        weights=Weights(
-            Q=ConstantKernel(np.eye(n)), R=ConstantKernel(np.eye(k)), M=ConstantKernel(np.eye(m)),
-            N=ConstantKernel(np.eye(m)), G1=ConstantFn(np.eye(n)), G2=ConstantFn(np.eye(m)),
-        ),
-        grid=TimeGrid(1.0, steps),
-    )
 
 
 def stage_form_p2(spec, theta):
@@ -142,7 +121,7 @@ class TestSolveP2:
         assert coarse[0] / fine[0] > 14.0
         assert coarse[1] / fine[1] > 14.0
 
-    @pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2)])
     def test_matches_stage_form_rk4(self, m, n, rng):
         spec = matrix_p2_problem(200, n=n, m=m)
         theta = Strategy(spec.grid, 0.5 * rng.standard_normal((spec.grid.num_nodes, 1, n)))
@@ -158,6 +137,33 @@ class TestSolveP2:
         assert p2.mids.shape == (10, 1, 1)
         with pytest.raises(ValueError):
             P2Field(spec.grid, p2.data, p2.mids[:-1])
+
+
+def matmul_affine_recursion(maps, last):
+    """Oracle: the affine recursion as one matrix product [z_{i+1}; 1] a step."""
+    steps, w = maps.shape[:2]
+    vals = np.ones((steps + 1, w + 1))
+    vals[-1, :w] = last
+    for i in range(steps - 1, -1, -1):
+        np.matmul(maps[i], vals[i + 1], out=vals[i, :w])
+    return vals[:, :w]
+
+
+class TestAffineRecursion:
+    def test_scalar_float_loop_is_the_matrix_product_bitwise(self):
+        rng = np.random.default_rng(3)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0])
+        for _ in range(200):
+            steps = int(rng.integers(1, 40))
+            maps = rng.standard_normal((steps, 1, 2)) * 10.0 ** rng.integers(-3, 4, (steps, 1, 2))
+            hit = rng.random(maps.shape) < 0.3
+            maps[hit] = rng.choice(special, hit.sum())
+            last = rng.choice(np.append(special, rng.standard_normal(8)), 1)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = _affine_recursion(maps, last)
+                want = matmul_affine_recursion(maps, last)
+            assert got.shape == want.shape == (steps + 1, 1)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSolveP1:

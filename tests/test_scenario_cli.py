@@ -151,7 +151,8 @@ class TestCliSolve:
             assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("option", ["--grid-steps=0", "--fp-tolerance=-1", "--fp-tolerance=nan",
-                                        "--damping=0", "--window=nan", "--theta0=const:nan"])
+                                        "--damping=0", "--window=nan", "--window=0", "--window=-0.5",
+                                        "--theta0=const:nan"])
     def test_bad_option_exits_2_without_traceback(self, tmp_path, capsys, option):
         scen = write(tmp_path, "smoke.json", smoke_scenario(20))
         assert main(["solve", scen, "--out", str(tmp_path / "x"), option]) == 2

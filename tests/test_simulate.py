@@ -25,6 +25,7 @@ from fbslq.simulate import (
     spike_tests,
 )
 from fbslq.verify import suite_equilibrium
+from tests.conftest import matrix_p2_problem
 from tests.test_riccati import build_scalar, zero_theta
 
 
@@ -155,7 +156,7 @@ class TestSpikePaths:
 
     @pytest.mark.parametrize("sub", [1, 2])
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    @pytest.mark.parametrize("problem", ["smoke", "matrix"])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
     def test_perturbation_scaling_matches_the_bundle_route(self, smoke_200, problem, t, sub):
         # The bundle route differences materialised spiked and closed-loop
         # paths; the rows read the perturbations off the march.
@@ -163,7 +164,7 @@ class TestSpikePaths:
             spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
             spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.02))
         else:  # n = k = 2
-            spec, th, p2 = matrix_inputs()
+            spec, th, p2 = matrix_inputs(problem)
             spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.25, 0.1, 0.05))
         cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, t_start=t, x0=1.0)  # two blocks
         rows = perturbation_scaling(spec, th, p2, cfg, spike, t)
@@ -334,8 +335,15 @@ def row_values(rep):
     ] + [(rep.liminf_pass, rep.limit_converged, rep.first_order_estimate)]
 
 
-def matrix_inputs():
-    spec = matrix_reduction_problem(40)
+def matrix_inputs(problem="matrix"):
+    """An n = k = 2 problem for the generic kernel, under a random gain.
+
+    ``matrix`` is the reduction preset: its H, hats, M, N and G2 are 0, so
+    P2 = P7 = 0 and Y = Z = 0.  ``coupled`` (m = 2 as well) has all of them
+    nonzero and C, D time-varying, so the left and right interval ends of
+    C + D Theta and of D v differ.
+    """
+    spec = matrix_reduction_problem(40) if problem == "matrix" else matrix_p2_problem(40, n=2, m=2, k=2)
     rng = np.random.default_rng(3)
     theta = Strategy(spec.grid, 0.3 * rng.standard_normal((spec.grid.num_nodes, 2, 2)))
     return spec, theta, solve_p2(spec, theta)
@@ -344,14 +352,14 @@ def matrix_inputs():
 class TestSpikeDirections:
     """One ladder pass gives both directions, exactly linear in v."""
 
-    @pytest.mark.parametrize("problem", ["smoke", "matrix"])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
     def test_opposite_is_the_separate_negative_run_bitwise(self, smoke_solution, problem):
         if problem == "smoke":
             spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
             v, t, kw = 1.0, 0.25, {"p1_diag": smoke_solution.p1_diag,
                                    "p3_diag": smoke_solution.p3_diag}
         else:  # n = k = 2: the generic kernel
-            spec, th, p2 = matrix_inputs()
+            spec, th, p2 = matrix_inputs(problem)
             v, t, kw = np.array([1.0, -0.5]), 0.5, {}
         cfg = SimConfig(paths=300, seed=4, x0=1.0)
         eps = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
@@ -455,13 +463,13 @@ class TestSpikeTests:
 
     @pytest.mark.parametrize("sub", [1, 2])
     @pytest.mark.parametrize("paths", [300, BLOCK_PATHS + 200])
-    @pytest.mark.parametrize("problem", ["smoke", "matrix"])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
     def test_every_time_is_its_separate_test_bitwise(self, smoke_solution, problem, paths, sub):
         if problem == "smoke":  # the scalar kernel
             spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
             v, kw = 1.0, {"p1_diag": smoke_solution.p1_diag, "p3_diag": smoke_solution.p3_diag}
         else:  # n = k = 2: the generic kernel
-            spec, th, p2 = matrix_inputs()
+            spec, th, p2 = matrix_inputs(problem)
             v, kw = np.array([1.0, -0.5]), {}
         spike = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
         cfg = SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0)
@@ -533,6 +541,18 @@ class TestOneBlockLive:
 
 
 class TestBsdeResidual:
+    def test_coupled_problem_has_a_live_backward_state(self):
+        # Every term that the matrix preset leaves at zero is nonzero here.
+        spec, th, p2 = matrix_inputs("coupled")
+        cfg = SimConfig(paths=50, seed=1, t_start=0.5, x0=1.0)
+        base = simulate_closed_loop(spec, th, p2, cfg)
+        spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=np.array([1.0, -0.5])), eps=0.125)
+        assert np.all(np.any(spiked.p7v != 0.0, axis=0))  # every entry of P7 v
+        assert np.all(np.any(base.Y != 0.0, axis=(0, 1))) and np.all(np.any(base.Z != 0.0, axis=(0, 1)))
+        assert not np.array_equal(spiked.Y, base.Y) and not np.array_equal(spiked.Z, base.Z)
+        for sub in (1, 2):
+            assert bsde_residual_check(spec, th, p2, SimConfig(paths=50, seed=1, sub_steps=sub)) > 0.0
+
     def test_zero_problem_zero_residual(self):
         spec = build_scalar(D=1.0, steps=40)
         th, p2 = closed_loop_inputs(spec)
