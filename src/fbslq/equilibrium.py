@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import OneTimeField, Strategy, TwoTimeField
+from .fields import OneTimeField, Strategy, TwoTimeField, interval_gain
 from .problem import ProblemSpec, check_one_dim_positivity
 from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples, _transport
 from .riccati import check_constraints, two_time_diagonals
@@ -89,6 +89,16 @@ class AssumptionViolatedError(EquilibriumError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Options of :func:`solve_equilibrium`.
+
+    ``positivity_floor`` (the audit's floor on R(t,t), N(t,t) and D^2) and
+    ``denominator_floor`` (the pass-through threshold on |den|) are absolute,
+    in the units of R and N, while Theta* does not change when all six weights
+    are scaled by c > 0.  The smoke weights scaled by 1e-9 fail the audit; by
+    1e-13, with ``check_assumptions=False``, all nodes pass through, Theta* =
+    theta0, and the constraint report still passes.
+    """
+
     fp_tolerance: float = 1e-10
     max_iterations_per_window: int = 200
     initial_window: float | None = None  # defaults to horizon / 8
@@ -186,9 +196,9 @@ def _at_nodes(spec: ProblemSpec, *fns) -> list[np.ndarray]:
 
 def _increments(A, B, C, D, th, h: float) -> np.ndarray:
     """Per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples."""
-    th_iv = th[:-1]
-    g_l = 2.0 * (A[:-1] + B[:-1] * th_iv) + (C[:-1] + D[:-1] * th_iv) ** 2
-    g_r = 2.0 * (A[1:] + B[1:] * th_iv) + (C[1:] + D[1:] * th_iv) ** 2
+    th_l, th_r = interval_gain(th, 0, len(th) - 1, (0.0, 1.0)).T
+    g_l = 2.0 * (A[:-1] + B[:-1] * th_l) + (C[:-1] + D[:-1] * th_l) ** 2
+    g_r = 2.0 * (A[1:] + B[1:] * th_r) + (C[1:] + D[1:] * th_r) ** 2
     return 0.5 * h * (g_l + g_r)
 
 
@@ -227,7 +237,7 @@ class _Workspace:
 
     def __init__(self, spec: ProblemSpec):
         _require_scalar(spec)
-        self.spec, self.grid = spec, spec.grid
+        self.spec = spec
         self.h, self.L = spec.grid.h, spec.grid.num_nodes
         nodes = spec.grid.nodes
         c, w = spec.coeffs, spec.weights
@@ -293,14 +303,14 @@ class _Workspace:
         carried from node to node by ``riccati._transport`` from ``tail.row``.
         """
         stop = tail.node
-        th_iv = th[lo:stop]
+        th_l, th_r = interval_gain(th, lo, stop, (0.0, 1.0)).T
         p2_l, p2_r = p2t[lo:stop] ** 2, p2t[lo + 1 : stop + 1] ** 2
-        c_l = self.C[lo:stop] + self.D[lo:stop] * th_iv
-        c_r = self.C[lo + 1 : stop + 1] + self.D[lo + 1 : stop + 1] * th_iv
-        ones = np.ones_like(th_iv)
+        c_l = self.C[lo:stop] + self.D[lo:stop] * th_l
+        c_r = self.C[lo + 1 : stop + 1] + self.D[lo + 1 : stop + 1] * th_r
+        ones = np.ones(stop - lo)
         ends = {
             "Q": (ones, ones),
-            "R": (th_iv**2, th_iv**2),
+            "R": (th_l**2, th_r**2),
             "M": (p2_l, p2_r),
             "N": (c_l**2 * p2_l, c_r**2 * p2_r),
         }
@@ -325,20 +335,20 @@ class _Workspace:
         """
         expo = self.exponent(th)
         cols = slice(lo, stop + 1)
-        th_iv = th[lo:-1, None]
-        c_l = (self.C[lo:-1] + self.D[lo:-1] * th[lo:-1])[:, None]
-        c_r = (self.C[lo + 1 :] + self.D[lo + 1 :] * th[lo:-1])[:, None]
+        th_l, th_r = interval_gain(th, lo, self.L - 1, (0.0, 1.0)).T[..., None]
+        c_l = self.C[lo:-1, None] + self.D[lo:-1, None] * th_l
+        c_r = self.C[lo + 1 :, None] + self.D[lo + 1 :, None] * th_r
         p2_l, p2_r = p2t[lo:-1, None], p2t[lo + 1 :, None]
 
         f_l = (
             self.Q_tab[lo:-1, cols]
-            + th_iv**2 * self.R_tab[lo:-1, cols]
+            + th_l**2 * self.R_tab[lo:-1, cols]
             + p2_l**2 * self.M_tab[lo:-1, cols]
             + c_l**2 * p2_l**2 * self.N_tab[lo:-1, cols]
         )
         f_r = (
             self.Q_tab[lo + 1 :, cols]
-            + th_iv**2 * self.R_tab[lo + 1 :, cols]
+            + th_r**2 * self.R_tab[lo + 1 :, cols]
             + p2_r**2 * self.M_tab[lo + 1 :, cols]
             + c_r**2 * p2_r**2 * self.N_tab[lo + 1 :, cols]
         )
@@ -389,16 +399,11 @@ class _Workspace:
         return new_vals, _Tail(lo, vals[0], row)
 
 
-def _integral_state(ws: _Workspace, theta: Strategy, p2: P2Field) -> IntegralState:
-    """p1t of a gain over the whole grid from the terminal state; ``p2`` is P2 at that gain."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p1t = ws.p1_tilde(theta.flat(), p2.flat())
-    return IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(ws.grid, p1t), theta=theta)
-
-
 def integral_state(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> IntegralState:
-    """Integral-route fields of a scalar gain, as the solver records them at Theta*."""
-    return _integral_state(_Workspace(spec), theta, p2)
+    """Integral-route fields of a scalar gain, as the solver records them at Theta*; ``p2`` is P2 there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1t = _Workspace(spec).p1_tilde(theta.flat(), p2.flat())
+    return IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(spec.grid, p1t), theta=theta)
 
 
 def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:

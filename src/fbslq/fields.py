@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TimeGrid", "OneTimeField", "TwoTimeField", "Strategy"]
+__all__ = ["TimeGrid", "OneTimeField", "TwoTimeField", "Strategy", "interval_gain"]
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class TwoTimeField:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Feedback gain field; ``values[i]`` is the k x n gain on [t_i, t_{i+1})."""
+    """Feedback gain field: ``values[i]`` is the k x n gain at t_i; see :func:`interval_gain`."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -179,3 +179,15 @@ class Strategy:
     def from_flat(grid: TimeGrid, values: np.ndarray) -> "Strategy":
         v = np.asarray(values, dtype=float)
         return Strategy(grid, v[:, None, None].copy())
+
+
+def interval_gain(values: np.ndarray, lo: int, stop: int, fractions) -> np.ndarray:
+    """The gain of intervals lo..stop - 1 at ``fractions`` of each interval.
+
+    ``values[i]`` is the gain at node t_i, flat or with (k, n) entries; entry
+    [j - lo, q] of the result, of shape (stop - lo, len(fractions)) + entry
+    shape, is the gain at t_j + fractions[q] h.  This is the one rule for the
+    gain between nodes: piecewise-constant, Theta_j on [t_j, t_{j+1}), so
+    every fraction reads values[j], as a read-only broadcast view.
+    """
+    return np.broadcast_to(values[lo:stop, None], (stop - lo, len(fractions)) + values.shape[1:])

@@ -12,10 +12,10 @@ with P1(T;t) = G1(t), P2(T) = H, P3(T;t) = 0.  P1 and P3 are two-time
 fields, but the feedback map, the constraints and the residual read only the
 diagonal P(t;t), which :func:`two_time_diagonals` returns.
 
-The stepper is classical RK4 on the uniform grid.  Theta is read as
-piecewise-constant on [t_i, t_{i+1}), so every stage evaluation inside a step
-uses the gain of that interval while coefficient functions and kernels are
-sampled exactly at the stage times.  The equations are linear, so every RK4
+The stepper is classical RK4 on the uniform grid.  Every stage evaluation
+inside a step reads the gain at its stage time from
+:func:`~fbslq.fields.interval_gain`, and samples coefficient functions and
+kernels exactly at the stage times.  The equations are linear, so every RK4
 step is a matrix map built once for all steps by :func:`_rk4_maps` (Hairer,
 Norsett & Wanner, Solving ODEs I, II.1).  Two routes give the diagonals:
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import OneTimeField, Strategy, TwoTimeField
+from .fields import OneTimeField, Strategy, TwoTimeField, interval_gain
 from .matrixkit import min_eig, pinv, range_residual, specnorm
 from .problem import ProblemSpec
 
@@ -72,7 +72,7 @@ class ClosedLoopCoefficients:
     """A + B Theta and C + D Theta at the RK4 stages of every interval.
 
     ``*_stage[j]`` holds the matrices at the left node, midpoint and right
-    node of interval j, all with the interval's own gain.
+    node of interval j, with the gain there.
     """
 
     a_stage: np.ndarray  # (steps, 3, n, n): left, mid, right
@@ -83,12 +83,12 @@ def closed_loop_coefficients(spec: ProblemSpec, theta: Strategy) -> ClosedLoopCo
     _require_same_grid(spec, theta)
     nodes, mids = spec.grid.nodes, spec.grid.midpoints
     c = spec.coeffs
-    th_iv = theta.values[:-1]  # gain of interval j
+    th = interval_gain(theta.values, 0, spec.grid.steps, _STAGES)
 
     def stages(x, y):  # x + y Theta at the left node, midpoint and right node
         x_n, y_n, x_m, y_m = x(nodes), y(nodes), x(mids), y(mids)
-        left, right = x_n[:-1] + y_n[:-1] @ th_iv, x_n[1:] + y_n[1:] @ th_iv
-        return np.stack([left, x_m + y_m @ th_iv, right], axis=1)
+        left, right = x_n[:-1] + y_n[:-1] @ th[:, 0], x_n[1:] + y_n[1:] @ th[:, 2]
+        return np.stack([left, x_m + y_m @ th[:, 1], right], axis=1)
 
     return ClosedLoopCoefficients(a_stage=stages(c.A, c.B), c_stage=stages(c.C, c.D))
 
@@ -104,8 +104,7 @@ def _p1_equation(spec: ProblemSpec, theta: Strategy):
     at the left node, midpoint and right node of interval j (None reads as
     the identity).
     """
-    th_iv = np.broadcast_to(theta.values[:-1, None], (spec.grid.steps, 3) + theta.entry_shape)
-    terms = [("Q", None), ("R", th_iv)]
+    terms = [("Q", None), ("R", interval_gain(theta.values, 0, spec.grid.steps, _STAGES))]
     return _sym(spec.weights.G1(spec.grid.nodes)), terms
 
 
@@ -204,6 +203,8 @@ class P2Field(OneTimeField):
 
 
 _P2_COEFFS = ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat")
+_STAGES = (0.0, 0.5, 1.0)  # an interval's RK4 stage times as fractions: left node, midpoint, right node
+_QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)  # the stage times of P2's two half-steps
 # Quarter-point indices (left = 0 .. right = 4) of the RK4 stages of each
 # half-step: mid -> left first, then right -> mid.
 _HALF_STEP_STAGES = np.array([[2, 1, 0], [4, 3, 2]])
@@ -296,15 +297,15 @@ def _integrate_p2(
     vectorization, built by :func:`_rk4_maps` with the generator
     K = I (x) A_Th' + Chat (x) I + Dhat (x) C_Th' and the forcing
     [0 | vec(Ahat_Th)], and one backward recursion applies the maps.
-    ``samples`` comes from :func:`_p2_samples`; ``theta_values[j]`` is the
-    gain on interval j.  Returns (2 (stop - lo) + 1, m, n): entry 2 (i - lo)
+    ``samples`` comes from :func:`_p2_samples`; ``theta_values`` holds the
+    gain at the nodes.  Returns (2 (stop - lo) + 1, m, n): entry 2 (i - lo)
     is P2(t_i) and entry 2 (j - lo) + 1 P2 at the midpoint of interval j.
     """
     m, n = spec.dims.m, spec.dims.n
     d = m * n
     lo, stop = (0, spec.grid.steps) if span is None else span
     end = spec.coeffs.H if end is None else end
-    th = theta_values[lo:stop, None]  # (w, 1, k, n): each interval's own gain at all five points
+    th = interval_gain(theta_values, lo, stop, _QUARTERS)  # (w, 5, k, n)
     c = {name: v[lo:stop] for name, v in samples.items()}
     a_th = c["A"] + c["B"] @ th
     c_th = c["C"] + c["D"] @ th

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import OneTimeField, Strategy
+from .fields import OneTimeField, Strategy, interval_gain
 from .problem import ProblemSpec
 from .riccati import (
     P2Field,
@@ -112,7 +112,8 @@ def _as_vector(value, size: int, name: str, dimension: str) -> np.ndarray:
 class PathBundle:
     """Simulated ensemble on the coarse nodes from t_start to T.
 
-    ``Z[:, r]`` holds the interval value on [s_r, s_{r+1}) (left limit at the
+    ``Z[:, r]`` holds the interval value on [s_r, s_{r+1}), at the gain that
+    :func:`~fbslq.fields.interval_gain` gives at s_r (the left limit at the
     terminal node).  ``spike_steps`` is the perturbation width in coarse grid
     steps (0 for a closed-loop bundle).
     """
@@ -344,13 +345,13 @@ def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
 def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:
     """Interval-value control paths u_j = chi_j v + Theta_j X_j, shape (paths, nodes, k).
 
-    The terminal column repeats the last interval's rule at T and never enters
-    the cost quadrature.
+    Theta_j is the gain at the left end of interval j (:func:`~fbslq.fields.interval_gain`);
+    the terminal column reads it at the right end and never enters the cost quadrature.
     """
-    th_iv = bundle.theta.values[bundle.t_index : bundle.t_index + bundle.range_nodes - 1]
+    th = interval_gain(bundle.theta.values, bundle.t_index, spec.grid.steps, (0.0, 1.0))
     u = np.empty((bundle.paths, bundle.range_nodes, spec.dims.k))
-    u[:, :-1] = np.einsum("rkn,prn->prk", th_iv, bundle.X[:, :-1])
-    u[:, -1] = bundle.X[:, -1] @ th_iv[-1].T
+    u[:, :-1] = np.einsum("rkn,prn->prk", th[:, 0], bundle.X[:, :-1])
+    u[:, -1] = bundle.X[:, -1] @ th[-1, 1].T
     if bundle.spike_v is not None and bundle.spike_steps > 0:
         u[:, : bundle.spike_steps] += bundle.spike_v
     return u
@@ -425,8 +426,8 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
     nodes = grid.nodes[i0:]
     right_t = nodes[1:]
     c = spec.coeffs
-    th_iv = bundle.theta.values[i0 : i0 + bundle.range_nodes - 1]
-    ct_right = c.C(right_t) + c.D(right_t) @ th_iv  # (R-1, n, n)
+    th = interval_gain(bundle.theta.values, i0, grid.steps, (1.0,))
+    ct_right = c.C(right_t) + c.D(right_t) @ th[:, 0]  # (R-1, n, n)
     zc = np.einsum("rij,prj->pri", ct_right, bundle.X[:, 1:])
     if bundle.spike_v is not None and bundle.spike_steps > 0:
         dv = c.D(right_t[: bundle.spike_steps]) @ bundle.spike_v
@@ -563,17 +564,17 @@ class _LadderRun:
         self.n, self.m, self.k = spec.dims.n, spec.dims.m, spec.dims.k
         self.x0 = _as_vector(cfg.x0, self.n, "x0", "state")
 
+        # Gains from interval_gain: each fine step's start, both ends of each coarse interval.
         fine_t = grid.nodes[self.i0] + self.hf * np.arange(self.F)
-        self.iv = self.i0 + np.arange(self.F) // self.sub  # coarse interval per fine step
-        th = theta.values
-        self.a_fine = c.A(fine_t) + c.B(fine_t) @ th[self.iv]  # (F, n, n)
-        self.c_fine = c.C(fine_t) + c.D(fine_t) @ th[self.iv]
-
-        # Coarse-interval stage data for costs and decoupled Z values.
+        th = interval_gain(theta.values, self.i0, grid.steps, [q / self.sub for q in range(self.sub)])
+        self.theta_fine = th.reshape(self.F, self.k, self.n)
+        self.a_fine = c.A(fine_t) + c.B(fine_t) @ self.theta_fine  # (F, n, n)
+        self.c_fine = c.C(fine_t) + c.D(fine_t) @ self.theta_fine
         left_t, right_t = nodes[:-1], nodes[1:]
-        self.theta_iv = th[self.i0 : self.i0 + self.n_coarse]  # (n_coarse, k, n)
-        self.ct_left = c.C(left_t) + c.D(left_t) @ self.theta_iv
-        self.ct_right = c.C(right_t) + c.D(right_t) @ self.theta_iv
+        th = interval_gain(theta.values, self.i0, grid.steps, (0.0, 1.0))
+        self.theta_left = th[:, 0]  # (n_coarse, k, n)
+        self.ct_left = c.C(left_t) + c.D(left_t) @ th[:, 0]
+        self.ct_right = c.C(right_t) + c.D(right_t) @ th[:, 1]
         self.p2_range = p2.data[self.i0 :]  # (range_nodes, m, n)
 
         # The spike indicators per fine step and per coarse interval (closed
@@ -649,7 +650,7 @@ class _LadderRun:
             self._add_state(sums, r, 0.5 * h if r in (0, n_coarse) else h, x, dx)
             if r < n_coarse:
                 chi = self.chi_node[:, r, None, None]
-                th = self.theta_iv[r].T
+                th = self.theta_left[r].T
                 _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
                 self._add_z(sums, r, self.ct_left[r], self.dv_left[r], chi, x, dx)
         _add_form(sums, 1.0, self.g1, x, dx)
@@ -691,7 +692,7 @@ class _LadderRun:
         gamma = np.zeros(len(self.eps_steps))
         left, right = slice(0, n), slice(1, n + 1)
         sourced = (  # (nodes, weight, multiplier, source per rung)
-            (left, h * self.rk_iv[:, 0, 0], self.theta_iv[:, 0, 0], chi * self.v[0]),
+            (left, h * self.rk_iv[:, 0, 0], self.theta_left[:, 0, 0], chi * self.v[0]),
             (left, 0.5 * h * nk[:-1], p2[:-1] * self.ct_left[:, 0, 0], p2[:-1] * chi * self.dv_left[:, 0]),
             (right, 0.5 * h * nk[1:], p2[1:] * self.ct_right[:, 0, 0], p2[1:] * chi * self.dv_right[:, 0]),
             (slice(0, n + 1), w_state * self.mk[:, 0, 0], p2, p7),
@@ -979,7 +980,7 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     ).reshape((run.F + 1,) + p2_nodes.shape[1:])
 
     fine_left = fine_t[:-1]
-    ahat_f = c.Ahat(fine_left) + c.Bhat(fine_left) @ theta.values[run.iv]
+    ahat_f = c.Ahat(fine_left) + c.Bhat(fine_left) @ run.theta_fine
     chat_f = c.Chat(fine_left)
     dhat_f = c.Dhat(fine_left)
     p2ct_f = p2_fine[:-1] @ run.c_fine  # (F, m, n)

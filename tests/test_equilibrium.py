@@ -1,4 +1,5 @@
 import copy
+import json
 import warnings
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from fbslq.presets import (
 from fbslq.kernels import CallableKernel, ConstantKernel, DifferenceKernel, DiscountedKernel
 from fbslq.problem import _AUDIT_ROWS, validate
 from fbslq.riccati import _integrate_p2, _p2_samples, solve_p2, two_time_diagonals
-from fbslq.scenario import scenario_to_spec, trivial_scenario
+from fbslq.scenario import scenario_to_spec, smoke_scenario, trivial_scenario
 from fbslq.verify import classical_riccati_feedback
 from tests.conftest import matrix_p2_problem
 from tests.test_riccati import (
@@ -424,6 +425,30 @@ class TestSolveEquilibrium:
             solve_equilibrium(
                 spec, zero_theta(spec), SolverConfig(contraction_target=1e-9)
             )
+
+
+def scaled_smoke(c, steps=200):
+    """The smoke scenario with all six weights Q, R, M, N, G1 and G2 multiplied by c."""
+    doc = json.loads(json.dumps(smoke_scenario(steps)))  # R and N share one dict in the document
+    for weight in doc["weights"].values():
+        weight["params"] = {name: (c * np.asarray(v)).tolist() for name, v in weight["params"].items()}
+    return scenario_to_spec(doc)
+
+
+class TestWeightScaling:
+    """Theta* is invariant under W -> c W; the solver's floors are absolute, in R's and N's units."""
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3, 1e9])
+    def test_theta_star_is_invariant(self, c):
+        base, spec = scaled_smoke(1.0), scaled_smoke(c)
+        want = solve_equilibrium(base, zero_theta(base)).theta_star.values
+        got = solve_equilibrium(spec, zero_theta(spec)).theta_star.values
+        assert max_rel_gap(got, want) <= 1e-14
+
+    def test_positivity_floor_is_absolute(self):
+        spec = scaled_smoke(1e-9)  # delta = 1e-9, below positivity_floor = 1e-8
+        with pytest.raises(AssumptionViolatedError):
+            solve_equilibrium(spec, zero_theta(spec))
 
 
 class TestLagKernels:
