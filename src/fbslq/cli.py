@@ -9,7 +9,8 @@ stderr, on an option outside its domain: a count (``--paths``,
 ``--grid-steps``) below one, a non-finite number, or a ``simulate --t``
 that is not a grid node before the horizon.  ``simulate`` and ``verify
 --suite equilibrium`` also exit 2, and write no result, when ``--x0`` or
-``--spike-v`` is so large that the Monte-Carlo cost sums overflow.  Every
+``--spike-v`` is so large that the Monte-Carlo cost sums overflow, or when
+the solution's gain makes its Riccati fields overflow.  Every
 output directory receives a manifest recording the exact command line,
 seeds and tool version; re-running the command reproduces all data files
 byte for byte (the manifest's wall-clock stamps are the only run-dependent
@@ -121,18 +122,17 @@ def cmd_solve(args) -> int:
         return EXIT_BAD_INPUT
 
     assumption_note = None
-    check = args.assumption_check
-    if check:
+    if args.assumption_check:
         audit = check_one_dim_positivity(spec)
         if not audit.passed:
-            # The solver itself still runs: the audit is advisory at the CLI.
             assumption_note = audit.details
-            check = False
     try:
         theta0 = theta0_from_desc(args.theta0, spec)
+        # The audit is advisory at the CLI and has run above: the solver runs
+        # either way, so it does not audit again.
         cfg = SolverConfig(
             fp_tolerance=args.fp_tolerance,
-            check_assumptions=check,
+            check_assumptions=False,
             initial_window=args.window,
             damping=args.damping,
         )
@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
             return EXIT_BAD_INPUT
         try:
             solution = load_solution_dir(args.target)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, json.JSONDecodeError, EquilibriumError) as exc:
             print(f"error: cannot load solution: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         cfg = SimConfig(paths=args.paths, seed=args.seed, x0=args.x0)
@@ -237,7 +237,7 @@ def cmd_simulate(args) -> int:
     start = time.time()
     try:
         solution = load_solution_dir(args.solution_dir)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, EquilibriumError) as exc:
         print(f"error: cannot load solution: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     spec = solution.spec

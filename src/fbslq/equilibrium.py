@@ -38,9 +38,10 @@ p1t costs O(L) and no exponent spans the horizon.  Table and callable kernels
 take the dense quadrature over L x L weight tables instead; it reads P2 on
 the whole tail, which the windows keep in a full-length buffer.
 
-When den(s) falls below the configured floor the update routes through the
-theta0 pass-through (the zero-pseudoinverse convention); nodes where the
-floor binds are recorded in the diagnostics.
+Where den(s) == 0 the update passes theta0 through: 1/den is read as the
+pseudo-inverse of the 1 x 1 [den], which :func:`~fbslq.matrixkit.pinv` sets
+to 0 exactly there, as the matrix route does.  The nodes where it does are
+recorded in the diagnostics.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .riccati import check_constraints, two_time_diagonals
 
 __all__ = [
     "SolverConfig",
-    "IntegralState",
     "WindowDiagnostics",
     "SolverDiagnostics",
     "EquilibriumSolution",
@@ -64,7 +64,8 @@ __all__ = [
     "NonContractiveError",
     "NoConvergenceError",
     "AssumptionViolatedError",
-    "integral_state",
+    "p1_tilde",
+    "assemble_solution",
     "second_moment_factor",
     "fixed_point_map",
     "solve_equilibrium",
@@ -91,12 +92,11 @@ class AssumptionViolatedError(EquilibriumError):
 class SolverConfig:
     """Options of :func:`solve_equilibrium`.
 
-    ``positivity_floor`` (the audit's floor on R(t,t), N(t,t) and D^2) and
-    ``denominator_floor`` (the pass-through threshold on |den|) are absolute,
-    in the units of R and N, while Theta* does not change when all six weights
-    are scaled by c > 0.  The smoke weights scaled by 1e-9 fail the audit; by
-    1e-13, with ``check_assumptions=False``, all nodes pass through, Theta* =
-    theta0, and the constraint report still passes.
+    ``check_assumptions`` runs :func:`~fbslq.problem.check_one_dim_positivity`
+    with its default floor, which is absolute, in the units of R and N, while
+    Theta* does not change when all six weights are scaled by c > 0: the smoke
+    weights scaled by 1e-9 fail the audit.  The pass-through has no floor, so
+    with the audit waived such a problem solves to the unscaled Theta*.
     """
 
     fp_tolerance: float = 1e-10
@@ -104,10 +104,7 @@ class SolverConfig:
     initial_window: float | None = None  # defaults to horizon / 8
     contraction_target: float = 0.5
     damping: float = 1.0
-    denominator_floor: float = 1e-12
     check_assumptions: bool = True
-    positivity_floor: float = 1e-8
-    min_window_steps: int = 1
 
     def __post_init__(self):
         if self.fp_tolerance <= 0:
@@ -118,21 +115,6 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.initial_window is not None and not self.initial_window > 0.0:
             raise ValueError("initial_window must be positive")
-
-
-@dataclass(frozen=True)
-class IntegralState:
-    """Converged integral-route fields: p2t, p1t and the gain.
-
-    ``p2_tilde`` is the same field as :attr:`EquilibriumSolution.p2`.
-    ``p1_tilde`` comes from the factor recursion for lag kernels and from the
-    dense quadrature otherwise; neither keeps the L x L second-moment factor
-    lam(s, t), which :func:`second_moment_factor` builds on demand.
-    """
-
-    p2_tilde: P2Field
-    p1_tilde: OneTimeField
-    theta: Strategy
 
 
 @dataclass
@@ -168,15 +150,16 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """The gain and the fields its readers read: P2 and the diagonals P1(t;t), P3(t;t).
+    """The gain and the fields its readers read: P2, p1t and the diagonals P1(t;t), P3(t;t).
 
+    ``p1_tilde`` is the integral route's diagonal field (see :func:`p1_tilde`).
     The full two-time triangles come from :func:`~fbslq.riccati.solve_p1` and
     :func:`~fbslq.riccati.solve_p3` on request.
     """
 
     spec: ProblemSpec
     theta_star: Strategy
-    integral_state: IntegralState
+    p1_tilde: OneTimeField
     p1_diag: OneTimeField
     p2: P2Field
     p3_diag: OneTimeField
@@ -231,8 +214,9 @@ class _Workspace:
     tabulated on the triangle s >= t of the L x L node grid for the dense
     quadrature, which reads P2 at every node after the window from the
     buffer ``p2t`` that :meth:`apply_map` fills.  :meth:`apply_map` also
-    keeps P2 at the midpoints and p1t at the window's nodes, so after the
-    last window of a solve the buffers hold both fields at the solved gain.
+    keeps P2 at the midpoints, and p1t and the gain's denominator at the
+    window's nodes, so after the last window of a solve the buffers hold
+    them at the solved gain.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -248,6 +232,7 @@ class _Workspace:
         self.p2t = np.zeros(self.L)
         self.p2_mids = np.zeros(self.L - 1)
         self.p1t = np.zeros(self.L)
+        self.den = np.zeros(self.L)
 
         self.factors = w.lag_factors()
         if self.factors is not None:
@@ -361,8 +346,8 @@ class _Workspace:
         terminal = self.G1[cols] * np.exp(expo[-1] - expo[cols])
         return terminal + contrib.sum(axis=0)
 
-    def gain(self, p1t_cols, p2t_cols, cols, theta0, floor):
-        """Scalar feedback update with the zero-pseudoinverse pass-through."""
+    def gain(self, p1t_cols, p2t_cols, cols, theta0):
+        """Scalar feedback update and its denominator; theta0 passes through where den == 0."""
         B, C, D = self.B[cols], self.C[cols], self.D[cols]
         Bh, Dh, G2 = self.Bhat[cols], self.Dhat[cols], self.G2[cols]
         Rd, Nd = self.R_diag[cols], self.N_diag[cols]
@@ -374,11 +359,11 @@ class _Workspace:
         )
         if not (np.all(np.isfinite(den)) and np.all(np.isfinite(num))):
             raise EquilibriumError("non-finite intermediate values in the gain update")
-        safe = np.abs(den) > floor
+        safe = den != 0.0
         out = np.where(safe, -num / np.where(safe, den, 1.0), theta0[cols])
         return out, den
 
-    def apply_map(self, th, theta0, lo, hi, tail: _Tail, floor):
+    def apply_map(self, th, theta0, lo, hi, tail: _Tail):
         """One application of the window map: new values of nodes lo..hi of th, and the state at lo.
 
         Only the intervals lo..tail.node - 1 are integrated, from ``tail``,
@@ -395,15 +380,54 @@ class _Workspace:
             p1t, row = self.span_p1_tilde(th, self.p2t, lo, tail)
             cols = slice(lo, hi + 1)
             self.p1t[cols] = p1t[: hi - lo + 1]
-            new_vals, _ = self.gain(self.p1t[cols], self.p2t[cols], cols, theta0, floor)
+            new_vals, self.den[cols] = self.gain(self.p1t[cols], self.p2t[cols], cols, theta0)
         return new_vals, _Tail(lo, vals[0], row)
 
 
-def integral_state(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> IntegralState:
-    """Integral-route fields of a scalar gain, as the solver records them at Theta*; ``p2`` is P2 there."""
+def p1_tilde(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> OneTimeField:
+    """p1t of a scalar gain, as the solver records it at Theta*; ``p2`` is P2 there.
+
+    It comes from the factor recursion for lag kernels and from the dense
+    quadrature otherwise; neither keeps the L x L second-moment factor
+    lam(s, t), which :func:`second_moment_factor` builds on demand.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         p1t = _Workspace(spec).p1_tilde(theta.flat(), p2.flat())
-    return IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(spec.grid, p1t), theta=theta)
+    return OneTimeField.from_flat(spec.grid, p1t)
+
+
+def assemble_solution(
+    spec: ProblemSpec,
+    theta_star: Strategy,
+    theta0: Strategy,
+    p2: P2Field,
+    p1t: OneTimeField,
+    diagnostics: SolverDiagnostics,
+) -> EquilibriumSolution:
+    """The solution of a gain from its P2 and p1t: the matrix-route diagonals and the constraint audit.
+
+    RK4 on the Riccati route can blow up where the integral route stays
+    finite (a step far outside its stability region), and a gain read from
+    a file can make every field overflow; either raises
+    :class:`EquilibriumError`.  The consistency gap max |p1t - P1(t;t) -
+    P3(t;t)| is written into ``diagnostics``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1d, p3d = two_time_diagonals(spec, theta_star, p2)
+    if not all(np.all(np.isfinite(a)) for a in (p2.data, p2.mids, p1t.data, p1d.data, p3d.data)):
+        raise EquilibriumError("non-finite Riccati fields at the gain")
+    gap = np.abs(p1t.flat() - p1d.data[:, 0, 0] - p3d.data[:, 0, 0])
+    diagnostics.consistency_gap = float(np.max(gap))
+    return EquilibriumSolution(
+        spec=spec,
+        theta_star=theta_star,
+        p1_tilde=p1t,
+        p1_diag=p1d,
+        p2=p2,
+        p3_diag=p3d,
+        constraint_report=check_constraints(spec, p1d, p3d, p2, theta0),
+        diagnostics=diagnostics,
+    )
 
 
 def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
@@ -428,7 +452,6 @@ def fixed_point_map(
     theta: Strategy,
     theta0: Strategy,
     window: tuple[float, float],
-    denominator_floor: float = 1e-12,
 ) -> Strategy:
     """One application of the window update map on [a, b].
 
@@ -442,7 +465,7 @@ def fixed_point_map(
     if lo > hi:
         raise ValueError("window must satisfy a <= b")
     th = theta.flat().copy()
-    th[lo : hi + 1], _ = ws.apply_map(th, theta0.flat(), lo, hi, ws.terminal(), denominator_floor)
+    th[lo : hi + 1], _ = ws.apply_map(th, theta0.flat(), lo, hi, ws.terminal())
     return Strategy.from_flat(spec.grid, th)
 
 
@@ -459,7 +482,7 @@ def solve_equilibrium(
     """
     _require_scalar(spec)
     if config.check_assumptions:
-        report = check_one_dim_positivity(spec, config.positivity_floor)
+        report = check_one_dim_positivity(spec)
         if not report.passed:
             raise AssumptionViolatedError(
                 f"positivity assumption failed: {report.details}"
@@ -472,7 +495,7 @@ def solve_equilibrium(
     th = np.zeros(L)
 
     window_time = config.initial_window if config.initial_window is not None else grid.horizon / 8
-    base_steps = max(config.min_window_steps, int(round(window_time / grid.h)))
+    base_steps = max(1, int(round(window_time / grid.h)))
 
     diagnostics = SolverDiagnostics(fp_tolerance=config.fp_tolerance)
     hi = L - 1
@@ -489,7 +512,7 @@ def solve_equilibrium(
             contractive = True
             while iterations < config.max_iterations_per_window:
                 iterations += 1
-                new_vals, _ = ws.apply_map(th, th0, lo, hi, tail, config.denominator_floor)
+                new_vals, _ = ws.apply_map(th, th0, lo, hi, tail)
                 change = float(np.max(np.abs(new_vals - th[lo : hi + 1])))
                 th[lo : hi + 1] = (1.0 - config.damping) * th[
                     lo : hi + 1
@@ -509,7 +532,7 @@ def solve_equilibrium(
                     f"within {config.max_iterations_per_window} iterations"
                 )
             if contractive:
-                resid_vals, next_tail = ws.apply_map(th, th0, lo, hi, tail, config.denominator_floor)
+                resid_vals, next_tail = ws.apply_map(th, th0, lo, hi, tail)
                 residual = float(np.max(np.abs(resid_vals - th[lo : hi + 1])))
                 diagnostics.windows.append(
                     WindowDiagnostics(
@@ -523,46 +546,14 @@ def solve_equilibrium(
                 )
                 hi, tail = lo - 1, next_tail
                 break
-            if w_steps <= config.min_window_steps:
-                raise NonContractiveError(
-                    f"window nodes [{lo}, {hi}] is not a contraction even at "
-                    f"{config.min_window_steps} grid step(s)"
-                )
-            w_steps = max(config.min_window_steps, w_steps // 2)
+            if w_steps == 1:
+                raise NonContractiveError(f"window nodes [{lo}, {hi}] is not a contraction even at one grid step")
+            w_steps //= 2
             halvings += 1
 
-    theta_star = Strategy.from_flat(grid, th)
-
-    # Integral-route state at the converged gain: each window's last map
-    # application, at its converged gain, left P2 and p1t on its nodes in
-    # the workspace's buffers.
+    # Each window's last map application, at its converged gain, left P2,
+    # p1t and the gain's denominator on its nodes in the workspace's buffers.
+    diagnostics.passthrough_nodes = np.flatnonzero(ws.den == 0.0).tolist()
     p2 = P2Field(grid, ws.p2t[:, None, None].copy(), ws.p2_mids[:, None, None].copy())
-    state = IntegralState(p2_tilde=p2, p1_tilde=OneTimeField.from_flat(grid, ws.p1t), theta=theta_star)
-    p2t, p1t = p2.flat(), state.p1_tilde.flat()
-    _, den = ws.gain(p1t, p2t, slice(0, L), th0, config.denominator_floor)
-    diagnostics.passthrough_nodes = np.nonzero(np.abs(den) <= config.denominator_floor)[
-        0
-    ].tolist()
-
-    # Matrix-route reconstruction, on the same P2, and the constraint audit.
-    # RK4 on the Riccati route can blow up where the integral route stays
-    # finite (a step far outside its stability region); that is a failure.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p1d, p3d = two_time_diagonals(spec, theta_star, p2)
-    if not (np.all(np.isfinite(p1d.data)) and np.all(np.isfinite(p3d.data))):
-        raise EquilibriumError("non-finite Riccati diagonals at the converged gain")
-    diagnostics.consistency_gap = float(
-        np.max(np.abs(p1t - p1d.data[:, 0, 0] - p3d.data[:, 0, 0]))
-    )
-    report = check_constraints(spec, p1d, p3d, p2, theta0)
-
-    return EquilibriumSolution(
-        spec=spec,
-        theta_star=theta_star,
-        integral_state=state,
-        p1_diag=p1d,
-        p2=p2,
-        p3_diag=p3d,
-        constraint_report=report,
-        diagnostics=diagnostics,
-    )
+    p1t = OneTimeField.from_flat(grid, ws.p1t)
+    return assemble_solution(spec, Strategy.from_flat(grid, th), theta0, p2, p1t, diagnostics)

@@ -18,11 +18,12 @@ from .equilibrium import (
     EquilibriumSolution,
     SolverDiagnostics,
     WindowDiagnostics,
-    integral_state,
+    assemble_solution,
+    p1_tilde,
 )
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec
-from .riccati import check_constraints, solve_p2, two_time_diagonals
+from .riccati import solve_p2
 
 __all__ = [
     "fmt",
@@ -122,8 +123,10 @@ def load_solution_dir(path) -> EquilibriumSolution:
 
     The gain is read from theta.csv; every derived field is recomputed from
     it, so a corrupted gain shows up in the verification suites rather than
-    being masked by stored values.  The solver diagnostics are read back from
-    diagnostics.csv and summary.json.
+    being masked by stored values, and one whose fields overflow raises
+    :class:`~fbslq.equilibrium.EquilibriumError`.  The solver diagnostics are
+    read back from diagnostics.csv and summary.json, apart from the
+    consistency gap, which is recomputed from the fields.
     """
     from .scenario import load_scenario
 
@@ -141,21 +144,10 @@ def load_solution_dir(path) -> EquilibriumSolution:
     theta = Strategy(spec.grid, raw[:, 1:].reshape(spec.grid.num_nodes, k, n))
 
     theta0 = theta0_from_desc(summary.get("theta0", "const:0"), spec)
-    p2 = solve_p2(spec, theta)
-    p1d, p3d = two_time_diagonals(spec, theta, p2)
-    report = check_constraints(spec, p1d, p3d, p2, theta0)
-    state = integral_state(spec, theta, p2)
-
-    return EquilibriumSolution(
-        spec=spec,
-        theta_star=theta,
-        integral_state=state,
-        p1_diag=p1d,
-        p2=p2,
-        p3_diag=p3d,
-        constraint_report=report,
-        diagnostics=_load_diagnostics(path, summary.get("diagnostics", {})),
-    )
+    diagnostics = _load_diagnostics(path, summary.get("diagnostics", {}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2 = solve_p2(spec, theta)
+    return assemble_solution(spec, theta, theta0, p2, p1_tilde(spec, theta, p2), diagnostics)
 
 
 def _load_diagnostics(path, summary: dict) -> SolverDiagnostics:
@@ -170,7 +162,6 @@ def _load_diagnostics(path, summary: dict) -> SolverDiagnostics:
     ]
     return SolverDiagnostics(
         windows=windows,
-        consistency_gap=float(summary.get("consistency_gap", "nan")),
         passthrough_nodes=[int(i) for i in summary.get("passthrough_nodes", [])],
         fp_tolerance=float(summary.get("fp_tolerance", "nan")),
     )

@@ -41,8 +41,8 @@ def pinv(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
 
     Singular values below ``rel_tol * sigma_max`` are treated as zero; the
     default tolerance is :func:`default_rel_tol`.  A 1x1 matrix [x] maps to
-    [1/x] for any nonzero x and to [0] for x == 0, which is the scalar
-    convention the one-dimensional solver relies on.
+    [1/x] for any nonzero x and to [0] for x == 0; the one-dimensional
+    solver's gain update passes theta0 through on the same rule.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):

@@ -202,7 +202,7 @@ def suite_classical_reduction(spec: ProblemSpec) -> SuiteReport:
         sol = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), cfg)
         gap = float(np.max(np.abs(sol.theta_star.values - classical.values)))
         report.add_upper("gain_matches_classical", gap, 1e-6)
-        resid = characterization_residual(spec, sol.theta_star)
+        resid = characterization_residual_from_fields(spec, sol.p1_diag, sol.p3_diag, sol.p2, sol.theta_star)
         scale = 1.0 + sol.theta_star.sup_norm()
         report.add_upper("characterization_residual", resid.sup_norm(), 1e-6 * scale)
     else:
@@ -218,7 +218,7 @@ def consistency_bound(solution: EquilibriumSolution) -> float:
     A gap above it means the grid under-resolves the problem, for example a
     weight that decays within a few steps.
     """
-    p1t = solution.integral_state.p1_tilde.data[:, 0, 0]
+    p1t = solution.p1_tilde.data[:, 0, 0]
     return 1e-6 * (1.0 + float(np.max(np.abs(p1t))))
 
 
@@ -245,7 +245,7 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     rep = solution.constraint_report
     report.add("constraints_all_pass", float(rep.all_pass), 1.0, rep.all_pass)
 
-    p1t = solution.integral_state.p1_tilde.data[:, 0, 0]
+    p1t = solution.p1_tilde.data[:, 0, 0]
     diag_sum = p1d.data[:, 0, 0] + p3d.data[:, 0, 0]
     gap = float(np.max(np.abs(p1t - diag_sum)))
     report.add_upper("integral_route_consistency", gap, consistency_bound(solution))

@@ -4,8 +4,9 @@
 valid numeric options and ``verify --suite equilibrium`` 0 or 1, and both
 exit 2 on an invalid one, or on an ``--x0`` or ``--spike-v`` so large that
 the Monte-Carlo cost sums overflow.  No input may end in a traceback.  Each
-option is passed as ``--name=value`` or as two tokens, as drawn.  The
-examples are derandomized, so every run draws the same cases.
+option is passed as ``--name=value`` or as two tokens, as drawn.  A document
+whose six weights are scaled by a power of two solves to the same gain, byte
+for byte.  The examples are derandomized, so every run draws the same cases.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,3 +171,41 @@ def test_verify_options_exit_with_a_documented_code(solution_dir, paths, x0, joi
     assert "Traceback" not in err
     if not valid:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def scaled_weights(doc, k):
+    """The document with its six weights multiplied by 2**k: every parameter they are linear in."""
+    doc = json.loads(json.dumps(doc))  # R and N share one dict in the smoke document
+    for weight in doc["weights"].values():
+        for name in ("value", "base", "alpha", "beta", "values"):
+            if name in weight["params"]:
+                weight["params"][name] = np.ldexp(np.asarray(weight["params"][name]), k).tolist()
+    return doc
+
+
+def solve_unchecked(root, doc):
+    """Exit code and theta.csv bytes of ``solve --no-assumption-check`` on a document."""
+    scen, out = os.path.join(root, "doc.json"), os.path.join(root, "out")
+    with open(scen, "w") as fh:
+        json.dump(doc, fh)
+    code, _ = run_cli(["solve", scen, "--no-assumption-check", "--grid-steps", str(GRID_STEPS), "--out", out])
+    theta = os.path.join(out, "theta.csv")
+    if not os.path.exists(theta):
+        return code, None
+    with open(theta, "rb") as fh:
+        return code, fh.read()
+
+
+@pytest.fixture(scope="module")
+def unscaled_solves(tmp_path_factory):
+    return {name: solve_unchecked(tmp_path_factory.mktemp(name), doc) for name, doc in DOCS.items()}
+
+
+@FUZZ
+@given(name=st.sampled_from(sorted(DOCS)), k=st.integers(-300, 300))
+def test_weights_scaled_by_a_power_of_two_give_the_same_gain(unscaled_solves, name, k):
+    # Theta* does not change when all six weights are multiplied by c > 0, and
+    # for c = 2**k every product the solver forms scales exactly; so no node
+    # may be decided by a threshold in the weights' units.
+    with tempfile.TemporaryDirectory() as tmp:
+        assert solve_unchecked(tmp, scaled_weights(DOCS[name], k)) == unscaled_solves[name]

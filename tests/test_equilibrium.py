@@ -15,7 +15,7 @@ from fbslq.equilibrium import (
     _Tail,
     _Workspace,
     fixed_point_map,
-    integral_state,
+    p1_tilde,
     second_moment_factor,
     solve_equilibrium,
 )
@@ -27,6 +27,7 @@ from fbslq.presets import (
     trivial_problem,
 )
 from fbslq.kernels import CallableKernel, ConstantKernel, DifferenceKernel, DiscountedKernel
+from fbslq.matrixkit import pinv
 from fbslq.problem import _AUDIT_ROWS, validate
 from fbslq.riccati import _integrate_p2, _p2_samples, solve_p2, two_time_diagonals
 from fbslq.scenario import scenario_to_spec, smoke_scenario, trivial_scenario
@@ -74,20 +75,20 @@ class TestP1Tilde:
     def test_zero_weights(self):
         spec = build_scalar(A=0.2)
         th = zero_theta(spec)
-        p1t = integral_state(spec, th, solve_p2(spec, th)).p1_tilde
+        p1t = p1_tilde(spec, th, solve_p2(spec, th))
         assert p1t.sup_norm() == 0.0
 
     def test_pure_terminal_transport(self):
         g = 0.8
         spec = build_scalar(G1=g)
         th = zero_theta(spec)
-        p1t = integral_state(spec, th, solve_p2(spec, th)).p1_tilde
+        p1t = p1_tilde(spec, th, solve_p2(spec, th))
         assert np.allclose(p1t.flat(), g, atol=1e-12)
 
     def test_unit_running_weight_hand_integral(self):
         spec = build_scalar(Q=1.0, steps=200)
         th = zero_theta(spec)
-        p1t = integral_state(spec, th, solve_p2(spec, th)).p1_tilde
+        p1t = p1_tilde(spec, th, solve_p2(spec, th))
         assert np.allclose(p1t.flat(), 1.0 - spec.grid.nodes, atol=1e-12)
 
     @pytest.mark.parametrize("build", [
@@ -178,7 +179,7 @@ class TestFrozenTail:
         tail, hi = ws.terminal(), smoke_spec.grid.steps
         while hi >= 0:
             lo = max(0, hi - int(rng.integers(1, 90)))
-            got, tail = ws.apply_map(th, th0, lo, hi, tail, 1e-12)
+            got, tail = ws.apply_map(th, th0, lo, hi, tail)
             window = (smoke_spec.grid.nodes[lo], smoke_spec.grid.nodes[hi])
             want = fixed_point_map(smoke_spec, Strategy.from_flat(smoke_spec.grid, th),
                                    zero_theta(smoke_spec), window)
@@ -202,10 +203,10 @@ class TestFrozenTail:
             calls.append(("sums", u.shape[0], window[-1] if window else None))
             return suffix_sums(phi, u, shift, last)
 
-        def recording_map(self, th, theta0, lo, hi, tail, floor):
+        def recording_map(self, th, theta0, lo, hi, tail):
             window.append((lo, hi))
             try:
-                return apply_map(self, th, theta0, lo, hi, tail, floor)
+                return apply_map(self, th, theta0, lo, hi, tail)
             finally:
                 window.pop()
 
@@ -299,8 +300,8 @@ class TestSolveEquilibrium:
         p2 = solve_p2(spec, sol.theta_star)
         assert np.array_equal(sol.p2.data, p2.data)
         assert np.array_equal(sol.p2.mids, p2.mids)
-        got = sol.integral_state.p1_tilde.data
-        want = integral_state(spec, sol.theta_star, p2).p1_tilde.data
+        got = sol.p1_tilde.data
+        want = p1_tilde(spec, sol.theta_star, p2).data
         if route == "factor":
             assert np.array_equal(got, want)
         else:
@@ -322,7 +323,6 @@ class TestSolveEquilibrium:
 
     def test_both_routes_share_one_p2(self, smoke_solution):
         sol = smoke_solution
-        assert sol.integral_state.p2_tilde is sol.p2
         again = solve_p2(sol.spec, sol.theta_star)
         assert np.array_equal(again.data, sol.p2.data)
         assert np.array_equal(again.mids, sol.p2.mids)
@@ -330,7 +330,7 @@ class TestSolveEquilibrium:
     def test_fields_nonnegative_under_positivity_floor(self, smoke_solution):
         # Transported nonnegative weights keep the integral field nonnegative,
         # and both Riccati diagonals inherit it.
-        assert np.min(smoke_solution.integral_state.p1_tilde.data) >= -1e-12
+        assert np.min(smoke_solution.p1_tilde.data) >= -1e-12
         assert np.min(smoke_solution.p1_diag.data) >= -1e-10
         assert np.min(smoke_solution.p3_diag.data) >= -1e-10
 
@@ -449,6 +449,38 @@ class TestWeightScaling:
         spec = scaled_smoke(1e-9)  # delta = 1e-9, below positivity_floor = 1e-8
         with pytest.raises(AssumptionViolatedError):
             solve_equilibrium(spec, zero_theta(spec))
+
+
+# Zeros and the smallest and largest magnitudes a float holds, and values near 1.
+DENOMINATORS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e-12, -1e-12, 1e300, -1e300]
+) | st.floats(0.5, 1.5) | st.floats(-1.5, -0.5) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestPassThrough:
+    """A node passes theta0 through exactly where pinv inverts the 1 x 1 [den] to [0]."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(DENOMINATORS, min_size=1, max_size=41))
+    def test_gain_passes_through_where_pinv_is_zero(self, dens):
+        ws = _Workspace(assumption_smoke_problem(40))
+        den, cols = np.array(dens), slice(0, len(dens))
+        ws.D, ws.R_diag = np.zeros(len(den)), den  # so that den = R(t,t) on cols
+        ones = np.ones(len(den))
+        with np.errstate(over="ignore"):
+            new, got = ws.gain(ones, ones, cols, np.full(ws.L, np.nan))
+            inverse = pinv(den[:, None, None])[:, 0, 0]
+        assert np.array_equal(got, den)
+        assert np.array_equal(np.isnan(new), inverse == 0.0)
+
+    @pytest.mark.parametrize("q", ["unit", "steep"])
+    @pytest.mark.parametrize("theta0", [0.0, -0.5])
+    def test_every_example_node_passes_through(self, q, theta0):
+        # R(t,t) = D = 0 in example 2.5, so den vanishes at every node of both branches.
+        spec = example_2_5_problem(200, q=q)
+        sol = solve_equilibrium(spec, Strategy.constant(spec.grid, theta0), SolverConfig(check_assumptions=False))
+        assert sol.diagnostics.passthrough_nodes == list(range(spec.grid.num_nodes))
+        assert np.array_equal(sol.theta_star.flat(), np.full(spec.grid.num_nodes, theta0))
 
 
 class TestLagKernels:

@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +98,24 @@ def solved_smoke(tmp_path_factory):
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("value", ["1e20", "1e150", "1e300"])
+def test_overflowing_loaded_gain_exits_2_with_one_error_line(tmp_path, capsys, solved_smoke, command, value):
+    # Every Riccati field of such a gain overflows: the load says so, once,
+    # and no float warning reaches stderr.
+    sol = tmp_path / "sol"
+    shutil.copytree(solved_smoke, sol)
+    rows = (sol / "theta.csv").read_text().splitlines()
+    (sol / "theta.csv").write_text("\n".join([rows[0]] + [f"{r.split(',')[0]},{value}" for r in rows[1:]]) + "\n")
+    suite = ["--suite", "equilibrium"] if command == "verify" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, str(sol), *suite, "--paths", "16", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 class TestCliSolve:
@@ -242,11 +262,11 @@ class TestCliSolve:
         out = str(tmp_path / "sol")
         assert main(["solve", scen, "--out", out]) == 0
         spec = scenario_to_spec(doc)
-        solved = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1)).integral_state
-        loaded = load_solution_dir(out).integral_state
+        solved = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
+        loaded = load_solution_dir(out)
         assert np.array_equal(loaded.p1_tilde.data, solved.p1_tilde.data)
-        assert np.array_equal(second_moment_factor(spec, loaded.theta).data,
-                              second_moment_factor(spec, solved.theta).data, equal_nan=True)
+        assert np.array_equal(second_moment_factor(spec, loaded.theta_star).data,
+                              second_moment_factor(spec, solved.theta_star).data, equal_nan=True)
 
     def test_load_reproduces_diagonals_bitwise(self, tmp_path):
         doc = smoke_scenario(60)

@@ -261,7 +261,7 @@ class TestCostFieldIdentity:
             cfg = SimConfig(paths=20_000, seed=21, t_start=t, x0=x0)
             bundle = simulate_closed_loop(spec, sol.theta_star, sol.p2, cfg)
             cost = evaluate_cost(spec, bundle, build_controls(spec, bundle), t)
-            p1t = sol.integral_state.p1_tilde.data[i, 0, 0]
+            p1t = sol.p1_tilde.data[i, 0, 0]
             p2t = sol.p2.data[i, 0, 0]
             g2 = spec.weights.G2(t)[0, 0]
             theory = 0.5 * (p1t + g2 * p2t**2) * x0**2

@@ -82,7 +82,7 @@ def test_suite_equilibrium_rejects_corrupted_gain(smoke_solution):
     corrupted = EquilibriumSolution(
         spec=spec,
         theta_star=bad_theta,
-        integral_state=smoke_solution.integral_state,
+        p1_tilde=smoke_solution.p1_tilde,
         p1_diag=smoke_solution.p1_diag,
         p2=smoke_solution.p2,
         p3_diag=smoke_solution.p3_diag,
