@@ -65,6 +65,7 @@ __all__ = [
     "NoConvergenceError",
     "AssumptionViolatedError",
     "p1_tilde",
+    "consistency_gap",
     "assemble_solution",
     "second_moment_factor",
     "fixed_point_map",
@@ -396,6 +397,12 @@ def p1_tilde(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> OneTimeField:
     return OneTimeField.from_flat(spec.grid, p1t)
 
 
+def consistency_gap(p1t: OneTimeField, p1_diag: OneTimeField, p3_diag: OneTimeField) -> float:
+    """max |(p1t - P1(t;t)) - P3(t;t)|: the gap between the integral route's
+    p1t and the matrix route's diagonals, which agree in the limit."""
+    return float(np.max(np.abs(p1t.flat() - p1_diag.data[:, 0, 0] - p3_diag.data[:, 0, 0])))
+
+
 def assemble_solution(
     spec: ProblemSpec,
     theta_star: Strategy,
@@ -409,15 +416,14 @@ def assemble_solution(
     RK4 on the Riccati route can blow up where the integral route stays
     finite (a step far outside its stability region), and a gain read from
     a file can make every field overflow; either raises
-    :class:`EquilibriumError`.  The consistency gap max |p1t - P1(t;t) -
-    P3(t;t)| is written into ``diagnostics``.
+    :class:`EquilibriumError`.  The :func:`consistency_gap` is written into
+    ``diagnostics``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         p1d, p3d = two_time_diagonals(spec, theta_star, p2)
     if not all(np.all(np.isfinite(a)) for a in (p2.data, p2.mids, p1t.data, p1d.data, p3d.data)):
         raise EquilibriumError("non-finite Riccati fields at the gain")
-    gap = np.abs(p1t.flat() - p1d.data[:, 0, 0] - p3d.data[:, 0, 0])
-    diagnostics.consistency_gap = float(np.max(gap))
+    diagnostics.consistency_gap = consistency_gap(p1t, p1d, p3d)
     return EquilibriumSolution(
         spec=spec,
         theta_star=theta_star,

@@ -16,6 +16,19 @@ closed-loop simulation exactly.  A run that starts later reads the leading
 rows of an earlier run's draw, so one draw per block serves every spike
 time of a pass (:func:`spike_tests`).
 
+The increments are streamed in rows, one row (the increments of all paths
+of a block over one fine step) at a time; no block is ever held whole.
+One helper thread per call draws each block in chunks of ``CHUNK_ROWS``
+rows, scales them to Brownian increments and hands them over through a
+bounded queue; since a stream is filled in (step, path) order, the chunks
+are the rows of the whole block's draw, bit for bit.  Every Euler step,
+every cost sum and the caller's ``np.errstate`` stay in the calling
+thread, which consumes the rows as they arrive: the Philox draw of the
+next rows overlaps the kernels, and the memory a pass holds grows with
+neither the path count nor the step count.  An error on either side stops
+the helper before the call returns; one raised by the draw is raised again
+in the caller.
+
 Cost quadrature is trapezoidal in time, applied interval by interval with
 one-sided limits: the control (and hence Z) is frozen at its interval value,
 matching both the Euler dynamics and the closed-left/open-right indicator
@@ -37,7 +50,10 @@ it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +86,8 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 8192  # paths per RNG block; fixed so chunking cannot reorder draws
+CHUNK_ROWS = 32  # fine steps per hand-over from the drawing thread: 2 MB at a full block
+_CHUNKS_AHEAD = 2  # chunks the drawing thread may hold ready in its queue
 
 
 @dataclass(frozen=True)
@@ -200,11 +218,10 @@ class SpikeReport:
         }
 
 
-def _philox_normals(seed: int, block: int, steps: int, width: int) -> np.ndarray:
-    """Standard normals (steps, width) from the stream keyed by (seed, block)."""
+def _philox(seed: int, block: int) -> np.random.Generator:
+    """The stream of standard normals keyed by (seed, block)."""
     key = np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((steps, width))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _blocks(paths: int):
@@ -215,6 +232,55 @@ def _blocks(paths: int):
         yield block, start, width
         block += 1
         start += width
+
+
+@contextlib.contextmanager
+def _increments(seed: int, paths: int, steps: int, hf: float):
+    """Brownian increments sqrt(hf) xi of every RNG block, drawn on one helper thread.
+
+    Yields an iterator over the blocks in order, each as (start, width,
+    rows): the block's first path, its path count and an iterator over its
+    ``steps`` rows, one per fine step and (width,) each, which must be read
+    to the end before the next block.  The helper draws ``CHUNK_ROWS`` rows at a
+    time, at most ``_CHUNKS_AHEAD`` chunks ahead of the reader.  Leaving
+    the context, by an error too, stops and joins the helper; an exception
+    raised by the draw is raised again by the row iterator.
+    """
+    scale = np.sqrt(hf)
+    chunks = queue.Queue(maxsize=_CHUNKS_AHEAD)
+    stop = threading.Event()
+
+    def draw():
+        try:
+            for block, _, width in _blocks(paths):
+                gen = _philox(seed, block)
+                for lo in range(0, steps, CHUNK_ROWS):
+                    chunk = gen.standard_normal((min(CHUNK_ROWS, steps - lo), width))
+                    chunk *= scale
+                    if stop.is_set():
+                        return
+                    chunks.put(chunk)
+        except BaseException as exc:  # handed to the reader, which raises it
+            if not stop.is_set():
+                chunks.put(exc)
+
+    def rows():
+        for _ in range(0, steps, CHUNK_ROWS):
+            chunk = chunks.get()
+            if isinstance(chunk, BaseException):
+                raise chunk
+            yield from chunk
+
+    helper = threading.Thread(target=draw, name="fbslq-increments", daemon=True)
+    helper.start()
+    try:
+        yield ((start, width, rows()) for _, start, width in _blocks(paths))
+    finally:
+        stop.set()
+        with contextlib.suppress(queue.Empty):  # unblock a put, which then sees stop
+            while True:
+                chunks.get_nowait()
+        helper.join()
 
 
 def _p7_samples(spec: ProblemSpec, p2: P2Field, i0: int, steps: int, v: np.ndarray):
@@ -300,13 +366,13 @@ def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
     R, sub = run.n_coarse + 1, run.sub
     X = np.empty((cfg.paths, R, run.n))
     increments = np.empty((cfg.paths, run.F))
-    for block, start, width in _blocks(cfg.paths):
-        normals = _philox_normals(cfg.seed, block, run.F, width)
-        increments[start : start + width] = (normals * np.sqrt(run.hf)).T
-        for ell, x, dx, _ in run.march(normals):
-            if ell % sub == 0:
-                X[start : start + width, ell // sub] = x + dx[0] if rungs else x
-        del normals  # free this block before drawing the next
+    with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
+        for start, width, rows in blocks:
+            for ell, x, dx, dw in run.walk(width, rows):
+                if ell:
+                    increments[start : start + width, ell - 1] = dw[:, 0]
+                if ell % sub == 0:
+                    X[start : start + width, ell // sub] = x + dx[0] if rungs else x
     p7v = run.p7v[0] if rungs else np.zeros((R, run.m))  # (range_nodes, m)
     chi = run.chi_node[0] if rungs else np.zeros(run.n_coarse)
 
@@ -447,7 +513,9 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 #
 # The bundle route, ``bsde_residual_check`` and ``perturbation_scaling`` read
 # the same march, so every generic path shares one Euler update and each
-# block's normals.
+# block's increments.  The march and both ladder kernels are coroutines that
+# are sent one row of increments per fine step, so ``_stream`` can step the
+# kernels of every spike time side by side over one stream of rows.
 #
 # Every cost term is a quadratic form wt <W L x, L x> of a linear function of
 # the state, and rung q moves its argument by e_q = L d_q + s_q, where s_q
@@ -514,25 +582,35 @@ class _PassSums:
 
 
 def _stream(runs):
-    """Stream every block through each of ``runs``, which share (seed, paths).
+    """Stream every block through each of ``runs``, which share (seed, paths, sub_steps).
 
-    The stream of a block is filled in (step, path) order, so the normals of
-    a run that starts later are the leading rows of the draw for the longest
-    run: each block is drawn once, for every run.  Each run folds its blocks
-    in block order, so its sums are bitwise those of a pass of its own.
+    The stream of a block is filled in (step, path) order, so the increments
+    of a run that starts later are the leading rows of the draw for the
+    longest run: each block is drawn once, for every run, and each row is
+    sent to the kernel of every run that still steps.  Each run folds its
+    blocks in block order, so its sums are bitwise those of a pass of its own.
     Returns per run the sums (sum, sumsq) over paths of the pathwise cost
     differences, each (2, rungs) with row 0 for +v and row 1 for -v, and the
     moments (paths, mean, M2) of the closed loop's pathwise cost.
     """
     cfg = runs[0].cfg
-    rows = max(run.F for run in runs)
     passes = [(run.F, run.kernel(), _PassSums(len(run.eps_steps))) for run in runs]
-    for block, _, width in _blocks(cfg.paths):
-        normals = _philox_normals(cfg.seed, block, rows, width)
-        for fine, kernel, sums in passes:
-            sums.add(*kernel(normals[:fine]))
-        del normals  # free this block before drawing the next
+    with _increments(cfg.seed, cfg.paths, max(run.F for run in runs), runs[0].hf) as blocks:
+        for _, width, rows in blocks:
+            kernels = [(fine, start(width), sums) for fine, start, sums in passes]
+            for ell, row in enumerate(rows, 1):
+                for fine, kernel, sums in kernels:
+                    if ell < fine:
+                        kernel.send(row)
+                    elif ell == fine:
+                        sums.add(*kernel.send(row))
+                        kernel.close()  # frees its buffers while the longer runs step on
     return [(sums.sum_d, sums.sumsq_d, sums.moments) for _, _, sums in passes]
+
+
+def _primed(coroutine):
+    next(coroutine)
+    return coroutine
 
 
 class _LadderRun:
@@ -541,7 +619,7 @@ class _LadderRun:
 
     Holds every deterministic array that the march, the ladder kernels and
     the consumers of the march read.  Rung q applies the spike of
-    ``eps_steps[q]`` coarse steps; every rung shares each block's normals
+    ``eps_steps[q]`` coarse steps; every rung shares each block's increments
     with the closed loop (common random numbers).
     """
 
@@ -599,62 +677,74 @@ class _LadderRun:
         self.g2 = w.G2(t)
 
     def kernel(self):
-        """The per-block step: one block's normals (fine steps, width) to the
-        per-path sums (base, cross, quad); the scalar kernel when m = n = k = 1."""
+        """The per-block kernel: from a block width to a primed coroutine that
+        is sent the increments of each fine step in turn, (width,) each, and
+        whose send of the last returns the per-path sums (base, cross, quad);
+        the scalar kernel when m = n = k = 1."""
         if self.n == self.m == self.k == 1:
             weights = self._scalar_weights()
-            return lambda normals: self._block_scalar(normals, weights)
-        return self._block_generic
+            return lambda width: _primed(self._block_scalar(width, weights))
+        return lambda width: _primed(self._block_generic(width))
 
-    def march(self, normals):
-        """Euler-Maruyama of the closed loop x and every rung's perturbation d.
+    def march(self, width: int):
+        """Euler-Maruyama of the closed loop x and every rung's perturbation d, as a coroutine.
 
-        ``normals`` is one block, (fine steps, width).  Yields (ell, x, d, dW)
-        before fine step ell, with x (width, n), d (rungs, width, n) and dW
-        (width, 1) the increment of that step, and (F, x, d, None) at the
-        horizon.  Coarse node r is fine step r * sub_steps.  Each step binds
-        new arrays, so a consumer may keep what it was given.
+        Over one block of ``width`` paths: yields (0, x, d, None) at the
+        start, then takes fine step ell on each send of that step's Brownian
+        increments, (width,), and yields (ell + 1, x, d, dW), with x
+        (width, n), d (rungs, width, n) and dW (width, 1) the increment of
+        the step just taken.  Coarse node r is fine step r * sub_steps.  Each
+        step binds new arrays, so a consumer may keep what it was given.
         """
         hf = self.hf
-        sqrt_hf = np.sqrt(hf)
-        x = np.broadcast_to(self.x0, (normals.shape[1], self.n)).copy()
+        x = np.broadcast_to(self.x0, (width, self.n)).copy()
         dx = np.zeros((len(self.eps_steps),) + x.shape)
+        row = yield 0, x, dx, None
         for ell in range(self.F):
-            dw = (normals[ell] * sqrt_hf)[:, None]
-            yield ell, x, dx, dw
+            dw = row[:, None]
             a, c = self.a_fine[ell].T, self.c_fine[ell].T
             chi = self.chi_fine[:, ell, None, None]
             x = x + _rmul(x, a) * hf + _rmul(x, c) * dw
             dx = dx + (_rmul(dx, a) + chi * self.bv[ell]) * hf + (_rmul(dx, c) + chi * self.dv[ell]) * dw
-        yield self.F, x, dx, None
+            row = yield ell + 1, x, dx, dw
 
-    def _block_generic(self, normals):
-        """Cross and quad sums term by term, every rung carried to the horizon.
+    def walk(self, width: int, rows):
+        """Every state of the march over one block, pulled along ``rows``."""
+        march = self.march(width)
+        yield next(march)
+        for row in rows:
+            yield march.send(row)
 
-        At coarse node r the terms of interval r - 1 that read its right end
-        come first, then the state terms of node r, then the terms of
-        interval r that read its left end.
-        """
-        h, n_coarse = self.h, self.n_coarse
-        width, rungs = normals.shape[1], len(self.eps_steps)
+    def _block_generic(self, width):
+        """Cross and quad sums term by term, every rung carried to the horizon."""
+        rungs = len(self.eps_steps)
         sums = (np.zeros(width), np.zeros((rungs, width)), np.zeros((rungs, width)))
         y0 = np.broadcast_to(self.p2_range[0] @ self.x0, (width, self.m))
         _add_form(sums, 1.0, self.g2, y0, np.broadcast_to(self.p7v[:, 0, None], (rungs, width, self.m)))
-        for ell, x, dx, _ in self.march(normals):
-            if ell % self.sub:
-                continue
-            r = ell // self.sub
-            if r:
-                chi = self.chi_node[:, r - 1, None, None]
-                self._add_z(sums, r, self.ct_right[r - 1], self.dv_right[r - 1], chi, x, dx)
-            self._add_state(sums, r, 0.5 * h if r in (0, n_coarse) else h, x, dx)
-            if r < n_coarse:
-                chi = self.chi_node[:, r, None, None]
-                th = self.theta_left[r].T
-                _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
-                self._add_z(sums, r, self.ct_left[r], self.dv_left[r], chi, x, dx)
+        march = self.march(width)
+        _, x, dx, _ = next(march)
+        self._add_node(sums, 0, x, dx)
+        for _ in range(self.F):
+            ell, x, dx, _ = march.send((yield))
+            if ell % self.sub == 0:
+                self._add_node(sums, ell // self.sub, x, dx)
         _add_form(sums, 1.0, self.g1, x, dx)
-        return sums
+        yield sums
+
+    def _add_node(self, sums, r, x, dx):
+        """The terms read at coarse node r: those of interval r - 1 that read
+        its right end first, then the state terms of node r, then the terms
+        of interval r that read its left end."""
+        h, n_coarse = self.h, self.n_coarse
+        if r:
+            chi = self.chi_node[:, r - 1, None, None]
+            self._add_z(sums, r, self.ct_right[r - 1], self.dv_right[r - 1], chi, x, dx)
+        self._add_state(sums, r, 0.5 * h if r in (0, n_coarse) else h, x, dx)
+        if r < n_coarse:
+            chi = self.chi_node[:, r, None, None]
+            th = self.theta_left[r].T
+            _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
+            self._add_z(sums, r, self.ct_left[r], self.dv_left[r], chi, x, dx)
 
     def _add_state(self, sums, r, wt, x, dx):
         _add_form(sums, wt, self.qk[r], x, dx)
@@ -706,7 +796,7 @@ class _LadderRun:
         drive_w = self.chi_fine * self.dv[:, 0]
         return alpha, beta, gamma, drive_h, drive_w
 
-    def _block_scalar(self, normals, weights):
+    def _block_scalar(self, width, weights):
         """Node-grouped sums for m = n = k = 1, the rungs collapsed past the widest window.
 
         Every step writes into buffers allocated once per block: a fresh
@@ -717,22 +807,19 @@ class _LadderRun:
         """
         alpha, beta, gamma, drive_h, drive_w = weights
         sub, hf = self.sub, self.hf
-        sqrt_hf = np.sqrt(hf)
         a_h = self.a_fine[:, 0, 0] * hf
         c_f = self.c_fine[:, 0, 0]
         e = self.widest
-        width = normals.shape[1]
 
         x = np.full(width, self.x0[0])
         dx = np.zeros((len(self.eps_steps), width))
         base = np.zeros(width)
         cross = np.zeros_like(dx)
         quad = np.zeros_like(dx)
-        dw, f, tmp = np.empty(width), np.empty(width), np.empty(width)
+        f, tmp = np.empty(width), np.empty(width)
         t, big_tmp = np.empty_like(dx), np.empty_like(dx)
 
-        def advance(ell):  # f = a_h + c_f dW, then x <- x + f x
-            np.multiply(normals[ell], sqrt_hf, out=dw)
+        def advance(ell, dw):  # f = a_h + c_f dW, then x <- x + f x
             np.multiply(dw, c_f[ell], out=f)
             np.add(f, a_h[ell], out=f)
             np.multiply(f, x, out=tmp)
@@ -741,7 +828,8 @@ class _LadderRun:
         for r in range(e + 1):
             if r:
                 for ell in range((r - 1) * sub, r * sub):
-                    advance(ell)
+                    dw = yield
+                    advance(ell, dw)
                     # dx <- dx + f dx + (drive_h + drive_w dW)
                     np.multiply(f, dx, out=big_tmp)
                     np.add(dx, big_tmp, out=dx)
@@ -768,7 +856,7 @@ class _LadderRun:
         ax = np.empty(width)
         for r in range(e + 1, self.n_coarse + 1):
             for ell in range((r - 1) * sub, r * sub):
-                advance(ell)  # and Psi <- Psi + f Psi
+                advance(ell, (yield))  # and Psi <- Psi + f Psi
                 np.multiply(f, psi, out=tmp)
                 np.add(psi, tmp, out=psi)
             # base += (alpha x) x;  big_b += (alpha x) Psi;  big_a += (alpha Psi) Psi
@@ -782,7 +870,7 @@ class _LadderRun:
             np.add(big_a, tmp, out=big_a)
         cross += (2.0 * dx) * big_b
         quad += (dx * dx) * big_a + gamma[:, None]
-        return base, cross, quad
+        yield base, cross, quad
 
 
 def _snap_eps(grid, i0: int, epsilons) -> list[tuple[float, int]]:
@@ -917,27 +1005,26 @@ def perturbation_scaling(
     cfg = dataclasses.replace(cfg, t_start=t)
     run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder])
     sum_x = sum_yz = 0.0
-    for block, _, width in _blocks(cfg.paths):
-        normals = _philox_normals(cfg.seed, block, run.F, width)
-        for ell, _, dx, _ in run.march(normals):
-            if ell % run.sub:
-                continue
-            r = ell // run.sub
-            dxn = np.einsum("vpi,vpi->vp", dx, dx)
-            dy = _rmul(dx, run.p2_range[r].T) + run.p7v[:, r, None]
-            dyn = np.einsum("vpi,vpi->vp", dy, dy)
-            if r == 0:
-                mx, my, iz = dxn, dyn, np.zeros_like(dxn)
-            else:
-                np.maximum(mx, dxn, out=mx)
-                np.maximum(my, dyn, out=my)
-            if r < run.n_coarse:  # Z is frozen on [s_r, s_{r+1})
-                zc = _rmul(dx, run.ct_left[r].T) + run.chi_node[:, r, None, None] * run.dv_left[r]
-                dz = _rmul(zc, run.p2_range[r].T)
-                iz += run.h * np.einsum("vpi,vpi->vp", dz, dz)
-        del normals  # free this block before drawing the next
-        sum_x += mx.sum(axis=1)
-        sum_yz += (my + iz).sum(axis=1)
+    with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
+        for _, width, rows in blocks:
+            for ell, _, dx, _ in run.walk(width, rows):
+                if ell % run.sub:
+                    continue
+                r = ell // run.sub
+                dxn = np.einsum("vpi,vpi->vp", dx, dx)
+                dy = _rmul(dx, run.p2_range[r].T) + run.p7v[:, r, None]
+                dyn = np.einsum("vpi,vpi->vp", dy, dy)
+                if r == 0:
+                    mx, my, iz = dxn, dyn, np.zeros_like(dxn)
+                else:
+                    np.maximum(mx, dxn, out=mx)
+                    np.maximum(my, dyn, out=my)
+                if r < run.n_coarse:  # Z is frozen on [s_r, s_{r+1})
+                    zc = _rmul(dx, run.ct_left[r].T) + run.chi_node[:, r, None, None] * run.dv_left[r]
+                    dz = _rmul(zc, run.p2_range[r].T)
+                    iz += run.h * np.einsum("vpi,vpi->vp", dz, dz)
+            sum_x += mx.sum(axis=1)
+            sum_yz += (my + iz).sum(axis=1)
     sup_x = sum_x / cfg.paths
     sup_yz = sum_yz / cfg.paths
     return [
@@ -986,17 +1073,16 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     p2ct_f = p2_fine[:-1] @ run.c_fine  # (F, m, n)
 
     sq_sum = 0.0
-    for block, _, width in _blocks(cfg.paths):
-        normals = _philox_normals(cfg.seed, block, run.F, width)
-        cum = np.zeros((width, run.m))
-        for ell, x, _, dw in run.march(normals):
-            y = x @ p2_fine[ell].T
-            if ell:  # the defect of the step just taken
-                cum += y - y_prev + driver * run.hf - z * dw_prev
-            if dw is not None:
-                z = x @ p2ct_f[ell].T
-                driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T
-            y_prev, dw_prev = y, dw
-        del normals  # free this block before drawing the next
-        sq_sum += float(np.sum(np.einsum("pi,pi->p", cum, cum)))
+    with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
+        for _, width, rows in blocks:
+            cum = np.zeros((width, run.m))
+            for ell, x, _, dw in run.walk(width, rows):
+                y = x @ p2_fine[ell].T
+                if ell:  # the defect of the step just taken
+                    cum += y - y_prev + driver * run.hf - z * dw
+                if ell < run.F:
+                    z = x @ p2ct_f[ell].T
+                    driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T
+                y_prev = y
+            sq_sum += float(np.sum(np.einsum("pi,pi->p", cum, cum)))
     return float(np.sqrt(sq_sum / cfg.paths))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
+from .equilibrium import EquilibriumSolution, SolverConfig, consistency_gap, solve_equilibrium
 from .fields import OneTimeField, Strategy
 from .presets import example_2_5_problem
 from .problem import ProblemSpec
@@ -245,9 +245,7 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     rep = solution.constraint_report
     report.add("constraints_all_pass", float(rep.all_pass), 1.0, rep.all_pass)
 
-    p1t = solution.p1_tilde.data[:, 0, 0]
-    diag_sum = p1d.data[:, 0, 0] + p3d.data[:, 0, 0]
-    gap = float(np.max(np.abs(p1t - diag_sum)))
+    gap = consistency_gap(solution.p1_tilde, p1d, p3d)
     report.add_upper("integral_route_consistency", gap, consistency_bound(solution))
 
     grid = spec.grid

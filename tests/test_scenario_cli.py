@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -361,11 +362,14 @@ class TestCliVerify:
                      "--out", str(tmp_path / "rep.json")]) == 2
 
     def test_overflowing_cost_exits_2_without_report(self, tmp_path, capsys, solved_smoke):
-        # A huge finite x0 overflows the spike tests' cost sums: no verdict.
+        # A huge finite x0 overflows the spike tests' cost sums: no verdict,
+        # and no thread that drew their increments is left running.
+        threads = threading.active_count()
         assert main(["verify", solved_smoke, "--suite", "equilibrium", "--paths", "64",
                      "--x0=1e200", "--out", str(tmp_path / "rep.json")]) == 2
         assert_one_error_line(capsys)
         assert not (tmp_path / "rep.json").exists()
+        assert threading.active_count() == threads
 
 
 class TestCliSimulate:

@@ -1,20 +1,28 @@
+import contextlib
+import dataclasses
+import itertools
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fbslq import simulate
 from fbslq.equilibrium import second_moment_factor, solve_equilibrium
 from fbslq.fields import Strategy
 from fbslq.presets import assumption_smoke_problem, matrix_reduction_problem
 from fbslq.riccati import characterization_residual, solve_p2
 from fbslq.simulate import (
     BLOCK_PATHS,
+    CHUNK_ROWS,
     SimConfig,
     SpikeSpec,
     _as_vector,
     _LadderRun,
     _PassSums,
-    _philox_normals,
+    _primed,
     bsde_residual_check,
     build_controls,
     evaluate_cost,
@@ -33,6 +41,20 @@ from tests.test_riccati import build_scalar, zero_theta
 def smoke_200():
     spec = assumption_smoke_problem(200)
     return solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
+
+
+def whole_block(seed, block, steps, width, hf):
+    """One RNG block's Brownian increments (steps, width), drawn whole: the
+    oracle of the rows that the helper thread streams."""
+    key = np.array([seed, block], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((steps, width)) * np.sqrt(hf)
+
+
+def send_all(kernel, rows):
+    """Send every row to a primed ladder kernel; the sums that the last send returns."""
+    for row in rows:
+        out = kernel.send(row)
+    return out
 
 
 def closed_loop_inputs(spec, theta=None):
@@ -392,10 +414,10 @@ class TestSpikeDirections:
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         cfg = SimConfig(paths=600, seed=8, t_start=t, x0=1.0)
         run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), [64, 20, 5, 1])
-        normals = _philox_normals(cfg.seed, 0, run.F, cfg.paths)  # the one block
+        incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)  # the one block
         scalar, generic = _PassSums(4), _PassSums(4)
-        scalar.add(*run._block_scalar(normals, run._scalar_weights()))
-        generic.add(*run._block_generic(normals))
+        scalar.add(*send_all(_primed(run._block_scalar(cfg.paths, run._scalar_weights())), incs))
+        generic.add(*send_all(_primed(run._block_generic(cfg.paths)), incs))
         for a, b in ((scalar.sum_d, generic.sum_d), (scalar.sumsq_d, generic.sumsq_d)):
             assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b))  # per sign and rung
         assert scalar.moments[0] == generic.moments[0]
@@ -415,16 +437,16 @@ class TestSpikeDirections:
         assert rep.closed_loop.stderr == pytest.approx(cost.stderr, rel=1e-9)
 
 
-def plain_block_scalar(run, normals, weights):
-    """The scalar ladder kernel as plain array expressions, a new array per
-    operation: the oracle of the buffered ``_LadderRun._block_scalar``."""
+def plain_block_scalar(run, increments, weights):
+    """The scalar ladder kernel as plain array expressions over a whole block,
+    a new array per operation: the oracle of the buffered coroutine
+    ``_LadderRun._block_scalar``."""
     alpha, beta, gamma, drive_h, drive_w = weights
     sub, hf = run.sub, run.hf
-    sqrt_hf = np.sqrt(hf)
     a_h = run.a_fine[:, 0, 0] * hf
     c_f = run.c_fine[:, 0, 0]
     e = run.widest
-    width = normals.shape[1]
+    width = increments.shape[1]
 
     x = np.full(width, run.x0[0])
     dx = np.zeros((len(run.eps_steps), width))
@@ -434,7 +456,7 @@ def plain_block_scalar(run, normals, weights):
     for r in range(e + 1):
         if r:
             for ell in range((r - 1) * sub, r * sub):
-                dw = normals[ell] * sqrt_hf
+                dw = increments[ell]
                 f = a_h[ell] + c_f[ell] * dw
                 x = x + f * x
                 dx = dx + f * dx + (drive_h[:, ell, None] + drive_w[:, ell, None] * dw)
@@ -448,7 +470,7 @@ def plain_block_scalar(run, normals, weights):
     big_b = np.zeros(width)
     for r in range(e + 1, run.n_coarse + 1):
         for ell in range((r - 1) * sub, r * sub):
-            xp += (a_h[ell] + c_f[ell] * (normals[ell] * sqrt_hf)) * xp
+            xp += (a_h[ell] + c_f[ell] * increments[ell]) * xp
         ax = alpha[r] * xp
         base += ax[0] * xp[0]
         big_b += ax[0] * xp[1]
@@ -491,42 +513,58 @@ class TestSpikeTests:
             # The last ladder reaches the horizon, so nothing is collapsed.
             for rungs in ([64, 20, 5, 1], [left, 3]):
                 run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), rungs)
-                normals = _philox_normals(cfg.seed, 0, run.F, cfg.paths)
+                incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
                 weights = run._scalar_weights()
-                got = run._block_scalar(normals, weights)
-                want = plain_block_scalar(run, normals, weights)
+                got = send_all(_primed(run._block_scalar(cfg.paths, weights)), incs)
+                want = plain_block_scalar(run, incs, weights)
                 for a, b in zip(got, want):  # base, cross, quad
                     assert np.array_equal(a, b), (t, rungs)
 
     def test_suite_draws_each_block_once(self, smoke_solution, monkeypatch):
         # suite_equilibrium's four spike times share one draw per block,
-        # sized for t = 0, its earliest.
-        from fbslq import simulate
+        # sized for t = 0, its earliest, and streamed in chunks of rows.
+        philox = simulate._philox
+        draws, threads = {}, set()
 
-        calls = []
+        def recording(seed, block):
+            gen = philox(seed, block)
 
-        def recording(seed, block, steps, width):
-            calls.append((seed, block, steps, width))
-            return _philox_normals(seed, block, steps, width)
+            class Recorder:
+                def standard_normal(self, size):
+                    draws.setdefault((seed, block), []).append(size)
+                    threads.add((threading.current_thread(), threading.active_count()))
+                    return gen.standard_normal(size)
 
-        monkeypatch.setattr(simulate, "_philox_normals", recording)
+            return Recorder()
+
+        monkeypatch.setattr(simulate, "_philox", recording)
+        before = threading.active_count()
         report = suite_equilibrium(smoke_solution, SimConfig(paths=BLOCK_PATHS + 100, seed=5, x0=1.0))
         assert report.passed
+        # One helper thread draws every block, and it is gone after the call.
+        ((helper, count),) = threads
+        assert helper is not threading.current_thread() and count == before + 1
+        assert threading.active_count() == before
         steps = smoke_solution.spec.grid.steps
-        assert calls == [(5, 0, steps, BLOCK_PATHS), (5, 1, steps, 100)]
+        assert list(draws) == [(5, 0), (5, 1)]
+        for (_, block), sizes in draws.items():
+            assert sum(rows for rows, _ in sizes) == steps
+            assert max(rows for rows, _ in sizes) == CHUNK_ROWS
+            assert {width for _, width in sizes} == {(BLOCK_PATHS, 100)[block]}
 
 
 class TestOneBlockLive:
-    """Every block loop frees a block's normals before it draws the next."""
+    """No call holds a whole block of increments: the rows stream in chunks."""
 
     @pytest.mark.parametrize("call", ["spike_tests", "perturbation_scaling", "bsde_residual_check"])
-    def test_peak_stays_below_two_blocks(self, smoke_200, call):
-        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+    def test_peak_stays_below_half_a_block(self, smoke_solution_1000, call):
+        sol = smoke_solution_1000
+        spec, th, p2 = sol.spec, sol.theta_star, sol.p2
         cfg = SimConfig(paths=2 * BLOCK_PATHS, seed=3, x0=1.0)
         spike = SpikeSpec(v=1.0)
         run = {
             "spike_tests": lambda: spike_tests(spec, th, p2, cfg, spike, [0.0, 0.5],
-                                               p1_diag=smoke_200.p1_diag, p3_diag=smoke_200.p3_diag),
+                                               p1_diag=sol.p1_diag, p3_diag=sol.p3_diag),
             "perturbation_scaling": lambda: perturbation_scaling(spec, th, p2, cfg, spike, 0.0),
             "bsde_residual_check": lambda: bsde_residual_check(spec, th, p2, cfg),
         }[call]
@@ -536,8 +574,165 @@ class TestOneBlockLive:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = spec.grid.steps * BLOCK_PATHS * np.dtype(float).itemsize  # one block of normals
-        assert peak < 2 * block, peak / block
+        block = spec.grid.steps * BLOCK_PATHS * np.dtype(float).itemsize  # one block of increments
+        assert peak < 0.5 * block, peak / block
+
+
+def blocks_of(paths):
+    """(block, start, width) of every RNG block of ``paths`` paths."""
+    return [(b, start, min(BLOCK_PATHS, paths - start)) for b, start in enumerate(range(0, paths, BLOCK_PATHS))]
+
+
+@contextlib.contextmanager
+def whole_block_increments(seed, paths, steps, hf):
+    """``simulate._increments`` as it was: each block drawn whole, in the calling thread."""
+    yield ((start, width, iter(whole_block(seed, block, steps, width, hf))) for block, start, width in blocks_of(paths))
+
+
+def whole_block_stream(runs):
+    """``simulate._stream`` as it was: each block drawn whole, then every
+    run's kernel over the leading rows of the block, one run after another."""
+    cfg = runs[0].cfg
+    steps = max(run.F for run in runs)
+    passes = [(run.F, run.kernel(), _PassSums(len(run.eps_steps))) for run in runs]
+    for block, _, width in blocks_of(cfg.paths):
+        incs = whole_block(cfg.seed, block, steps, width, runs[0].hf)
+        for fine, start, sums in passes:
+            sums.add(*send_all(start(width), incs[:fine]))
+    return [(sums.sum_d, sums.sumsq_d, sums.moments) for _, _, sums in passes]
+
+
+class TestStreamedRows:
+    """The streamed rows, stepped side by side, give what whole blocks give."""
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    @pytest.mark.parametrize("paths", [1, 300, BLOCK_PATHS, BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    def test_bitwise_the_whole_block_oracle(self, smoke_200, problem, paths, sub, monkeypatch):
+        nodes = smoke_200.spec.grid.nodes
+        if problem == "smoke":  # the scalar kernel
+            spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+            spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.05))
+            # Fine steps per run: below one chunk (nodes[-3]), whole chunks
+            # (nodes[-33]) and neither (0 and 0.5).
+            times = [0.5, 0.0, float(nodes[-3]), float(nodes[-33])]
+        else:  # n = k = 2: the generic kernel, 40 steps
+            spec, th, p2 = matrix_inputs(problem)
+            spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.1,))
+            times = [0.0, float(spec.grid.nodes[-3])]
+        cfg = SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0)
+
+        def outputs():
+            reports = spike_tests(spec, th, p2, cfg, spike, times)
+            bundle = simulate_spike(spec, th, p2, dataclasses.replace(cfg, t_start=0.5), spike, 0.1)
+            return (
+                [(rep.summary(), rep.closed_loop) for rep in reports],
+                perturbation_scaling(spec, th, p2, cfg, spike, 0.5),
+                bsde_residual_check(spec, th, p2, cfg),
+                bundle.X.tobytes() + bundle.increments.tobytes(),
+            )
+
+        streamed = outputs()
+        monkeypatch.setattr(simulate, "_stream", whole_block_stream)
+        monkeypatch.setattr(simulate, "_increments", whole_block_increments)
+        assert streamed == outputs()
+
+
+    def test_concurrent_calls_under_fast_switching(self, smoke_200):
+        # Four callers, each with a helper thread of its own, on a machine of
+        # a few cores, the interpreter switching threads every microsecond:
+        # every call still reads its own rows, in order.
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=BLOCK_PATHS + 5, seed=2, x0=1.0)
+        spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1))
+
+        def call():
+            return [rep.summary() for rep in spike_tests(spec, th, p2, cfg, spike, [0.0, 0.5],
+                                                         p1_diag=smoke_200.p1_diag, p3_diag=smoke_200.p3_diag)]
+
+        want = call()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: results.append(call()), daemon=True) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [want] * 4
+
+
+def call_in_thread(fn, timeout=60.0):
+    """Run fn in a thread of its own; the exception it raised, if it ended within the timeout."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=target, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    assert not caller.is_alive(), "the call did not end"
+    return raised[0] if raised else None
+
+
+class TestStreamFailure:
+    """An error on either side of the queue ends the call and its helper thread."""
+
+    @pytest.fixture
+    def two_block_spike_tests(self, smoke_200):
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=2 * BLOCK_PATHS, seed=3, x0=1.0)
+        return lambda: spike_tests(spec, th, p2, cfg, SpikeSpec(v=1.0), [0.0, 0.5],
+                                   p1_diag=smoke_200.p1_diag, p3_diag=smoke_200.p3_diag)
+
+    def test_a_kernel_error_mid_block(self, two_block_spike_tests, monkeypatch):
+        boom = RuntimeError("kernel")
+
+        def kernel(self):
+            def start(width):
+                def failing():
+                    for _ in range(3 * CHUNK_ROWS):
+                        yield
+                    time.sleep(0.5)  # the helper fills the queue and blocks on its next put
+                    raise boom
+
+                return _primed(failing())
+
+            return start
+
+        monkeypatch.setattr(_LadderRun, "kernel", kernel)
+        before = threading.active_count()
+        assert call_in_thread(two_block_spike_tests) is boom
+        assert threading.active_count() == before
+
+    def test_a_draw_error_mid_block(self, two_block_spike_tests, monkeypatch):
+        boom = RuntimeError("draw")
+        philox = simulate._philox
+        chunks = itertools.count()
+
+        def failing(seed, block):
+            gen = philox(seed, block)
+
+            class Failing:
+                def standard_normal(self, size):
+                    if next(chunks) == 3:
+                        raise boom
+                    return gen.standard_normal(size)
+
+            return Failing()
+
+        monkeypatch.setattr(simulate, "_philox", failing)
+        before = threading.active_count()
+        assert call_in_thread(two_block_spike_tests) is boom
+        assert threading.active_count() == before
 
 
 class TestBsdeResidual:

@@ -67,6 +67,9 @@ def test_suite_equilibrium_passes(smoke_solution):
     doc = report.to_dict()
     assert doc["passed"] is True
     assert len(doc["checks"]) == 3 + 8
+    # The suite computes the solver's consistency gap from the fields, by the same formula.
+    gap = next(c.value for c in report.checks if c.name == "integral_route_consistency")
+    assert gap == smoke_solution.diagnostics.consistency_gap
 
 
 def test_suite_equilibrium_rejects_corrupted_gain(smoke_solution):
