@@ -237,6 +237,7 @@ class _Workspace:
 
         self.factors = w.lag_factors()
         if self.factors is not None:
+            self.shifts = {name: lag.shift(self.h) for name, lag in self.factors.items()}
             self.R_diag = w.R(nodes, nodes)[:, 0, 0]
             self.N_diag = w.N(nodes, nodes)[:, 0, 0]
             return
@@ -304,9 +305,8 @@ class _Workspace:
         rho = np.exp(_increments(self.A[span], self.B[span], self.C[span], self.D[span], th[span], self.h))
         blocks = []
         for name, (w_l, w_r) in ends.items():
-            lag = self.factors[name]
-            coef = lag.coefs[:, 0, 0]
-            shift = lag.shift(self.h)
+            coef = self.factors[name].coefs[:, 0, 0]
+            shift = self.shifts[name]
             u = 0.5 * self.h * (np.multiply.outer(w_l, coef) + np.multiply.outer(rho * w_r, coef @ shift))
             blocks.append((u[:, None, :], shift))
         transport, heads, row = _transport(rho[:, None, None], blocks, tail.row)

@@ -81,11 +81,15 @@ def range_contains(mbig: np.ndarray, msmall: np.ndarray, tol: float = 1e-8) -> b
     return bool(np.all(resid <= bound))
 
 
-def range_residual(mbig: np.ndarray, msmall: np.ndarray) -> np.ndarray:
-    """|(I - M M^+) msmall| in spectral norm; stacked inputs supported."""
+def range_residual(mbig: np.ndarray, msmall: np.ndarray, mbig_pinv: np.ndarray | None = None) -> np.ndarray:
+    """|(I - M M^+) msmall| in spectral norm; stacked inputs supported.
+
+    ``mbig_pinv`` is :func:`pinv` of ``mbig`` when the caller holds it
+    already; by default it is computed here.
+    """
     mbig = np.asarray(mbig, dtype=float)
     msmall = np.asarray(msmall, dtype=float)
-    proj = mbig @ pinv(mbig)
+    proj = mbig @ (pinv(mbig) if mbig_pinv is None else mbig_pinv)
     return specnorm(msmall - proj @ msmall)
 
 

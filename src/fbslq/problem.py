@@ -281,11 +281,20 @@ _AUDIT_ROWS = 64
 
 
 def _triangle_min(kern: TwoTimeKernel, nodes: np.ndarray) -> float:
-    """Minimum of a scalar kernel over the node pairs s >= t, a block of s-rows at a time.
+    """Minimum of a scalar kernel over the node pairs s >= t.
 
-    Each call samples at most ``_AUDIT_ROWS`` x len(nodes) points, so the
+    A kernel with :class:`~fbslq.kernels.LagFactors` depends on the lag
+    s - t alone, and on the uniform grid the lags of the node pairs are the
+    L node lags t_k - t_0, so one call reads it there.  This is the dense
+    sweep's minimum bit for bit: the constant, discounted and difference
+    kernels are monotone in the lag, so both minima sit at lag 0 or lag T,
+    and both routes sample those two lags exactly (s = t, and T - 0).
+    Other kernels are swept over the triangle a block of s-rows at a time;
+    each call samples at most ``_AUDIT_ROWS`` x len(nodes) points, so the
     audit needs O(L) memory.
     """
+    if kern.lag_factors() is not None:
+        return float(np.min(kern(nodes, nodes[0])[:, 0, 0]))
     lowest = np.inf
     for a in range(0, len(nodes), _AUDIT_ROWS):
         s = nodes[a : a + _AUDIT_ROWS, None]
@@ -314,14 +323,15 @@ def check_one_dim_positivity(spec: ProblemSpec, delta_floor: float = 1e-8) -> As
     r_diag = w.R(nodes, nodes)[:, 0, 0]
     n_diag = w.N(nodes, nodes)[:, 0, 0]
     d_sq = c.D(nodes)[:, 0, 0] ** 2
-    delta = float(min(r_diag.min(), n_diag.min(), d_sq.min()))
+    # numpy's min, unlike Python's, keeps a NaN in any position
+    delta = float(np.min([r_diag.min(), n_diag.min(), d_sq.min()]))
 
     q_min = _triangle_min(w.Q, nodes)
     m_min = _triangle_min(w.M, nodes)
     g1_min = float(np.min(w.G1(nodes)))
 
     floor_ok = delta >= delta_floor
-    nonneg_ok = min(q_min, m_min, g1_min) >= -1e-12
+    nonneg_ok = np.min([q_min, m_min, g1_min]) >= -1e-12
     return AssumptionReport(
         name="one_dim_positivity",
         passed=bool(floor_ok and nonneg_ok),

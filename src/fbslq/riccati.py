@@ -264,7 +264,9 @@ def _affine_recursion(maps: np.ndarray, last: np.ndarray) -> np.ndarray:
     product's sum starts at +0.0, so it never returns -0.0, and this operand
     order propagates the same NaN.  For w > 1 the product (a BLAS gemv) sums
     each row in its own order, which no float loop reproduces, so the matrix
-    product stays.
+    product stays.  It runs as ``np.dot`` over rows zipped once up front:
+    that is the same gemv as ``np.matmul``, bit for bit, without indexing
+    three views and dispatching a ufunc at every step.
     """
     steps, w = maps.shape[:2]
     if w == 1:
@@ -277,8 +279,8 @@ def _affine_recursion(maps: np.ndarray, last: np.ndarray) -> np.ndarray:
         return np.array(out).reshape(steps + 1, 1)
     vals = np.ones((steps + 1, w + 1))
     vals[-1, :w] = last
-    for i in range(steps - 1, -1, -1):
-        np.matmul(maps[i], vals[i + 1], out=vals[i, :w])
+    for m, nxt, out in zip(maps[::-1], vals[:0:-1], vals[-2::-1, :w]):
+        np.dot(m, nxt, out=out)
     return vals[:, :w]
 
 
@@ -599,13 +601,14 @@ def check_constraints(
     at every grid node; one failing node fails the check.
     """
     lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    feedback = pinv(lam) @ gam
+    lam_p = pinv(lam)
+    feedback = lam_p @ gam
     norms = specnorm(feedback)
     sup = float(np.max(norms))
     l2 = float(np.sqrt(np.trapezoid(norms**2, spec.grid.nodes)))
     l2_pass = bool(np.isfinite(sup) and np.isfinite(l2))
 
-    resid = range_residual(lam, gam)
+    resid = range_residual(lam, gam, lam_p)
     bound = range_tol * (1.0 + specnorm(gam))
     range_ok = resid <= bound
     worst = int(np.argmax(resid - bound))

@@ -526,8 +526,9 @@ class TestLagKernels:
             assert np.array_equal(tab[ss >= tt], want[ss >= tt]), name
             assert not np.any(tab[ss < tt]), name
 
-    def test_no_kernel_call_samples_a_table(self):
-        # Every two-time kernel call of a solve evaluates at most one audit block of L-point rows.
+    @staticmethod
+    def kernel_call_sizes(spec):
+        """Points sampled by each two-time kernel call of a solve of ``spec`` from zero."""
         points = []
 
         def recording(kern):
@@ -540,15 +541,27 @@ class TestLagKernels:
             rec.__class__ = Recording
             return rec
 
-        base = assumption_smoke_problem(400)
-        w = base.weights
-        spec = replace(base, weights=replace(
+        w = spec.weights
+        spec = replace(spec, weights=replace(
             w, Q=recording(w.Q), R=recording(w.R), M=recording(w.M), N=recording(w.N)))
-        assert isinstance(spec.weights.Q, ConstantKernel)
-        assert isinstance(spec.weights.R, DifferenceKernel)
         sol = solve_equilibrium(spec, zero_theta(spec))
         assert sol.constraint_report.all_pass
+        return points
+
+    def test_no_kernel_call_samples_a_table(self):
+        # Every two-time kernel call of a solve evaluates at most one audit block of L-point rows.
+        spec = assumption_smoke_problem(400)
+        assert isinstance(spec.weights.Q, ConstantKernel)
+        assert isinstance(spec.weights.R, DifferenceKernel)
+        points = self.kernel_call_sizes(spec)
         assert points and max(points) <= _AUDIT_ROWS * spec.grid.num_nodes
+
+    def test_lag_weights_are_sampled_at_most_once_per_node(self):
+        # Smoke's weights are all lag kernels: the audit reads them at the L node lags, not the triangle.
+        spec = assumption_smoke_problem(400)
+        assert all(getattr(spec.weights, name).lag_factors() is not None for name in "QRMN")
+        points = self.kernel_call_sizes(spec)
+        assert points and max(points) <= spec.grid.num_nodes
 
 
 def test_solver_config_validation():

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fbslq.fields import TimeGrid
 from fbslq.kernels import (
+    CallableFn,
+    CallableKernel,
     ConstantFn,
     ConstantKernel,
     DifferenceKernel,
@@ -15,6 +19,7 @@ from fbslq.problem import (
     Dimensions,
     ProblemSpec,
     Weights,
+    _triangle_min,
     check_lipschitz_in_t,
     check_one_dim_positivity,
     validate,
@@ -179,6 +184,50 @@ def test_positivity_fails_for_vanishing_diagonal():
     report = check_one_dim_positivity(spec)
     assert not report.passed
     assert report.details["min_R_diag"] == pytest.approx(0.0, abs=1e-12)
+
+
+NAN_KERNEL = CallableKernel(lambda s, t: np.full(np.broadcast(s, t).shape + (1, 1), np.nan), (1, 1))
+NAN_FN = CallableFn(lambda t: np.full(np.shape(t) + (1, 1), np.nan), (1, 1))
+
+
+@pytest.mark.parametrize("slot,detail", [
+    ("Q", "min_Q"), ("M", "min_M"), ("R", "min_R_diag"),
+    ("N", "min_N_diag"), ("D", "min_D_squared"), ("G1", "min_G1"),
+])
+def test_positivity_fails_for_nan_weight(slot, detail):
+    # A NaN fails the audit whichever minimum it reaches, not only the first one combined.
+    spec = scalar_spec()
+    if slot == "D":
+        spec = replace(spec, coeffs=replace(spec.coeffs, D=NAN_FN))
+    else:
+        spec = replace(spec, weights=replace(spec.weights, **{slot: NAN_FN if slot == "G1" else NAN_KERNEL}))
+    report = check_one_dim_positivity(spec)
+    assert np.isnan(report.details[detail])
+    assert not report.passed
+
+
+LAG_KERNELS = {
+    "constant+": ConstantKernel(0.7),
+    "constant-": ConstantKernel(-0.7),
+    "discounted+decay": DiscountedKernel(1.3, 0.8),
+    "discounted-decay": DiscountedKernel(-1.3, 0.8),
+    "discounted+growth": DiscountedKernel(1.3, -0.8),
+    "discounted-growth": DiscountedKernel(-1.3, -0.8),
+    "difference+": DifferenceKernel(0.9, -0.2),
+    "difference-": DifferenceKernel(-0.9, 0.2),
+}
+
+
+@pytest.mark.parametrize("steps", [7, 200, 2000])
+@pytest.mark.parametrize("name", LAG_KERNELS)
+def test_lag_audit_is_the_dense_sweep_bitwise(name, steps):
+    # A lag kernel is read at the L node lags; behind a callable it is swept over the triangle.
+    kern = LAG_KERNELS[name]
+    assert kern.lag_factors() is not None
+    nodes = TimeGrid(2.5, steps).nodes
+    got = _triangle_min(kern, nodes)
+    want = _triangle_min(CallableKernel(lambda s, t: kern(s, t), kern.shape), nodes)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_positivity_rejects_multidimensional():

@@ -6,6 +6,7 @@ import pytest
 
 from fbslq.fields import Strategy, TimeGrid
 from fbslq.kernels import AffineFn, CallableKernel, ConstantFn, ConstantKernel
+from fbslq.matrixkit import range_residual, specnorm
 from fbslq.presets import (
     assumption_smoke_problem,
     classical_reduction_problem,
@@ -21,6 +22,7 @@ from fbslq.riccati import (
     characterization_residual_from_fields,
     check_constraints,
     feedback_map,
+    gain_denominator_numerator,
     solve_p1,
     solve_p2,
     solve_p3,
@@ -150,20 +152,30 @@ def matmul_affine_recursion(maps, last):
 
 
 class TestAffineRecursion:
-    def test_scalar_float_loop_is_the_matrix_product_bitwise(self):
-        rng = np.random.default_rng(3)
+    @staticmethod
+    def assert_matmul_bitwise(w, seed, cases):
+        """Random (steps, w, w + 1) maps with +-0, +-inf and NaN entries against the oracle."""
+        rng = np.random.default_rng(seed)
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0])
-        for _ in range(200):
+        for _ in range(cases):
             steps = int(rng.integers(1, 40))
-            maps = rng.standard_normal((steps, 1, 2)) * 10.0 ** rng.integers(-3, 4, (steps, 1, 2))
+            maps = rng.standard_normal((steps, w, w + 1)) * 10.0 ** rng.integers(-3, 4, (steps, w, w + 1))
             hit = rng.random(maps.shape) < 0.3
             maps[hit] = rng.choice(special, hit.sum())
-            last = rng.choice(np.append(special, rng.standard_normal(8)), 1)
+            last = rng.choice(np.append(special, rng.standard_normal(8)), w)
             with np.errstate(invalid="ignore", over="ignore"):
                 got = _affine_recursion(maps, last)
                 want = matmul_affine_recursion(maps, last)
-            assert got.shape == want.shape == (steps + 1, 1)
+            assert got.shape == want.shape == (steps + 1, w)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_scalar_float_loop_is_the_matrix_product_bitwise(self):
+        self.assert_matmul_bitwise(1, 3, 200)
+
+    @pytest.mark.parametrize("w", [2, 3, 7])
+    def test_row_loop_is_the_matrix_product_bitwise(self, w):
+        # np.dot over zipped rows runs the gemv that np.matmul runs, special values included.
+        self.assert_matmul_bitwise(w, w, 200)
 
 
 class TestSolveP1:
@@ -384,6 +396,26 @@ class TestCheckConstraints:
         assert not report.range_pass
         assert not np.any(report.range_ok_per_node[:-1])
         assert report.psd_pass  # Lambda == 0 is still PSD
+
+    @pytest.mark.parametrize("case", ["smoke", "zero branch", "half branch"])
+    def test_range_audit_is_matrixkit_range_residual_bitwise(self, case, smoke_solution):
+        # The audit reuses the feedback's pseudoinverse; its range outputs are range_residual's.
+        if case == "smoke":
+            sol = smoke_solution
+            spec, th, p1d, p3d, p2 = sol.spec, sol.theta_star, sol.p1_diag, sol.p3_diag, sol.p2
+        else:
+            spec = example_2_5_problem(100)
+            th = Strategy.constant(spec.grid, 0.0 if case == "zero branch" else -0.5)
+            p2 = solve_p2(spec, th)
+            p1d, p3d = solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal()
+        report = check_constraints(spec, p1d, p3d, p2, th)
+        lam, gam = gain_denominator_numerator(spec, p1d, p3d, p2)
+        resid = range_residual(lam, gam)
+        bound = 1e-8 * (1.0 + specnorm(gam))
+        worst = np.float64(report.range_worst_residual)
+        assert worst.view(np.uint64) == np.max(resid).view(np.uint64)
+        assert np.array_equal(report.range_ok_per_node, resid <= bound)
+        assert report.range_worst_node == int(np.argmax(resid - bound))
 
     def test_psd_margin_at_converged_solution(self, smoke_solution):
         # Under the positivity floor the PSD constraint holds with margin.
