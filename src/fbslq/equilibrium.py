@@ -263,14 +263,9 @@ class _Workspace:
     def exponent(self, th: np.ndarray) -> np.ndarray:
         return _exponent(self.A, self.B, self.C, self.D, th, self.h)
 
-    def p1_tilde(self, th, p2t, cols=None) -> np.ndarray:
-        """Quadrature of the transported running weights from each node t_i.
-
-        ``cols`` restricts the evaluation to a slice of t-indices; the nodes
-        from its first one to T are integrated as one span from the terminal state.
-        """
-        lo, hi, _ = (slice(0, self.L) if cols is None else cols).indices(self.L)
-        return self.span_p1_tilde(th, p2t, lo, self.terminal())[0][: hi - lo]
+    def p1_tilde(self, th, p2t) -> np.ndarray:
+        """Quadrature of the transported running weights from each node t_i."""
+        return self.span_p1_tilde(th, p2t, 0, self.terminal())[0]
 
     def span_p1_tilde(self, th, p2t, lo, tail: _Tail):
         """p1t at nodes lo..tail.node, from the state ``tail``, and the suffix-sum row at lo.

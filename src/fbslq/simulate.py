@@ -34,24 +34,24 @@ one-sided limits: the control (and hence Z) is frozen at its interval value,
 matching both the Euler dynamics and the closed-left/open-right indicator
 convention of the spike window.
 
-One Euler march steps every generic path: the closed loop and, per spike
-rung, its perturbation, which is exactly linear in the direction v.  The
-bundle API records it at the coarse nodes (no rung for the closed loop, one
-for a spike), the backward-equation check reads the closed loop off it,
+One Euler march steps the closed loop and, per spike rung, its
+perturbation, which is exactly linear in the direction v.  The bundle API
+records it at the coarse nodes (no rung for the closed loop, one for a
+spike), the backward-equation check reads the closed loop off it and
 :func:`perturbation_scaling` reads the rungs' perturbations at the coarse
-nodes, and the generic spike ladder streams its cost sums over it, split
-into a part linear and a part quadratic in v; one pass therefore yields the
-ladder for +v and for -v, and the closed-loop cost estimate from the same
-paths.  The one other Euler loop is the scalar ladder's fast path, which
-collapses the rungs into a single process once the widest spike window has
-closed.  The dimensions alone choose the ladder kernel: no caller selects
-it.
+nodes.  The one other Euler loop is the spike ladder's kernel, one for
+every dimension: it groups the cost terms by node, splits the cost sums
+into a part linear and a part quadratic in v, and collapses the rungs into
+one n x n transition per path once the widest spike window has closed.
+One pass therefore yields the ladder for +v and for -v, and the
+closed-loop cost estimate from the same paths.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -505,17 +505,18 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Streaming engines: spike ladder statistics without materializing bundles.
 #
-# The ladder runs in perturbation form.  Next to the closed-loop state x its
-# march (``_LadderRun.march``) carries, for every rung q, the perturbation
-# d_q = X^q - x under +v, which starts at zero and follows
+# The ladder runs in perturbation form.  Next to the closed-loop state x it
+# carries, for every rung q, the perturbation d_q = X^q - x under +v, which
+# starts at zero and follows
 #
 #     d <- d + (A_Th d + chi_q B v) h_f + (C_Th d + chi_q D v) dW.
 #
-# The bundle route, ``bsde_residual_check`` and ``perturbation_scaling`` read
-# the same march, so every generic path shares one Euler update and each
-# block's increments.  The march and both ladder kernels are coroutines that
-# are sent one row of increments per fine step, so ``_stream`` can step the
-# kernels of every spike time side by side over one stream of rows.
+# One Euler march (``_LadderRun.march``) steps them for the bundle route,
+# ``bsde_residual_check`` and ``perturbation_scaling``; the ladder kernel
+# (``_LadderRun._block``) takes the same steps in a loop of its own, which
+# writes into buffers.  Both are coroutines that are sent one row of
+# increments per fine step, so ``_stream`` can step the kernels of every
+# spike time side by side over one stream of rows.
 #
 # Every cost term is a quadratic form wt <W L x, L x> of a linear function of
 # the state, and rung q moves its argument by e_q = L d_q + s_q, where s_q
@@ -526,13 +527,11 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 #     cross_q = sum wt <(W + W') L x, e_q>,   quad_q = sum wt <W e_q, e_q>,
 #
 # because e_q is exactly linear in v.  One pass therefore gives both
-# directions, bit for bit what a separate -v pass gives.  The generic kernel
-# evaluates every term so over the march, every rung carried to the horizon.
-# The scalar kernel (m = n = k = 1) is the fast path with its own loop: it
-# groups the terms by node and stops carrying the rungs at node e, the end
-# of the widest window: past e no rung has a source, so d_q(r) = d_q(e)
-# Psi(r) with one process Psi, Psi(e) = 1, stepped like x.  The dimensions
-# alone pick the kernel (``_LadderRun.kernel``); no caller selects it.
+# directions, bit for bit what a separate -v pass gives.  The kernel groups
+# the terms by node (``_LadderRun._weights``) and stops carrying the rungs at
+# node e, the end of the widest window: past e no rung has a source, so
+# d_q(r) = Psi(r) d_q(e) with one n x n transition Psi per path, Psi(e) = I,
+# stepped like x.
 # ---------------------------------------------------------------------------
 
 
@@ -542,16 +541,38 @@ def _rmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x * m[0, 0] if m.shape == (1, 1) else x @ m
 
 
-def _add_form(sums, wt: float, w: np.ndarray, a: np.ndarray, e: np.ndarray) -> None:
-    """Add the term wt <W y, y> at y = a (closed loop) and at y = a + e (rungs).
+def _mixer(y: np.ndarray, out: np.ndarray):
+    """out[j] = sum_i y[i] m[i, j] over the leading (component) axis, bound to
+    ``y`` and ``out`` as a function of m, whose entries are numbers or per-path
+    vectors; at one component the product y[0] m[0, 0] itself, written straight
+    into ``out[0]``.  ``out`` must not overlap ``y``."""
+    if len(y) == 1:
+        y0, out0 = y[0], out[0]
+        return lambda m: np.multiply(y0, m[0, 0], out=out0)
 
-    ``sums`` is (base, cross, quad): the closed-loop term per path, and per
-    rung and path the parts of the difference linear and quadratic in e.
-    """
-    base, cross, quad = sums
-    base += wt * np.einsum("pi,ij,pj->p", a, w, a)
-    cross += wt * np.einsum("pi,ij,qpj->qp", a, w + w.T, e)
-    quad += wt * np.einsum("qpi,ij,qpj->qp", e, w, e)
+    def mix(m):
+        for j, out_j in enumerate(out):
+            np.multiply(y[0], m[0, j], out=out_j)
+            for i in range(1, len(y)):
+                out_j += y[i] * m[i, j]
+
+    return mix
+
+
+def _dotter(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """sum_i a[i] b[i] over the leading (component) axis, the other axes broadcast,
+    bound to its arrays as a function of no arguments; at one component the
+    product a[0] b[0] itself.  ``out`` may be a[0] or b[0]."""
+    if len(a) == 1:
+        return functools.partial(np.multiply, a[0], b[0], out=out)
+
+    def dot():
+        total = np.multiply(a[0], b[0], out=out)
+        for a_i, b_i in zip(a[1:], b[1:]):
+            total += a_i * b_i
+        return total
+
+    return dot
 
 
 def _merge_moments(moments, samples: np.ndarray):
@@ -670,21 +691,18 @@ class _LadderRun:
         self.dv_right = c.D(right_t) @ v
 
         self.qk = w.Q(nodes, t)
-        self.rk_iv = 0.5 * (w.R(nodes, t)[:-1] + w.R(nodes, t)[1:])
+        rk = w.R(nodes, t)
+        self.rk_iv = 0.5 * (rk[:-1] + rk[1:])
         self.mk = w.M(nodes, t)
         self.nk = w.N(nodes, t)
         self.g1 = w.G1(t)
         self.g2 = w.G2(t)
 
     def kernel(self):
-        """The per-block kernel: from a block width to a primed coroutine that
-        is sent the increments of each fine step in turn, (width,) each, and
-        whose send of the last returns the per-path sums (base, cross, quad);
-        the scalar kernel when m = n = k = 1."""
-        if self.n == self.m == self.k == 1:
-            weights = self._scalar_weights()
-            return lambda width: _primed(self._block_scalar(width, weights))
-        return lambda width: _primed(self._block_generic(width))
+        """From a block width to a primed coroutine that is sent the increments of each
+        fine step, (width,) each, and whose last send returns the sums (base, cross, quad)."""
+        weights = self._weights()
+        return lambda width: _primed(self._block(width, weights))
 
     def march(self, width: int):
         """Euler-Maruyama of the closed loop x and every rung's perturbation d, as a coroutine.
@@ -715,161 +733,139 @@ class _LadderRun:
         for row in rows:
             yield march.send(row)
 
-    def _block_generic(self, width):
-        """Cross and quad sums term by term, every rung carried to the horizon."""
-        rungs = len(self.eps_steps)
-        sums = (np.zeros(width), np.zeros((rungs, width)), np.zeros((rungs, width)))
-        y0 = np.broadcast_to(self.p2_range[0] @ self.x0, (width, self.m))
-        _add_form(sums, 1.0, self.g2, y0, np.broadcast_to(self.p7v[:, 0, None], (rungs, width, self.m)))
-        march = self.march(width)
-        _, x, dx, _ = next(march)
-        self._add_node(sums, 0, x, dx)
-        for _ in range(self.F):
-            ell, x, dx, _ = march.send((yield))
-            if ell % self.sub == 0:
-                self._add_node(sums, ell // self.sub, x, dx)
-        _add_form(sums, 1.0, self.g1, x, dx)
-        yield sums
+    def _weights(self):
+        """Node weights of the ladder kernel, and the spike drive per fine step.
 
-    def _add_node(self, sums, r, x, dx):
-        """The terms read at coarse node r: those of interval r - 1 that read
-        its right end first, then the state terms of node r, then the terms
-        of interval r that read its left end."""
-        h, n_coarse = self.h, self.n_coarse
-        if r:
-            chi = self.chi_node[:, r - 1, None, None]
-            self._add_z(sums, r, self.ct_right[r - 1], self.dv_right[r - 1], chi, x, dx)
-        self._add_state(sums, r, 0.5 * h if r in (0, n_coarse) else h, x, dx)
-        if r < n_coarse:
-            chi = self.chi_node[:, r, None, None]
-            th = self.theta_left[r].T
-            _add_form(sums, h, self.rk_iv[r], _rmul(x, th), _rmul(dx, th) + chi * self.v)
-            self._add_z(sums, r, self.ct_left[r], self.dv_left[r], chi, x, dx)
-
-    def _add_state(self, sums, r, wt, x, dx):
-        _add_form(sums, wt, self.qk[r], x, dx)
-        p2 = self.p2_range[r].T
-        _add_form(sums, wt, self.mk[r], _rmul(x, p2), _rmul(dx, p2) + self.p7v[:, r, None])
-
-    def _add_z(self, sums, node, ct, dvv, chi, x, dx):
-        """Z = P2 (C_Th X + chi D v) of an interval at one of its ends, weight N h / 2."""
-        p2 = self.p2_range[node].T
-        z = _rmul(_rmul(x, ct.T), p2)
-        dz = _rmul(_rmul(dx, ct.T) + chi * dvv, p2)
-        _add_form(sums, 0.5 * self.h, self.nk[node], z, dz)
-
-    def _scalar_weights(self):
-        """Node weights of the scalar kernel, and the spike drive per fine step.
-
-        Every cost term at node r reads wt (l x + s_q)^2 with a deterministic
-        weight wt, multiplier l and rung source s_q.  Summed over the terms of
-        the node, the closed loop pays alpha_r x^2 and rung q adds
-        2 x (alpha_r d + beta_qr) to its cross sum and
-        d (alpha_r d + 2 beta_qr) + gamma_qr to its quad sum, where
-        alpha = sum wt l^2, beta = sum wt l s and gamma = sum wt s^2.  The
-        gammas are the same on every path and are summed once.
+        Every cost term at node r reads wt <W (L x + s_q), L x + s_q> with a
+        deterministic weight wt, matrices W and L, and rung source s_q.
+        Summed over the terms of the node, with W symmetrised, the closed
+        loop pays x' alpha_r x and rung q adds 2 x'(alpha_r d + beta_qr) to
+        its cross sum and d'(alpha_r d + 2 beta_qr) + gamma_qr to its quad
+        sum, where alpha = sum wt L'W L (n x n), beta = sum wt L'W s (n) and
+        gamma = sum wt s'W s.  The gammas are the same on every path and are
+        summed once.  Each contraction multiplies wt W by L, or by the outer
+        product of L or of s, so that at m = n = k = 1 the weights are the
+        plain products wt l^2, (wt l) s and wt s^2.  Returns alpha (nodes, n,
+        n), beta (nodes, n, rungs, 1), gamma (rungs,) and the drives (fine
+        steps, n, rungs, 1), laid out for the states of :meth:`_block`.
         """
-        h, n = self.h, self.n_coarse
-        p2 = self.p2_range[:, 0, 0]
-        chi = self.chi_node
-        p7 = self.p7v[:, :, 0]
-        w_state = np.full(n + 1, h)
+        h, nc = self.h, self.n_coarse
+        p2 = self.p2_range
+        w_state = np.full(nc + 1, h)
         w_state[0] = w_state[-1] = 0.5 * h
-        nk = self.nk[:, 0, 0]
-        alpha = w_state * self.qk[:, 0, 0]
-        alpha[-1] += self.g1[0, 0]
-        beta = np.zeros((len(self.eps_steps), n + 1))
-        gamma = np.zeros(len(self.eps_steps))
-        left, right = slice(0, n), slice(1, n + 1)
-        sourced = (  # (nodes, weight, multiplier, source per rung)
-            (left, h * self.rk_iv[:, 0, 0], self.theta_left[:, 0, 0], chi * self.v[0]),
-            (left, 0.5 * h * nk[:-1], p2[:-1] * self.ct_left[:, 0, 0], p2[:-1] * chi * self.dv_left[:, 0]),
-            (right, 0.5 * h * nk[1:], p2[1:] * self.ct_right[:, 0, 0], p2[1:] * chi * self.dv_right[:, 0]),
-            (slice(0, n + 1), w_state * self.mk[:, 0, 0], p2, p7),
-            (slice(0, 1), self.g2[0, 0], p2[:1], p7[:, :1]),  # G2 Y(t)^2 at the deterministic start
+        chi = self.chi_node[:, :, None, None]
+        eye = np.eye(self.n)[None]
+        left, right, every = slice(0, nc), slice(1, nc + 1), slice(0, nc + 1)
+
+        def z_source(p2_ends, dv_ends):  # chi P2 D v at one end of each interval
+            return ((chi * p2_ends) @ dv_ends[..., None])[..., 0]
+
+        terms = (  # (nodes, weight, W, L, source per rung or None)
+            (every, w_state, self.qk, eye, None),
+            (slice(nc, nc + 1), 1.0, self.g1[None], eye, None),
+            (left, h, self.rk_iv, self.theta_left, self.chi_node[:, :, None] * self.v),
+            (left, 0.5 * h, self.nk[:-1], p2[:-1] @ self.ct_left, z_source(p2[:-1], self.dv_left)),
+            (right, 0.5 * h, self.nk[1:], p2[1:] @ self.ct_right, z_source(p2[1:], self.dv_right)),
+            (every, w_state, self.mk, p2, self.p7v),
+            (slice(0, 1), 1.0, self.g2[None], p2[:1], self.p7v[:, :1]),  # G2 Y(t) at the deterministic start
         )
-        for nodes, wt, ell, src in sourced:
-            alpha[nodes] += wt * ell**2
-            beta[:, nodes] += wt * ell * src
-            gamma += (wt * src**2).sum(axis=1)
-        drive_h = self.chi_fine * (self.bv[:, 0] * self.hf)
-        drive_w = self.chi_fine * self.dv[:, 0]
-        return alpha, beta, gamma, drive_h, drive_w
+        alpha = np.zeros((nc + 1, self.n, self.n))
+        beta = np.zeros((nc + 1, self.n, len(self.eps_steps)))
+        gamma = np.zeros(len(self.eps_steps))
+        for nodes, wt, w, ell, src in terms:
+            ww = np.reshape(wt, (-1, 1, 1)) * (0.5 * (w + np.swapaxes(w, 1, 2)))
+            alpha[nodes] += np.einsum("rab,raibj->rij", ww, ell[:, :, :, None, None] * ell[:, None, None])
+            if src is not None:
+                beta[nodes] += np.einsum("rbi,qrb->riq", np.einsum("rab,rai->rbi", ww, ell), src)
+                gamma += np.einsum("rab,qrab->qr", ww, src[..., :, None] * src[..., None, :]).sum(axis=1)
+        chi_fine = self.chi_fine.T[:, None, :, None]  # (fine steps, 1, rungs, 1)
+        drive_h = chi_fine * (self.bv * self.hf)[:, :, None, None]
+        drive_w = chi_fine * self.dv[:, :, None, None]
+        return alpha, beta[..., None], gamma, drive_h, drive_w
 
-    def _block_scalar(self, width, weights):
-        """Node-grouped sums for m = n = k = 1, the rungs collapsed past the widest window.
+    def _block(self, width, weights):
+        """Node-grouped sums of one block, the rungs collapsed past the widest window.
 
-        Every step writes into buffers allocated once per block: a fresh
-        (rungs, width) temporary per operation would be large enough for the
-        allocator to map and unmap it each time.  The operations and their
-        order are those of the plain expressions in the comments, so the
-        sums are the same to the bit.
+        States are component-major, (n, ..., width): x and every rung's d up to
+        node e, then x and the rows of Psi'; each steps as y <- y + y F with
+        F = C_Th' dW + A_Th' h_f per path.  Every step writes, through
+        contractions bound to them, into buffers allocated once per block: a
+        fresh (rungs, width) temporary per operation would be large enough for
+        the allocator to map and unmap it each time.  The operations and their
+        order are those of the comments; at n = 1 each contraction is a product.
         """
         alpha, beta, gamma, drive_h, drive_w = weights
-        sub, hf = self.sub, self.hf
-        a_h = self.a_fine[:, 0, 0] * hf
-        c_f = self.c_fine[:, 0, 0]
-        e = self.widest
+        n, sub, e, rungs = self.n, self.sub, self.widest, len(self.eps_steps)
+        a_h = np.swapaxes(self.a_fine, 1, 2)[..., None] * self.hf  # (fine steps, n, n, 1)
+        c_t = np.swapaxes(self.c_fine, 1, 2)[..., None]
+        f = np.empty((n, n, width))
 
-        x = np.full(width, self.x0[0])
-        dx = np.zeros((len(self.eps_steps), width))
-        base = np.zeros(width)
-        cross = np.zeros_like(dx)
-        quad = np.zeros_like(dx)
-        f, tmp = np.empty(width), np.empty(width)
-        t, big_tmp = np.empty_like(dx), np.empty_like(dx)
-
-        def advance(ell, dw):  # f = a_h + c_f dW, then x <- x + f x
-            np.multiply(dw, c_f[ell], out=f)
+        def factor(ell, dw):  # F = c_t dW + a_h
+            np.multiply(c_t[ell], dw, out=f)
             np.add(f, a_h[ell], out=f)
-            np.multiply(f, x, out=tmp)
-            np.add(x, tmp, out=x)
 
+        x = np.repeat(self.x0[:, None], width, axis=1)
+        dx = np.zeros((n, rungs, width))
+        base = np.zeros(width)
+        cross = np.zeros((rungs, width))
+        quad = np.zeros_like(cross)
+        xt = np.empty_like(x)
+        t, dt = np.empty_like(dx), np.empty_like(dx)
+        big_tmp = dt[0]  # (rungs, width), free while the rungs do not step
+        mix_x, mix_dx_dt, mix_dx_t = _mixer(x, xt), _mixer(dx, dt), _mixer(dx, t)
+        xt_x = _dotter(xt, x, xt[0])
+        xt_t, dx_t = _dotter(xt[:, None], t, big_tmp), _dotter(dx, t, t[0])
         for r in range(e + 1):
             if r:
                 for ell in range((r - 1) * sub, r * sub):
                     dw = yield
-                    advance(ell, dw)
-                    # dx <- dx + f dx + (drive_h + drive_w dW)
-                    np.multiply(f, dx, out=big_tmp)
-                    np.add(dx, big_tmp, out=dx)
-                    np.multiply(drive_w[:, ell, None], dw, out=big_tmp)
-                    np.add(drive_h[:, ell, None], big_tmp, out=big_tmp)
-                    np.add(dx, big_tmp, out=dx)
-            # base += alpha x x;  t = alpha dx + beta;  cross += (2 x) t;  quad += dx (t + beta)
-            np.multiply(x, alpha[r], out=tmp)
-            np.multiply(tmp, x, out=tmp)
-            np.add(base, tmp, out=base)
-            np.multiply(dx, alpha[r], out=t)
-            np.add(t, beta[:, r, None], out=t)
-            np.multiply(x, 2.0, out=tmp)
-            np.multiply(tmp, t, out=big_tmp)
-            np.add(cross, big_tmp, out=cross)
-            np.add(t, beta[:, r, None], out=t)
-            np.multiply(dx, t, out=t)
-            np.add(quad, t, out=quad)
+                    factor(ell, dw)
+                    # x <- x + x F;  dx <- dx + dx F + (drive_h + drive_w dW)
+                    mix_x(f)
+                    np.add(x, xt, out=x)
+                    mix_dx_dt(f)
+                    np.add(dx, dt, out=dx)
+                    np.multiply(drive_w[ell], dw, out=dt)
+                    np.add(drive_h[ell], dt, out=dt)
+                    np.add(dx, dt, out=dx)
+            # base += (x alpha) x;  t = dx alpha + beta;  cross += (2 x) t;  quad += dx (t + beta)
+            mix_x(alpha[r])
+            np.add(base, xt_x(), out=base)
+            mix_dx_t(alpha[r])
+            np.add(t, beta[r], out=t)
+            np.multiply(x, 2.0, out=xt)
+            np.add(cross, xt_t(), out=cross)
+            np.add(t, beta[r], out=t)
+            np.add(quad, dx_t(), out=quad)
 
-        # Past node e: d_q(r) = d_q(e) Psi(r); carry x and Psi only.
-        psi = np.ones(width)
-        big_a = np.zeros(width)  # sum alpha Psi^2
-        big_b = np.zeros(width)  # sum alpha x Psi
-        ax = np.empty(width)
+        # Past node e: d_q(r) = d_q(e) Psi(r)' in rows; carry x and the rows
+        # of Psi' only, psi[j, i] = Psi'[i, j], each stepped like x.
+        del t, dt, big_tmp, mix_dx_dt, mix_dx_t, xt_t, dx_t  # the rung buffers: unused past e
+        psi = np.repeat(np.eye(n)[:, :, None], width, axis=2)
+        big_a = np.zeros((n, n, width))  # sum Psi' alpha Psi
+        big_b = np.zeros((n, width))  # sum Psi' alpha x
+        pa, prod = np.empty_like(psi), np.empty_like(psi)  # Psi' alpha, and the products
+        mix_psi_prod, mix_psi_pa = _mixer(psi, prod), _mixer(psi, pa)
+        xt_x = _dotter(xt, x, prod[0, 0])
+        psi_xt, pa_psi = _dotter(psi, xt[:, None], prod[0]), _dotter(pa[:, :, None], psi[:, None], prod)
         for r in range(e + 1, self.n_coarse + 1):
             for ell in range((r - 1) * sub, r * sub):
-                advance(ell, (yield))  # and Psi <- Psi + f Psi
-                np.multiply(f, psi, out=tmp)
-                np.add(psi, tmp, out=psi)
-            # base += (alpha x) x;  big_b += (alpha x) Psi;  big_a += (alpha Psi) Psi
-            np.multiply(x, alpha[r], out=ax)
-            np.multiply(ax, x, out=tmp)
-            np.add(base, tmp, out=base)
-            np.multiply(ax, psi, out=tmp)
-            np.add(big_b, tmp, out=big_b)
-            np.multiply(psi, alpha[r], out=ax)
-            np.multiply(ax, psi, out=tmp)
-            np.add(big_a, tmp, out=big_a)
-        cross += (2.0 * dx) * big_b
-        quad += (dx * dx) * big_a + gamma[:, None]
+                factor(ell, (yield))
+                # x <- x + x F;  Psi' <- Psi' + Psi' F
+                mix_x(f)
+                np.add(x, xt, out=x)
+                mix_psi_prod(f)
+                np.add(psi, prod, out=psi)
+            # xt = x alpha: base += xt x;  big_b += Psi' xt;  big_a += (Psi' alpha) Psi
+            mix_x(alpha[r])
+            np.add(base, xt_x(), out=base)
+            np.add(big_b, psi_xt(), out=big_b)
+            mix_psi_pa(alpha[r])
+            np.add(big_a, pa_psi(), out=big_a)
+        # cross += (2 dx) big_b;  quad += (dx dx) big_a + gamma
+        cross += _dotter(2.0 * dx, big_b[:, None])()
+        dd = (dx[:, None] * dx[None]).reshape((n * n,) + dx.shape[1:])
+        quad += _dotter(dd, big_a.reshape(n * n, 1, width))() + gamma[:, None]
         yield base, cross, quad
 
 

@@ -105,8 +105,9 @@ class TestP1Tilde:
         assert factor.factors is not None and dense.factors is None
         want = dense.p1_tilde(th, p2t)
         assert max_rel_gap(factor.p1_tilde(th, p2t), want) <= 1e-12
-        window = slice(spec.grid.steps // 3, spec.grid.steps // 2)
-        assert max_rel_gap(factor.p1_tilde(th, p2t, window), want[window]) <= 1e-12
+        lo, hi = spec.grid.steps // 3, spec.grid.steps // 2
+        span = factor.span_p1_tilde(th, p2t, lo, factor.terminal())[0]
+        assert max_rel_gap(span[: hi - lo], want[lo:hi]) <= 1e-12
 
     def test_dense_quadrature_finite_where_the_transport_overflows(self):
         # The problem of TestCliSolve::test_solver_failure_exits_3 at its

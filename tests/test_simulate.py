@@ -358,7 +358,7 @@ def row_values(rep):
 
 
 def matrix_inputs(problem="matrix"):
-    """An n = k = 2 problem for the generic kernel, under a random gain.
+    """An n = k = 2 problem under a random gain.
 
     ``matrix`` is the reduction preset: its H, hats, M, N and G2 are 0, so
     P2 = P7 = 0 and Y = Z = 0.  ``coupled`` (m = 2 as well) has all of them
@@ -371,6 +371,15 @@ def matrix_inputs(problem="matrix"):
     return spec, theta, solve_p2(spec, theta)
 
 
+def ladder_inputs(smoke_solution, problem):
+    """(spec, theta, P2, v, spike_test keywords) of a ladder test problem:
+    the smoke solution (n = 1) or a :func:`matrix_inputs` problem (n = 2)."""
+    if problem == "smoke":
+        sol = smoke_solution
+        return sol.spec, sol.theta_star, sol.p2, 1.0, {"p1_diag": sol.p1_diag, "p3_diag": sol.p3_diag}
+    return (*matrix_inputs(problem), np.array([1.0, -0.5]), {})
+
+
 class TestSpikeDirections:
     """One ladder pass gives both directions, exactly linear in v."""
 
@@ -380,7 +389,7 @@ class TestSpikeDirections:
             spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
             v, t, kw = 1.0, 0.25, {"p1_diag": smoke_solution.p1_diag,
                                    "p3_diag": smoke_solution.p3_diag}
-        else:  # n = k = 2: the generic kernel
+        else:  # n = k = 2
             spec, th, p2 = matrix_inputs(problem)
             v, t, kw = np.array([1.0, -0.5]), 0.5, {}
         cfg = SimConfig(paths=300, seed=4, x0=1.0)
@@ -410,19 +419,44 @@ class TestSpikeDirections:
         assert np.all(np.abs(d[2.0] - d[-2.0] - 2.0 * odd) <= 1e-12 * np.abs(2.0 * odd))
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    def test_collapsed_scalar_kernel_matches_generic(self, smoke_solution, t):
-        spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
-        cfg = SimConfig(paths=600, seed=8, t_start=t, x0=1.0)
-        run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), [64, 20, 5, 1])
-        incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)  # the one block
-        scalar, generic = _PassSums(4), _PassSums(4)
-        scalar.add(*send_all(_primed(run._block_scalar(cfg.paths, run._scalar_weights())), incs))
-        generic.add(*send_all(_primed(run._block_generic(cfg.paths)), incs))
-        for a, b in ((scalar.sum_d, generic.sum_d), (scalar.sumsq_d, generic.sumsq_d)):
-            assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b))  # per sign and rung
-        assert scalar.moments[0] == generic.moments[0]
-        assert scalar.moments[1] == pytest.approx(generic.moments[1], rel=1e-12)
-        assert scalar.moments[2] == pytest.approx(generic.moments[2], rel=1e-10)
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    def test_ladder_matches_the_bundle_route(self, smoke_solution, problem, t):
+        # Three rungs, the widest ending before the horizon, so that the
+        # ladder collapses its rungs past that window, at n = 2 too.
+        spec, th, p2, v, kw = ladder_inputs(smoke_solution, problem)
+        epsilons = (0.25, 0.1, 0.05)
+        cfg = SimConfig(paths=400, seed=13, t_start=t, x0=1.0)
+        rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=v, epsilons=epsilons), t, **kw)
+        assert spec.grid.index_of(t) + round(epsilons[0] / spec.grid.h) < spec.grid.steps
+        base = simulate_closed_loop(spec, th, p2, cfg)
+        j0 = evaluate_cost(spec, base, build_controls(spec, base), t)
+        assert rep.closed_loop.estimate == pytest.approx(j0.estimate, rel=1e-12)
+        for report, direction in ((rep, v), (rep.opposite, -np.asarray(v))):
+            for row in report.rows:
+                spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=direction), row.eps_used)
+                j1 = evaluate_cost(spec, spiked, build_controls(spec, spiked), t)
+                assert row.delta == pytest.approx((j1.estimate - j0.estimate) / row.eps_used, abs=1e-10)
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    @pytest.mark.parametrize("problem", ["smoke", "coupled"])
+    def test_the_collapse_is_exact(self, smoke_solution, problem, sub):
+        # The rungs collapse past the widest window; a rung that reaches the
+        # horizon keeps every rung carried to the end, and their sums agree.
+        spec, th, p2, v, _ = ladder_inputs(smoke_solution, problem)
+        t = 0.5
+        cfg = SimConfig(paths=300, seed=9, sub_steps=sub, t_start=t, x0=1.0)
+        left = spec.grid.steps - spec.grid.index_of(t)
+        rungs = [left // 4, left // 8, 1]
+        collapsed = _LadderRun(spec, th, p2, cfg, np.asarray(v, dtype=float).reshape(-1), rungs)
+        carried = _LadderRun(spec, th, p2, cfg, collapsed.v, [left] + rungs)
+        incs = whole_block(cfg.seed, 0, collapsed.F, cfg.paths, collapsed.hf)
+        got = send_all(collapsed.kernel()(cfg.paths), incs)
+        want = send_all(carried.kernel()(cfg.paths), incs)
+        assert np.array_equal(got[0], want[0])  # base: the same operations either way
+        for a, b in zip(got[1:], want[1:]):  # cross, quad per rung and path
+            b = b[1:]
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b).max(axis=1, keepdims=True))
+            assert np.all(np.abs(a.sum(axis=1) - b.sum(axis=1)) <= 1e-12 * np.abs(b.sum(axis=1)))
 
     def test_closed_loop_cost_matches_bundle_route(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
@@ -440,7 +474,7 @@ class TestSpikeDirections:
 def plain_block_scalar(run, increments, weights):
     """The scalar ladder kernel as plain array expressions over a whole block,
     a new array per operation: the oracle of the buffered coroutine
-    ``_LadderRun._block_scalar``."""
+    ``_LadderRun._block`` at m = n = k = 1."""
     alpha, beta, gamma, drive_h, drive_w = weights
     sub, hf = run.sub, run.hf
     a_h = run.a_fine[:, 0, 0] * hf
@@ -480,6 +514,13 @@ def plain_block_scalar(run, increments, weights):
     return base, cross, quad
 
 
+def scalar_weights(weights):
+    """``_LadderRun._weights`` at n = 1 in the shapes of :func:`plain_block_scalar`:
+    alpha (nodes,), beta (rungs, nodes), gamma (rungs,), drives (rungs, fine steps)."""
+    alpha, beta, gamma, drive_h, drive_w = weights
+    return alpha[:, 0, 0], beta[:, 0, :, 0].T, gamma, drive_h[:, 0, :, 0].T, drive_w[:, 0, :, 0].T
+
+
 class TestSpikeTests:
     """One draw per RNG block serves every spike time of a pass."""
 
@@ -487,10 +528,10 @@ class TestSpikeTests:
     @pytest.mark.parametrize("paths", [300, BLOCK_PATHS + 200])
     @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
     def test_every_time_is_its_separate_test_bitwise(self, smoke_solution, problem, paths, sub):
-        if problem == "smoke":  # the scalar kernel
+        if problem == "smoke":  # n = 1
             spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
             v, kw = 1.0, {"p1_diag": smoke_solution.p1_diag, "p3_diag": smoke_solution.p3_diag}
-        else:  # n = k = 2: the generic kernel
+        else:  # n = k = 2
             spec, th, p2 = matrix_inputs(problem)
             v, kw = np.array([1.0, -0.5]), {}
         spike = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
@@ -514,9 +555,9 @@ class TestSpikeTests:
             for rungs in ([64, 20, 5, 1], [left, 3]):
                 run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), rungs)
                 incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
-                weights = run._scalar_weights()
-                got = send_all(_primed(run._block_scalar(cfg.paths, weights)), incs)
-                want = plain_block_scalar(run, incs, weights)
+                weights = run._weights()
+                got = send_all(_primed(run._block(cfg.paths, weights)), incs)
+                want = plain_block_scalar(run, incs, scalar_weights(weights))
                 for a, b in zip(got, want):  # base, cross, quad
                     assert np.array_equal(a, b), (t, rungs)
 
@@ -610,13 +651,13 @@ class TestStreamedRows:
     @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
     def test_bitwise_the_whole_block_oracle(self, smoke_200, problem, paths, sub, monkeypatch):
         nodes = smoke_200.spec.grid.nodes
-        if problem == "smoke":  # the scalar kernel
+        if problem == "smoke":  # n = 1
             spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
             spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.05))
             # Fine steps per run: below one chunk (nodes[-3]), whole chunks
             # (nodes[-33]) and neither (0 and 0.5).
             times = [0.5, 0.0, float(nodes[-3]), float(nodes[-33])]
-        else:  # n = k = 2: the generic kernel, 40 steps
+        else:  # n = k = 2, 40 steps
             spec, th, p2 = matrix_inputs(problem)
             spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.1,))
             times = [0.0, float(spec.grid.nodes[-3])]
