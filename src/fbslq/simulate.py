@@ -34,17 +34,17 @@ one-sided limits: the control (and hence Z) is frozen at its interval value,
 matching both the Euler dynamics and the closed-left/open-right indicator
 convention of the spike window.
 
-One Euler march steps the closed loop and, per spike rung, its
-perturbation, which is exactly linear in the direction v.  The bundle API
-records it at the coarse nodes (no rung for the closed loop, one for a
-spike), the backward-equation check reads the closed loop off it and
-:func:`perturbation_scaling` reads the rungs' perturbations at the coarse
-nodes.  The one other Euler loop is the spike ladder's kernel, one for
-every dimension: it groups the cost terms by node, splits the cost sums
-into a part linear and a part quadratic in v, and collapses the rungs into
-one n x n transition per path once the widest spike window has closed.
-One pass therefore yields the ladder for +v and for -v, and the
-closed-loop cost estimate from the same paths.
+One stepper takes every Euler step: it carries the closed loop and, per
+spike rung, its perturbation, which is exactly linear in the direction v,
+and once the widest spike window has closed it collapses the rungs into one
+n x n transition per path.  It has four consumers.  The spike ladder's
+kernel, one for every dimension, groups the cost terms by node and splits
+the cost sums into a part linear and a part quadratic in v, so one pass
+yields the ladder for +v and for -v, and the closed-loop cost estimate from
+the same paths.  The bundle API records the stepper at the coarse nodes (no
+rung for the closed loop, one for a spike), the backward-equation check
+reads the closed loop at every fine step and :func:`perturbation_scaling`
+reads the rungs' perturbations at the coarse nodes.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ class SimConfig:
     x0: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError("paths must be positive")
-        if self.sub_steps < 1:
-            raise ValueError("sub_steps must be a positive integer")
+        for name in ("paths", "sub_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,15 @@ class SpikeSpec:
 
     def __post_init__(self):
         eps = np.asarray(self.epsilons, dtype=float)
-        if eps.size == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-            raise ValueError("epsilons must be a strictly decreasing positive sequence")
+        if eps.size == 0 or not np.all(np.isfinite(eps) & (eps > 0)) or np.any(np.diff(eps) >= 0):
+            raise ValueError("epsilons must be a strictly decreasing sequence of finite positive numbers")
 
 
 def _as_vector(value, size: int, name: str, dimension: str) -> np.ndarray:
-    """``value`` (x0 or v) as a vector of ``size`` entries; a scalar is broadcast."""
+    """``value`` (x0 or v) as a vector of ``size`` finite entries; a scalar is broadcast."""
     x = np.asarray(value, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
     if x.size == 1 and size > 1:
         x = np.full(size, float(x[0]))
     if x.size != size:
@@ -360,35 +362,30 @@ def simulate_spike(
 
 
 def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
-    """The ladder's march with no rung (closed loop) or one (spike), recorded at
-    the coarse nodes; a spike bundle is the closed loop plus its perturbation."""
+    """The stepper with no rung (closed loop) or one (spike), recorded at the
+    coarse nodes; a spike bundle is the closed loop plus its perturbation."""
     run = _LadderRun(spec, theta, p2, cfg, v, rungs)
     R, sub = run.n_coarse + 1, run.sub
     X = np.empty((cfg.paths, R, run.n))
     increments = np.empty((cfg.paths, run.F))
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for start, width, rows in blocks:
-            for ell, x, dx, dw in run.walk(width, rows):
+            paths = slice(start, start + width)
+            for ell, dw, stepper in run.walk(width, rows):
                 if ell:
-                    increments[start : start + width, ell - 1] = dw[:, 0]
+                    increments[paths, ell - 1] = dw
                 if ell % sub == 0:
-                    X[start : start + width, ell // sub] = x + dx[0] if rungs else x
+                    x = stepper.y[:, 0]
+                    X[paths, ell // sub] = (x + stepper.perturbations()[:, 0] if rungs else x).T
     p7v = run.p7v[0] if rungs else np.zeros((R, run.m))  # (range_nodes, m)
     chi = run.chi_node[0] if rungs else np.zeros(run.n_coarse)
 
-    # Decoupled backward components at the coarse nodes.
+    # Decoupled backward components at the coarse nodes; Z at the terminal
+    # node is the left limit of the last interval.
+    ct = np.concatenate([run.ct_left, run.ct_right[-1:]])
+    dv = np.append(chi, chi[-1])[:, None] * np.concatenate([run.dv_left, run.dv_right[-1:]])
     Y = np.einsum("rmn,prn->prm", run.p2_range, X) + p7v[None, :, :]
-    Z = np.empty((cfg.paths, R, run.m))
-    for r in range(run.n_coarse):
-        zc = X[:, r] @ run.ct_left[r].T
-        if chi[r]:
-            zc = zc + run.dv_left[r]
-        Z[:, r] = zc @ run.p2_range[r].T
-    # Terminal node: left limit of the last interval.
-    zc = X[:, -1] @ run.ct_right[-1].T
-    if chi[-1]:
-        zc = zc + run.dv_right[-1]
-    Z[:, -1] = zc @ run.p2_range[-1].T
+    Z = np.einsum("rmn,prn->prm", run.p2_range, np.einsum("rij,prj->pri", ct, X) + dv)
 
     return PathBundle(
         spec=spec,
@@ -511,12 +508,15 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 #
 #     d <- d + (A_Th d + chi_q B v) h_f + (C_Th d + chi_q D v) dW.
 #
-# One Euler march (``_LadderRun.march``) steps them for the bundle route,
-# ``bsde_residual_check`` and ``perturbation_scaling``; the ladder kernel
-# (``_LadderRun._block``) takes the same steps in a loop of its own, which
-# writes into buffers.  Both are coroutines that are sent one row of
-# increments per fine step, so ``_stream`` can step the kernels of every
-# spike time side by side over one stream of rows.
+# Past node e, the end of the widest window, no rung has a source, so
+# d_q(r) = Psi(r) d_q(e) with one n x n transition Psi per path, Psi(e) = I,
+# stepped like x.  One stepper (``_Stepper``) takes every Euler step, one RNG
+# block at a time, and carries Psi instead of the rungs past e.  The cost-sum
+# kernel (``_LadderRun._block``) is a coroutine sent one row of increments
+# per fine step, so ``_stream`` steps the kernels of every spike time side by
+# side over one stream of rows; the bundle route, ``bsde_residual_check``
+# and ``perturbation_scaling`` pull the stepper along the rows
+# (``_LadderRun.walk``).
 #
 # Every cost term is a quadratic form wt <W L x, L x> of a linear function of
 # the state, and rung q moves its argument by e_q = L d_q + s_q, where s_q
@@ -528,17 +528,9 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 #
 # because e_q is exactly linear in v.  One pass therefore gives both
 # directions, bit for bit what a separate -v pass gives.  The kernel groups
-# the terms by node (``_LadderRun._weights``) and stops carrying the rungs at
-# node e, the end of the widest window: past e no rung has a source, so
-# d_q(r) = Psi(r) d_q(e) with one n x n transition Psi per path, Psi(e) = I,
-# stepped like x.
+# the terms by node (``_LadderRun._weights``); past e it accumulates the
+# tail's terms in Psi and contracts them with d_q(e) once, at the horizon.
 # ---------------------------------------------------------------------------
-
-
-def _rmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m; a 1 x 1 matrix scales instead, since numpy's matmul over a
-    trailing axis of length one is several times slower than the product."""
-    return x * m[0, 0] if m.shape == (1, 1) else x @ m
 
 
 def _mixer(y: np.ndarray, out: np.ndarray):
@@ -634,14 +626,70 @@ def _primed(coroutine):
     return coroutine
 
 
+class _Stepper:
+    """Euler-Maruyama of a :class:`_LadderRun` over one RNG block of ``width`` paths.
+
+    The state ``y`` is component-major, (n, 1 + columns, width): x, then
+    every rung's d_q up to node e and, after :meth:`collapse`, the rows of
+    Psi', psi[j, i] = Psi'[i, j]; without rungs, x alone.  A step is y <- y +
+    y F, F = C_Th' dW + A_Th' h_f per path, plus the rungs' spike drive.  It
+    writes into buffers allocated once per block (a fresh (rungs, width)
+    temporary per operation is large enough for the allocator to map and
+    unmap it each time), so a consumer that keeps a state copies it; between
+    steps the scratch ``yt`` is free.
+    """
+
+    def __init__(self, run, width: int):
+        self.run = run
+        self.ell = 0  # fine steps taken
+        self.y = np.zeros((run.n, 1 + len(run.eps_steps), width))
+        self.y[:, 0] = run.x0[:, None]
+        self.yt = np.empty_like(self.y)
+        self.f = np.empty((run.n, run.n, width))
+        self.d_e = None  # every d_q(e), once collapsed
+        self.mix = _mixer(self.y, self.yt)  # yt = y m
+
+    def step(self, dw: np.ndarray) -> None:
+        """Take the next fine step, on that step's Brownian increments (width,)."""
+        run, ell, f = self.run, self.ell, self.f
+        # F = c_t dW + a_h;  y <- y + y F;  d <- d + (drive_h + drive_w dW)
+        np.multiply(run.c_t[ell], dw, out=f)
+        np.add(f, run.a_h[ell], out=f)
+        self.mix(f)
+        np.add(self.y, self.yt, out=self.y)
+        if self.d_e is None:  # up to node e; on empty arrays without rungs
+            dt, d = self.yt[:, 1:], self.y[:, 1:]
+            np.multiply(run.drive_w[ell], dw, out=dt)
+            np.add(run.drive_h[ell], dt, out=dt)
+            np.add(d, dt, out=d)
+        self.ell = ell + 1
+
+    def collapse(self) -> None:
+        """At node e: carry x and Psi' from here on.  The former state, which
+        holds every d_q(e), becomes ``d_e`` and is never written again; the
+        rung scratch is freed before the new buffers are allocated."""
+        old, (n, _, width) = self.y, self.y.shape
+        self.d_e, self.yt, self.mix = old[:, 1:], None, None
+        self.y = np.concatenate([old[:, :1], np.broadcast_to(np.eye(n)[:, :, None], (n, n, width))], axis=1)
+        self.yt = np.empty_like(self.y)
+        self.mix = _mixer(self.y, self.yt)  # yt = y m
+
+    def perturbations(self) -> np.ndarray:
+        """Every rung's d_q at the current step, (n, rungs, width): the carried
+        state up to node e, then Psi d_q(e) = sum_i Psi'[i] d_qi(e)."""
+        if self.d_e is None:
+            return self.y[:, 1:]
+        return _dotter(np.swapaxes(self.y[:, 1:], 0, 1)[:, :, None], self.d_e)()
+
+
 class _LadderRun:
     """Closed loop plus the +v perturbation of every spike rung, from
     ``cfg.t_start`` to the horizon, one pass per block.
 
-    Holds every deterministic array that the march, the ladder kernels and
-    the consumers of the march read.  Rung q applies the spike of
-    ``eps_steps[q]`` coarse steps; every rung shares each block's increments
-    with the closed loop (common random numbers).
+    Holds every deterministic array that the stepper and its consumers
+    read.  Rung q applies the spike of ``eps_steps[q]`` coarse steps; every
+    rung shares each block's increments with the closed loop (common random
+    numbers).
     """
 
     def __init__(self, spec, theta, p2, cfg, v: np.ndarray, eps_steps: list[int]):
@@ -675,18 +723,20 @@ class _LadderRun:
         self.ct_left = c.C(left_t) + c.D(left_t) @ th[:, 0]
         self.ct_right = c.C(right_t) + c.D(right_t) @ th[:, 1]
         self.p2_range = p2.data[self.i0 :]  # (range_nodes, m, n)
+        self.a_h = np.swapaxes(self.a_fine, 1, 2)[..., None] * self.hf  # the stepper's factors, (F, n, n, 1)
+        self.c_t = np.swapaxes(self.c_fine, 1, 2)[..., None]
 
         # The spike indicators per fine step and per coarse interval (closed
-        # left, open right), and each rung's coupling field.
+        # left, open right), each rung's coupling field and its spike drive.
         rung_steps = np.asarray(eps_steps, dtype=int).reshape(-1, 1)
-        self.chi_fine = (np.arange(self.F) < rung_steps * self.sub).astype(float)
+        chi_fine = (np.arange(self.F)[:, None, None, None] < rung_steps * self.sub).astype(float)
         self.chi_node = (np.arange(self.n_coarse) < rung_steps).astype(float)
         self.p7v = np.zeros((len(eps_steps), self.n_coarse + 1, self.m))
         samples = _p7_samples(spec, p2, self.i0, self.widest, v)
         for q, steps in enumerate(eps_steps):
             self.p7v[q] = _solve_p7(samples, self.h, steps, self.n_coarse + 1)
-        self.bv = c.B(fine_t) @ v
-        self.dv = c.D(fine_t) @ v
+        self.drive_h = chi_fine * ((c.B(fine_t) @ v) * self.hf)[:, :, None, None]  # (F, n, rungs, 1)
+        self.drive_w = chi_fine * (c.D(fine_t) @ v)[:, :, None, None]
         self.dv_left = c.D(left_t) @ v  # (n_coarse, n)
         self.dv_right = c.D(right_t) @ v
 
@@ -704,37 +754,21 @@ class _LadderRun:
         weights = self._weights()
         return lambda width: _primed(self._block(width, weights))
 
-    def march(self, width: int):
-        """Euler-Maruyama of the closed loop x and every rung's perturbation d, as a coroutine.
-
-        Over one block of ``width`` paths: yields (0, x, d, None) at the
-        start, then takes fine step ell on each send of that step's Brownian
-        increments, (width,), and yields (ell + 1, x, d, dW), with x
-        (width, n), d (rungs, width, n) and dW (width, 1) the increment of
-        the step just taken.  Coarse node r is fine step r * sub_steps.  Each
-        step binds new arrays, so a consumer may keep what it was given.
-        """
-        hf = self.hf
-        x = np.broadcast_to(self.x0, (width, self.n)).copy()
-        dx = np.zeros((len(self.eps_steps),) + x.shape)
-        row = yield 0, x, dx, None
-        for ell in range(self.F):
-            dw = row[:, None]
-            a, c = self.a_fine[ell].T, self.c_fine[ell].T
-            chi = self.chi_fine[:, ell, None, None]
-            x = x + _rmul(x, a) * hf + _rmul(x, c) * dw
-            dx = dx + (_rmul(dx, a) + chi * self.bv[ell]) * hf + (_rmul(dx, c) + chi * self.dv[ell]) * dw
-            row = yield ell + 1, x, dx, dw
-
     def walk(self, width: int, rows):
-        """Every state of the march over one block, pulled along ``rows``."""
-        march = self.march(width)
-        yield next(march)
-        for row in rows:
-            yield march.send(row)
+        """The stepper over one block of ``width`` paths, pulled along ``rows``:
+        yields (ell, dW, stepper) at the start (0, None) and after each fine step
+        ell, dW its increments; coarse node r is ell = r * sub_steps.  The
+        stepper collapses once the consumer has read node e."""
+        stepper = _Stepper(self, width)
+        yield 0, None, stepper
+        for ell, dw in enumerate(rows, 1):
+            stepper.step(dw)
+            yield ell, dw, stepper
+            if ell == self.widest * self.sub:  # never without rungs: widest is 0
+                stepper.collapse()
 
     def _weights(self):
-        """Node weights of the ladder kernel, and the spike drive per fine step.
+        """Node weights of the ladder kernel.
 
         Every cost term at node r reads wt <W (L x + s_q), L x + s_q> with a
         deterministic weight wt, matrices W and L, and rung source s_q.
@@ -746,8 +780,8 @@ class _LadderRun:
         summed once.  Each contraction multiplies wt W by L, or by the outer
         product of L or of s, so that at m = n = k = 1 the weights are the
         plain products wt l^2, (wt l) s and wt s^2.  Returns alpha (nodes, n,
-        n), beta (nodes, n, rungs, 1), gamma (rungs,) and the drives (fine
-        steps, n, rungs, 1), laid out for the states of :meth:`_block`.
+        n), beta (nodes, n, rungs, 1) and gamma (rungs,), laid out for the
+        states of :class:`_Stepper`.
         """
         h, nc = self.h, self.n_coarse
         p2 = self.p2_range
@@ -778,89 +812,56 @@ class _LadderRun:
             if src is not None:
                 beta[nodes] += np.einsum("rbi,qrb->riq", np.einsum("rab,rai->rbi", ww, ell), src)
                 gamma += np.einsum("rab,qrab->qr", ww, src[..., :, None] * src[..., None, :]).sum(axis=1)
-        chi_fine = self.chi_fine.T[:, None, :, None]  # (fine steps, 1, rungs, 1)
-        drive_h = chi_fine * (self.bv * self.hf)[:, :, None, None]
-        drive_w = chi_fine * self.dv[:, :, None, None]
-        return alpha, beta[..., None], gamma, drive_h, drive_w
+        return alpha, beta[..., None], gamma
 
     def _block(self, width, weights):
-        """Node-grouped sums of one block, the rungs collapsed past the widest window.
+        """Node-grouped cost sums of one block, a consumer of :class:`_Stepper`.
 
-        States are component-major, (n, ..., width): x and every rung's d up to
-        node e, then x and the rows of Psi'; each steps as y <- y + y F with
-        F = C_Th' dW + A_Th' h_f per path.  Every step writes, through
-        contractions bound to them, into buffers allocated once per block: a
-        fresh (rungs, width) temporary per operation would be large enough for
-        the allocator to map and unmap it each time.  The operations and their
-        order are those of the comments; at n = 1 each contraction is a product.
+        Past node e it accumulates sum Psi' alpha Psi and sum Psi' alpha x,
+        which d_q(e) contracts at the horizon.  The stepper's scratch holds y
+        alpha between steps.  The operations and their order are those of the
+        comments; at n = 1 each contraction is a product.
         """
-        alpha, beta, gamma, drive_h, drive_w = weights
-        n, sub, e, rungs = self.n, self.sub, self.widest, len(self.eps_steps)
-        a_h = np.swapaxes(self.a_fine, 1, 2)[..., None] * self.hf  # (fine steps, n, n, 1)
-        c_t = np.swapaxes(self.c_fine, 1, 2)[..., None]
-        f = np.empty((n, n, width))
-
-        def factor(ell, dw):  # F = c_t dW + a_h
-            np.multiply(c_t[ell], dw, out=f)
-            np.add(f, a_h[ell], out=f)
-
-        x = np.repeat(self.x0[:, None], width, axis=1)
-        dx = np.zeros((n, rungs, width))
+        alpha, beta, gamma = weights
+        n, sub, e = self.n, self.sub, self.widest
+        stepper = _Stepper(self, width)
+        x, dx, xt, dt = stepper.y[:, 0], stepper.y[:, 1:], stepper.yt[:, 0], stepper.yt[:, 1:]
         base = np.zeros(width)
-        cross = np.zeros((rungs, width))
+        cross = np.zeros((len(self.eps_steps), width))
         quad = np.zeros_like(cross)
-        xt = np.empty_like(x)
-        t, dt = np.empty_like(dx), np.empty_like(dx)
-        big_tmp = dt[0]  # (rungs, width), free while the rungs do not step
-        mix_x, mix_dx_dt, mix_dx_t = _mixer(x, xt), _mixer(dx, dt), _mixer(dx, t)
+        t = np.empty_like(dx)
+        big_tmp = dt[0]  # (rungs, width), free once t is formed
         xt_x = _dotter(xt, x, xt[0])
         xt_t, dx_t = _dotter(xt[:, None], t, big_tmp), _dotter(dx, t, t[0])
         for r in range(e + 1):
             if r:
-                for ell in range((r - 1) * sub, r * sub):
-                    dw = yield
-                    factor(ell, dw)
-                    # x <- x + x F;  dx <- dx + dx F + (drive_h + drive_w dW)
-                    mix_x(f)
-                    np.add(x, xt, out=x)
-                    mix_dx_dt(f)
-                    np.add(dx, dt, out=dx)
-                    np.multiply(drive_w[ell], dw, out=dt)
-                    np.add(drive_h[ell], dt, out=dt)
-                    np.add(dx, dt, out=dx)
+                for _ in range(sub):
+                    stepper.step((yield))
             # base += (x alpha) x;  t = dx alpha + beta;  cross += (2 x) t;  quad += dx (t + beta)
-            mix_x(alpha[r])
+            stepper.mix(alpha[r])
             np.add(base, xt_x(), out=base)
-            mix_dx_t(alpha[r])
-            np.add(t, beta[r], out=t)
+            np.add(dt, beta[r], out=t)
             np.multiply(x, 2.0, out=xt)
             np.add(cross, xt_t(), out=cross)
             np.add(t, beta[r], out=t)
             np.add(quad, dx_t(), out=quad)
 
-        # Past node e: d_q(r) = d_q(e) Psi(r)' in rows; carry x and the rows
-        # of Psi' only, psi[j, i] = Psi'[i, j], each stepped like x.
-        del t, dt, big_tmp, mix_dx_dt, mix_dx_t, xt_t, dx_t  # the rung buffers: unused past e
-        psi = np.repeat(np.eye(n)[:, :, None], width, axis=2)
+        # Past node e: d_q(r) = Psi(r) d_q(e); dx stays the collapsed state's d_q(e).
+        del xt, dt, t, big_tmp, xt_x, xt_t, dx_t  # the rung buffers: unused past e
+        stepper.collapse()
+        x, psi, xt, pa = stepper.y[:, 0], stepper.y[:, 1:], stepper.yt[:, 0], stepper.yt[:, 1:]
         big_a = np.zeros((n, n, width))  # sum Psi' alpha Psi
         big_b = np.zeros((n, width))  # sum Psi' alpha x
-        pa, prod = np.empty_like(psi), np.empty_like(psi)  # Psi' alpha, and the products
-        mix_psi_prod, mix_psi_pa = _mixer(psi, prod), _mixer(psi, pa)
+        prod = np.empty_like(big_a)  # the products
         xt_x = _dotter(xt, x, prod[0, 0])
         psi_xt, pa_psi = _dotter(psi, xt[:, None], prod[0]), _dotter(pa[:, :, None], psi[:, None], prod)
         for r in range(e + 1, self.n_coarse + 1):
-            for ell in range((r - 1) * sub, r * sub):
-                factor(ell, (yield))
-                # x <- x + x F;  Psi' <- Psi' + Psi' F
-                mix_x(f)
-                np.add(x, xt, out=x)
-                mix_psi_prod(f)
-                np.add(psi, prod, out=psi)
-            # xt = x alpha: base += xt x;  big_b += Psi' xt;  big_a += (Psi' alpha) Psi
-            mix_x(alpha[r])
+            for _ in range(sub):
+                stepper.step((yield))
+            # xt, pa = x alpha, Psi' alpha:  base += xt x;  big_b += Psi' xt;  big_a += pa Psi
+            stepper.mix(alpha[r])
             np.add(base, xt_x(), out=base)
             np.add(big_b, psi_xt(), out=big_b)
-            mix_psi_pa(alpha[r])
             np.add(big_a, pa_psi(), out=big_a)
         # cross += (2 dx) big_b;  quad += (dx dx) big_a + gamma
         cross += _dotter(2.0 * dx, big_b[:, None])()
@@ -992,44 +993,41 @@ def perturbation_scaling(
 
     Streaming companion of the spike test, used to regress the perturbation
     growth rate against eps (slope one in log-log).  It reads every rung's
-    perturbation off the Euler march at the coarse nodes, one RNG block at
-    a time, and computes no cost sums.
+    perturbation off the stepper at the coarse nodes, one RNG block at a
+    time (past the widest window as Psi(r) d_q(e)), and computes no cost
+    sums.
     """
     grid = spec.grid
     ladder = _snap_eps(grid, grid.index_of(t), spike.epsilons)
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
     cfg = dataclasses.replace(cfg, t_start=t)
     run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder])
+    p7v = np.moveaxis(run.p7v, 2, 0)[..., None]  # (m, rungs, nodes, 1)
+    dv = (run.dv_left.T[:, None] * run.chi_node)[..., None]  # (n, rungs, intervals, 1): chi D v
     sum_x = sum_yz = 0.0
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for _, width, rows in blocks:
-            for ell, _, dx, _ in run.walk(width, rows):
+            mx, my, iz = np.zeros((3, len(ladder), width))
+            dy, dz, zc = (np.empty((dim, len(ladder), width)) for dim in (run.m, run.m, run.n))
+            for ell, _, stepper in run.walk(width, rows):
                 if ell % run.sub:
                     continue
                 r = ell // run.sub
-                dxn = np.einsum("vpi,vpi->vp", dx, dx)
-                dy = _rmul(dx, run.p2_range[r].T) + run.p7v[:, r, None]
-                dyn = np.einsum("vpi,vpi->vp", dy, dy)
-                if r == 0:
-                    mx, my, iz = dxn, dyn, np.zeros_like(dxn)
-                else:
-                    np.maximum(mx, dxn, out=mx)
-                    np.maximum(my, dyn, out=my)
+                d = stepper.perturbations()  # (n, rungs, width)
+                np.maximum(mx, _dotter(d, d)(), out=mx)
+                _mixer(d, dy)(run.p2_range[r].T)
+                dy += p7v[:, :, r]
+                np.maximum(my, _dotter(dy, dy)(), out=my)
                 if r < run.n_coarse:  # Z is frozen on [s_r, s_{r+1})
-                    zc = _rmul(dx, run.ct_left[r].T) + run.chi_node[:, r, None, None] * run.dv_left[r]
-                    dz = _rmul(zc, run.p2_range[r].T)
-                    iz += run.h * np.einsum("vpi,vpi->vp", dz, dz)
+                    _mixer(d, zc)(run.ct_left[r].T)
+                    zc += dv[:, :, r]
+                    _mixer(zc, dz)(run.p2_range[r].T)
+                    iz += _dotter(dz, dz)()
             sum_x += mx.sum(axis=1)
-            sum_yz += (my + iz).sum(axis=1)
-    sup_x = sum_x / cfg.paths
-    sup_yz = sum_yz / cfg.paths
+            sum_yz += (my + run.h * iz).sum(axis=1)
     return [
-        {
-            "eps_requested": eps_req,
-            "eps_used": steps * grid.h,
-            "ex_sup_dx2": float(sup_x[q]),
-            "ex_sup_dy2_int_dz2": float(sup_yz[q]),
-        }
+        {"eps_requested": eps_req, "eps_used": steps * grid.h,
+         "ex_sup_dx2": float(sum_x[q] / cfg.paths), "ex_sup_dy2_int_dz2": float(sum_yz[q] / cfg.paths)}
         for q, (eps_req, steps) in enumerate(ladder)
     ]
 
@@ -1043,8 +1041,7 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     halves it.
     """
     run = _LadderRun(spec, theta, p2, cfg, np.zeros(spec.dims.k), [])
-    grid = spec.grid
-    c = spec.coeffs
+    grid, c = spec.grid, spec.coeffs
 
     # P2 on the fine grid: exact at the nodes and midpoints that ``p2``
     # carries, linearly interpolated elsewhere.
@@ -1072,10 +1069,11 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for _, width, rows in blocks:
             cum = np.zeros((width, run.m))
-            for ell, x, _, dw in run.walk(width, rows):
+            for ell, dw, stepper in run.walk(width, rows):
+                x = stepper.y[:, 0].T  # (width, n)
                 y = x @ p2_fine[ell].T
                 if ell:  # the defect of the step just taken
-                    cum += y - y_prev + driver * run.hf - z * dw
+                    cum += y - y_prev + driver * run.hf - z * dw[:, None]
                 if ell < run.F:
                     z = x @ p2ct_f[ell].T
                     driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T

@@ -181,7 +181,7 @@ class TestSpikePaths:
     @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
     def test_perturbation_scaling_matches_the_bundle_route(self, smoke_200, problem, t, sub):
         # The bundle route differences materialised spiked and closed-loop
-        # paths; the rows read the perturbations off the march.
+        # paths; the rows read the perturbations off the stepper.
         if problem == "smoke":
             spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
             spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.02))
@@ -195,6 +195,43 @@ class TestSpikePaths:
             sup_x, sup_yz = bundle_moments(base, simulate_spike(spec, th, p2, cfg, spike, row["eps_used"]))
             assert sup_x > 0.0 and (sup_yz > 0.0 or problem == "matrix")  # its H and hats are 0, so Y = Z = 0
             assert row["ex_sup_dx2"] == pytest.approx(sup_x, rel=1e-12, abs=0.0)
+            assert row["ex_sup_dy2_int_dz2"] == pytest.approx(sup_yz, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("problem", ["smoke", "coupled"])
+    def test_perturbation_scaling_matches_direct_euler(self, smoke_200, problem, t, sub):
+        # The bundle route shares the program's stepper; this oracle does not.
+        # It steps every path with direct_spiked_euler and builds Y and Z from
+        # the fields, with the P7 v of each rung from its coupling equation.
+        if problem == "smoke":
+            spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+            v, epsilons = np.array([1.0]), (0.25, 0.1, 0.02)
+        else:  # n = m = k = 2
+            spec, th, p2 = matrix_inputs(problem)
+            v, epsilons = np.array([1.0, -0.5]), (0.25, 0.1, 0.05)
+        grid, c = spec.grid, spec.coeffs
+        cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, t_start=t, x0=1.0)  # two blocks
+        rows = perturbation_scaling(spec, th, p2, cfg, SpikeSpec(v=v, epsilons=epsilons), t)
+        i0 = grid.index_of(t)
+        fine = (grid.steps - i0) * sub
+        incs = np.concatenate([whole_block(cfg.seed, b, fine, width, grid.h / sub).T
+                               for b, _, width in blocks_of(cfg.paths)])
+        base = direct_spiked_euler(spec, th, cfg, v, 0, incs)
+        left = grid.nodes[i0:-1]
+        ct = c.C(left) + c.D(left) @ th.values[i0:-1]  # (intervals, n, n)
+        p2r = p2.data[i0:]
+        for row in rows:
+            steps = round(row["eps_used"] / grid.h)
+            dx = direct_spiked_euler(spec, th, cfg, v, steps, incs) - base
+            p7v = _LadderRun(spec, th, p2, cfg, v, [steps]).p7v[0]
+            dy = np.einsum("rmn,prn->prm", p2r, dx) + p7v
+            zc = np.einsum("rij,prj->pri", ct, dx[:, :-1])
+            zc[:, :steps] += c.D(left[:steps]) @ v
+            dz = np.einsum("rmn,prn->prm", p2r[:-1], zc)
+            sup_x = np.mean(np.max(np.sum(dx**2, axis=2), axis=1))
+            sup_yz = np.mean(np.max(np.sum(dy**2, axis=2), axis=1) + grid.h * np.sum(dz**2, axis=(1, 2)))
+            assert row["ex_sup_dx2"] == pytest.approx(sup_x, rel=1e-12, abs=0.0)  # measured gaps <= 4e-15
             assert row["ex_sup_dy2_int_dz2"] == pytest.approx(sup_yz, rel=1e-12, abs=0.0)
 
 
@@ -514,11 +551,12 @@ def plain_block_scalar(run, increments, weights):
     return base, cross, quad
 
 
-def scalar_weights(weights):
-    """``_LadderRun._weights`` at n = 1 in the shapes of :func:`plain_block_scalar`:
-    alpha (nodes,), beta (rungs, nodes), gamma (rungs,), drives (rungs, fine steps)."""
-    alpha, beta, gamma, drive_h, drive_w = weights
-    return alpha[:, 0, 0], beta[:, 0, :, 0].T, gamma, drive_h[:, 0, :, 0].T, drive_w[:, 0, :, 0].T
+def scalar_weights(run, weights):
+    """``_LadderRun._weights`` and the run's spike drives at n = 1 in the shapes of
+    :func:`plain_block_scalar`: alpha (nodes,), beta (rungs, nodes), gamma (rungs,),
+    drives (rungs, fine steps)."""
+    alpha, beta, gamma = weights
+    return alpha[:, 0, 0], beta[:, 0, :, 0].T, gamma, run.drive_h[:, 0, :, 0].T, run.drive_w[:, 0, :, 0].T
 
 
 class TestSpikeTests:
@@ -557,7 +595,7 @@ class TestSpikeTests:
                 incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
                 weights = run._weights()
                 got = send_all(_primed(run._block(cfg.paths, weights)), incs)
-                want = plain_block_scalar(run, incs, scalar_weights(weights))
+                want = plain_block_scalar(run, incs, scalar_weights(run, weights))
                 for a, b in zip(got, want):  # base, cross, quad
                     assert np.array_equal(a, b), (t, rungs)
 
@@ -818,3 +856,29 @@ def test_sim_config_validation():
         SimConfig(paths=0)
     with pytest.raises(ValueError):
         SimConfig(sub_steps=0)
+
+
+@pytest.mark.parametrize("count", ["paths", "sub_steps"])
+def test_sim_config_rejects_a_non_integer_count(count):
+    with pytest.raises(ValueError, match=count):
+        SimConfig(**{count: 1.5})
+
+
+@pytest.mark.parametrize("epsilons", [(np.nan,), (np.inf, 1.0)])
+def test_spike_spec_rejects_non_finite_epsilons(epsilons):
+    with pytest.raises(ValueError, match="finite"):
+        SpikeSpec(v=1.0, epsilons=epsilons)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_x0_is_rejected(smoke_200, value):
+    spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate_closed_loop(spec, th, p2, SimConfig(paths=8, seed=0, x0=value))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_v_is_rejected(smoke_200, value):
+    spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+    with pytest.raises(ValueError, match="v must be finite"):
+        spike_test(spec, th, p2, SimConfig(paths=8, seed=0), SpikeSpec(v=value), 0.0)
