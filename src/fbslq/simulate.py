@@ -380,12 +380,15 @@ def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
     p7v = run.p7v[0] if rungs else np.zeros((R, run.m))  # (range_nodes, m)
     chi = run.chi_node[0] if rungs else np.zeros(run.n_coarse)
 
-    # Decoupled backward components at the coarse nodes; Z at the terminal
-    # node is the left limit of the last interval.
+    # Decoupled backward components at the coarse nodes, Z one node at a
+    # time so that no temporary as large as X is held; at the terminal node
+    # Z is the left limit of the last interval.
     ct = np.concatenate([run.ct_left, run.ct_right[-1:]])
     dv = np.append(chi, chi[-1])[:, None] * np.concatenate([run.dv_left, run.dv_right[-1:]])
     Y = np.einsum("rmn,prn->prm", run.p2_range, X) + p7v[None, :, :]
-    Z = np.einsum("rmn,prn->prm", run.p2_range, np.einsum("rij,prj->pri", ct, X) + dv)
+    Z = np.empty((cfg.paths, R, run.m))
+    for r in range(R):
+        Z[:, r] = (X[:, r] @ ct[r].T + dv[r]) @ run.p2_range[r].T
 
     return PathBundle(
         spec=spec,
@@ -536,9 +539,9 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 def _mixer(y: np.ndarray, out: np.ndarray):
     """out[j] = sum_i y[i] m[i, j] over the leading (component) axis, bound to
     ``y`` and ``out`` as a function of m, whose entries are numbers or per-path
-    vectors; at one component the product y[0] m[0, 0] itself, written straight
-    into ``out[0]``.  ``out`` must not overlap ``y``."""
-    if len(y) == 1:
+    vectors; when both have one component, the product y[0] m[0, 0] itself,
+    written straight into ``out[0]``.  ``out`` must not overlap ``y``."""
+    if len(y) == 1 == len(out):
         y0, out0 = y[0], out[0]
         return lambda m: np.multiply(y0, m[0, 0], out=out0)
 
@@ -1025,9 +1028,15 @@ def perturbation_scaling(
                     iz += _dotter(dz, dz)()
             sum_x += mx.sum(axis=1)
             sum_yz += (my + run.h * iz).sum(axis=1)
+    sup_x = sum_x / cfg.paths
+    sup_yz = sum_yz / cfg.paths
     return [
-        {"eps_requested": eps_req, "eps_used": steps * grid.h,
-         "ex_sup_dx2": float(sum_x[q] / cfg.paths), "ex_sup_dy2_int_dz2": float(sum_yz[q] / cfg.paths)}
+        {
+            "eps_requested": eps_req,
+            "eps_used": steps * grid.h,
+            "ex_sup_dx2": float(sup_x[q]),
+            "ex_sup_dy2_int_dz2": float(sup_yz[q]),
+        }
         for q, (eps_req, steps) in enumerate(ladder)
     ]
 
@@ -1041,7 +1050,8 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     halves it.
     """
     run = _LadderRun(spec, theta, p2, cfg, np.zeros(spec.dims.k), [])
-    grid, c = spec.grid, spec.coeffs
+    grid = spec.grid
+    c = spec.coeffs
 
     # P2 on the fine grid: exact at the nodes and midpoints that ``p2``
     # carries, linearly interpolated elsewhere.

@@ -178,16 +178,16 @@ class TestSpikePaths:
 
     @pytest.mark.parametrize("sub", [1, 2])
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled", "narrow"])
     def test_perturbation_scaling_matches_the_bundle_route(self, smoke_200, problem, t, sub):
         # The bundle route differences materialised spiked and closed-loop
         # paths; the rows read the perturbations off the stepper.
         if problem == "smoke":
             spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
             spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.02))
-        else:  # n = k = 2
+        else:  # k = 2, or k = 1 for narrow
             spec, th, p2 = matrix_inputs(problem)
-            spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.25, 0.1, 0.05))
+            spike = SpikeSpec(v=np.array([1.0, -0.5])[: spec.dims.k], epsilons=(0.25, 0.1, 0.05))
         cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, t_start=t, x0=1.0)  # two blocks
         rows = perturbation_scaling(spec, th, p2, cfg, spike, t)
         base = simulate_closed_loop(spec, th, p2, cfg)
@@ -199,7 +199,7 @@ class TestSpikePaths:
 
     @pytest.mark.parametrize("sub", [1, 2])
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    @pytest.mark.parametrize("problem", ["smoke", "coupled"])
+    @pytest.mark.parametrize("problem", ["smoke", "coupled", "narrow"])
     def test_perturbation_scaling_matches_direct_euler(self, smoke_200, problem, t, sub):
         # The bundle route shares the program's stepper; this oracle does not.
         # It steps every path with direct_spiked_euler and builds Y and Z from
@@ -207,9 +207,9 @@ class TestSpikePaths:
         if problem == "smoke":
             spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
             v, epsilons = np.array([1.0]), (0.25, 0.1, 0.02)
-        else:  # n = m = k = 2
+        else:  # n = m = k = 2, or n = k = 1 and m = 2 for narrow
             spec, th, p2 = matrix_inputs(problem)
-            v, epsilons = np.array([1.0, -0.5]), (0.25, 0.1, 0.05)
+            v, epsilons = np.array([1.0, -0.5])[: spec.dims.k], (0.25, 0.1, 0.05)
         grid, c = spec.grid, spec.coeffs
         cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, t_start=t, x0=1.0)  # two blocks
         rows = perturbation_scaling(spec, th, p2, cfg, SpikeSpec(v=v, epsilons=epsilons), t)
@@ -231,7 +231,7 @@ class TestSpikePaths:
             dz = np.einsum("rmn,prn->prm", p2r[:-1], zc)
             sup_x = np.mean(np.max(np.sum(dx**2, axis=2), axis=1))
             sup_yz = np.mean(np.max(np.sum(dy**2, axis=2), axis=1) + grid.h * np.sum(dz**2, axis=(1, 2)))
-            assert row["ex_sup_dx2"] == pytest.approx(sup_x, rel=1e-12, abs=0.0)  # measured gaps <= 4e-15
+            assert row["ex_sup_dx2"] == pytest.approx(sup_x, rel=1e-12, abs=0.0)  # measured gaps <= 4.1e-15
             assert row["ex_sup_dy2_int_dz2"] == pytest.approx(sup_yz, rel=1e-12, abs=0.0)
 
 
@@ -400,21 +400,24 @@ def matrix_inputs(problem="matrix"):
     ``matrix`` is the reduction preset: its H, hats, M, N and G2 are 0, so
     P2 = P7 = 0 and Y = Z = 0.  ``coupled`` (m = 2 as well) has all of them
     nonzero and C, D time-varying, so the left and right interval ends of
-    C + D Theta and of D v differ.
+    C + D Theta and of D v differ.  ``narrow`` is ``coupled`` at n = k = 1
+    and m = 2, so Y and Z have more components than X.
     """
-    spec = matrix_reduction_problem(40) if problem == "matrix" else matrix_p2_problem(40, n=2, m=2, k=2)
+    nmk = {"coupled": (2, 2, 2), "narrow": (1, 2, 1)}
+    spec = matrix_reduction_problem(40) if problem == "matrix" else matrix_p2_problem(40, *nmk[problem])
     rng = np.random.default_rng(3)
-    theta = Strategy(spec.grid, 0.3 * rng.standard_normal((spec.grid.num_nodes, 2, 2)))
+    theta = Strategy(spec.grid, 0.3 * rng.standard_normal((spec.grid.num_nodes, spec.dims.k, spec.dims.n)))
     return spec, theta, solve_p2(spec, theta)
 
 
 def ladder_inputs(smoke_solution, problem):
     """(spec, theta, P2, v, spike_test keywords) of a ladder test problem:
-    the smoke solution (n = 1) or a :func:`matrix_inputs` problem (n = 2)."""
+    the smoke solution (n = 1) or a :func:`matrix_inputs` problem."""
     if problem == "smoke":
         sol = smoke_solution
         return sol.spec, sol.theta_star, sol.p2, 1.0, {"p1_diag": sol.p1_diag, "p3_diag": sol.p3_diag}
-    return (*matrix_inputs(problem), np.array([1.0, -0.5]), {})
+    spec, th, p2 = matrix_inputs(problem)
+    return spec, th, p2, np.array([1.0, -0.5])[: spec.dims.k], {}
 
 
 class TestSpikeDirections:
@@ -456,10 +459,10 @@ class TestSpikeDirections:
         assert np.all(np.abs(d[2.0] - d[-2.0] - 2.0 * odd) <= 1e-12 * np.abs(2.0 * odd))
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
-    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled", "narrow"])
     def test_ladder_matches_the_bundle_route(self, smoke_solution, problem, t):
         # Three rungs, the widest ending before the horizon, so that the
-        # ladder collapses its rungs past that window, at n = 2 too.
+        # ladder collapses its rungs past that window, at n = 2 and m != n too.
         spec, th, p2, v, kw = ladder_inputs(smoke_solution, problem)
         epsilons = (0.25, 0.1, 0.05)
         cfg = SimConfig(paths=400, seed=13, t_start=t, x0=1.0)
@@ -655,6 +658,24 @@ class TestOneBlockLive:
             tracemalloc.stop()
         block = spec.grid.steps * BLOCK_PATHS * np.dtype(float).itemsize  # one block of increments
         assert peak < 0.5 * block, peak / block
+
+    @pytest.mark.parametrize("spiked", [False, True])
+    def test_bundle_route_holds_little_beyond_its_bundle(self, smoke_200, spiked):
+        # A (paths, nodes, n) temporary on top of X, Y, Z and the increments
+        # reads 1.0 here; streaming and the per-node Z loop read about 0.07.
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=2 * BLOCK_PATHS, seed=3, x0=1.0)
+        tracemalloc.start()
+        try:
+            if spiked:
+                bundle = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=1.0), 0.25)
+            else:
+                bundle = simulate_closed_loop(spec, th, p2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (bundle.X, bundle.Y, bundle.Z, bundle.increments))
+        assert peak - held < 0.5 * bundle.X.nbytes, (peak - held) / bundle.X.nbytes
 
 
 def blocks_of(paths):
