@@ -11,10 +11,11 @@ the diagonal field obeys
              + int_t^T [Q(s,t) + Th^2 R(s,t) + p2t^2 M(s,t)
                         + C_Th^2 p2t^2 N(s,t)] lam(s, t) ds,
 
-and the gain update reads, with den(s) = R(s,s) + D^2 (p1t + N(s,s) p2t^2),
+and the gain update is the one of :func:`~fbslq.riccati.feedback_map`, with
+p1t in the place of P1(t;t) + P3(t;t) in Lambda and Gamma, so that
+Lambda = R(s,s) + D^2 (p1t + N(s,s) p2t^2) and
 
-    Th+(s) = -[(B + D C) p1t + Bhat G2 p2t
-               + (D C N(s,s) + (B + D Dhat) G2) p2t^2] / den(s).
+    Th+(s) = -Lambda(s)^+ Gamma(s) + (1 - Lambda(s)^+ Lambda(s)) theta0(s).
 
 Using the exact exponential for E[Phi^2] removes all sampling noise from the
 fixed point; Monte-Carlo only appears as an external cross-check.  The map is
@@ -38,10 +39,10 @@ p1t costs O(L) and no exponent spans the horizon.  Table and callable kernels
 take the dense quadrature over L x L weight tables instead; it reads P2 on
 the whole tail, which the windows keep in a full-length buffer.
 
-Where den(s) == 0 the update passes theta0 through: 1/den is read as the
-pseudo-inverse of the 1 x 1 [den], which :func:`~fbslq.matrixkit.pinv` sets
-to 0 exactly there, as the matrix route does.  The nodes where it does are
-recorded in the diagnostics.
+Where Lambda(s) == 0, :func:`~fbslq.matrixkit.pinv` sets Lambda^+ to 0 and
+the projector 1 - Lambda^+ Lambda is exactly 1, so the update passes theta0
+through; elsewhere the projector is exactly 0 and theta0 drops out.  The
+nodes where pinv(Lambda) == 0 are recorded in the diagnostics.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ import numpy as np
 
 from .fields import OneTimeField, Strategy, TwoTimeField, interval_gain
 from .problem import ProblemSpec, check_one_dim_positivity
-from .riccati import ConstraintReport, P2Field, _integrate_p2, _p2_samples, _transport
-from .riccati import check_constraints, two_time_diagonals
+from .riccati import ConstraintReport, P2Field, _diag_weights, _feedback, _integrate_p2, _lambda_gamma
+from .riccati import _p2_samples, _transport, check_constraints, two_time_diagonals
 
 __all__ = [
     "SolverConfig",
@@ -108,8 +109,10 @@ class SolverConfig:
     check_assumptions: bool = True
 
     def __post_init__(self):
-        if self.fp_tolerance <= 0:
+        if not self.fp_tolerance > 0:
             raise ValueError("fp_tolerance must be positive")
+        if self.max_iterations_per_window < 1:
+            raise ValueError("max_iterations_per_window must be at least 1")
         if not 0.0 < self.contraction_target < 1.0:
             raise ValueError("contraction_target must lie in (0, 1)")
         if not 0.0 < self.damping <= 1.0:
@@ -215,9 +218,9 @@ class _Workspace:
     tabulated on the triangle s >= t of the L x L node grid for the dense
     quadrature, which reads P2 at every node after the window from the
     buffer ``p2t`` that :meth:`apply_map` fills.  :meth:`apply_map` also
-    keeps P2 at the midpoints, and p1t and the gain's denominator at the
-    window's nodes, so after the last window of a solve the buffers hold
-    them at the solved gain.
+    keeps P2 at the midpoints, and p1t and pinv(Lambda) at the window's
+    nodes, so after the last window of a solve the buffers hold them at the
+    solved gain.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -226,20 +229,18 @@ class _Workspace:
         self.h, self.L = spec.grid.h, spec.grid.num_nodes
         nodes = spec.grid.nodes
         c, w = spec.coeffs, spec.weights
-        self.A, self.B, self.C, self.D = _at_nodes(spec, c.A, c.B, c.C, c.D)
-        self.Bhat, self.Dhat, self.G1, self.G2 = _at_nodes(spec, c.Bhat, c.Dhat, w.G1, w.G2)
+        self.A, self.B, self.C, self.D, self.G1 = _at_nodes(spec, c.A, c.B, c.C, c.D, w.G1)
 
         self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
+        self.diag = _diag_weights(spec)  # read by every Lambda and Gamma of the fixed point
         self.p2t = np.zeros(self.L)
         self.p2_mids = np.zeros(self.L - 1)
         self.p1t = np.zeros(self.L)
-        self.den = np.zeros(self.L)
+        self.lam_p = np.zeros(self.L)
 
         self.factors = w.lag_factors()
         if self.factors is not None:
             self.shifts = {name: lag.shift(self.h) for name, lag in self.factors.items()}
-            self.R_diag = w.R(nodes, nodes)[:, 0, 0]
-            self.N_diag = w.N(nodes, nodes)[:, 0, 0]
             return
         # Only s >= t is read, and a weight may overflow below it; zeros there.
         ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
@@ -251,8 +252,6 @@ class _Workspace:
             return tab
 
         self.Q_tab, self.R_tab, self.M_tab, self.N_tab = (table(k) for k in (w.Q, w.R, w.M, w.N))
-        self.R_diag = np.diagonal(self.R_tab).copy()
-        self.N_diag = np.diagonal(self.N_tab).copy()
 
     def terminal(self) -> _Tail:
         """The state at T: P2 = H and the terminal suffix-sum row."""
@@ -342,32 +341,15 @@ class _Workspace:
         terminal = self.G1[cols] * np.exp(expo[-1] - expo[cols])
         return terminal + contrib.sum(axis=0)
 
-    def gain(self, p1t_cols, p2t_cols, cols, theta0):
-        """Scalar feedback update and its denominator; theta0 passes through where den == 0."""
-        B, C, D = self.B[cols], self.C[cols], self.D[cols]
-        Bh, Dh, G2 = self.Bhat[cols], self.Dhat[cols], self.G2[cols]
-        Rd, Nd = self.R_diag[cols], self.N_diag[cols]
-        den = Rd + D**2 * (p1t_cols + Nd * p2t_cols**2)
-        num = (
-            (B + D * C) * p1t_cols
-            + Bh * G2 * p2t_cols
-            + (D * C * Nd + (B + D * Dh) * G2) * p2t_cols**2
-        )
-        if not (np.all(np.isfinite(den)) and np.all(np.isfinite(num))):
-            raise EquilibriumError("non-finite intermediate values in the gain update")
-        safe = den != 0.0
-        out = np.where(safe, -num / np.where(safe, den, 1.0), theta0[cols])
-        return out, den
-
     def apply_map(self, th, theta0, lo, hi, tail: _Tail):
         """One application of the window map: new values of nodes lo..hi of th, and the state at lo.
 
         Only the intervals lo..tail.node - 1 are integrated, from ``tail``,
         the state at a node tail.node >= hi whose later gains are final; the
         returned state at lo is the tail of the next window.  Overflow in the
-        transported weights produces non-finite values that the gain update
-        reports as an error, so the float warnings carry no extra
-        information and are silenced here.
+        transported weights produces non-finite Lambda or Gamma, reported
+        here as an error before pinv sees them, so the float warnings carry
+        no extra information and are silenced.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             vals = _integrate_p2(self.spec, self.p2_samples, th[:, None, None], (lo, tail.node), tail.p2)
@@ -376,8 +358,13 @@ class _Workspace:
             p1t, row = self.span_p1_tilde(th, self.p2t, lo, tail)
             cols = slice(lo, hi + 1)
             self.p1t[cols] = p1t[: hi - lo + 1]
-            new_vals, self.den[cols] = self.gain(self.p1t[cols], self.p2t[cols], cols, theta0)
-        return new_vals, _Tail(lo, vals[0], row)
+            diag = {name: v[cols] for name, v in self.diag.items()}
+            lam, gam = _lambda_gamma(diag, self.p1t[cols, None, None], self.p2t[cols, None, None])
+            if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gam))):
+                raise EquilibriumError("non-finite intermediate values in the gain update")
+            new_vals, lam_p = _feedback(lam, gam, theta0[cols, None, None])
+        self.lam_p[cols] = lam_p[:, 0, 0]
+        return new_vals[:, 0, 0], _Tail(lo, vals[0], row)
 
 
 def p1_tilde(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> OneTimeField:
@@ -401,7 +388,6 @@ def consistency_gap(p1t: OneTimeField, p1_diag: OneTimeField, p3_diag: OneTimeFi
 def assemble_solution(
     spec: ProblemSpec,
     theta_star: Strategy,
-    theta0: Strategy,
     p2: P2Field,
     p1t: OneTimeField,
     diagnostics: SolverDiagnostics,
@@ -426,7 +412,7 @@ def assemble_solution(
         p1_diag=p1d,
         p2=p2,
         p3_diag=p3d,
-        constraint_report=check_constraints(spec, p1d, p3d, p2, theta0),
+        constraint_report=check_constraints(spec, p1d, p3d, p2),
         diagnostics=diagnostics,
     )
 
@@ -553,8 +539,8 @@ def solve_equilibrium(
             halvings += 1
 
     # Each window's last map application, at its converged gain, left P2,
-    # p1t and the gain's denominator on its nodes in the workspace's buffers.
-    diagnostics.passthrough_nodes = np.flatnonzero(ws.den == 0.0).tolist()
+    # p1t and pinv(Lambda) on its nodes in the workspace's buffers.
+    diagnostics.passthrough_nodes = np.flatnonzero(ws.lam_p == 0.0).tolist()
     p2 = P2Field(grid, ws.p2t[:, None, None].copy(), ws.p2_mids[:, None, None].copy())
     p1t = OneTimeField.from_flat(grid, ws.p1t)
-    return assemble_solution(spec, Strategy.from_flat(grid, th), theta0, p2, p1t, diagnostics)
+    return assemble_solution(spec, Strategy.from_flat(grid, th), p2, p1t, diagnostics)

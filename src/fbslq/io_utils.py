@@ -143,11 +143,10 @@ def load_solution_dir(path) -> EquilibriumSolution:
     k, n = spec.dims.k, spec.dims.n
     theta = Strategy(spec.grid, raw[:, 1:].reshape(spec.grid.num_nodes, k, n))
 
-    theta0 = theta0_from_desc(summary.get("theta0", "const:0"), spec)
     diagnostics = _load_diagnostics(path, summary.get("diagnostics", {}))
     with np.errstate(over="ignore", invalid="ignore"):
         p2 = solve_p2(spec, theta)
-    return assemble_solution(spec, theta, theta0, p2, p1_tilde(spec, theta, p2), diagnostics)
+    return assemble_solution(spec, theta, p2, p1_tilde(spec, theta, p2), diagnostics)
 
 
 def _load_diagnostics(path, summary: dict) -> SolverDiagnostics:

@@ -1,9 +1,12 @@
 """Dense-matrix helpers for the constraint checks.
 
-Everything here is a thin, explicitly-thresholded layer over LAPACK via
-numpy: an SVD pseudoinverse with a documented rank cut, a range-inclusion
-test through the orthogonal projector, and a symmetrized eigenvalue PSD
-test.  All functions accept stacked inputs (..., r, c).
+An SVD pseudoinverse with a documented rank cut, a range-inclusion test
+through the orthogonal projector, and a symmetrized eigenvalue PSD test.
+All functions accept stacked inputs (..., r, c).
+
+The shape alone picks the path: 1 x 1 stacks skip LAPACK (pinv [x] = [1/x],
+[0] at x == 0; specnorm |x|; min_eig x), which matches the SVD and eigvalsh
+path bit for bit for |x| in 1e-100..1e100 and within 2 ulp elsewhere.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ __all__ = [
     "min_eig",
 ]
 
+_RANGE_TOL = 1e-8  # msmall lies in range(M) where |(I - M M^+) msmall| <= _RANGE_TOL (1 + |msmall|)
+_PSD_TOL = 1e-10  # M is PSD where the smallest eigenvalue of its symmetric part is >= -_PSD_TOL
+
 
 def default_rel_tol(shape) -> float:
     """Singular-value cut: 1e-12 scaled by the larger matrix dimension."""
@@ -30,27 +36,28 @@ def default_rel_tol(shape) -> float:
 def specnorm(m: np.ndarray) -> np.ndarray:
     """Spectral norm (largest singular value); stacked inputs supported."""
     m = np.asarray(m, dtype=float)
+    if m.shape[-2:] == (1, 1):
+        return np.abs(m[..., 0, 0])
     if m.size == 0:
         return np.zeros(m.shape[:-2])
     s = np.linalg.svd(m, compute_uv=False)
     return s[..., 0]
 
 
-def pinv(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rel_tol * sigma_max`` are treated as zero; the
-    default tolerance is :func:`default_rel_tol`.  A 1x1 matrix [x] maps to
-    [1/x] for any nonzero x and to [0] for x == 0; the one-dimensional
-    solver's gain update passes theta0 through on the same rule.
+    Singular values below :func:`default_rel_tol` times the largest are
+    treated as zero.  A 1x1 matrix [x] maps to [1/x] for any nonzero x and
+    to [0] for x == 0; the gain update passes theta0 through on that rule.
     """
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("pinv requires finite entries")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(m.shape)
+    if m.shape[-2:] == (1, 1):
+        return np.divide(1.0, m, out=np.zeros_like(m), where=m != 0.0)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cut = rel_tol * np.max(s, axis=-1, keepdims=True, initial=0.0)
+    cut = default_rel_tol(m.shape) * np.max(s, axis=-1, keepdims=True, initial=0.0)
     inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return np.swapaxes(vt, -1, -2) @ (inv[..., None] * np.swapaxes(u, -1, -2))
 
@@ -66,35 +73,31 @@ def penrose_residuals(m: np.ndarray, mp: np.ndarray) -> tuple[float, float, floa
     return float(np.max(r1)), float(np.max(r2)), float(np.max(r3)), float(np.max(r4))
 
 
-def range_contains(mbig: np.ndarray, msmall: np.ndarray, tol: float = 1e-8) -> bool:
+def range_contains(mbig: np.ndarray, msmall: np.ndarray) -> bool:
     """True iff every column of msmall lies in the column space of mbig.
 
     Tested through the orthogonal projector: |(I - M M^+) msmall| is compared
-    against ``tol * (1 + |msmall|)`` in spectral norm.
+    against ``_RANGE_TOL * (1 + |msmall|)`` in spectral norm.
     """
     mbig = np.atleast_2d(np.asarray(mbig, dtype=float))
     msmall = np.atleast_2d(np.asarray(msmall, dtype=float))
     if mbig.shape[-2] != msmall.shape[-2]:
         raise ValueError("row counts must match")
     resid = range_residual(mbig, msmall)
-    bound = tol * (1.0 + specnorm(msmall))
+    bound = _RANGE_TOL * (1.0 + specnorm(msmall))
     return bool(np.all(resid <= bound))
 
 
-def range_residual(mbig: np.ndarray, msmall: np.ndarray, mbig_pinv: np.ndarray | None = None) -> np.ndarray:
-    """|(I - M M^+) msmall| in spectral norm; stacked inputs supported.
-
-    ``mbig_pinv`` is :func:`pinv` of ``mbig`` when the caller holds it
-    already; by default it is computed here.
-    """
+def range_residual(mbig: np.ndarray, msmall: np.ndarray) -> np.ndarray:
+    """|(I - M M^+) msmall| in spectral norm; stacked inputs supported."""
     mbig = np.asarray(mbig, dtype=float)
     msmall = np.asarray(msmall, dtype=float)
-    proj = mbig @ (pinv(mbig) if mbig_pinv is None else mbig_pinv)
+    proj = mbig @ pinv(mbig)
     return specnorm(msmall - proj @ msmall)
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the smallest eigenvalue of (M + M^T)/2 is >= -tol.
+def is_psd(m: np.ndarray) -> bool:
+    """True iff the smallest eigenvalue of (M + M^T)/2 is >= -_PSD_TOL.
 
     Symmetrizes first: accumulated integration error can break exact
     symmetry of fields that are symmetric in exact arithmetic.
@@ -102,11 +105,13 @@ def is_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-2] != m.shape[-1]:
         raise ValueError("is_psd requires square matrices")
-    return bool(np.all(min_eig(m) >= -tol))
+    return bool(np.all(min_eig(m) >= -_PSD_TOL))
 
 
 def min_eig(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the symmetric part; stacked inputs supported."""
     m = np.asarray(m, dtype=float)
+    if m.shape[-2:] == (1, 1):
+        return m[..., 0, 0].copy()
     sym = 0.5 * (m + np.swapaxes(m, -1, -2))
     return np.linalg.eigvalsh(sym)[..., 0]

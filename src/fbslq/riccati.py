@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import OneTimeField, Strategy, TwoTimeField, interval_gain
-from .matrixkit import min_eig, pinv, range_residual, specnorm
+from .matrixkit import _PSD_TOL, _RANGE_TOL, min_eig, pinv, range_residual, specnorm
 from .problem import ProblemSpec
 
 __all__ = [
@@ -497,18 +497,13 @@ def _diag_weights(spec: ProblemSpec):
     }
 
 
-def gain_denominator_numerator(
-    spec: ProblemSpec, p1_diag: OneTimeField, p3_diag: OneTimeField, p2: OneTimeField
-):
-    """The pair (Lambda, Gamma) entering the feedback map and the constraints.
+def _lambda_gamma(d, psum: np.ndarray, p2v: np.ndarray):
+    """Lambda and Gamma from the samples ``d`` of :func:`_diag_weights`, psum = P1 + P3 and P2.
 
         Lambda(t) = R(t,t) + D'(P1(t;t) + P3(t;t) + P2' N(t,t) P2) D
         Gamma(t)  = B'(P1 + P3) + D'(P1 + P3 + P2' N P2) C
                     + (Bhat' + B' P2' + D' P2' Dhat') G2 P2
     """
-    d = _diag_weights(spec)
-    psum = p1_diag.data + p3_diag.data
-    p2v = p2.data
     p2t = np.swapaxes(p2v, -1, -2)
     dmat, bmat, cmat = d["D"], d["B"], d["C"]
     dT = np.swapaxes(dmat, -1, -2)
@@ -523,6 +518,27 @@ def gain_denominator_numerator(
     return lam, gam
 
 
+def gain_denominator_numerator(
+    spec: ProblemSpec, p1_diag: OneTimeField, p3_diag: OneTimeField, p2: OneTimeField
+):
+    """The pair (Lambda, Gamma) of :func:`_lambda_gamma` entering the feedback map and the constraints."""
+    return _lambda_gamma(_diag_weights(spec), p1_diag.data + p3_diag.data, p2.data)
+
+
+def _feedback(lam: np.ndarray, gam: np.ndarray, theta0: np.ndarray):
+    """-Lambda^+ Gamma + N theta0 and Lambda^+, with the null-space projector N = I - Lambda^+ Lambda.
+
+    At 1 x 1, N is exactly 1 where pinv sets Lambda^+ = 0 and 0 elsewhere,
+    not 1 - (1/x) x, so theta0 drops out bit for bit wherever Lambda != 0.
+    """
+    lam_p = pinv(lam)
+    if lam.shape[-2:] == (1, 1):
+        null = np.where(lam_p == 0.0, 1.0, 0.0)
+    else:
+        null = np.eye(lam.shape[-1]) - lam_p @ lam
+    return -lam_p @ gam + null @ theta0, lam_p
+
+
 def feedback_map(
     spec: ProblemSpec,
     p1_diag: OneTimeField,
@@ -530,17 +546,14 @@ def feedback_map(
     p2: OneTimeField,
     theta0: Strategy,
 ) -> Strategy:
-    """Gain update Theta = -Lambda^+ Gamma + theta0 - Lambda^+ Lambda theta0.
+    """Gain update Theta = -Lambda^+ Gamma + (I - Lambda^+ Lambda) theta0.
 
-    When Lambda(t) is invertible the theta0 terms cancel and the result is
+    When Lambda(t) is invertible the theta0 term vanishes and the result is
     parameter-free; a singular Lambda routes the unresolved directions through
     the theta0 pass-through.
     """
     lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    lam_p = pinv(lam)
-    th0 = theta0.values
-    values = -lam_p @ gam + th0 - lam_p @ lam @ th0
-    return Strategy(spec.grid, values)
+    return Strategy(spec.grid, _feedback(lam, gam, theta0.values)[0])
 
 
 @dataclass
@@ -589,9 +602,6 @@ def check_constraints(
     p1_diag: OneTimeField,
     p3_diag: OneTimeField,
     p2: OneTimeField,
-    theta0: Strategy,
-    range_tol: float = 1e-8,
-    psd_tol: float = 1e-10,
 ) -> ConstraintReport:
     """Audit the square-integrability, range-inclusion and PSD constraints.
 
@@ -608,13 +618,13 @@ def check_constraints(
     l2 = float(np.sqrt(np.trapezoid(norms**2, spec.grid.nodes)))
     l2_pass = bool(np.isfinite(sup) and np.isfinite(l2))
 
-    resid = range_residual(lam, gam, lam_p)
-    bound = range_tol * (1.0 + specnorm(gam))
+    resid = range_residual(lam, gam)
+    bound = _RANGE_TOL * (1.0 + specnorm(gam))
     range_ok = resid <= bound
     worst = int(np.argmax(resid - bound))
 
     eigs = min_eig(lam)
-    psd_ok = eigs >= -psd_tol
+    psd_ok = eigs >= -_PSD_TOL
     psd_worst = int(np.argmin(eigs))
 
     return ConstraintReport(

@@ -459,20 +459,20 @@ DENOMINATORS = st.sampled_from(
 
 
 class TestPassThrough:
-    """A node passes theta0 through exactly where pinv inverts the 1 x 1 [den] to [0]."""
+    """A node passes theta0 through exactly where pinv inverts the 1 x 1 [Lambda] to [0]."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.lists(DENOMINATORS, min_size=1, max_size=41))
     def test_gain_passes_through_where_pinv_is_zero(self, dens):
-        ws = _Workspace(assumption_smoke_problem(40))
-        den, cols = np.array(dens), slice(0, len(dens))
-        ws.D, ws.R_diag = np.zeros(len(den)), den  # so that den = R(t,t) on cols
-        ones = np.ones(len(den))
+        # The shared update of the fixed point and feedback_map, with Gamma = 1
+        # and a finite sentinel theta0: 0 * NaN would be NaN in N theta0.
+        lam = np.array(dens)[:, None, None]
+        sentinel = np.full_like(lam, 3.0)
         with np.errstate(over="ignore"):
-            new, got = ws.gain(ones, ones, cols, np.full(ws.L, np.nan))
-            inverse = pinv(den[:, None, None])[:, 0, 0]
-        assert np.array_equal(got, den)
-        assert np.array_equal(np.isnan(new), inverse == 0.0)
+            new, lam_p = riccati._feedback(lam, np.ones_like(lam), sentinel)
+            inverse = pinv(lam)
+        assert np.array_equal(lam_p, inverse)
+        assert np.array_equal(new, np.where(inverse == 0.0, sentinel, -inverse))
 
     @pytest.mark.parametrize("q", ["unit", "steep"])
     @pytest.mark.parametrize("theta0", [0.0, -0.5])
@@ -568,6 +568,10 @@ class TestLagKernels:
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(fp_tolerance=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(fp_tolerance=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(max_iterations_per_window=0)
     with pytest.raises(ValueError):
         SolverConfig(contraction_target=1.5)
     with pytest.raises(ValueError):

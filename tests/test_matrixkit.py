@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbslq.matrixkit import (
     default_rel_tol,
@@ -94,3 +96,103 @@ def test_is_psd_symmetrizes_first():
 def test_is_psd_rejects_non_square():
     with pytest.raises(ValueError):
         is_psd(np.ones((2, 3)))
+
+
+# -- the 1 x 1 path against the SVD/eigvalsh path it replaces --------------------
+
+
+def svd_pinv(m):
+    """The SVD pseudoinverse, as matrixkit computes it for larger matrices."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    cut = default_rel_tol(m.shape) * np.max(s, axis=-1, keepdims=True, initial=0.0)
+    inv = np.where(s > cut, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
+    return np.swapaxes(vt, -1, -2) @ (inv[..., None] * np.swapaxes(u, -1, -2))
+
+
+def within_ulps(a, b, ulps):
+    """Equal where either side is not finite, else at most ``ulps`` apart."""
+    finite = np.isfinite(a) & np.isfinite(b)
+    gap = np.abs(np.subtract(a, b, out=np.zeros_like(a), where=finite))
+    scale = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return np.all(np.where(finite, gap <= ulps * scale, a == b))
+
+
+# Magnitudes over 1e+-300, zeros of both signs and subnormals.
+ENTRIES = st.one_of(
+    st.builds(
+        lambda sign, mant, e: sign * mant * 10.0**e,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1.0, 10.0),
+        st.integers(-300, 300),
+    ),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(ENTRIES, min_size=1, max_size=64))
+def test_one_by_one_stacks_match_lapack(xs):
+    # For |x| in 1e-100..1e100 (and 0) the direct path is the SVD/eigvalsh
+    # result bit for bit.  Outside about 1e+-138 LAPACK rescales first, and
+    # pinv and specnorm may then differ from it by up to 2 ulp.
+    m = np.array(xs)[:, None, None]
+    with np.errstate(over="ignore"):
+        got, want = pinv(m), svd_pinv(m)
+    norm, want_norm = specnorm(m), np.linalg.svd(m, compute_uv=False)[:, 0]
+    eig, want_eig = min_eig(m), np.linalg.eigvalsh(0.5 * (m + m))[:, 0]
+    inner = (np.abs(m[:, 0, 0]) >= 1e-100) & (np.abs(m[:, 0, 0]) <= 1e100) | (m[:, 0, 0] == 0.0)
+    assert np.array_equal(got[inner].view(np.uint64), want[inner].view(np.uint64))
+    assert np.array_equal(norm[inner].view(np.uint64), want_norm[inner].view(np.uint64))
+    assert within_ulps(got, want, 2) and within_ulps(norm, want_norm, 2)
+    assert np.array_equal(eig.view(np.uint64), want_eig.view(np.uint64))
+
+
+def test_min_eig_of_one_by_one_skips_the_overflowing_symmetrization():
+    # Above about 9e307 the eigvalsh path's 0.5 (m + m') overflows to +-inf;
+    # the 1 x 1 path returns the entry.
+    m = np.array([[[1e308]], [[-1.7e308]]])
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(0.5 * (m + m)))
+    assert np.array_equal(min_eig(m), m[:, 0, 0])
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the numpy.linalg.svd and eigvalsh calls made while the test runs."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_scalar_solve_and_load_call_no_lapack(tmp_path, lapack_calls):
+    from fbslq.equilibrium import solve_equilibrium
+    from fbslq.fields import Strategy
+    from fbslq.io_utils import load_solution_dir, write_solution_dir
+    from fbslq.scenario import scenario_to_spec, smoke_scenario
+
+    doc = smoke_scenario(200)
+    spec = scenario_to_spec(doc)
+    sol = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
+    write_solution_dir(tmp_path, sol, doc, "const:0")
+    load_solution_dir(tmp_path)
+    assert lapack_calls == []
+
+
+def test_matrix_audit_calls_lapack(lapack_calls):
+    from fbslq.presets import matrix_reduction_problem
+    from fbslq.riccati import check_constraints, solve_p2, two_time_diagonals
+    from fbslq.verify import classical_riccati_feedback
+
+    spec = matrix_reduction_problem(40)
+    _, gain = classical_riccati_feedback(spec)
+    p2 = solve_p2(spec, gain)
+    check_constraints(spec, *two_time_diagonals(spec, gain, p2), p2)
+    assert "svd" in lapack_calls and "eigvalsh" in lapack_calls

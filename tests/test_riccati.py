@@ -382,7 +382,7 @@ class TestCheckConstraints:
         th = zero_theta(spec)
         p2 = solve_p2(spec, th)
         report = check_constraints(
-            spec, solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal(), p2, th
+            spec, solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal(), p2
         )
         assert report.all_pass
 
@@ -391,7 +391,7 @@ class TestCheckConstraints:
         th = Strategy.constant(spec.grid, -0.5)
         p2 = solve_p2(spec, th)
         report = check_constraints(
-            spec, solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal(), p2, th
+            spec, solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal(), p2
         )
         assert not report.range_pass
         assert not np.any(report.range_ok_per_node[:-1])
@@ -408,7 +408,7 @@ class TestCheckConstraints:
             th = Strategy.constant(spec.grid, 0.0 if case == "zero branch" else -0.5)
             p2 = solve_p2(spec, th)
             p1d, p3d = solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal()
-        report = check_constraints(spec, p1d, p3d, p2, th)
+        report = check_constraints(spec, p1d, p3d, p2)
         lam, gam = gain_denominator_numerator(spec, p1d, p3d, p2)
         resid = range_residual(lam, gam)
         bound = 1e-8 * (1.0 + specnorm(gam))
