@@ -36,15 +36,16 @@ convention of the spike window.
 
 One stepper takes every Euler step: it carries the closed loop and, per
 spike rung, its perturbation, which is exactly linear in the direction v,
-and once the widest spike window has closed it collapses the rungs into one
-n x n transition per path.  It has four consumers.  The spike ladder's
-kernel, one for every dimension, groups the cost terms by node and splits
-the cost sums into a part linear and a part quadratic in v, so one pass
-yields the ladder for +v and for -v, and the closed-loop cost estimate from
-the same paths.  The bundle API records the stepper at the coarse nodes (no
-rung for the closed loop, one for a spike), the backward-equation check
-reads the closed loop at every fine step and :func:`perturbation_scaling`
-reads the rungs' perturbations at the coarse nodes.
+and closes each rung at the end of its own window, where the rungs that
+have ended share one n x n transition per path.  It has four consumers.
+The spike ladder's kernel, one for every dimension, groups the cost terms
+by node and splits the cost sums into a part linear and a part quadratic
+in v, so one pass yields the ladder for +v and for -v, and the closed-loop
+cost estimate from the same paths.  The bundle API records the stepper at
+the coarse nodes (no rung for the closed loop, one for a spike), the
+backward-equation check reads the closed loop at every fine step and
+:func:`perturbation_scaling` reads the rungs' perturbations at the coarse
+nodes.
 """
 
 from __future__ import annotations
@@ -307,25 +308,29 @@ def _p7_samples(spec: ProblemSpec, p2: P2Field, i0: int, steps: int, v: np.ndarr
     )
 
 
-def _solve_p7(samples, h: float, eps_steps: int, range_nodes: int) -> np.ndarray:
-    """Spike coupling field on the range nodes: nonzero only on [t, t + eps).
+def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.ndarray:
+    """Spike coupling field of every rung on the range nodes, (rungs, range_nodes, m):
+    rung q's is nonzero only on [t, t + eps_q).
 
     Backward RK4 of  dP7/ds = -(Chat P7 + chi (P2 B + Bhat + Dhat P2 D)) v
     with P7(T) = 0; the source is constant per interval (the indicator is
     aligned with whole grid steps), so only the window intervals integrate.
-    ``samples`` comes from :func:`_p7_samples` for a window at least
-    ``eps_steps`` wide.  The field is linear in v.
+    One sweep serves the ladder: interval j steps the rungs whose window
+    covers it, a leading run of the non-increasing ``eps_steps``, each from
+    0.  ``samples`` comes from :func:`_p7_samples` for the widest window.
+    The field is linear in v.
     """
     ch_nodes, ch_mids, w_nodes, w_mids = samples
-    out = np.zeros((range_nodes, w_nodes.shape[-1]))
-    p = np.zeros(w_nodes.shape[-1])
-    for j in range(eps_steps - 1, -1, -1):
-        k1 = -(ch_nodes[j + 1] @ p + w_nodes[j + 1])
-        k2 = -(ch_mids[j] @ (p - 0.5 * h * k1) + w_mids[j])
-        k3 = -(ch_mids[j] @ (p - 0.5 * h * k2) + w_mids[j])
-        k4 = -(ch_nodes[j] @ (p - h * k3) + w_nodes[j])
-        p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[j] = p
+    out = np.zeros((len(eps_steps), range_nodes, w_nodes.shape[-1]))
+    p = np.zeros(out[:, 0].shape)  # (rungs, m)
+    for j in range(max(eps_steps, default=0) - 1, -1, -1):
+        q = p[: sum(steps > j for steps in eps_steps)]
+        k1 = -(q @ ch_nodes[j + 1].T + w_nodes[j + 1])
+        k2 = -((q - 0.5 * h * k1) @ ch_mids[j].T + w_mids[j])
+        k3 = -((q - 0.5 * h * k2) @ ch_mids[j].T + w_mids[j])
+        k4 = -((q - h * k3) @ ch_nodes[j].T + w_nodes[j])
+        q -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[: len(q), j] = q
     return out
 
 
@@ -511,10 +516,11 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 #
 #     d <- d + (A_Th d + chi_q B v) h_f + (C_Th d + chi_q D v) dW.
 #
-# Past node e, the end of the widest window, no rung has a source, so
-# d_q(r) = Psi(r) d_q(e) with one n x n transition Psi per path, Psi(e) = I,
-# stepped like x.  One stepper (``_Stepper``) takes every Euler step, one RNG
-# block at a time, and carries Psi instead of the rungs past e.  The cost-sum
+# Past node e_q, the end of its window, rung q has no source, so d_q(r) =
+# Psi(r) d_q(g) from any node g >= e_q on, with one n x n transition Psi per
+# path, Psi(g) = I, stepped like x.  One stepper (``_Stepper``) takes every
+# Euler step, one RNG block at a time, and closes the rungs at their ends:
+# the closed rungs share one Psi, restarted at every close.  The cost-sum
 # kernel (``_LadderRun._block``) is a coroutine sent one row of increments
 # per fine step, so ``_stream`` steps the kernels of every spike time side by
 # side over one stream of rows; the bundle route, ``bsde_residual_check``
@@ -522,17 +528,18 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
 # (``_LadderRun.walk``).
 #
 # Every cost term is a quadratic form wt <W L x, L x> of a linear function of
-# the state, and rung q moves its argument by e_q = L d_q + s_q, where s_q
+# the state, and rung q moves its argument by a_q = L d_q + s_q, where s_q
 # holds the chi v, chi D v and P7 sources.  Per path the cost difference of
 # rung q is (quad_q + cross_q) / 2 under +v and (quad_q - cross_q) / 2 under
 # -v, with
 #
-#     cross_q = sum wt <(W + W') L x, e_q>,   quad_q = sum wt <W e_q, e_q>,
+#     cross_q = sum wt <(W + W') L x, a_q>,   quad_q = sum wt <W a_q, a_q>,
 #
-# because e_q is exactly linear in v.  One pass therefore gives both
+# because a_q is exactly linear in v.  One pass therefore gives both
 # directions, bit for bit what a separate -v pass gives.  The kernel groups
-# the terms by node (``_LadderRun._weights``); past e it accumulates the
-# tail's terms in Psi and contracts them with d_q(e) once, at the horizon.
+# the terms by node (``_LadderRun._weights``); for the closed rungs it
+# accumulates the terms in Psi and contracts them with d_q(g) at the next
+# close and, after the last, at the horizon.
 # ---------------------------------------------------------------------------
 
 
@@ -591,9 +598,12 @@ class _PassSums:
         self.moments = (0, 0.0, 0.0)
 
     def add(self, base, cross, quad) -> None:
-        for sign, d in enumerate((0.5 * (quad + cross), 0.5 * (quad - cross))):
+        d = np.empty_like(quad)  # one (rungs, paths) array serves both directions
+        for sign, combine in enumerate((np.add, np.subtract)):
+            combine(quad, cross, out=d)
+            d *= 0.5
             self.sum_d[sign] += d.sum(axis=1)
-            self.sumsq_d[sign] += (d**2).sum(axis=1)
+            self.sumsq_d[sign] += np.square(d, out=d).sum(axis=1)
         self.moments = _merge_moments(self.moments, 0.5 * base)
 
 
@@ -632,57 +642,74 @@ def _primed(coroutine):
 class _Stepper:
     """Euler-Maruyama of a :class:`_LadderRun` over one RNG block of ``width`` paths.
 
-    The state ``y`` is component-major, (n, 1 + columns, width): x, then
-    every rung's d_q up to node e and, after :meth:`collapse`, the rows of
-    Psi', psi[j, i] = Psi'[i, j]; without rungs, x alone.  A step is y <- y +
-    y F, F = C_Th' dW + A_Th' h_f per path, plus the rungs' spike drive.  It
-    writes into buffers allocated once per block (a fresh (rungs, width)
-    temporary per operation is large enough for the allocator to map and
-    unmap it each time), so a consumer that keeps a state copies it; between
-    steps the scratch ``yt`` is free.
+    Rung q is open up to node e_q, the end of its window; once the consumer
+    has read that node it calls :meth:`close`.  The state ``y`` is
+    component-major, (n, columns, width): x, the open rungs' d_q (a leading
+    run of the non-increasing ladder), ``psi`` (psi[c, i] = Psi[c, i], the
+    transition since the last close g) and ``group``, the closed rungs'
+    d_q(g); without rungs, x alone.  A step is y <- y + y F, F = C_Th' dW +
+    A_Th' h_f per path, on x, the open rungs and, once a rung has closed,
+    Psi, plus the open rungs' spike drive.  It writes into buffers allocated
+    once per block (a fresh (rungs, width) temporary per operation is large
+    enough for the allocator to map and unmap it each time), so a consumer
+    that keeps a state copies it; between steps the scratch ``yt`` and ``f``
+    are free.
     """
 
     def __init__(self, run, width: int):
+        rungs, n = len(run.eps_steps), run.n
         self.run = run
         self.ell = 0  # fine steps taken
-        self.y = np.zeros((run.n, 1 + len(run.eps_steps), width))
+        self.y = np.zeros((n, 1 + rungs + n if rungs else 1, width))
         self.y[:, 0] = run.x0[:, None]
-        self.yt = np.empty_like(self.y)
-        self.f = np.empty((run.n, run.n, width))
-        self.d_e = None  # every d_q(e), once collapsed
-        self.mix = _mixer(self.y, self.yt)  # yt = y m
+        self.yt = np.empty((n, rungs + max(1, n) if rungs else 1, width))
+        self.f = np.empty((n, n, width))
+        self._bind(rungs)
+
+    def _bind(self, k: int) -> None:
+        """Step x, the open rungs :k and, once a rung has closed, Psi."""
+        n = self.run.n
+        self.open, self.live = k, 1 + k + (n if k < len(self.run.eps_steps) else 0)
+        self.psi, self.group = self.y[:, 1 + k : 1 + k + n], self.y[:, 1 + k + n :]
+        self.mix = _mixer(self.y[:, : self.live], self.yt[:, : self.live])  # yt = y m
 
     def step(self, dw: np.ndarray) -> None:
         """Take the next fine step, on that step's Brownian increments (width,)."""
-        run, ell, f = self.run, self.ell, self.f
-        # F = c_t dW + a_h;  y <- y + y F;  d <- d + (drive_h + drive_w dW)
+        run, ell, f, k = self.run, self.ell, self.f, self.open
+        # F = c_t dW + a_h;  y <- y + y F;  open d <- d + (drive_h + drive_w dW)
         np.multiply(run.c_t[ell], dw, out=f)
         np.add(f, run.a_h[ell], out=f)
         self.mix(f)
-        np.add(self.y, self.yt, out=self.y)
-        if self.d_e is None:  # up to node e; on empty arrays without rungs
-            dt, d = self.yt[:, 1:], self.y[:, 1:]
-            np.multiply(run.drive_w[ell], dw, out=dt)
-            np.add(run.drive_h[ell], dt, out=dt)
-            np.add(d, dt, out=d)
+        state = self.y[:, : self.live]
+        np.add(state, self.yt[:, : self.live], out=state)
+        if k:
+            drive, d = f[:, :1], self.y[:, 1 : 1 + k]
+            np.multiply(run.drive_w[ell], dw, out=drive)
+            np.add(run.drive_h[ell], drive, out=drive)
+            np.add(d, drive, out=d)
         self.ell = ell + 1
 
-    def collapse(self) -> None:
-        """At node e: carry x and Psi' from here on.  The former state, which
-        holds every d_q(e), becomes ``d_e`` and is never written again; the
-        rung scratch is freed before the new buffers are allocated."""
-        old, (n, _, width) = self.y, self.y.shape
-        self.d_e, self.yt, self.mix = old[:, 1:], None, None
-        self.y = np.concatenate([old[:, :1], np.broadcast_to(np.eye(n)[:, :, None], (n, n, width))], axis=1)
-        self.yt = np.empty_like(self.y)
-        self.mix = _mixer(self.y, self.yt)  # yt = y m
+    def close(self) -> None:
+        """At node e, the end of some rungs: the group's d_q(g) advance to
+        Psi(e) d_q(g) = d_q(e), the rungs ending at e join the group, and Psi
+        restarts at I."""
+        k, n, size = self.open, self.run.n, self.group.shape[1]
+        if size:  # Psi d_q(g), through the scratch
+            _mixer(self.group, self.yt[:, :size])(np.swapaxes(self.psi, 0, 1))
+            self.group[...] = self.yt[:, :size]
+        left = sum(steps > self.ell // self.run.sub for steps in self.run.eps_steps)
+        self.y[:, 1 + left + n : 1 + k + n] = self.y[:, 1 + left : 1 + k]
+        self._bind(left)
+        self.psi[...] = np.eye(n)[:, :, None]
 
     def perturbations(self) -> np.ndarray:
-        """Every rung's d_q at the current step, (n, rungs, width): the carried
-        state up to node e, then Psi d_q(e) = sum_i Psi'[i] d_qi(e)."""
-        if self.d_e is None:
-            return self.y[:, 1:]
-        return _dotter(np.swapaxes(self.y[:, 1:], 0, 1)[:, :, None], self.d_e)()
+        """Every rung's d_q at the current step, (n, rungs, width), a new
+        array: the open rungs' states, then Psi d_q(g)."""
+        k, out = self.open, np.empty((self.run.n, len(self.run.eps_steps), self.y.shape[2]))
+        out[:, :k] = self.y[:, 1 : 1 + k]
+        if k < out.shape[1]:
+            _mixer(self.group, out[:, k:])(np.swapaxes(self.psi, 0, 1))
+        return out
 
 
 class _LadderRun:
@@ -690,9 +717,10 @@ class _LadderRun:
     ``cfg.t_start`` to the horizon, one pass per block.
 
     Holds every deterministic array that the stepper and its consumers
-    read.  Rung q applies the spike of ``eps_steps[q]`` coarse steps; every
-    rung shares each block's increments with the closed loop (common random
-    numbers).
+    read.  Rung q applies the spike of ``eps_steps[q]`` coarse steps, which
+    must not increase with q, so that the rungs still open at any node are
+    a leading run; every rung shares each block's increments with the
+    closed loop (common random numbers).
     """
 
     def __init__(self, spec, theta, p2, cfg, v: np.ndarray, eps_steps: list[int]):
@@ -701,7 +729,9 @@ class _LadderRun:
         self.cfg = cfg
         self.v = v
         self.eps_steps = eps_steps
-        self.widest = max(eps_steps, default=0)
+        if any(wide < narrow for wide, narrow in zip(eps_steps, eps_steps[1:])):
+            raise ValueError("the spike ladder's eps_steps must be non-increasing")
+        self.ends = set(eps_steps)  # the nodes where rungs close
         self.i0 = grid.index_of(t)
         self.n_coarse = grid.steps - self.i0
         if self.n_coarse < 1:
@@ -729,17 +759,13 @@ class _LadderRun:
         self.a_h = np.swapaxes(self.a_fine, 1, 2)[..., None] * self.hf  # the stepper's factors, (F, n, n, 1)
         self.c_t = np.swapaxes(self.c_fine, 1, 2)[..., None]
 
-        # The spike indicators per fine step and per coarse interval (closed
-        # left, open right), each rung's coupling field and its spike drive.
-        rung_steps = np.asarray(eps_steps, dtype=int).reshape(-1, 1)
-        chi_fine = (np.arange(self.F)[:, None, None, None] < rung_steps * self.sub).astype(float)
-        self.chi_node = (np.arange(self.n_coarse) < rung_steps).astype(float)
-        self.p7v = np.zeros((len(eps_steps), self.n_coarse + 1, self.m))
-        samples = _p7_samples(spec, p2, self.i0, self.widest, v)
-        for q, steps in enumerate(eps_steps):
-            self.p7v[q] = _solve_p7(samples, self.h, steps, self.n_coarse + 1)
-        self.drive_h = chi_fine * ((c.B(fine_t) @ v) * self.hf)[:, :, None, None]  # (F, n, rungs, 1)
-        self.drive_w = chi_fine * (c.D(fine_t) @ v)[:, :, None, None]
+        # The spike indicators per coarse interval (closed left, open right),
+        # each rung's coupling field and the spike drive of an open rung.
+        self.chi_node = (np.arange(self.n_coarse) < np.asarray(eps_steps, dtype=int).reshape(-1, 1)).astype(float)
+        samples = _p7_samples(spec, p2, self.i0, max(eps_steps, default=0), v)
+        self.p7v = _solve_p7(samples, self.h, eps_steps, self.n_coarse + 1)
+        self.drive_h = ((c.B(fine_t) @ v) * self.hf)[:, :, None, None]  # (F, n, 1, 1)
+        self.drive_w = (c.D(fine_t) @ v)[:, :, None, None]
         self.dv_left = c.D(left_t) @ v  # (n_coarse, n)
         self.dv_right = c.D(right_t) @ v
 
@@ -761,14 +787,14 @@ class _LadderRun:
         """The stepper over one block of ``width`` paths, pulled along ``rows``:
         yields (ell, dW, stepper) at the start (0, None) and after each fine step
         ell, dW its increments; coarse node r is ell = r * sub_steps.  The
-        stepper collapses once the consumer has read node e."""
+        stepper closes the rungs ending at node r once the consumer has read it."""
         stepper = _Stepper(self, width)
         yield 0, None, stepper
         for ell, dw in enumerate(rows, 1):
             stepper.step(dw)
             yield ell, dw, stepper
-            if ell == self.widest * self.sub:  # never without rungs: widest is 0
-                stepper.collapse()
+            if ell % self.sub == 0 and ell // self.sub in self.ends:
+                stepper.close()
 
     def _weights(self):
         """Node weights of the ladder kernel.
@@ -820,56 +846,75 @@ class _LadderRun:
     def _block(self, width, weights):
         """Node-grouped cost sums of one block, a consumer of :class:`_Stepper`.
 
-        Past node e it accumulates sum Psi' alpha Psi and sum Psi' alpha x,
-        which d_q(e) contracts at the horizon.  The stepper's scratch holds y
-        alpha between steps.  The operations and their order are those of the
-        comments; at n = 1 each contraction is a product.
+        The open rungs add their terms at every node; the closed group sums
+        A = sum Psi' alpha Psi and B = sum Psi' alpha x, which its d_q(g)
+        contract into its sums at the next close, before the stepper closes,
+        and after the last close at the horizon.  The stepper's scratch
+        ``yt`` holds y alpha and the contractions, ``f`` the products.  The
+        operations and their order are those of the comments; at n = 1 each
+        contraction is a product.
         """
         alpha, beta, gamma = weights
-        n, sub, e = self.n, self.sub, self.widest
+        n, rungs = self.n, len(self.eps_steps)
         stepper = _Stepper(self, width)
-        x, dx, xt, dt = stepper.y[:, 0], stepper.y[:, 1:], stepper.yt[:, 0], stepper.yt[:, 1:]
+        f = stepper.f
         base = np.zeros(width)
-        cross = np.zeros((len(self.eps_steps), width))
+        cross = np.zeros((rungs, width))
         quad = np.zeros_like(cross)
-        t = np.empty_like(dx)
-        big_tmp = dt[0]  # (rungs, width), free once t is formed
-        xt_x = _dotter(xt, x, xt[0])
-        xt_t, dx_t = _dotter(xt[:, None], t, big_tmp), _dotter(dx, t, t[0])
-        for r in range(e + 1):
-            if r:
-                for _ in range(sub):
-                    stepper.step((yield))
-            # base += (x alpha) x;  t = dx alpha + beta;  cross += (2 x) t;  quad += dx (t + beta)
-            stepper.mix(alpha[r])
-            np.add(base, xt_x(), out=base)
-            np.add(dt, beta[r], out=t)
-            np.multiply(x, 2.0, out=xt)
-            np.add(cross, xt_t(), out=cross)
-            np.add(t, beta[r], out=t)
-            np.add(quad, dx_t(), out=quad)
-
-        # Past node e: d_q(r) = Psi(r) d_q(e); dx stays the collapsed state's d_q(e).
-        del xt, dt, t, big_tmp, xt_x, xt_t, dx_t  # the rung buffers: unused past e
-        stepper.collapse()
-        x, psi, xt, pa = stepper.y[:, 0], stepper.y[:, 1:], stepper.yt[:, 0], stepper.yt[:, 1:]
-        big_a = np.zeros((n, n, width))  # sum Psi' alpha Psi
+        big_a = np.zeros((n, n, width))  # sum Psi' alpha Psi since the last close
         big_b = np.zeros((n, width))  # sum Psi' alpha x
-        prod = np.empty_like(big_a)  # the products
-        xt_x = _dotter(xt, x, prod[0, 0])
-        psi_xt, pa_psi = _dotter(psi, xt[:, None], prod[0]), _dotter(pa[:, :, None], psi[:, None], prod)
-        for r in range(e + 1, self.n_coarse + 1):
-            for _ in range(sub):
-                stepper.step((yield))
-            # xt, pa = x alpha, Psi' alpha:  base += xt x;  big_b += Psi' xt;  big_a += pa Psi
-            stepper.mix(alpha[r])
-            np.add(base, xt_x(), out=base)
-            np.add(big_b, psi_xt(), out=big_b)
-            np.add(big_a, pa_psi(), out=big_a)
-        # cross += (2 dx) big_b;  quad += (dx dx) big_a + gamma
-        cross += _dotter(2.0 * dx, big_b[:, None])()
-        dd = (dx[:, None] * dx[None]).reshape((n * n,) + dx.shape[1:])
-        quad += _dotter(dd, big_a.reshape(n * n, 1, width))() + gamma[:, None]
+
+        def bound(k):  # the node sums with the rungs :k open
+            y, yt, beta_k, cross_k, quad_k = stepper.y, stepper.yt, beta[:, :, :k], cross[:k], quad[:k]
+            x, xt, dx, dt = y[:, 0], yt[:, 0], y[:, 1 : 1 + k], yt[:, 1 : 1 + k]
+            psi, pa = stepper.psi, yt[:, 1 + k : 1 + k + n]
+            xt_x, xt_t, dx_t = _dotter(xt, x, f[0, 0]), _dotter(xt[:, None], dt, dt[0]), _dotter(dx, dt, dt[0])
+            psi_xt, pa_psi = _dotter(psi, xt[:, None], f[0]), _dotter(pa[:, :, None], psi[:, None], f)
+            dx_alpha = _mixer(dx, dt)
+
+            def sums(r):
+                # xt, dt, pa = x alpha, dx alpha, Psi' alpha;  base += xt x;  B += Psi' xt;  A += pa Psi
+                # t = dt + beta;  cross += (2 x) t;  then, t spent, dt = dx alpha again:  quad += dx (dt + beta + beta)
+                stepper.mix(alpha[r])
+                np.add(base, xt_x(), out=base)
+                if k < rungs:
+                    np.add(big_b, psi_xt(), out=big_b)
+                    np.add(big_a, pa_psi(), out=big_a)
+                if k:
+                    np.add(dt, beta_k[r], out=dt)
+                    np.multiply(x, 2.0, out=xt)
+                    np.add(cross_k, xt_t(), out=cross_k)
+                    dx_alpha(alpha[r])
+                    np.add(dt, beta_k[r], out=dt)
+                    np.add(dt, beta_k[r], out=dt)
+                    np.add(quad_k, dx_t(), out=quad_k)
+
+            return sums
+
+        def fold(last=False):  # the group k: takes A and B: cross += (2 d) B;  quad += (d d) A (+ gamma)
+            k, d = stepper.open, stepper.group
+            s = stepper.yt[:, : rungs - k]
+            np.multiply(d, 2.0, out=s)
+            np.add(cross[k:], _dotter(s, big_b[:, None], s[0])(), out=cross[k:])
+            dd = np.multiply(d[:, None], d[None], out=s[:, None] if n == 1 else None)  # n x n wider than s at n > 1
+            total = _dotter(dd.reshape(n * n, rungs - k, width), big_a.reshape(n * n, 1, width), dd[0, 0])()
+            if last:
+                np.add(total, gamma[:, None], out=total)
+            np.add(quad[k:], total, out=quad[k:])
+            big_a.fill(0.0)
+            big_b.fill(0.0)
+
+        sums = bound(rungs)
+        for r in range(self.n_coarse + 1):
+            if r:
+                for _ in range(self.sub):
+                    stepper.step((yield))
+            sums(r)
+            if r in self.ends:  # the group, empty before the first close, takes its sums first
+                fold()
+                stepper.close()
+                sums = bound(stepper.open)
+        fold(last=True)
         yield base, cross, quad
 
 
@@ -997,8 +1042,8 @@ def perturbation_scaling(
     Streaming companion of the spike test, used to regress the perturbation
     growth rate against eps (slope one in log-log).  It reads every rung's
     perturbation off the stepper at the coarse nodes, one RNG block at a
-    time (past the widest window as Psi(r) d_q(e)), and computes no cost
-    sums.
+    time (a rung closed at its end as Psi(r) d_q(g), from the last close
+    g), and computes no cost sums.
     """
     grid = spec.grid
     ladder = _snap_eps(grid, grid.index_of(t), spike.epsilons)

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbslq import simulate
 from fbslq.equilibrium import second_moment_factor, solve_equilibrium
@@ -21,8 +23,10 @@ from fbslq.simulate import (
     SpikeSpec,
     _as_vector,
     _LadderRun,
+    _p7_samples,
     _PassSums,
     _primed,
+    _snap_eps,
     bsde_residual_check,
     build_controls,
     evaluate_cost,
@@ -420,6 +424,41 @@ def ladder_inputs(smoke_solution, problem):
     return spec, th, p2, np.array([1.0, -0.5])[: spec.dims.k], {}
 
 
+def carried_block(run, increments, weights):
+    """The ladder sums with every rung's d_q carried to the horizon, for any n:
+    no close and no transition, each node's terms summed with einsum.  The
+    reference of the close schedule of ``_LadderRun._block``."""
+    alpha, beta, gamma = weights[0], weights[1][..., 0], weights[2]  # (nodes, n, n), (nodes, n, rungs), (rungs,)
+    steps = np.asarray(run.eps_steps)
+    width = increments.shape[1]
+    x = np.repeat(run.x0[:, None], width, axis=1)  # (n, paths)
+    d = np.zeros((run.n, len(steps), width))
+    base = np.zeros(width)
+    cross = np.zeros((len(steps), width))
+    quad = np.zeros_like(cross)
+    for r in range(run.n_coarse + 1):
+        for ell in range((r - 1) * run.sub, r * run.sub) if r else ():
+            dw = increments[ell]
+            f = run.a_fine[ell][..., None] * run.hf + run.c_fine[ell][..., None] * dw  # (n, n, paths)
+            chi = (ell < steps * run.sub)[None, :, None]
+            x, d = (x + np.einsum("ijp,jp->ip", f, x),
+                    d + np.einsum("ijp,jqp->iqp", f, d) + chi * (run.drive_h[ell] + run.drive_w[ell] * dw))
+        a, b = alpha[r], beta[r]
+        base += np.einsum("ip,ij,jp->p", x, a, x)
+        cross += 2.0 * (np.einsum("ip,ij,jqp->qp", x, a, d) + np.einsum("ip,iq->qp", x, b))
+        quad += np.einsum("iqp,ij,jqp->qp", d, a, d) + 2.0 * np.einsum("iqp,iq->qp", d, b)
+    return base, cross, quad + gamma[:, None]
+
+
+def assert_sums_close(got, want, bound=1e-12):
+    """(base, cross, quad) agree within ``bound`` relative, per path (to the
+    largest magnitude over the paths) and summed over the paths."""
+    for a, b in zip(got, want):
+        a, b = np.atleast_2d(a), np.atleast_2d(b)
+        assert np.all(np.abs(a - b) <= bound * np.abs(b).max(axis=1, keepdims=True))
+        assert np.all(np.abs(a.sum(axis=1) - b.sum(axis=1)) <= bound * np.abs(b.sum(axis=1)))
+
+
 class TestSpikeDirections:
     """One ladder pass gives both directions, exactly linear in v."""
 
@@ -461,8 +500,9 @@ class TestSpikeDirections:
     @pytest.mark.parametrize("t", [0.0, 0.5])
     @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled", "narrow"])
     def test_ladder_matches_the_bundle_route(self, smoke_solution, problem, t):
-        # Three rungs, the widest ending before the horizon, so that the
-        # ladder collapses its rungs past that window, at n = 2 and m != n too.
+        # Three rungs, the widest ending before the horizon, so that every
+        # rung closes and the closed rungs' sums are folded at each close and
+        # at the horizon, at n = 2 and m != n too.
         spec, th, p2, v, kw = ladder_inputs(smoke_solution, problem)
         epsilons = (0.25, 0.1, 0.05)
         cfg = SimConfig(paths=400, seed=13, t_start=t, x0=1.0)
@@ -480,23 +520,21 @@ class TestSpikeDirections:
     @pytest.mark.parametrize("sub", [1, 2])
     @pytest.mark.parametrize("problem", ["smoke", "coupled"])
     def test_the_collapse_is_exact(self, smoke_solution, problem, sub):
-        # The rungs collapse past the widest window; a rung that reaches the
-        # horizon keeps every rung carried to the end, and their sums agree.
+        # Each rung closes at its own end, the widest before or at the
+        # horizon; the sums agree with a reference that carries every rung to
+        # the end, and the closed loop's do not depend on the ladder.
         spec, th, p2, v, _ = ladder_inputs(smoke_solution, problem)
         t = 0.5
         cfg = SimConfig(paths=300, seed=9, sub_steps=sub, t_start=t, x0=1.0)
         left = spec.grid.steps - spec.grid.index_of(t)
-        rungs = [left // 4, left // 8, 1]
-        collapsed = _LadderRun(spec, th, p2, cfg, np.asarray(v, dtype=float).reshape(-1), rungs)
-        carried = _LadderRun(spec, th, p2, cfg, collapsed.v, [left] + rungs)
-        incs = whole_block(cfg.seed, 0, collapsed.F, cfg.paths, collapsed.hf)
-        got = send_all(collapsed.kernel()(cfg.paths), incs)
-        want = send_all(carried.kernel()(cfg.paths), incs)
-        assert np.array_equal(got[0], want[0])  # base: the same operations either way
-        for a, b in zip(got[1:], want[1:]):  # cross, quad per rung and path
-            b = b[1:]
-            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b).max(axis=1, keepdims=True))
-            assert np.all(np.abs(a.sum(axis=1) - b.sum(axis=1)) <= 1e-12 * np.abs(b.sum(axis=1)))
+        bases = []
+        for rungs in ([left // 4, left // 8, 1], [left, left // 4, left // 8, 1]):
+            run = _LadderRun(spec, th, p2, cfg, np.asarray(v, dtype=float).reshape(-1), rungs)
+            incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
+            got = send_all(run.kernel()(cfg.paths), incs)
+            assert_sums_close(got, carried_block(run, incs, run._weights()))
+            bases.append(got[0])
+        assert np.array_equal(*bases)  # base: the same operations either way
 
     def test_closed_loop_cost_matches_bundle_route(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
@@ -511,55 +549,154 @@ class TestSpikeDirections:
         assert rep.closed_loop.stderr == pytest.approx(cost.stderr, rel=1e-9)
 
 
+def p7_per_rung(samples, h, steps, range_nodes):
+    """One rung's spike coupling field by a backward RK4 sweep of its own
+    window, (range_nodes, m): the oracle of the one sweep of the ladder."""
+    ch_nodes, ch_mids, w_nodes, w_mids = samples
+    out = np.zeros((range_nodes, w_nodes.shape[-1]))
+    p = np.zeros(w_nodes.shape[-1])
+    for j in range(steps - 1, -1, -1):
+        k1 = -(ch_nodes[j + 1] @ p + w_nodes[j + 1])
+        k2 = -(ch_mids[j] @ (p - 0.5 * h * k1) + w_mids[j])
+        k3 = -(ch_mids[j] @ (p - 0.5 * h * k2) + w_mids[j])
+        k4 = -(ch_nodes[j] @ (p - h * k3) + w_nodes[j])
+        p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[j] = p
+    return out
+
+
+class TestCloseSchedule:
+    """Every rung closes at the end of its own window."""
+
+    LADDERS = {  # epsilons in grid steps, and the rungs they snap to at t = 0.5
+        "ties": ((6.4, 5.6, 2.2, 1.6, 0.9), lambda left: [6, 6, 2, 2, 1]),
+        "horizon": ((1e6, 2.4, 1.0), lambda left: [left, 2, 1]),
+        "one_step": ((0.9, 0.6, 0.3), lambda left: [1, 1, 1]),
+    }
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    def test_against_the_carried_reference_and_the_bundles(self, smoke_solution, problem, ladder, sub):
+        spec, th, p2, v, kw = ladder_inputs(smoke_solution, problem)
+        grid, t = spec.grid, 0.5
+        factors, expected = self.LADDERS[ladder]
+        spike = SpikeSpec(v=v, epsilons=tuple(c * grid.h for c in factors))
+        cfg = SimConfig(paths=300, seed=31, sub_steps=sub, t_start=t, x0=1.0)
+        steps = [s for _, s in _snap_eps(grid, grid.index_of(t), spike.epsilons)]
+        assert steps == expected(grid.steps - grid.index_of(t))
+        run = _LadderRun(spec, th, p2, cfg, _as_vector(v, spec.dims.k, "v", "control"), steps)
+        incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
+        assert_sums_close(send_all(run.kernel()(cfg.paths), incs), carried_block(run, incs, run._weights()))
+
+        rep = spike_test(spec, th, p2, cfg, spike, t, **kw)
+        base = simulate_closed_loop(spec, th, p2, cfg)
+        j0 = evaluate_cost(spec, base, build_controls(spec, base), t).estimate
+        for report, direction in ((rep, v), (rep.opposite, -np.asarray(v))):
+            for row in report.rows:
+                spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=direction), row.eps_used)
+                j1 = evaluate_cost(spec, spiked, build_controls(spec, spiked), t).estimate
+                assert row.delta == pytest.approx((j1 - j0) / row.eps_used, abs=1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_drawn_ladders_against_the_carried_reference(self, smoke_200, data):
+        problem = data.draw(st.sampled_from(["smoke", "coupled", "narrow"]))
+        spec, th, p2, v, _ = ladder_inputs(smoke_200, problem)
+        i0 = data.draw(st.integers(0, spec.grid.steps - 1))
+        left = spec.grid.steps - i0
+        steps = sorted(data.draw(st.lists(st.integers(1, left), min_size=1, max_size=6)), reverse=True)
+        cfg = SimConfig(paths=64, seed=data.draw(st.integers(0, 9)), sub_steps=data.draw(st.integers(1, 2)),
+                        t_start=float(spec.grid.nodes[i0]), x0=1.0)
+        run = _LadderRun(spec, th, p2, cfg, _as_vector(v, spec.dims.k, "v", "control"), steps)
+        incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
+        assert_sums_close(send_all(run.kernel()(cfg.paths), incs), carried_block(run, incs, run._weights()))
+
+    def test_the_ladder_must_not_widen(self, smoke_200):
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=8, seed=0, x0=1.0)
+        _LadderRun(spec, th, p2, cfg, np.array([1.0]), [3, 3, 1])  # ties are fine
+        for steps in ([1, 3], [3, 1, 2]):
+            with pytest.raises(ValueError, match="non-increasing"):
+                _LadderRun(spec, th, p2, cfg, np.array([1.0]), steps)
+
+    @pytest.mark.parametrize("problem", ["smoke", "coupled", "narrow"])
+    def test_one_p7_sweep_is_each_rungs_own(self, smoke_solution, problem):
+        # One sweep steps the rungs whose window covers an interval; at m = 1
+        # it is each rung's own sweep bit for bit.  At m = 2 the products of
+        # (rungs, m) rows with Chat' may round otherwise than Chat p: measured
+        # gaps <= 2.4e-17 of a rung's largest entry.
+        spec, th, p2, v, _ = ladder_inputs(smoke_solution, problem)
+        v = _as_vector(v, spec.dims.k, "v", "control")
+        for t in (0.0, 0.25, 0.5, 0.75):
+            i0 = spec.grid.index_of(t)
+            steps = [s for _, s in _snap_eps(spec.grid, i0, SpikeSpec().epsilons)]
+            assert len(set(steps)) < len(steps)  # the ladder ties at one step
+            run = _LadderRun(spec, th, p2, SimConfig(paths=8, seed=0, t_start=t), v, steps)
+            samples = _p7_samples(spec, p2, i0, steps[0], v)
+            want = np.stack([p7_per_rung(samples, spec.grid.h, s, run.n_coarse + 1) for s in steps])
+            if spec.dims.m == 1:
+                assert np.array_equal(run.p7v, want)
+            else:
+                assert np.all(np.abs(run.p7v - want) <= 1e-14 * np.abs(want).max(axis=(1, 2), keepdims=True))
+            assert np.all((want != 0).any(axis=2)[:, :-1] == run.chi_node)  # nonzero exactly on each window
+
+
 def plain_block_scalar(run, increments, weights):
     """The scalar ladder kernel as plain array expressions over a whole block,
     a new array per operation: the oracle of the buffered coroutine
-    ``_LadderRun._block`` at m = n = k = 1."""
+    ``_LadderRun._block`` at m = n = k = 1.  Rung q is carried up to node
+    e_q, its end, and closed after that node's sums; a closed rung keeps d
+    at the last close g, and the closed rungs share psi, the transition
+    since g, whose sums A and B fold into their cross and quad sums at each
+    close and at the horizon."""
     alpha, beta, gamma, drive_h, drive_w = weights
     sub, hf = run.sub, run.hf
     a_h = run.a_fine[:, 0, 0] * hf
     c_f = run.c_fine[:, 0, 0]
-    e = run.widest
+    ends = np.asarray(run.eps_steps)
     width = increments.shape[1]
 
     x = np.full(width, run.x0[0])
-    dx = np.zeros((len(run.eps_steps), width))
+    psi = np.ones(width)
+    d = np.zeros((len(ends), width))
     base = np.zeros(width)
-    cross = np.zeros_like(dx)
-    quad = np.zeros_like(dx)
-    for r in range(e + 1):
+    cross = np.zeros_like(d)
+    quad = np.zeros_like(d)
+    big_a = np.zeros(width)
+    big_b = np.zeros(width)
+    for r in range(run.n_coarse + 1):
+        live = np.count_nonzero(ends >= r)  # the rungs :live are open at node r
         if r:
             for ell in range((r - 1) * sub, r * sub):
                 dw = increments[ell]
                 f = a_h[ell] + c_f[ell] * dw
                 x = x + f * x
-                dx = dx + f * dx + (drive_h[:, ell, None] + drive_w[:, ell, None] * dw)
+                psi = psi + f * psi
+                d[:live] = d[:live] + f * d[:live] + (drive_h[ell] + drive_w[ell] * dw)
         base += alpha[r] * x * x
-        t = alpha[r] * dx + beta[:, r, None]
-        cross += (2.0 * x) * t
-        quad += dx * (t + beta[:, r, None])
-
-    xp = np.stack([x, np.ones(width)])
-    big_a = np.zeros(width)
-    big_b = np.zeros(width)
-    for r in range(e + 1, run.n_coarse + 1):
-        for ell in range((r - 1) * sub, r * sub):
-            xp += (a_h[ell] + c_f[ell] * increments[ell]) * xp
-        ax = alpha[r] * xp
-        base += ax[0] * xp[0]
-        big_b += ax[0] * xp[1]
-        big_a += ax[1] * xp[1]
-    cross += (2.0 * dx) * big_b
-    quad += (dx * dx) * big_a + gamma[:, None]
+        if live < len(ends):
+            big_b += psi * (alpha[r] * x)
+            big_a += psi * alpha[r] * psi
+        t = alpha[r] * d[:live] + beta[:live, r, None]
+        cross[:live] += (2.0 * x) * t
+        quad[:live] += d[:live] * (t + beta[:live, r, None])
+        if r in ends:  # fold the group's sums, advance its d to node r, let rungs ending at r join
+            cross[live:] += (2.0 * d[live:]) * big_b
+            quad[live:] += (d[live:] * d[live:]) * big_a
+            d[live:] = d[live:] * psi
+            psi, big_a, big_b = np.ones(width), np.zeros(width), np.zeros(width)
+    cross += (2.0 * d) * big_b
+    quad += (d * d) * big_a + gamma[:, None]
     return base, cross, quad
 
 
 def scalar_weights(run, weights):
     """``_LadderRun._weights`` and the run's spike drives at n = 1 in the shapes of
     :func:`plain_block_scalar`: alpha (nodes,), beta (rungs, nodes), gamma (rungs,),
-    drives (rungs, fine steps)."""
+    drives (fine steps,)."""
     alpha, beta, gamma = weights
-    return alpha[:, 0, 0], beta[:, 0, :, 0].T, gamma, run.drive_h[:, 0, :, 0].T, run.drive_w[:, 0, :, 0].T
+    return alpha[:, 0, 0], beta[:, 0, :, 0].T, gamma, run.drive_h[:, 0, 0, 0], run.drive_w[:, 0, 0, 0]
 
 
 class TestSpikeTests:
@@ -592,7 +729,7 @@ class TestSpikeTests:
         for t in (0.0, 0.25, 0.5, 0.75):
             cfg = SimConfig(paths=500, seed=11, sub_steps=sub, t_start=t, x0=1.0)
             left = spec.grid.steps - spec.grid.index_of(t)
-            # The last ladder reaches the horizon, so nothing is collapsed.
+            # The last ladder has a rung that reaches the horizon.
             for rungs in ([64, 20, 5, 1], [left, 3]):
                 run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), rungs)
                 incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
@@ -601,6 +738,17 @@ class TestSpikeTests:
                 want = plain_block_scalar(run, incs, scalar_weights(run, weights))
                 for a, b in zip(got, want):  # base, cross, quad
                     assert np.array_equal(a, b), (t, rungs)
+
+    def test_pass_sums_are_the_plain_formula_bitwise(self, rng):
+        # One buffer serves both directions; the sums are those of the plain expressions.
+        base, cross, quad = rng.standard_normal(500), rng.standard_normal((3, 500)), rng.standard_normal((3, 500))
+        kept = cross.copy(), quad.copy()
+        sums = _PassSums(3)
+        sums.add(base, cross, quad)
+        for sign, d in enumerate((0.5 * (quad + cross), 0.5 * (quad - cross))):
+            assert np.array_equal(sums.sum_d[sign], d.sum(axis=1))
+            assert np.array_equal(sums.sumsq_d[sign], (d**2).sum(axis=1))
+        assert np.array_equal(cross, kept[0]) and np.array_equal(quad, kept[1])
 
     def test_suite_draws_each_block_once(self, smoke_solution, monkeypatch):
         # suite_equilibrium's four spike times share one draw per block,
