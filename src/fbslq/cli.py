@@ -321,12 +321,13 @@ def cmd_simulate(args) -> int:
 def cmd_example(args) -> int:
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    steps = 1000 if args.grid_steps is None else args.grid_steps
+    # without --grid-steps, each document keeps its own default
+    steps = {} if args.grid_steps is None else {"grid_steps": args.grid_steps}
     docs = {
-        "example25.json": example_2_5_scenario(steps),
-        "trivial.json": trivial_scenario(),
-        "smoke.json": smoke_scenario(steps),
-        "classical.json": classical_reduction_scenario(steps),
+        "example25.json": example_2_5_scenario(**steps),
+        "trivial.json": trivial_scenario(**steps),
+        "smoke.json": smoke_scenario(**steps),
+        "classical.json": classical_reduction_scenario(**steps),
     }
     for name, doc in docs.items():
         write_json(os.path.join(outdir, name), doc)

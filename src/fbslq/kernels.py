@@ -13,9 +13,10 @@ Two families live here:
 * :class:`TimeFunction` -- matrix functions of a single time, used for the
   dynamics coefficients and the terminal/initial weights.
 
-Scenario files may only use the closed, serializable family
-(constant / discounted / difference / table); in-code problem construction may
-additionally wrap arbitrary vectorized callables.  All evaluations are pure:
+Scenario files may only use the closed family that :func:`kernel_from_spec`
+and :func:`time_fn_from_spec` read (constant / discounted / difference /
+table); in-code problem construction may additionally wrap arbitrary
+vectorized callables.  All evaluations are pure:
 the same arguments always produce bit-identical values.
 """
 
@@ -99,9 +100,6 @@ class TwoTimeKernel:
     def evaluate(self, s, t) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def to_spec(self) -> dict:
-        raise TypeError(f"{type(self).__name__} is not serializable")
-
     def lag_factors(self) -> LagFactors | None:
         """The kernel as a function of the lag s - t, or None when it is not one."""
         return None
@@ -119,9 +117,6 @@ class ConstantKernel(TwoTimeKernel):
         lead = np.broadcast_shapes(np.shape(s), np.shape(t))
         return np.broadcast_to(self.value, lead + self.shape)
 
-    def to_spec(self):
-        return {"type": "constant", "params": {"value": self.value.tolist()}}
-
 
 class DiscountedKernel(TwoTimeKernel):
     """K(s, t) = exp(-rate * (s - t)) * base."""
@@ -137,9 +132,6 @@ class DiscountedKernel(TwoTimeKernel):
 
     def lag_factors(self):
         return LagFactors(self.rate, self.base[None])
-
-    def to_spec(self):
-        return {"type": "discounted", "params": {"base": self.base.tolist(), "rate": self.rate}}
 
 
 class DifferenceKernel(TwoTimeKernel):
@@ -160,12 +152,6 @@ class DifferenceKernel(TwoTimeKernel):
 
     def lag_factors(self):
         return LagFactors(0.0, np.stack([self.beta, self.alpha]))
-
-    def to_spec(self):
-        return {
-            "type": "difference",
-            "params": {"alpha": self.alpha.tolist(), "beta": self.beta.tolist()},
-        }
 
 
 def _locate(nodes: np.ndarray, x: np.ndarray):
@@ -210,22 +196,9 @@ class TableKernel(TwoTimeKernel):
             + v[i + 1, j + 1] * ws * wt
         )
 
-    def to_spec(self):
-        return {
-            "type": "table",
-            "params": {
-                "s_nodes": self.s_nodes.tolist(),
-                "t_nodes": self.t_nodes.tolist(),
-                "values": self.values.tolist(),
-            },
-        }
-
 
 class CallableKernel(TwoTimeKernel):
-    """In-code kernel from a vectorized callable (s, t) -> (..., r, c).
-
-    Not serializable; scenario files must use the closed family.
-    """
+    """In-code kernel from a vectorized callable (s, t) -> (..., r, c); no scenario file writes one."""
 
     def __init__(self, fn, shape):
         self.fn = fn
@@ -248,9 +221,6 @@ class TimeFunction:
     def evaluate(self, t) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def to_spec(self) -> dict:
-        raise TypeError(f"{type(self).__name__} is not serializable")
-
 
 class ConstantFn(TimeFunction):
     def __init__(self, value):
@@ -259,9 +229,6 @@ class ConstantFn(TimeFunction):
 
     def evaluate(self, t):
         return np.broadcast_to(self.value, np.shape(t) + self.shape)
-
-    def to_spec(self):
-        return {"type": "constant", "params": {"value": self.value.tolist()}}
 
 
 class DiscountedFn(TimeFunction):
@@ -274,9 +241,6 @@ class DiscountedFn(TimeFunction):
 
     def evaluate(self, t):
         return _scale(np.exp(-self.rate * np.asarray(t, float)), self.base)
-
-    def to_spec(self):
-        return {"type": "discounted", "params": {"base": self.base.tolist(), "rate": self.rate}}
 
 
 class AffineFn(TimeFunction):
@@ -294,12 +258,6 @@ class AffineFn(TimeFunction):
         if np.ndim(t):
             return t[..., None, None] * self.alpha + self.beta
         return t * self.alpha + self.beta
-
-    def to_spec(self):
-        return {
-            "type": "difference",
-            "params": {"alpha": self.alpha.tolist(), "beta": self.beta.tolist()},
-        }
 
 
 class TableFn(TimeFunction):
@@ -320,12 +278,6 @@ class TableFn(TimeFunction):
         i, w = _locate(self.nodes, t)
         w = w[..., None, None]
         return self.values[i] * (1 - w) + self.values[i + 1] * w
-
-    def to_spec(self):
-        return {
-            "type": "table",
-            "params": {"nodes": self.nodes.tolist(), "values": self.values.tolist()},
-        }
 
 
 class CallableFn(TimeFunction):

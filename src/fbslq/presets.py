@@ -1,24 +1,28 @@
 """Built-in problem instances used by the verification suites and the CLI.
 
-Each builder returns a fully validated :class:`ProblemSpec`.  Closed-form
-terminal weights are written exactly (lambdas), so grid-node samples carry no
-tabulation error; the scenario-file variants in :mod:`fbslq.scenario` replace
-them with node tables, which agree at the nodes bit for bit.
+A preset is its scenario's spec: each builder reads the document of the same
+name in :mod:`fbslq.scenario`, the one definition of that problem, through
+:func:`~fbslq.scenario.scenario_to_spec`.  The only instance the scenario
+family cannot write, the steep running weight of Example 2.5, overrides Q and
+G1 of the unit instance with exact callables.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .fields import TimeGrid
-from .kernels import (
-    CallableFn,
-    CallableKernel,
-    ConstantFn,
-    ConstantKernel,
-    DifferenceKernel,
+from .kernels import CallableFn, CallableKernel
+from .problem import ProblemSpec
+from .scenario import (
+    classical_reduction_scenario,
+    example_2_5_scenario,
+    matrix_reduction_scenario,
+    scenario_to_spec,
+    smoke_scenario,
+    trivial_scenario,
 )
-from .problem import Coefficients, Dimensions, ProblemSpec, Weights
 
 __all__ = [
     "example_2_5_problem",
@@ -27,29 +31,6 @@ __all__ = [
     "classical_reduction_problem",
     "matrix_reduction_problem",
 ]
-
-
-def _const(v) -> ConstantFn:
-    return ConstantFn(v)
-
-
-def _kconst(v) -> ConstantKernel:
-    return ConstantKernel(v)
-
-
-def _scalar_coeffs(T, A, B, C, D, Ahat=0.0, Bhat=0.0, Chat=0.0, Dhat=0.0, H=0.0) -> Coefficients:
-    return Coefficients(
-        A=_const(A),
-        B=_const(B),
-        C=_const(C),
-        D=_const(D),
-        Ahat=_const(Ahat),
-        Bhat=_const(Bhat),
-        Chat=_const(Chat),
-        Dhat=_const(Dhat),
-        H=np.array([[float(H)]]),
-        horizon=T,
-    )
 
 
 def example_2_5_problem(grid_steps: int = 1000, q: str = "unit") -> ProblemSpec:
@@ -62,65 +43,35 @@ def example_2_5_problem(grid_steps: int = 1000, q: str = "unit") -> ProblemSpec:
         G1(t) = -int_t^T exp(-(T - tau)) q(tau) dtau.
 
     ``q`` selects the running weight: "unit" is q = 1 (closed form
-    G1(t) = -(1 - e^{-(T-t)})); "steep" is q(s) = 1 + 9 s^2, which keeps the
-    same vanishing-diagonal identity but carries enough curvature that the
-    integrator's truncation error is measurable against roundoff.
+    G1(t) = -(1 - e^{-(T-t)}), a node table exact at the grid nodes);
+    "steep" is q(s) = 1 + 9 s^2, which keeps the same vanishing-diagonal
+    identity but carries enough curvature that the integrator's truncation
+    error is measurable against roundoff.
     """
-    T = 1.0
-    if q == "unit":
-        Q = _kconst(1.0)
-
-        def g1(t):
-            t = np.asarray(t, dtype=float)
-            return (-(1.0 - np.exp(-(T - t))))[..., None, None]
-
-    elif q == "steep":
-        Q = CallableKernel(
-            lambda s, t: (1.0 + 9.0 * np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))[0] ** 2)[
-                ..., None, None
-            ],
-            (1, 1),
-        )
-
-        def g1(t):
-            t = np.asarray(t, dtype=float)
-            val = 10.0 - np.exp(-(T - t)) * (9.0 * t**2 - 18.0 * t + 19.0)
-            return (-val)[..., None, None]
-
-    else:
+    if q not in ("unit", "steep"):
         raise ValueError(f"unknown q variant {q!r}")
+    spec = scenario_to_spec(example_2_5_scenario(grid_steps))
+    if q == "unit":
+        return spec
 
-    return ProblemSpec(
-        dims=Dimensions(1, 1, 1),
-        coeffs=_scalar_coeffs(T, A=0.0, B=1.0, C=1.0, D=0.0),
-        weights=Weights(
-            Q=Q,
-            R=DifferenceKernel(1.0, 0.0),
-            M=_kconst(0.0),
-            N=_kconst(0.0),
-            G1=CallableFn(g1, (1, 1)),
-            G2=_const(0.0),
-        ),
-        grid=TimeGrid(T, grid_steps),
+    def steep_q(s, t):
+        s = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))[0]
+        return (1.0 + 9.0 * s**2)[..., None, None]
+
+    def steep_g1(t):
+        t = np.asarray(t, dtype=float)
+        val = 10.0 - np.exp(-(spec.horizon - t)) * (9.0 * t**2 - 18.0 * t + 19.0)
+        return (-val)[..., None, None]
+
+    weights = dataclasses.replace(
+        spec.weights, Q=CallableKernel(steep_q, (1, 1)), G1=CallableFn(steep_g1, (1, 1))
     )
+    return dataclasses.replace(spec, weights=weights)
 
 
 def trivial_problem(grid_steps: int = 200) -> ProblemSpec:
     """Zero-drift scalar instance whose equilibrium gain is identically zero."""
-    T = 1.0
-    return ProblemSpec(
-        dims=Dimensions(1, 1, 1),
-        coeffs=_scalar_coeffs(T, A=0.0, B=0.0, C=0.0, D=1.0),
-        weights=Weights(
-            Q=_kconst(0.0),
-            R=_kconst(1.0),
-            M=_kconst(0.0),
-            N=_kconst(1.0),
-            G1=_const(0.0),
-            G2=_const(0.0),
-        ),
-        grid=TimeGrid(T, grid_steps),
-    )
+    return scenario_to_spec(trivial_scenario(grid_steps))
 
 
 def assumption_smoke_problem(grid_steps: int = 1000) -> ProblemSpec:
@@ -129,22 +80,7 @@ def assumption_smoke_problem(grid_steps: int = 1000) -> ProblemSpec:
     A = 0.1, B = C = 0.5, D = 1, all hat-coefficients 0.2, H = 0.3,
     Q = M = 0.5, R = N = 1 + 0.1 (s - t), G1 = 0.4, G2 = 0.3, T = 1.
     """
-    T = 1.0
-    return ProblemSpec(
-        dims=Dimensions(1, 1, 1),
-        coeffs=_scalar_coeffs(
-            T, A=0.1, B=0.5, C=0.5, D=1.0, Ahat=0.2, Bhat=0.2, Chat=0.2, Dhat=0.2, H=0.3
-        ),
-        weights=Weights(
-            Q=_kconst(0.5),
-            R=DifferenceKernel(0.1, 1.0),
-            M=_kconst(0.5),
-            N=DifferenceKernel(0.1, 1.0),
-            G1=_const(0.4),
-            G2=_const(0.3),
-        ),
-        grid=TimeGrid(T, grid_steps),
-    )
+    return scenario_to_spec(smoke_scenario(grid_steps))
 
 
 def classical_reduction_problem(grid_steps: int = 1000) -> ProblemSpec:
@@ -153,49 +89,9 @@ def classical_reduction_problem(grid_steps: int = 1000) -> ProblemSpec:
     H = 0, all hat-coefficients zero, M = N = G2 = 0, and time-independent
     Q = R = G1 = 1 with A = 0, B = 1, C = 0, D = 1, T = 1.
     """
-    T = 1.0
-    return ProblemSpec(
-        dims=Dimensions(1, 1, 1),
-        coeffs=_scalar_coeffs(T, A=0.0, B=1.0, C=0.0, D=1.0),
-        weights=Weights(
-            Q=_kconst(1.0),
-            R=_kconst(1.0),
-            M=_kconst(0.0),
-            N=_kconst(0.0),
-            G1=_const(1.0),
-            G2=_const(0.0),
-        ),
-        grid=TimeGrid(T, grid_steps),
-    )
+    return scenario_to_spec(classical_reduction_scenario(grid_steps))
 
 
 def matrix_reduction_problem(grid_steps: int = 400) -> ProblemSpec:
     """Two-dimensional classical-reduction instance for what-if gain analysis."""
-    T = 1.0
-    eye = np.eye(2)
-    z22 = np.zeros((2, 2))
-    a = np.array([[0.0, 0.2], [0.0, 0.0]])
-    return ProblemSpec(
-        dims=Dimensions(2, 1, 2),
-        coeffs=Coefficients(
-            A=_const(a),
-            B=_const(eye),
-            C=_const(z22),
-            D=_const(eye),
-            Ahat=_const(np.zeros((1, 2))),
-            Bhat=_const(np.zeros((1, 2))),
-            Chat=_const(0.0),
-            Dhat=_const(0.0),
-            H=np.zeros((1, 2)),
-            horizon=T,
-        ),
-        weights=Weights(
-            Q=_kconst(eye),
-            R=_kconst(eye),
-            M=_kconst(0.0),
-            N=_kconst(0.0),
-            G1=_const(eye),
-            G2=_const(0.0),
-        ),
-        grid=TimeGrid(T, grid_steps),
-    )
+    return scenario_to_spec(matrix_reduction_scenario(grid_steps))

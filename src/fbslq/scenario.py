@@ -15,6 +15,9 @@ where ``kernel_spec`` is one of ``constant | discounted | difference |
 table`` (see :mod:`fbslq.kernels`).  Matrices are row-major nested arrays of
 finite decimals.  Single-time entries (all coefficients, G1, G2) read the
 same spec types with the plain time argument in place of (s - t).
+
+The builders at the end of this module write the built-in problems; each is
+the one definition of its instance, which :mod:`fbslq.presets` reads.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .fields import TimeGrid
 from .kernels import kernel_from_spec, time_fn_from_spec
-from .problem import Coefficients, Dimensions, ProblemSpec, Weights
+from .problem import _COEFF_SHAPES, _WEIGHT_SHAPES, Coefficients, Dimensions, ProblemSpec, Weights, _expected_shape
 
 __all__ = [
     "scenario_to_spec",
@@ -34,9 +37,10 @@ __all__ = [
     "trivial_scenario",
     "smoke_scenario",
     "classical_reduction_scenario",
+    "matrix_reduction_scenario",
 ]
 
-_COEFF_KEYS = ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat")
+_ONE_TIME_WEIGHTS = ("G1", "G2")  # the other weights are two-time kernels
 
 
 def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
@@ -47,29 +51,17 @@ def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
         dims = Dimensions(int(doc["dims"]["n"]), int(doc["dims"]["m"]), int(doc["dims"]["k"]))
         horizon = float(doc["horizon"])
         steps = int(grid_steps if grid_steps is not None else doc["grid_steps"])
-        shapes = {
-            "A": (dims.n, dims.n),
-            "B": (dims.n, dims.k),
-            "C": (dims.n, dims.n),
-            "D": (dims.n, dims.k),
-            "Ahat": (dims.m, dims.n),
-            "Bhat": (dims.m, dims.k),
-            "Chat": (dims.m, dims.m),
-            "Dhat": (dims.m, dims.m),
+        coeff_fns = {
+            name: time_fn_from_spec(doc["coeffs"][name], _expected_shape(dims, shape))
+            for name, shape in _COEFF_SHAPES.items()
         }
-        coeff_fns = {key: time_fn_from_spec(doc["coeffs"][key], shapes[key]) for key in _COEFF_KEYS}
         H = np.asarray(doc["coeffs"]["H"], dtype=float)
         if H.shape != (dims.m, dims.n):
             raise ValueError(f"H has shape {H.shape}, want {(dims.m, dims.n)}")
-        wdoc = doc["weights"]
-        weights = Weights(
-            Q=kernel_from_spec(wdoc["Q"], (dims.n, dims.n)),
-            R=kernel_from_spec(wdoc["R"], (dims.k, dims.k)),
-            M=kernel_from_spec(wdoc["M"], (dims.m, dims.m)),
-            N=kernel_from_spec(wdoc["N"], (dims.m, dims.m)),
-            G1=time_fn_from_spec(wdoc["G1"], (dims.n, dims.n)),
-            G2=time_fn_from_spec(wdoc["G2"], (dims.m, dims.m)),
-        )
+        weights = {}
+        for name, shape in _WEIGHT_SHAPES.items():
+            build = time_fn_from_spec if name in _ONE_TIME_WEIGHTS else kernel_from_spec
+            weights[name] = build(doc["weights"][name], _expected_shape(dims, shape))
     except KeyError as exc:
         raise ValueError(f"scenario is missing required field {exc}") from exc
     except (TypeError, AttributeError) as exc:
@@ -77,7 +69,7 @@ def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
     except OverflowError as exc:
         raise ValueError(f"scenario number out of range: {exc}") from exc
     coeffs = Coefficients(**coeff_fns, H=H, horizon=horizon)
-    return ProblemSpec(dims=dims, coeffs=coeffs, weights=weights, grid=TimeGrid(horizon, steps))
+    return ProblemSpec(dims=dims, coeffs=coeffs, weights=Weights(**weights), grid=TimeGrid(horizon, steps))
 
 
 def load_scenario(path, grid_steps: int | None = None) -> ProblemSpec:
@@ -182,6 +174,35 @@ def classical_reduction_scenario(grid_steps: int = 1000) -> dict:
             "M": _const(0.0),
             "N": _const(0.0),
             "G1": _const(1.0),
+            "G2": _const(0.0),
+        },
+    }
+
+
+def matrix_reduction_scenario(grid_steps: int = 400) -> dict:
+    """Two-dimensional classical reduction: n = k = 2, m = 1, A nilpotent, Q = R = G1 = I."""
+    eye = np.eye(2)
+    return {
+        "dims": {"n": 2, "m": 1, "k": 2},
+        "horizon": 1.0,
+        "grid_steps": grid_steps,
+        "coeffs": {
+            "A": _const([[0.0, 0.2], [0.0, 0.0]]),
+            "B": _const(eye),
+            "C": _const(np.zeros((2, 2))),
+            "D": _const(eye),
+            "Ahat": _const(np.zeros((1, 2))),
+            "Bhat": _const(np.zeros((1, 2))),
+            "Chat": _const(0.0),
+            "Dhat": _const(0.0),
+            "H": [[0.0, 0.0]],
+        },
+        "weights": {
+            "Q": _const(eye),
+            "R": _const(eye),
+            "M": _const(0.0),
+            "N": _const(0.0),
+            "G1": _const(eye),
             "G2": _const(0.0),
         },
     }

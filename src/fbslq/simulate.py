@@ -619,6 +619,8 @@ def _stream(runs):
     differences, each (2, rungs) with row 0 for +v and row 1 for -v, and the
     moments (paths, mean, M2) of the closed loop's pathwise cost.
     """
+    if not runs:
+        return []
     cfg = runs[0].cfg
     passes = [(run.F, run.kernel(), _PassSums(len(run.eps_steps))) for run in runs]
     with _increments(cfg.seed, cfg.paths, max(run.F for run in runs), runs[0].hf) as blocks:

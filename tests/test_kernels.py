@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from fbslq.fields import OneTimeField, Strategy, TimeGrid, TwoTimeField
-from fbslq.kernels import (
-    AffineFn,
-    ConstantFn,
-    ConstantKernel,
-    DifferenceKernel,
-    DiscountedKernel,
-    TableFn,
-    TableKernel,
-    kernel_from_spec,
-    time_fn_from_spec,
-)
+from fbslq.kernels import ConstantKernel, DifferenceKernel, DiscountedKernel, TableKernel, kernel_from_spec
 
 
 def test_constant_kernel_broadcasts():
@@ -50,25 +40,6 @@ def test_table_kernel_clamps_outside():
     vals[-1, :, 0, 0] = 1.0
     k = TableKernel(g, g, vals)
     assert k(2.0, 0.0)[0, 0] == 1.0
-
-
-def test_kernel_spec_round_trip():
-    for k in (
-        ConstantKernel([[1.0]]),
-        DiscountedKernel([[2.0]], 0.5),
-        DifferenceKernel([[0.1]], [[1.0]]),
-        TableKernel([0.0, 1.0], [0.0, 1.0], np.ones((2, 2, 1, 1))),
-    ):
-        rebuilt = kernel_from_spec(k.to_spec(), (1, 1))
-        pts = (np.array([0.2, 0.8]), np.array([0.1, 0.3]))
-        assert np.allclose(k(*pts), rebuilt(*pts))
-
-
-def test_time_fn_spec_round_trip():
-    for f in (ConstantFn([[2.0]]), AffineFn([[1.0]], [[0.5]]), TableFn([0.0, 1.0], [[[0.0]], [[3.0]]])):
-        rebuilt = time_fn_from_spec(f.to_spec(), (1, 1))
-        ts = np.array([0.0, 0.4, 1.0])
-        assert np.allclose(f(ts), rebuilt(ts))
 
 
 def test_kernel_spec_shape_mismatch_rejected():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fbslq.cli import main
-from fbslq.equilibrium import second_moment_factor, solve_equilibrium
+from fbslq.equilibrium import SolverConfig, second_moment_factor, solve_equilibrium
 from fbslq.fields import Strategy
 from fbslq.io_utils import load_solution_dir, two_time_field_rows, write_csv
 from fbslq.problem import validate
@@ -18,6 +18,8 @@ from fbslq.riccati import solve_p1, solve_p2, solve_p3
 from fbslq.scenario import (
     classical_reduction_scenario,
     example_2_5_scenario,
+    load_scenario,
+    matrix_reduction_scenario,
     scenario_to_spec,
     smoke_scenario,
     trivial_scenario,
@@ -48,37 +50,24 @@ def test_scenario_missing_field_raises():
         scenario_to_spec(doc)
 
 
-def test_example_scenario_matches_preset_at_nodes():
-    from fbslq.presets import example_2_5_problem
+def test_example_files_solve_to_their_presets_bitwise(tmp_path):
+    # Each file goes through JSON and load_scenario; its preset reads the
+    # same document in memory, so both solve to the same gain bit for bit.
+    from fbslq import presets
 
-    doc = example_2_5_scenario(50)
-    spec = scenario_to_spec(doc)
-    preset = example_2_5_problem(50)
-    nodes = spec.grid.nodes
-    assert np.allclose(spec.weights.G1(nodes), preset.weights.G1(nodes), atol=1e-15)
-
-
-def matrix_reduction_scenario():
-    """``presets.matrix_reduction_problem(40)`` as a scenario document: n = 2, m = 1, k = 2."""
-    eye, z22 = np.eye(2).tolist(), np.zeros((2, 2)).tolist()
-
-    def const(value):
-        return {"type": "constant", "params": {"value": value}}
-
-    return {
-        "dims": {"n": 2, "m": 1, "k": 2},
-        "horizon": 1.0,
-        "grid_steps": 40,
-        "coeffs": {
-            "A": const([[0.0, 0.2], [0.0, 0.0]]), "B": const(eye), "C": const(z22), "D": const(eye),
-            "Ahat": const([[0.0, 0.0]]), "Bhat": const([[0.0, 0.0]]), "Chat": const([[0.0]]),
-            "Dhat": const([[0.0]]), "H": [[0.0, 0.0]],
-        },
-        "weights": {
-            "Q": const(eye), "R": const(eye), "M": const([[0.0]]), "N": const([[0.0]]),
-            "G1": const(eye), "G2": const([[0.0]]),
-        },
+    assert main(["example", "--out", str(tmp_path), "--grid-steps", "60"]) == 0
+    pairs = {
+        "example25.json": presets.example_2_5_problem,
+        "trivial.json": presets.trivial_problem,
+        "smoke.json": presets.assumption_smoke_problem,
+        "classical.json": presets.classical_reduction_problem,
     }
+    config = SolverConfig(check_assumptions=False)  # Example 2.5 has R(t, t) = 0
+    for name, preset in pairs.items():
+        loaded, built = load_scenario(str(tmp_path / name)), preset(60)
+        thetas = [solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), config).theta_star.values
+                  for spec in (loaded, built)]
+        assert np.array_equal(*thetas), name
 
 
 def write(tmp_path, name, doc):
@@ -160,7 +149,7 @@ class TestCliSolve:
         elif case == "subnormal_horizon":  # its grid step underflows to zero
             doc["horizon"] = 5e-324
         elif case == "matrix_dims":  # well formed, but the solver is scalar
-            doc = matrix_reduction_scenario()
+            doc = matrix_reduction_scenario(40)
         else:
             doc = {"list": [], "null": None}[case]
         scen = write(tmp_path, "bad.json", doc)
@@ -295,7 +284,7 @@ class TestCliSolve:
     def test_load_rejects_a_matrix_scenario_before_any_other_work(self, tmp_path):
         # Only scenario.json is there: the dimension check comes before the
         # summary, the gain and the Riccati solves are read or computed.
-        write(tmp_path, "scenario.json", matrix_reduction_scenario())
+        write(tmp_path, "scenario.json", matrix_reduction_scenario(40))
         with pytest.raises(ValueError, match="scalar solver only"):
             load_solution_dir(str(tmp_path))
 
@@ -470,6 +459,14 @@ def test_cli_example_writes_scenarios(tmp_path):
     assert main(["example", "--out", out, "--grid-steps", "100"]) == 0
     names = sorted(os.listdir(out))
     assert names == ["classical.json", "example25.json", "smoke.json", "trivial.json"]
+    for name in names:
+        assert json.loads((tmp_path / "scen" / name).read_text())["grid_steps"] == 100, name
+
+
+def test_cli_example_keeps_each_default_without_the_option(tmp_path):
+    assert main(["example", "--out", str(tmp_path)]) == 0
+    steps = {name: json.loads((tmp_path / name).read_text())["grid_steps"] for name in os.listdir(tmp_path)}
+    assert steps == {"classical.json": 1000, "example25.json": 1000, "smoke.json": 1000, "trivial.json": 200}
 
 
 @pytest.mark.parametrize("steps", ["-5", "0"])

@@ -723,6 +723,10 @@ class TestSpikeTests:
             assert rep.closed_loop == alone.closed_loop
             assert any(r.delta != 0.0 for r in rep.rows)
 
+    def test_no_times_no_reports(self, smoke_solution):
+        spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
+        assert spike_tests(spec, th, p2, SimConfig(paths=16), SpikeSpec(), []) == []
+
     @pytest.mark.parametrize("sub", [1, 2])
     def test_buffered_scalar_kernel_is_the_plain_one_bitwise(self, smoke_solution, sub):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
