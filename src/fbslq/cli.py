@@ -36,7 +36,7 @@ from .problem import check_one_dim_positivity, validate
 from .scenario import (
     classical_reduction_scenario,
     example_2_5_scenario,
-    load_scenario,
+    scenario_to_spec,
     smoke_scenario,
     trivial_scenario,
 )
@@ -49,7 +49,7 @@ EXIT_BAD_INPUT = 2
 EXIT_SOLVER_FAIL = 3
 
 
-def _manifest(args, command: str, extras: dict) -> dict:
+def _manifest(command: str, extras: dict) -> dict:
     return {
         "command": command,
         "argv": sys.argv[1:],
@@ -94,8 +94,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_spec_or_exit(path, grid_steps):
+    """The problem of the scenario file ``path`` and the document it was built from, parsed once."""
     try:
-        spec = load_scenario(path, grid_steps)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        spec = scenario_to_spec(doc, grid_steps)
     except FileNotFoundError:
         print(f"error: scenario file not found: {path}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
@@ -110,12 +113,12 @@ def _load_spec_or_exit(path, grid_steps):
         for issue in report.issues:
             print(f"error: {issue}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
-    return spec
+    return spec, doc
 
 
 def cmd_solve(args) -> int:
     start = time.time()
-    spec = _load_spec_or_exit(args.scenario, args.grid_steps)
+    spec, scenario_doc = _load_spec_or_exit(args.scenario, args.grid_steps)
     if not spec.is_one_dimensional():
         d = spec.dims
         print(f"error: the solver handles n = m = k = 1 only, got n = {d.n}, m = {d.m}, k = {d.k}", file=sys.stderr)
@@ -145,8 +148,6 @@ def cmd_solve(args) -> int:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAIL
 
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        scenario_doc = json.load(fh)
     if args.grid_steps is not None:
         scenario_doc["grid_steps"] = args.grid_steps
     outdir = args.out
@@ -165,7 +166,6 @@ def cmd_solve(args) -> int:
     write_json(
         os.path.join(outdir, "manifest.json"),
         _manifest(
-            args,
             "solve",
             {
                 "scenario": os.path.abspath(args.scenario),
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
         if args.target is None:
             print("error: the classical suite needs a scenario file", file=sys.stderr)
             return EXIT_BAD_INPUT
-        spec = _load_spec_or_exit(args.target, args.grid_steps)
+        spec, _ = _load_spec_or_exit(args.target, args.grid_steps)
         try:
             report = suite_classical_reduction(spec)
         except ValueError as exc:
@@ -300,7 +300,6 @@ def cmd_simulate(args) -> int:
     write_json(
         os.path.join(outdir, "manifest.json"),
         _manifest(
-            args,
             "simulate",
             {
                 "solution_dir": os.path.abspath(args.solution_dir),

@@ -32,6 +32,8 @@ class TimeGrid:
             raise ValueError("steps must be a positive integer")
         if not self.horizon / self.steps > 0:
             raise ValueError(f"horizon {self.horizon} is too small for {self.steps} steps")
+        if not np.isfinite(float(self.steps - 1) * float(self.h) + float(self.horizon)):  # t_{L-2} + T
+            raise ValueError(f"horizon {self.horizon} is too large: the grid midpoints overflow")
 
     @property
     def h(self) -> float:

@@ -17,7 +17,9 @@ inside a step reads the gain at its stage time from
 :func:`~fbslq.fields.interval_gain`, and samples coefficient functions and
 kernels exactly at the stage times.  The equations are linear, so every RK4
 step is a matrix map built once for all steps by :func:`_rk4_maps` (Hairer,
-Norsett & Wanner, Solving ODEs I, II.1).  Two routes give the diagonals:
+Norsett & Wanner, Solving ODEs I, II.1), the only RK4 stages outside the
+oracle in :mod:`fbslq.verify`.  P1 and P3 share :func:`_two_time_maps`, and
+two routes, which differ only in how they sum the sources, give the diagonals:
 
 * Factor route, when Q, R, M and N all have :class:`~fbslq.kernels.LagFactors`
   (constant, discounted and difference kernels).  Each source then separates
@@ -27,10 +29,10 @@ Norsett & Wanner, Solving ODEs I, II.1).  Two routes give the diagonals:
   (:func:`_transport`): O(r L) time and memory for a basis of size r.
 * Dense route, for table and callable kernels: one backward sweep per grid
   node t, all sweeps (and both fields, which share one operator) advanced
-  together in one stacked sweep that samples the kernels at every (s, t).
-  :func:`solve_p1` and :func:`solve_p3` take this route for the whole
-  triangle on request, and the tests use it as the oracle of the factor
-  route.
+  together in one stacked sweep that applies each step map to the kernels
+  sampled at every (s, t).  :func:`solve_p1` and :func:`solve_p3` take this
+  route for the whole triangle on request, and the tests use it as the
+  oracle of the factor route.
 """
 from __future__ import annotations
 
@@ -119,17 +121,17 @@ def _p3_equation(spec: ProblemSpec, clc: ClosedLoopCoefficients, p2: P2Field):
 
 
 def _dense_source(spec: ProblemSpec, terms):
-    """``source(j, stage, t_idx)`` of :func:`_sweep_two_time`: the terms sampled at (s_stage, t_i)."""
+    """``source(j, t_idx)`` of :func:`_sweep_two_time`: the terms sampled at (s, t_i)."""
     nodes, mids = spec.grid.nodes, spec.grid.midpoints
 
-    def source(j, stage, idx):
-        s = (nodes[j], mids[j], nodes[j + 1])[stage]
-        t = nodes[idx]
+    def source(j, idx):
+        s = np.array([nodes[j + 1], mids[j], nodes[j]])
+        t = nodes[idx, None]
         parts = []
         for name, x in terms:
             k = getattr(spec.weights, name)(s, t)
             if x is not None:
-                xs = x[j, stage]
+                xs = x[j, ::-1]
                 k = np.swapaxes(xs, -1, -2) @ k @ xs
             parts.append(k)
         return sum(parts[1:], parts[0])
@@ -141,30 +143,25 @@ def _sweep_two_time(spec: ProblemSpec, clc: ClosedLoopCoefficients, equations):
     """Backward RK4 of two-time equations that share the operator of ``clc``.
 
     ``equations`` is a sequence of (terminal, source) pairs, stacked on a
-    leading axis and stepped together; ``source(j, stage, t_idx)`` returns the
-    inhomogeneous term W(s_stage, t_i) for the active t-batch (stage 0/1/2 =
-    left/mid/right of interval j).  Yields (j, p) with p[e, i] = P_e(s_j; t_i)
-    for i <= j, from the terminal values at j = steps down to j = 0; each
-    yield binds a new array, so a consumer may keep it.
+    leading axis and stepped together; ``source(j, t_idx)`` returns the
+    terms W(s, t_i) of the active t-batch, (batch, 3, n, n), at s = the right
+    node, midpoint and left node of interval j.  Step j applies its map of
+    :func:`_two_time_maps` to each t's [vec P | vec W].  Yields (j, p) with
+    p[e, i] = P_e(s_j; t_i) for i <= j, from j = steps (the terminal values)
+    down to 0; each yield binds a new array, so a consumer may keep it.
     """
-    h, steps = spec.grid.h, spec.grid.steps
+    steps = spec.grid.steps
     p = np.stack([terminal for terminal, _ in equations])
     yield steps, p
 
-    def rhs(pb, a, ct, w):
-        return -(pb @ a + np.swapaxes(a, -1, -2) @ pb + np.swapaxes(ct, -1, -2) @ pb @ ct + w)
-
+    e, d = len(p), p[0, 0].size
+    maps = np.swapaxes(_two_time_maps(clc, spec.grid.h), -1, -2)  # (steps, 4 d, d), acting on rows
+    z = np.empty((e, steps, 4, d))
     for j in range(steps - 1, -1, -1):
         idx = slice(0, j + 1)
-        pj = p[:, idx]
-        a0, am, a1 = clc.a_stage[j]
-        c0, cm, c1 = clc.c_stage[j]
-        w0, wm, w1 = (np.stack([source(j, stage, idx) for _, source in equations]) for stage in range(3))
-        k1 = rhs(pj, a1, c1, w1)
-        k2 = rhs(pj - 0.5 * h * k1, am, cm, wm)
-        k3 = rhs(pj - 0.5 * h * k2, am, cm, wm)
-        k4 = rhs(pj - h * k3, a0, c0, w0)
-        p = _sym(pj - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        z[:, idx, 0] = p[:, idx].reshape(e, j + 1, d)
+        z[:, idx, 1:] = np.stack([source(j, idx) for _, source in equations]).reshape(e, j + 1, 3, d)
+        p = (z[:, idx].reshape(e, j + 1, 4 * d) @ maps[j]).reshape(p[:, idx].shape)
         yield j, p
 
 
@@ -352,8 +349,9 @@ def _two_time_maps(clc: ClosedLoopCoefficients, h: float) -> np.ndarray:
     """[Phi | G_right | G_mid | G_left] of every backward RK4 step of the two-time equation.
 
     Step j maps vec P(s_{j+1}) and the sources at the right node, midpoint and
-    left node of interval j to vec P(s_j), symmetrized as the dense sweep
-    symmetrizes every step.  Shape (steps, n^2, 4 n^2).
+    left node of interval j to vec P(s_j), symmetrized.  The dense sweep
+    applies it to sampled sources, the factor route to lag-factor sums.
+    Shape (steps, n^2, 4 n^2).
     """
     a_t = np.swapaxes(clc.a_stage[:, ::-1], -1, -2)  # A_Th' at the right node, midpoint, left node
     c_t = np.swapaxes(clc.c_stage[:, ::-1], -1, -2)

@@ -12,7 +12,10 @@ Schema::
     }
 
 where ``kernel_spec`` is one of ``constant | discounted | difference |
-table`` (see :mod:`fbslq.kernels`).  Matrices are row-major nested arrays of
+table`` (see :mod:`fbslq.kernels`).  The dims and ``grid_steps`` are JSON
+integers: a boolean or a number written with a fraction or exponent part
+(``50.7``, ``1000.0``) is refused.  The horizon is a JSON number, not a
+boolean or a string.  Matrices are row-major nested arrays of
 finite decimals.  Single-time entries (all coefficients, G1, G2) read the
 same spec types with the plain time argument in place of (s - t).
 
@@ -23,6 +26,7 @@ the one definition of its instance, which :mod:`fbslq.presets` reads.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -43,14 +47,21 @@ __all__ = [
 _ONE_TIME_WEIGHTS = ("G1", "G2")  # the other weights are two-time kernels
 
 
+def _typed(value, kind, name: str):
+    """``value`` if it is a ``kind`` (numbers.Integral or numbers.Real) and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be a JSON {'integer' if kind is numbers.Integral else 'number'}, got {value!r}")
+    return value
+
+
 def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
     """Build a problem instance from a parsed scenario document."""
     if not isinstance(doc, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     try:
-        dims = Dimensions(int(doc["dims"]["n"]), int(doc["dims"]["m"]), int(doc["dims"]["k"]))
-        horizon = float(doc["horizon"])
-        steps = int(grid_steps if grid_steps is not None else doc["grid_steps"])
+        dims = Dimensions(*(_typed(doc["dims"][x], numbers.Integral, f"dims.{x}") for x in "nmk"))
+        horizon = float(_typed(doc["horizon"], numbers.Real, "horizon"))
+        steps = grid_steps if grid_steps is not None else _typed(doc["grid_steps"], numbers.Integral, "grid_steps")
         coeff_fns = {
             name: time_fn_from_spec(doc["coeffs"][name], _expected_shape(dims, shape))
             for name, shape in _COEFF_SHAPES.items()

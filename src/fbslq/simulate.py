@@ -5,8 +5,8 @@ but constructed exactly from the decoupling fields,
 
     Y = P2 X (+ spike correction),   Z = P2 (C_Th X + chi D v),
 
-which the linear structure makes exact.  The spike correction solves a small
-auxiliary linear ODE per perturbation width.
+which the linear structure makes exact.  The spike correction reads each
+perturbation width's coupling field P7, whose RK4 step maps the widths share.
 
 Randomness is counter-based: normals come from independent Philox streams
 keyed by (seed, path-block), drawn in (step, path) order inside each fixed
@@ -63,6 +63,8 @@ from .fields import OneTimeField, Strategy, interval_gain
 from .problem import ProblemSpec
 from .riccati import (
     P2Field,
+    _affine_recursion,
+    _rk4_maps,
     characterization_residual_from_fields,
     gain_denominator_numerator,
     two_time_diagonals,
@@ -289,23 +291,15 @@ def _increments(seed: int, paths: int, steps: int, hf: float):
 def _p7_samples(spec: ProblemSpec, p2: P2Field, i0: int, steps: int, v: np.ndarray):
     """Coefficients of the spike coupling equation on the widest window, sampled once.
 
-    Returns Chat and the source (P2 B + Bhat + Dhat P2 D) v at the nodes
-    i0 .. i0 + steps and at the midpoints of those intervals; every rung of
-    a ladder integrates over a leading part of them.
+    Returns Chat, (steps, 3, m, m), and the source (P2 B + Bhat + Dhat P2 D) v,
+    (steps, 3, m), at the RK4 stages of each interval i0 .. i0 + steps - 1:
+    its right node, midpoint and left node.  Every rung of a ladder
+    integrates over a leading part of them.
     """
-    grid, c = spec.grid, spec.coeffs
-    nodes = grid.nodes[i0 : i0 + steps + 1]
-    mids = grid.midpoints[i0 : i0 + steps]
-
-    def source(times, p2val):
-        return (p2val @ c.B(times) + c.Bhat(times) + c.Dhat(times) @ p2val @ c.D(times)) @ v
-
-    return (
-        c.Chat(nodes),
-        c.Chat(mids),
-        source(nodes, p2.data[i0 : i0 + steps + 1]),
-        source(mids, p2.mids[i0 : i0 + steps]),
-    )
+    c, nodes, window = spec.coeffs, spec.grid.nodes, slice(i0, i0 + steps)
+    times = np.stack([nodes[i0 + 1 : i0 + steps + 1], spec.grid.midpoints[window], nodes[window]], axis=1)
+    p2v = np.stack([p2.data[i0 + 1 : i0 + steps + 1], p2.mids[window], p2.data[window]], axis=1)
+    return c.Chat(times), (p2v @ c.B(times) + c.Bhat(times) + c.Dhat(times) @ p2v @ c.D(times)) @ v
 
 
 def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.ndarray:
@@ -315,22 +309,16 @@ def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.n
     Backward RK4 of  dP7/ds = -(Chat P7 + chi (P2 B + Bhat + Dhat P2 D)) v
     with P7(T) = 0; the source is constant per interval (the indicator is
     aligned with whole grid steps), so only the window intervals integrate.
-    One sweep serves the ladder: interval j steps the rungs whose window
-    covers it, a leading run of the non-increasing ``eps_steps``, each from
-    0.  ``samples`` comes from :func:`_p7_samples` for the widest window.
-    The field is linear in v.
+    :func:`~fbslq.riccati._rk4_maps` builds the step maps (forcing
+    [0 | source]) of the widest window once, and each rung applies its
+    leading ``eps_steps[q]`` maps from 0.  ``samples`` comes from
+    :func:`_p7_samples` for the widest window.  The field is linear in v.
     """
-    ch_nodes, ch_mids, w_nodes, w_mids = samples
-    out = np.zeros((len(eps_steps), range_nodes, w_nodes.shape[-1]))
-    p = np.zeros(out[:, 0].shape)  # (rungs, m)
-    for j in range(max(eps_steps, default=0) - 1, -1, -1):
-        q = p[: sum(steps > j for steps in eps_steps)]
-        k1 = -(q @ ch_nodes[j + 1].T + w_nodes[j + 1])
-        k2 = -((q - 0.5 * h * k1) @ ch_mids[j].T + w_mids[j])
-        k3 = -((q - 0.5 * h * k2) @ ch_mids[j].T + w_mids[j])
-        k4 = -((q - h * k3) @ ch_nodes[j].T + w_nodes[j])
-        q -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[: len(q), j] = q
+    chat, source = samples
+    maps = _rk4_maps(chat, np.concatenate([np.zeros(chat.shape), source[..., None]], axis=-1), h)
+    out = np.zeros((len(eps_steps), range_nodes, source.shape[-1]))
+    for rung, steps in zip(out, eps_steps):
+        rung[: steps + 1] = _affine_recursion(maps[:steps], rung[steps])
     return out
 
 

@@ -178,6 +178,80 @@ class TestAffineRecursion:
         self.assert_matmul_bitwise(w, w, 200)
 
 
+def _random_gain(spec, rng, scale=0.3):
+    shape = (spec.grid.num_nodes, spec.dims.k, spec.dims.n)
+    return Strategy(spec.grid, scale * rng.standard_normal(shape))
+
+
+def dense_kernels(spec):
+    """The same problem with Q, R, M and N behind callables, which have no lag factors.
+
+    Every route then samples the kernels at each (s, t): the dense oracle.
+    """
+    def wrap(kern):
+        return CallableKernel(lambda s, t: kern(s, t), kern.shape)
+
+    w = spec.weights
+    return replace(spec, weights=replace(w, Q=wrap(w.Q), R=wrap(w.R), M=wrap(w.M), N=wrap(w.N)))
+
+
+DIAGONAL_PRESETS = [
+    lambda: trivial_problem(60),
+    lambda: example_2_5_problem(80),
+    lambda: assumption_smoke_problem(80),
+    lambda: classical_reduction_problem(80),
+    lambda: matrix_reduction_problem(80),
+    lambda: matrix_p2_problem(80, n=2, m=2),
+    lambda: matrix_p2_problem(60, n=2, m=1),
+]
+
+
+def max_rel_gap(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
+
+
+def stage_form_two_time(spec, theta, p2=None):
+    """Oracle: the whole P1 triangle (``p2`` None) or P3 triangle by classical
+    RK4 stepped stage by stage, the sweeps of every t advanced together.
+
+    dP/ds = -(P A_Th + A_Th' P + C_Th' P C_Th + W(s, t)), each stage sampling
+    the coefficients, the kernels and P2 at its own time under the interval's
+    gain, and every step symmetrized.
+    """
+    c, w = spec.coeffs, spec.weights
+    nodes, mids, h = spec.grid.nodes, spec.grid.midpoints, spec.grid.h
+
+    def tr(x):
+        return np.swapaxes(x, -1, -2)
+
+    def rhs(s, t, th, p, p2s):
+        a = c.A(s) + c.B(s) @ th
+        ct = c.C(s) + c.D(s) @ th
+        if p2s is None:
+            src = w.Q(s, t) + tr(th) @ w.R(s, t) @ th
+        else:
+            pc = p2s @ ct
+            src = tr(p2s) @ w.M(s, t) @ p2s + tr(pc) @ w.N(s, t) @ pc
+        return -(p @ a + tr(a) @ p + tr(ct) @ p @ ct + src)
+
+    L, n = spec.grid.num_nodes, spec.dims.n
+    data = np.full((L, L, n, n), np.nan)
+    g1 = w.G1(nodes)
+    p = 0.5 * (g1 + tr(g1)) if p2 is None else np.zeros((L, n, n))
+    data[:, -1] = p
+    for j in range(spec.grid.steps - 1, -1, -1):
+        t, th, p = nodes[: j + 1], theta.values[j], p[: j + 1]
+        hi, md, lo = ((None,) * 3 if p2 is None else (p2.data[j + 1], p2.mids[j], p2.data[j]))
+        k1 = rhs(nodes[j + 1], t, th, p, hi)
+        k2 = rhs(mids[j], t, th, p - 0.5 * h * k1, md)
+        k3 = rhs(mids[j], t, th, p - 0.5 * h * k2, md)
+        k4 = rhs(nodes[j], t, th, p - h * k3, lo)
+        p = p - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = 0.5 * (p + tr(p))
+        data[: j + 1, j] = p
+    return data
+
+
 class TestSolveP1:
     def test_zero_weights_give_zero(self):
         spec = build_scalar(A=0.3, C=0.2)
@@ -232,6 +306,20 @@ class TestSolveP1:
             errs.append(np.max(np.abs(diag.data)))
         assert errs[0] / errs[1] > 12.0
 
+    @pytest.mark.parametrize("build", DIAGONAL_PRESETS)
+    def test_matches_stage_form_rk4(self, build, rng):
+        # The dense sweep applies the step maps of _two_time_maps; the oracle
+        # steps the stages, so it checks those maps independently.
+        spec = dense_kernels(build())
+        theta = _random_gain(spec, rng)
+        p2 = solve_p2(spec, theta)
+        for got, want in ((solve_p1(spec, theta).data, stage_form_two_time(spec, theta)),
+                          (solve_p3(spec, theta, p2).data, stage_form_two_time(spec, theta, p2))):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            keep = ~np.isnan(want)
+            scale = np.max(np.abs(want[keep]))
+            assert np.max(np.abs(got[keep] - want[keep])) <= 1e-13 * scale
+
 
 class TestSolveP3:
     def test_zero_p2_gives_zero(self):
@@ -277,38 +365,6 @@ class TestSolveP3:
         mask = ~np.isnan(p_ab)
         assert np.max(np.abs(p_ab[mask])) > 0.1
         assert np.allclose((p_a + p_b)[mask], p_ab[mask], atol=1e-12)
-
-
-def _random_gain(spec, rng, scale=0.3):
-    shape = (spec.grid.num_nodes, spec.dims.k, spec.dims.n)
-    return Strategy(spec.grid, scale * rng.standard_normal(shape))
-
-
-def dense_kernels(spec):
-    """The same problem with Q, R, M and N behind callables, which have no lag factors.
-
-    Every route then samples the kernels at each (s, t): the dense oracle.
-    """
-    def wrap(kern):
-        return CallableKernel(lambda s, t: kern(s, t), kern.shape)
-
-    w = spec.weights
-    return replace(spec, weights=replace(w, Q=wrap(w.Q), R=wrap(w.R), M=wrap(w.M), N=wrap(w.N)))
-
-
-DIAGONAL_PRESETS = [
-    lambda: trivial_problem(60),
-    lambda: example_2_5_problem(80),
-    lambda: assumption_smoke_problem(80),
-    lambda: classical_reduction_problem(80),
-    lambda: matrix_reduction_problem(80),
-    lambda: matrix_p2_problem(80, n=2, m=2),
-    lambda: matrix_p2_problem(60, n=2, m=1),
-]
-
-
-def max_rel_gap(got, want):
-    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
 
 
 class TestTwoTimeDiagonals:

@@ -134,11 +134,24 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    ONE_LINE_CASES = {  # each refused with exactly one error line
+        "huge_horizon": ("horizon", 1.7976931348623157e308),  # its grid midpoints overflow
+        "bool_steps": ("grid_steps", True),
+        "fractional_steps": ("grid_steps", 50.7),
+        "float_steps": ("grid_steps", 1000.0),
+        "fractional_dim": ("dims", {"n": 1.9, "m": 1, "k": 1}),
+        "string_horizon": ("horizon", "1.0"),
+    }
+
     @pytest.mark.parametrize("case", ["list", "null", "nan_horizon", "inf_horizon", "nan_coeff", "inf_coeff",
-                                      "huge_int_coeff", "inf_dimension", "subnormal_horizon", "matrix_dims"])
+                                      "huge_int_coeff", "inf_dimension", "subnormal_horizon", "matrix_dims",
+                                      *ONE_LINE_CASES])
     def test_bad_document_exits_2_without_traceback(self, tmp_path, capsys, case):
         doc = smoke_scenario(20)
-        if case in ("nan_horizon", "inf_horizon"):
+        if case in self.ONE_LINE_CASES:
+            key, value = self.ONE_LINE_CASES[case]
+            doc[key] = value
+        elif case in ("nan_horizon", "inf_horizon"):
             doc["horizon"] = float(case[:3])
         elif case in ("nan_coeff", "inf_coeff"):
             doc["coeffs"]["A"]["params"]["value"] = [[float(case[:3])]]
@@ -154,7 +167,7 @@ class TestCliSolve:
             doc = {"list": [], "null": None}[case]
         scen = write(tmp_path, "bad.json", doc)
         assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 2
-        if case == "matrix_dims":
+        if case == "matrix_dims" or case in self.ONE_LINE_CASES:
             assert_one_error_line(capsys)
         else:
             err = capsys.readouterr().err

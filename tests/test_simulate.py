@@ -23,7 +23,6 @@ from fbslq.simulate import (
     SpikeSpec,
     _as_vector,
     _LadderRun,
-    _p7_samples,
     _PassSums,
     _primed,
     _snap_eps,
@@ -549,10 +548,21 @@ class TestSpikeDirections:
         assert rep.closed_loop.stderr == pytest.approx(cost.stderr, rel=1e-9)
 
 
-def p7_per_rung(samples, h, steps, range_nodes):
+def p7_per_rung(spec, p2, v, i0, steps, range_nodes):
     """One rung's spike coupling field by a backward RK4 sweep of its own
-    window, (range_nodes, m): the oracle of the one sweep of the ladder."""
-    ch_nodes, ch_mids, w_nodes, w_mids = samples
+    window, stage by stage, (range_nodes, m): the oracle of the step maps
+    that the ladder's rungs share.  It samples Chat and the source
+    (P2 B + Bhat + Dhat P2 D) v at the window's nodes and midpoints itself."""
+    c, h = spec.coeffs, spec.grid.h
+    nodes = spec.grid.nodes[i0 : i0 + steps + 1]
+    mids = spec.grid.midpoints[i0 : i0 + steps]
+
+    def source(times, p2val):
+        return (p2val @ c.B(times) + c.Bhat(times) + c.Dhat(times) @ p2val @ c.D(times)) @ v
+
+    ch_nodes, ch_mids = c.Chat(nodes), c.Chat(mids)
+    w_nodes = source(nodes, p2.data[i0 : i0 + steps + 1])
+    w_mids = source(mids, p2.mids[i0 : i0 + steps])
     out = np.zeros((range_nodes, w_nodes.shape[-1]))
     p = np.zeros(w_nodes.shape[-1])
     for j in range(steps - 1, -1, -1):
@@ -622,10 +632,9 @@ class TestCloseSchedule:
 
     @pytest.mark.parametrize("problem", ["smoke", "coupled", "narrow"])
     def test_one_p7_sweep_is_each_rungs_own(self, smoke_solution, problem):
-        # One sweep steps the rungs whose window covers an interval; at m = 1
-        # it is each rung's own sweep bit for bit.  At m = 2 the products of
-        # (rungs, m) rows with Chat' may round otherwise than Chat p: measured
-        # gaps <= 2.4e-17 of a rung's largest entry.
+        # The rungs apply leading runs of one set of RK4 step maps, which
+        # round otherwise than the stages stepped one by one: measured gaps
+        # <= 3.9e-15 of a rung's largest entry.
         spec, th, p2, v, _ = ladder_inputs(smoke_solution, problem)
         v = _as_vector(v, spec.dims.k, "v", "control")
         for t in (0.0, 0.25, 0.5, 0.75):
@@ -633,12 +642,8 @@ class TestCloseSchedule:
             steps = [s for _, s in _snap_eps(spec.grid, i0, SpikeSpec().epsilons)]
             assert len(set(steps)) < len(steps)  # the ladder ties at one step
             run = _LadderRun(spec, th, p2, SimConfig(paths=8, seed=0, t_start=t), v, steps)
-            samples = _p7_samples(spec, p2, i0, steps[0], v)
-            want = np.stack([p7_per_rung(samples, spec.grid.h, s, run.n_coarse + 1) for s in steps])
-            if spec.dims.m == 1:
-                assert np.array_equal(run.p7v, want)
-            else:
-                assert np.all(np.abs(run.p7v - want) <= 1e-14 * np.abs(want).max(axis=(1, 2), keepdims=True))
+            want = np.stack([p7_per_rung(spec, p2, v, i0, s, run.n_coarse + 1) for s in steps])
+            assert np.all(np.abs(run.p7v - want) <= 1e-14 * np.abs(want).max(axis=(1, 2), keepdims=True))
             assert np.all((want != 0).any(axis=2)[:, :-1] == run.chi_node)  # nonzero exactly on each window
 
 
