@@ -12,8 +12,6 @@ from .equilibrium import (
     NoConvergenceError,
     NonContractiveError,
     SolverConfig,
-    fixed_point_map,
-    second_moment_factor,
     solve_equilibrium,
 )
 from .fields import OneTimeField, Strategy, TimeGrid, TwoTimeField
@@ -24,7 +22,6 @@ from .problem import (
     ProblemSpec,
     ValidationReport,
     Weights,
-    check_lipschitz_in_t,
     check_one_dim_positivity,
     validate,
 )
@@ -45,11 +42,8 @@ from .simulate import (
     SimConfig,
     SpikeSpec,
     bsde_residual_check,
-    build_controls,
-    evaluate_cost,
     perturbation_scaling,
     simulate_closed_loop,
-    simulate_spike,
     spike_test,
     spike_tests,
 )
@@ -69,7 +63,6 @@ __all__ = [
     "ValidationReport",
     "AssumptionReport",
     "validate",
-    "check_lipschitz_in_t",
     "check_one_dim_positivity",
     "solve_p1",
     "solve_p2",
@@ -84,8 +77,6 @@ __all__ = [
     "SolverConfig",
     "EquilibriumSolution",
     "solve_equilibrium",
-    "fixed_point_map",
-    "second_moment_factor",
     "NonContractiveError",
     "NoConvergenceError",
     "AssumptionViolatedError",
@@ -93,9 +84,6 @@ __all__ = [
     "SpikeSpec",
     "PathBundle",
     "simulate_closed_loop",
-    "simulate_spike",
-    "build_controls",
-    "evaluate_cost",
     "spike_test",
     "spike_tests",
     "perturbation_scaling",

@@ -20,7 +20,7 @@ Lambda = R(s,s) + D^2 (p1t + N(s,s) p2t^2) and
 Using the exact exponential for E[Phi^2] removes all sampling noise from the
 fixed point; Monte-Carlo only appears as an external cross-check.  The map is
 iterated window by window from the terminal time; a window is halved whenever
-its observed contraction ratio exceeds the configured target.
+its observed contraction ratio exceeds ``_CONTRACTION_TARGET``.
 
 The gain after a window [lo, hi] is final while the window iterates, and so
 are P2 and the p1t recursion state at node stop = min(hi + 1, L - 1).  Each
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import OneTimeField, Strategy, TwoTimeField, interval_gain
+from .fields import OneTimeField, Strategy, interval_gain
 from .problem import ProblemSpec, check_one_dim_positivity
 from .riccati import ConstraintReport, P2Field, _diag_weights, _feedback, _integrate_p2, _lambda_gamma
 from .riccati import _p2_samples, _transport, check_constraints, two_time_diagonals
@@ -68,8 +68,6 @@ __all__ = [
     "p1_tilde",
     "consistency_gap",
     "assemble_solution",
-    "second_moment_factor",
-    "fixed_point_map",
     "solve_equilibrium",
 ]
 
@@ -90,35 +88,33 @@ class AssumptionViolatedError(EquilibriumError):
     """The positivity precondition failed and enforcement was requested."""
 
 
+_MAX_ITERATIONS = 200  # map applications per window before NoConvergenceError
+_CONTRACTION_TARGET = 0.5  # a window whose observed contraction ratio exceeds this is halved
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Options of :func:`solve_equilibrium`.
 
-    ``check_assumptions`` runs :func:`~fbslq.problem.check_one_dim_positivity`
-    with its default floor, which is absolute, in the units of R and N, while
+    ``check_assumptions`` runs :func:`~fbslq.problem.check_one_dim_positivity`,
+    whose floor ``_DELTA_FLOOR`` is absolute, in the units of R and N, while
     Theta* does not change when all six weights are scaled by c > 0: the smoke
     weights scaled by 1e-9 fail the audit.  The pass-through has no floor, so
     with the audit waived such a problem solves to the unscaled Theta*.
     """
 
     fp_tolerance: float = 1e-10
-    max_iterations_per_window: int = 200
     initial_window: float | None = None  # defaults to horizon / 8
-    contraction_target: float = 0.5
     damping: float = 1.0
     check_assumptions: bool = True
 
     def __post_init__(self):
-        if not self.fp_tolerance > 0:
-            raise ValueError("fp_tolerance must be positive")
-        if self.max_iterations_per_window < 1:
-            raise ValueError("max_iterations_per_window must be at least 1")
-        if not 0.0 < self.contraction_target < 1.0:
-            raise ValueError("contraction_target must lie in (0, 1)")
+        if not 0.0 < self.fp_tolerance < np.inf:
+            raise ValueError("fp_tolerance must be positive and finite")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.initial_window is not None and not self.initial_window > 0.0:
-            raise ValueError("initial_window must be positive")
+        if self.initial_window is not None and not 0.0 < self.initial_window < np.inf:
+            raise ValueError("initial_window must be positive and finite")
 
 
 @dataclass
@@ -371,8 +367,8 @@ def p1_tilde(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> OneTimeField:
     """p1t of a scalar gain, as the solver records it at Theta*; ``p2`` is P2 there.
 
     It comes from the factor recursion for lag kernels and from the dense
-    quadrature otherwise; neither keeps the L x L second-moment factor
-    lam(s, t), which :func:`second_moment_factor` builds on demand.
+    quadrature otherwise; neither builds the L x L second-moment factor
+    lam(s, t).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         p1t = _Workspace(spec).p1_tilde(theta.flat(), p2.flat())
@@ -417,45 +413,6 @@ def assemble_solution(
     )
 
 
-def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
-    """lam(s, t) = E[Phi(s, t)^2] for the scalar closed-loop transition.
-
-    Computed as exp of the cumulative quadrature of 2 A_Th + C_Th^2 (one
-    sweep, reused for all t through exponent differences); exact whenever the
-    exponent quadrature is.  Only A, B, C and D are sampled, at the nodes.
-    Stored as lam[i, j] = exp(E_j - E_i) on the triangle j >= i, NaN below.
-    """
-    _require_scalar(spec)
-    c = spec.coeffs
-    expo = _exponent(*_at_nodes(spec, c.A, c.B, c.C, c.D), theta.flat(), spec.grid.h)
-    lam = np.exp(expo[None, :] - expo[:, None])
-    ii, jj = np.indices(lam.shape)
-    lam[jj < ii] = np.nan
-    return TwoTimeField(spec.grid, lam[..., None, None])
-
-
-def fixed_point_map(
-    spec: ProblemSpec,
-    theta: Strategy,
-    theta0: Strategy,
-    window: tuple[float, float],
-) -> Strategy:
-    """One application of the window update map on [a, b].
-
-    The integral fields are computed from the full strategy on [a, T] (values
-    right of b are read as-is) and the gain formula rewrites the nodes inside
-    the window; everything else is returned unchanged.
-    """
-    ws = _Workspace(spec)
-    lo = spec.grid.index_of(window[0])
-    hi = spec.grid.index_of(window[1])
-    if lo > hi:
-        raise ValueError("window must satisfy a <= b")
-    th = theta.flat().copy()
-    th[lo : hi + 1], _ = ws.apply_map(th, theta0.flat(), lo, hi, ws.terminal())
-    return Strategy.from_flat(spec.grid, th)
-
-
 def solve_equilibrium(
     spec: ProblemSpec, theta0: Strategy, config: SolverConfig = SolverConfig()
 ) -> EquilibriumSolution:
@@ -464,7 +421,7 @@ def solve_equilibrium(
     Windows tile [0, T] backward from the terminal time.  On each window the
     map is iterated to ``fp_tolerance`` in sup norm with fresh zero initial
     values; a window whose observed contraction ratio exceeds
-    ``contraction_target`` is halved and retried.  The converged gain is then
+    ``_CONTRACTION_TARGET`` is halved and retried.  The converged gain is then
     run back through the matrix Riccati route and the constraint checks.
     """
     _require_scalar(spec)
@@ -482,7 +439,8 @@ def solve_equilibrium(
     th = np.zeros(L)
 
     window_time = config.initial_window if config.initial_window is not None else grid.horizon / 8
-    base_steps = max(1, int(round(window_time / grid.h)))
+    # no window is wider than the grid; the cap keeps a huge finite window's step count finite
+    base_steps = max(1, int(round(min(window_time / grid.h, L))))
 
     diagnostics = SolverDiagnostics(fp_tolerance=config.fp_tolerance)
     hi = L - 1
@@ -497,7 +455,7 @@ def solve_equilibrium(
             max_ratio = 0.0
             iterations = 0
             contractive = True
-            while iterations < config.max_iterations_per_window:
+            while iterations < _MAX_ITERATIONS:
                 iterations += 1
                 new_vals, _ = ws.apply_map(th, th0, lo, hi, tail)
                 change = float(np.max(np.abs(new_vals - th[lo : hi + 1])))
@@ -507,7 +465,7 @@ def solve_equilibrium(
                 if prev_change is not None and prev_change > 10.0 * config.fp_tolerance:
                     ratio = change / prev_change
                     max_ratio = max(max_ratio, ratio)
-                    if ratio > config.contraction_target:
+                    if ratio > _CONTRACTION_TARGET:
                         contractive = False
                         break
                 if change <= config.fp_tolerance:
@@ -516,7 +474,7 @@ def solve_equilibrium(
             else:
                 raise NoConvergenceError(
                     f"window nodes [{lo}, {hi}] did not reach {config.fp_tolerance} "
-                    f"within {config.max_iterations_per_window} iterations"
+                    f"within {_MAX_ITERATIONS} iterations"
                 )
             if contractive:
                 resid_vals, next_tail = ws.apply_map(th, th0, lo, hi, tail)

@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["TimeGrid", "OneTimeField", "TwoTimeField", "Strategy", "interval_gain"]
 
+_NODE_TOL = 1e-9  # how far from a node a time read as that node may be, relative to max(1, horizon)
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -52,11 +54,11 @@ class TimeGrid:
         nodes = self.nodes
         return 0.5 * (nodes[:-1] + nodes[1:])
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Node index of time t; t must sit on the grid."""
+    def index_of(self, t: float) -> int:
+        """Node index of time t; t must sit on the grid, within ``_NODE_TOL``."""
         ratio = t / self.h
         i = int(round(ratio)) if np.isfinite(ratio) else -1
-        if i < 0 or i > self.steps or abs(i * self.h - t) > tol * max(1.0, self.horizon):
+        if i < 0 or i > self.steps or abs(i * self.h - t) > _NODE_TOL * max(1.0, self.horizon):
             raise ValueError(f"time {t} is not a grid node")
         return i
 

@@ -1,8 +1,11 @@
 """Dense-matrix helpers for the constraint checks.
 
-An SVD pseudoinverse with a documented rank cut, a range-inclusion test
-through the orthogonal projector, and a symmetrized eigenvalue PSD test.
-All functions accept stacked inputs (..., r, c).
+An SVD pseudoinverse with a documented rank cut, the spectral norm, the
+range-inclusion residual through the orthogonal projector and the smallest
+eigenvalue of the symmetric part.  All functions accept stacked inputs
+(..., r, c).  :func:`~fbslq.riccati.check_constraints` holds the
+tolerances that turn the residual and the eigenvalue into its range and PSD
+verdicts.
 
 The shape alone picks the path: 1 x 1 stacks skip LAPACK (pinv [x] = [1/x],
 [0] at x == 0; specnorm |x|; min_eig x), which matches the SVD and eigvalsh
@@ -17,16 +20,9 @@ __all__ = [
     "default_rel_tol",
     "specnorm",
     "pinv",
-    "penrose_residuals",
-    "range_contains",
     "range_residual",
-    "is_psd",
     "min_eig",
 ]
-
-_RANGE_TOL = 1e-8  # msmall lies in range(M) where |(I - M M^+) msmall| <= _RANGE_TOL (1 + |msmall|)
-_PSD_TOL = 1e-10  # M is PSD where the smallest eigenvalue of its symmetric part is >= -_PSD_TOL
-
 
 def default_rel_tol(shape) -> float:
     """Singular-value cut: 1e-12 scaled by the larger matrix dimension."""
@@ -62,50 +58,12 @@ def pinv(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(vt, -1, -2) @ (inv[..., None] * np.swapaxes(u, -1, -2))
 
 
-def penrose_residuals(m: np.ndarray, mp: np.ndarray) -> tuple[float, float, float, float]:
-    """Spectral-norm residuals of the four defining identities of m-dagger."""
-    r1 = specnorm(m @ mp @ m - m)
-    r2 = specnorm(mp @ m @ mp - mp)
-    mmp = m @ mp
-    mpm = mp @ m
-    r3 = specnorm(mmp - np.swapaxes(mmp, -1, -2))
-    r4 = specnorm(mpm - np.swapaxes(mpm, -1, -2))
-    return float(np.max(r1)), float(np.max(r2)), float(np.max(r3)), float(np.max(r4))
-
-
-def range_contains(mbig: np.ndarray, msmall: np.ndarray) -> bool:
-    """True iff every column of msmall lies in the column space of mbig.
-
-    Tested through the orthogonal projector: |(I - M M^+) msmall| is compared
-    against ``_RANGE_TOL * (1 + |msmall|)`` in spectral norm.
-    """
-    mbig = np.atleast_2d(np.asarray(mbig, dtype=float))
-    msmall = np.atleast_2d(np.asarray(msmall, dtype=float))
-    if mbig.shape[-2] != msmall.shape[-2]:
-        raise ValueError("row counts must match")
-    resid = range_residual(mbig, msmall)
-    bound = _RANGE_TOL * (1.0 + specnorm(msmall))
-    return bool(np.all(resid <= bound))
-
-
 def range_residual(mbig: np.ndarray, msmall: np.ndarray) -> np.ndarray:
     """|(I - M M^+) msmall| in spectral norm; stacked inputs supported."""
     mbig = np.asarray(mbig, dtype=float)
     msmall = np.asarray(msmall, dtype=float)
     proj = mbig @ pinv(mbig)
     return specnorm(msmall - proj @ msmall)
-
-
-def is_psd(m: np.ndarray) -> bool:
-    """True iff the smallest eigenvalue of (M + M^T)/2 is >= -_PSD_TOL.
-
-    Symmetrizes first: accumulated integration error can break exact
-    symmetry of fields that are symmetric in exact arithmetic.
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[-2] != m.shape[-1]:
-        raise ValueError("is_psd requires square matrices")
-    return bool(np.all(min_eig(m) >= -_PSD_TOL))
 
 
 def min_eig(m: np.ndarray) -> np.ndarray:

@@ -18,18 +18,14 @@ from .problem import ProblemSpec
 from .scenario import (
     classical_reduction_scenario,
     example_2_5_scenario,
-    matrix_reduction_scenario,
     scenario_to_spec,
     smoke_scenario,
-    trivial_scenario,
 )
 
 __all__ = [
     "example_2_5_problem",
-    "trivial_problem",
     "assumption_smoke_problem",
     "classical_reduction_problem",
-    "matrix_reduction_problem",
 ]
 
 
@@ -69,11 +65,6 @@ def example_2_5_problem(grid_steps: int = 1000, q: str = "unit") -> ProblemSpec:
     return dataclasses.replace(spec, weights=weights)
 
 
-def trivial_problem(grid_steps: int = 200) -> ProblemSpec:
-    """Zero-drift scalar instance whose equilibrium gain is identically zero."""
-    return scenario_to_spec(trivial_scenario(grid_steps))
-
-
 def assumption_smoke_problem(grid_steps: int = 1000) -> ProblemSpec:
     """Generic scalar instance satisfying the positivity assumption.
 
@@ -90,8 +81,3 @@ def classical_reduction_problem(grid_steps: int = 1000) -> ProblemSpec:
     Q = R = G1 = 1 with A = 0, B = 1, C = 0, D = 1, T = 1.
     """
     return scenario_to_spec(classical_reduction_scenario(grid_steps))
-
-
-def matrix_reduction_problem(grid_steps: int = 400) -> ProblemSpec:
-    """Two-dimensional classical-reduction instance for what-if gain analysis."""
-    return scenario_to_spec(matrix_reduction_scenario(grid_steps))

@@ -6,9 +6,9 @@ A :class:`ProblemSpec` bundles the forward-backward dynamics
     dY = -(Ahat X + Bhat u + Chat Y + Dhat Z) ds + Z dW,   Y(T) = H X(T)
 
 with the two-time cost weights Q, R, M, N and the single-time weights
-G1, G2 evaluated at the (moving) initial time.  Standing-assumption audits
-(`check_lipschitz_in_t`, `check_one_dim_positivity`) are empirical,
-report-style checks; they never raise on a failing hypothesis.
+G1, G2 evaluated at the (moving) initial time.  The standing-assumption
+audit `check_one_dim_positivity` is an empirical, report-style check; it
+never raises on a failing hypothesis.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "ValidationReport",
     "AssumptionReport",
     "validate",
-    "check_lipschitz_in_t",
     "check_one_dim_positivity",
 ]
 
@@ -151,7 +150,10 @@ def _sample_times(grid: TimeGrid, cap: int = 41) -> np.ndarray:
     return nodes[idx]
 
 
-def validate(spec: ProblemSpec, sym_tol: float = 1e-9) -> ValidationReport:
+_SYM_TOL = 1e-9  # largest asymmetry of a weight sample, relative to 1 + its largest entry
+
+
+def validate(spec: ProblemSpec) -> ValidationReport:
     """Report dimension mismatches, non-symmetric weights, and non-finite samples.
 
     An empty issue list means the spec is well formed.  Pure and idempotent.
@@ -198,82 +200,9 @@ def validate(spec: ProblemSpec, sym_tol: float = 1e-9) -> ValidationReport:
         if name in _SYMMETRIC_WEIGHTS:
             gap = np.abs(vals - np.swapaxes(vals, -1, -2))
             scale = 1.0 + float(np.max(np.abs(vals)))
-            if float(np.max(gap)) > sym_tol * scale:
+            if float(np.max(gap)) > _SYM_TOL * scale:
                 report.issues.append(f"symmetry violation {name}")
     return report
-
-
-def _kernel_gap_sup(spec: ProblemSpec, t: np.ndarray, tau: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Sum of sup-norm kernel differences between initial times t and tau."""
-    w = spec.weights
-    total = np.zeros(t.shape)
-    for kern in (w.Q, w.R, w.M, w.N):
-        diff = kern(s, t) - kern(s, tau)
-        total += np.max(np.abs(diff), axis=(-2, -1))
-    for fn in (w.G1, w.G2):
-        diff = fn(t) - fn(tau)
-        total += np.max(np.abs(diff), axis=(-2, -1))
-    return total
-
-
-def check_lipschitz_in_t(spec: ProblemSpec, probe_count: int = 200) -> AssumptionReport:
-    """Empirical audit of Lipschitz dependence on the initial time.
-
-    Samples triples 0 <= t <= tau <= s <= T at gap scales |t - tau| from the
-    grid spacing up to T/4 and reports the worst difference ratio.  The check
-    fails when the ratio keeps growing as the gap shrinks toward the grid
-    spacing (a Hoelder-type blow-up), or when any sample is non-finite.
-    """
-    if probe_count < 1:
-        raise ValueError("probe_count must be positive")
-    grid = spec.grid
-    T = grid.horizon
-    h = grid.h
-    rng = np.random.default_rng(0)  # deterministic audit
-
-    gaps = []
-    g = h
-    while g <= T / 4 + 1e-15:
-        gaps.append(g)
-        g *= 2.0
-    if not gaps:
-        gaps = [h]
-
-    per_gap = []
-    for gap in gaps:
-        t = rng.uniform(0.0, T - gap, size=probe_count)
-        tau = t + gap
-        s = tau + rng.uniform(0.0, 1.0, size=probe_count) * (T - tau)
-        # Structured probes along the diagonal s = tau, where Hoelder-type
-        # kernels blow up first, plus the far end s = T.
-        t_det = np.linspace(0.0, T - gap, 17)
-        tau_det = t_det + gap
-        for offset in (0.0, 0.5, 1.0):
-            t = np.concatenate([t, t_det])
-            tau = np.concatenate([tau, tau_det])
-            s = np.concatenate([s, tau_det + offset * (T - tau_det)])
-        ratios = _kernel_gap_sup(spec, t, tau, s) / gap
-        per_gap.append(float(np.max(ratios)))
-
-    empirical = float(np.max(per_gap))
-    finite = bool(np.isfinite(empirical))
-    # Blow-up probe: compare the smallest gap against the next one up.
-    if len(per_gap) >= 2 and per_gap[1] > 0:
-        growth = per_gap[0] / per_gap[1]
-    else:
-        growth = 1.0
-    passed = finite and growth <= 1.25
-    return AssumptionReport(
-        name="lipschitz_in_initial_time",
-        passed=passed,
-        empirical_constant=empirical,
-        details={
-            "gaps": [float(g) for g in gaps],
-            "per_gap_constant": per_gap,
-            "small_gap_growth": float(growth),
-            "probe_count": int(probe_count),
-        },
-    )
 
 
 # s-rows per kernel call of the positivity audit
@@ -305,15 +234,16 @@ def _triangle_min(kern: TwoTimeKernel, nodes: np.ndarray) -> float:
     return float(lowest)
 
 
-def check_one_dim_positivity(spec: ProblemSpec, delta_floor: float = 1e-8) -> AssumptionReport:
+_DELTA_FLOOR = 1e-8  # absolute, in the units of R and N
+
+
+def check_one_dim_positivity(spec: ProblemSpec) -> AssumptionReport:
     """Audit of the one-dimensional positivity assumption.
 
     On the grid: R(t,t), N(t,t) and D(t)^2 must admit a common positive floor
-    delta >= delta_floor, while Q(s,t), M(s,t) on the triangle and G1(t) must
-    be nonnegative.  Returns the largest admissible delta found.
+    delta >= ``_DELTA_FLOOR``, while Q(s,t), M(s,t) on the triangle and G1(t)
+    must be nonnegative.  Returns the largest admissible delta found.
     """
-    if delta_floor <= 0:
-        raise ValueError("delta_floor must be positive")
     if not spec.is_one_dimensional():
         raise ValueError("positivity audit applies to one-dimensional specs only")
     nodes = spec.grid.nodes
@@ -330,7 +260,7 @@ def check_one_dim_positivity(spec: ProblemSpec, delta_floor: float = 1e-8) -> As
     m_min = _triangle_min(w.M, nodes)
     g1_min = float(np.min(w.G1(nodes)))
 
-    floor_ok = delta >= delta_floor
+    floor_ok = delta >= _DELTA_FLOOR
     nonneg_ok = np.min([q_min, m_min, g1_min]) >= -1e-12
     return AssumptionReport(
         name="one_dim_positivity",
@@ -338,7 +268,7 @@ def check_one_dim_positivity(spec: ProblemSpec, delta_floor: float = 1e-8) -> As
         empirical_constant=delta,
         details={
             "delta": delta,
-            "delta_floor": float(delta_floor),
+            "delta_floor": _DELTA_FLOOR,
             "min_R_diag": float(r_diag.min()),
             "min_N_diag": float(n_diag.min()),
             "min_D_squared": float(d_sq.min()),

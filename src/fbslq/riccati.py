@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import OneTimeField, Strategy, TwoTimeField, interval_gain
-from .matrixkit import _PSD_TOL, _RANGE_TOL, min_eig, pinv, range_residual, specnorm
+from .matrixkit import min_eig, pinv, range_residual, specnorm
 from .problem import ProblemSpec
 
 __all__ = [
@@ -595,6 +595,10 @@ class ConstraintReport:
         }
 
 
+_RANGE_TOL = 1e-8  # inclusion tolerance of check_constraints, relative to 1 + |Gamma|
+_PSD_TOL = 1e-10  # PSD tolerance of check_constraints on the smallest eigenvalue
+
+
 def check_constraints(
     spec: ProblemSpec,
     p1_diag: OneTimeField,
@@ -606,7 +610,10 @@ def check_constraints(
     The membership check reports sup and grid-quadrature L2 norms of
     Lambda^+ Gamma and passes iff both are finite (true measure-theoretic
     membership is not machine-checkable).  The a.e. constraints are enforced
-    at every grid node; one failing node fails the check.
+    at every grid node; one failing node fails the check.  Gamma lies in the
+    range of Lambda where the projector residual is at most ``_RANGE_TOL``
+    (1 + |Gamma|), and Lambda is PSD where its smallest symmetric eigenvalue
+    is at least -``_PSD_TOL``.
     """
     lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
     lam_p = pinv(lam)

@@ -41,7 +41,6 @@ __all__ = [
     "trivial_scenario",
     "smoke_scenario",
     "classical_reduction_scenario",
-    "matrix_reduction_scenario",
 ]
 
 _ONE_TIME_WEIGHTS = ("G1", "G2")  # the other weights are two-time kernels
@@ -185,35 +184,6 @@ def classical_reduction_scenario(grid_steps: int = 1000) -> dict:
             "M": _const(0.0),
             "N": _const(0.0),
             "G1": _const(1.0),
-            "G2": _const(0.0),
-        },
-    }
-
-
-def matrix_reduction_scenario(grid_steps: int = 400) -> dict:
-    """Two-dimensional classical reduction: n = k = 2, m = 1, A nilpotent, Q = R = G1 = I."""
-    eye = np.eye(2)
-    return {
-        "dims": {"n": 2, "m": 1, "k": 2},
-        "horizon": 1.0,
-        "grid_steps": grid_steps,
-        "coeffs": {
-            "A": _const([[0.0, 0.2], [0.0, 0.0]]),
-            "B": _const(eye),
-            "C": _const(np.zeros((2, 2))),
-            "D": _const(eye),
-            "Ahat": _const(np.zeros((1, 2))),
-            "Bhat": _const(np.zeros((1, 2))),
-            "Chat": _const(0.0),
-            "Dhat": _const(0.0),
-            "H": [[0.0, 0.0]],
-        },
-        "weights": {
-            "Q": _const(eye),
-            "R": _const(eye),
-            "M": _const(0.0),
-            "N": _const(0.0),
-            "G1": _const(eye),
             "G2": _const(0.0),
         },
     }

@@ -41,9 +41,10 @@ have ended share one n x n transition per path.  It has four consumers.
 The spike ladder's kernel, one for every dimension, groups the cost terms
 by node and splits the cost sums into a part linear and a part quadratic
 in v, so one pass yields the ladder for +v and for -v, and the closed-loop
-cost estimate from the same paths.  The bundle API records the stepper at
-the coarse nodes (no rung for the closed loop, one for a spike), the
-backward-equation check reads the closed loop at every fine step and
+cost estimate from the same paths.  The bundle route records the stepper
+at the coarse nodes (no rung for the closed loop, one for a spike, which
+the cost oracle in ``tests/oracles.py`` reads), the backward-equation
+check reads the closed loop at every fine step and
 :func:`perturbation_scaling` reads the rungs' perturbations at the coarse
 nodes.
 """
@@ -79,9 +80,6 @@ __all__ = [
     "SpikeRow",
     "SpikeReport",
     "simulate_closed_loop",
-    "simulate_spike",
-    "build_controls",
-    "evaluate_cost",
     "spike_test",
     "spike_tests",
     "perturbation_scaling",
@@ -329,31 +327,6 @@ def simulate_closed_loop(
     return _simulate_bundle(spec, theta, p2, cfg, np.zeros(spec.dims.k), [])
 
 
-def simulate_spike(
-    spec: ProblemSpec,
-    theta: Strategy,
-    p2: P2Field,
-    cfg: SimConfig,
-    spike: SpikeSpec,
-    eps: float,
-) -> PathBundle:
-    """Paths under the spike-perturbed control chi_[t, t+eps) v + Theta X.
-
-    Uses the same Brownian increments as the paired closed-loop bundle (same
-    seed); ``eps`` is snapped to a whole number of coarse grid steps and must
-    be at least one step.
-    """
-    grid = spec.grid
-    steps = int(round(eps / grid.h))
-    if steps < 1 or eps < grid.h * (1 - 1e-9):
-        raise ValueError("eps must be at least one grid step")
-    i0 = grid.index_of(cfg.t_start)
-    if i0 + steps > grid.steps:
-        raise ValueError("spike window extends past the horizon")
-    v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    return _simulate_bundle(spec, theta, p2, cfg, v, [steps])
-
-
 def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
     """The stepper with no rung (closed loop) or one (spike), recorded at the
     coarse nodes; a spike bundle is the closed loop plus its perturbation."""
@@ -399,100 +372,6 @@ def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
         spike_steps=rungs[0] if rungs else 0,
         p7v=p7v,
     )
-
-
-def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:
-    """Interval-value control paths u_j = chi_j v + Theta_j X_j, shape (paths, nodes, k).
-
-    Theta_j is the gain at the left end of interval j (:func:`~fbslq.fields.interval_gain`);
-    the terminal column reads it at the right end and never enters the cost quadrature.
-    """
-    th = interval_gain(bundle.theta.values, bundle.t_index, spec.grid.steps, (0.0, 1.0))
-    u = np.empty((bundle.paths, bundle.range_nodes, spec.dims.k))
-    u[:, :-1] = np.einsum("rkn,prn->prk", th[:, 0], bundle.X[:, :-1])
-    u[:, -1] = bundle.X[:, -1] @ th[-1, 1].T
-    if bundle.spike_v is not None and bundle.spike_steps > 0:
-        u[:, : bundle.spike_steps] += bundle.spike_v
-    return u
-
-
-def _quad_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """<W x, x> over the trailing axis; leading axes broadcast."""
-    return np.einsum("...i,ij,...j->...", x, w, x)
-
-
-def evaluate_cost(
-    spec: ProblemSpec, bundle: PathBundle, control_paths: np.ndarray, t: float
-) -> CostEstimate:
-    """Monte-Carlo cost estimate at the bundle's deterministic start.
-
-    Interval-wise trapezoid with one-sided limits for the control and Z
-    terms; kernels are evaluated at (s, t).  Returns the plain-mean estimate
-    (the conditional expectation at a deterministic start) and its standard
-    error.
-
-    This is the independent oracle of the streaming cost sums in
-    :func:`spike_test`: it evaluates materialised paths with vectorised
-    trapezoids and never splits the cost into parts linear and quadratic
-    in v.
-    """
-    grid = spec.grid
-    if grid.index_of(t) != bundle.t_index:
-        raise ValueError("cost must be evaluated at the bundle's start time")
-    if control_paths.shape != (bundle.paths, bundle.range_nodes, spec.dims.k):
-        raise ValueError("control path array has the wrong shape")
-    costs = _pathwise_costs(spec, bundle, control_paths, t)
-    est = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(bundle.paths)) if bundle.paths > 1 else 0.0
-    return CostEstimate(estimate=est, stderr=stderr, paths=bundle.paths)
-
-
-def _pathwise_costs(spec, bundle, control_paths, t) -> np.ndarray:
-    grid = spec.grid
-    w = spec.weights
-    h = grid.h
-    nodes = grid.nodes[bundle.t_index :]
-    R = bundle.range_nodes
-    qk = w.Q(nodes, t)  # (R, n, n)
-    rk = w.R(nodes, t)
-    mk = w.M(nodes, t)
-    nk = w.N(nodes, t)
-    g1 = w.G1(t)
-    g2 = w.G2(t)
-
-    qx = np.einsum("pri,rij,prj->pr", bundle.X, qk, bundle.X)
-    my = np.einsum("pri,rij,prj->pr", bundle.Y, mk, bundle.Y)
-    run = np.trapezoid(qx, dx=h, axis=1) + np.trapezoid(my, dx=h, axis=1)
-
-    # Control and Z are interval-frozen: trapezoid the kernel only.
-    u_iv = control_paths[:, :-1]
-    rk_iv = 0.5 * (rk[:-1] + rk[1:])
-    run += h * np.einsum("pri,rij,prj->p", u_iv, rk_iv, u_iv)
-
-    z_left = bundle.Z[:, :-1]
-    run += 0.5 * h * np.einsum("pri,rij,prj->p", z_left, nk[:-1], z_left)
-    z_right = _interval_z_right(spec, bundle)
-    run += 0.5 * h * np.einsum("pri,rij,prj->p", z_right, nk[1:], z_right)
-
-    total = run + _quad_form(bundle.X[:, -1], g1) + _quad_form(bundle.Y[:, 0], g2)
-    return 0.5 * total
-
-
-def _interval_z_right(spec, bundle) -> np.ndarray:
-    """Right-endpoint Z values per interval under the interval's (chi, Theta)."""
-    grid = spec.grid
-    i0 = bundle.t_index
-    nodes = grid.nodes[i0:]
-    right_t = nodes[1:]
-    c = spec.coeffs
-    th = interval_gain(bundle.theta.values, i0, grid.steps, (1.0,))
-    ct_right = c.C(right_t) + c.D(right_t) @ th[:, 0]  # (R-1, n, n)
-    zc = np.einsum("rij,prj->pri", ct_right, bundle.X[:, 1:])
-    if bundle.spike_v is not None and bundle.spike_steps > 0:
-        dv = c.D(right_t[: bundle.spike_steps]) @ bundle.spike_v
-        zc[:, : bundle.spike_steps] += dv
-    p2r = bundle.p2.data[i0 + 1 :]
-    return np.einsum("rmi,pri->prm", p2r, zc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,341 @@
+"""Test oracles and fixtures: code that only the tests read.
+
+Problems that only the tests solve, and independent second routes to
+quantities that the package computes one way:
+
+- ``trivial_problem``, ``matrix_reduction_problem`` and
+  ``matrix_reduction_scenario``: instances the tests solve besides the
+  built-in presets (the scalar zero-gain problem, and a two-dimensional
+  classical reduction for the matrix routes);
+- ``penrose_residuals``: the four Moore-Penrose identities, the oracle of
+  ``fbslq.matrixkit.pinv``; ``in_range`` and ``psd_ok``: the inclusion and
+  PSD rules of ``check_constraints`` on single matrices;
+- ``check_lipschitz_in_t``: an empirical audit of Lipschitz dependence of
+  the weights on the initial time;
+- ``second_moment_factor`` and ``fixed_point_map``: the second-moment
+  factor lam(s, t) as a whole L x L field, and one window map from the
+  terminal state, the oracles of the solver's factor recursion and of its
+  windows' handed-on states;
+- ``simulate_spike``, ``build_controls`` and ``evaluate_cost``: a spike
+  bundle with materialised paths and its cost by vectorised trapezoids, the
+  independent oracle of the streaming cost sums of the spike ladder.  It
+  never splits the cost into parts linear and quadratic in v.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fbslq.equilibrium import _at_nodes, _exponent, _require_scalar, _Workspace
+from fbslq.fields import Strategy, TwoTimeField, interval_gain
+from fbslq.matrixkit import min_eig, range_residual, specnorm
+from fbslq.problem import AssumptionReport, ProblemSpec
+from fbslq.riccati import _PSD_TOL, _RANGE_TOL, P2Field
+from fbslq.scenario import _const, scenario_to_spec, trivial_scenario
+from fbslq.simulate import CostEstimate, PathBundle, SimConfig, SpikeSpec, _as_vector, _simulate_bundle
+
+
+# -- problems -----------------------------------------------------------------
+
+
+def trivial_problem(grid_steps: int = 200) -> ProblemSpec:
+    """Zero-drift scalar instance whose equilibrium gain is identically zero."""
+    return scenario_to_spec(trivial_scenario(grid_steps))
+
+
+def matrix_reduction_problem(grid_steps: int = 400) -> ProblemSpec:
+    """Two-dimensional classical-reduction instance for what-if gain analysis."""
+    return scenario_to_spec(matrix_reduction_scenario(grid_steps))
+
+
+def matrix_reduction_scenario(grid_steps: int = 400) -> dict:
+    """Two-dimensional classical reduction: n = k = 2, m = 1, A nilpotent, Q = R = G1 = I."""
+    eye = np.eye(2)
+    return {
+        "dims": {"n": 2, "m": 1, "k": 2},
+        "horizon": 1.0,
+        "grid_steps": grid_steps,
+        "coeffs": {
+            "A": _const([[0.0, 0.2], [0.0, 0.0]]),
+            "B": _const(eye),
+            "C": _const(np.zeros((2, 2))),
+            "D": _const(eye),
+            "Ahat": _const(np.zeros((1, 2))),
+            "Bhat": _const(np.zeros((1, 2))),
+            "Chat": _const(0.0),
+            "Dhat": _const(0.0),
+            "H": [[0.0, 0.0]],
+        },
+        "weights": {
+            "Q": _const(eye),
+            "R": _const(eye),
+            "M": _const(0.0),
+            "N": _const(0.0),
+            "G1": _const(eye),
+            "G2": _const(0.0),
+        },
+    }
+
+
+# -- matrix identities --------------------------------------------------------
+
+
+def penrose_residuals(m: np.ndarray, mp: np.ndarray) -> tuple[float, float, float, float]:
+    """Spectral-norm residuals of the four defining identities of m-dagger."""
+    r1 = specnorm(m @ mp @ m - m)
+    r2 = specnorm(mp @ m @ mp - mp)
+    mmp = m @ mp
+    mpm = mp @ m
+    r3 = specnorm(mmp - np.swapaxes(mmp, -1, -2))
+    r4 = specnorm(mpm - np.swapaxes(mpm, -1, -2))
+    return float(np.max(r1)), float(np.max(r2)), float(np.max(r3)), float(np.max(r4))
+
+
+def in_range(mbig: np.ndarray, msmall: np.ndarray) -> bool:
+    """The range-inclusion rule of ``check_constraints``: every column of msmall in range(mbig)."""
+    return bool(np.all(range_residual(mbig, msmall) <= _RANGE_TOL * (1.0 + specnorm(msmall))))
+
+
+def psd_ok(m: np.ndarray) -> bool:
+    """The PSD rule of ``check_constraints``: the symmetric part's eigenvalues are >= -_PSD_TOL."""
+    return bool(np.all(min_eig(m) >= -_PSD_TOL))
+
+
+# -- standing assumptions -----------------------------------------------------
+
+
+def _kernel_gap_sup(spec: ProblemSpec, t: np.ndarray, tau: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Sum of sup-norm kernel differences between initial times t and tau."""
+    w = spec.weights
+    total = np.zeros(t.shape)
+    for kern in (w.Q, w.R, w.M, w.N):
+        diff = kern(s, t) - kern(s, tau)
+        total += np.max(np.abs(diff), axis=(-2, -1))
+    for fn in (w.G1, w.G2):
+        diff = fn(t) - fn(tau)
+        total += np.max(np.abs(diff), axis=(-2, -1))
+    return total
+
+
+def check_lipschitz_in_t(spec: ProblemSpec, probe_count: int = 200) -> AssumptionReport:
+    """Empirical audit of Lipschitz dependence on the initial time.
+
+    Samples triples 0 <= t <= tau <= s <= T at gap scales |t - tau| from the
+    grid spacing up to T/4 and reports the worst difference ratio.  The check
+    fails when the ratio keeps growing as the gap shrinks toward the grid
+    spacing (a Hoelder-type blow-up), or when any sample is non-finite.
+    """
+    if probe_count < 1:
+        raise ValueError("probe_count must be positive")
+    grid = spec.grid
+    T = grid.horizon
+    h = grid.h
+    rng = np.random.default_rng(0)  # deterministic audit
+
+    gaps = []
+    g = h
+    while g <= T / 4 + 1e-15:
+        gaps.append(g)
+        g *= 2.0
+    if not gaps:
+        gaps = [h]
+
+    per_gap = []
+    for gap in gaps:
+        t = rng.uniform(0.0, T - gap, size=probe_count)
+        tau = t + gap
+        s = tau + rng.uniform(0.0, 1.0, size=probe_count) * (T - tau)
+        # Structured probes along the diagonal s = tau, where Hoelder-type
+        # kernels blow up first, plus the far end s = T.
+        t_det = np.linspace(0.0, T - gap, 17)
+        tau_det = t_det + gap
+        for offset in (0.0, 0.5, 1.0):
+            t = np.concatenate([t, t_det])
+            tau = np.concatenate([tau, tau_det])
+            s = np.concatenate([s, tau_det + offset * (T - tau_det)])
+        ratios = _kernel_gap_sup(spec, t, tau, s) / gap
+        per_gap.append(float(np.max(ratios)))
+
+    empirical = float(np.max(per_gap))
+    finite = bool(np.isfinite(empirical))
+    # Blow-up probe: compare the smallest gap against the next one up.
+    if len(per_gap) >= 2 and per_gap[1] > 0:
+        growth = per_gap[0] / per_gap[1]
+    else:
+        growth = 1.0
+    passed = finite and growth <= 1.25
+    return AssumptionReport(
+        name="lipschitz_in_initial_time",
+        passed=passed,
+        empirical_constant=empirical,
+        details={
+            "gaps": [float(g) for g in gaps],
+            "per_gap_constant": per_gap,
+            "small_gap_growth": float(growth),
+            "probe_count": int(probe_count),
+        },
+    )
+
+
+# -- the integral route -------------------------------------------------------
+
+
+def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
+    """lam(s, t) = E[Phi(s, t)^2] for the scalar closed-loop transition.
+
+    Computed as exp of the cumulative quadrature of 2 A_Th + C_Th^2 (one
+    sweep, reused for all t through exponent differences); exact whenever the
+    exponent quadrature is.  Only A, B, C and D are sampled, at the nodes.
+    Stored as lam[i, j] = exp(E_j - E_i) on the triangle j >= i, NaN below.
+    """
+    _require_scalar(spec)
+    c = spec.coeffs
+    expo = _exponent(*_at_nodes(spec, c.A, c.B, c.C, c.D), theta.flat(), spec.grid.h)
+    lam = np.exp(expo[None, :] - expo[:, None])
+    ii, jj = np.indices(lam.shape)
+    lam[jj < ii] = np.nan
+    return TwoTimeField(spec.grid, lam[..., None, None])
+
+
+def fixed_point_map(
+    spec: ProblemSpec,
+    theta: Strategy,
+    theta0: Strategy,
+    window: tuple[float, float],
+) -> Strategy:
+    """One application of the window update map on [a, b].
+
+    The integral fields are computed from the full strategy on [a, T] (values
+    right of b are read as-is) and the gain formula rewrites the nodes inside
+    the window; everything else is returned unchanged.
+    """
+    ws = _Workspace(spec)
+    lo = spec.grid.index_of(window[0])
+    hi = spec.grid.index_of(window[1])
+    if lo > hi:
+        raise ValueError("window must satisfy a <= b")
+    th = theta.flat().copy()
+    th[lo : hi + 1], _ = ws.apply_map(th, theta0.flat(), lo, hi, ws.terminal())
+    return Strategy.from_flat(spec.grid, th)
+
+
+# -- materialised paths and their cost ----------------------------------------
+
+
+def simulate_spike(
+    spec: ProblemSpec,
+    theta: Strategy,
+    p2: P2Field,
+    cfg: SimConfig,
+    spike: SpikeSpec,
+    eps: float,
+) -> PathBundle:
+    """Paths under the spike-perturbed control chi_[t, t+eps) v + Theta X.
+
+    Uses the same Brownian increments as the paired closed-loop bundle (same
+    seed); ``eps`` is snapped to a whole number of coarse grid steps and must
+    be at least one step.
+    """
+    grid = spec.grid
+    steps = int(round(eps / grid.h))
+    if steps < 1 or eps < grid.h * (1 - 1e-9):
+        raise ValueError("eps must be at least one grid step")
+    i0 = grid.index_of(cfg.t_start)
+    if i0 + steps > grid.steps:
+        raise ValueError("spike window extends past the horizon")
+    v = _as_vector(spike.v, spec.dims.k, "v", "control")
+    return _simulate_bundle(spec, theta, p2, cfg, v, [steps])
+
+
+def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:
+    """Interval-value control paths u_j = chi_j v + Theta_j X_j, shape (paths, nodes, k).
+
+    Theta_j is the gain at the left end of interval j (:func:`~fbslq.fields.interval_gain`);
+    the terminal column reads it at the right end and never enters the cost quadrature.
+    """
+    th = interval_gain(bundle.theta.values, bundle.t_index, spec.grid.steps, (0.0, 1.0))
+    u = np.empty((bundle.paths, bundle.range_nodes, spec.dims.k))
+    u[:, :-1] = np.einsum("rkn,prn->prk", th[:, 0], bundle.X[:, :-1])
+    u[:, -1] = bundle.X[:, -1] @ th[-1, 1].T
+    if bundle.spike_v is not None and bundle.spike_steps > 0:
+        u[:, : bundle.spike_steps] += bundle.spike_v
+    return u
+
+
+def _quad_form(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<W x, x> over the trailing axis; leading axes broadcast."""
+    return np.einsum("...i,ij,...j->...", x, w, x)
+
+
+def evaluate_cost(
+    spec: ProblemSpec, bundle: PathBundle, control_paths: np.ndarray, t: float
+) -> CostEstimate:
+    """Monte-Carlo cost estimate at the bundle's deterministic start.
+
+    Interval-wise trapezoid with one-sided limits for the control and Z
+    terms; kernels are evaluated at (s, t).  Returns the plain-mean estimate
+    (the conditional expectation at a deterministic start) and its standard
+    error.
+
+    This is the independent oracle of the streaming cost sums in
+    :func:`spike_test`: it evaluates materialised paths with vectorised
+    trapezoids and never splits the cost into parts linear and quadratic
+    in v.
+    """
+    grid = spec.grid
+    if grid.index_of(t) != bundle.t_index:
+        raise ValueError("cost must be evaluated at the bundle's start time")
+    if control_paths.shape != (bundle.paths, bundle.range_nodes, spec.dims.k):
+        raise ValueError("control path array has the wrong shape")
+    costs = _pathwise_costs(spec, bundle, control_paths, t)
+    est = float(np.mean(costs))
+    stderr = float(np.std(costs, ddof=1) / np.sqrt(bundle.paths)) if bundle.paths > 1 else 0.0
+    return CostEstimate(estimate=est, stderr=stderr, paths=bundle.paths)
+
+
+def _pathwise_costs(spec, bundle, control_paths, t) -> np.ndarray:
+    grid = spec.grid
+    w = spec.weights
+    h = grid.h
+    nodes = grid.nodes[bundle.t_index :]
+    R = bundle.range_nodes
+    qk = w.Q(nodes, t)  # (R, n, n)
+    rk = w.R(nodes, t)
+    mk = w.M(nodes, t)
+    nk = w.N(nodes, t)
+    g1 = w.G1(t)
+    g2 = w.G2(t)
+
+    qx = np.einsum("pri,rij,prj->pr", bundle.X, qk, bundle.X)
+    my = np.einsum("pri,rij,prj->pr", bundle.Y, mk, bundle.Y)
+    run = np.trapezoid(qx, dx=h, axis=1) + np.trapezoid(my, dx=h, axis=1)
+
+    # Control and Z are interval-frozen: trapezoid the kernel only.
+    u_iv = control_paths[:, :-1]
+    rk_iv = 0.5 * (rk[:-1] + rk[1:])
+    run += h * np.einsum("pri,rij,prj->p", u_iv, rk_iv, u_iv)
+
+    z_left = bundle.Z[:, :-1]
+    run += 0.5 * h * np.einsum("pri,rij,prj->p", z_left, nk[:-1], z_left)
+    z_right = _interval_z_right(spec, bundle)
+    run += 0.5 * h * np.einsum("pri,rij,prj->p", z_right, nk[1:], z_right)
+
+    total = run + _quad_form(bundle.X[:, -1], g1) + _quad_form(bundle.Y[:, 0], g2)
+    return 0.5 * total
+
+
+def _interval_z_right(spec, bundle) -> np.ndarray:
+    """Right-endpoint Z values per interval under the interval's (chi, Theta)."""
+    grid = spec.grid
+    i0 = bundle.t_index
+    nodes = grid.nodes[i0:]
+    right_t = nodes[1:]
+    c = spec.coeffs
+    th = interval_gain(bundle.theta.values, i0, grid.steps, (1.0,))
+    ct_right = c.C(right_t) + c.D(right_t) @ th[:, 0]  # (R-1, n, n)
+    zc = np.einsum("rij,prj->pri", ct_right, bundle.X[:, 1:])
+    if bundle.spike_v is not None and bundle.spike_steps > 0:
+        dv = c.D(right_t[: bundle.spike_steps]) @ bundle.spike_v
+        zc[:, : bundle.spike_steps] += dv
+    p2r = bundle.p2.data[i0 + 1 :]
+    return np.einsum("rmi,pri->prm", p2r, zc)

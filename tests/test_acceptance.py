@@ -13,7 +13,7 @@ import pytest
 
 from fbslq.equilibrium import SolverConfig, solve_equilibrium
 from fbslq.fields import Strategy
-from fbslq.matrixkit import default_rel_tol, penrose_residuals, pinv, range_contains, specnorm
+from fbslq.matrixkit import default_rel_tol, pinv, specnorm
 from fbslq.presets import (
     classical_reduction_problem,
     example_2_5_problem,
@@ -21,6 +21,7 @@ from fbslq.presets import (
 from fbslq.riccati import characterization_residual, solve_p1
 from fbslq.simulate import SimConfig, SpikeSpec, bsde_residual_check, perturbation_scaling, spike_tests
 from fbslq.verify import classical_riccati_feedback, suite_example_2_5
+from tests.oracles import in_range, penrose_residuals
 
 
 def report(num: int, passed: bool, detail: str, elapsed: float):
@@ -219,7 +220,7 @@ def test_criterion_8_matrixkit_properties():
                 and r3 <= 10.0 * rel
                 and r4 <= 10.0 * rel
             )
-            range_ok &= range_contains(m, m)
+            range_ok &= in_range(m, m)
     elapsed = time.time() - start
     passed = bool(literal_ok and scaled_ok and range_ok)
     report(
@@ -227,6 +228,6 @@ def test_criterion_8_matrixkit_properties():
         passed,
         f"Penrose identities within 10*rel_tol*|M| for 200 matrices x {len(shapes)} shape "
         f"classes (worst fraction {worst:.2f}; scale-correct residuals also hold = "
-        f"{bool(scaled_ok)}), range_contains(M, M) universal = {bool(range_ok)}",
+        f"{bool(scaled_ok)}), in_range(M, M) universal = {bool(range_ok)}",
         elapsed,
     )

@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbslq import riccati
+from fbslq import equilibrium, riccati
 from fbslq.equilibrium import (
     AssumptionViolatedError,
     SolverConfig,
     _Tail,
     _Workspace,
-    fixed_point_map,
     p1_tilde,
-    second_moment_factor,
     solve_equilibrium,
 )
 from fbslq.fields import Strategy
@@ -24,7 +22,6 @@ from fbslq.presets import (
     assumption_smoke_problem,
     classical_reduction_problem,
     example_2_5_problem,
-    trivial_problem,
 )
 from fbslq.kernels import CallableKernel, ConstantKernel, DifferenceKernel, DiscountedKernel
 from fbslq.matrixkit import pinv
@@ -33,6 +30,7 @@ from fbslq.riccati import _integrate_p2, _p2_samples, solve_p2, two_time_diagona
 from fbslq.scenario import scenario_to_spec, smoke_scenario, trivial_scenario
 from fbslq.verify import classical_riccati_feedback
 from tests.conftest import matrix_p2_problem
+from tests.oracles import fixed_point_map, matrix_reduction_problem, second_moment_factor, trivial_problem
 from tests.test_riccati import (
     build_scalar,
     dense_kernels,
@@ -285,18 +283,19 @@ class TestFixedPointMap:
 
 
 class TestSolveEquilibrium:
-    @pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(contraction_target=0.05, initial_window=1.0)],
-                             ids=["default", "halvings"])
+    @pytest.mark.parametrize("halve", [False, True], ids=["default", "halvings"])
     @pytest.mark.parametrize("route", ["factor", "dense"])
-    def test_fields_from_the_windows_are_the_whole_grid_ones(self, route, config):
+    def test_fields_from_the_windows_are_the_whole_grid_ones(self, route, halve, monkeypatch):
         # P2 and p1t at Theta* are assembled from each window's last map
         # application; they are a whole-grid integration at Theta*, bit for
         # bit.  The dense quadrature differs in the last bits: a window
         # cumsums its exponent from node 0 under the gain of that moment.
         base = assumption_smoke_problem(200)
         spec = base if route == "factor" else dense_kernels(base)
-        sol = solve_equilibrium(spec, zero_theta(spec), config)
-        if config.initial_window is not None:
+        if halve:
+            monkeypatch.setattr(equilibrium, "_CONTRACTION_TARGET", 0.05)
+        sol = solve_equilibrium(spec, zero_theta(spec), SolverConfig(initial_window=1.0 if halve else None))
+        if halve:
             assert any(w.halvings for w in sol.diagnostics.windows)
         p2 = solve_p2(spec, sol.theta_star)
         assert np.array_equal(sol.p2.data, p2.data)
@@ -369,6 +368,16 @@ class TestSolveEquilibrium:
         _, classical = classical_riccati_feedback(spec)
         assert np.max(np.abs(sol.theta_star.values - classical.values)) <= 1e-6
 
+    def test_a_window_wider_than_the_grid_is_the_whole_grid(self):
+        # A huge finite window is capped at the grid: it solves as a window of
+        # twice the horizon does, instead of overflowing its step count.
+        spec = assumption_smoke_problem(100)
+
+        def theta_star(window):
+            return solve_equilibrium(spec, zero_theta(spec), SolverConfig(initial_window=window)).theta_star.values
+
+        assert np.array_equal(theta_star(1e308), theta_star(2.0))
+
     def test_window_refinement_invariance(self):
         spec = assumption_smoke_problem(200)
         th0 = zero_theta(spec)
@@ -402,30 +411,26 @@ class TestSolveEquilibrium:
         assert gap <= 1e-8
 
     def test_solver_rejects_matrix_problems(self):
-        from fbslq.presets import matrix_reduction_problem
-
         spec = matrix_reduction_problem(20)
         with pytest.raises(ValueError):
             solve_equilibrium(spec, Strategy.zeros(spec.grid, 2, 2))
 
-    def test_no_convergence_when_iteration_cap_binds(self):
+    def test_no_convergence_when_iteration_cap_binds(self, monkeypatch):
         spec = assumption_smoke_problem(100)
         from fbslq.equilibrium import NoConvergenceError
 
+        monkeypatch.setattr(equilibrium, "_MAX_ITERATIONS", 2)
         with pytest.raises(NoConvergenceError):
-            solve_equilibrium(
-                spec, zero_theta(spec), SolverConfig(max_iterations_per_window=2)
-            )
+            solve_equilibrium(spec, zero_theta(spec))
 
-    def test_non_contractive_when_target_unreachable(self):
+    def test_non_contractive_when_target_unreachable(self, monkeypatch):
         spec = assumption_smoke_problem(100)
         from fbslq.equilibrium import NonContractiveError
 
         # No window can beat a 1e-9 ratio; halving bottoms out at one step.
+        monkeypatch.setattr(equilibrium, "_CONTRACTION_TARGET", 1e-9)
         with pytest.raises(NonContractiveError):
-            solve_equilibrium(
-                spec, zero_theta(spec), SolverConfig(contraction_target=1e-9)
-            )
+            solve_equilibrium(spec, zero_theta(spec))
 
 
 def scaled_smoke(c, steps=200):
@@ -571,8 +576,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(fp_tolerance=float("nan"))
     with pytest.raises(ValueError):
-        SolverConfig(max_iterations_per_window=0)
+        SolverConfig(fp_tolerance=float("inf"))
     with pytest.raises(ValueError):
-        SolverConfig(contraction_target=1.5)
+        SolverConfig(initial_window=float("inf"))
     with pytest.raises(ValueError):
         SolverConfig(damping=0.0)

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbslq.matrixkit import (
-    default_rel_tol,
-    is_psd,
-    min_eig,
-    penrose_residuals,
-    pinv,
-    range_contains,
-    specnorm,
-)
+from fbslq.matrixkit import default_rel_tol, min_eig, pinv, range_residual, specnorm
+from tests.oracles import in_range, matrix_reduction_problem, penrose_residuals, psd_ok
 
 
 def test_pinv_zero_matrix():
@@ -53,49 +46,50 @@ def test_penrose_identities_random(shape, rng):
         assert max(penrose_residuals(m, pinv(m))) <= bound
 
 
-def test_range_contains_identity_and_zero():
-    assert range_contains(np.eye(3), np.arange(9.0).reshape(3, 3))
-    assert not range_contains(np.zeros((1, 1)), np.array([[2.0]]))
+def test_range_residual_identity_and_zero():
+    assert in_range(np.eye(3), np.arange(9.0).reshape(3, 3))
+    assert range_residual(np.zeros((1, 1)), np.array([[2.0]])) == 2.0
+    assert not in_range(np.zeros((1, 1)), np.array([[2.0]]))
 
 
-def test_range_contains_rank_one():
+def test_range_residual_rank_one():
     mbig = np.array([[1.0], [1.0]])
     msmall = np.array([[1.0, -1.0], [1.0, -1.0]])
     # Least-squares oracle: residual of each column projection is zero.
     for col in msmall.T:
         _, res, _, _ = np.linalg.lstsq(mbig, col[:, None], rcond=None)
         assert res.size == 0 or res[0] < 1e-24
-    assert range_contains(mbig, msmall)
-    assert not range_contains(mbig, np.array([[1.0], [-1.0]]))
+    assert in_range(mbig, msmall)
+    assert not in_range(mbig, np.array([[1.0], [-1.0]]))
 
 
-def test_range_contains_self(rng):
+def test_range_residual_self(rng):
     for _ in range(25):
         m = rng.standard_normal((4, 3))
-        assert range_contains(m, m)
+        assert in_range(m, m)
 
 
-def test_range_contains_dimension_mismatch():
+def test_range_residual_dimension_mismatch():
     with pytest.raises(ValueError):
-        range_contains(np.eye(2), np.eye(3))
+        range_residual(np.eye(2), np.eye(3))
 
 
-def test_is_psd_examples():
-    assert is_psd(np.eye(4))
-    assert not is_psd(np.diag([1.0, -0.5]))
+def test_min_eig_examples():
+    assert psd_ok(np.eye(4))
+    assert not psd_ok(np.diag([1.0, -0.5]))
     # Characteristic polynomial of [[2,1],[1,2]]: eigenvalues {1, 3}.
-    assert is_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert psd_ok(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.isclose(min_eig(np.array([[2.0, 1.0], [1.0, 2.0]])), 1.0)
 
 
-def test_is_psd_symmetrizes_first():
+def test_min_eig_symmetrizes_first():
     m = np.array([[1.0, 1e-13], [0.0, 1.0]])
-    assert is_psd(m)
+    assert psd_ok(m)
 
 
-def test_is_psd_rejects_non_square():
+def test_min_eig_rejects_non_square():
     with pytest.raises(ValueError):
-        is_psd(np.ones((2, 3)))
+        min_eig(np.ones((2, 3)))
 
 
 # -- the 1 x 1 path against the SVD/eigvalsh path it replaces --------------------
@@ -187,7 +181,6 @@ def test_scalar_solve_and_load_call_no_lapack(tmp_path, lapack_calls):
 
 
 def test_matrix_audit_calls_lapack(lapack_calls):
-    from fbslq.presets import matrix_reduction_problem
     from fbslq.riccati import check_constraints, solve_p2, two_time_diagonals
     from fbslq.verify import classical_riccati_feedback
 

@@ -13,17 +13,17 @@ from fbslq.kernels import (
     DiscountedKernel,
     TableKernel,
 )
-from fbslq.presets import example_2_5_problem, trivial_problem
+from fbslq.presets import example_2_5_problem
 from fbslq.problem import (
     Coefficients,
     Dimensions,
     ProblemSpec,
     Weights,
     _triangle_min,
-    check_lipschitz_in_t,
     check_one_dim_positivity,
     validate,
 )
+from tests.oracles import check_lipschitz_in_t, matrix_reduction_problem, trivial_problem
 
 
 def scalar_spec(Q=None, R=None, D=1.0, steps=50):
@@ -231,8 +231,6 @@ def test_lag_audit_is_the_dense_sweep_bitwise(name, steps):
 
 
 def test_positivity_rejects_multidimensional():
-    from fbslq.presets import matrix_reduction_problem
-
     with pytest.raises(ValueError):
         check_one_dim_positivity(matrix_reduction_problem(20))
 

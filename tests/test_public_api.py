@@ -1,0 +1,66 @@
+"""Every public name of the package is reached by a program path.
+
+A name in ``fbslq.__all__`` or in a module's ``__all__`` counts as reached
+when code in ``src/fbslq`` reads it (its own definition, the ``__all__``
+lists and the package's re-exports do not count), when a demo script names
+it, or when the README does.  Names that only tests read belong in
+``tests/oracles.py``.
+"""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import fbslq
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(fbslq.__file__).resolve().parent
+
+
+def module_names():
+    yield "fbslq"
+    for info in pkgutil.iter_modules(fbslq.__path__):
+        yield f"fbslq.{info.name}"
+
+
+def public_names():
+    """(module, name) for every entry of every ``__all__`` in the package."""
+    return sorted(
+        (module, name)
+        for module in module_names()
+        for name in getattr(importlib.import_module(module), "__all__", ())
+    )
+
+
+def names_read_by_package_code() -> set[str]:
+    """Names that the package's code loads, as a plain name or as an attribute.
+
+    Stores (definitions, ``__all__``) and imports are not reads, so the
+    package's re-exports in ``__init__.py`` count for nothing.
+    """
+    read = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def outside_text() -> str:
+    files = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
+    return "\n".join(f.read_text(encoding="utf-8") for f in files)
+
+
+def test_every_public_name_is_reached_by_a_program_path():
+    read, text = names_read_by_package_code(), outside_text()
+
+    def reached(name):
+        return name in read or re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+    names = public_names()
+    assert len(names) > 50 and not reached("evaluate_cost_of_nothing")  # the guard sees something
+    assert [f"{module}.{name}" for module, name in names if not reached(name)] == []

@@ -11,8 +11,6 @@ from fbslq.presets import (
     assumption_smoke_problem,
     classical_reduction_problem,
     example_2_5_problem,
-    matrix_reduction_problem,
-    trivial_problem,
 )
 from fbslq.problem import Coefficients, Dimensions, ProblemSpec, Weights
 from fbslq.riccati import (
@@ -29,6 +27,7 @@ from fbslq.riccati import (
     two_time_diagonals,
 )
 from tests.conftest import matrix_p2_problem
+from tests.oracles import matrix_reduction_problem, trivial_problem
 
 
 def build_scalar(A=0.0, B=0.0, C=0.0, D=0.0, Ahat=0.0, Bhat=0.0, Chat=0.0, Dhat=0.0,
@@ -276,8 +275,6 @@ class TestSolveP1:
         assert np.array_equal(p1.data[:, -1], g1)
 
     def test_symmetry_preserved_matrix_case(self, rng):
-        from fbslq.presets import matrix_reduction_problem
-
         spec = matrix_reduction_problem(80)
         theta = Strategy(spec.grid, rng.standard_normal((spec.grid.num_nodes, 2, 2)) * 0.3)
         p1 = solve_p1(spec, theta)
@@ -482,7 +479,6 @@ class TestFeedbackMapMatrix:
     def test_classical_gain_is_feedback_fixed_point(self):
         # Time-consistent matrix case: running the classical gain through the
         # Riccati route and the feedback map must return the same gain.
-        from fbslq.presets import matrix_reduction_problem
         from fbslq.verify import classical_riccati_feedback
 
         spec = matrix_reduction_problem(200)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fbslq.cli import main
-from fbslq.equilibrium import SolverConfig, second_moment_factor, solve_equilibrium
+from fbslq.equilibrium import SolverConfig, solve_equilibrium
 from fbslq.fields import Strategy
 from fbslq.io_utils import load_solution_dir, two_time_field_rows, write_csv
 from fbslq.problem import validate
@@ -19,13 +19,13 @@ from fbslq.scenario import (
     classical_reduction_scenario,
     example_2_5_scenario,
     load_scenario,
-    matrix_reduction_scenario,
     scenario_to_spec,
     smoke_scenario,
     trivial_scenario,
 )
-from fbslq.simulate import SimConfig, build_controls, evaluate_cost, simulate_closed_loop
+from fbslq.simulate import SimConfig, simulate_closed_loop
 from fbslq.verify import consistency_bound
+from tests.oracles import build_controls, evaluate_cost, matrix_reduction_scenario, second_moment_factor, trivial_problem
 
 
 @pytest.mark.parametrize(
@@ -58,7 +58,7 @@ def test_example_files_solve_to_their_presets_bitwise(tmp_path):
     assert main(["example", "--out", str(tmp_path), "--grid-steps", "60"]) == 0
     pairs = {
         "example25.json": presets.example_2_5_problem,
-        "trivial.json": presets.trivial_problem,
+        "trivial.json": trivial_problem,
         "smoke.json": presets.assumption_smoke_problem,
         "classical.json": presets.classical_reduction_problem,
     }
@@ -465,6 +465,37 @@ class TestCliSimulate:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+
+def table_smoke_scenario(grid_steps):
+    """The smoke document with R and N as 11 x 11 node tables of 1 + 0.1 (s - t).
+
+    Bilinear interpolation is exact for this linear lag, so the table
+    kernels take the dense route to the lag kernels' gain.
+    """
+    doc = smoke_scenario(grid_steps)
+    nodes = np.linspace(0.0, 1.0, 11)
+    table = {"s_nodes": nodes.tolist(), "t_nodes": nodes.tolist(),
+             "values": (1.0 + 0.1 * (nodes[:, None] - nodes[None, :])).tolist()}
+    doc["weights"]["R"] = doc["weights"]["N"] = {"type": "table", "params": table}
+    return doc
+
+
+def test_table_kernels_run_the_dense_route_through_every_command(tmp_path):
+    scen = write(tmp_path, "table.json", table_smoke_scenario(100))
+    assert load_scenario(scen).weights.lag_factors() is None  # the dense route
+    lag = write(tmp_path, "lag.json", smoke_scenario(100))
+    for name, path in (("table", scen), ("lag", lag)):
+        assert main(["solve", path, "--out", str(tmp_path / name)]) == 0
+    got, want = (np.genfromtxt(tmp_path / name / "theta.csv", delimiter=",", skip_header=1)[:, 1]
+                 for name in ("table", "lag"))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    sol = str(tmp_path / "table")
+    assert main(["verify", sol, "--suite", "equilibrium", "--paths", "2000",
+                 "--out", str(tmp_path / "rep.json")]) == 0
+    assert main(["simulate", sol, "--paths", "2000", "--t", "0.25", "--dump-paths",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert (tmp_path / "sim" / "paths.csv").exists()
 
 
 def test_cli_example_writes_scenarios(tmp_path):

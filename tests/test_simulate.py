@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbslq import simulate
-from fbslq.equilibrium import second_moment_factor, solve_equilibrium
+from fbslq.equilibrium import solve_equilibrium
 from fbslq.fields import Strategy
-from fbslq.presets import assumption_smoke_problem, matrix_reduction_problem
+from fbslq.presets import assumption_smoke_problem
 from fbslq.riccati import characterization_residual, solve_p2
 from fbslq.simulate import (
     BLOCK_PATHS,
@@ -27,16 +27,20 @@ from fbslq.simulate import (
     _primed,
     _snap_eps,
     bsde_residual_check,
-    build_controls,
-    evaluate_cost,
     perturbation_scaling,
     simulate_closed_loop,
-    simulate_spike,
     spike_test,
     spike_tests,
 )
 from fbslq.verify import suite_equilibrium
 from tests.conftest import matrix_p2_problem
+from tests.oracles import (
+    build_controls,
+    evaluate_cost,
+    matrix_reduction_problem,
+    second_moment_factor,
+    simulate_spike,
+)
 from tests.test_riccati import build_scalar, zero_theta
 
 

@@ -3,12 +3,7 @@ import pytest
 
 from fbslq.equilibrium import EquilibriumSolution
 from fbslq.fields import Strategy
-from fbslq.presets import (
-    classical_reduction_problem,
-    example_2_5_problem,
-    matrix_reduction_problem,
-    trivial_problem,
-)
+from fbslq.presets import classical_reduction_problem
 from fbslq.riccati import characterization_residual
 from fbslq.simulate import SimConfig
 from fbslq.verify import (
@@ -17,6 +12,7 @@ from fbslq.verify import (
     suite_equilibrium,
     suite_example_2_5,
 )
+from tests.oracles import matrix_reduction_problem, trivial_problem
 
 
 def test_suite_example_2_5_passes():
