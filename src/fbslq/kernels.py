@@ -1,17 +1,16 @@
 """Time-dependent coefficient and weight kernels.
 
-Two families live here:
-
-* :class:`TwoTimeKernel` -- matrix functions K(s, t) on [0, T]^2, used for the
-  running cost weights.  The cost integral only reads the triangle t <= s, but
-  the kernels are defined on the whole square.  The constant, discounted and
-  difference kernels depend on the lag d = s - t alone and expose it as
-  :class:`LagFactors`: coefficients over a basis exp(-rate d) d^k that an
-  h-shift maps into itself.  The Riccati diagonals and the integral route
-  advance those few factor sums node by node instead of sampling L x L
-  tables; table and callable kernels have no factors and are sampled.
-* :class:`TimeFunction` -- matrix functions of a single time, used for the
-  dynamics coefficients and the terminal/initial weights.
+One family serves every entry: :class:`TwoTimeKernel`, matrix functions
+K(s, t) on [0, T]^2.  The running cost weights read them at (s, t); the cost
+integral only reads the triangle t <= s, but the kernels are defined on the
+whole square.  The constant, discounted and difference formulas are one
+:class:`LagKernel`, a function of the lag d = s - t written over a basis
+exp(-rate d) d^k that an h-shift maps into itself.  The Riccati diagonals and
+the integral route advance its few factor sums node by node instead of
+sampling L x L tables; table and callable kernels are sampled.  A dynamics
+coefficient or a terminal/initial weight is a function of one time: a lag
+kernel read at lag d = t, ``kernel(t)``, or a :class:`TimeFunction` (a table
+or a callable).
 
 Scenario files may only use the closed family that :func:`kernel_from_spec`
 and :func:`time_fn_from_spec` read (constant / discounted / difference /
@@ -28,17 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LagFactors",
     "TwoTimeKernel",
-    "ConstantKernel",
-    "DiscountedKernel",
-    "DifferenceKernel",
+    "LagKernel",
     "TableKernel",
     "CallableKernel",
     "TimeFunction",
-    "ConstantFn",
-    "DiscountedFn",
-    "AffineFn",
     "TableFn",
     "CallableFn",
     "kernel_from_spec",
@@ -53,36 +46,6 @@ def _as_matrix(value) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     return m
-
-
-def _scale(w, m: np.ndarray) -> np.ndarray:
-    """Multiply matrix m by a scalar-or-array weight, broadcasting over leads."""
-    w = np.asarray(w, dtype=float)
-    return w[..., None, None] * m if w.ndim else w * m
-
-
-@dataclass(frozen=True)
-class LagFactors:
-    """A kernel of the lag d = s - t: K = exp(-rate d) (coefs[0] + d coefs[1] + ...).
-
-    The basis b_k(d) = exp(-rate d) d^k is shift-invariant,
-    b(d + step) = shift(step) @ b(d), and b(0) is the first unit vector.  So a
-    sum of K(s_j, t_i) over nodes s_j can be carried relative to the current
-    node t_i and moved one node back by a small matrix, without an exponent
-    that spans the horizon.
-    """
-
-    rate: float
-    coefs: np.ndarray  # (degree + 1, r, c)
-
-    def shift(self, step: float) -> np.ndarray:
-        """Lower-triangular S with S[k, q] = exp(-rate step) C(k, q) step^(k - q)."""
-        size = len(self.coefs)
-        out = np.zeros((size, size))
-        for k in range(size):
-            for q in range(k + 1):
-                out[k, q] = math.comb(k, q) * step ** (k - q)
-        return math.exp(-self.rate * step) * out
 
 
 class TwoTimeKernel:
@@ -100,58 +63,58 @@ class TwoTimeKernel:
     def evaluate(self, s, t) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def lag_factors(self) -> LagFactors | None:
-        """The kernel as a function of the lag s - t, or None when it is not one."""
-        return None
 
+@dataclass(frozen=True, eq=False)
+class LagKernel(TwoTimeKernel):
+    """A kernel of the lag d = s - t: K = exp(-rate d) (coefs[0] + d coefs[1] + ...).
 
-class ConstantKernel(TwoTimeKernel):
-    def __init__(self, value):
-        self.value = _as_matrix(value)
-        self.shape = self.value.shape
+    ``coefs`` lists one matrix (or scalar) per degree.  The basis
+    b_k(d) = exp(-rate d) d^k is shift-invariant,
+    b(d + step) = shift(step) @ b(d), and b(0) is the first unit vector.  So a
+    sum of K(s_j, t_i) over nodes s_j can be carried relative to the current
+    node t_i and moved one node back by a small matrix, without an exponent
+    that spans the horizon.  Called with one time, ``kernel(t)`` is the
+    single-time reading K(t, 0), at lag d = t.
+    """
 
-    def lag_factors(self):
-        return LagFactors(0.0, self.value[None])
+    rate: float
+    coefs: np.ndarray  # (degree + 1, r, c)
 
-    def evaluate(self, s, t):
-        lead = np.broadcast_shapes(np.shape(s), np.shape(t))
-        return np.broadcast_to(self.value, lead + self.shape)
+    def __post_init__(self):
+        object.__setattr__(self, "rate", float(self.rate))
+        coefs = [_as_matrix(c) for c in self.coefs]
+        if len({c.shape for c in coefs}) > 1:
+            raise ValueError(f"lag kernel coefficient shapes differ: {[c.shape for c in coefs]}")
+        object.__setattr__(self, "coefs", np.stack(coefs))
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.coefs.shape[1:]
 
-class DiscountedKernel(TwoTimeKernel):
-    """K(s, t) = exp(-rate * (s - t)) * base."""
-
-    def __init__(self, base, rate):
-        self.base = _as_matrix(base)
-        self.rate = float(rate)
-        self.shape = self.base.shape
-
-    def evaluate(self, s, t):
-        w = np.exp(-self.rate * (np.asarray(s, float) - np.asarray(t, float)))
-        return _scale(w, self.base)
-
-    def lag_factors(self):
-        return LagFactors(self.rate, self.base[None])
-
-
-class DifferenceKernel(TwoTimeKernel):
-    """K(s, t) = alpha * (s - t) + beta."""
-
-    def __init__(self, alpha, beta):
-        self.alpha = _as_matrix(alpha)
-        self.beta = _as_matrix(beta)
-        if self.alpha.shape != self.beta.shape:
-            raise ValueError("alpha/beta shape mismatch")
-        self.shape = self.alpha.shape
+    def __call__(self, s, t=0.0) -> np.ndarray:
+        return super().__call__(s, t)
 
     def evaluate(self, s, t):
-        d = np.asarray(s, float) - np.asarray(t, float)
+        # Horner from the top degree; a constant is coefs[0] itself, and the
+        # exp factor enters only at rate != 0.
+        poly = self.coefs[-1]
+        if len(self.coefs) == 1 and self.rate == 0:
+            return poly
+        d = s - t
         if np.ndim(d):
-            return d[..., None, None] * self.alpha + self.beta
-        return d * self.alpha + self.beta
+            d = d[..., None, None]
+        for c in self.coefs[-2::-1]:
+            poly = d * poly + c
+        return poly if self.rate == 0 else np.exp(-self.rate * d) * poly
 
-    def lag_factors(self):
-        return LagFactors(0.0, np.stack([self.beta, self.alpha]))
+    def shift(self, step: float) -> np.ndarray:
+        """Lower-triangular S with S[k, q] = exp(-rate step) C(k, q) step^(k - q)."""
+        size = len(self.coefs)
+        out = np.zeros((size, size))
+        for k in range(size):
+            for q in range(k + 1):
+                out[k, q] = math.comb(k, q) * step ** (k - q)
+        return math.exp(-self.rate * step) * out
 
 
 def _locate(nodes: np.ndarray, x: np.ndarray):
@@ -162,25 +125,30 @@ def _locate(nodes: np.ndarray, x: np.ndarray):
     return i, w
 
 
+def _table_nodes(nodes) -> np.ndarray:
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or len(nodes) < 2:
+        raise ValueError(f"a table needs at least two nodes per axis, got shape {nodes.shape}")
+    if np.any(np.diff(nodes) <= 0):
+        raise ValueError("table nodes must be strictly increasing")
+    return nodes
+
+
 class TableKernel(TwoTimeKernel):
     """Tabulated kernel, bilinear interpolation on the (s, t) rectangle."""
 
     def __init__(self, s_nodes, t_nodes, values):
-        self.s_nodes = np.asarray(s_nodes, dtype=float)
-        self.t_nodes = np.asarray(t_nodes, dtype=float)
+        self.s_nodes = _table_nodes(s_nodes)
+        self.t_nodes = _table_nodes(t_nodes)
         v = np.asarray(values, dtype=float)
         if v.ndim == 2:
             v = v[:, :, None, None]
         if v.shape[:2] != (len(self.s_nodes), len(self.t_nodes)):
             raise ValueError("table shape does not match node counts")
-        if np.any(np.diff(self.s_nodes) <= 0) or np.any(np.diff(self.t_nodes) <= 0):
-            raise ValueError("table nodes must be strictly increasing")
         self.values = v
         self.shape = v.shape[2:]
 
     def evaluate(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
         lead = np.broadcast_shapes(s.shape, t.shape)
         s = np.broadcast_to(s, lead)
         t = np.broadcast_to(t, lead)
@@ -209,7 +177,7 @@ class CallableKernel(TwoTimeKernel):
 
 
 class TimeFunction:
-    """Matrix-valued function of a single time."""
+    """Matrix-valued function of a single time that is not a lag kernel."""
 
     shape: tuple[int, int]
 
@@ -222,49 +190,11 @@ class TimeFunction:
         raise NotImplementedError
 
 
-class ConstantFn(TimeFunction):
-    def __init__(self, value):
-        self.value = _as_matrix(value)
-        self.shape = self.value.shape
-
-    def evaluate(self, t):
-        return np.broadcast_to(self.value, np.shape(t) + self.shape)
-
-
-class DiscountedFn(TimeFunction):
-    """f(t) = exp(-rate * t) * base (single-time reading of the discounted kernel)."""
-
-    def __init__(self, base, rate):
-        self.base = _as_matrix(base)
-        self.rate = float(rate)
-        self.shape = self.base.shape
-
-    def evaluate(self, t):
-        return _scale(np.exp(-self.rate * np.asarray(t, float)), self.base)
-
-
-class AffineFn(TimeFunction):
-    """f(t) = alpha * t + beta (single-time reading of the difference kernel)."""
-
-    def __init__(self, alpha, beta):
-        self.alpha = _as_matrix(alpha)
-        self.beta = _as_matrix(beta)
-        if self.alpha.shape != self.beta.shape:
-            raise ValueError("alpha/beta shape mismatch")
-        self.shape = self.alpha.shape
-
-    def evaluate(self, t):
-        t = np.asarray(t, float)
-        if np.ndim(t):
-            return t[..., None, None] * self.alpha + self.beta
-        return t * self.alpha + self.beta
-
-
 class TableFn(TimeFunction):
     """Tabulated single-time function, linear interpolation, clamped ends."""
 
     def __init__(self, nodes, values):
-        self.nodes = np.asarray(nodes, dtype=float)
+        self.nodes = _table_nodes(nodes)
         v = np.asarray(values, dtype=float)
         if v.ndim == 1:
             v = v[:, None, None]
@@ -274,7 +204,6 @@ class TableFn(TimeFunction):
         self.shape = v.shape[1:]
 
     def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
         i, w = _locate(self.nodes, t)
         w = w[..., None, None]
         return self.values[i] * (1 - w) + self.values[i + 1] * w
@@ -291,18 +220,21 @@ class CallableFn(TimeFunction):
         return np.asarray(self.fn(t), dtype=float)
 
 
-def kernel_from_spec(spec: dict, shape: tuple[int, int]) -> TwoTimeKernel:
-    """Build a two-time kernel from its JSON description."""
+# The lag spec types as (rate, coefs) of their parameters.
+_LAG_TYPES = {
+    "constant": lambda p: (0.0, [p["value"]]),
+    "discounted": lambda p: (p["rate"], [p["base"]]),
+    "difference": lambda p: (0.0, [p["beta"], p["alpha"]]),
+}
+
+
+def _from_spec(spec: dict, shape: tuple[int, int], table):
     kind = spec.get("type")
     p = spec.get("params", {})
-    if kind == "constant":
-        k = ConstantKernel(p["value"])
-    elif kind == "discounted":
-        k = DiscountedKernel(p["base"], p["rate"])
-    elif kind == "difference":
-        k = DifferenceKernel(p["alpha"], p["beta"])
+    if kind in _LAG_TYPES:
+        k = LagKernel(*_LAG_TYPES[kind](p))
     elif kind == "table":
-        k = TableKernel(p["s_nodes"], p["t_nodes"], p["values"])
+        k = table(p)
     else:
         raise ValueError(f"unknown kernel type {kind!r}")
     if k.shape != tuple(shape):
@@ -310,24 +242,15 @@ def kernel_from_spec(spec: dict, shape: tuple[int, int]) -> TwoTimeKernel:
     return k
 
 
-def time_fn_from_spec(spec: dict, shape: tuple[int, int]) -> TimeFunction:
+def kernel_from_spec(spec: dict, shape: tuple[int, int]) -> TwoTimeKernel:
+    """Build a two-time kernel from its JSON description."""
+    return _from_spec(spec, shape, lambda p: TableKernel(p["s_nodes"], p["t_nodes"], p["values"]))
+
+
+def time_fn_from_spec(spec: dict, shape: tuple[int, int]) -> LagKernel | TimeFunction:
     """Build a single-time function from its JSON description.
 
-    The same four spec types are accepted; the formulas read with the plain
-    time argument t in place of the difference (s - t), and tables are 1-d.
+    The same four spec types are accepted; the lag types are read at lag
+    d = t, the plain time argument in place of (s - t), and tables are 1-d.
     """
-    kind = spec.get("type")
-    p = spec.get("params", {})
-    if kind == "constant":
-        f = ConstantFn(p["value"])
-    elif kind == "discounted":
-        f = DiscountedFn(p["base"], p["rate"])
-    elif kind == "difference":
-        f = AffineFn(p["alpha"], p["beta"])
-    elif kind == "table":
-        f = TableFn(p["nodes"], p["values"])
-    else:
-        raise ValueError(f"unknown kernel type {kind!r}")
-    if f.shape != tuple(shape):
-        raise ValueError(f"function shape {f.shape} does not match expected {tuple(shape)}")
-    return f
+    return _from_spec(spec, shape, lambda p: TableFn(p["nodes"], p["values"]))

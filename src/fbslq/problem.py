@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import TimeGrid
-from .kernels import LagFactors, TimeFunction, TwoTimeKernel
+from .kernels import LagKernel, TimeFunction, TwoTimeKernel
 
 __all__ = [
     "Dimensions",
@@ -47,14 +47,14 @@ class Dimensions:
 class Coefficients:
     """Dynamics coefficients; all bounded functions on [0, horizon]."""
 
-    A: TimeFunction  # n x n
-    B: TimeFunction  # n x k
-    C: TimeFunction  # n x n
-    D: TimeFunction  # n x k
-    Ahat: TimeFunction  # m x n
-    Bhat: TimeFunction  # m x k
-    Chat: TimeFunction  # m x m
-    Dhat: TimeFunction  # m x m
+    A: LagKernel | TimeFunction  # n x n
+    B: LagKernel | TimeFunction  # n x k
+    C: LagKernel | TimeFunction  # n x n
+    D: LagKernel | TimeFunction  # n x k
+    Ahat: LagKernel | TimeFunction  # m x n
+    Bhat: LagKernel | TimeFunction  # m x k
+    Chat: LagKernel | TimeFunction  # m x m
+    Dhat: LagKernel | TimeFunction  # m x m
     H: np.ndarray  # m x n, constant
     horizon: float
 
@@ -65,17 +65,18 @@ class Weights:
     R: TwoTimeKernel  # k x k, symmetric
     M: TwoTimeKernel  # m x m, symmetric
     N: TwoTimeKernel  # m x m, symmetric
-    G1: TimeFunction  # n x n, symmetric
-    G2: TimeFunction  # m x m, symmetric
+    G1: LagKernel | TimeFunction  # n x n, symmetric
+    G2: LagKernel | TimeFunction  # m x m, symmetric
 
-    def lag_factors(self) -> dict[str, LagFactors] | None:
-        """Lag factors of Q, R, M and N by name, or None unless all four have them.
+    def lag_factors(self) -> dict[str, LagKernel] | None:
+        """Q, R, M and N by name if all four are lag kernels, else None.
 
         This decides the route of the Riccati diagonals and of p1t: factor
-        sums when it returns factors, dense sampling otherwise.
+        sums over the kernels' ``coefs`` when it returns them, dense sampling
+        otherwise.
         """
-        factors = {name: getattr(self, name).lag_factors() for name in "QRMN"}
-        return factors if all(f is not None for f in factors.values()) else None
+        factors = {name: getattr(self, name) for name in "QRMN"}
+        return factors if all(isinstance(k, LagKernel) for k in factors.values()) else None
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ _WEIGHT_SHAPES = {
     "G2": ("m", "m"),
 }
 
-_SYMMETRIC_WEIGHTS = ("Q", "R", "M", "N", "G1", "G2")
+_ONE_TIME_WEIGHTS = ("G1", "G2")  # the other weights are two-time kernels
 
 
 def _expected_shape(dims: Dimensions, spec: tuple[str, str]) -> tuple[int, int]:
@@ -153,8 +154,10 @@ def _sample_times(grid: TimeGrid, cap: int = 41) -> np.ndarray:
 _SYM_TOL = 1e-9  # largest asymmetry of a weight sample, relative to 1 + its largest entry
 
 
+# A sample that overflows is reported as non-finite, not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def validate(spec: ProblemSpec) -> ValidationReport:
-    """Report dimension mismatches, non-symmetric weights, and non-finite samples.
+    """Report dimension mismatches, non-finite samples and non-symmetric weights.
 
     An empty issue list means the spec is well formed.  Pure and idempotent.
     """
@@ -175,7 +178,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         report.issues.append("non-finite samples H")
 
     for name, shape_spec in _COEFF_SHAPES.items():
-        fn: TimeFunction = getattr(spec.coeffs, name)
+        fn = getattr(spec.coeffs, name)
         want = _expected_shape(dims, shape_spec)
         if tuple(fn.shape) != want:
             report.issues.append(f"dimension mismatch {name}: got {tuple(fn.shape)}, want {want}")
@@ -193,15 +196,14 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         if tuple(kern.shape) != want:
             report.issues.append(f"dimension mismatch {name}: got {tuple(kern.shape)}, want {want}")
             continue
-        vals = kern(ss[tri], tt[tri]) if isinstance(kern, TwoTimeKernel) else kern(ts)
+        vals = kern(ts) if name in _ONE_TIME_WEIGHTS else kern(ss[tri], tt[tri])
         if not np.all(np.isfinite(vals)):
             report.issues.append(f"non-finite samples {name}")
             continue
-        if name in _SYMMETRIC_WEIGHTS:
-            gap = np.abs(vals - np.swapaxes(vals, -1, -2))
-            scale = 1.0 + float(np.max(np.abs(vals)))
-            if float(np.max(gap)) > _SYM_TOL * scale:
-                report.issues.append(f"symmetry violation {name}")
+        gap = np.abs(vals - np.swapaxes(vals, -1, -2))
+        scale = 1.0 + float(np.max(np.abs(vals)))
+        if float(np.max(gap)) > _SYM_TOL * scale:
+            report.issues.append(f"symmetry violation {name}")
     return report
 
 
@@ -212,17 +214,18 @@ _AUDIT_ROWS = 64
 def _triangle_min(kern: TwoTimeKernel, nodes: np.ndarray) -> float:
     """Minimum of a scalar kernel over the node pairs s >= t.
 
-    A kernel with :class:`~fbslq.kernels.LagFactors` depends on the lag
-    s - t alone, and on the uniform grid the lags of the node pairs are the
-    L node lags t_k - t_0, so one call reads it there.  This is the dense
-    sweep's minimum bit for bit: the constant, discounted and difference
-    kernels are monotone in the lag, so both minima sit at lag 0 or lag T,
-    and both routes sample those two lags exactly (s = t, and T - 0).
-    Other kernels are swept over the triangle a block of s-rows at a time;
-    each call samples at most ``_AUDIT_ROWS`` x len(nodes) points, so the
-    audit needs O(L) memory.
+    A :class:`~fbslq.kernels.LagKernel` depends on the lag s - t alone, and
+    on the uniform grid the lags of the node pairs are the L node lags
+    t_k - t_0, so one call reads it there.  This is the dense sweep's minimum
+    bit for bit when the kernel is monotone in the lag: both minima then sit
+    at lag 0 or lag T, and both routes sample those two lags exactly (s = t,
+    and T - 0).  Every scenario type (constant, discounted, difference) is
+    monotone; an in-code lag kernel with rate != 0 and degree 1 need not be,
+    and its two minima may then differ by rounding.  Other kernels are swept
+    over the triangle a block of s-rows at a time; each call samples at most
+    ``_AUDIT_ROWS`` x len(nodes) points, so the audit needs O(L) memory.
     """
-    if kern.lag_factors() is not None:
+    if isinstance(kern, LagKernel):
         return float(np.min(kern(nodes, nodes[0])[:, 0, 0]))
     lowest = np.inf
     for a in range(0, len(nodes), _AUDIT_ROWS):

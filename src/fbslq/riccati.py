@@ -21,7 +21,7 @@ Norsett & Wanner, Solving ODEs I, II.1), the only RK4 stages outside the
 oracle in :mod:`fbslq.verify`.  P1 and P3 share :func:`_two_time_maps`, and
 two routes, which differ only in how they sum the sources, give the diagonals:
 
-* Factor route, when Q, R, M and N all have :class:`~fbslq.kernels.LagFactors`
+* Factor route, when Q, R, M and N are all :class:`~fbslq.kernels.LagKernel`
   (constant, discounted and difference kernels).  Each source then separates
   over a small lag basis, and P(t_i;t_i) is the transported terminal value
   plus the suffix sums sum_{j >= i} Phi_i ... Phi_{j-1} u_j S^(j-i), carried
@@ -425,7 +425,7 @@ def _factor_diagonals(
 ) -> list[np.ndarray]:
     """P(t;t) of each (terminal, terms) equation by the factor route; O(r L).
 
-    ``factors`` maps each weight name to its :class:`~fbslq.kernels.LagFactors`.
+    ``factors`` maps each weight name to its :class:`~fbslq.kernels.LagKernel`.
     """
     grid, n = spec.grid, spec.dims.n
     d, h = n * n, grid.h

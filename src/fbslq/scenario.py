@@ -32,7 +32,8 @@ import numpy as np
 
 from .fields import TimeGrid
 from .kernels import kernel_from_spec, time_fn_from_spec
-from .problem import _COEFF_SHAPES, _WEIGHT_SHAPES, Coefficients, Dimensions, ProblemSpec, Weights, _expected_shape
+from .problem import _COEFF_SHAPES, _ONE_TIME_WEIGHTS, _WEIGHT_SHAPES, _expected_shape
+from .problem import Coefficients, Dimensions, ProblemSpec, Weights
 
 __all__ = [
     "scenario_to_spec",
@@ -42,8 +43,6 @@ __all__ = [
     "smoke_scenario",
     "classical_reduction_scenario",
 ]
-
-_ONE_TIME_WEIGHTS = ("G1", "G2")  # the other weights are two-time kernels
 
 
 def _typed(value, kind, name: str):

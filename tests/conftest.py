@@ -3,7 +3,7 @@ import pytest
 
 from fbslq.equilibrium import solve_equilibrium
 from fbslq.fields import Strategy, TimeGrid
-from fbslq.kernels import AffineFn, ConstantFn, ConstantKernel, DiscountedFn
+from fbslq.kernels import LagKernel
 from fbslq.presets import assumption_smoke_problem
 from fbslq.problem import Coefficients, Dimensions, ProblemSpec, Weights
 
@@ -38,19 +38,20 @@ def matrix_p2_problem(steps, n=2, m=2, k=1):
     rng = np.random.default_rng(7)
 
     def affine(shape):
-        return AffineFn(0.5 * rng.standard_normal(shape), 0.5 * rng.standard_normal(shape))
+        alpha = 0.5 * rng.standard_normal(shape)
+        return LagKernel(0.0, [0.5 * rng.standard_normal(shape), alpha])
 
     return ProblemSpec(
         dims=Dimensions(n, m, k),
         coeffs=Coefficients(
             A=affine((n, n)), B=affine((n, k)), C=affine((n, n)), D=affine((n, k)),
             Ahat=affine((m, n)), Bhat=affine((m, k)),
-            Chat=DiscountedFn(0.5 * rng.standard_normal((m, m)), 1.5), Dhat=affine((m, m)),
+            Chat=LagKernel(1.5, [0.5 * rng.standard_normal((m, m))]), Dhat=affine((m, m)),
             H=rng.standard_normal((m, n)), horizon=1.0,
         ),
         weights=Weights(
-            Q=ConstantKernel(np.eye(n)), R=ConstantKernel(np.eye(k)), M=ConstantKernel(np.eye(m)),
-            N=ConstantKernel(np.eye(m)), G1=ConstantFn(np.eye(n)), G2=ConstantFn(np.eye(m)),
+            Q=LagKernel(0.0, [np.eye(n)]), R=LagKernel(0.0, [np.eye(k)]), M=LagKernel(0.0, [np.eye(m)]),
+            N=LagKernel(0.0, [np.eye(m)]), G1=LagKernel(0.0, [np.eye(n)]), G2=LagKernel(0.0, [np.eye(m)]),
         ),
         grid=TimeGrid(1.0, steps),
     )

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fbslq.equilibrium import SolverConfig, solve_equilibrium
 from fbslq.fields import Strategy
@@ -20,7 +19,7 @@ from fbslq.presets import (
 )
 from fbslq.riccati import characterization_residual, solve_p1
 from fbslq.simulate import SimConfig, SpikeSpec, bsde_residual_check, perturbation_scaling, spike_tests
-from fbslq.verify import classical_riccati_feedback, suite_example_2_5
+from fbslq.verify import classical_riccati_feedback
 from tests.oracles import in_range, penrose_residuals
 
 

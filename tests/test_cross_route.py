@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fbslq.equilibrium import _Workspace
 from fbslq.fields import Strategy, TimeGrid
-from fbslq.kernels import AffineFn, ConstantFn, ConstantKernel, DifferenceKernel, DiscountedKernel
+from fbslq.kernels import LagKernel
 from fbslq.problem import Coefficients, Dimensions, ProblemSpec, Weights
 from fbslq.riccati import solve_p2, two_time_diagonals
 from tests.test_riccati import dense_kernels, max_rel_gap
@@ -32,10 +32,11 @@ def lag_kernels(draw, size, rng):
 
     kind = draw(st.sampled_from(["constant", "discounted", "difference"]))
     if kind == "constant":
-        return ConstantKernel(sym())
+        return LagKernel(0.0, [sym()])
     if kind == "discounted":
-        return DiscountedKernel(sym(), draw(st.floats(-3.0, 12.0)))
-    return DifferenceKernel(sym(), sym())
+        return LagKernel(draw(st.floats(-3.0, 12.0)), [sym()])
+    alpha = sym()
+    return LagKernel(0.0, [sym(), alpha])
 
 
 @st.composite
@@ -44,11 +45,12 @@ def problems(draw, n, m, k):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def affine(shape):
-        return AffineFn(0.5 * rng.standard_normal(shape), 0.5 * rng.standard_normal(shape))
+        alpha = 0.5 * rng.standard_normal(shape)
+        return LagKernel(0.0, [0.5 * rng.standard_normal(shape), alpha])
 
     def sym_fn(size):
         a = rng.uniform(-1.0, 1.0, (size, size))
-        return ConstantFn(0.5 * (a + a.T))
+        return LagKernel(0.0, [0.5 * (a + a.T)])
 
     steps = draw(st.integers(4, 24))
     spec = ProblemSpec(

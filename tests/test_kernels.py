@@ -1,26 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbslq.fields import OneTimeField, Strategy, TimeGrid, TwoTimeField
-from fbslq.kernels import ConstantKernel, DifferenceKernel, DiscountedKernel, TableKernel, kernel_from_spec
+from fbslq.kernels import LagKernel, TableKernel, kernel_from_spec, time_fn_from_spec
+
+CASES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+TIMES = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5).map(np.array)
+RATES = st.just(0.0) | st.floats(-20.0, 20.0)
 
 
 def test_constant_kernel_broadcasts():
-    k = ConstantKernel([[1.0, 2.0], [2.0, 3.0]])
+    k = LagKernel(0.0, [[[1.0, 2.0], [2.0, 3.0]]])
     out = k(np.linspace(0, 1, 5), 0.0)
     assert out.shape == (5, 2, 2)
     assert np.array_equal(out[3], [[1.0, 2.0], [2.0, 3.0]])
 
 
 def test_difference_kernel_values():
-    k = DifferenceKernel(2.0, 1.0)
+    k = LagKernel(0.0, [1.0, 2.0])
     assert k(0.7, 0.2)[0, 0] == pytest.approx(2.0 * 0.5 + 1.0)
     ss = np.array([0.5, 1.0])
     assert np.allclose(k(ss, 0.0)[:, 0, 0], 2.0 * ss + 1.0)
 
 
 def test_discounted_kernel_decay():
-    k = DiscountedKernel(4.0, 2.0)
+    k = LagKernel(2.0, [4.0])
     assert k(1.0, 0.0)[0, 0] == pytest.approx(4.0 * np.exp(-2.0))
 
 
@@ -47,6 +53,8 @@ def test_kernel_spec_shape_mismatch_rejected():
         kernel_from_spec({"type": "constant", "params": {"value": [[1.0, 0.0]]}}, (1, 1))
     with pytest.raises(ValueError):
         kernel_from_spec({"type": "mystery", "params": {}}, (1, 1))
+    with pytest.raises(ValueError, match="coefficient shapes differ"):
+        kernel_from_spec({"type": "difference", "params": {"alpha": [[1.0, 0.0]], "beta": [[1.0]]}}, (1, 1))
 
 
 def test_two_time_field_diagonal_and_masking():
@@ -72,3 +80,65 @@ def test_strategy_requires_finite():
     grid = TimeGrid(1.0, 2)
     with pytest.raises(ValueError):
         Strategy.from_flat(grid, np.array([0.0, np.inf, 1.0]))
+
+
+@st.composite
+def lag_specs(draw):
+    """A constant, discounted or difference spec with drawn 1 x 1 or 2 x 2 parameters."""
+    shape = draw(st.sampled_from([(1, 1), (2, 2)]))
+
+    def mat():
+        size = shape[0] * shape[1]
+        return np.reshape(draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)), shape).tolist()
+
+    kind = draw(st.sampled_from(["constant", "discounted", "difference"]))
+    if kind == "constant":
+        params = {"value": mat()}
+    elif kind == "discounted":
+        params = {"base": mat(), "rate": draw(RATES)}
+    else:
+        params = {"alpha": mat(), "beta": mat()}
+    return {"type": kind, "params": params}
+
+
+def closed_formula(spec, s, t):
+    """The spec's formula written out from its params, at every (s, t) pair."""
+    p = {k: np.asarray(v) for k, v in spec["params"].items()}
+    d = (s[:, None] - t[None, :])[..., None, None]
+    if spec["type"] == "constant":
+        return np.broadcast_to(p["value"], d.shape[:2] + p["value"].shape)
+    if spec["type"] == "discounted":
+        return p["base"] * np.exp(-p["rate"] * d)
+    return p["alpha"] * d + p["beta"]
+
+
+@CASES
+@given(spec=lag_specs(), s=TIMES, t=TIMES)
+def test_each_lag_spec_type_is_its_closed_formula(spec, s, t):
+    # Evaluation reads the kernel's coefs, so a wrong coefficient shows here.
+    shape = np.shape(next(iter(spec["params"].values())))
+    kern = kernel_from_spec(spec, shape)
+    got, want = kern(s[:, None], t[None, :]), closed_formula(spec, s, t)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))  # 1 ulp: the test orders its own operations
+    assert np.array_equal(time_fn_from_spec(spec, shape)(s), kern(s, 0.0))  # read at lag d = t, bit for bit
+
+
+@CASES
+@given(
+    coefs=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+    rate=RATES,
+    d=st.floats(0.0, 2.0),
+    step=st.floats(0.0, 1.0),
+)
+def test_lag_basis_moves_by_its_shift(coefs, rate, d, step):
+    # b_k(d) = exp(-rate d) d^k: b(d + step) = shift(step) b(d), and K(d) = coefs . b(d).
+    kern = LagKernel(rate, coefs)
+    powers = np.arange(len(coefs))
+
+    def basis(x):
+        return np.exp(-rate * x) * x**powers
+
+    assert np.allclose(basis(d + step), kern.shift(step) @ basis(d), rtol=1e-13, atol=0.0)
+    terms = np.array(coefs) * basis(d + step)
+    assert abs(kern(d + step, 0.0)[0, 0] - terms.sum()) <= 1e-13 * np.abs(terms).sum()

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from fbslq.fields import TimeGrid
-from fbslq.kernels import (
-    CallableFn,
-    CallableKernel,
-    ConstantFn,
-    ConstantKernel,
-    DifferenceKernel,
-    DiscountedKernel,
-    TableKernel,
-)
+from fbslq.kernels import CallableFn, CallableKernel, LagKernel, TableKernel
 from fbslq.presets import example_2_5_problem
 from fbslq.problem import (
     Coefficients,
@@ -30,24 +22,24 @@ def scalar_spec(Q=None, R=None, D=1.0, steps=50):
     return ProblemSpec(
         dims=Dimensions(1, 1, 1),
         coeffs=Coefficients(
-            A=ConstantFn(0.0),
-            B=ConstantFn(0.0),
-            C=ConstantFn(0.0),
-            D=ConstantFn(D),
-            Ahat=ConstantFn(0.0),
-            Bhat=ConstantFn(0.0),
-            Chat=ConstantFn(0.0),
-            Dhat=ConstantFn(0.0),
+            A=LagKernel(0.0, [0.0]),
+            B=LagKernel(0.0, [0.0]),
+            C=LagKernel(0.0, [0.0]),
+            D=LagKernel(0.0, [D]),
+            Ahat=LagKernel(0.0, [0.0]),
+            Bhat=LagKernel(0.0, [0.0]),
+            Chat=LagKernel(0.0, [0.0]),
+            Dhat=LagKernel(0.0, [0.0]),
             H=np.array([[0.0]]),
             horizon=1.0,
         ),
         weights=Weights(
-            Q=Q if Q is not None else ConstantKernel(0.0),
-            R=R if R is not None else ConstantKernel(1.0),
-            M=ConstantKernel(0.0),
-            N=ConstantKernel(1.0),
-            G1=ConstantFn(0.0),
-            G2=ConstantFn(0.0),
+            Q=Q if Q is not None else LagKernel(0.0, [0.0]),
+            R=R if R is not None else LagKernel(0.0, [1.0]),
+            M=LagKernel(0.0, [0.0]),
+            N=LagKernel(0.0, [1.0]),
+            G1=LagKernel(0.0, [0.0]),
+            G2=LagKernel(0.0, [0.0]),
         ),
         grid=TimeGrid(1.0, steps),
     )
@@ -64,7 +56,7 @@ def test_validate_flags_dimension_mismatch():
         dims=spec.dims,
         coeffs=Coefficients(
             A=spec.coeffs.A,
-            B=ConstantFn(np.zeros((1, 2))),  # n x (k+1)
+            B=LagKernel(0.0, [np.zeros((1, 2))]),  # n x (k+1)
             C=spec.coeffs.C,
             D=spec.coeffs.D,
             Ahat=spec.coeffs.Ahat,
@@ -86,24 +78,24 @@ def test_validate_flags_symmetry_violation():
     bad = ProblemSpec(
         dims=Dimensions(2, 1, 1),
         coeffs=Coefficients(
-            A=ConstantFn(np.zeros((2, 2))),
-            B=ConstantFn(np.zeros((2, 1))),
-            C=ConstantFn(np.zeros((2, 2))),
-            D=ConstantFn(np.zeros((2, 1))),
-            Ahat=ConstantFn(np.zeros((1, 2))),
-            Bhat=ConstantFn(0.0),
-            Chat=ConstantFn(0.0),
-            Dhat=ConstantFn(0.0),
+            A=LagKernel(0.0, [np.zeros((2, 2))]),
+            B=LagKernel(0.0, [np.zeros((2, 1))]),
+            C=LagKernel(0.0, [np.zeros((2, 2))]),
+            D=LagKernel(0.0, [np.zeros((2, 1))]),
+            Ahat=LagKernel(0.0, [np.zeros((1, 2))]),
+            Bhat=LagKernel(0.0, [0.0]),
+            Chat=LagKernel(0.0, [0.0]),
+            Dhat=LagKernel(0.0, [0.0]),
             H=np.zeros((1, 2)),
             horizon=1.0,
         ),
         weights=Weights(
-            Q=ConstantKernel([[1.0, 2.0], [0.0, 1.0]]),
-            R=ConstantKernel(1.0),
-            M=ConstantKernel(0.0),
-            N=ConstantKernel(0.0),
-            G1=ConstantFn(np.eye(2)),
-            G2=ConstantFn(0.0),
+            Q=LagKernel(0.0, [[[1.0, 2.0], [0.0, 1.0]]]),
+            R=LagKernel(0.0, [1.0]),
+            M=LagKernel(0.0, [0.0]),
+            N=LagKernel(0.0, [0.0]),
+            G1=LagKernel(0.0, [np.eye(2)]),
+            G2=LagKernel(0.0, [0.0]),
         ),
         grid=spec.grid,
     )
@@ -112,7 +104,7 @@ def test_validate_flags_symmetry_violation():
 
 
 def test_validate_flags_non_finite():
-    spec = scalar_spec(Q=ConstantKernel(np.nan))
+    spec = scalar_spec(Q=LagKernel(0.0, [np.nan]))
     assert any("non-finite samples Q" in issue for issue in validate(spec).issues)
 
 
@@ -122,14 +114,14 @@ def test_validate_is_idempotent():
 
 
 def test_kernel_sampling_is_pure():
-    k = DiscountedKernel(2.0, 0.7)
+    k = LagKernel(0.7, [2.0])
     a = k(0.3, 0.1)
     b = k(0.3, 0.1)
     assert np.array_equal(a, b)
 
 
 def test_discounted_kernel_diagonal_equals_base():
-    k = DiscountedKernel([[3.0]], 1.3)
+    k = LagKernel(1.3, [[[3.0]]])
     t = np.linspace(0, 1, 7)
     assert np.array_equal(k(t, t), np.broadcast_to(3.0, (7, 1, 1)))
 
@@ -141,7 +133,7 @@ def test_lipschitz_constant_kernels_pass():
 
 
 def test_lipschitz_difference_kernel_is_one():
-    report = check_lipschitz_in_t(scalar_spec(R=DifferenceKernel(1.0, 0.0)), probe_count=100)
+    report = check_lipschitz_in_t(scalar_spec(R=LagKernel(0.0, [0.0, 1.0])), probe_count=100)
     assert report.passed
     assert report.empirical_constant == pytest.approx(1.0, abs=1e-9)
 
@@ -207,14 +199,14 @@ def test_positivity_fails_for_nan_weight(slot, detail):
 
 
 LAG_KERNELS = {
-    "constant+": ConstantKernel(0.7),
-    "constant-": ConstantKernel(-0.7),
-    "discounted+decay": DiscountedKernel(1.3, 0.8),
-    "discounted-decay": DiscountedKernel(-1.3, 0.8),
-    "discounted+growth": DiscountedKernel(1.3, -0.8),
-    "discounted-growth": DiscountedKernel(-1.3, -0.8),
-    "difference+": DifferenceKernel(0.9, -0.2),
-    "difference-": DifferenceKernel(-0.9, 0.2),
+    "constant+": LagKernel(0.0, [0.7]),
+    "constant-": LagKernel(0.0, [-0.7]),
+    "discounted+decay": LagKernel(0.8, [1.3]),
+    "discounted-decay": LagKernel(0.8, [-1.3]),
+    "discounted+growth": LagKernel(-0.8, [1.3]),
+    "discounted-growth": LagKernel(-0.8, [-1.3]),
+    "difference+": LagKernel(0.0, [-0.2, 0.9]),
+    "difference-": LagKernel(0.0, [0.2, -0.9]),
 }
 
 
@@ -223,7 +215,7 @@ LAG_KERNELS = {
 def test_lag_audit_is_the_dense_sweep_bitwise(name, steps):
     # A lag kernel is read at the L node lags; behind a callable it is swept over the triangle.
     kern = LAG_KERNELS[name]
-    assert kern.lag_factors() is not None
+    assert isinstance(kern, LagKernel)
     nodes = TimeGrid(2.5, steps).nodes
     got = _triangle_min(kern, nodes)
     want = _triangle_min(CallableKernel(lambda s, t: kern(s, t), kern.shape), nodes)

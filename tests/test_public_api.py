@@ -1,4 +1,4 @@
-"""Every public name of the package is reached by a program path.
+"""Every public name of the package is reached by a program path, and every import is read.
 
 A name in ``fbslq.__all__`` or in a module's ``__all__`` counts as reached
 when code in ``src/fbslq`` reads it (its own definition, the ``__all__``
@@ -64,3 +64,26 @@ def test_every_public_name_is_reached_by_a_program_path():
     names = public_names()
     assert len(names) > 50 and not reached("evaluate_cost_of_nothing")  # the guard sees something
     assert [f"{module}.{name}" for module, name in names if not reached(name)] == []
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Names that a module imports and never loads; ``__future__`` imports do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_imported_name_is_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport os, sys\nimport numpy.linalg\nprint(sys)\n")
+    assert unread_imports(probe) == ["os", "numpy"]  # the guard sees something
+    # The package's __init__.py imports in order to re-export.
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert [f"{p.relative_to(p.parents[1])}: {name}" for p in paths for name in unread_imports(p)] == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fbslq.fields import Strategy, TimeGrid
-from fbslq.kernels import AffineFn, CallableKernel, ConstantFn, ConstantKernel
+from fbslq.kernels import CallableKernel, LagKernel
 from fbslq.matrixkit import range_residual, specnorm
 from fbslq.presets import (
     assumption_smoke_problem,
@@ -35,13 +35,13 @@ def build_scalar(A=0.0, B=0.0, C=0.0, D=0.0, Ahat=0.0, Bhat=0.0, Chat=0.0, Dhat=
     return ProblemSpec(
         dims=Dimensions(1, 1, 1),
         coeffs=Coefficients(
-            A=ConstantFn(A), B=ConstantFn(B), C=ConstantFn(C), D=ConstantFn(D),
-            Ahat=ConstantFn(Ahat), Bhat=ConstantFn(Bhat), Chat=ConstantFn(Chat),
-            Dhat=ConstantFn(Dhat), H=np.array([[float(H)]]), horizon=T,
+            A=LagKernel(0.0, [A]), B=LagKernel(0.0, [B]), C=LagKernel(0.0, [C]), D=LagKernel(0.0, [D]),
+            Ahat=LagKernel(0.0, [Ahat]), Bhat=LagKernel(0.0, [Bhat]), Chat=LagKernel(0.0, [Chat]),
+            Dhat=LagKernel(0.0, [Dhat]), H=np.array([[float(H)]]), horizon=T,
         ),
         weights=Weights(
-            Q=ConstantKernel(Q), R=ConstantKernel(R), M=ConstantKernel(M),
-            N=ConstantKernel(N), G1=ConstantFn(G1), G2=ConstantFn(G2),
+            Q=LagKernel(0.0, [Q]), R=LagKernel(0.0, [R]), M=LagKernel(0.0, [M]),
+            N=LagKernel(0.0, [N]), G1=LagKernel(0.0, [G1]), G2=LagKernel(0.0, [G2]),
         ),
         grid=TimeGrid(T, steps),
     )
@@ -107,7 +107,7 @@ class TestSolveP2:
 
         def errors(steps):
             base = build_scalar(H=h0, steps=steps, T=T)
-            coeffs = replace(base.coeffs, A=AffineFn(1.0, 0.5), Ahat=AffineFn(k, 0.5 * k))
+            coeffs = replace(base.coeffs, A=LagKernel(0.0, [0.5, 1.0]), Ahat=LagKernel(0.0, [0.5 * k, k]))
             spec = replace(base, coeffs=coeffs)
             p2 = solve_p2(spec, zero_theta(spec))
 

@@ -181,6 +181,29 @@ class TestCliSolve:
         assert main(["solve", scen, "--out", str(tmp_path / "x"), option]) == 2
         assert_one_error_line(capsys)
 
+    NO_WARNING_CASES = {  # each refused with exactly one error line and no float warning
+        "one_node_G1": ("G1", {"type": "table", "params": {"nodes": [0.5], "values": [[[0.4]]]}}),
+        "one_node_R": ("R", {"type": "table", "params": {"s_nodes": [0.5], "t_nodes": [0.5], "values": [[1.0]]}}),
+        "overflowing_Q": ("Q", {"type": "discounted", "params": {"base": [[0.5]], "rate": -800}}),
+    }
+
+    @pytest.mark.parametrize("case", NO_WARNING_CASES)
+    def test_bad_weight_exits_2_without_a_warning(self, tmp_path, capsys, case):
+        # A one-node table has no cell to interpolate in; exp(800 (s - t))
+        # overflows on the sample lattice, which validate reports itself.
+        doc = smoke_scenario(20)
+        slot, spec = self.NO_WARNING_CASES[case]
+        doc["weights"][slot] = spec
+        scen = write(tmp_path, "bad.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        if case == "overflowing_Q":
+            assert err == "error: non-finite samples Q\n"
+        else:
+            assert err == "error: bad scenario: a table needs at least two nodes per axis, got shape (1,)\n"
+
     def test_validation_failure_exits_2(self, tmp_path):
         doc = trivial_scenario(20)
         doc["weights"]["Q"] = {"type": "constant", "params": {"value": [[1.0, 0.0]]}}
