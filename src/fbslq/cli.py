@@ -249,7 +249,7 @@ def cmd_simulate(args) -> int:
         print(f"error: --t must be a grid node before the horizon {spec.grid.horizon:g}, got {args.t}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    cfg = SimConfig(paths=args.paths, seed=args.seed, t_start=args.t, x0=args.x0)
+    cfg = SimConfig(paths=args.paths, seed=args.seed, x0=args.x0)
     spike = SpikeSpec(v=args.spike_v)
 
     try:
@@ -285,7 +285,7 @@ def cmd_simulate(args) -> int:
         # The first block's normals do not depend on the path count, so these
         # are the first paths of the spike test's closed loop.
         dump_cfg = dataclasses.replace(cfg, paths=min(cfg.paths, BLOCK_PATHS))
-        bundle = simulate_closed_loop(spec, solution.theta_star, solution.p2, dump_cfg)
+        bundle = simulate_closed_loop(spec, solution.theta_star, solution.p2, dump_cfg, args.t)
         cap = min(100, bundle.paths)
         header = ["path", "t"] + [f"x{i}" for i in range(spec.dims.n)] + [
             f"y{i}" for i in range(spec.dims.m)

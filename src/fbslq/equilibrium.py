@@ -247,16 +247,13 @@ class _Workspace:
             tab[tri] = kern(ss[tri], tt[tri])[..., 0, 0]
             return tab
 
-        self.Q_tab, self.R_tab, self.M_tab, self.N_tab = (table(k) for k in (w.Q, w.R, w.M, w.N))
+        self.tables = {name: table(getattr(w, name)) for name in ("Q", "R", "M", "N")}
 
     def terminal(self) -> _Tail:
         """The state at T: P2 = H and the terminal suffix-sum row."""
         return _Tail(self.L - 1, self.spec.coeffs.H, None)
 
     # -- integral-route fields -------------------------------------------------
-
-    def exponent(self, th: np.ndarray) -> np.ndarray:
-        return _exponent(self.A, self.B, self.C, self.D, th, self.h)
 
     def p1_tilde(self, th, p2t) -> np.ndarray:
         """Quadrature of the transported running weights from each node t_i."""
@@ -272,6 +269,21 @@ class _Workspace:
             return self._dense_p1_tilde(th, p2t, lo, tail.node), None
         return self._factor_p1_tilde(th, p2t, lo, tail)
 
+    def _end_weights(self, th, p2t, lo, stop) -> dict:
+        """The factors that multiply Q, R, M and N at both ends of intervals lo..stop - 1,
+        by weight name: 1, Th^2, P2^2 and C_Th^2 P2^2, each (left, right)."""
+        th_l, th_r = interval_gain(th, lo, stop, (0.0, 1.0)).T
+        p2_l, p2_r = p2t[lo:stop] ** 2, p2t[lo + 1 : stop + 1] ** 2
+        c_l = self.C[lo:stop] + self.D[lo:stop] * th_l
+        c_r = self.C[lo + 1 : stop + 1] + self.D[lo + 1 : stop + 1] * th_r
+        ones = np.ones(stop - lo)
+        return {
+            "Q": (ones, ones),
+            "R": (th_l**2, th_r**2),
+            "M": (p2_l, p2_r),
+            "N": (c_l**2 * p2_l, c_r**2 * p2_r),
+        }
+
     def _factor_p1_tilde(self, th, p2t, lo, tail):
         """p1t at nodes lo..tail.node by one suffix recursion with rho_i = exp(E_{i+1} - E_i).
 
@@ -280,21 +292,10 @@ class _Workspace:
         carried from node to node by ``riccati._transport`` from ``tail.row``.
         """
         stop = tail.node
-        th_l, th_r = interval_gain(th, lo, stop, (0.0, 1.0)).T
-        p2_l, p2_r = p2t[lo:stop] ** 2, p2t[lo + 1 : stop + 1] ** 2
-        c_l = self.C[lo:stop] + self.D[lo:stop] * th_l
-        c_r = self.C[lo + 1 : stop + 1] + self.D[lo + 1 : stop + 1] * th_r
-        ones = np.ones(stop - lo)
-        ends = {
-            "Q": (ones, ones),
-            "R": (th_l**2, th_r**2),
-            "M": (p2_l, p2_r),
-            "N": (c_l**2 * p2_l, c_r**2 * p2_r),
-        }
         span = slice(lo, stop + 1)
         rho = np.exp(_increments(self.A[span], self.B[span], self.C[span], self.D[span], th[span], self.h))
         blocks = []
-        for name, (w_l, w_r) in ends.items():
+        for name, (w_l, w_r) in self._end_weights(th, p2t, lo, stop).items():
             coef = self.factors[name].coefs[:, 0, 0]
             shift = self.shifts[name]
             u = 0.5 * self.h * (np.multiply.outer(w_l, coef) + np.multiply.outer(rho * w_r, coef @ shift))
@@ -309,25 +310,14 @@ class _Workspace:
         taken on the triangle j >= i alone: below it the exponent can
         overflow, and the terms there are zero, not inf * 0.
         """
-        expo = self.exponent(th)
+        expo = _exponent(self.A, self.B, self.C, self.D, th, self.h)
         cols = slice(lo, stop + 1)
-        th_l, th_r = interval_gain(th, lo, self.L - 1, (0.0, 1.0)).T[..., None]
-        c_l = self.C[lo:-1, None] + self.D[lo:-1, None] * th_l
-        c_r = self.C[lo + 1 :, None] + self.D[lo + 1 :, None] * th_r
-        p2_l, p2_r = p2t[lo:-1, None], p2t[lo + 1 :, None]
-
-        f_l = (
-            self.Q_tab[lo:-1, cols]
-            + th_l**2 * self.R_tab[lo:-1, cols]
-            + p2_l**2 * self.M_tab[lo:-1, cols]
-            + c_l**2 * p2_l**2 * self.N_tab[lo:-1, cols]
-        )
-        f_r = (
-            self.Q_tab[lo + 1 :, cols]
-            + th_r**2 * self.R_tab[lo + 1 :, cols]
-            + p2_r**2 * self.M_tab[lo + 1 :, cols]
-            + c_r**2 * p2_r**2 * self.N_tab[lo + 1 :, cols]
-        )
+        # f = Q + Th^2 R + P2^2 M + C_Th^2 P2^2 N at the left and right ends, summed in that order
+        f_l = f_r = None
+        for name, (w_l, w_r) in self._end_weights(th, p2t, lo, self.L - 1).items():
+            tab = self.tables[name]
+            t_l, t_r = w_l[:, None] * tab[lo:-1, cols], w_r[:, None] * tab[lo + 1 :, cols]
+            f_l, f_r = (t_l, t_r) if f_l is None else (f_l + t_l, f_r + t_r)
         # upper[j - lo, i - lo]: interval j contributes to the integral from t_i
         upper = np.arange(lo, self.L - 1)[:, None] >= np.arange(lo, stop + 1)[None, :]
         e_cols = expo[cols][None, :]

@@ -3,10 +3,14 @@
 Forward paths are Euler-Maruyama; backward components are never regressed
 but constructed exactly from the decoupling fields,
 
-    Y = P2 X (+ spike correction),   Z = P2 (C_Th X + chi D v),
+    Y = P2 X (+ spike correction),   Z = (P2 C_Th) X + P2 chi D v,
 
 which the linear structure makes exact.  The spike correction reads each
 perturbation width's coupling field P7, whose RK4 step maps the widths share.
+
+Every entry point but :func:`bsde_residual_check`, which starts at 0, takes
+the start time of its paths as an argument (``t`` or ``times``);
+:class:`SimConfig` holds only what every start shares.
 
 Randomness is counter-based: normals come from independent Philox streams
 keyed by (seed, path-block), drawn in (step, path) order inside each fixed
@@ -41,9 +45,10 @@ have ended share one n x n transition per path.  It has four consumers.
 The spike ladder's kernel, one for every dimension, groups the cost terms
 by node and splits the cost sums into a part linear and a part quadratic
 in v, so one pass yields the ladder for +v and for -v, and the closed-loop
-cost estimate from the same paths.  The bundle route records the stepper
-at the coarse nodes (no rung for the closed loop, one for a spike, which
-the cost oracle in ``tests/oracles.py`` reads), the backward-equation
+cost estimate from the same paths.  The bundle route records X at the
+coarse nodes (no rung for the closed loop, one for a spike, which the cost
+oracle in ``tests/oracles.py`` reads) and builds Y and Z from it, each with
+one einsum over the nodes; it keeps no increments.  The backward-equation
 check reads the closed loop at every fine step and
 :func:`perturbation_scaling` reads the rungs' perturbations at the coarse
 nodes.
@@ -52,7 +57,6 @@ nodes.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import queue
 import threading
@@ -93,16 +97,20 @@ _CHUNKS_AHEAD = 2  # chunks the drawing thread may hold ready in its queue
 
 @dataclass(frozen=True)
 class SimConfig:
+    """What every Monte-Carlo entry point shares; each takes its start time apart."""
+
     paths: int = 100_000
     seed: int = 0
     sub_steps: int = 1
-    t_start: float = 0.0
     x0: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        for name in ("paths", "sub_steps"):
+        # bool is an int subclass: True would run one path
+        for name in ("paths", "sub_steps", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be a positive integer")
 
 
@@ -131,25 +139,21 @@ def _as_vector(value, size: int, name: str, dimension: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated ensemble on the coarse nodes from t_start to T.
+    """Simulated ensemble on the coarse nodes t_index .. T: what its readers read.
 
     ``Z[:, r]`` holds the interval value on [s_r, s_{r+1}), at the gain that
     :func:`~fbslq.fields.interval_gain` gives at s_r (the left limit at the
     terminal node).  ``spike_steps`` is the perturbation width in coarse grid
-    steps (0 for a closed-loop bundle).
+    steps (0 for a closed-loop bundle).  The Brownian increments are not
+    kept; the RNG block streams of :func:`_increments` give them again.
     """
 
-    spec: ProblemSpec
     theta: Strategy
     p2: P2Field
     t_index: int
-    x0: np.ndarray
     X: np.ndarray  # (paths, range_nodes, n)
     Y: np.ndarray  # (paths, range_nodes, m)
     Z: np.ndarray  # (paths, range_nodes, m)
-    increments: np.ndarray  # (paths, fine_steps)
-    sub_steps: int
-    seed: int
     spike_v: np.ndarray | None = None
     spike_steps: int = 0
     p7v: np.ndarray | None = None  # (range_nodes, m): spike coupling field times v
@@ -161,10 +165,6 @@ class PathBundle:
     @property
     def range_nodes(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def t_start(self) -> float:
-        return self.spec.grid.nodes[self.t_index]
 
 
 @dataclass(frozen=True)
@@ -321,53 +321,48 @@ def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.n
 
 
 def simulate_closed_loop(
-    spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig
+    spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig, t: float = 0.0
 ) -> PathBundle:
-    """Paths of the closed-loop system with decoupled backward components."""
-    return _simulate_bundle(spec, theta, p2, cfg, np.zeros(spec.dims.k), [])
+    """Paths of the closed-loop system from time t, with decoupled backward components."""
+    return _simulate_bundle(spec, theta, p2, cfg, t, np.zeros(spec.dims.k), [])
 
 
-def _simulate_bundle(spec, theta, p2, cfg, v, rungs) -> PathBundle:
+def _simulate_bundle(spec, theta, p2, cfg, t, v, rungs) -> PathBundle:
     """The stepper with no rung (closed loop) or one (spike), recorded at the
     coarse nodes; a spike bundle is the closed loop plus its perturbation."""
-    run = _LadderRun(spec, theta, p2, cfg, v, rungs)
+    run = _LadderRun(spec, theta, p2, cfg, t, v, rungs)
     R, sub = run.n_coarse + 1, run.sub
     X = np.empty((cfg.paths, R, run.n))
-    increments = np.empty((cfg.paths, run.F))
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for start, width, rows in blocks:
             paths = slice(start, start + width)
-            for ell, dw, stepper in run.walk(width, rows):
-                if ell:
-                    increments[paths, ell - 1] = dw
+            for ell, _, stepper in run.walk(width, rows):
                 if ell % sub == 0:
                     x = stepper.y[:, 0]
                     X[paths, ell // sub] = (x + stepper.perturbations()[:, 0] if rungs else x).T
     p7v = run.p7v[0] if rungs else np.zeros((R, run.m))  # (range_nodes, m)
     chi = run.chi_node[0] if rungs else np.zeros(run.n_coarse)
 
-    # Decoupled backward components at the coarse nodes, Z one node at a
-    # time so that no temporary as large as X is held; at the terminal node
-    # Z is the left limit of the last interval.
-    ct = np.concatenate([run.ct_left, run.ct_right[-1:]])
+    # Decoupled backward components at the coarse nodes, each one einsum
+    # written into its own array with the node terms added in place, so
+    # that no temporary as large as X is held.  P2 C_Th and P2 chi D v are
+    # formed once per node; at the terminal node Z is the left limit of the
+    # last interval.
+    p2_range = run.p2_range
+    p2ct = p2_range @ np.concatenate([run.ct_left, run.ct_right[-1:]])  # (range_nodes, m, n)
     dv = np.append(chi, chi[-1])[:, None] * np.concatenate([run.dv_left, run.dv_right[-1:]])
-    Y = np.einsum("rmn,prn->prm", run.p2_range, X) + p7v[None, :, :]
-    Z = np.empty((cfg.paths, R, run.m))
-    for r in range(R):
-        Z[:, r] = (X[:, r] @ ct[r].T + dv[r]) @ run.p2_range[r].T
+    Y = np.einsum("rmn,prn->prm", p2_range, X)
+    Y += p7v
+    Z = np.einsum("rmn,prn->prm", p2ct, X)
+    Z += (p2_range @ dv[:, :, None])[:, :, 0]
 
     return PathBundle(
-        spec=spec,
         theta=theta,
         p2=p2,
         t_index=run.i0,
-        x0=run.x0,
         X=X,
         Y=Y,
         Z=Z,
-        increments=increments,
-        sub_steps=cfg.sub_steps,
-        seed=cfg.seed,
         spike_v=v if rungs else None,
         spike_steps=rungs[0] if rungs else 0,
         p7v=p7v,
@@ -582,8 +577,8 @@ class _Stepper:
 
 
 class _LadderRun:
-    """Closed loop plus the +v perturbation of every spike rung, from
-    ``cfg.t_start`` to the horizon, one pass per block.
+    """Closed loop plus the +v perturbation of every spike rung, from time
+    ``t`` to the horizon, one pass per block.
 
     Holds every deterministic array that the stepper and its consumers
     read.  Rung q applies the spike of ``eps_steps[q]`` coarse steps, which
@@ -592,10 +587,10 @@ class _LadderRun:
     closed loop (common random numbers).
     """
 
-    def __init__(self, spec, theta, p2, cfg, v: np.ndarray, eps_steps: list[int]):
+    def __init__(self, spec, theta, p2, cfg, t: float, v: np.ndarray, eps_steps: list[int]):
         grid, c, w = spec.grid, spec.coeffs, spec.weights
-        t = cfg.t_start
         self.cfg = cfg
+        self.t = t
         self.v = v
         self.eps_steps = eps_steps
         if any(wide < narrow for wide, narrow in zip(eps_steps, eps_steps[1:])):
@@ -604,7 +599,7 @@ class _LadderRun:
         self.i0 = grid.index_of(t)
         self.n_coarse = grid.steps - self.i0
         if self.n_coarse < 1:
-            raise ValueError("t_start must lie strictly before the horizon")
+            raise ValueError("the start time must lie strictly before the horizon")
         self.sub = cfg.sub_steps
         self.h = grid.h
         self.hf = grid.h / self.sub
@@ -807,10 +802,9 @@ def spike_test(
     t: float,
     p1_diag: OneTimeField | None = None,
     p3_diag: OneTimeField | None = None,
-    residual: OneTimeField | None = None,
 ) -> SpikeReport:
     """Monte-Carlo test of the equilibrium inequality at time t: :func:`spike_tests` at one time."""
-    return spike_tests(spec, theta, p2, cfg, spike, [t], p1_diag, p3_diag, residual)[0]
+    return spike_tests(spec, theta, p2, cfg, spike, [t], p1_diag, p3_diag)[0]
 
 
 def spike_tests(
@@ -822,7 +816,6 @@ def spike_tests(
     times,
     p1_diag: OneTimeField | None = None,
     p3_diag: OneTimeField | None = None,
-    residual: OneTimeField | None = None,
 ) -> list[SpikeReport]:
     """Monte-Carlo tests of the equilibrium inequality at each of ``times``, one report per time.
 
@@ -830,7 +823,9 @@ def spike_tests(
     is estimated with common random numbers.  The report carries the liminf
     flag (every Delta >= -3 stderr) and compares the smallest-eps estimate
     against the expansion limit: the quadratic form built from the Riccati
-    diagonal plus the first-order characterization-residual term.  The same
+    diagonal plus the first-order characterization-residual term, both read
+    off the diagonals ``p1_diag`` and ``p3_diag`` (solved for ``theta`` when
+    not given) and ``p2``.  The same
     pass yields the report for -v (``opposite``) and the closed-loop cost
     estimate (``closed_loop``).  Raises ``ValueError`` when the cost sums
     are not finite, as when a huge x0 or v overflows them.
@@ -844,15 +839,13 @@ def spike_tests(
     if p1_diag is None or p3_diag is None:
         p1_diag, p3_diag = two_time_diagonals(spec, theta, p2)
     lam, _ = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    if residual is None:
-        residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
+    residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
 
     ladders, runs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in times:
             ladders.append(_snap_eps(grid, grid.index_of(t), spike.epsilons))
-            cfg_t = dataclasses.replace(cfg, t_start=t)
-            runs.append(_LadderRun(spec, theta, p2, cfg_t, v, [steps for _, steps in ladders[-1]]))
+            runs.append(_LadderRun(spec, theta, p2, cfg, t, v, [steps for _, steps in ladders[-1]]))
         totals = _stream(runs)
     for sum_d, sumsq_d, (_, mean_j, m2_j) in totals:
         if not all(np.all(np.isfinite(s)) for s in (sum_d, sumsq_d, mean_j, m2_j)):
@@ -863,7 +856,7 @@ def spike_tests(
         sum_d, sumsq_d, _ = sums
         quad_theory = 0.5 * float(vv @ lam[i0] @ vv)
         first_theory = float(vv @ residual.data[i0] @ run.x0)
-        rep = SpikeReport(t=run.cfg.t_start, v=vv, paths=paths, seed=cfg.seed, closed_loop=closed_loop)
+        rep = SpikeReport(t=run.t, v=vv, paths=paths, seed=cfg.seed, closed_loop=closed_loop)
         for q, (eps_req, steps) in enumerate(ladder):
             eps_used = steps * grid.h
             mean_d = sum_d[sign, q] / paths
@@ -917,8 +910,7 @@ def perturbation_scaling(
     grid = spec.grid
     ladder = _snap_eps(grid, grid.index_of(t), spike.epsilons)
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    cfg = dataclasses.replace(cfg, t_start=t)
-    run = _LadderRun(spec, theta, p2, cfg, v, [steps for _, steps in ladder])
+    run = _LadderRun(spec, theta, p2, cfg, t, v, [steps for _, steps in ladder])
     p7v = np.moveaxis(run.p7v, 2, 0)[..., None]  # (m, rungs, nodes, 1)
     dv = (run.dv_left.T[:, None] * run.chi_node)[..., None]  # (n, rungs, intervals, 1): chi D v
     sum_x = sum_yz = 0.0
@@ -958,12 +950,12 @@ def perturbation_scaling(
 def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig) -> float:
     """Root-mean-square accumulated defect of the discrete backward equation.
 
-    Along closed-loop paths with (Y, Z) = (P2 X, P2 C_Th X), the one-step
-    defects of the Y-equation are summed over the horizon and the RMS over
-    paths is returned; first-order in the fine step, so doubling ``sub_steps``
-    halves it.
+    Along closed-loop paths from t = 0 with (Y, Z) = (P2 X, P2 C_Th X), the
+    one-step defects of the Y-equation are summed over the horizon and the
+    RMS over paths is returned; first-order in the fine step, so doubling
+    ``sub_steps`` halves it.
     """
-    run = _LadderRun(spec, theta, p2, cfg, np.zeros(spec.dims.k), [])
+    run = _LadderRun(spec, theta, p2, cfg, 0.0, np.zeros(spec.dims.k), [])
     grid = spec.grid
     c = spec.coeffs
 

@@ -252,7 +252,7 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     times = [float(grid.nodes[(q * grid.steps) // 4]) for q in range(4)]
     reports = spike_tests(
         spec, theta, solution.p2, sim_cfg, SpikeSpec(v=1.0), times,
-        p1_diag=p1d, p3_diag=p3d, residual=resid,
+        p1_diag=p1d, p3_diag=p3d,
     )
     for q, rep_s in enumerate(reports):
         for v, rep_v in ((1.0, rep_s), (-1.0, rep_s.opposite)):

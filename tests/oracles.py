@@ -229,22 +229,22 @@ def simulate_spike(
     cfg: SimConfig,
     spike: SpikeSpec,
     eps: float,
+    t: float = 0.0,
 ) -> PathBundle:
-    """Paths under the spike-perturbed control chi_[t, t+eps) v + Theta X.
+    """Paths from time t under the spike-perturbed control chi_[t, t+eps) v + Theta X.
 
     Uses the same Brownian increments as the paired closed-loop bundle (same
-    seed); ``eps`` is snapped to a whole number of coarse grid steps and must
-    be at least one step.
+    seed and t); ``eps`` is snapped to a whole number of coarse grid steps and
+    must be at least one step.
     """
     grid = spec.grid
     steps = int(round(eps / grid.h))
     if steps < 1 or eps < grid.h * (1 - 1e-9):
         raise ValueError("eps must be at least one grid step")
-    i0 = grid.index_of(cfg.t_start)
-    if i0 + steps > grid.steps:
+    if grid.index_of(t) + steps > grid.steps:
         raise ValueError("spike window extends past the horizon")
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    return _simulate_bundle(spec, theta, p2, cfg, v, [steps])
+    return _simulate_bundle(spec, theta, p2, cfg, t, v, [steps])
 
 
 def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:
@@ -339,3 +339,22 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
         zc[:, : bundle.spike_steps] += dv
     p2r = bundle.p2.data[i0 + 1 :]
     return np.einsum("rmi,pri->prm", p2r, zc)
+
+
+def per_node_z(spec, bundle) -> np.ndarray:
+    """The bundle's Z by the per-node formula Z_r = (X_r C_Th' + chi D v) P2', one node at a time.
+
+    C_Th, D v and chi are those of interval r at its left end, and of the
+    last interval at its right end for the terminal node.
+    """
+    grid, c, i0 = spec.grid, spec.coeffs, bundle.t_index
+    nodes = grid.nodes[i0:]
+    th = interval_gain(bundle.theta.values, i0, grid.steps, (0.0, 1.0))
+    ct = c.C(nodes) + c.D(nodes) @ np.concatenate([th[:, 0], th[-1:, 1]])
+    chi = np.minimum(np.arange(len(nodes)), len(nodes) - 2) < bundle.spike_steps  # of the interval read
+    v = np.zeros(spec.dims.k) if bundle.spike_v is None else bundle.spike_v
+    dv = chi[:, None] * (c.D(nodes) @ v)
+    z = np.empty_like(bundle.Z)
+    for r in range(len(nodes)):
+        z[:, r] = (bundle.X[:, r] @ ct[r].T + dv[r]) @ bundle.p2.data[i0 + r].T
+    return z

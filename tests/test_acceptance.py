@@ -114,7 +114,6 @@ def test_criterion_5_spike_variation_monte_carlo(smoke_solution_1000):
     sol = smoke_solution_1000
     spec = sol.spec
     p1d, p3d = sol.p1_diag, sol.p3_diag
-    resid = characterization_residual(spec, sol.theta_star)
     all_liminf = True
     all_limit = True
     worst = ""
@@ -122,7 +121,7 @@ def test_criterion_5_spike_variation_monte_carlo(smoke_solution_1000):
     cfg = SimConfig(paths=100_000, seed=0, x0=1.0)
     reports = spike_tests(
         spec, sol.theta_star, sol.p2, cfg, SpikeSpec(v=1.0), times,
-        p1_diag=p1d, p3_diag=p3d, residual=resid,
+        p1_diag=p1d, p3_diag=p3d,
     )
     for t, plus in zip(times, reports):
         for v, rep in ((1.0, plus), (-1.0, plus.opposite)):

@@ -12,6 +12,7 @@ from fbslq import equilibrium, riccati
 from fbslq.equilibrium import (
     AssumptionViolatedError,
     SolverConfig,
+    _exponent,
     _Tail,
     _Workspace,
     p1_tilde,
@@ -65,7 +66,8 @@ class TestSecondMomentFactor:
         # Sampling only A, B, C and D gives the solver's exponent bit for bit.
         spec, th = smoke_solution.spec, smoke_solution.theta_star
         lam = second_moment_factor(spec, th)
-        expo = _Workspace(spec).exponent(th.flat())
+        ws = _Workspace(spec)
+        expo = _exponent(ws.A, ws.B, ws.C, ws.D, th.flat(), ws.h)
         assert np.array_equal(lam.data[0, :, 0, 0], np.exp(expo))
 
 
@@ -527,7 +529,7 @@ class TestLagKernels:
         nodes = spec.grid.nodes
         ss, tt = np.meshgrid(nodes, nodes, indexing="ij")
         for name in ("Q", "R", "M", "N"):
-            tab = getattr(ws, f"{name}_tab")
+            tab = ws.tables[name]
             want = getattr(spec.weights, name)(ss, tt)[..., 0, 0]
             assert np.array_equal(tab[ss >= tt], want[ss >= tt]), name
             assert not np.any(tab[ss < tt]), name

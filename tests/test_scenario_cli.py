@@ -427,8 +427,8 @@ class TestCliSimulate:
                      "--dump-paths", "--out", str(tmp_path / "sim")]) == 0
         costs = json.loads((tmp_path / "sim" / "costs.json").read_text())
         sol = load_solution_dir(out)
-        cfg = SimConfig(paths=paths, seed=seed, t_start=t)
-        bundle = simulate_closed_loop(sol.spec, sol.theta_star, sol.p2, cfg)
+        cfg = SimConfig(paths=paths, seed=seed)
+        bundle = simulate_closed_loop(sol.spec, sol.theta_star, sol.p2, cfg, t)
         cost = evaluate_cost(sol.spec, bundle, build_controls(sol.spec, bundle), t)
         assert costs["paths"] == paths
         assert costs["closed_loop_cost"] == pytest.approx(cost.estimate, rel=1e-12)

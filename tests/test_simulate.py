@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import itertools
 import sys
 import threading
@@ -15,7 +14,7 @@ from fbslq import simulate
 from fbslq.equilibrium import solve_equilibrium
 from fbslq.fields import Strategy
 from fbslq.presets import assumption_smoke_problem
-from fbslq.riccati import characterization_residual, solve_p2
+from fbslq.riccati import solve_p2
 from fbslq.simulate import (
     BLOCK_PATHS,
     CHUNK_ROWS,
@@ -38,6 +37,7 @@ from tests.oracles import (
     build_controls,
     evaluate_cost,
     matrix_reduction_problem,
+    per_node_z,
     second_moment_factor,
     simulate_spike,
 )
@@ -55,6 +55,11 @@ def whole_block(seed, block, steps, width, hf):
     oracle of the rows that the helper thread streams."""
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal((steps, width)) * np.sqrt(hf)
+
+
+def path_increments(cfg, steps, hf):
+    """Every path's Brownian increments (paths, steps), drawn whole block by block."""
+    return np.concatenate([whole_block(cfg.seed, b, steps, width, hf).T for b, _, width in blocks_of(cfg.paths)])
 
 
 def send_all(kernel, rows):
@@ -75,8 +80,8 @@ class TestForwardPaths:
         cfg = SimConfig(paths=300, seed=9)
         a = simulate_closed_loop(spec, th, p2, cfg)
         b = simulate_closed_loop(spec, th, p2, cfg)
-        assert np.array_equal(a.X, b.X)
-        assert np.array_equal(a.increments, b.increments)
+        for name in ("X", "Y", "Z"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_frozen_dynamics_keeps_state(self):
         spec = build_scalar(Q=1.0, steps=40)  # A_Th = C_Th = 0 under zero gain
@@ -104,12 +109,31 @@ class TestForwardPaths:
         for spike in (None, SpikeSpec(v=1.0)):
             bundles = []
             for paths in (BLOCK_PATHS, BLOCK_PATHS + 100):
-                cfg = SimConfig(paths=paths, seed=19, sub_steps=2, t_start=0.75, x0=1.0)
-                bundles.append(simulate_closed_loop(spec, th, p2, cfg) if spike is None
-                               else simulate_spike(spec, th, p2, cfg, spike, 0.125))
+                cfg = SimConfig(paths=paths, seed=19, sub_steps=2, x0=1.0)
+                bundles.append(simulate_closed_loop(spec, th, p2, cfg, 0.75) if spike is None
+                               else simulate_spike(spec, th, p2, cfg, spike, 0.125, 0.75))
             one, two = bundles
-            for name in ("X", "Y", "Z", "increments"):
+            for name in ("X", "Y", "Z"):
                 assert np.array_equal(getattr(two, name)[:BLOCK_PATHS], getattr(one, name)), name
+
+    @pytest.mark.parametrize("sub", [1, 2])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    def test_z_is_the_per_node_formula(self, smoke_200, problem, sub):
+        # Z is one einsum over P2 C_Th, formed once per node, plus P2 chi D v;
+        # the per-node formula rounds otherwise.  A closed loop, a spike that
+        # ends before the horizon and one that reaches it.
+        if problem == "smoke":
+            spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        else:
+            spec, th, p2 = matrix_inputs(problem)
+        v = np.array([1.0, -0.5])[: spec.dims.k]
+        cfg = SimConfig(paths=300, seed=8, sub_steps=sub, x0=1.0)
+        bundles = [simulate_closed_loop(spec, th, p2, cfg, 0.5)]
+        bundles += [simulate_spike(spec, th, p2, cfg, SpikeSpec(v=v), eps, 0.5) for eps in (0.125, 0.5)]
+        for bundle in bundles:
+            want = per_node_z(spec, bundle)
+            assert np.all(np.abs(bundle.Z - want) <= 1e-13 * np.abs(want).max())
+            assert np.any(want != 0.0) or problem == "matrix"  # its P2 is 0, so Z = 0
 
     def test_second_moment_matches_factor(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
@@ -121,11 +145,11 @@ class TestForwardPaths:
         assert abs(err) <= 3.0
 
 
-def direct_spiked_euler(spec, theta, cfg, v, eps_steps, increments):
-    """Plain Euler-Maruyama of the spiked state equation, one fine step at a
+def direct_spiked_euler(spec, theta, cfg, t, v, eps_steps, increments):
+    """Plain Euler-Maruyama of the spiked state equation from time t, one fine step at a
     time: dX = ((A + B Th) X + chi B v) ds + ((C + D Th) X + chi D v) dW."""
     grid, c = spec.grid, spec.coeffs
-    i0, sub = grid.index_of(cfg.t_start), cfg.sub_steps
+    i0, sub = grid.index_of(t), cfg.sub_steps
     hf = grid.h / sub
     x = np.tile(_as_vector(cfg.x0, spec.dims.n, "x0", "state"), (increments.shape[0], 1))
     out = [x]
@@ -161,9 +185,10 @@ class TestSpikePaths:
             spec, th, p2 = matrix_inputs()
             v, t, eps = np.array([1.0, -0.5]), 0.5, 0.125
         for sub in (1, 2):
-            cfg = SimConfig(paths=300, seed=12, sub_steps=sub, t_start=t, x0=1.0)
-            bundle = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=v), eps)
-            direct = direct_spiked_euler(spec, th, cfg, v, bundle.spike_steps, bundle.increments)
+            cfg = SimConfig(paths=300, seed=12, sub_steps=sub, x0=1.0)
+            bundle = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=v), eps, t)
+            incs = path_increments(cfg, (spec.grid.steps - spec.grid.index_of(t)) * sub, spec.grid.h / sub)
+            direct = direct_spiked_euler(spec, th, cfg, t, v, bundle.spike_steps, incs)
             assert bundle.spike_steps == round(eps / spec.grid.h)
             assert np.all(np.abs(bundle.X - direct) <= 1e-13 * np.abs(direct).max())
 
@@ -195,11 +220,12 @@ class TestSpikePaths:
         else:  # k = 2, or k = 1 for narrow
             spec, th, p2 = matrix_inputs(problem)
             spike = SpikeSpec(v=np.array([1.0, -0.5])[: spec.dims.k], epsilons=(0.25, 0.1, 0.05))
-        cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, t_start=t, x0=1.0)  # two blocks
+        cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, x0=1.0)  # two blocks
         rows = perturbation_scaling(spec, th, p2, cfg, spike, t)
-        base = simulate_closed_loop(spec, th, p2, cfg)
+        base = simulate_closed_loop(spec, th, p2, cfg, t)
         for row in rows:
-            sup_x, sup_yz = bundle_moments(base, simulate_spike(spec, th, p2, cfg, spike, row["eps_used"]))
+            spiked = simulate_spike(spec, th, p2, cfg, spike, row["eps_used"], t)
+            sup_x, sup_yz = bundle_moments(base, spiked, spec.grid.h)
             assert sup_x > 0.0 and (sup_yz > 0.0 or problem == "matrix")  # its H and hats are 0, so Y = Z = 0
             assert row["ex_sup_dx2"] == pytest.approx(sup_x, rel=1e-12, abs=0.0)
             assert row["ex_sup_dy2_int_dz2"] == pytest.approx(sup_yz, rel=1e-12, abs=0.0)
@@ -218,20 +244,18 @@ class TestSpikePaths:
             spec, th, p2 = matrix_inputs(problem)
             v, epsilons = np.array([1.0, -0.5])[: spec.dims.k], (0.25, 0.1, 0.05)
         grid, c = spec.grid, spec.coeffs
-        cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, t_start=t, x0=1.0)  # two blocks
+        cfg = SimConfig(paths=BLOCK_PATHS + 300, seed=27, sub_steps=sub, x0=1.0)  # two blocks
         rows = perturbation_scaling(spec, th, p2, cfg, SpikeSpec(v=v, epsilons=epsilons), t)
         i0 = grid.index_of(t)
-        fine = (grid.steps - i0) * sub
-        incs = np.concatenate([whole_block(cfg.seed, b, fine, width, grid.h / sub).T
-                               for b, _, width in blocks_of(cfg.paths)])
-        base = direct_spiked_euler(spec, th, cfg, v, 0, incs)
+        incs = path_increments(cfg, (grid.steps - i0) * sub, grid.h / sub)
+        base = direct_spiked_euler(spec, th, cfg, t, v, 0, incs)
         left = grid.nodes[i0:-1]
         ct = c.C(left) + c.D(left) @ th.values[i0:-1]  # (intervals, n, n)
         p2r = p2.data[i0:]
         for row in rows:
             steps = round(row["eps_used"] / grid.h)
-            dx = direct_spiked_euler(spec, th, cfg, v, steps, incs) - base
-            p7v = _LadderRun(spec, th, p2, cfg, v, [steps]).p7v[0]
+            dx = direct_spiked_euler(spec, th, cfg, t, v, steps, incs) - base
+            p7v = _LadderRun(spec, th, p2, cfg, t, v, [steps]).p7v[0]
             dy = np.einsum("rmn,prn->prm", p2r, dx) + p7v
             zc = np.einsum("rij,prj->pri", ct, dx[:, :-1])
             zc[:, :steps] += c.D(left[:steps]) @ v
@@ -242,9 +266,8 @@ class TestSpikePaths:
             assert row["ex_sup_dy2_int_dz2"] == pytest.approx(sup_yz, rel=1e-12, abs=0.0)
 
 
-def bundle_moments(base, spiked):
+def bundle_moments(base, spiked, h):
     """E max_r |dX_r|^2 and E[max_r |dY_r|^2 + h sum_{r<n} |dZ_r|^2] at the coarse nodes."""
-    h = base.spec.grid.h
     dx, dy, dz = (getattr(spiked, name) - getattr(base, name) for name in ("X", "Y", "Z"))
     sup_x = np.mean(np.max(np.sum(dx**2, axis=2), axis=1))
     sup_yz = np.mean(np.max(np.sum(dy**2, axis=2), axis=1) + h * np.sum(dz[:, :-1] ** 2, axis=(1, 2)))
@@ -324,8 +347,8 @@ class TestCostFieldIdentity:
         x0 = 1.3
         for t in (0.0, 0.5):
             i = spec.grid.index_of(t)
-            cfg = SimConfig(paths=20_000, seed=21, t_start=t, x0=x0)
-            bundle = simulate_closed_loop(spec, sol.theta_star, sol.p2, cfg)
+            cfg = SimConfig(paths=20_000, seed=21, x0=x0)
+            bundle = simulate_closed_loop(spec, sol.theta_star, sol.p2, cfg, t)
             cost = evaluate_cost(spec, bundle, build_controls(spec, bundle), t)
             p1t = sol.p1_tilde.data[i, 0, 0]
             p2t = sol.p2.data[i, 0, 0]
@@ -385,10 +408,8 @@ class TestSpikeTest:
         corrupted[lo:hi] += 0.5
         bad = Strategy.from_flat(spec.grid, corrupted)
         p2 = solve_p2(spec, bad)
-        resid = characterization_residual(spec, bad)
         cfg = SimConfig(paths=40_000, seed=37, x0=1.0)
-        rep = spike_test(spec, bad, p2, cfg, SpikeSpec(v=1.0, epsilons=(2**-6,)), t,
-                         residual=resid)
+        rep = spike_test(spec, bad, p2, cfg, SpikeSpec(v=1.0, epsilons=(2**-6,)), t)
         row = rep.rows[0]
         expected_first = row.theory_first_order
         assert expected_first != 0.0
@@ -508,15 +529,15 @@ class TestSpikeDirections:
         # at the horizon, at n = 2 and m != n too.
         spec, th, p2, v, kw = ladder_inputs(smoke_solution, problem)
         epsilons = (0.25, 0.1, 0.05)
-        cfg = SimConfig(paths=400, seed=13, t_start=t, x0=1.0)
+        cfg = SimConfig(paths=400, seed=13, x0=1.0)
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=v, epsilons=epsilons), t, **kw)
         assert spec.grid.index_of(t) + round(epsilons[0] / spec.grid.h) < spec.grid.steps
-        base = simulate_closed_loop(spec, th, p2, cfg)
+        base = simulate_closed_loop(spec, th, p2, cfg, t)
         j0 = evaluate_cost(spec, base, build_controls(spec, base), t)
         assert rep.closed_loop.estimate == pytest.approx(j0.estimate, rel=1e-12)
         for report, direction in ((rep, v), (rep.opposite, -np.asarray(v))):
             for row in report.rows:
-                spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=direction), row.eps_used)
+                spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=direction), row.eps_used, t)
                 j1 = evaluate_cost(spec, spiked, build_controls(spec, spiked), t)
                 assert row.delta == pytest.approx((j1.estimate - j0.estimate) / row.eps_used, abs=1e-10)
 
@@ -528,11 +549,11 @@ class TestSpikeDirections:
         # the end, and the closed loop's do not depend on the ladder.
         spec, th, p2, v, _ = ladder_inputs(smoke_solution, problem)
         t = 0.5
-        cfg = SimConfig(paths=300, seed=9, sub_steps=sub, t_start=t, x0=1.0)
+        cfg = SimConfig(paths=300, seed=9, sub_steps=sub, x0=1.0)
         left = spec.grid.steps - spec.grid.index_of(t)
         bases = []
         for rungs in ([left // 4, left // 8, 1], [left, left // 4, left // 8, 1]):
-            run = _LadderRun(spec, th, p2, cfg, np.asarray(v, dtype=float).reshape(-1), rungs)
+            run = _LadderRun(spec, th, p2, cfg, t, np.asarray(v, dtype=float).reshape(-1), rungs)
             incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
             got = send_all(run.kernel()(cfg.paths), incs)
             assert_sums_close(got, carried_block(run, incs, run._weights()))
@@ -541,11 +562,11 @@ class TestSpikeDirections:
 
     def test_closed_loop_cost_matches_bundle_route(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
-        cfg = SimConfig(paths=8192 + 300, seed=6, t_start=0.5, x0=1.0)  # two RNG blocks
+        cfg = SimConfig(paths=8192 + 300, seed=6, x0=1.0)  # two RNG blocks
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(0.125,)), 0.5,
                          p1_diag=smoke_solution.p1_diag,
                          p3_diag=smoke_solution.p3_diag)
-        bundle = simulate_closed_loop(spec, th, p2, cfg)
+        bundle = simulate_closed_loop(spec, th, p2, cfg, 0.5)
         cost = evaluate_cost(spec, bundle, build_controls(spec, bundle), 0.5)
         assert rep.closed_loop.paths == cost.paths
         assert rep.closed_loop.estimate == pytest.approx(cost.estimate, rel=1e-12)
@@ -596,19 +617,19 @@ class TestCloseSchedule:
         grid, t = spec.grid, 0.5
         factors, expected = self.LADDERS[ladder]
         spike = SpikeSpec(v=v, epsilons=tuple(c * grid.h for c in factors))
-        cfg = SimConfig(paths=300, seed=31, sub_steps=sub, t_start=t, x0=1.0)
+        cfg = SimConfig(paths=300, seed=31, sub_steps=sub, x0=1.0)
         steps = [s for _, s in _snap_eps(grid, grid.index_of(t), spike.epsilons)]
         assert steps == expected(grid.steps - grid.index_of(t))
-        run = _LadderRun(spec, th, p2, cfg, _as_vector(v, spec.dims.k, "v", "control"), steps)
+        run = _LadderRun(spec, th, p2, cfg, t, _as_vector(v, spec.dims.k, "v", "control"), steps)
         incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
         assert_sums_close(send_all(run.kernel()(cfg.paths), incs), carried_block(run, incs, run._weights()))
 
         rep = spike_test(spec, th, p2, cfg, spike, t, **kw)
-        base = simulate_closed_loop(spec, th, p2, cfg)
+        base = simulate_closed_loop(spec, th, p2, cfg, t)
         j0 = evaluate_cost(spec, base, build_controls(spec, base), t).estimate
         for report, direction in ((rep, v), (rep.opposite, -np.asarray(v))):
             for row in report.rows:
-                spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=direction), row.eps_used)
+                spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=direction), row.eps_used, t)
                 j1 = evaluate_cost(spec, spiked, build_controls(spec, spiked), t).estimate
                 assert row.delta == pytest.approx((j1 - j0) / row.eps_used, abs=1e-10)
 
@@ -620,19 +641,19 @@ class TestCloseSchedule:
         i0 = data.draw(st.integers(0, spec.grid.steps - 1))
         left = spec.grid.steps - i0
         steps = sorted(data.draw(st.lists(st.integers(1, left), min_size=1, max_size=6)), reverse=True)
-        cfg = SimConfig(paths=64, seed=data.draw(st.integers(0, 9)), sub_steps=data.draw(st.integers(1, 2)),
-                        t_start=float(spec.grid.nodes[i0]), x0=1.0)
-        run = _LadderRun(spec, th, p2, cfg, _as_vector(v, spec.dims.k, "v", "control"), steps)
+        cfg = SimConfig(paths=64, seed=data.draw(st.integers(0, 9)), sub_steps=data.draw(st.integers(1, 2)), x0=1.0)
+        run = _LadderRun(spec, th, p2, cfg, float(spec.grid.nodes[i0]), _as_vector(v, spec.dims.k, "v", "control"),
+                         steps)
         incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
         assert_sums_close(send_all(run.kernel()(cfg.paths), incs), carried_block(run, incs, run._weights()))
 
     def test_the_ladder_must_not_widen(self, smoke_200):
         spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
         cfg = SimConfig(paths=8, seed=0, x0=1.0)
-        _LadderRun(spec, th, p2, cfg, np.array([1.0]), [3, 3, 1])  # ties are fine
+        _LadderRun(spec, th, p2, cfg, 0.0, np.array([1.0]), [3, 3, 1])  # ties are fine
         for steps in ([1, 3], [3, 1, 2]):
             with pytest.raises(ValueError, match="non-increasing"):
-                _LadderRun(spec, th, p2, cfg, np.array([1.0]), steps)
+                _LadderRun(spec, th, p2, cfg, 0.0, np.array([1.0]), steps)
 
     @pytest.mark.parametrize("problem", ["smoke", "coupled", "narrow"])
     def test_one_p7_sweep_is_each_rungs_own(self, smoke_solution, problem):
@@ -645,7 +666,7 @@ class TestCloseSchedule:
             i0 = spec.grid.index_of(t)
             steps = [s for _, s in _snap_eps(spec.grid, i0, SpikeSpec().epsilons)]
             assert len(set(steps)) < len(steps)  # the ladder ties at one step
-            run = _LadderRun(spec, th, p2, SimConfig(paths=8, seed=0, t_start=t), v, steps)
+            run = _LadderRun(spec, th, p2, SimConfig(paths=8, seed=0), t, v, steps)
             want = np.stack([p7_per_rung(spec, p2, v, i0, s, run.n_coarse + 1) for s in steps])
             assert np.all(np.abs(run.p7v - want) <= 1e-14 * np.abs(want).max(axis=(1, 2), keepdims=True))
             assert np.all((want != 0).any(axis=2)[:, :-1] == run.chi_node)  # nonzero exactly on each window
@@ -740,11 +761,11 @@ class TestSpikeTests:
     def test_buffered_scalar_kernel_is_the_plain_one_bitwise(self, smoke_solution, sub):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         for t in (0.0, 0.25, 0.5, 0.75):
-            cfg = SimConfig(paths=500, seed=11, sub_steps=sub, t_start=t, x0=1.0)
+            cfg = SimConfig(paths=500, seed=11, sub_steps=sub, x0=1.0)
             left = spec.grid.steps - spec.grid.index_of(t)
             # The last ladder has a rung that reaches the horizon.
             for rungs in ([64, 20, 5, 1], [left, 3]):
-                run = _LadderRun(spec, th, p2, cfg, np.array([1.0]), rungs)
+                run = _LadderRun(spec, th, p2, cfg, t, np.array([1.0]), rungs)
                 incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
                 weights = run._weights()
                 got = send_all(_primed(run._block(cfg.paths, weights)), incs)
@@ -822,8 +843,9 @@ class TestOneBlockLive:
 
     @pytest.mark.parametrize("spiked", [False, True])
     def test_bundle_route_holds_little_beyond_its_bundle(self, smoke_200, spiked):
-        # A (paths, nodes, n) temporary on top of X, Y, Z and the increments
-        # reads 1.0 here; streaming and the per-node Z loop read about 0.07.
+        # A (paths, nodes, n) temporary on top of X, Y and Z reads 1.0 here;
+        # streaming, and Y and Z each one einsum with its node terms added
+        # in place, read about 0.05.
         spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
         cfg = SimConfig(paths=2 * BLOCK_PATHS, seed=3, x0=1.0)
         tracemalloc.start()
@@ -835,7 +857,7 @@ class TestOneBlockLive:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for a in (bundle.X, bundle.Y, bundle.Z, bundle.increments))
+        held = sum(a.nbytes for a in (bundle.X, bundle.Y, bundle.Z))
         assert peak - held < 0.5 * bundle.X.nbytes, (peak - held) / bundle.X.nbytes
 
 
@@ -885,12 +907,12 @@ class TestStreamedRows:
 
         def outputs():
             reports = spike_tests(spec, th, p2, cfg, spike, times)
-            bundle = simulate_spike(spec, th, p2, dataclasses.replace(cfg, t_start=0.5), spike, 0.1)
+            bundle = simulate_spike(spec, th, p2, cfg, spike, 0.1, 0.5)
             return (
                 [(rep.summary(), rep.closed_loop) for rep in reports],
                 perturbation_scaling(spec, th, p2, cfg, spike, 0.5),
                 bsde_residual_check(spec, th, p2, cfg),
-                bundle.X.tobytes() + bundle.increments.tobytes(),
+                bundle.X.tobytes() + bundle.Y.tobytes() + bundle.Z.tobytes(),
             )
 
         streamed = outputs()
@@ -1000,9 +1022,9 @@ class TestBsdeResidual:
     def test_coupled_problem_has_a_live_backward_state(self):
         # Every term that the matrix preset leaves at zero is nonzero here.
         spec, th, p2 = matrix_inputs("coupled")
-        cfg = SimConfig(paths=50, seed=1, t_start=0.5, x0=1.0)
-        base = simulate_closed_loop(spec, th, p2, cfg)
-        spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=np.array([1.0, -0.5])), eps=0.125)
+        cfg = SimConfig(paths=50, seed=1, x0=1.0)
+        base = simulate_closed_loop(spec, th, p2, cfg, 0.5)
+        spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=np.array([1.0, -0.5])), eps=0.125, t=0.5)
         assert np.all(np.any(spiked.p7v != 0.0, axis=0))  # every entry of P7 v
         assert np.all(np.any(base.Y != 0.0, axis=(0, 1))) and np.all(np.any(base.Z != 0.0, axis=(0, 1)))
         assert not np.array_equal(spiked.Y, base.Y) and not np.array_equal(spiked.Z, base.Z)
@@ -1044,6 +1066,15 @@ def test_sim_config_validation():
 def test_sim_config_rejects_a_non_integer_count(count):
     with pytest.raises(ValueError, match=count):
         SimConfig(**{count: 1.5})
+
+
+@pytest.mark.parametrize("value", [{"paths": True}, {"sub_steps": True}, {"seed": True}, {"seed": 1.5}])
+def test_sim_config_rejects_a_bool_and_a_non_integer_seed(value):
+    # True would run one path or one sub-step, and seed 1.5 would draw seed 1
+    (name,) = value
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**value)
+    assert SimConfig(seed=np.int64(-3)).seed == -3
 
 
 @pytest.mark.parametrize("epsilons", [(np.nan,), (np.inf, 1.0)])
