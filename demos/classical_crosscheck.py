@@ -20,7 +20,7 @@ sol = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1),
                         SolverConfig(check_assumptions=False))
 p_classical, gain_classical = classical_riccati_feedback(spec)
 
-gap = np.max(np.abs(sol.theta_star.values - gain_classical.values))
+gap = np.max(np.abs(sol.theta_star.data - gain_classical.data))
 print(f"node-wise gain gap (equilibrium vs classical Riccati): {gap:.3e}")
 
 nodes = spec.grid.nodes

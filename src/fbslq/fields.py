@@ -3,7 +3,8 @@
 A :class:`TwoTimeField` holds a matrix function P(s; t) on the triangle
 0 <= t <= s <= T, stored as ``data[t_index, s_index]`` with only the upper
 triangle (s >= t) meaningful.  A :class:`OneTimeField` holds one matrix per
-grid node.  A :class:`Strategy` is a one-time field of feedback gains.
+grid node.  A :class:`Strategy` is a one-time field of feedback gains that
+must be finite.
 
 All containers are immutable by convention (arrays are not written after
 construction) and safe to share across workers.
@@ -95,10 +96,11 @@ class OneTimeField:
             raise ValueError("flat() requires 1x1 entries")
         return self.data[:, 0, 0]
 
-    @staticmethod
-    def from_flat(grid: TimeGrid, values: np.ndarray) -> "OneTimeField":
+    @classmethod
+    def from_flat(cls, grid: TimeGrid, values: np.ndarray) -> "OneTimeField":
+        """The field of 1x1 entries ``values[i]``, of the calling class."""
         v = np.asarray(values, dtype=float)
-        return OneTimeField(grid, v[:, None, None].copy())
+        return cls(grid, v[:, None, None].copy())
 
 
 @dataclass(frozen=True)
@@ -144,45 +146,24 @@ class TwoTimeField:
 
 
 @dataclass(frozen=True)
-class Strategy:
-    """Feedback gain field: ``values[i]`` is the k x n gain at t_i; see :func:`interval_gain`."""
-
-    grid: TimeGrid
-    values: np.ndarray
+class Strategy(OneTimeField):
+    """Feedback gain field: ``data[i]`` is the k x n gain at t_i; see :func:`interval_gain`."""
 
     def __post_init__(self):
-        _check_grid(self.grid, self.values, 1)
-        if not np.all(np.isfinite(self.values)):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.data)):
             raise ValueError("strategy values must be finite")
 
-    @property
-    def entry_shape(self) -> tuple[int, int]:
-        return self.values.shape[1:]
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def flat(self) -> np.ndarray:
-        if self.entry_shape != (1, 1):
-            raise ValueError("flat() requires 1x1 entries")
-        return self.values[:, 0, 0]
-
-    @staticmethod
-    def constant(grid: TimeGrid, gain) -> "Strategy":
+    @classmethod
+    def constant(cls, grid: TimeGrid, gain) -> "Strategy":
         g = np.asarray(gain, dtype=float)
         if g.ndim == 0:
             g = g.reshape(1, 1)
-        values = np.broadcast_to(g, (grid.num_nodes,) + g.shape).copy()
-        return Strategy(grid, values)
+        return cls(grid, np.broadcast_to(g, (grid.num_nodes,) + g.shape).copy())
 
-    @staticmethod
-    def zeros(grid: TimeGrid, k: int, n: int) -> "Strategy":
-        return Strategy(grid, np.zeros((grid.num_nodes, k, n)))
-
-    @staticmethod
-    def from_flat(grid: TimeGrid, values: np.ndarray) -> "Strategy":
-        v = np.asarray(values, dtype=float)
-        return Strategy(grid, v[:, None, None].copy())
+    @classmethod
+    def zeros(cls, grid: TimeGrid, k: int, n: int) -> "Strategy":
+        return cls(grid, np.zeros((grid.num_nodes, k, n)))
 
 
 def interval_gain(values: np.ndarray, lo: int, stop: int, fractions) -> np.ndarray:

@@ -64,11 +64,10 @@ def _entry_headers(shape: tuple[int, int]) -> list[str]:
     return [f"e{i}{j}" for i in range(shape[0]) for j in range(shape[1])]
 
 
-def one_time_field_rows(field: OneTimeField | Strategy):
-    data = field.data if isinstance(field, OneTimeField) else field.values
+def one_time_field_rows(field: OneTimeField):
     nodes = field.grid.nodes
-    header = ["t"] + _entry_headers(data.shape[1:])
-    rows = ([nodes[i]] + list(data[i].ravel()) for i in range(len(nodes)))
+    header = ["t"] + _entry_headers(field.entry_shape)
+    rows = ([nodes[i]] + list(field.data[i].ravel()) for i in range(len(nodes)))
     return header, rows
 
 

@@ -3,14 +3,15 @@
 One family serves every entry: :class:`TwoTimeKernel`, matrix functions
 K(s, t) on [0, T]^2.  The running cost weights read them at (s, t); the cost
 integral only reads the triangle t <= s, but the kernels are defined on the
-whole square.  The constant, discounted and difference formulas are one
-:class:`LagKernel`, a function of the lag d = s - t written over a basis
-exp(-rate d) d^k that an h-shift maps into itself.  The Riccati diagonals and
-the integral route advance its few factor sums node by node instead of
-sampling L x L tables; table and callable kernels are sampled.  A dynamics
-coefficient or a terminal/initial weight is a function of one time: a lag
-kernel read at lag d = t, ``kernel(t)``, or a :class:`TimeFunction` (a table
-or a callable).
+whole square.  A dynamics coefficient or a terminal/initial weight is a
+function of one time, read as ``kernel(t)``, which is K(t, 0): a lag kernel
+at lag d = t, or a single-time table or callable (:class:`TableFn`,
+:class:`CallableFn`), which evaluates K(s, t) from s alone.  The constant,
+discounted and difference formulas are one :class:`LagKernel`, a function of
+the lag d = s - t written over a basis exp(-rate d) d^k that an h-shift maps
+into itself.  The Riccati diagonals and the integral route advance its few
+factor sums node by node instead of sampling L x L tables; table and
+callable kernels are sampled.
 
 Scenario files may only use the closed family that :func:`kernel_from_spec`
 and :func:`time_fn_from_spec` read (constant / discounted / difference /
@@ -31,7 +32,6 @@ __all__ = [
     "LagKernel",
     "TableKernel",
     "CallableKernel",
-    "TimeFunction",
     "TableFn",
     "CallableFn",
     "kernel_from_spec",
@@ -49,11 +49,11 @@ def _as_matrix(value) -> np.ndarray:
 
 
 class TwoTimeKernel:
-    """Matrix-valued kernel K(s, t); subclasses implement ``evaluate``."""
+    """Matrix-valued kernel K(s, t); subclasses implement ``evaluate``; ``kernel(t)`` is K(t, 0)."""
 
     shape: tuple[int, int]
 
-    def __call__(self, s, t) -> np.ndarray:
+    def __call__(self, s, t=0.0) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         out = self.evaluate(s, t)
@@ -73,8 +73,8 @@ class LagKernel(TwoTimeKernel):
     b(d + step) = shift(step) @ b(d), and b(0) is the first unit vector.  So a
     sum of K(s_j, t_i) over nodes s_j can be carried relative to the current
     node t_i and moved one node back by a small matrix, without an exponent
-    that spans the horizon.  Called with one time, ``kernel(t)`` is the
-    single-time reading K(t, 0), at lag d = t.
+    that spans the horizon.  Called with one time, ``kernel(t)`` reads it at
+    lag d = t.
     """
 
     rate: float
@@ -90,9 +90,6 @@ class LagKernel(TwoTimeKernel):
     @property
     def shape(self) -> tuple[int, int]:
         return self.coefs.shape[1:]
-
-    def __call__(self, s, t=0.0) -> np.ndarray:
-        return super().__call__(s, t)
 
     def evaluate(self, s, t):
         # Horner from the top degree; a constant is coefs[0] itself, and the
@@ -176,22 +173,8 @@ class CallableKernel(TwoTimeKernel):
         return np.asarray(self.fn(s, t), dtype=float)
 
 
-class TimeFunction:
-    """Matrix-valued function of a single time that is not a lag kernel."""
-
-    shape: tuple[int, int]
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = self.evaluate(t)
-        return np.broadcast_to(out, t.shape + self.shape)
-
-    def evaluate(self, t) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class TableFn(TimeFunction):
-    """Tabulated single-time function, linear interpolation, clamped ends."""
+class TableFn(TwoTimeKernel):
+    """Tabulated single-time entry K(s, t) = f(s), linear interpolation, clamped ends."""
 
     def __init__(self, nodes, values):
         self.nodes = _table_nodes(nodes)
@@ -203,21 +186,17 @@ class TableFn(TimeFunction):
         self.values = v
         self.shape = v.shape[1:]
 
-    def evaluate(self, t):
-        i, w = _locate(self.nodes, t)
+    def evaluate(self, s, t):
+        i, w = _locate(self.nodes, s)
         w = w[..., None, None]
         return self.values[i] * (1 - w) + self.values[i + 1] * w
 
 
-class CallableFn(TimeFunction):
-    """In-code function from a vectorized callable t -> (..., r, c)."""
+class CallableFn(CallableKernel):
+    """In-code single-time entry K(s, t) = fn(s) from a vectorized callable s -> (..., r, c)."""
 
-    def __init__(self, fn, shape):
-        self.fn = fn
-        self.shape = (int(shape[0]), int(shape[1]))
-
-    def evaluate(self, t):
-        return np.asarray(self.fn(t), dtype=float)
+    def evaluate(self, s, t):
+        return np.asarray(self.fn(s), dtype=float)
 
 
 # The lag spec types as (rate, coefs) of their parameters.
@@ -247,8 +226,8 @@ def kernel_from_spec(spec: dict, shape: tuple[int, int]) -> TwoTimeKernel:
     return _from_spec(spec, shape, lambda p: TableKernel(p["s_nodes"], p["t_nodes"], p["values"]))
 
 
-def time_fn_from_spec(spec: dict, shape: tuple[int, int]) -> LagKernel | TimeFunction:
-    """Build a single-time function from its JSON description.
+def time_fn_from_spec(spec: dict, shape: tuple[int, int]) -> TwoTimeKernel:
+    """Build a single-time entry from its JSON description, a kernel read as ``kernel(t)``.
 
     The same four spec types are accepted; the lag types are read at lag
     d = t, the plain time argument in place of (s - t), and tables are 1-d.

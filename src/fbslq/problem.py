@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import TimeGrid
-from .kernels import LagKernel, TimeFunction, TwoTimeKernel
+from .kernels import LagKernel, TwoTimeKernel
 
 __all__ = [
     "Dimensions",
@@ -45,16 +45,16 @@ class Dimensions:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Dynamics coefficients; all bounded functions on [0, horizon]."""
+    """Dynamics coefficients; all bounded functions on [0, horizon], each read as ``kernel(t)``."""
 
-    A: LagKernel | TimeFunction  # n x n
-    B: LagKernel | TimeFunction  # n x k
-    C: LagKernel | TimeFunction  # n x n
-    D: LagKernel | TimeFunction  # n x k
-    Ahat: LagKernel | TimeFunction  # m x n
-    Bhat: LagKernel | TimeFunction  # m x k
-    Chat: LagKernel | TimeFunction  # m x m
-    Dhat: LagKernel | TimeFunction  # m x m
+    A: TwoTimeKernel  # n x n
+    B: TwoTimeKernel  # n x k
+    C: TwoTimeKernel  # n x n
+    D: TwoTimeKernel  # n x k
+    Ahat: TwoTimeKernel  # m x n
+    Bhat: TwoTimeKernel  # m x k
+    Chat: TwoTimeKernel  # m x m
+    Dhat: TwoTimeKernel  # m x m
     H: np.ndarray  # m x n, constant
     horizon: float
 
@@ -65,8 +65,8 @@ class Weights:
     R: TwoTimeKernel  # k x k, symmetric
     M: TwoTimeKernel  # m x m, symmetric
     N: TwoTimeKernel  # m x m, symmetric
-    G1: LagKernel | TimeFunction  # n x n, symmetric
-    G2: LagKernel | TimeFunction  # m x m, symmetric
+    G1: TwoTimeKernel  # n x n, symmetric, read as G1(t)
+    G2: TwoTimeKernel  # m x m, symmetric, read as G2(t)
 
     def lag_factors(self) -> dict[str, LagKernel] | None:
         """Q, R, M and N by name if all four are lag kernels, else None.

@@ -85,7 +85,7 @@ def closed_loop_coefficients(spec: ProblemSpec, theta: Strategy) -> ClosedLoopCo
     _require_same_grid(spec, theta)
     nodes, mids = spec.grid.nodes, spec.grid.midpoints
     c = spec.coeffs
-    th = interval_gain(theta.values, 0, spec.grid.steps, _STAGES)
+    th = interval_gain(theta.data, 0, spec.grid.steps, _STAGES)
 
     def stages(x, y):  # x + y Theta at the left node, midpoint and right node
         x_n, y_n, x_m, y_m = x(nodes), y(nodes), x(mids), y(mids)
@@ -106,7 +106,7 @@ def _p1_equation(spec: ProblemSpec, theta: Strategy):
     at the left node, midpoint and right node of interval j (None reads as
     the identity).
     """
-    terms = [("Q", None), ("R", interval_gain(theta.values, 0, spec.grid.steps, _STAGES))]
+    terms = [("Q", None), ("R", interval_gain(theta.data, 0, spec.grid.steps, _STAGES))]
     return _sym(spec.weights.G1(spec.grid.nodes)), terms
 
 
@@ -333,7 +333,7 @@ def _p2_field(spec: ProblemSpec, samples: dict[str, np.ndarray], theta_values: n
 def solve_p2(spec: ProblemSpec, theta: Strategy) -> P2Field:
     """One-time coupling field with terminal value H, carrying its midpoints."""
     _require_same_grid(spec, theta)
-    return _p2_field(spec, _p2_samples(spec), theta.values)
+    return _p2_field(spec, _p2_samples(spec), theta.data)
 
 
 def solve_p3(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> TwoTimeField:
@@ -551,7 +551,7 @@ def feedback_map(
     the theta0 pass-through.
     """
     lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    return Strategy(spec.grid, _feedback(lam, gam, theta0.values)[0])
+    return Strategy(spec.grid, _feedback(lam, gam, theta0.data)[0])
 
 
 @dataclass
@@ -657,7 +657,7 @@ def characterization_residual_from_fields(
     The field vanishes exactly at a true closed-loop equilibrium.
     """
     lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    return OneTimeField(spec.grid, gam + lam @ theta.values)
+    return OneTimeField(spec.grid, gam + lam @ theta.data)
 
 
 def characterization_residual(spec: ProblemSpec, theta: Strategy) -> OneTimeField:

@@ -15,9 +15,11 @@ where ``kernel_spec`` is one of ``constant | discounted | difference |
 table`` (see :mod:`fbslq.kernels`).  The dims and ``grid_steps`` are JSON
 integers: a boolean or a number written with a fraction or exponent part
 (``50.7``, ``1000.0``) is refused.  The horizon is a JSON number, not a
-boolean or a string.  Matrices are row-major nested arrays of
-finite decimals.  Single-time entries (all coefficients, G1, G2) read the
-same spec types with the plain time argument in place of (s - t).
+boolean or a string.  Matrices are row-major nested arrays of finite
+decimals: H and every kernel parameter hold JSON numbers only, and a boolean
+or a string anywhere in them is refused.  Single-time entries (all
+coefficients, G1, G2) read the same spec types with the plain time argument
+in place of (s - t).
 
 The builders at the end of this module write the built-in problems; each is
 the one definition of its instance, which :mod:`fbslq.presets` reads.
@@ -52,6 +54,26 @@ def _typed(value, kind, name: str):
     return value
 
 
+def _numbers(value, name: str):
+    """``value``, a JSON number or nested arrays of them: no boolean or string anywhere."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        elif isinstance(item, (bool, str)):
+            raise ValueError(f"{name} must hold JSON numbers only, got {item!r}")
+    return value
+
+
+def _entry(doc: dict, section: str, name: str) -> dict:
+    """The kernel spec ``doc[section][name]``, its params checked by :func:`_numbers`."""
+    spec = doc[section][name]
+    for key, value in spec.get("params", {}).items():
+        _numbers(value, f"{section}.{name}.params.{key}")
+    return spec
+
+
 def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
     """Build a problem instance from a parsed scenario document."""
     if not isinstance(doc, dict):
@@ -61,16 +83,16 @@ def scenario_to_spec(doc: dict, grid_steps: int | None = None) -> ProblemSpec:
         horizon = float(_typed(doc["horizon"], numbers.Real, "horizon"))
         steps = grid_steps if grid_steps is not None else _typed(doc["grid_steps"], numbers.Integral, "grid_steps")
         coeff_fns = {
-            name: time_fn_from_spec(doc["coeffs"][name], _expected_shape(dims, shape))
+            name: time_fn_from_spec(_entry(doc, "coeffs", name), _expected_shape(dims, shape))
             for name, shape in _COEFF_SHAPES.items()
         }
-        H = np.asarray(doc["coeffs"]["H"], dtype=float)
+        H = np.asarray(_numbers(doc["coeffs"]["H"], "coeffs.H"), dtype=float)
         if H.shape != (dims.m, dims.n):
             raise ValueError(f"H has shape {H.shape}, want {(dims.m, dims.n)}")
         weights = {}
         for name, shape in _WEIGHT_SHAPES.items():
             build = time_fn_from_spec if name in _ONE_TIME_WEIGHTS else kernel_from_spec
-            weights[name] = build(doc["weights"][name], _expected_shape(dims, shape))
+            weights[name] = build(_entry(doc, "weights", name), _expected_shape(dims, shape))
     except KeyError as exc:
         raise ValueError(f"scenario is missing required field {exc}") from exc
     except (TypeError, AttributeError) as exc:

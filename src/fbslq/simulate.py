@@ -340,21 +340,18 @@ def _simulate_bundle(spec, theta, p2, cfg, t, v, rungs) -> PathBundle:
                 if ell % sub == 0:
                     x = stepper.y[:, 0]
                     X[paths, ell // sub] = (x + stepper.perturbations()[:, 0] if rungs else x).T
-    p7v = run.p7v[0] if rungs else np.zeros((R, run.m))  # (range_nodes, m)
-    chi = run.chi_node[0] if rungs else np.zeros(run.n_coarse)
+    p7v, zv = np.zeros((2, R, run.m))  # the spike's P7 v and chi P2 D v at the range nodes
+    if rungs:
+        p7v, zv = run.p7v[0], np.concatenate([run.zv_left[0], run.zv_right[0, -1:]])
 
     # Decoupled backward components at the coarse nodes, each one einsum
     # written into its own array with the node terms added in place, so
-    # that no temporary as large as X is held.  P2 C_Th and P2 chi D v are
-    # formed once per node; at the terminal node Z is the left limit of the
-    # last interval.
-    p2_range = run.p2_range
-    p2ct = p2_range @ np.concatenate([run.ct_left, run.ct_right[-1:]])  # (range_nodes, m, n)
-    dv = np.append(chi, chi[-1])[:, None] * np.concatenate([run.dv_left, run.dv_right[-1:]])
-    Y = np.einsum("rmn,prn->prm", p2_range, X)
+    # that no temporary as large as X is held.  Z reads the run's node map;
+    # at the terminal node it is the left limit of the last interval.
+    Y = np.einsum("rmn,prn->prm", run.p2_range, X)
     Y += p7v
-    Z = np.einsum("rmn,prn->prm", p2ct, X)
-    Z += (p2_range @ dv[:, :, None])[:, :, 0]
+    Z = np.einsum("rmn,prn->prm", np.concatenate([run.z_left, run.z_right[-1:]]), X)
+    Z += zv
 
     return PathBundle(
         theta=theta,
@@ -610,28 +607,32 @@ class _LadderRun:
 
         # Gains from interval_gain: each fine step's start, both ends of each coarse interval.
         fine_t = grid.nodes[self.i0] + self.hf * np.arange(self.F)
-        th = interval_gain(theta.values, self.i0, grid.steps, [q / self.sub for q in range(self.sub)])
+        th = interval_gain(theta.data, self.i0, grid.steps, [q / self.sub for q in range(self.sub)])
         self.theta_fine = th.reshape(self.F, self.k, self.n)
         self.a_fine = c.A(fine_t) + c.B(fine_t) @ self.theta_fine  # (F, n, n)
         self.c_fine = c.C(fine_t) + c.D(fine_t) @ self.theta_fine
         left_t, right_t = nodes[:-1], nodes[1:]
-        th = interval_gain(theta.values, self.i0, grid.steps, (0.0, 1.0))
+        th = interval_gain(theta.data, self.i0, grid.steps, (0.0, 1.0))
         self.theta_left = th[:, 0]  # (n_coarse, k, n)
-        self.ct_left = c.C(left_t) + c.D(left_t) @ th[:, 0]
-        self.ct_right = c.C(right_t) + c.D(right_t) @ th[:, 1]
         self.p2_range = p2.data[self.i0 :]  # (range_nodes, m, n)
+        p2_left, p2_right = self.p2_range[:-1], self.p2_range[1:]
+        # Z = (P2 C_Th) x + chi P2 D v at both ends of each interval: P2 C_Th here.
+        self.z_left = p2_left @ (c.C(left_t) + c.D(left_t) @ th[:, 0])  # (n_coarse, m, n)
+        self.z_right = p2_right @ (c.C(right_t) + c.D(right_t) @ th[:, 1])
         self.a_h = np.swapaxes(self.a_fine, 1, 2)[..., None] * self.hf  # the stepper's factors, (F, n, n, 1)
         self.c_t = np.swapaxes(self.c_fine, 1, 2)[..., None]
 
         # The spike indicators per coarse interval (closed left, open right),
-        # each rung's coupling field and the spike drive of an open rung.
+        # each rung's coupling field, the spike drive of an open rung and Z's
+        # chi P2 D v.
         self.chi_node = (np.arange(self.n_coarse) < np.asarray(eps_steps, dtype=int).reshape(-1, 1)).astype(float)
         samples = _p7_samples(spec, p2, self.i0, max(eps_steps, default=0), v)
         self.p7v = _solve_p7(samples, self.h, eps_steps, self.n_coarse + 1)
         self.drive_h = ((c.B(fine_t) @ v) * self.hf)[:, :, None, None]  # (F, n, 1, 1)
         self.drive_w = (c.D(fine_t) @ v)[:, :, None, None]
-        self.dv_left = c.D(left_t) @ v  # (n_coarse, n)
-        self.dv_right = c.D(right_t) @ v
+        chi = self.chi_node[:, :, None]
+        self.zv_left = chi * (p2_left @ (c.D(left_t) @ v)[:, :, None])[..., 0]  # (rungs, n_coarse, m)
+        self.zv_right = chi * (p2_right @ (c.D(right_t) @ v)[:, :, None])[..., 0]
 
         self.qk = w.Q(nodes, t)
         rk = w.R(nodes, t)
@@ -676,23 +677,17 @@ class _LadderRun:
         n), beta (nodes, n, rungs, 1) and gamma (rungs,), laid out for the
         states of :class:`_Stepper`.
         """
-        h, nc = self.h, self.n_coarse
-        p2 = self.p2_range
+        h, nc, p2 = self.h, self.n_coarse, self.p2_range
         w_state = np.full(nc + 1, h)
         w_state[0] = w_state[-1] = 0.5 * h
-        chi = self.chi_node[:, :, None, None]
         eye = np.eye(self.n)[None]
         left, right, every = slice(0, nc), slice(1, nc + 1), slice(0, nc + 1)
-
-        def z_source(p2_ends, dv_ends):  # chi P2 D v at one end of each interval
-            return ((chi * p2_ends) @ dv_ends[..., None])[..., 0]
-
         terms = (  # (nodes, weight, W, L, source per rung or None)
             (every, w_state, self.qk, eye, None),
             (slice(nc, nc + 1), 1.0, self.g1[None], eye, None),
             (left, h, self.rk_iv, self.theta_left, self.chi_node[:, :, None] * self.v),
-            (left, 0.5 * h, self.nk[:-1], p2[:-1] @ self.ct_left, z_source(p2[:-1], self.dv_left)),
-            (right, 0.5 * h, self.nk[1:], p2[1:] @ self.ct_right, z_source(p2[1:], self.dv_right)),
+            (left, 0.5 * h, self.nk[:-1], self.z_left, self.zv_left),
+            (right, 0.5 * h, self.nk[1:], self.z_right, self.zv_right),
             (every, w_state, self.mk, p2, self.p7v),
             (slice(0, 1), 1.0, self.g2[None], p2[:1], self.p7v[:, :1]),  # G2 Y(t) at the deterministic start
         )
@@ -912,12 +907,12 @@ def perturbation_scaling(
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
     run = _LadderRun(spec, theta, p2, cfg, t, v, [steps for _, steps in ladder])
     p7v = np.moveaxis(run.p7v, 2, 0)[..., None]  # (m, rungs, nodes, 1)
-    dv = (run.dv_left.T[:, None] * run.chi_node)[..., None]  # (n, rungs, intervals, 1): chi D v
+    zv = np.moveaxis(run.zv_left, 2, 0)[..., None]  # (m, rungs, intervals, 1): chi P2 D v
     sum_x = sum_yz = 0.0
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for _, width, rows in blocks:
             mx, my, iz = np.zeros((3, len(ladder), width))
-            dy, dz, zc = (np.empty((dim, len(ladder), width)) for dim in (run.m, run.m, run.n))
+            dy, dz = np.empty((2, run.m, len(ladder), width))
             for ell, _, stepper in run.walk(width, rows):
                 if ell % run.sub:
                     continue
@@ -928,9 +923,8 @@ def perturbation_scaling(
                 dy += p7v[:, :, r]
                 np.maximum(my, _dotter(dy, dy)(), out=my)
                 if r < run.n_coarse:  # Z is frozen on [s_r, s_{r+1})
-                    _mixer(d, zc)(run.ct_left[r].T)
-                    zc += dv[:, :, r]
-                    _mixer(zc, dz)(run.p2_range[r].T)
+                    _mixer(d, dz)(run.z_left[r].T)
+                    dz += zv[:, :, r]
                     iz += _dotter(dz, dz)()
             sum_x += mx.sum(axis=1)
             sum_yz += (my + run.h * iz).sum(axis=1)

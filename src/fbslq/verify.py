@@ -161,7 +161,7 @@ def suite_example_2_5(grid_steps: int = 1000, q: str = "unit") -> SuiteReport:
     solh = solve_equilibrium(spec, half, cfg)
     report.add_upper(
         "half_branch_gain_passthrough",
-        float(np.max(np.abs(solh.theta_star.values + 0.5))),
+        float(np.max(np.abs(solh.theta_star.data + 0.5))),
         1e-12,
     )
     if q == "unit":
@@ -200,7 +200,7 @@ def suite_classical_reduction(spec: ProblemSpec) -> SuiteReport:
     if spec.is_one_dimensional():
         cfg = SolverConfig(check_assumptions=False)
         sol = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), cfg)
-        gap = float(np.max(np.abs(sol.theta_star.values - classical.values)))
+        gap = float(np.max(np.abs(sol.theta_star.data - classical.data)))
         report.add_upper("gain_matches_classical", gap, 1e-6)
         resid = characterization_residual_from_fields(spec, sol.p1_diag, sol.p3_diag, sol.p2, sol.theta_star)
         scale = 1.0 + sol.theta_star.sup_norm()

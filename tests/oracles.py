@@ -253,7 +253,7 @@ def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:
     Theta_j is the gain at the left end of interval j (:func:`~fbslq.fields.interval_gain`);
     the terminal column reads it at the right end and never enters the cost quadrature.
     """
-    th = interval_gain(bundle.theta.values, bundle.t_index, spec.grid.steps, (0.0, 1.0))
+    th = interval_gain(bundle.theta.data, bundle.t_index, spec.grid.steps, (0.0, 1.0))
     u = np.empty((bundle.paths, bundle.range_nodes, spec.dims.k))
     u[:, :-1] = np.einsum("rkn,prn->prk", th[:, 0], bundle.X[:, :-1])
     u[:, -1] = bundle.X[:, -1] @ th[-1, 1].T
@@ -331,7 +331,7 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
     nodes = grid.nodes[i0:]
     right_t = nodes[1:]
     c = spec.coeffs
-    th = interval_gain(bundle.theta.values, i0, grid.steps, (1.0,))
+    th = interval_gain(bundle.theta.data, i0, grid.steps, (1.0,))
     ct_right = c.C(right_t) + c.D(right_t) @ th[:, 0]  # (R-1, n, n)
     zc = np.einsum("rij,prj->pri", ct_right, bundle.X[:, 1:])
     if bundle.spike_v is not None and bundle.spike_steps > 0:
@@ -349,7 +349,7 @@ def per_node_z(spec, bundle) -> np.ndarray:
     """
     grid, c, i0 = spec.grid, spec.coeffs, bundle.t_index
     nodes = grid.nodes[i0:]
-    th = interval_gain(bundle.theta.values, i0, grid.steps, (0.0, 1.0))
+    th = interval_gain(bundle.theta.data, i0, grid.steps, (0.0, 1.0))
     ct = c.C(nodes) + c.D(nodes) @ np.concatenate([th[:, 0], th[-1:, 1]])
     chi = np.minimum(np.arange(len(nodes)), len(nodes) - 2) < bundle.spike_steps  # of the interval read
     v = np.zeros(spec.dims.k) if bundle.spike_v is None else bundle.spike_v

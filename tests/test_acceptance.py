@@ -79,7 +79,7 @@ def test_criterion_3_generic_scalar_solver(smoke_solution_1000):
     char_ok = resid.sup_norm() <= char_bound
     consistency_ok = diag.consistency_gap <= 1e-6
     other = solve_equilibrium(spec, Strategy.constant(spec.grid, 5.0))
-    theta0_gap = float(np.max(np.abs(other.theta_star.values - sol.theta_star.values)))
+    theta0_gap = float(np.max(np.abs(other.theta_star.data - sol.theta_star.data)))
     theta0_ok = theta0_gap <= 10.0 * 1e-10
     elapsed = time.time() - start
     passed = ratios_ok and residual_ok and char_ok and consistency_ok and theta0_ok and elapsed < 60.0
@@ -100,7 +100,7 @@ def test_criterion_4_classical_reduction_oracle():
         spec, Strategy.zeros(spec.grid, 1, 1), SolverConfig(check_assumptions=False)
     )
     _, classical = classical_riccati_feedback(spec)
-    gap = float(np.max(np.abs(sol.theta_star.values - classical.values)))
+    gap = float(np.max(np.abs(sol.theta_star.data - classical.data)))
     elapsed = time.time() - start
     passed = gap <= 1e-6 and elapsed < 10.0
     report(4, passed, f"node-wise gain gap vs classical oracle = {gap:.2e} <= 1e-6", elapsed)

@@ -273,7 +273,7 @@ class TestFixedPointMap:
                 out_b = fixed_point_map(
                     smoke_spec, Strategy.from_flat(smoke_spec.grid, pert), theta0, window
                 )
-                num = np.max(np.abs(out_a.values - out_b.values))
+                num = np.max(np.abs(out_a.data - out_b.data))
                 den = np.max(np.abs(base - pert))
                 ratios.append(num / den)
             return max(ratios)
@@ -338,7 +338,7 @@ class TestSolveEquilibrium:
 
     def test_theta0_independence(self, smoke_spec, smoke_solution):
         other = solve_equilibrium(smoke_spec, Strategy.constant(smoke_spec.grid, 5.0))
-        gap = np.max(np.abs(other.theta_star.values - smoke_solution.theta_star.values))
+        gap = np.max(np.abs(other.theta_star.data - smoke_solution.theta_star.data))
         assert gap <= 10.0 * 1e-10
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -361,14 +361,14 @@ class TestSolveEquilibrium:
         sol = solve_equilibrium(spec, th0)
         assert sol.diagnostics.passthrough_nodes == []
         ref = solve_equilibrium(spec, zero_theta(spec))
-        assert np.array_equal(sol.theta_star.values, ref.theta_star.values)
+        assert np.array_equal(sol.theta_star.data, ref.theta_star.data)
 
     def test_classical_reduction_matches_oracle(self):
         spec = classical_reduction_problem(400)
         cfg = SolverConfig(check_assumptions=False)
         sol = solve_equilibrium(spec, zero_theta(spec), cfg)
         _, classical = classical_riccati_feedback(spec)
-        assert np.max(np.abs(sol.theta_star.values - classical.values)) <= 1e-6
+        assert np.max(np.abs(sol.theta_star.data - classical.data)) <= 1e-6
 
     def test_a_window_wider_than_the_grid_is_the_whole_grid(self):
         # A huge finite window is capped at the grid: it solves as a window of
@@ -376,7 +376,7 @@ class TestSolveEquilibrium:
         spec = assumption_smoke_problem(100)
 
         def theta_star(window):
-            return solve_equilibrium(spec, zero_theta(spec), SolverConfig(initial_window=window)).theta_star.values
+            return solve_equilibrium(spec, zero_theta(spec), SolverConfig(initial_window=window)).theta_star.data
 
         assert np.array_equal(theta_star(1e308), theta_star(2.0))
 
@@ -385,7 +385,7 @@ class TestSolveEquilibrium:
         th0 = zero_theta(spec)
         sol_a = solve_equilibrium(spec, th0, SolverConfig(initial_window=0.25))
         sol_b = solve_equilibrium(spec, th0, SolverConfig(initial_window=0.125))
-        gap = np.max(np.abs(sol_a.theta_star.values - sol_b.theta_star.values))
+        gap = np.max(np.abs(sol_a.theta_star.data - sol_b.theta_star.data))
         assert gap <= 10.0 * 1e-10
 
     def test_assumption_violation_raises(self):
@@ -400,7 +400,7 @@ class TestSolveEquilibrium:
         assert sol0.theta_star.sup_norm() == 0.0
         assert sol0.constraint_report.all_pass
         solh = solve_equilibrium(spec, Strategy.constant(spec.grid, -0.5), cfg)
-        assert np.allclose(solh.theta_star.values, -0.5)
+        assert np.allclose(solh.theta_star.data, -0.5)
         assert not solh.constraint_report.range_pass
         # Pass-through is active on the whole grid: the denominator vanishes.
         assert len(solh.diagnostics.passthrough_nodes) == spec.grid.num_nodes
@@ -409,7 +409,7 @@ class TestSolveEquilibrium:
         sol = solve_equilibrium(
             smoke_spec, zero_theta(smoke_spec), SolverConfig(damping=0.7)
         )
-        gap = np.max(np.abs(sol.theta_star.values - smoke_solution.theta_star.values))
+        gap = np.max(np.abs(sol.theta_star.data - smoke_solution.theta_star.data))
         assert gap <= 1e-8
 
     def test_solver_rejects_matrix_problems(self):
@@ -449,8 +449,8 @@ class TestWeightScaling:
     @pytest.mark.parametrize("c", [1e-3, 1e3, 1e9])
     def test_theta_star_is_invariant(self, c):
         base, spec = scaled_smoke(1.0), scaled_smoke(c)
-        want = solve_equilibrium(base, zero_theta(base)).theta_star.values
-        got = solve_equilibrium(spec, zero_theta(spec)).theta_star.values
+        want = solve_equilibrium(base, zero_theta(base)).theta_star.data
+        got = solve_equilibrium(spec, zero_theta(spec)).theta_star.data
         assert max_rel_gap(got, want) <= 1e-14
 
     def test_positivity_floor_is_absolute(self):
@@ -501,7 +501,7 @@ class TestLagKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol = solve_equilibrium(spec, zero_theta(spec))
-        assert np.all(np.isfinite(sol.theta_star.values))
+        assert np.all(np.isfinite(sol.theta_star.data))
         # The dense sweep samples the triangle only, so it is the oracle here.
         p1d, p3d = two_time_diagonals(dense_kernels(spec), sol.theta_star, sol.p2)
         assert max_rel_gap(sol.p1_diag.data, p1d.data) <= 1e-12
@@ -518,9 +518,9 @@ class TestLagKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_equilibrium(spec, zero_theta(spec))
-        assert np.all(np.isfinite(sol.theta_star.values))
+        assert np.all(np.isfinite(sol.theta_star.data))
         lag = solve_equilibrium(replace(base, weights=replace(base.weights, Q=steep)), zero_theta(spec))
-        assert max_rel_gap(sol.theta_star.values, lag.theta_star.values) <= 1e-12
+        assert max_rel_gap(sol.theta_star.data, lag.theta_star.data) <= 1e-12
 
     def test_dense_tables_are_the_triangle_samples(self):
         # The tables hold the kernels' own values on s >= t, bit for bit, and zeros below.

@@ -1,9 +1,11 @@
-"""The one rule for reading a gain between grid nodes: ``fields.interval_gain``."""
+"""Gain fields: ``fields.Strategy``, and the one rule for reading a gain between
+grid nodes, ``fields.interval_gain``."""
 
 import numpy as np
 import pytest
 
-from fbslq.fields import interval_gain
+from fbslq.fields import OneTimeField, Strategy, TimeGrid, interval_gain
+from fbslq.io_utils import one_time_field_rows
 
 STEPS = 12
 SPANS = {"grid": (0, STEPS), "window": (4, 9), "last": (STEPS - 1, STEPS)}
@@ -48,3 +50,23 @@ def test_products_over_the_view_are_those_of_the_slice_bitwise(span):
     assert (b @ view).tobytes() == (b @ values[lo:stop, None]).tobytes()  # all stages at once, as P2 reads it
     for q in range(5):  # one stage at a time, as the closed-loop coefficients read it
         assert (b[:, q] @ view[:, q]).tobytes() == (b[:, q] @ values[lo:stop]).tobytes()
+
+
+def test_a_strategy_is_a_one_time_field_of_finite_gains():
+    grid = TimeGrid(1.0, 3)
+    gain = Strategy.from_flat(grid, [0.5, -1.0, 2.0, 0.0])
+    assert type(gain) is Strategy and isinstance(gain, OneTimeField) and not hasattr(gain, "values")
+    assert np.array_equal(gain.flat(), [0.5, -1.0, 2.0, 0.0])
+    assert gain.entry_shape == (1, 1) and gain.sup_norm() == 2.0
+    with pytest.raises(ValueError, match="finite"):
+        Strategy.from_flat(grid, [0.0, np.nan, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (2, 3)])
+def test_a_strategy_writes_the_rows_of_its_one_time_field(entry):
+    grid = TimeGrid(1.0, STEPS)
+    gain = Strategy(grid, gain_values(entry))
+    header, rows = one_time_field_rows(gain)
+    want_header, want_rows = one_time_field_rows(OneTimeField(grid, gain.data))
+    assert header == want_header
+    assert np.asarray(list(rows)).tobytes() == np.asarray(list(want_rows)).tobytes()

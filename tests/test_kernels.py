@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbslq.fields import OneTimeField, Strategy, TimeGrid, TwoTimeField
-from fbslq.kernels import LagKernel, TableKernel, kernel_from_spec, time_fn_from_spec
+from fbslq.kernels import CallableFn, LagKernel, TableKernel, TwoTimeKernel, kernel_from_spec, time_fn_from_spec
 
 CASES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 TIMES = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5).map(np.array)
@@ -142,3 +142,65 @@ def test_lag_basis_moves_by_its_shift(coefs, rate, d, step):
     assert np.allclose(basis(d + step), kern.shift(step) @ basis(d), rtol=1e-13, atol=0.0)
     terms = np.array(coefs) * basis(d + step)
     assert abs(kern(d + step, 0.0)[0, 0] - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+
+
+@st.composite
+def one_time_inputs(draw):
+    """A 0-d, 1-d or 2-d array of times, some outside [0, T] to reach a table's clamped ends."""
+    shape = draw(st.sampled_from([(), (3,), (2, 3)]))
+    size = int(np.prod(shape))
+    return np.reshape(draw(st.lists(st.floats(-0.5, 2.5), min_size=size, max_size=size)), shape)
+
+
+@st.composite
+def single_time_entries(draw):
+    """A lag, table or callable single-time entry with drawn 1 x 1 or 2 x 2 values,
+    and its formula in t written out as the single-time classes evaluated it."""
+    kind = draw(st.sampled_from(["lag", "table", "callable"]))
+    if kind == "lag":
+        spec = draw(lag_specs())
+        p = {k: np.asarray(v, dtype=float) for k, v in spec["params"].items()}
+        shape = np.shape(next(iter(spec["params"].values())))
+
+        def formula(t):
+            d = t[..., None, None] if t.ndim else t
+            if spec["type"] == "constant":
+                return p["value"]
+            if spec["type"] == "discounted":
+                return np.exp(-float(p["rate"]) * d) * p["base"]
+            return d * p["alpha"] + p["beta"]
+
+        return time_fn_from_spec(spec, shape), formula, shape
+    shape = draw(st.sampled_from([(1, 1), (2, 2)]))
+    size = shape[0] * shape[1]
+    if kind == "callable":
+        m = np.reshape(draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)), shape)
+
+        def fn(t):
+            return np.multiply.outer(np.cos(t), m)
+
+        return CallableFn(fn, shape), fn, shape
+    count = draw(st.integers(2, 5))
+    nodes = np.cumsum([0.0] + draw(st.lists(st.floats(0.1, 1.0), min_size=count - 1, max_size=count - 1)))
+    values = np.reshape(draw(st.lists(st.floats(-10.0, 10.0), min_size=count * size, max_size=count * size)),
+                        (count,) + shape)
+
+    def formula(t):  # linear interpolation, clamped ends
+        i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, count - 2)
+        w = np.clip((t - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)[..., None, None]
+        return values[i] * (1 - w) + values[i + 1] * w
+
+    spec = {"type": "table", "params": {"nodes": nodes.tolist(), "values": values.tolist()}}
+    return time_fn_from_spec(spec, shape), formula, shape
+
+
+@CASES
+@given(entry=single_time_entries(), t=one_time_inputs())
+def test_each_single_time_entry_is_a_two_time_kernel_read_at_zero(entry, t):
+    # f(t) is the reading f(t, 0) and the single-time formula, bit for bit.
+    f, formula, shape = entry
+    assert isinstance(f, TwoTimeKernel)
+    got = f(t)
+    assert got.shape == t.shape + shape
+    assert got.tobytes() == f(t, 0.0).tobytes()
+    assert got.tobytes() == np.broadcast_to(formula(t), t.shape + shape).tobytes()

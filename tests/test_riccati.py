@@ -76,7 +76,7 @@ def stage_form_p2(spec, theta):
     p = np.asarray(c.H, dtype=float)
     at_nodes, at_mids = [p], []
     for j in range(spec.grid.steps - 1, -1, -1):
-        lo, hi, th = nodes[j], nodes[j + 1], theta.values[j]
+        lo, hi, th = nodes[j], nodes[j + 1], theta.data[j]
         p = half_step(p, hi, 0.25 * lo + 0.75 * hi, 0.5 * (lo + hi), th)
         at_mids.append(p)
         p = half_step(p, 0.5 * (lo + hi), 0.75 * lo + 0.25 * hi, lo, th)
@@ -239,7 +239,7 @@ def stage_form_two_time(spec, theta, p2=None):
     p = 0.5 * (g1 + tr(g1)) if p2 is None else np.zeros((L, n, n))
     data[:, -1] = p
     for j in range(spec.grid.steps - 1, -1, -1):
-        t, th, p = nodes[: j + 1], theta.values[j], p[: j + 1]
+        t, th, p = nodes[: j + 1], theta.data[j], p[: j + 1]
         hi, md, lo = ((None,) * 3 if p2 is None else (p2.data[j + 1], p2.mids[j], p2.data[j]))
         k1 = rhs(nodes[j + 1], t, th, p, hi)
         k2 = rhs(mids[j], t, th, p - 0.5 * h * k1, md)
@@ -416,7 +416,7 @@ class TestFeedbackMap:
         p3d = solve_p3(smoke_spec, th, p2).diagonal()
         out0 = feedback_map(smoke_spec, p1d, p3d, p2, Strategy.constant(smoke_spec.grid, 0.0))
         out5 = feedback_map(smoke_spec, p1d, p3d, p2, Strategy.constant(smoke_spec.grid, 5.0))
-        assert np.max(np.abs(out0.values - out5.values)) <= 1e-10
+        assert np.max(np.abs(out0.data - out5.data)) <= 1e-10
 
     @pytest.mark.parametrize("theta0,expected", [(0.0, 0.0), (-0.5, -0.5)])
     def test_example_passthrough(self, theta0, expected):
@@ -426,7 +426,7 @@ class TestFeedbackMap:
         p1d = solve_p1(spec, th).diagonal()
         p3d = solve_p3(spec, th, p2).diagonal()
         out = feedback_map(spec, p1d, p3d, p2, Strategy.constant(spec.grid, theta0))
-        assert np.allclose(out.values, expected, atol=1e-12)
+        assert np.allclose(out.data, expected, atol=1e-12)
 
 
 class TestCheckConstraints:
@@ -487,7 +487,7 @@ class TestFeedbackMapMatrix:
         p1d = solve_p1(spec, gain).diagonal()
         p3d = solve_p3(spec, gain, p2).diagonal()
         out = feedback_map(spec, p1d, p3d, p2, Strategy.zeros(spec.grid, 2, 2))
-        assert np.max(np.abs(out.values - gain.values)) <= 1e-6
+        assert np.max(np.abs(out.data - gain.data)) <= 1e-6
 
 
 class TestCharacterizationResidual:

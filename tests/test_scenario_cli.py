@@ -65,7 +65,7 @@ def test_example_files_solve_to_their_presets_bitwise(tmp_path):
     config = SolverConfig(check_assumptions=False)  # Example 2.5 has R(t, t) = 0
     for name, preset in pairs.items():
         loaded, built = load_scenario(str(tmp_path / name)), preset(60)
-        thetas = [solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), config).theta_star.values
+        thetas = [solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), config).theta_star.data
                   for spec in (loaded, built)]
         assert np.array_equal(*thetas), name
 
@@ -172,6 +172,26 @@ class TestCliSolve:
         else:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
+
+    NON_NUMERIC_CASES = {  # (section, entry, its JSON value)
+        "string_rate": ("weights", "Q", {"type": "discounted", "params": {"base": [[0.5]], "rate": "2"}}),
+        "bool_matrix": ("coeffs", "A", {"type": "constant", "params": {"value": [[True]]}}),
+        "bool_alpha": ("weights", "R", {"type": "difference", "params": {"alpha": [[False]], "beta": [[1.0]]}}),
+        "string_H": ("coeffs", "H", [["0.3"]]),
+        "string_nodes": ("weights", "G1",
+                         {"type": "table", "params": {"nodes": ["0", "1"], "values": [[[0.4]], [[0.4]]]}}),
+    }
+
+    @pytest.mark.parametrize("case", NON_NUMERIC_CASES)
+    def test_non_numeric_scenario_value_exits_2(self, tmp_path, capsys, case):
+        # numpy would read each of these as a number; the scenario boundary refuses them.
+        doc = smoke_scenario(20)
+        section, name, value = self.NON_NUMERIC_CASES[case]
+        doc[section][name] = value
+        scen = write(tmp_path, "bad.json", doc)
+        assert main(["solve", scen, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scenario: {section}.{name}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("option", ["--grid-steps=0", "--fp-tolerance=-1", "--fp-tolerance=nan",
                                         "--damping=0", "--window=nan", "--window=0", "--window=-0.5",

@@ -154,7 +154,7 @@ def direct_spiked_euler(spec, theta, cfg, t, v, eps_steps, increments):
     x = np.tile(_as_vector(cfg.x0, spec.dims.n, "x0", "state"), (increments.shape[0], 1))
     out = [x]
     for r in range(grid.steps - i0):
-        th = theta.values[i0 + r]
+        th = theta.data[i0 + r]
         chi = 1.0 if r < eps_steps else 0.0
         for s in range(sub):
             ell = r * sub + s
@@ -250,7 +250,7 @@ class TestSpikePaths:
         incs = path_increments(cfg, (grid.steps - i0) * sub, grid.h / sub)
         base = direct_spiked_euler(spec, th, cfg, t, v, 0, incs)
         left = grid.nodes[i0:-1]
-        ct = c.C(left) + c.D(left) @ th.values[i0:-1]  # (intervals, n, n)
+        ct = c.C(left) + c.D(left) @ th.data[i0:-1]  # (intervals, n, n)
         p2r = p2.data[i0:]
         for row in rows:
             steps = round(row["eps_used"] / grid.h)
@@ -306,7 +306,7 @@ class TestEvaluateCost:
         run = 0.0
         xs = [x]
         for j in range(spec.grid.steps):
-            u = theta.values[j, 0, 0] * x
+            u = theta.data[j, 0, 0] * x
             run += 0.9 * u * u * h  # R constant: interval trapezoid = h R u^2
             x = x + (0.3 * x + 0.8 * u) * h
             xs.append(x)
