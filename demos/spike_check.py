@@ -20,7 +20,7 @@ cfg = SimConfig(paths=40_000, seed=0, x0=1.0)
 t = 0.25
 report = spike_test(
     spec, sol.theta_star, sol.p2, cfg, SpikeSpec(v=1.0), t,
-    p1_diag=sol.p1_diag, p3_diag=sol.p3_diag,
+    lam=sol.lam, residual=sol.residual,
 )
 
 print(f"spike test at t = {t}, {cfg.paths} paths; one pass gives both directions")

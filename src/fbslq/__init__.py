@@ -29,7 +29,6 @@ from .riccati import (
     ConstraintReport,
     P2Field,
     characterization_residual,
-    characterization_residual_from_fields,
     check_constraints,
     feedback_map,
     solve_p1,
@@ -71,7 +70,6 @@ __all__ = [
     "feedback_map",
     "check_constraints",
     "characterization_residual",
-    "characterization_residual_from_fields",
     "ConstraintReport",
     "P2Field",
     "SolverConfig",

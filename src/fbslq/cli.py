@@ -254,7 +254,7 @@ def cmd_simulate(args) -> int:
 
     try:
         report = spike_test(spec, solution.theta_star, solution.p2, cfg, spike, args.t,
-                            p1_diag=solution.p1_diag, p3_diag=solution.p3_diag)
+                            lam=solution.lam, residual=solution.residual)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

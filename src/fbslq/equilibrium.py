@@ -41,8 +41,9 @@ the whole tail, which the windows keep in a full-length buffer.
 
 Where Lambda(s) == 0, :func:`~fbslq.matrixkit.pinv` sets Lambda^+ to 0 and
 the projector 1 - Lambda^+ Lambda is exactly 1, so the update passes theta0
-through; elsewhere the projector is exactly 0 and theta0 drops out.  The
-nodes where pinv(Lambda) == 0 are recorded in the diagnostics.
+through; elsewhere the projector is exactly 0 and theta0 drops out.
+:func:`assemble_solution` records these pass-through nodes in the
+diagnostics, from this Lambda at the solved gain.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "NoConvergenceError",
     "AssumptionViolatedError",
     "p1_tilde",
-    "consistency_gap",
     "assemble_solution",
     "solve_equilibrium",
 ]
@@ -150,10 +150,11 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """The gain and the fields its readers read: P2, p1t and the diagonals P1(t;t), P3(t;t).
+    """The gain and what its readers read, built by :func:`assemble_solution`.
 
-    ``p1_tilde`` is the integral route's diagonal field (see :func:`p1_tilde`).
-    The full two-time triangles come from :func:`~fbslq.riccati.solve_p1` and
+    P2, p1t (``p1_tilde``, see :func:`p1_tilde`), the diagonals P1(t;t) and
+    P3(t;t), Lambda (``lam``) and the residual Gamma + Lambda Theta.  The full
+    two-time triangles come from :func:`~fbslq.riccati.solve_p1` and
     :func:`~fbslq.riccati.solve_p3` on request.
     """
 
@@ -163,6 +164,8 @@ class EquilibriumSolution:
     p1_diag: OneTimeField
     p2: P2Field
     p3_diag: OneTimeField
+    lam: OneTimeField
+    residual: OneTimeField
     constraint_report: ConstraintReport
     diagnostics: SolverDiagnostics
 
@@ -214,9 +217,8 @@ class _Workspace:
     tabulated on the triangle s >= t of the L x L node grid for the dense
     quadrature, which reads P2 at every node after the window from the
     buffer ``p2t`` that :meth:`apply_map` fills.  :meth:`apply_map` also
-    keeps P2 at the midpoints, and p1t and pinv(Lambda) at the window's
-    nodes, so after the last window of a solve the buffers hold them at the
-    solved gain.
+    keeps P2 at the midpoints and p1t at the window's nodes, so after the
+    last window of a solve the buffers hold them at the solved gain.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -232,7 +234,6 @@ class _Workspace:
         self.p2t = np.zeros(self.L)
         self.p2_mids = np.zeros(self.L - 1)
         self.p1t = np.zeros(self.L)
-        self.lam_p = np.zeros(self.L)
 
         self.factors = w.lag_factors()
         if self.factors is not None:
@@ -348,8 +349,7 @@ class _Workspace:
             lam, gam = _lambda_gamma(diag, self.p1t[cols, None, None], self.p2t[cols, None, None])
             if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gam))):
                 raise EquilibriumError("non-finite intermediate values in the gain update")
-            new_vals, lam_p = _feedback(lam, gam, theta0[cols, None, None])
-        self.lam_p[cols] = lam_p[:, 0, 0]
+            new_vals = _feedback(lam, gam, theta0[cols, None, None])
         return new_vals[:, 0, 0], _Tail(lo, vals[0], row)
 
 
@@ -365,12 +365,6 @@ def p1_tilde(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> OneTimeField:
     return OneTimeField.from_flat(spec.grid, p1t)
 
 
-def consistency_gap(p1t: OneTimeField, p1_diag: OneTimeField, p3_diag: OneTimeField) -> float:
-    """max |(p1t - P1(t;t)) - P3(t;t)|: the gap between the integral route's
-    p1t and the matrix route's diagonals, which agree in the limit."""
-    return float(np.max(np.abs(p1t.flat() - p1_diag.data[:, 0, 0] - p3_diag.data[:, 0, 0])))
-
-
 def assemble_solution(
     spec: ProblemSpec,
     theta_star: Strategy,
@@ -378,19 +372,29 @@ def assemble_solution(
     p1t: OneTimeField,
     diagnostics: SolverDiagnostics,
 ) -> EquilibriumSolution:
-    """The solution of a gain from its P2 and p1t: the matrix-route diagonals and the constraint audit.
+    """The solution of a gain from its P2 and p1t: the matrix-route diagonals, and Lambda
+    and Gamma formed once from them for the constraint audit and the residual.
 
     RK4 on the Riccati route can blow up where the integral route stays
     finite (a step far outside its stability region), and a gain read from
     a file can make every field overflow; either raises
-    :class:`EquilibriumError`.  The :func:`consistency_gap` is written into
-    ``diagnostics``.
+    :class:`EquilibriumError`.  The consistency gap max |p1t - P1(t;t) -
+    P3(t;t)| between the two routes, which agree in the limit, and the
+    pass-through nodes are written into ``diagnostics``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         p1d, p3d = two_time_diagonals(spec, theta_star, p2)
     if not all(np.all(np.isfinite(a)) for a in (p2.data, p2.mids, p1t.data, p1d.data, p3d.data)):
         raise EquilibriumError("non-finite Riccati fields at the gain")
-    diagnostics.consistency_gap = consistency_gap(p1t, p1d, p3d)
+    diagnostics.consistency_gap = float(np.max(np.abs(p1t.flat() - p1d.data[:, 0, 0] - p3d.data[:, 0, 0])))
+    weights = _diag_weights(spec)
+    lam, gam = _lambda_gamma(weights, p1d.data + p3d.data, p2.data)
+    # The pass-through nodes are where the gain update sent theta0 through,
+    # and the update reads Lambda with p1t in the place of P1 + P3.  The
+    # audit's Lambda differs from that one by D^2 times the consistency gap,
+    # so it can be nonzero where the update's is exactly 0, or the reverse.
+    update_lam, _ = _lambda_gamma(weights, p1t.data, p2.data)
+    diagnostics.passthrough_nodes = np.flatnonzero(update_lam[:, 0, 0] == 0.0).tolist()
     return EquilibriumSolution(
         spec=spec,
         theta_star=theta_star,
@@ -398,7 +402,9 @@ def assemble_solution(
         p1_diag=p1d,
         p2=p2,
         p3_diag=p3d,
-        constraint_report=check_constraints(spec, p1d, p3d, p2),
+        lam=OneTimeField(spec.grid, lam),
+        residual=OneTimeField(spec.grid, gam + lam @ theta_star.data),
+        constraint_report=check_constraints(spec, lam, gam),
         diagnostics=diagnostics,
     )
 
@@ -486,9 +492,8 @@ def solve_equilibrium(
             w_steps //= 2
             halvings += 1
 
-    # Each window's last map application, at its converged gain, left P2,
-    # p1t and pinv(Lambda) on its nodes in the workspace's buffers.
-    diagnostics.passthrough_nodes = np.flatnonzero(ws.lam_p == 0.0).tolist()
+    # Each window's last map application, at its converged gain, left P2
+    # and p1t on its nodes in the workspace's buffers.
     p2 = P2Field(grid, ws.p2t[:, None, None].copy(), ws.p2_mids[:, None, None].copy())
     p1t = OneTimeField.from_flat(grid, ws.p1t)
     return assemble_solution(spec, Strategy.from_flat(grid, th), p2, p1t, diagnostics)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 
 import numpy as np
@@ -123,46 +124,70 @@ def load_solution_dir(path) -> EquilibriumSolution:
     The gain is read from theta.csv; every derived field is recomputed from
     it, so a corrupted gain shows up in the verification suites rather than
     being masked by stored values, and one whose fields overflow raises
-    :class:`~fbslq.equilibrium.EquilibriumError`.  The solver diagnostics are
-    read back from diagnostics.csv and summary.json, apart from the
-    consistency gap, which is recomputed from the fields.
+    :class:`~fbslq.equilibrium.EquilibriumError`.  The window history is read
+    back from diagnostics.csv and ``fp_tolerance`` from summary.json; the
+    consistency gap and the pass-through nodes are recomputed from the
+    fields.  A file of the wrong shape or JSON type raises ``ValueError``
+    naming the file and the field.
     """
-    from .scenario import load_scenario
+    from .scenario import _typed, load_scenario
 
     spec = load_scenario(os.path.join(path, "scenario.json"))
     if not spec.is_one_dimensional():
         raise ValueError("solution directories are produced by the scalar solver only")
     with open(os.path.join(path, "summary.json"), "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+        summary = _json_object(json.load(fh), "summary.json: the document")
+    block = _json_object(summary.get("diagnostics", {}), "summary.json: diagnostics")
+    try:  # an absent tolerance reads as NaN
+        fp_tolerance = float(_typed(block.get("fp_tolerance", np.nan), numbers.Real, _FP_TOLERANCE))
+    except OverflowError:
+        raise ValueError(f"{_FP_TOLERANCE} is out of range") from None
 
-    raw = np.genfromtxt(os.path.join(path, "theta.csv"), delimiter=",", skip_header=1)
-    raw = np.atleast_2d(raw)
-    if raw.shape[0] != spec.grid.num_nodes:
-        raise ValueError("theta.csv does not match the scenario grid")
-    k, n = spec.dims.k, spec.dims.n
-    theta = Strategy(spec.grid, raw[:, 1:].reshape(spec.grid.num_nodes, k, n))
-
-    diagnostics = _load_diagnostics(path, summary.get("diagnostics", {}))
+    theta = Strategy(spec.grid, _read_gain(os.path.join(path, "theta.csv"), spec))
+    diagnostics = SolverDiagnostics(windows=_load_windows(path), fp_tolerance=fp_tolerance)
     with np.errstate(over="ignore", invalid="ignore"):
         p2 = solve_p2(spec, theta)
     return assemble_solution(spec, theta, p2, p1_tilde(spec, theta, p2), diagnostics)
 
 
-def _load_diagnostics(path, summary: dict) -> SolverDiagnostics:
-    """Window history from diagnostics.csv, the rest from the summary block."""
+_FP_TOLERANCE = "summary.json: diagnostics.fp_tolerance"
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _read_gain(path, spec: ProblemSpec) -> np.ndarray:
+    """The gain entries of theta.csv, one row (t, entries...) per grid node."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row][1:]  # blank lines skipped, header dropped
+    if len(rows) != spec.grid.num_nodes:
+        raise ValueError("theta.csv does not match the scenario grid")
+    k, n = spec.dims.k, spec.dims.n
+    values = np.empty((len(rows), k * n))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != 1 + k * n:
+            raise ValueError(f"theta.csv: line {line} has {len(row)} columns, want {1 + k * n}")
+        try:
+            values[i] = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise ValueError(f"theta.csv: line {line}: {exc}") from None
+    return values.reshape(len(rows), k, n)
+
+
+def _load_windows(path) -> list[WindowDiagnostics]:
+    """The window history of diagnostics.csv."""
     with open(os.path.join(path, "diagnostics.csv"), "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != _DIAGNOSTICS_HEADER:
         raise ValueError("diagnostics.csv does not start with the diagnostics header")
-    windows = [
+    return [
         WindowDiagnostics(int(lo), int(hi), int(its), float(res), float(ratio), int(halvings))
         for lo, hi, its, res, ratio, halvings in rows[1:]
     ]
-    return SolverDiagnostics(
-        windows=windows,
-        passthrough_nodes=[int(i) for i in summary.get("passthrough_nodes", [])],
-        fp_tolerance=float(summary.get("fp_tolerance", "nan")),
-    )
 
 
 def theta0_from_desc(desc: str, spec: ProblemSpec) -> Strategy:

@@ -56,7 +56,6 @@ __all__ = [
     "feedback_map",
     "check_constraints",
     "characterization_residual",
-    "characterization_residual_from_fields",
 ]
 
 
@@ -523,8 +522,8 @@ def gain_denominator_numerator(
     return _lambda_gamma(_diag_weights(spec), p1_diag.data + p3_diag.data, p2.data)
 
 
-def _feedback(lam: np.ndarray, gam: np.ndarray, theta0: np.ndarray):
-    """-Lambda^+ Gamma + N theta0 and Lambda^+, with the null-space projector N = I - Lambda^+ Lambda.
+def _feedback(lam: np.ndarray, gam: np.ndarray, theta0: np.ndarray) -> np.ndarray:
+    """-Lambda^+ Gamma + N theta0, with the null-space projector N = I - Lambda^+ Lambda.
 
     At 1 x 1, N is exactly 1 where pinv sets Lambda^+ = 0 and 0 elsewhere,
     not 1 - (1/x) x, so theta0 drops out bit for bit wherever Lambda != 0.
@@ -534,7 +533,7 @@ def _feedback(lam: np.ndarray, gam: np.ndarray, theta0: np.ndarray):
         null = np.where(lam_p == 0.0, 1.0, 0.0)
     else:
         null = np.eye(lam.shape[-1]) - lam_p @ lam
-    return -lam_p @ gam + null @ theta0, lam_p
+    return -lam_p @ gam + null @ theta0
 
 
 def feedback_map(
@@ -551,7 +550,7 @@ def feedback_map(
     the theta0 pass-through.
     """
     lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    return Strategy(spec.grid, _feedback(lam, gam, theta0.data)[0])
+    return Strategy(spec.grid, _feedback(lam, gam, theta0.data))
 
 
 @dataclass
@@ -599,14 +598,10 @@ _RANGE_TOL = 1e-8  # inclusion tolerance of check_constraints, relative to 1 + |
 _PSD_TOL = 1e-10  # PSD tolerance of check_constraints on the smallest eigenvalue
 
 
-def check_constraints(
-    spec: ProblemSpec,
-    p1_diag: OneTimeField,
-    p3_diag: OneTimeField,
-    p2: OneTimeField,
-) -> ConstraintReport:
-    """Audit the square-integrability, range-inclusion and PSD constraints.
+def check_constraints(spec: ProblemSpec, lam: np.ndarray, gam: np.ndarray) -> ConstraintReport:
+    """Audit the square-integrability, range-inclusion and PSD constraints of Lambda and Gamma.
 
+    ``lam`` and ``gam`` are the node stacks of :func:`gain_denominator_numerator`.
     The membership check reports sup and grid-quadrature L2 norms of
     Lambda^+ Gamma and passes iff both are finite (true measure-theoretic
     membership is not machine-checkable).  The a.e. constraints are enforced
@@ -615,7 +610,6 @@ def check_constraints(
     (1 + |Gamma|), and Lambda is PSD where its smallest symmetric eigenvalue
     is at least -``_PSD_TOL``.
     """
-    lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
     lam_p = pinv(lam)
     feedback = lam_p @ gam
     norms = specnorm(feedback)
@@ -645,28 +639,14 @@ def check_constraints(
     )
 
 
-def characterization_residual_from_fields(
-    spec: ProblemSpec,
-    p1_diag: OneTimeField,
-    p3_diag: OneTimeField,
-    p2: OneTimeField,
-    theta: Strategy,
-) -> OneTimeField:
-    """Gamma(t) + Lambda(t) Theta(t) from Riccati fields already solved for ``theta``.
-
-    The field vanishes exactly at a true closed-loop equilibrium.
-    """
-    lam, gam = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    return OneTimeField(spec.grid, gam + lam @ theta.data)
-
-
 def characterization_residual(spec: ProblemSpec, theta: Strategy) -> OneTimeField:
-    """Node-wise defect of the equilibrium characterization equation.
+    """Node-wise defect Gamma(t) + Lambda(t) Theta(t) of the equilibrium characterization equation.
 
-    Solves the Riccati system for the given strategy, for a gain whose fields
-    are not at hand, and evaluates
-    :func:`characterization_residual_from_fields`.
+    The field vanishes exactly at a true closed-loop equilibrium.  This solves
+    the Riccati system for a gain whose fields are not at hand; a solved
+    :class:`~fbslq.equilibrium.EquilibriumSolution` carries its own
+    ``residual``.
     """
     p2 = solve_p2(spec, theta)
-    p1_diag, p3_diag = two_time_diagonals(spec, theta, p2)
-    return characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
+    lam, gam = gain_denominator_numerator(spec, *two_time_diagonals(spec, theta, p2), p2)
+    return OneTimeField(spec.grid, gam + lam @ theta.data)

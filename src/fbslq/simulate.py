@@ -66,14 +66,7 @@ import numpy as np
 
 from .fields import OneTimeField, Strategy, interval_gain
 from .problem import ProblemSpec
-from .riccati import (
-    P2Field,
-    _affine_recursion,
-    _rk4_maps,
-    characterization_residual_from_fields,
-    gain_denominator_numerator,
-    two_time_diagonals,
-)
+from .riccati import P2Field, _affine_recursion, _rk4_maps
 
 __all__ = [
     "BLOCK_PATHS",
@@ -795,11 +788,11 @@ def spike_test(
     cfg: SimConfig,
     spike: SpikeSpec,
     t: float,
-    p1_diag: OneTimeField | None = None,
-    p3_diag: OneTimeField | None = None,
+    lam: OneTimeField,
+    residual: OneTimeField,
 ) -> SpikeReport:
     """Monte-Carlo test of the equilibrium inequality at time t: :func:`spike_tests` at one time."""
-    return spike_tests(spec, theta, p2, cfg, spike, [t], p1_diag, p3_diag)[0]
+    return spike_tests(spec, theta, p2, cfg, spike, [t], lam, residual)[0]
 
 
 def spike_tests(
@@ -809,20 +802,20 @@ def spike_tests(
     cfg: SimConfig,
     spike: SpikeSpec,
     times,
-    p1_diag: OneTimeField | None = None,
-    p3_diag: OneTimeField | None = None,
+    lam: OneTimeField,
+    residual: OneTimeField,
 ) -> list[SpikeReport]:
     """Monte-Carlo tests of the equilibrium inequality at each of ``times``, one report per time.
 
     For every eps in the (snapped) ladder, Delta(eps) = (J(u^eps) - J(u))/eps
     is estimated with common random numbers.  The report carries the liminf
     flag (every Delta >= -3 stderr) and compares the smallest-eps estimate
-    against the expansion limit: the quadratic form built from the Riccati
-    diagonal plus the first-order characterization-residual term, both read
-    off the diagonals ``p1_diag`` and ``p3_diag`` (solved for ``theta`` when
-    not given) and ``p2``.  The same
-    pass yields the report for -v (``opposite``) and the closed-loop cost
-    estimate (``closed_loop``).  Raises ``ValueError`` when the cost sums
+    against the expansion limit 1/2 v' Lambda v + v' residual x0, from
+    ``lam`` (Lambda) and ``residual`` (Gamma + Lambda Theta) of ``theta``,
+    as they are handed down with ``p2``: an
+    :class:`~fbslq.equilibrium.EquilibriumSolution` holds all three.  The
+    same pass yields the report for -v (``opposite``) and the closed-loop
+    cost estimate (``closed_loop``).  Raises ``ValueError`` when the cost sums
     are not finite, as when a huge x0 or v overflows them.
 
     The times share one stream: each RNG block is drawn once, for the
@@ -831,10 +824,6 @@ def spike_tests(
     """
     grid = spec.grid
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    if p1_diag is None or p3_diag is None:
-        p1_diag, p3_diag = two_time_diagonals(spec, theta, p2)
-    lam, _ = gain_denominator_numerator(spec, p1_diag, p3_diag, p2)
-    residual = characterization_residual_from_fields(spec, p1_diag, p3_diag, p2, theta)
 
     ladders, runs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -849,7 +838,7 @@ def spike_tests(
     def report(run, ladder, sums, sign: int, vv: np.ndarray, closed_loop) -> SpikeReport:
         i0, paths = run.i0, closed_loop.paths
         sum_d, sumsq_d, _ = sums
-        quad_theory = 0.5 * float(vv @ lam[i0] @ vv)
+        quad_theory = 0.5 * float(vv @ lam.data[i0] @ vv)
         first_theory = float(vv @ residual.data[i0] @ run.x0)
         rep = SpikeReport(t=run.t, v=vv, paths=paths, seed=cfg.seed, closed_loop=closed_loop)
         for q, (eps_req, steps) in enumerate(ladder):

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, SolverConfig, consistency_gap, solve_equilibrium
+from .equilibrium import EquilibriumSolution, SolverConfig, solve_equilibrium
 from .fields import OneTimeField, Strategy
 from .presets import example_2_5_problem
 from .problem import ProblemSpec
-from .riccati import characterization_residual, characterization_residual_from_fields
+from .riccati import characterization_residual
 from .simulate import SimConfig, SpikeSpec, spike_tests
 
 __all__ = [
@@ -202,9 +202,8 @@ def suite_classical_reduction(spec: ProblemSpec) -> SuiteReport:
         sol = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), cfg)
         gap = float(np.max(np.abs(sol.theta_star.data - classical.data)))
         report.add_upper("gain_matches_classical", gap, 1e-6)
-        resid = characterization_residual_from_fields(spec, sol.p1_diag, sol.p3_diag, sol.p2, sol.theta_star)
         scale = 1.0 + sol.theta_star.sup_norm()
-        report.add_upper("characterization_residual", resid.sup_norm(), 1e-6 * scale)
+        report.add_upper("characterization_residual", sol.residual.sup_norm(), 1e-6 * scale)
     else:
         resid = characterization_residual(spec, classical)
         scale = 1.0 + classical.sup_norm()
@@ -230,29 +229,29 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     q = 0..3, with both unit perturbation directions (one spike test per
     node gives both).  The four tests run as one pass of
     :func:`~fbslq.simulate.spike_tests`: one draw per RNG block serves every
-    node.  The diagonals and the residual are read off the solution's own
-    fields, which must be solved for its gain, once for all four nodes.
+    node.  Every check reads what the solution already holds: its residual,
+    its constraint report, its consistency gap, and Lambda for the spike
+    tests, all formed once by :func:`~fbslq.equilibrium.assemble_solution`
+    from the fields solved for its gain.
     """
     report = SuiteReport(suite="equilibrium")
     theta = solution.theta_star
     spec = solution.spec
     scale = 1.0 + theta.sup_norm()
-    p1d, p3d = solution.p1_diag, solution.p3_diag
 
-    resid = characterization_residual_from_fields(spec, p1d, p3d, solution.p2, theta)
-    report.add_upper("characterization_residual", resid.sup_norm(), 1e-6 * scale)
+    report.add_upper("characterization_residual", solution.residual.sup_norm(), 1e-6 * scale)
 
     rep = solution.constraint_report
     report.add("constraints_all_pass", float(rep.all_pass), 1.0, rep.all_pass)
 
-    gap = consistency_gap(solution.p1_tilde, p1d, p3d)
+    gap = solution.diagnostics.consistency_gap
     report.add_upper("integral_route_consistency", gap, consistency_bound(solution))
 
     grid = spec.grid
     times = [float(grid.nodes[(q * grid.steps) // 4]) for q in range(4)]
     reports = spike_tests(
         spec, theta, solution.p2, sim_cfg, SpikeSpec(v=1.0), times,
-        p1_diag=p1d, p3_diag=p3d,
+        lam=solution.lam, residual=solution.residual,
     )
     for q, rep_s in enumerate(reports):
         for v, rep_v in ((1.0, rep_s), (-1.0, rep_s.opposite)):

@@ -19,7 +19,9 @@ quantities that the package computes one way:
 - ``simulate_spike``, ``build_controls`` and ``evaluate_cost``: a spike
   bundle with materialised paths and its cost by vectorised trapezoids, the
   independent oracle of the streaming cost sums of the spike ladder.  It
-  never splits the cost into parts linear and quadratic in v.
+  never splits the cost into parts linear and quadratic in v;
+- ``spike_fields``: Lambda and the characterization residual of a bare
+  gain, which the spike tests take from a solution otherwise.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from fbslq.equilibrium import _at_nodes, _exponent, _require_scalar, _Workspace
-from fbslq.fields import Strategy, TwoTimeField, interval_gain
+from fbslq.fields import OneTimeField, Strategy, TwoTimeField, interval_gain
 from fbslq.matrixkit import min_eig, range_residual, specnorm
 from fbslq.problem import AssumptionReport, ProblemSpec
-from fbslq.riccati import _PSD_TOL, _RANGE_TOL, P2Field
+from fbslq.riccati import _PSD_TOL, _RANGE_TOL, P2Field, gain_denominator_numerator, two_time_diagonals
 from fbslq.scenario import _const, scenario_to_spec, trivial_scenario
 from fbslq.simulate import CostEstimate, PathBundle, SimConfig, SpikeSpec, _as_vector, _simulate_bundle
 
@@ -358,3 +360,17 @@ def per_node_z(spec, bundle) -> np.ndarray:
     for r in range(len(nodes)):
         z[:, r] = (bundle.X[:, r] @ ct[r].T + dv[r]) @ bundle.p2.data[i0 + r].T
     return z
+
+
+# -- spike-test inputs --------------------------------------------------------
+
+
+def spike_fields(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> tuple[OneTimeField, OneTimeField]:
+    """``lam`` and ``residual`` of the spike tests for a gain that has no solution.
+
+    Lambda and Gamma + Lambda Theta from the diagonals solved for ``theta``
+    and its P2 ``p2``, as :func:`~fbslq.equilibrium.assemble_solution` forms
+    them for a solution.
+    """
+    lam, gam = gain_denominator_numerator(spec, *two_time_diagonals(spec, theta, p2), p2)
+    return OneTimeField(spec.grid, lam), OneTimeField(spec.grid, gam + lam @ theta.data)

@@ -113,7 +113,6 @@ def test_criterion_5_spike_variation_monte_carlo(smoke_solution_1000):
     start = time.time()
     sol = smoke_solution_1000
     spec = sol.spec
-    p1d, p3d = sol.p1_diag, sol.p3_diag
     all_liminf = True
     all_limit = True
     worst = ""
@@ -121,7 +120,7 @@ def test_criterion_5_spike_variation_monte_carlo(smoke_solution_1000):
     cfg = SimConfig(paths=100_000, seed=0, x0=1.0)
     reports = spike_tests(
         spec, sol.theta_star, sol.p2, cfg, SpikeSpec(v=1.0), times,
-        p1_diag=p1d, p3_diag=p3d,
+        lam=sol.lam, residual=sol.residual,
     )
     for t, plus in zip(times, reports):
         for v, rep in ((1.0, plus), (-1.0, plus.opposite)):

@@ -2,6 +2,7 @@ import copy
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,9 +477,8 @@ class TestPassThrough:
         lam = np.array(dens)[:, None, None]
         sentinel = np.full_like(lam, 3.0)
         with np.errstate(over="ignore"):
-            new, lam_p = riccati._feedback(lam, np.ones_like(lam), sentinel)
+            new = riccati._feedback(lam, np.ones_like(lam), sentinel)
             inverse = pinv(lam)
-        assert np.array_equal(lam_p, inverse)
         assert np.array_equal(new, np.where(inverse == 0.0, sentinel, -inverse))
 
     @pytest.mark.parametrize("q", ["unit", "steep"])
@@ -489,6 +489,35 @@ class TestPassThrough:
         sol = solve_equilibrium(spec, Strategy.constant(spec.grid, theta0), SolverConfig(check_assumptions=False))
         assert sol.diagnostics.passthrough_nodes == list(range(spec.grid.num_nodes))
         assert np.array_equal(sol.theta_star.flat(), np.full(spec.grid.num_nodes, theta0))
+
+
+@pytest.mark.parametrize("problem", ["smoke", "example25 half branch"])
+def test_the_solution_holds_lambda_and_the_residual_of_its_fields(problem):
+    # assemble_solution forms Lambda and Gamma + Lambda Theta once; they are
+    # those of the fields re-solved for the gain, bit for bit.
+    if problem == "smoke":
+        spec, theta0 = assumption_smoke_problem(200), 0.0
+    else:  # Lambda == 0 at every node, and the residual is Gamma != 0
+        spec, theta0 = example_2_5_problem(200), -0.5
+    sol = solve_equilibrium(spec, Strategy.constant(spec.grid, theta0), SolverConfig(check_assumptions=False))
+    p2 = solve_p2(spec, sol.theta_star)
+    lam, gam = riccati.gain_denominator_numerator(spec, *two_time_diagonals(spec, sol.theta_star, p2), p2)
+    assert np.array_equal(sol.lam.data, lam)
+    assert np.array_equal(sol.residual.data, gam + lam @ sol.theta_star.data)
+    assert np.any(sol.residual.data != 0.0)
+
+
+REFERENCE_THETA = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "solve2000_theta.txt"
+
+
+def test_smoke_gain_at_2000_steps_is_the_benchmark_reference():
+    # A golden value: the smoke problem's Theta* at 2 000 steps, against the
+    # benchmark's reference file (read, never written) at its 1e-12 relative bound.
+    spec = assumption_smoke_problem(2000)
+    theta = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1)).theta_star.flat()
+    ref = np.loadtxt(REFERENCE_THETA)
+    assert theta.shape == ref.shape
+    assert np.max(np.abs(theta - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestLagKernels:

@@ -70,3 +70,11 @@ def test_a_strategy_writes_the_rows_of_its_one_time_field(entry):
     want_header, want_rows = one_time_field_rows(OneTimeField(grid, gain.data))
     assert header == want_header
     assert np.asarray(list(rows)).tobytes() == np.asarray(list(want_rows)).tobytes()
+
+
+def test_a_node_is_read_within_a_tolerance_scaled_by_the_horizon():
+    # 1e-9 of a 1000-unit horizon: 5e-7 off node 3 reads as node 3, 5e-6 off does not.
+    grid = TimeGrid(1000.0, 10)
+    assert grid.index_of(300.0 + 5e-7) == 3
+    with pytest.raises(ValueError, match="not a grid node"):
+        grid.index_of(300.0 + 5e-6)

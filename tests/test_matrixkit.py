@@ -30,6 +30,14 @@ def test_pinv_scalar_convention():
     assert pinv(np.array([[0.0]]))[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-3])
+def test_pinv_rank_cut_is_relative(c):
+    # The cut scales with the largest singular value, so scaling M scales M^+
+    # inversely, also when every singular value is below 1.
+    m = np.diag([1.0, 1e-10])
+    np.testing.assert_allclose(pinv(c * m), pinv(m) / c, rtol=1e-12, atol=0.0)
+
+
 def test_pinv_rejects_non_finite():
     with pytest.raises(ValueError):
         pinv(np.array([[np.nan]]))
@@ -181,11 +189,11 @@ def test_scalar_solve_and_load_call_no_lapack(tmp_path, lapack_calls):
 
 
 def test_matrix_audit_calls_lapack(lapack_calls):
-    from fbslq.riccati import check_constraints, solve_p2, two_time_diagonals
+    from fbslq.riccati import check_constraints, gain_denominator_numerator, solve_p2, two_time_diagonals
     from fbslq.verify import classical_riccati_feedback
 
     spec = matrix_reduction_problem(40)
     _, gain = classical_riccati_feedback(spec)
     p2 = solve_p2(spec, gain)
-    check_constraints(spec, *two_time_diagonals(spec, gain, p2), p2)
+    check_constraints(spec, *gain_denominator_numerator(spec, *two_time_diagonals(spec, gain, p2), p2))
     assert "svd" in lapack_calls and "eigvalsh" in lapack_calls

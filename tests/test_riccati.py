@@ -17,7 +17,6 @@ from fbslq.riccati import (
     P2Field,
     _affine_recursion,
     characterization_residual,
-    characterization_residual_from_fields,
     check_constraints,
     feedback_map,
     gain_denominator_numerator,
@@ -434,18 +433,18 @@ class TestCheckConstraints:
         spec = example_2_5_problem(100)
         th = zero_theta(spec)
         p2 = solve_p2(spec, th)
-        report = check_constraints(
+        report = check_constraints(spec, *gain_denominator_numerator(
             spec, solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal(), p2
-        )
+        ))
         assert report.all_pass
 
     def test_example_half_branch_range_fails_interior(self):
         spec = example_2_5_problem(100)
         th = Strategy.constant(spec.grid, -0.5)
         p2 = solve_p2(spec, th)
-        report = check_constraints(
+        report = check_constraints(spec, *gain_denominator_numerator(
             spec, solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal(), p2
-        )
+        ))
         assert not report.range_pass
         assert not np.any(report.range_ok_per_node[:-1])
         assert report.psd_pass  # Lambda == 0 is still PSD
@@ -461,7 +460,7 @@ class TestCheckConstraints:
             th = Strategy.constant(spec.grid, 0.0 if case == "zero branch" else -0.5)
             p2 = solve_p2(spec, th)
             p1d, p3d = solve_p1(spec, th).diagonal(), solve_p3(spec, th, p2).diagonal()
-        report = check_constraints(spec, p1d, p3d, p2)
+        report = check_constraints(spec, *gain_denominator_numerator(spec, p1d, p3d, p2))
         lam, gam = gain_denominator_numerator(spec, p1d, p3d, p2)
         resid = range_residual(lam, gam)
         bound = 1e-8 * (1.0 + specnorm(gam))
@@ -508,11 +507,8 @@ class TestCharacterizationResidual:
 
     def test_solution_fields_give_the_same_residual(self, smoke_solution):
         sol = smoke_solution
-        from_fields = characterization_residual_from_fields(
-            sol.spec, sol.p1_diag, sol.p3_diag, sol.p2, sol.theta_star
-        )
         resolved = characterization_residual(sol.spec, sol.theta_star)
-        assert np.array_equal(from_fields.data, resolved.data)
+        assert np.array_equal(sol.residual.data, resolved.data)
 
 
 def test_strategy_grid_mismatch_rejected():

@@ -108,6 +108,104 @@ def test_overflowing_loaded_gain_exits_2_with_one_error_line(tmp_path, capsys, s
     assert not (tmp_path / "out").exists()
 
 
+def rewrite_summary(sol, change):
+    path = sol / "summary.json"
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+
+
+def set_diagnostics(key, value):
+    def change(summary):
+        summary["diagnostics"][key] = value
+        return summary
+    return change
+
+
+def rewrite_theta_row(sol, row):
+    lines = (sol / "theta.csv").read_text().splitlines()
+    lines[4] = row(lines[4])
+    (sol / "theta.csv").write_text("\n".join(lines) + "\n")
+
+
+BAD_SOLUTION_FILES = {
+    "summary_array": (lambda sol: rewrite_summary(sol, lambda s: []),
+                      "summary.json: the document must be a JSON object"),
+    "summary_null": (lambda sol: rewrite_summary(sol, lambda s: None),
+                     "summary.json: the document must be a JSON object"),
+    "diagnostics_string": (lambda sol: rewrite_summary(sol, lambda s: {**s, "diagnostics": "x"}),
+                           "summary.json: diagnostics must be a JSON object"),
+    "fp_tolerance_array": (lambda sol: rewrite_summary(sol, set_diagnostics("fp_tolerance", [1])),
+                           "summary.json: diagnostics.fp_tolerance must be a JSON number"),
+    "fp_tolerance_null": (lambda sol: rewrite_summary(sol, set_diagnostics("fp_tolerance", None)),
+                          "summary.json: diagnostics.fp_tolerance must be a JSON number"),
+    "theta_text": (lambda sol: rewrite_theta_row(sol, lambda r: r.split(",")[0] + ",abc"),
+                   "theta.csv: line 5: could not convert string to float: 'abc'"),
+    "theta_extra_column": (lambda sol: rewrite_theta_row(sol, lambda r: r + ",1"),
+                           "theta.csv: line 5 has 3 columns, want 2"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("case", sorted(BAD_SOLUTION_FILES))
+def test_malformed_solution_file_exits_2_with_one_error_line(tmp_path, capsys, solved_smoke, command, case):
+    # A file of the wrong JSON type or shape is bad input, not a failed suite.
+    sol = tmp_path / "sol"
+    shutil.copytree(solved_smoke, sol)
+    corrupt, message = BAD_SOLUTION_FILES[case]
+    corrupt(sol)
+    suite = ["--suite", "equilibrium"] if command == "verify" else []
+    assert main([command, str(sol), *suite, "--paths", "16", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot load solution: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_absent_fp_tolerance_loads_as_nan(tmp_path, solved_smoke):
+    sol = tmp_path / "sol"
+    shutil.copytree(solved_smoke, sol)
+    rewrite_summary(sol, lambda s: {**s, "diagnostics": {}})
+    assert np.isnan(load_solution_dir(str(sol)).diagnostics.fp_tolerance)
+
+
+class TestPassThroughReload:
+    """The loader recomputes the pass-through nodes from the gain; it never reads them."""
+
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory):
+        """The solution directories of the four example documents, the -0.5 branch and the table scenario."""
+        root = tmp_path_factory.mktemp("examples")
+        assert main(["example", "--out", str(root), "--grid-steps", "100"]) == 0
+        write(root, "table.json", table_smoke_scenario(100))
+        runs = {name: [str(root / f"{name}.json")] for name in ("example25", "trivial", "smoke", "classical", "table")}
+        runs["example25-half"] = [str(root / "example25.json"), "--theta0", "const:-0.5"]
+        for name, args in runs.items():
+            assert main(["solve", *args, "--out", str(root / name)]) == 0
+        return root
+
+    @pytest.mark.parametrize("name", ["example25", "example25-half", "trivial", "smoke", "classical", "table"])
+    def test_the_reloaded_nodes_are_the_solves(self, tmp_path, solved, name):
+        sol = tmp_path / name
+        shutil.copytree(solved / name, sol)
+        recorded = json.loads((sol / "summary.json").read_text())["diagnostics"]["passthrough_nodes"]
+
+        def drop(summary):
+            del summary["diagnostics"]["passthrough_nodes"]
+            return summary
+
+        rewrite_summary(sol, drop)
+        assert load_solution_dir(str(sol)).diagnostics.passthrough_nodes == recorded
+        assert len(recorded) == (101 if name.startswith("example25") else 0)
+
+    @pytest.mark.parametrize("name", ["example25", "smoke"])
+    @pytest.mark.parametrize("stored", [5, [1.5], [0, 7]], ids=["int", "float_node", "wrong_list"])
+    def test_a_wrong_stored_list_is_not_read(self, tmp_path, solved, name, stored):
+        sol = tmp_path / name
+        shutil.copytree(solved / name, sol)
+        recorded = json.loads((sol / "summary.json").read_text())["diagnostics"]["passthrough_nodes"]
+        rewrite_summary(sol, set_diagnostics("passthrough_nodes", stored))
+        assert load_solution_dir(str(sol)).diagnostics.passthrough_nodes == recorded
+
+
 class TestCliSolve:
     def test_trivial_scenario_solves_to_zeros(self, tmp_path):
         scen = write(tmp_path, "trivial.json", trivial_scenario(60))

@@ -40,6 +40,7 @@ from tests.oracles import (
     per_node_z,
     second_moment_factor,
     simulate_spike,
+    spike_fields,
 )
 from tests.test_riccati import build_scalar, zero_theta
 
@@ -363,8 +364,8 @@ class TestSpikeTest:
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         cfg = SimConfig(paths=500, seed=2, x0=1.0)
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=0.0, epsilons=(0.25, 0.125)), 0.0,
-                         p1_diag=smoke_solution.p1_diag,
-                         p3_diag=smoke_solution.p3_diag)
+                         lam=smoke_solution.lam,
+                         residual=smoke_solution.residual)
         assert all(r.delta == 0.0 and r.stderr == 0.0 for r in rep.rows)
         assert rep.liminf_pass
 
@@ -373,8 +374,8 @@ class TestSpikeTest:
         cfg = SimConfig(paths=400, seed=13, x0=1.0)
         eps = 0.25
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(eps,)), 0.0,
-                         p1_diag=smoke_solution.p1_diag,
-                         p3_diag=smoke_solution.p3_diag)
+                         lam=smoke_solution.lam,
+                         residual=smoke_solution.residual)
         base = simulate_closed_loop(spec, th, p2, cfg)
         spiked = simulate_spike(spec, th, p2, cfg, SpikeSpec(v=1.0), eps)
         j0 = evaluate_cost(spec, base, build_controls(spec, base), 0.0)
@@ -390,8 +391,8 @@ class TestSpikeTest:
         d = {}
         for c in (1.0, 2.0, -1.0):
             rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=c, epsilons=eps), 0.5,
-                             p1_diag=smoke_solution.p1_diag,
-                             p3_diag=smoke_solution.p3_diag)
+                             lam=smoke_solution.lam,
+                             residual=smoke_solution.residual)
             d[c] = (rep.rows[0].delta, rep.rows[0].stderr)
         quad = d[1.0][0]
         # c = 2 quadruples the quadratic part; c = -1 keeps it.
@@ -409,7 +410,8 @@ class TestSpikeTest:
         bad = Strategy.from_flat(spec.grid, corrupted)
         p2 = solve_p2(spec, bad)
         cfg = SimConfig(paths=40_000, seed=37, x0=1.0)
-        rep = spike_test(spec, bad, p2, cfg, SpikeSpec(v=1.0, epsilons=(2**-6,)), t)
+        lam, residual = spike_fields(spec, bad, p2)
+        rep = spike_test(spec, bad, p2, cfg, SpikeSpec(v=1.0, epsilons=(2**-6,)), t, lam=lam, residual=residual)
         row = rep.rows[0]
         expected_first = row.theory_first_order
         assert expected_first != 0.0
@@ -443,9 +445,10 @@ def ladder_inputs(smoke_solution, problem):
     the smoke solution (n = 1) or a :func:`matrix_inputs` problem."""
     if problem == "smoke":
         sol = smoke_solution
-        return sol.spec, sol.theta_star, sol.p2, 1.0, {"p1_diag": sol.p1_diag, "p3_diag": sol.p3_diag}
+        return sol.spec, sol.theta_star, sol.p2, 1.0, {"lam": sol.lam, "residual": sol.residual}
     spec, th, p2 = matrix_inputs(problem)
-    return spec, th, p2, np.array([1.0, -0.5])[: spec.dims.k], {}
+    lam, residual = spike_fields(spec, th, p2)
+    return spec, th, p2, np.array([1.0, -0.5])[: spec.dims.k], {"lam": lam, "residual": residual}
 
 
 def carried_block(run, increments, weights):
@@ -490,11 +493,12 @@ class TestSpikeDirections:
     def test_opposite_is_the_separate_negative_run_bitwise(self, smoke_solution, problem):
         if problem == "smoke":
             spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
-            v, t, kw = 1.0, 0.25, {"p1_diag": smoke_solution.p1_diag,
-                                   "p3_diag": smoke_solution.p3_diag}
+            v, t, kw = 1.0, 0.25, {"lam": smoke_solution.lam,
+                                   "residual": smoke_solution.residual}
         else:  # n = k = 2
             spec, th, p2 = matrix_inputs(problem)
-            v, t, kw = np.array([1.0, -0.5]), 0.5, {}
+            lam, residual = spike_fields(spec, th, p2)
+            v, t, kw = np.array([1.0, -0.5]), 0.5, {"lam": lam, "residual": residual}
         cfg = SimConfig(paths=300, seed=4, x0=1.0)
         eps = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
         plus = spike_test(spec, th, p2, cfg, eps, t, **kw)
@@ -512,8 +516,8 @@ class TestSpikeDirections:
         d = {}
         for c in (1.0, 2.0):
             rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=c), 0.5,
-                             p1_diag=smoke_solution.p1_diag,
-                             p3_diag=smoke_solution.p3_diag)
+                             lam=smoke_solution.lam,
+                             residual=smoke_solution.residual)
             d[c] = np.array([r.delta for r in rep.rows])
             d[-c] = np.array([r.delta for r in rep.opposite.rows])
         # The quadratic part scales with c^2, the cross part with c.
@@ -564,8 +568,8 @@ class TestSpikeDirections:
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
         cfg = SimConfig(paths=8192 + 300, seed=6, x0=1.0)  # two RNG blocks
         rep = spike_test(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(0.125,)), 0.5,
-                         p1_diag=smoke_solution.p1_diag,
-                         p3_diag=smoke_solution.p3_diag)
+                         lam=smoke_solution.lam,
+                         residual=smoke_solution.residual)
         bundle = simulate_closed_loop(spec, th, p2, cfg, 0.5)
         cost = evaluate_cost(spec, bundle, build_controls(spec, bundle), 0.5)
         assert rep.closed_loop.paths == cost.paths
@@ -738,10 +742,11 @@ class TestSpikeTests:
     def test_every_time_is_its_separate_test_bitwise(self, smoke_solution, problem, paths, sub):
         if problem == "smoke":  # n = 1
             spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
-            v, kw = 1.0, {"p1_diag": smoke_solution.p1_diag, "p3_diag": smoke_solution.p3_diag}
+            v, kw = 1.0, {"lam": smoke_solution.lam, "residual": smoke_solution.residual}
         else:  # n = k = 2
             spec, th, p2 = matrix_inputs(problem)
-            v, kw = np.array([1.0, -0.5]), {}
+            lam, residual = spike_fields(spec, th, p2)
+            v, kw = np.array([1.0, -0.5]), {"lam": lam, "residual": residual}
         spike = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
         cfg = SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0)
         times = [0.5, 0.0, 0.75, 0.25]  # unsorted: the earliest is not first
@@ -755,7 +760,8 @@ class TestSpikeTests:
 
     def test_no_times_no_reports(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
-        assert spike_tests(spec, th, p2, SimConfig(paths=16), SpikeSpec(), []) == []
+        assert spike_tests(spec, th, p2, SimConfig(paths=16), SpikeSpec(), [],
+                           lam=smoke_solution.lam, residual=smoke_solution.residual) == []
 
     @pytest.mark.parametrize("sub", [1, 2])
     def test_buffered_scalar_kernel_is_the_plain_one_bitwise(self, smoke_solution, sub):
@@ -828,7 +834,7 @@ class TestOneBlockLive:
         spike = SpikeSpec(v=1.0)
         run = {
             "spike_tests": lambda: spike_tests(spec, th, p2, cfg, spike, [0.0, 0.5],
-                                               p1_diag=sol.p1_diag, p3_diag=sol.p3_diag),
+                                               lam=sol.lam, residual=sol.residual),
             "perturbation_scaling": lambda: perturbation_scaling(spec, th, p2, cfg, spike, 0.0),
             "bsde_residual_check": lambda: bsde_residual_check(spec, th, p2, cfg),
         }[call]
@@ -895,18 +901,20 @@ class TestStreamedRows:
         nodes = smoke_200.spec.grid.nodes
         if problem == "smoke":  # n = 1
             spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+            lam, residual = smoke_200.lam, smoke_200.residual
             spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.05))
             # Fine steps per run: below one chunk (nodes[-3]), whole chunks
             # (nodes[-33]) and neither (0 and 0.5).
             times = [0.5, 0.0, float(nodes[-3]), float(nodes[-33])]
         else:  # n = k = 2, 40 steps
             spec, th, p2 = matrix_inputs(problem)
+            lam, residual = spike_fields(spec, th, p2)
             spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.1,))
             times = [0.0, float(spec.grid.nodes[-3])]
         cfg = SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0)
 
         def outputs():
-            reports = spike_tests(spec, th, p2, cfg, spike, times)
+            reports = spike_tests(spec, th, p2, cfg, spike, times, lam=lam, residual=residual)
             bundle = simulate_spike(spec, th, p2, cfg, spike, 0.1, 0.5)
             return (
                 [(rep.summary(), rep.closed_loop) for rep in reports],
@@ -931,7 +939,7 @@ class TestStreamedRows:
 
         def call():
             return [rep.summary() for rep in spike_tests(spec, th, p2, cfg, spike, [0.0, 0.5],
-                                                         p1_diag=smoke_200.p1_diag, p3_diag=smoke_200.p3_diag)]
+                                                         lam=smoke_200.lam, residual=smoke_200.residual)]
 
         want = call()
         results = []
@@ -974,7 +982,7 @@ class TestStreamFailure:
         spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
         cfg = SimConfig(paths=2 * BLOCK_PATHS, seed=3, x0=1.0)
         return lambda: spike_tests(spec, th, p2, cfg, SpikeSpec(v=1.0), [0.0, 0.5],
-                                   p1_diag=smoke_200.p1_diag, p3_diag=smoke_200.p3_diag)
+                                   lam=smoke_200.lam, residual=smoke_200.residual)
 
     def test_a_kernel_error_mid_block(self, two_block_spike_tests, monkeypatch):
         boom = RuntimeError("kernel")
@@ -1083,6 +1091,17 @@ def test_spike_spec_rejects_non_finite_epsilons(epsilons):
         SpikeSpec(v=1.0, epsilons=epsilons)
 
 
+def test_a_run_may_start_on_the_last_interval(smoke_200):
+    # t = T - h: one coarse interval, so two range nodes and a ladder of one-step rungs.
+    spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+    t = float(spec.grid.nodes[-2])
+    cfg = SimConfig(paths=16, seed=0, x0=1.0)
+    assert simulate_closed_loop(spec, th, p2, cfg, t).X.shape[1] == 2
+    reports = spike_tests(spec, th, p2, cfg, SpikeSpec(v=1.0), [t], lam=smoke_200.lam, residual=smoke_200.residual)
+    assert len(reports) == 1
+    assert {row.eps_used for row in reports[0].rows} == {spec.grid.h}
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_x0_is_rejected(smoke_200, value):
     spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
@@ -1094,4 +1113,5 @@ def test_non_finite_x0_is_rejected(smoke_200, value):
 def test_non_finite_v_is_rejected(smoke_200, value):
     spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
     with pytest.raises(ValueError, match="v must be finite"):
-        spike_test(spec, th, p2, SimConfig(paths=8, seed=0), SpikeSpec(v=value), 0.0)
+        spike_test(spec, th, p2, SimConfig(paths=8, seed=0), SpikeSpec(v=value), 0.0,
+                   lam=smoke_200.lam, residual=smoke_200.residual)

@@ -1,9 +1,9 @@
 import pytest
 
-from fbslq.equilibrium import EquilibriumSolution
+from fbslq.equilibrium import SolverDiagnostics, assemble_solution, p1_tilde
 from fbslq.fields import Strategy
 from fbslq.presets import classical_reduction_problem
-from fbslq.riccati import characterization_residual
+from fbslq.riccati import characterization_residual, solve_p2
 from fbslq.simulate import SimConfig
 from fbslq.verify import (
     classical_riccati_feedback,
@@ -62,7 +62,7 @@ def test_suite_equilibrium_passes(smoke_solution):
     doc = report.to_dict()
     assert doc["passed"] is True
     assert len(doc["checks"]) == 3 + 8
-    # The suite computes the solver's consistency gap from the fields, by the same formula.
+    # The suite reads the solver's consistency gap.
     gap = next(c.value for c in report.checks if c.name == "integral_route_consistency")
     assert gap == smoke_solution.diagnostics.consistency_gap
 
@@ -77,16 +77,9 @@ def test_suite_equilibrium_rejects_corrupted_gain(smoke_solution):
     scale = 1.0 + bad_theta.sup_norm()
     assert resid.sup_norm() > 1e-6 * scale  # residual is first-order in the corruption
 
-    corrupted = EquilibriumSolution(
-        spec=spec,
-        theta_star=bad_theta,
-        p1_tilde=smoke_solution.p1_tilde,
-        p1_diag=smoke_solution.p1_diag,
-        p2=smoke_solution.p2,
-        p3_diag=smoke_solution.p3_diag,
-        constraint_report=smoke_solution.constraint_report,
-        diagnostics=smoke_solution.diagnostics,
-    )
+    # The solution of the bad gain, as load_solution_dir builds it from a corrupted theta.csv.
+    p2 = solve_p2(spec, bad_theta)
+    corrupted = assemble_solution(spec, bad_theta, p2, p1_tilde(spec, bad_theta, p2), SolverDiagnostics())
     report = suite_equilibrium(corrupted, SimConfig(paths=500, seed=1, x0=1.0))
     assert not report.passed
     failing = [c.name for c in report.checks if not c.passed]
