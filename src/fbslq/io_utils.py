@@ -179,15 +179,23 @@ def _read_gain(path, spec: ProblemSpec) -> np.ndarray:
 
 
 def _load_windows(path) -> list[WindowDiagnostics]:
-    """The window history of diagnostics.csv."""
+    """The window history of diagnostics.csv, one row per window; blank lines are skipped."""
     with open(os.path.join(path, "diagnostics.csv"), "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != _DIAGNOSTICS_HEADER:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or rows[0][1] != _DIAGNOSTICS_HEADER:
         raise ValueError("diagnostics.csv does not start with the diagnostics header")
-    return [
-        WindowDiagnostics(int(lo), int(hi), int(its), float(res), float(ratio), int(halvings))
-        for lo, hi, its, res, ratio, halvings in rows[1:]
-    ]
+    width = len(_DIAGNOSTICS_HEADER)
+    windows = []
+    for line, row in rows[1:]:
+        if len(row) != width:
+            raise ValueError(f"diagnostics.csv: line {line} has {len(row)} columns, want {width}")
+        lo, hi, its, res, ratio, halvings = row
+        try:
+            windows.append(WindowDiagnostics(int(lo), int(hi), int(its), float(res), float(ratio), int(halvings)))
+        except ValueError as exc:
+            raise ValueError(f"diagnostics.csv: line {line}: {exc}") from None
+    return windows
 
 
 def theta0_from_desc(desc: str, spec: ProblemSpec) -> Strategy:

@@ -29,7 +29,9 @@ are the rows of the whole block's draw, bit for bit.  Every Euler step,
 every cost sum and the caller's ``np.errstate`` stay in the calling
 thread, which consumes the rows as they arrive: the Philox draw of the
 next rows overlaps the kernels, and the memory a pass holds grows with
-neither the path count nor the step count.  An error on either side stops
+neither the path count nor the step count.  The steppers of one stream
+share one scratch, since they run one after another, so each spike time
+of a pass adds only its own state.  An error on either side stops
 the helper before the call returns; one raised by the draw is raised again
 in the caller.
 
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -84,8 +87,8 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 8192  # paths per RNG block; fixed so chunking cannot reorder draws
-CHUNK_ROWS = 32  # fine steps per hand-over from the drawing thread: 2 MB at a full block
-_CHUNKS_AHEAD = 2  # chunks the drawing thread may hold ready in its queue
+CHUNK_ROWS = 16  # fine steps per hand-over from the drawing thread: 1 MB at a full block
+_CHUNKS_AHEAD = 1  # chunks the drawing thread may hold ready in its queue
 
 
 @dataclass(frozen=True)
@@ -238,9 +241,12 @@ def _increments(seed: int, paths: int, steps: int, hf: float):
     rows): the block's first path, its path count and an iterator over its
     ``steps`` rows, one per fine step and (width,) each, which must be read
     to the end before the next block.  The helper draws ``CHUNK_ROWS`` rows at a
-    time, at most ``_CHUNKS_AHEAD`` chunks ahead of the reader.  Leaving
-    the context, by an error too, stops and joins the helper; an exception
-    raised by the draw is raised again by the row iterator.
+    time, at most ``_CHUNKS_AHEAD`` chunks ahead of the reader.  Every consumer
+    is done with a row before it asks for the next, so the chunks alive are
+    the one being read, the one queued and the one being drawn, and for a
+    moment at each hand-over the one just read, which its last row holds.
+    Leaving the context, by an error too, stops and joins the helper; an
+    exception raised by the draw is raised again by the row iterator.
     """
     scale = np.sqrt(hf)
     chunks = queue.Queue(maxsize=_CHUNKS_AHEAD)
@@ -449,8 +455,10 @@ class _PassSums:
         self.sumsq_d = np.zeros_like(self.sum_d)
         self.moments = (0, 0.0, 0.0)
 
-    def add(self, base, cross, quad) -> None:
-        d = np.empty_like(quad)  # one (rungs, paths) array serves both directions
+    def add(self, base, cross, quad, free: np.ndarray) -> None:
+        """Fold in one block's sums; ``free`` is a flat scratch buffer of at
+        least ``quad.size`` entries, whose contents are not kept."""
+        d = free[: quad.size].reshape(quad.shape)  # one (rungs, paths) array serves both directions
         for sign, combine in enumerate((np.add, np.subtract)):
             combine(quad, cross, out=d)
             d *= 0.5
@@ -470,20 +478,26 @@ def _stream(runs):
     Returns per run the sums (sum, sumsq) over paths of the pathwise cost
     differences, each (2, rungs) with row 0 for +v and row 1 for -v, and the
     moments (paths, mean, M2) of the closed loop's pathwise cost.
+
+    The runs also share n and the rung count, and with them one stepper
+    scratch (:func:`_scratch`): the kernels run one after another in this
+    thread, and each leaves the scratch free between sends.  A run that has
+    ended folds its sums through the same scratch.
     """
     if not runs:
         return []
     cfg = runs[0].cfg
+    scratch = _scratch(runs[0], cfg.paths)
     passes = [(run.F, run.kernel(), _PassSums(len(run.eps_steps))) for run in runs]
     with _increments(cfg.seed, cfg.paths, max(run.F for run in runs), runs[0].hf) as blocks:
         for _, width, rows in blocks:
-            kernels = [(fine, start(width), sums) for fine, start, sums in passes]
+            kernels = [(fine, start(width, scratch), sums) for fine, start, sums in passes]
             for ell, row in enumerate(rows, 1):
                 for fine, kernel, sums in kernels:
                     if ell < fine:
                         kernel.send(row)
                     elif ell == fine:
-                        sums.add(*kernel.send(row))
+                        sums.add(*kernel.send(row), scratch)
                         kernel.close()  # frees its buffers while the longer runs step on
     return [(sums.sum_d, sums.sumsq_d, sums.moments) for _, _, sums in passes]
 
@@ -491,6 +505,20 @@ def _stream(runs):
 def _primed(coroutine):
     next(coroutine)
     return coroutine
+
+
+def _scratch_shapes(run, width: int):
+    """Shapes of the scratch ``yt`` and ``f`` of a :class:`_Stepper` of ``run``
+    on a block of ``width`` paths."""
+    rungs, n = len(run.eps_steps), run.n
+    return (n, rungs + max(1, n) if rungs else 1, width), (n, n, width)
+
+
+def _scratch(run, paths: int) -> np.ndarray:
+    """One flat buffer for the scratch of the steppers of ``run``, or of runs
+    of the same n and rung count, sized for the widest block of ``paths``
+    paths; each stepper views a contiguous leading part of it."""
+    return np.empty(sum(map(math.prod, _scratch_shapes(run, min(paths, BLOCK_PATHS)))))
 
 
 class _Stepper:
@@ -504,20 +532,24 @@ class _Stepper:
     d_q(g); without rungs, x alone.  A step is y <- y + y F, F = C_Th' dW +
     A_Th' h_f per path, on x, the open rungs and, once a rung has closed,
     Psi, plus the open rungs' spike drive.  It writes into buffers allocated
-    once per block (a fresh (rungs, width) temporary per operation is large
-    enough for the allocator to map and unmap it each time), so a consumer
-    that keeps a state copies it; between steps the scratch ``yt`` and ``f``
-    are free.
+    once (a fresh (rungs, width) temporary per operation is large enough for
+    the allocator to map and unmap it each time), so a consumer that keeps a
+    state copies it.  Between steps the scratch ``yt`` and ``f`` are free;
+    that is why they are views of a flat buffer that the caller hands in
+    (:func:`_scratch`) and that the steppers of one stream share, run after
+    run and block after block, so that each added run costs only its state.
     """
 
-    def __init__(self, run, width: int):
+    def __init__(self, run, width: int, scratch: np.ndarray):
         rungs, n = len(run.eps_steps), run.n
         self.run = run
         self.ell = 0  # fine steps taken
         self.y = np.zeros((n, 1 + rungs + n if rungs else 1, width))
         self.y[:, 0] = run.x0[:, None]
-        self.yt = np.empty((n, rungs + max(1, n) if rungs else 1, width))
-        self.f = np.empty((n, n, width))
+        yt, f = _scratch_shapes(run, width)
+        split = math.prod(yt)
+        self.yt = scratch[:split].reshape(yt)
+        self.f = scratch[split : split + math.prod(f)].reshape(f)
         self._bind(rungs)
 
     def _bind(self, k: int) -> None:
@@ -636,17 +668,18 @@ class _LadderRun:
         self.g2 = w.G2(t)
 
     def kernel(self):
-        """From a block width to a primed coroutine that is sent the increments of each
-        fine step, (width,) each, and whose last send returns the sums (base, cross, quad)."""
+        """From a block width and a :func:`_scratch` buffer to a primed coroutine
+        that is sent the increments of each fine step, (width,) each, and whose
+        last send returns the sums (base, cross, quad)."""
         weights = self._weights()
-        return lambda width: _primed(self._block(width, weights))
+        return lambda width, scratch: _primed(self._block(width, weights, scratch))
 
     def walk(self, width: int, rows):
         """The stepper over one block of ``width`` paths, pulled along ``rows``:
         yields (ell, dW, stepper) at the start (0, None) and after each fine step
         ell, dW its increments; coarse node r is ell = r * sub_steps.  The
         stepper closes the rungs ending at node r once the consumer has read it."""
-        stepper = _Stepper(self, width)
+        stepper = _Stepper(self, width, _scratch(self, width))
         yield 0, None, stepper
         for ell, dw in enumerate(rows, 1):
             stepper.step(dw)
@@ -695,20 +728,21 @@ class _LadderRun:
                 gamma += np.einsum("rab,qrab->qr", ww, src[..., :, None] * src[..., None, :]).sum(axis=1)
         return alpha, beta[..., None], gamma
 
-    def _block(self, width, weights):
+    def _block(self, width, weights, scratch):
         """Node-grouped cost sums of one block, a consumer of :class:`_Stepper`.
 
         The open rungs add their terms at every node; the closed group sums
         A = sum Psi' alpha Psi and B = sum Psi' alpha x, which its d_q(g)
         contract into its sums at the next close, before the stepper closes,
         and after the last close at the horizon.  The stepper's scratch
-        ``yt`` holds y alpha and the contractions, ``f`` the products.  The
+        ``yt`` holds y alpha and the contractions, ``f`` the products; both
+        are views of ``scratch``, which nothing reads across a send.  The
         operations and their order are those of the comments; at n = 1 each
         contraction is a product.
         """
         alpha, beta, gamma = weights
         n, rungs = self.n, len(self.eps_steps)
-        stepper = _Stepper(self, width)
+        stepper = _Stepper(self, width, scratch)
         f = stepper.f
         base = np.zeros(width)
         cross = np.zeros((rungs, width))

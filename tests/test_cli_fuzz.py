@@ -6,7 +6,11 @@ exit 2 on an invalid one, or on an ``--x0`` or ``--spike-v`` so large that
 the Monte-Carlo cost sums overflow.  No input may end in a traceback.  Each
 option is passed as ``--name=value`` or as two tokens, as drawn.  A document
 whose six weights are scaled by a power of two solves to the same gain, byte
-for byte.  The examples are derandomized, so every run draws the same cases.
+for byte.  A solution directory with one file mutated (a theta.csv or
+diagnostics.csv cell or row, a summary.json value) is input too: ``verify``
+and ``simulate`` on it exit with a documented code, and with one ``error:``
+line when it is 2.  The examples are derandomized, so every run draws the
+same cases.
 """
 
 import contextlib
@@ -15,6 +19,7 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 import warnings
 
@@ -171,6 +176,77 @@ def test_verify_options_exit_with_a_documented_code(solution_dir, paths, x0, joi
     assert "Traceback" not in err
     if not valid:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+cells = st.text(max_size=8) | st.floats().map(repr) | st.sampled_from(["", "-0", "1e400", "0x10", "7", " 1"])
+
+
+@st.composite
+def mutated_csv(draw, text):
+    """The text of a CSV file with one cell or one row changed, dropped or added."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    row = lines[i].split(",")
+    j = draw(st.integers(0, len(row) - 1))
+    kind = draw(st.sampled_from(["cell", "drop_cell", "add_cell", "row", "drop_row", "copy_row", "blank_row"]))
+    if kind == "cell":
+        row[j] = draw(cells)
+    elif kind == "drop_cell":
+        del row[j]
+    elif kind == "add_cell":
+        row.insert(j, draw(cells))
+    lines[i] = ",".join(row)
+    if kind == "row":
+        lines[i] = draw(st.text(max_size=24))
+    elif kind == "drop_row":
+        del lines[i]
+    elif kind == "copy_row":
+        lines.insert(i, lines[i])
+    elif kind == "blank_row":
+        lines.insert(i, "")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_json(draw, text):
+    """The text of a JSON document with one value replaced or deleted, the document itself included."""
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(paths_in(doc))))
+    if not path:
+        return json.dumps(draw(json_values))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return json.dumps(doc)
+
+
+@FUZZ
+@given(name=st.sampled_from(["theta.csv", "summary.json", "diagnostics.csv"]), data=st.data())
+def test_a_mutated_solution_directory_exits_with_a_documented_code(solution_dir, name, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        sol = os.path.join(tmp, "sol")
+        shutil.copytree(solution_dir, sol)
+        path = os.path.join(sol, name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        text = data.draw((mutated_json if name == "summary.json" else mutated_csv)(text))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        commands = (
+            (["verify", sol, "--suite", "equilibrium", "--paths", "16", "--out", os.path.join(tmp, "rep.json")],
+             (0, 1, 2)),
+            (["simulate", sol, "--paths", "16", "--out", os.path.join(tmp, "sim")], (0, 2)),
+        )
+        for argv, codes in commands:
+            code, err = run_cli(argv)
+            assert code in codes
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.startswith("error:") and err.count("\n") == 1
 
 
 def scaled_weights(doc, k):

@@ -126,6 +126,12 @@ def rewrite_theta_row(sol, row):
     (sol / "theta.csv").write_text("\n".join(lines) + "\n")
 
 
+def rewrite_diagnostics_row(sol, row):
+    lines = (sol / "diagnostics.csv").read_text().splitlines()
+    lines[1] = row(lines[1])
+    (sol / "diagnostics.csv").write_text("\n".join(lines) + "\n")
+
+
 BAD_SOLUTION_FILES = {
     "summary_array": (lambda sol: rewrite_summary(sol, lambda s: []),
                       "summary.json: the document must be a JSON object"),
@@ -141,6 +147,12 @@ BAD_SOLUTION_FILES = {
                    "theta.csv: line 5: could not convert string to float: 'abc'"),
     "theta_extra_column": (lambda sol: rewrite_theta_row(sol, lambda r: r + ",1"),
                            "theta.csv: line 5 has 3 columns, want 2"),
+    "diagnostics_extra_column": (lambda sol: rewrite_diagnostics_row(sol, lambda r: r + ",1"),
+                                 "diagnostics.csv: line 2 has 7 columns, want 6"),
+    "diagnostics_short_row": (lambda sol: rewrite_diagnostics_row(sol, lambda r: r.rsplit(",", 1)[0]),
+                              "diagnostics.csv: line 2 has 5 columns, want 6"),
+    "diagnostics_text": (lambda sol: rewrite_diagnostics_row(sol, lambda r: "x" + r[r.index(","):]),
+                         "diagnostics.csv: line 2: invalid literal for int() with base 10: 'x'"),
 }
 
 
@@ -158,6 +170,15 @@ def test_malformed_solution_file_exits_2_with_one_error_line(tmp_path, capsys, s
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"error: cannot load solution: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_blank_diagnostics_line_loads_the_same_windows(tmp_path, solved_smoke):
+    # theta.csv skips blank lines, and so does diagnostics.csv.
+    sol = tmp_path / "sol"
+    shutil.copytree(solved_smoke, sol)
+    rewrite_diagnostics_row(sol, lambda r: "\n" + r + "\n")
+    windows = load_solution_dir(str(sol)).diagnostics.windows
+    assert len(windows) > 1 and windows == load_solution_dir(solved_smoke).diagnostics.windows
 
 
 def test_an_absent_fp_tolerance_loads_as_nan(tmp_path, solved_smoke):

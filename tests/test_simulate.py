@@ -24,6 +24,7 @@ from fbslq.simulate import (
     _LadderRun,
     _PassSums,
     _primed,
+    _scratch,
     _snap_eps,
     bsde_residual_check,
     perturbation_scaling,
@@ -559,7 +560,7 @@ class TestSpikeDirections:
         for rungs in ([left // 4, left // 8, 1], [left, left // 4, left // 8, 1]):
             run = _LadderRun(spec, th, p2, cfg, t, np.asarray(v, dtype=float).reshape(-1), rungs)
             incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
-            got = send_all(run.kernel()(cfg.paths), incs)
+            got = send_all(run.kernel()(cfg.paths, _scratch(run, cfg.paths)), incs)
             assert_sums_close(got, carried_block(run, incs, run._weights()))
             bases.append(got[0])
         assert np.array_equal(*bases)  # base: the same operations either way
@@ -626,7 +627,8 @@ class TestCloseSchedule:
         assert steps == expected(grid.steps - grid.index_of(t))
         run = _LadderRun(spec, th, p2, cfg, t, _as_vector(v, spec.dims.k, "v", "control"), steps)
         incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
-        assert_sums_close(send_all(run.kernel()(cfg.paths), incs), carried_block(run, incs, run._weights()))
+        got = send_all(run.kernel()(cfg.paths, _scratch(run, cfg.paths)), incs)
+        assert_sums_close(got, carried_block(run, incs, run._weights()))
 
         rep = spike_test(spec, th, p2, cfg, spike, t, **kw)
         base = simulate_closed_loop(spec, th, p2, cfg, t)
@@ -649,7 +651,8 @@ class TestCloseSchedule:
         run = _LadderRun(spec, th, p2, cfg, float(spec.grid.nodes[i0]), _as_vector(v, spec.dims.k, "v", "control"),
                          steps)
         incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
-        assert_sums_close(send_all(run.kernel()(cfg.paths), incs), carried_block(run, incs, run._weights()))
+        got = send_all(run.kernel()(cfg.paths, _scratch(run, cfg.paths)), incs)
+        assert_sums_close(got, carried_block(run, incs, run._weights()))
 
     def test_the_ladder_must_not_widen(self, smoke_200):
         spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
@@ -774,7 +777,7 @@ class TestSpikeTests:
                 run = _LadderRun(spec, th, p2, cfg, t, np.array([1.0]), rungs)
                 incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
                 weights = run._weights()
-                got = send_all(_primed(run._block(cfg.paths, weights)), incs)
+                got = send_all(_primed(run._block(cfg.paths, weights, _scratch(run, cfg.paths))), incs)
                 want = plain_block_scalar(run, incs, scalar_weights(run, weights))
                 for a, b in zip(got, want):  # base, cross, quad
                     assert np.array_equal(a, b), (t, rungs)
@@ -784,7 +787,7 @@ class TestSpikeTests:
         base, cross, quad = rng.standard_normal(500), rng.standard_normal((3, 500)), rng.standard_normal((3, 500))
         kept = cross.copy(), quad.copy()
         sums = _PassSums(3)
-        sums.add(base, cross, quad)
+        sums.add(base, cross, quad, np.empty(quad.size))
         for sign, d in enumerate((0.5 * (quad + cross), 0.5 * (quad - cross))):
             assert np.array_equal(sums.sum_d[sign], d.sum(axis=1))
             assert np.array_equal(sums.sumsq_d[sign], (d**2).sum(axis=1))
@@ -867,6 +870,59 @@ class TestOneBlockLive:
         assert peak - held < 0.5 * bundle.X.nbytes, (peak - held) / bundle.X.nbytes
 
 
+class TestOneScratchPerStream:
+    """The spike times of one stream share one stepper scratch; each adds only its own state."""
+
+    def test_the_steppers_of_one_call_share_their_scratch(self, smoke_200, monkeypatch):
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=BLOCK_PATHS + 5, seed=2, x0=1.0)  # a full block and a narrow one
+        steppers = []
+        init = simulate._Stepper.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            steppers.append(self)
+
+        monkeypatch.setattr(simulate._Stepper, "__init__", recording)
+
+        def call():
+            steppers.clear()
+            spike_tests(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(0.25, 0.1)), [0.0, 0.25, 0.5],
+                        lam=smoke_200.lam, residual=smoke_200.residual)
+            return list(steppers)
+
+        first, second = call(), call()
+        assert len(first) == 6  # three times, two blocks
+        for a, b in itertools.combinations(first, 2):
+            assert np.shares_memory(a.yt, b.yt)
+            # f starts where yt ends, which is sooner for a narrower block
+            assert np.shares_memory(a.f, b.f) == (a.f.shape == b.f.shape)
+        assert not any(np.shares_memory(a.yt, b.yt) for a in first for b in second)
+
+    def test_four_spike_times_hold_one_draw_window_and_one_scratch(self, smoke_solution_1000):
+        # At 8 192 paths (one full block) and 8 rungs, with 8 B per entry:
+        #   the draw window, the chunk being read, the one queued, the one
+        #   being drawn and, at a hand-over, the one just read, of
+        #   CHUNK_ROWS = 16 rows each:                           4 x 16 x 8192 x 8 B = 4.2 MB;
+        #   the one scratch, yt (1, 9, 8192) and f (1, 1, 8192):                     0.7 MB;
+        #   per run its state, y (1, 10, 8192), cross and quad (8, 8192) each,
+        #   base, A and B (8192) each:                                                1.9 MB;
+        #   per run its deterministic arrays and weights, 0.4 MB at t = 0,
+        #   0.3, 0.2 and 0.1 MB later:                            together            0.9 MB;
+        # 4.2 + 0.7 + 4 x 1.9 + 0.9 = 13.4 MB.  A scratch per run and
+        # chunks of 32 rows, two of them queued, read 21.2 MB.
+        sol = smoke_solution_1000
+        cfg = SimConfig(paths=BLOCK_PATHS, seed=3, x0=1.0)
+        tracemalloc.start()
+        try:
+            spike_tests(sol.spec, sol.theta_star, sol.p2, cfg, SpikeSpec(v=1.0), [0.0, 0.25, 0.5, 0.75],
+                        lam=sol.lam, residual=sol.residual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6, peak / 1e6
+
+
 def blocks_of(paths):
     """(block, start, width) of every RNG block of ``paths`` paths."""
     return [(b, start, min(BLOCK_PATHS, paths - start)) for b, start in enumerate(range(0, paths, BLOCK_PATHS))]
@@ -883,11 +939,12 @@ def whole_block_stream(runs):
     run's kernel over the leading rows of the block, one run after another."""
     cfg = runs[0].cfg
     steps = max(run.F for run in runs)
+    scratch = _scratch(runs[0], cfg.paths)
     passes = [(run.F, run.kernel(), _PassSums(len(run.eps_steps))) for run in runs]
     for block, _, width in blocks_of(cfg.paths):
         incs = whole_block(cfg.seed, block, steps, width, runs[0].hf)
         for fine, start, sums in passes:
-            sums.add(*send_all(start(width), incs[:fine]))
+            sums.add(*send_all(start(width, scratch), incs[:fine]), scratch)
     return [(sums.sum_d, sums.sumsq_d, sums.moments) for _, _, sums in passes]
 
 
@@ -988,7 +1045,7 @@ class TestStreamFailure:
         boom = RuntimeError("kernel")
 
         def kernel(self):
-            def start(width):
+            def start(width, scratch):
                 def failing():
                     for _ in range(3 * CHUNK_ROWS):
                         yield
