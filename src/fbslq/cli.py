@@ -20,7 +20,6 @@ bytes).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import math
@@ -40,7 +39,7 @@ from .scenario import (
     smoke_scenario,
     trivial_scenario,
 )
-from .simulate import BLOCK_PATHS, SimConfig, SpikeSpec, simulate_closed_loop, spike_test
+from .simulate import SimConfig, SpikeSpec, simulate_closed_loop, spike_test
 from .verify import consistency_bound, suite_classical_reduction, suite_equilibrium, suite_example_2_5
 
 EXIT_OK = 0
@@ -282,17 +281,15 @@ def cmd_simulate(args) -> int:
         },
     )
     if args.dump_paths:
-        # The first block's normals do not depend on the path count, so these
-        # are the first paths of the spike test's closed loop.
-        dump_cfg = dataclasses.replace(cfg, paths=min(cfg.paths, BLOCK_PATHS))
-        bundle = simulate_closed_loop(spec, solution.theta_star, solution.p2, dump_cfg, args.t)
-        cap = min(100, bundle.paths)
+        # The first paths of the spike test's closed loop; only these are stepped.
+        bundle = simulate_closed_loop(spec, solution.theta_star, solution.p2, cfg, args.t,
+                                      keep=min(100, cfg.paths))
         header = ["path", "t"] + [f"x{i}" for i in range(spec.dims.n)] + [
             f"y{i}" for i in range(spec.dims.m)
         ] + [f"z{i}" for i in range(spec.dims.m)]
         nodes = spec.grid.nodes[bundle.t_index :]
         def rows():
-            for p in range(cap):
+            for p in range(bundle.paths):
                 for r, t_node in enumerate(nodes):
                     yield [p, t_node, *bundle.X[p, r], *bundle.Y[p, r], *bundle.Z[p, r]]
         write_csv(os.path.join(outdir, "paths.csv"), header, rows())

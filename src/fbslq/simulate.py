@@ -23,17 +23,17 @@ time of a pass (:func:`spike_tests`).
 The increments are streamed in rows, one row (the increments of all paths
 of a block over one fine step) at a time; no block is ever held whole.
 One helper thread per call draws each block in chunks of ``CHUNK_ROWS``
-rows, scales them to Brownian increments and hands them over through a
-bounded queue; since a stream is filled in (step, path) order, the chunks
-are the rows of the whole block's draw, bit for bit.  Every Euler step,
-every cost sum and the caller's ``np.errstate`` stay in the calling
-thread, which consumes the rows as they arrive: the Philox draw of the
-next rows overlaps the kernels, and the memory a pass holds grows with
-neither the path count nor the step count.  The steppers of one stream
-share one scratch, since they run one after another, so each spike time
-of a pass adds only its own state.  An error on either side stops
-the helper before the call returns; one raised by the draw is raised again
-in the caller.
+rows, in place into the slots of one buffer that the call allocates once,
+scales them to Brownian increments and hands the slots over by index; since
+a stream is filled in (step, path) order, the chunks are the rows of the
+whole block's draw, bit for bit.  Every Euler step, every cost sum and the
+caller's ``np.errstate`` stay in the calling thread, which consumes the
+rows as they arrive: the Philox draw of the next rows overlaps the kernels,
+and the memory a pass holds grows with neither the path count nor the step
+count.  The steppers of one stream share one scratch, since they run one
+after another, so each spike time of a pass adds only its own state.  An
+error on either side stops the helper before the call returns; one raised
+by the draw is raised again in the caller.
 
 Cost quadrature is trapezoidal in time, applied interval by interval with
 one-sided limits: the control (and hence Z) is frozen at its interval value,
@@ -87,8 +87,8 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 8192  # paths per RNG block; fixed so chunking cannot reorder draws
-CHUNK_ROWS = 16  # fine steps per hand-over from the drawing thread: 1 MB at a full block
-_CHUNKS_AHEAD = 1  # chunks the drawing thread may hold ready in its queue
+CHUNK_ROWS = 4  # fine steps per hand-over from the drawing thread: 256 KiB at a full block
+_SLOTS = 4  # chunks of the one draw buffer of a call: read, ready or being drawn
 
 
 @dataclass(frozen=True)
@@ -241,15 +241,21 @@ def _increments(seed: int, paths: int, steps: int, hf: float):
     rows): the block's first path, its path count and an iterator over its
     ``steps`` rows, one per fine step and (width,) each, which must be read
     to the end before the next block.  The helper draws ``CHUNK_ROWS`` rows at a
-    time, at most ``_CHUNKS_AHEAD`` chunks ahead of the reader.  Every consumer
-    is done with a row before it asks for the next, so the chunks alive are
-    the one being read, the one queued and the one being drawn, and for a
-    moment at each hand-over the one just read, which its last row holds.
-    Leaving the context, by an error too, stops and joins the helper; an
-    exception raised by the draw is raised again by the row iterator.
+    time into one of ``_SLOTS`` slots of a buffer allocated once per call,
+    and the two threads hand the slots back and forth by index.  Every
+    consumer is done with a row before it asks for the next; the row
+    iterator relies on that for correctness, not only for memory: once it is
+    asked for the row after a chunk, it hands that chunk's slot back to the
+    helper, which draws the next chunk over it.  Leaving the context, by an
+    error too, stops and joins the helper; an exception raised by the draw
+    is raised again by the row iterator.
     """
     scale = np.sqrt(hf)
-    chunks = queue.Queue(maxsize=_CHUNKS_AHEAD)
+    size = CHUNK_ROWS * min(paths, BLOCK_PATHS)
+    ring = np.empty(_SLOTS * size)
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for slot in range(_SLOTS):
+        free.put(slot)
     stop = threading.Event()
 
     def draw():
@@ -257,21 +263,26 @@ def _increments(seed: int, paths: int, steps: int, hf: float):
             for block, _, width in _blocks(paths):
                 gen = _philox(seed, block)
                 for lo in range(0, steps, CHUNK_ROWS):
-                    chunk = gen.standard_normal((min(CHUNK_ROWS, steps - lo), width))
-                    chunk *= scale
+                    slot = free.get()
                     if stop.is_set():
                         return
-                    chunks.put(chunk)
+                    count = min(CHUNK_ROWS, steps - lo)
+                    chunk = ring[slot * size : slot * size + count * width].reshape(count, width)
+                    gen.standard_normal(out=chunk)
+                    np.multiply(chunk, scale, out=chunk)
+                    full.put((slot, chunk))
         except BaseException as exc:  # handed to the reader, which raises it
             if not stop.is_set():
-                chunks.put(exc)
+                full.put(exc)
 
     def rows():
         for _ in range(0, steps, CHUNK_ROWS):
-            chunk = chunks.get()
-            if isinstance(chunk, BaseException):
-                raise chunk
+            item = full.get()
+            if isinstance(item, BaseException):
+                raise item
+            slot, chunk = item
             yield from chunk
+            free.put(slot)  # asked for the next row: the consumer is done with this chunk
 
     helper = threading.Thread(target=draw, name="fbslq-increments", daemon=True)
     helper.start()
@@ -279,9 +290,7 @@ def _increments(seed: int, paths: int, steps: int, hf: float):
         yield ((start, width, rows()) for _, start, width in _blocks(paths))
     finally:
         stop.set()
-        with contextlib.suppress(queue.Empty):  # unblock a put, which then sees stop
-            while True:
-                chunks.get_nowait()
+        free.put(None)  # wakes a helper waiting for a slot; it sees stop and returns
         helper.join()
 
 
@@ -320,22 +329,42 @@ def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.n
 
 
 def simulate_closed_loop(
-    spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig, t: float = 0.0
+    spec: ProblemSpec,
+    theta: Strategy,
+    p2: P2Field,
+    cfg: SimConfig,
+    t: float = 0.0,
+    keep: int | None = None,
 ) -> PathBundle:
-    """Paths of the closed-loop system from time t, with decoupled backward components."""
-    return _simulate_bundle(spec, theta, p2, cfg, t, np.zeros(spec.dims.k), [])
+    """Paths of the closed-loop system from time t, with decoupled backward components.
+
+    ``keep`` paths, all ``cfg.paths`` by default, are stepped and returned:
+    the leading ones of the ``cfg.paths`` paths, bit for bit.
+    """
+    keep = cfg.paths if keep is None else keep
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or not 1 <= keep <= cfg.paths:
+        raise ValueError(f"keep must be an integer from 1 to paths = {cfg.paths}, got {keep!r}")
+    return _simulate_bundle(spec, theta, p2, cfg, t, np.zeros(spec.dims.k), [], keep)
 
 
-def _simulate_bundle(spec, theta, p2, cfg, t, v, rungs) -> PathBundle:
+def _simulate_bundle(spec, theta, p2, cfg, t, v, rungs, keep: int) -> PathBundle:
     """The stepper with no rung (closed loop) or one (spike), recorded at the
-    coarse nodes; a spike bundle is the closed loop plus its perturbation."""
+    coarse nodes; a spike bundle is the closed loop plus its perturbation.
+
+    Only the leading ``keep`` paths are stepped: a path's increments are its
+    column of its block's rows, so the blocks are drawn at their full width
+    and the stream is left after the last block that a kept path lies in.
+    """
     run = _LadderRun(spec, theta, p2, cfg, t, v, rungs)
     R, sub = run.n_coarse + 1, run.sub
-    X = np.empty((cfg.paths, R, run.n))
+    X = np.empty((keep, R, run.n))
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for start, width, rows in blocks:
-            paths = slice(start, start + width)
-            for ell, _, stepper in run.walk(width, rows):
+            if start >= keep:
+                break
+            c = min(width, keep - start)
+            paths = slice(start, start + c)
+            for ell, _, stepper in run.walk(c, (row[:c] for row in rows)):
                 if ell % sub == 0:
                     x = stepper.y[:, 0]
                     X[paths, ell // sub] = (x + stepper.perturbations()[:, 0] if rungs else x).T

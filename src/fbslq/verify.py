@@ -136,7 +136,7 @@ def classical_riccati_feedback(spec: ProblemSpec) -> tuple[OneTimeField, Strateg
     return OneTimeField(grid, p), Strategy(grid, gains)
 
 
-def suite_example_2_5(grid_steps: int = 1000, q: str = "unit") -> SuiteReport:
+def suite_example_2_5(grid_steps: int = 1000) -> SuiteReport:
     """Both parameter branches of the vanishing-control-weight example.
 
     Zero parameter: the gain vanishes, the Riccati diagonal vanishes, and all
@@ -146,7 +146,7 @@ def suite_example_2_5(grid_steps: int = 1000, q: str = "unit") -> SuiteReport:
     the expected outcome and therefore recorded as a passing check.
     """
     report = SuiteReport(suite="example25")
-    spec = example_2_5_problem(grid_steps, q=q)
+    spec = example_2_5_problem(grid_steps)
     cfg = SolverConfig(check_assumptions=False)
 
     sol0 = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), cfg)
@@ -164,14 +164,13 @@ def suite_example_2_5(grid_steps: int = 1000, q: str = "unit") -> SuiteReport:
         float(np.max(np.abs(solh.theta_star.data + 0.5))),
         1e-12,
     )
-    if q == "unit":
-        target = float(np.exp(-1.0) + 0.125)
-        report.add_upper(
-            "half_branch_p1_origin",
-            abs(float(solh.p1_diag.data[0, 0, 0]) - target),
-            1e-4,
-            note=f"target {target}",
-        )
+    target = float(np.exp(-1.0) + 0.125)
+    report.add_upper(
+        "half_branch_p1_origin",
+        abs(float(solh.p1_diag.data[0, 0, 0]) - target),
+        1e-4,
+        note=f"target {target}",
+    )
     reph = solh.constraint_report
     interior_all_fail = not bool(np.any(reph.range_ok_per_node[:-1]))
     report.add(

@@ -3,10 +3,12 @@
 Problems that only the tests solve, and independent second routes to
 quantities that the package computes one way:
 
-- ``trivial_problem``, ``matrix_reduction_problem`` and
-  ``matrix_reduction_scenario``: instances the tests solve besides the
-  built-in presets (the scalar zero-gain problem, and a two-dimensional
-  classical reduction for the matrix routes);
+- ``trivial_problem``, ``steep_example_2_5_problem``,
+  ``matrix_reduction_problem`` and ``matrix_reduction_scenario``: instances
+  the tests solve besides the built-in presets (the scalar zero-gain
+  problem, Example 2.5 with a steep running weight for the order of
+  accuracy, and a two-dimensional classical reduction for the matrix
+  routes);
 - ``penrose_residuals``: the four Moore-Penrose identities, the oracle of
   ``fbslq.matrixkit.pinv``; ``in_range`` and ``psd_ok``: the inclusion and
   PSD rules of ``check_constraints`` on single matrices;
@@ -26,11 +28,15 @@ quantities that the package computes one way:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from fbslq.equilibrium import _at_nodes, _exponent, _require_scalar, _Workspace
 from fbslq.fields import OneTimeField, Strategy, TwoTimeField, interval_gain
+from fbslq.kernels import CallableFn, CallableKernel
 from fbslq.matrixkit import min_eig, range_residual, specnorm
+from fbslq.presets import example_2_5_problem
 from fbslq.problem import AssumptionReport, ProblemSpec
 from fbslq.riccati import _PSD_TOL, _RANGE_TOL, P2Field, gain_denominator_numerator, two_time_diagonals
 from fbslq.scenario import _const, scenario_to_spec, trivial_scenario
@@ -43,6 +49,31 @@ from fbslq.simulate import CostEstimate, PathBundle, SimConfig, SpikeSpec, _as_v
 def trivial_problem(grid_steps: int = 200) -> ProblemSpec:
     """Zero-drift scalar instance whose equilibrium gain is identically zero."""
     return scenario_to_spec(trivial_scenario(grid_steps))
+
+
+def steep_example_2_5_problem(grid_steps: int = 1000) -> ProblemSpec:
+    """Example 2.5 with the steep running weight q(s) = 1 + 9 s^2 and its G1.
+
+    The vanishing-diagonal identity of the unit instance holds, since
+    G1(t) = -int_t^T exp(-(T - tau)) q(tau) dtau, but the curvature of q
+    makes the integrator's truncation error measurable against roundoff.
+    The scenario family has no form for q, so Q and G1 are exact callables.
+    """
+    spec = example_2_5_problem(grid_steps)
+
+    def steep_q(s, t):
+        s = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))[0]
+        return (1.0 + 9.0 * s**2)[..., None, None]
+
+    def steep_g1(t):
+        t = np.asarray(t, dtype=float)
+        val = 10.0 - np.exp(-(spec.horizon - t)) * (9.0 * t**2 - 18.0 * t + 19.0)
+        return (-val)[..., None, None]
+
+    weights = dataclasses.replace(
+        spec.weights, Q=CallableKernel(steep_q, (1, 1)), G1=CallableFn(steep_g1, (1, 1))
+    )
+    return dataclasses.replace(spec, weights=weights)
 
 
 def matrix_reduction_problem(grid_steps: int = 400) -> ProblemSpec:
@@ -246,7 +277,7 @@ def simulate_spike(
     if grid.index_of(t) + steps > grid.steps:
         raise ValueError("spike window extends past the horizon")
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    return _simulate_bundle(spec, theta, p2, cfg, t, v, [steps])
+    return _simulate_bundle(spec, theta, p2, cfg, t, v, [steps], cfg.paths)
 
 
 def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:

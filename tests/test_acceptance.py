@@ -20,7 +20,7 @@ from fbslq.presets import (
 from fbslq.riccati import characterization_residual, solve_p1
 from fbslq.simulate import SimConfig, SpikeSpec, bsde_residual_check, perturbation_scaling, spike_tests
 from fbslq.verify import classical_riccati_feedback
-from tests.oracles import in_range, penrose_residuals
+from tests.oracles import in_range, penrose_residuals, steep_example_2_5_problem
 
 
 def report(num: int, passed: bool, detail: str, elapsed: float):
@@ -164,7 +164,7 @@ def test_criterion_7_numerical_order(smoke_solution_1000):
     start = time.time()
     errs = {}
     for steps in (500, 1000):
-        spec = example_2_5_problem(steps, q="steep")
+        spec = steep_example_2_5_problem(steps)
         diag = solve_p1(spec, Strategy.zeros(spec.grid, 1, 1)).diagonal()
         errs[steps] = float(np.max(np.abs(diag.data)))
     order_ratio = errs[500] / errs[1000]

@@ -32,7 +32,13 @@ from fbslq.riccati import _integrate_p2, _p2_samples, solve_p2, two_time_diagona
 from fbslq.scenario import scenario_to_spec, smoke_scenario, trivial_scenario
 from fbslq.verify import classical_riccati_feedback
 from tests.conftest import matrix_p2_problem
-from tests.oracles import fixed_point_map, matrix_reduction_problem, second_moment_factor, trivial_problem
+from tests.oracles import (
+    fixed_point_map,
+    matrix_reduction_problem,
+    second_moment_factor,
+    steep_example_2_5_problem,
+    trivial_problem,
+)
 from tests.test_riccati import (
     build_scalar,
     dense_kernels,
@@ -485,7 +491,8 @@ class TestPassThrough:
     @pytest.mark.parametrize("theta0", [0.0, -0.5])
     def test_every_example_node_passes_through(self, q, theta0):
         # R(t,t) = D = 0 in example 2.5, so den vanishes at every node of both branches.
-        spec = example_2_5_problem(200, q=q)
+        build = {"unit": example_2_5_problem, "steep": steep_example_2_5_problem}[q]
+        spec = build(200)
         sol = solve_equilibrium(spec, Strategy.constant(spec.grid, theta0), SolverConfig(check_assumptions=False))
         assert sol.diagnostics.passthrough_nodes == list(range(spec.grid.num_nodes))
         assert np.array_equal(sol.theta_star.flat(), np.full(spec.grid.num_nodes, theta0))

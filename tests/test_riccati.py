@@ -26,7 +26,7 @@ from fbslq.riccati import (
     two_time_diagonals,
 )
 from tests.conftest import matrix_p2_problem
-from tests.oracles import matrix_reduction_problem, trivial_problem
+from tests.oracles import matrix_reduction_problem, steep_example_2_5_problem, trivial_problem
 
 
 def build_scalar(A=0.0, B=0.0, C=0.0, D=0.0, Ahat=0.0, Bhat=0.0, Chat=0.0, Dhat=0.0,
@@ -297,7 +297,7 @@ class TestSolveP1:
         # vanishing-diagonal identity supplies the exact reference.
         errs = []
         for steps in (250, 500):
-            spec = example_2_5_problem(steps, q="steep")
+            spec = steep_example_2_5_problem(steps)
             diag = solve_p1(spec, zero_theta(spec)).diagonal()
             errs.append(np.max(np.abs(diag.data)))
         assert errs[0] / errs[1] > 12.0

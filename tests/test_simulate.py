@@ -18,6 +18,7 @@ from fbslq.riccati import solve_p2
 from fbslq.simulate import (
     BLOCK_PATHS,
     CHUNK_ROWS,
+    _SLOTS,
     SimConfig,
     SpikeSpec,
     _as_vector,
@@ -117,6 +118,27 @@ class TestForwardPaths:
             one, two = bundles
             for name in ("X", "Y", "Z"):
                 assert np.array_equal(getattr(two, name)[:BLOCK_PATHS], getattr(one, name)), name
+
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    def test_kept_paths_are_the_leading_paths_bitwise(self, smoke_200, problem):
+        # Only the kept columns are stepped, and the einsums of Y and Z sum
+        # in the same order at every path count, at n = 2 as at n = 1.
+        if problem == "smoke":
+            spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        else:
+            spec, th, p2 = matrix_inputs(problem)
+        cfg = SimConfig(paths=BLOCK_PATHS + 5, seed=4, sub_steps=2, x0=1.0)
+        full = simulate_closed_loop(spec, th, p2, cfg, 0.25)
+        for keep in (1, 100, BLOCK_PATHS + 3):
+            kept = simulate_closed_loop(spec, th, p2, cfg, 0.25, keep=keep)
+            for name in ("X", "Y", "Z"):
+                assert np.array_equal(getattr(kept, name), getattr(full, name)[:keep]), (keep, name)
+
+    @pytest.mark.parametrize("keep", [0, BLOCK_PATHS + 6, True, 2.0])
+    def test_keep_is_a_path_count_of_the_config(self, smoke_200, keep):
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        with pytest.raises(ValueError, match="keep"):
+            simulate_closed_loop(spec, th, p2, SimConfig(paths=BLOCK_PATHS + 5), keep=keep)
 
     @pytest.mark.parametrize("sub", [1, 2])
     @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
@@ -803,10 +825,10 @@ class TestSpikeTests:
             gen = philox(seed, block)
 
             class Recorder:
-                def standard_normal(self, size):
-                    draws.setdefault((seed, block), []).append(size)
+                def standard_normal(self, out):
+                    draws.setdefault((seed, block), []).append(out.shape)
                     threads.add((threading.current_thread(), threading.active_count()))
-                    return gen.standard_normal(size)
+                    return gen.standard_normal(out=out)
 
             return Recorder()
 
@@ -824,6 +846,48 @@ class TestSpikeTests:
             assert sum(rows for rows, _ in sizes) == steps
             assert max(rows for rows, _ in sizes) == CHUNK_ROWS
             assert {width for _, width in sizes} == {(BLOCK_PATHS, 100)[block]}
+
+    def test_every_chunk_of_a_call_is_drawn_into_one_buffer(self, smoke_200, monkeypatch):
+        # The helper draws in place, into the slots of one buffer per call;
+        # the chunks recorded keep the first call's buffer alive, so the
+        # second call's cannot take its place.
+        philox = simulate._philox
+        chunks = []
+
+        def recording(seed, block):
+            gen = philox(seed, block)
+
+            class Recorder:
+                def standard_normal(self, out):
+                    chunks.append(out)
+                    return gen.standard_normal(out=out)
+
+            return Recorder()
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        monkeypatch.setattr(simulate, "_philox", recording)
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=BLOCK_PATHS + 5, seed=2, x0=1.0)  # a full block and a narrow one
+
+        def call():
+            chunks.clear()
+            spike_tests(spec, th, p2, cfg, SpikeSpec(v=1.0, epsilons=(0.25, 0.1)), [0.0, 0.25, 0.5],
+                        lam=smoke_200.lam, residual=smoke_200.residual)
+            return list(chunks)
+
+        first, second = call(), call()
+        slot = CHUNK_ROWS * BLOCK_PATHS * np.dtype(float).itemsize
+        for drawn in (first, second):
+            assert len(drawn) == 2 * -(-spec.grid.steps // CHUNK_ROWS)
+            (ring,) = {id(owner(chunk)): owner(chunk) for chunk in drawn}.values()
+            assert ring.nbytes == _SLOTS * slot
+            slots = {(chunk.ctypes.data - ring.ctypes.data) // slot for chunk in drawn}
+            assert slots <= set(range(_SLOTS))
+        assert not np.shares_memory(first[0], second[0])
 
 
 class TestOneBlockLive:
@@ -869,6 +933,22 @@ class TestOneBlockLive:
         held = sum(a.nbytes for a in (bundle.X, bundle.Y, bundle.Z))
         assert peak - held < 0.5 * bundle.X.nbytes, (peak - held) / bundle.X.nbytes
 
+    def test_a_kept_bundle_holds_its_paths_and_one_draw_window(self, smoke_solution_1000):
+        # simulate --dump-paths keeps 100 paths of two full blocks: X, Y and Z
+        # of (100, 1 001, 1) each, 2.4 MB, the 1.05 MB draw window and the
+        # run's deterministic arrays read 3.6-4.3 MB.  Stepping every path
+        # of the first block held X, Y and Z of 8 192 paths, 197 MB.
+        sol = smoke_solution_1000
+        cfg = SimConfig(paths=2 * BLOCK_PATHS, seed=3, x0=1.0)
+        tracemalloc.start()
+        try:
+            bundle = simulate_closed_loop(sol.spec, sol.theta_star, sol.p2, cfg, keep=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.paths == 100
+        assert peak < 5e6, peak / 1e6
+
 
 class TestOneScratchPerStream:
     """The spike times of one stream share one stepper scratch; each adds only its own state."""
@@ -901,16 +981,16 @@ class TestOneScratchPerStream:
 
     def test_four_spike_times_hold_one_draw_window_and_one_scratch(self, smoke_solution_1000):
         # At 8 192 paths (one full block) and 8 rungs, with 8 B per entry:
-        #   the draw window, the chunk being read, the one queued, the one
-        #   being drawn and, at a hand-over, the one just read, of
-        #   CHUNK_ROWS = 16 rows each:                           4 x 16 x 8192 x 8 B = 4.2 MB;
+        #   the draw window, the call's one buffer of _SLOTS = 4 slots of
+        #   CHUNK_ROWS = 4 rows:                                  4 x 4 x 8192 x 8 B = 1.05 MB;
         #   the one scratch, yt (1, 9, 8192) and f (1, 1, 8192):                     0.7 MB;
         #   per run its state, y (1, 10, 8192), cross and quad (8, 8192) each,
         #   base, A and B (8192) each:                                                1.9 MB;
         #   per run its deterministic arrays and weights, 0.4 MB at t = 0,
         #   0.3, 0.2 and 0.1 MB later:                            together            0.9 MB;
-        # 4.2 + 0.7 + 4 x 1.9 + 0.9 = 13.4 MB.  A scratch per run and
-        # chunks of 32 rows, two of them queued, read 21.2 MB.
+        # 1.05 + 0.7 + 4 x 1.9 + 0.9 = 10.3 MB; it reads 10.58 MB.  A fresh
+        # chunk of 16 rows per hand-over read 13.44 MB, four chunks alive at
+        # a hand-over; a scratch per run and chunks of 32 rows read 21.2 MB.
         sol = smoke_solution_1000
         cfg = SimConfig(paths=BLOCK_PATHS, seed=3, x0=1.0)
         tracemalloc.start()
@@ -920,7 +1000,7 @@ class TestOneScratchPerStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14e6, peak / 1e6
+        assert peak < 11e6, peak / 1e6
 
 
 def blocks_of(paths):
@@ -948,6 +1028,37 @@ def whole_block_stream(runs):
     return [(sums.sum_d, sums.sumsq_d, sums.moments) for _, _, sums in passes]
 
 
+def oracle_outputs(smoke_200, problem, cfg):
+    """A function of no arguments that returns every Monte-Carlo output on
+    ``problem`` under ``cfg``: spike tests at several times, a spike bundle,
+    the perturbation moments and the backward-equation residual."""
+    nodes = smoke_200.spec.grid.nodes
+    if problem == "smoke":  # n = 1
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        lam, residual = smoke_200.lam, smoke_200.residual
+        spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.05))
+        # Fine steps per run: below one chunk (nodes[-3]), whole chunks
+        # (nodes[-33]) and neither (0 and 0.5) at one sub-step.
+        times = [0.5, 0.0, float(nodes[-3]), float(nodes[-33])]
+    else:  # n = k = 2, 40 steps
+        spec, th, p2 = matrix_inputs(problem)
+        lam, residual = spike_fields(spec, th, p2)
+        spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.1,))
+        times = [0.0, float(spec.grid.nodes[-3])]
+
+    def outputs():
+        reports = spike_tests(spec, th, p2, cfg, spike, times, lam=lam, residual=residual)
+        bundle = simulate_spike(spec, th, p2, cfg, spike, 0.1, 0.5)
+        return (
+            [(rep.summary(), rep.closed_loop) for rep in reports],
+            perturbation_scaling(spec, th, p2, cfg, spike, 0.5),
+            bsde_residual_check(spec, th, p2, cfg),
+            bundle.X.tobytes() + bundle.Y.tobytes() + bundle.Z.tobytes(),
+        )
+
+    return outputs
+
+
 class TestStreamedRows:
     """The streamed rows, stepped side by side, give what whole blocks give."""
 
@@ -955,32 +1066,24 @@ class TestStreamedRows:
     @pytest.mark.parametrize("paths", [1, 300, BLOCK_PATHS, BLOCK_PATHS + 1, 2 * BLOCK_PATHS + 5])
     @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
     def test_bitwise_the_whole_block_oracle(self, smoke_200, problem, paths, sub, monkeypatch):
-        nodes = smoke_200.spec.grid.nodes
-        if problem == "smoke":  # n = 1
-            spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
-            lam, residual = smoke_200.lam, smoke_200.residual
-            spike = SpikeSpec(v=1.0, epsilons=(0.25, 0.1, 0.05))
-            # Fine steps per run: below one chunk (nodes[-3]), whole chunks
-            # (nodes[-33]) and neither (0 and 0.5).
-            times = [0.5, 0.0, float(nodes[-3]), float(nodes[-33])]
-        else:  # n = k = 2, 40 steps
-            spec, th, p2 = matrix_inputs(problem)
-            lam, residual = spike_fields(spec, th, p2)
-            spike = SpikeSpec(v=np.array([1.0, -0.5]), epsilons=(0.1,))
-            times = [0.0, float(spec.grid.nodes[-3])]
-        cfg = SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0)
-
-        def outputs():
-            reports = spike_tests(spec, th, p2, cfg, spike, times, lam=lam, residual=residual)
-            bundle = simulate_spike(spec, th, p2, cfg, spike, 0.1, 0.5)
-            return (
-                [(rep.summary(), rep.closed_loop) for rep in reports],
-                perturbation_scaling(spec, th, p2, cfg, spike, 0.5),
-                bsde_residual_check(spec, th, p2, cfg),
-                bundle.X.tobytes() + bundle.Y.tobytes() + bundle.Z.tobytes(),
-            )
-
+        outputs = oracle_outputs(smoke_200, problem, SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0))
         streamed = outputs()
+        monkeypatch.setattr(simulate, "_stream", whole_block_stream)
+        monkeypatch.setattr(simulate, "_increments", whole_block_increments)
+        assert streamed == outputs()
+
+    @pytest.mark.parametrize("problem", ["smoke", "coupled"])
+    def test_bitwise_the_whole_block_oracle_under_fast_switching(self, smoke_200, problem, monkeypatch):
+        # The interpreter switching threads every microsecond: a consumer
+        # that read a row after asking for the next would see its slot drawn
+        # over by the helper.
+        outputs = oracle_outputs(smoke_200, problem, SimConfig(paths=2 * BLOCK_PATHS + 5, seed=14, x0=1.0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            streamed = outputs()
+        finally:
+            sys.setswitchinterval(interval)
         monkeypatch.setattr(simulate, "_stream", whole_block_stream)
         monkeypatch.setattr(simulate, "_increments", whole_block_increments)
         assert streamed == outputs()
@@ -1032,7 +1135,7 @@ def call_in_thread(fn, timeout=60.0):
 
 
 class TestStreamFailure:
-    """An error on either side of the queue ends the call and its helper thread."""
+    """An error on either side of the hand-over ends the call and its helper thread."""
 
     @pytest.fixture
     def two_block_spike_tests(self, smoke_200):
@@ -1049,7 +1152,7 @@ class TestStreamFailure:
                 def failing():
                     for _ in range(3 * CHUNK_ROWS):
                         yield
-                    time.sleep(0.5)  # the helper fills the queue and blocks on its next put
+                    time.sleep(0.5)  # the helper fills every slot and waits for a free one
                     raise boom
 
                 return _primed(failing())
@@ -1070,10 +1173,10 @@ class TestStreamFailure:
             gen = philox(seed, block)
 
             class Failing:
-                def standard_normal(self, size):
+                def standard_normal(self, out):
                     if next(chunks) == 3:
                         raise boom
-                    return gen.standard_normal(size)
+                    return gen.standard_normal(out=out)
 
             return Failing()
 

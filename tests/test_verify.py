@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from fbslq.equilibrium import SolverDiagnostics, assemble_solution, p1_tilde
+from fbslq.equilibrium import SolverConfig, SolverDiagnostics, assemble_solution, p1_tilde, solve_equilibrium
 from fbslq.fields import Strategy
 from fbslq.presets import classical_reduction_problem
 from fbslq.riccati import characterization_residual, solve_p2
@@ -11,24 +12,33 @@ from fbslq.verify import (
     suite_equilibrium,
     suite_example_2_5,
 )
-from tests.oracles import matrix_reduction_problem, trivial_problem
+from tests.oracles import matrix_reduction_problem, steep_example_2_5_problem, trivial_problem
 
 
 def test_suite_example_2_5_passes():
     report = suite_example_2_5(500)
     assert report.passed
     names = [c.name for c in report.checks]
-    assert "half_branch_range_fails_interior" in names
+    assert "half_branch_range_fails_interior" in names and "half_branch_p1_origin" in names
 
 
 def test_suite_example_errors_decrease_with_grid():
     # The steep running weight keeps truncation above roundoff, so the
-    # diagonal error decreases monotonically as the grid refines.
+    # diagonal error decreases monotonically as the grid refines.  The
+    # suite's checks, but for the unit instance's closed-form origin, hold
+    # on the steep instance too.
+    cfg = SolverConfig(check_assumptions=False)
     errs = []
     for steps in (250, 500, 1000):
-        rep = suite_example_2_5(steps, q="steep")
-        assert rep.passed
-        err = next(c.value for c in rep.checks if c.name == "zero_branch_p1_diag_sup")
+        spec = steep_example_2_5_problem(steps)
+        zero = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), cfg)
+        assert zero.theta_star.sup_norm() <= 1e-12
+        err = float(np.max(np.abs(zero.p1_diag.data)))
+        assert err <= 1e-6
+        assert zero.constraint_report.all_pass
+        half = solve_equilibrium(spec, Strategy.constant(spec.grid, -0.5), cfg)
+        assert np.max(np.abs(half.theta_star.data + 0.5)) <= 1e-12
+        assert not np.any(half.constraint_report.range_ok_per_node[:-1])
         errs.append(err)
     assert errs[0] > errs[1] > errs[2]
 
