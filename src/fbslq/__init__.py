@@ -40,8 +40,6 @@ from .simulate import (
     PathBundle,
     SimConfig,
     SpikeSpec,
-    bsde_residual_check,
-    perturbation_scaling,
     simulate_closed_loop,
     spike_test,
     spike_tests,
@@ -84,8 +82,6 @@ __all__ = [
     "simulate_closed_loop",
     "spike_test",
     "spike_tests",
-    "perturbation_scaling",
-    "bsde_residual_check",
     "suite_example_2_5",
     "suite_classical_reduction",
     "suite_equilibrium",

@@ -380,7 +380,7 @@ def _suffix_sums(phi: np.ndarray, u: np.ndarray, shift: np.ndarray, last: np.nda
     # would hold (d r)^2 floats a step.
     if d == 1:
         maps = np.empty((steps, r, r + 1))
-        maps[:, :, :r] = phi[:, 0, 0, None, None] * shift.T
+        np.multiply(phi[:, 0, 0, None, None], shift.T, out=maps[:, :, :r])
         maps[:, :, r] = u[:, 0]
         return _affine_recursion(maps, last[0])[:, None, :]
     out = np.empty((steps + 1, d, r))

@@ -8,17 +8,16 @@ but constructed exactly from the decoupling fields,
 which the linear structure makes exact.  The spike correction reads each
 perturbation width's coupling field P7, whose RK4 step maps the widths share.
 
-Every entry point but :func:`bsde_residual_check`, which starts at 0, takes
-the start time of its paths as an argument (``t`` or ``times``);
-:class:`SimConfig` holds only what every start shares.
+Every entry point takes the start time of its paths as an argument (``t``
+or ``times``); :class:`SimConfig` holds only what every start shares.
 
 Randomness is counter-based: normals come from independent Philox streams
 keyed by (seed, path-block), drawn in (step, path) order inside each fixed
 8192-path block.  Chunked or streamed execution therefore reproduces the
-bundle API bit for bit, and a spike simulation with v = 0 equals its paired
-closed-loop simulation exactly.  A run that starts later reads the leading
-rows of an earlier run's draw, so one draw per block serves every spike
-time of a pass (:func:`spike_tests`).
+bundle API bit for bit, and every spike rung shares its block's
+increments with the closed loop (common random numbers).  A run that
+starts later reads the leading rows of an earlier run's draw, so one draw
+per block serves every spike time of a pass (:func:`spike_tests`).
 
 The increments are streamed in rows, one row (the increments of all paths
 of a block over one fine step) at a time; no block is ever held whole.
@@ -43,17 +42,15 @@ convention of the spike window.
 One stepper takes every Euler step: it carries the closed loop and, per
 spike rung, its perturbation, which is exactly linear in the direction v,
 and closes each rung at the end of its own window, where the rungs that
-have ended share one n x n transition per path.  It has four consumers.
+have ended share one n x n transition per path.  It has two consumers.
 The spike ladder's kernel, one for every dimension, groups the cost terms
 by node and splits the cost sums into a part linear and a part quadratic
 in v, so one pass yields the ladder for +v and for -v, and the closed-loop
-cost estimate from the same paths.  The bundle route records X at the
-coarse nodes (no rung for the closed loop, one for a spike, which the cost
-oracle in ``tests/oracles.py`` reads) and builds Y and Z from it, each with
-one einsum over the nodes; it keeps no increments.  The backward-equation
-check reads the closed loop at every fine step and
-:func:`perturbation_scaling` reads the rungs' perturbations at the coarse
-nodes.
+cost estimate from the same paths.  The closed-loop bundle, which has no
+rung and never closes, records X at the coarse nodes and builds Y and Z
+from it, each with one einsum over the nodes; it keeps no increments.  The
+test oracles in ``tests/oracles.py`` drive the same stepper for a spiked
+bundle, the perturbation moments and the backward-equation check.
 """
 
 from __future__ import annotations
@@ -82,8 +79,6 @@ __all__ = [
     "simulate_closed_loop",
     "spike_test",
     "spike_tests",
-    "perturbation_scaling",
-    "bsde_residual_check",
 ]
 
 BLOCK_PATHS = 8192  # paths per RNG block; fixed so chunking cannot reorder draws
@@ -139,9 +134,8 @@ class PathBundle:
 
     ``Z[:, r]`` holds the interval value on [s_r, s_{r+1}), at the gain that
     :func:`~fbslq.fields.interval_gain` gives at s_r (the left limit at the
-    terminal node).  ``spike_steps`` is the perturbation width in coarse grid
-    steps (0 for a closed-loop bundle).  The Brownian increments are not
-    kept; the RNG block streams of :func:`_increments` give them again.
+    terminal node).  The Brownian increments are not kept; the RNG block
+    streams of :func:`_increments` give them again.
     """
 
     theta: Strategy
@@ -150,9 +144,6 @@ class PathBundle:
     X: np.ndarray  # (paths, range_nodes, n)
     Y: np.ndarray  # (paths, range_nodes, m)
     Z: np.ndarray  # (paths, range_nodes, m)
-    spike_v: np.ndarray | None = None
-    spike_steps: int = 0
-    p7v: np.ndarray | None = None  # (range_nodes, m): spike coupling field times v
 
     @property
     def paths(self) -> int:
@@ -339,59 +330,31 @@ def simulate_closed_loop(
     """Paths of the closed-loop system from time t, with decoupled backward components.
 
     ``keep`` paths, all ``cfg.paths`` by default, are stepped and returned:
-    the leading ones of the ``cfg.paths`` paths, bit for bit.
+    the leading ones of the ``cfg.paths`` paths, bit for bit.  A path's
+    increments are its column of its block's rows, so the blocks are drawn
+    at their full width and the stream is left after the last block that a
+    kept path lies in.
     """
     keep = cfg.paths if keep is None else keep
     if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or not 1 <= keep <= cfg.paths:
         raise ValueError(f"keep must be an integer from 1 to paths = {cfg.paths}, got {keep!r}")
-    return _simulate_bundle(spec, theta, p2, cfg, t, np.zeros(spec.dims.k), [], keep)
-
-
-def _simulate_bundle(spec, theta, p2, cfg, t, v, rungs, keep: int) -> PathBundle:
-    """The stepper with no rung (closed loop) or one (spike), recorded at the
-    coarse nodes; a spike bundle is the closed loop plus its perturbation.
-
-    Only the leading ``keep`` paths are stepped: a path's increments are its
-    column of its block's rows, so the blocks are drawn at their full width
-    and the stream is left after the last block that a kept path lies in.
-    """
-    run = _LadderRun(spec, theta, p2, cfg, t, v, rungs)
-    R, sub = run.n_coarse + 1, run.sub
-    X = np.empty((keep, R, run.n))
+    run = _LadderRun(spec, theta, p2, cfg, t, np.zeros(spec.dims.k), [])
+    X = np.empty((keep, run.n_coarse + 1, run.n))
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for start, width, rows in blocks:
             if start >= keep:
                 break
             c = min(width, keep - start)
-            paths = slice(start, start + c)
             for ell, _, stepper in run.walk(c, (row[:c] for row in rows)):
-                if ell % sub == 0:
-                    x = stepper.y[:, 0]
-                    X[paths, ell // sub] = (x + stepper.perturbations()[:, 0] if rungs else x).T
-    p7v, zv = np.zeros((2, R, run.m))  # the spike's P7 v and chi P2 D v at the range nodes
-    if rungs:
-        p7v, zv = run.p7v[0], np.concatenate([run.zv_left[0], run.zv_right[0, -1:]])
+                if ell % run.sub == 0:
+                    X[start : start + c, ell // run.sub] = stepper.y[:, 0].T
 
-    # Decoupled backward components at the coarse nodes, each one einsum
-    # written into its own array with the node terms added in place, so
-    # that no temporary as large as X is held.  Z reads the run's node map;
-    # at the terminal node it is the left limit of the last interval.
+    # Decoupled backward components at the coarse nodes, one einsum each.  Z
+    # reads the run's node map; at the terminal node it is the left limit of
+    # the last interval.
     Y = np.einsum("rmn,prn->prm", run.p2_range, X)
-    Y += p7v
     Z = np.einsum("rmn,prn->prm", np.concatenate([run.z_left, run.z_right[-1:]]), X)
-    Z += zv
-
-    return PathBundle(
-        theta=theta,
-        p2=p2,
-        t_index=run.i0,
-        X=X,
-        Y=Y,
-        Z=Z,
-        spike_v=v if rungs else None,
-        spike_steps=rungs[0] if rungs else 0,
-        p7v=p7v,
-    )
+    return PathBundle(theta=theta, p2=p2, t_index=run.i0, X=X, Y=Y, Z=Z)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +373,8 @@ def _simulate_bundle(spec, theta, p2, cfg, t, v, rungs, keep: int) -> PathBundle
 # the closed rungs share one Psi, restarted at every close.  The cost-sum
 # kernel (``_LadderRun._block``) is a coroutine sent one row of increments
 # per fine step, so ``_stream`` steps the kernels of every spike time side by
-# side over one stream of rows; the bundle route, ``bsde_residual_check``
-# and ``perturbation_scaling`` pull the stepper along the rows
-# (``_LadderRun.walk``).
+# side over one stream of rows; the closed-loop bundle pulls the stepper
+# along the rows (``_LadderRun.walk``).
 #
 # Every cost term is a quadratic form wt <W L x, L x> of a linear function of
 # the state, and rung q moves its argument by a_q = L d_q + s_q, where s_q
@@ -616,15 +578,6 @@ class _Stepper:
         self.y[:, 1 + left + n : 1 + k + n] = self.y[:, 1 + left : 1 + k]
         self._bind(left)
         self.psi[...] = np.eye(n)[:, :, None]
-
-    def perturbations(self) -> np.ndarray:
-        """Every rung's d_q at the current step, (n, rungs, width), a new
-        array: the open rungs' states, then Psi d_q(g)."""
-        k, out = self.open, np.empty((self.run.n, len(self.run.eps_steps), self.y.shape[2]))
-        out[:, :k] = self.y[:, 1 : 1 + k]
-        if k < out.shape[1]:
-            _mixer(self.group, out[:, k:])(np.swapaxes(self.psi, 0, 1))
-        return out
 
 
 class _LadderRun:
@@ -936,109 +889,3 @@ def spike_tests(
         result.opposite = report(run, ladder, sums, 1, -v, closed_loop)
         results.append(result)
     return results
-
-
-def perturbation_scaling(
-    spec: ProblemSpec,
-    theta: Strategy,
-    p2: P2Field,
-    cfg: SimConfig,
-    spike: SpikeSpec,
-    t: float,
-) -> list[dict]:
-    """Per-eps moments E sup|X^eps - X|^2 and E[sup|Y^eps - Y|^2 + int|Z^eps - Z|^2].
-
-    Streaming companion of the spike test, used to regress the perturbation
-    growth rate against eps (slope one in log-log).  It reads every rung's
-    perturbation off the stepper at the coarse nodes, one RNG block at a
-    time (a rung closed at its end as Psi(r) d_q(g), from the last close
-    g), and computes no cost sums.
-    """
-    grid = spec.grid
-    ladder = _snap_eps(grid, grid.index_of(t), spike.epsilons)
-    v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    run = _LadderRun(spec, theta, p2, cfg, t, v, [steps for _, steps in ladder])
-    p7v = np.moveaxis(run.p7v, 2, 0)[..., None]  # (m, rungs, nodes, 1)
-    zv = np.moveaxis(run.zv_left, 2, 0)[..., None]  # (m, rungs, intervals, 1): chi P2 D v
-    sum_x = sum_yz = 0.0
-    with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
-        for _, width, rows in blocks:
-            mx, my, iz = np.zeros((3, len(ladder), width))
-            dy, dz = np.empty((2, run.m, len(ladder), width))
-            for ell, _, stepper in run.walk(width, rows):
-                if ell % run.sub:
-                    continue
-                r = ell // run.sub
-                d = stepper.perturbations()  # (n, rungs, width)
-                np.maximum(mx, _dotter(d, d)(), out=mx)
-                _mixer(d, dy)(run.p2_range[r].T)
-                dy += p7v[:, :, r]
-                np.maximum(my, _dotter(dy, dy)(), out=my)
-                if r < run.n_coarse:  # Z is frozen on [s_r, s_{r+1})
-                    _mixer(d, dz)(run.z_left[r].T)
-                    dz += zv[:, :, r]
-                    iz += _dotter(dz, dz)()
-            sum_x += mx.sum(axis=1)
-            sum_yz += (my + run.h * iz).sum(axis=1)
-    sup_x = sum_x / cfg.paths
-    sup_yz = sum_yz / cfg.paths
-    return [
-        {
-            "eps_requested": eps_req,
-            "eps_used": steps * grid.h,
-            "ex_sup_dx2": float(sup_x[q]),
-            "ex_sup_dy2_int_dz2": float(sup_yz[q]),
-        }
-        for q, (eps_req, steps) in enumerate(ladder)
-    ]
-
-
-def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig) -> float:
-    """Root-mean-square accumulated defect of the discrete backward equation.
-
-    Along closed-loop paths from t = 0 with (Y, Z) = (P2 X, P2 C_Th X), the
-    one-step defects of the Y-equation are summed over the horizon and the
-    RMS over paths is returned; first-order in the fine step, so doubling
-    ``sub_steps`` halves it.
-    """
-    run = _LadderRun(spec, theta, p2, cfg, 0.0, np.zeros(spec.dims.k), [])
-    grid = spec.grid
-    c = spec.coeffs
-
-    # P2 on the fine grid: exact at the nodes and midpoints that ``p2``
-    # carries, linearly interpolated elsewhere.
-    p2_nodes, p2_mids = p2.data, p2.mids
-    half_times = np.empty(2 * grid.steps + 1)
-    half_times[0::2] = grid.nodes
-    half_times[1::2] = grid.midpoints
-    half_vals = np.empty((2 * grid.steps + 1,) + p2_nodes.shape[1:])
-    half_vals[0::2] = p2_nodes
-    half_vals[1::2] = p2_mids
-
-    fine_t = grid.nodes[run.i0] + run.hf * np.arange(run.F + 1)
-    flat = half_vals.reshape(len(half_times), -1)
-    p2_fine = np.stack(
-        [np.interp(fine_t, half_times, flat[:, j]) for j in range(flat.shape[1])], axis=1
-    ).reshape((run.F + 1,) + p2_nodes.shape[1:])
-
-    fine_left = fine_t[:-1]
-    ahat_f = c.Ahat(fine_left) + c.Bhat(fine_left) @ run.theta_fine
-    chat_f = c.Chat(fine_left)
-    dhat_f = c.Dhat(fine_left)
-    p2ct_f = p2_fine[:-1] @ run.c_fine  # (F, m, n)
-
-    sq_sum = 0.0
-    with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
-        for _, width, rows in blocks:
-            cum = np.zeros((width, run.m))
-            for ell, dw, stepper in run.walk(width, rows):
-                x = stepper.y[:, 0].T  # (width, n)
-                y = x @ p2_fine[ell].T
-                if ell:  # the defect of the step just taken
-                    cum += y - y_prev + driver * run.hf - z * dw[:, None]
-                if ell < run.F:
-                    z = x @ p2ct_f[ell].T
-                    driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T
-                y_prev = y
-            sq_sum += float(np.sum(np.einsum("pi,pi->p", cum, cum)))
-    return float(np.sqrt(sq_sum / cfg.paths))

@@ -18,10 +18,18 @@ quantities that the package computes one way:
   factor lam(s, t) as a whole L x L field, and one window map from the
   terminal state, the oracles of the solver's factor recursion and of its
   windows' handed-on states;
-- ``simulate_spike``, ``build_controls`` and ``evaluate_cost``: a spike
-  bundle with materialised paths and its cost by vectorised trapezoids, the
-  independent oracle of the streaming cost sums of the spike ladder.  It
-  never splits the cost into parts linear and quadratic in v;
+- ``simulate_spike``, ``build_controls`` and ``evaluate_cost``: a spiked
+  bundle (``SpikedBundle``) with materialised paths and its cost by
+  vectorised trapezoids, the independent oracle of the streaming cost sums
+  of the spike ladder.  It never splits the cost into parts linear and
+  quadratic in v;
+- ``perturbation_scaling`` and ``bsde_residual_check``: the perturbation
+  moments E sup|dX|^2 and E[sup|dY|^2 + int|dZ|^2] per spike width, and the
+  accumulated defect of the discrete backward equation, the estimators of
+  acceptance criteria 6 and 7.  Like ``simulate_spike`` they drive the
+  program's stepper (``_LadderRun.walk``) over the program's increments, so
+  they test its stepping too; ``perturbations`` reads every rung's
+  perturbation off the stepper;
 - ``spike_fields``: Lambda and the characterization residual of a bare
   gain, which the spike tests take from a solution otherwise.
 """
@@ -32,6 +40,7 @@ import dataclasses
 
 import numpy as np
 
+from fbslq import simulate
 from fbslq.equilibrium import _at_nodes, _exponent, _require_scalar, _Workspace
 from fbslq.fields import OneTimeField, Strategy, TwoTimeField, interval_gain
 from fbslq.kernels import CallableFn, CallableKernel
@@ -40,7 +49,17 @@ from fbslq.presets import example_2_5_problem
 from fbslq.problem import AssumptionReport, ProblemSpec
 from fbslq.riccati import _PSD_TOL, _RANGE_TOL, P2Field, gain_denominator_numerator, two_time_diagonals
 from fbslq.scenario import _const, scenario_to_spec, trivial_scenario
-from fbslq.simulate import CostEstimate, PathBundle, SimConfig, SpikeSpec, _as_vector, _simulate_bundle
+from fbslq.simulate import (
+    CostEstimate,
+    PathBundle,
+    SimConfig,
+    SpikeSpec,
+    _as_vector,
+    _dotter,
+    _LadderRun,
+    _mixer,
+    _snap_eps,
+)
 
 
 # -- problems -----------------------------------------------------------------
@@ -255,6 +274,28 @@ def fixed_point_map(
 # -- materialised paths and their cost ----------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class SpikedBundle(PathBundle):
+    """A bundle under the spike chi_[t, t+eps) v: ``spike_v`` is v,
+    ``spike_steps`` the width eps in coarse grid steps, and ``p7v`` the
+    spike coupling field times v on the range nodes, (range_nodes, m)."""
+
+    spike_v: np.ndarray
+    spike_steps: int
+    p7v: np.ndarray
+
+
+def perturbations(stepper) -> np.ndarray:
+    """Every rung's d_q at the stepper's current step, (n, rungs, width), a
+    new array: the open rungs' states, then Psi d_q(g) for the closed ones."""
+    run = stepper.run
+    k, out = stepper.open, np.empty((run.n, len(run.eps_steps), stepper.y.shape[2]))
+    out[:, :k] = stepper.y[:, 1 : 1 + k]
+    if k < out.shape[1]:
+        _mixer(stepper.group, out[:, k:])(np.swapaxes(stepper.psi, 0, 1))
+    return out
+
+
 def simulate_spike(
     spec: ProblemSpec,
     theta: Strategy,
@@ -263,12 +304,17 @@ def simulate_spike(
     spike: SpikeSpec,
     eps: float,
     t: float = 0.0,
-) -> PathBundle:
+) -> SpikedBundle:
     """Paths from time t under the spike-perturbed control chi_[t, t+eps) v + Theta X.
 
     Uses the same Brownian increments as the paired closed-loop bundle (same
     seed and t); ``eps`` is snapped to a whole number of coarse grid steps and
-    must be at least one step.
+    must be at least one step.  The program's stepper carries the spike as a
+    one-rung ladder, and X is the closed loop plus the rung's perturbation;
+    Y and Z add the spike's P7 v and chi P2 D v to the closed loop's
+    einsums in place, so that no temporary as large as X is held.  The
+    increments are drawn through ``simulate._increments``, looked up at each
+    call, so that a test may substitute the whole-block draw.
     """
     grid = spec.grid
     steps = int(round(eps / grid.h))
@@ -277,7 +323,19 @@ def simulate_spike(
     if grid.index_of(t) + steps > grid.steps:
         raise ValueError("spike window extends past the horizon")
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    return _simulate_bundle(spec, theta, p2, cfg, t, v, [steps], cfg.paths)
+    run = _LadderRun(spec, theta, p2, cfg, t, v, [steps])
+    X = np.empty((cfg.paths, run.n_coarse + 1, run.n))
+    with simulate._increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
+        for start, width, rows in blocks:
+            for ell, _, stepper in run.walk(width, rows):
+                if ell % run.sub == 0:
+                    X[start : start + width, ell // run.sub] = (stepper.y[:, 0] + perturbations(stepper)[:, 0]).T
+    p7v, zv = run.p7v[0], np.concatenate([run.zv_left[0], run.zv_right[0, -1:]])
+    Y = np.einsum("rmn,prn->prm", run.p2_range, X)
+    Y += p7v
+    Z = np.einsum("rmn,prn->prm", np.concatenate([run.z_left, run.z_right[-1:]]), X)
+    Z += zv
+    return SpikedBundle(theta=theta, p2=p2, t_index=run.i0, X=X, Y=Y, Z=Z, spike_v=v, spike_steps=steps, p7v=p7v)
 
 
 def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:
@@ -290,7 +348,7 @@ def build_controls(spec: ProblemSpec, bundle: PathBundle) -> np.ndarray:
     u = np.empty((bundle.paths, bundle.range_nodes, spec.dims.k))
     u[:, :-1] = np.einsum("rkn,prn->prk", th[:, 0], bundle.X[:, :-1])
     u[:, -1] = bundle.X[:, -1] @ th[-1, 1].T
-    if bundle.spike_v is not None and bundle.spike_steps > 0:
+    if isinstance(bundle, SpikedBundle):
         u[:, : bundle.spike_steps] += bundle.spike_v
     return u
 
@@ -367,7 +425,7 @@ def _interval_z_right(spec, bundle) -> np.ndarray:
     th = interval_gain(bundle.theta.data, i0, grid.steps, (1.0,))
     ct_right = c.C(right_t) + c.D(right_t) @ th[:, 0]  # (R-1, n, n)
     zc = np.einsum("rij,prj->pri", ct_right, bundle.X[:, 1:])
-    if bundle.spike_v is not None and bundle.spike_steps > 0:
+    if isinstance(bundle, SpikedBundle):
         dv = c.D(right_t[: bundle.spike_steps]) @ bundle.spike_v
         zc[:, : bundle.spike_steps] += dv
     p2r = bundle.p2.data[i0 + 1 :]
@@ -384,13 +442,124 @@ def per_node_z(spec, bundle) -> np.ndarray:
     nodes = grid.nodes[i0:]
     th = interval_gain(bundle.theta.data, i0, grid.steps, (0.0, 1.0))
     ct = c.C(nodes) + c.D(nodes) @ np.concatenate([th[:, 0], th[-1:, 1]])
-    chi = np.minimum(np.arange(len(nodes)), len(nodes) - 2) < bundle.spike_steps  # of the interval read
-    v = np.zeros(spec.dims.k) if bundle.spike_v is None else bundle.spike_v
+    spiked = isinstance(bundle, SpikedBundle)
+    steps, v = (bundle.spike_steps, bundle.spike_v) if spiked else (0, np.zeros(spec.dims.k))
+    chi = np.minimum(np.arange(len(nodes)), len(nodes) - 2) < steps  # of the interval read
     dv = chi[:, None] * (c.D(nodes) @ v)
     z = np.empty_like(bundle.Z)
     for r in range(len(nodes)):
         z[:, r] = (bundle.X[:, r] @ ct[r].T + dv[r]) @ bundle.p2.data[i0 + r].T
     return z
+
+
+# -- streamed estimators on the program's stepper ---------------------------
+
+
+def perturbation_scaling(
+    spec: ProblemSpec,
+    theta: Strategy,
+    p2: P2Field,
+    cfg: SimConfig,
+    spike: SpikeSpec,
+    t: float,
+) -> list[dict]:
+    """Per-eps moments E sup|X^eps - X|^2 and E[sup|Y^eps - Y|^2 + int|Z^eps - Z|^2].
+
+    Streaming companion of the spike test, used to regress the perturbation
+    growth rate against eps (slope one in log-log).  It reads every rung's
+    perturbation off the program's stepper at the coarse nodes, one RNG
+    block at a time (a rung closed at its end as Psi(r) d_q(g), from the
+    last close g), and computes no cost sums.
+    """
+    grid = spec.grid
+    ladder = _snap_eps(grid, grid.index_of(t), spike.epsilons)
+    v = _as_vector(spike.v, spec.dims.k, "v", "control")
+    run = _LadderRun(spec, theta, p2, cfg, t, v, [steps for _, steps in ladder])
+    p7v = np.moveaxis(run.p7v, 2, 0)[..., None]  # (m, rungs, nodes, 1)
+    zv = np.moveaxis(run.zv_left, 2, 0)[..., None]  # (m, rungs, intervals, 1): chi P2 D v
+    sum_x = sum_yz = 0.0
+    with simulate._increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
+        for _, width, rows in blocks:
+            mx, my, iz = np.zeros((3, len(ladder), width))
+            dy, dz = np.empty((2, run.m, len(ladder), width))
+            for ell, _, stepper in run.walk(width, rows):
+                if ell % run.sub:
+                    continue
+                r = ell // run.sub
+                d = perturbations(stepper)  # (n, rungs, width)
+                np.maximum(mx, _dotter(d, d)(), out=mx)
+                _mixer(d, dy)(run.p2_range[r].T)
+                dy += p7v[:, :, r]
+                np.maximum(my, _dotter(dy, dy)(), out=my)
+                if r < run.n_coarse:  # Z is frozen on [s_r, s_{r+1})
+                    _mixer(d, dz)(run.z_left[r].T)
+                    dz += zv[:, :, r]
+                    iz += _dotter(dz, dz)()
+            sum_x += mx.sum(axis=1)
+            sum_yz += (my + run.h * iz).sum(axis=1)
+    sup_x = sum_x / cfg.paths
+    sup_yz = sum_yz / cfg.paths
+    return [
+        {
+            "eps_requested": eps_req,
+            "eps_used": steps * grid.h,
+            "ex_sup_dx2": float(sup_x[q]),
+            "ex_sup_dy2_int_dz2": float(sup_yz[q]),
+        }
+        for q, (eps_req, steps) in enumerate(ladder)
+    ]
+
+
+def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: SimConfig) -> float:
+    """Root-mean-square accumulated defect of the discrete backward equation.
+
+    Along closed-loop paths from t = 0 with (Y, Z) = (P2 X, P2 C_Th X), the
+    one-step defects of the Y-equation are summed over the horizon and the
+    RMS over paths is returned; first-order in the fine step, so doubling
+    ``sub_steps`` halves it.  The paths are the program's stepper, read at
+    every fine step.
+    """
+    run = _LadderRun(spec, theta, p2, cfg, 0.0, np.zeros(spec.dims.k), [])
+    grid = spec.grid
+    c = spec.coeffs
+
+    # P2 on the fine grid: exact at the nodes and midpoints that ``p2``
+    # carries, linearly interpolated elsewhere.
+    p2_nodes, p2_mids = p2.data, p2.mids
+    half_times = np.empty(2 * grid.steps + 1)
+    half_times[0::2] = grid.nodes
+    half_times[1::2] = grid.midpoints
+    half_vals = np.empty((2 * grid.steps + 1,) + p2_nodes.shape[1:])
+    half_vals[0::2] = p2_nodes
+    half_vals[1::2] = p2_mids
+
+    fine_t = grid.nodes[run.i0] + run.hf * np.arange(run.F + 1)
+    flat = half_vals.reshape(len(half_times), -1)
+    p2_fine = np.stack(
+        [np.interp(fine_t, half_times, flat[:, j]) for j in range(flat.shape[1])], axis=1
+    ).reshape((run.F + 1,) + p2_nodes.shape[1:])
+
+    fine_left = fine_t[:-1]
+    ahat_f = c.Ahat(fine_left) + c.Bhat(fine_left) @ run.theta_fine
+    chat_f = c.Chat(fine_left)
+    dhat_f = c.Dhat(fine_left)
+    p2ct_f = p2_fine[:-1] @ run.c_fine  # (F, m, n)
+
+    sq_sum = 0.0
+    with simulate._increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
+        for _, width, rows in blocks:
+            cum = np.zeros((width, run.m))
+            for ell, dw, stepper in run.walk(width, rows):
+                x = stepper.y[:, 0].T  # (width, n)
+                y = x @ p2_fine[ell].T
+                if ell:  # the defect of the step just taken
+                    cum += y - y_prev + driver * run.hf - z * dw[:, None]
+                if ell < run.F:
+                    z = x @ p2ct_f[ell].T
+                    driver = x @ ahat_f[ell].T + y @ chat_f[ell].T + z @ dhat_f[ell].T
+                y_prev = y
+            sq_sum += float(np.sum(np.einsum("pi,pi->p", cum, cum)))
+    return float(np.sqrt(sq_sum / cfg.paths))
 
 
 # -- spike-test inputs --------------------------------------------------------

@@ -18,9 +18,15 @@ from fbslq.presets import (
     example_2_5_problem,
 )
 from fbslq.riccati import characterization_residual, solve_p1
-from fbslq.simulate import SimConfig, SpikeSpec, bsde_residual_check, perturbation_scaling, spike_tests
+from fbslq.simulate import SimConfig, SpikeSpec, spike_tests
 from fbslq.verify import classical_riccati_feedback
-from tests.oracles import in_range, penrose_residuals, steep_example_2_5_problem
+from tests.oracles import (
+    bsde_residual_check,
+    in_range,
+    penrose_residuals,
+    perturbation_scaling,
+    steep_example_2_5_problem,
+)
 
 
 def report(num: int, passed: bool, detail: str, elapsed: float):

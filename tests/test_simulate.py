@@ -27,8 +27,6 @@ from fbslq.simulate import (
     _primed,
     _scratch,
     _snap_eps,
-    bsde_residual_check,
-    perturbation_scaling,
     simulate_closed_loop,
     spike_test,
     spike_tests,
@@ -36,10 +34,12 @@ from fbslq.simulate import (
 from fbslq.verify import suite_equilibrium
 from tests.conftest import matrix_p2_problem
 from tests.oracles import (
+    bsde_residual_check,
     build_controls,
     evaluate_cost,
     matrix_reduction_problem,
     per_node_z,
+    perturbation_scaling,
     second_moment_factor,
     simulate_spike,
     spike_fields,
