@@ -287,11 +287,11 @@ def cmd_simulate(args) -> int:
         header = ["path", "t"] + [f"x{i}" for i in range(spec.dims.n)] + [
             f"y{i}" for i in range(spec.dims.m)
         ] + [f"z{i}" for i in range(spec.dims.m)]
-        nodes = spec.grid.nodes[bundle.t_index :]
-        def rows():
+        nodes = spec.grid.nodes[bundle.t_index :].tolist()
+        def rows():  # one tolist() per path: a numpy scalar per cell is slow to build
             for p in range(bundle.paths):
-                for r, t_node in enumerate(nodes):
-                    yield [p, t_node, *bundle.X[p, r], *bundle.Y[p, r], *bundle.Z[p, r]]
+                for t_node, x, y, z in zip(nodes, *(a[p].tolist() for a in (bundle.X, bundle.Y, bundle.Z))):
+                    yield [p, t_node, *x, *y, *z]
         write_csv(os.path.join(outdir, "paths.csv"), header, rows())
 
     write_json(

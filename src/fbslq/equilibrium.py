@@ -29,20 +29,24 @@ frozen state, in time proportional to the window width; the window's last
 map application, at its converged gain, yields the state at lo, which it
 hands to the next window.  The first window starts from the terminal state.
 Every backward step is the one a whole-grid integration would take, so the
-gain is the same to the bit, and so are P2 and (for lag kernels) p1t at the
-solved gain, which the solver takes from the windows' last applications.
+gain is the same to the bit, and so are P2 and p1t at the solved gain, which
+the windows' last applications leave in the workspace's buffers.  A given
+gain fills them by one whole-grid integration (:func:`assemble_solution`);
+both read their solution off them.
 
 The integral is a trapezoid over the grid.  When Q, R, M and N are lag
 kernels (constant, discounted, difference) it is one backward recursion over
 their factors with rho_i = exp(E_{i+1} - E_i), E the cumulative exponent, so
 p1t costs O(L) and no exponent spans the horizon.  Table and callable kernels
 take the dense quadrature over L x L weight tables instead; it reads P2 on
-the whole tail, which the windows keep in a full-length buffer.
+the whole tail, which the windows keep in a full-length buffer.  Its exponent
+is summed backward from T, so exp(E_j - E_i) reads only intervals after t_i,
+whose gains are final once the window of t_i has converged.
 
 Where Lambda(s) == 0, :func:`~fbslq.matrixkit.pinv` sets Lambda^+ to 0 and
 the projector 1 - Lambda^+ Lambda is exactly 1, so the update passes theta0
 through; elsewhere the projector is exactly 0 and theta0 drops out.
-:func:`assemble_solution` records these pass-through nodes in the
+:meth:`_Workspace.solution` records these pass-through nodes in the
 diagnostics, from this Lambda at the solved gain.
 """
 
@@ -66,7 +70,6 @@ __all__ = [
     "NonContractiveError",
     "NoConvergenceError",
     "AssumptionViolatedError",
-    "p1_tilde",
     "assemble_solution",
     "solve_equilibrium",
 ]
@@ -150,12 +153,12 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """The gain and what its readers read, built by :func:`assemble_solution`.
+    """The gain and what its readers read, from :func:`solve_equilibrium` or :func:`assemble_solution`.
 
-    P2, p1t (``p1_tilde``, see :func:`p1_tilde`), the diagonals P1(t;t) and
-    P3(t;t), Lambda (``lam``) and the residual Gamma + Lambda Theta.  The full
-    two-time triangles come from :func:`~fbslq.riccati.solve_p1` and
-    :func:`~fbslq.riccati.solve_p3` on request.
+    P2, p1t (``p1_tilde``, the integral route's P1(t;t) + P3(t;t)), the
+    diagonals P1(t;t) and P3(t;t), Lambda (``lam``) and the residual Gamma +
+    Lambda Theta.  The full two-time triangles come from
+    :func:`~fbslq.riccati.solve_p1` and :func:`~fbslq.riccati.solve_p3` on request.
     """
 
     spec: ProblemSpec
@@ -175,11 +178,6 @@ def _require_scalar(spec: ProblemSpec):
         raise ValueError("the equilibrium solver handles m = n = k = 1 only")
 
 
-def _at_nodes(spec: ProblemSpec, *fns) -> list[np.ndarray]:
-    """Flat node samples of scalar coefficient or weight functions."""
-    return [fn(spec.grid.nodes)[..., 0, 0] for fn in fns]
-
-
 def _increments(A, B, C, D, th, h: float) -> np.ndarray:
     """Per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples."""
     th_l, th_r = interval_gain(th, 0, len(th) - 1, (0.0, 1.0)).T
@@ -189,9 +187,10 @@ def _increments(A, B, C, D, th, h: float) -> np.ndarray:
 
 
 def _exponent(A, B, C, D, th, h: float) -> np.ndarray:
-    """Cumulative per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples."""
+    """Cumulative per-interval trapezoid of 2 A_Th + C_Th^2 from flat node samples, summed
+    backward from 0 at the last node, so E_j - E_i (j >= i) reads only the intervals from i on."""
     e = np.zeros(len(th))
-    np.cumsum(_increments(A, B, C, D, th, h), out=e[1:])
+    np.cumsum(-_increments(A, B, C, D, th, h)[::-1], out=e[-2::-1])
     return e
 
 
@@ -216,9 +215,10 @@ class _Workspace:
     recursion over their factors in O(L); otherwise the four weights are
     tabulated on the triangle s >= t of the L x L node grid for the dense
     quadrature, which reads P2 at every node after the window from the
-    buffer ``p2t`` that :meth:`apply_map` fills.  :meth:`apply_map` also
-    keeps P2 at the midpoints and p1t at the window's nodes, so after the
-    last window of a solve the buffers hold them at the solved gain.
+    buffer ``p2t`` that :meth:`integrate` fills.  :meth:`integrate` also
+    keeps P2 at the midpoints and p1t, so after the last window of a solve,
+    or one whole-grid integration of a given gain, the buffers hold them at
+    that gain, and :meth:`solution` reads them off.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -226,11 +226,13 @@ class _Workspace:
         self.spec = spec
         self.h, self.L = spec.grid.h, spec.grid.num_nodes
         nodes = spec.grid.nodes
-        c, w = spec.coeffs, spec.weights
-        self.A, self.B, self.C, self.D, self.G1 = _at_nodes(spec, c.A, c.B, c.C, c.D, w.G1)
+        w = spec.weights
 
-        self.p2_samples = _p2_samples(spec)  # read by every P2 integration of the fixed point
-        self.diag = _diag_weights(spec)  # read by every Lambda and Gamma of the fixed point
+        self.p2_samples = _p2_samples(spec)  # read by every P2 integration
+        self.diag = _diag_weights(spec)  # read by every Lambda and Gamma, and the exponent
+        self.A, self.B, self.C, self.D, self.G1 = (
+            self.diag[name][:, 0, 0] for name in ("A", "B", "C", "D", "G1")
+        )
         self.p2t = np.zeros(self.L)
         self.p2_mids = np.zeros(self.L - 1)
         self.p1t = np.zeros(self.L)
@@ -255,10 +257,6 @@ class _Workspace:
         return _Tail(self.L - 1, self.spec.coeffs.H, None)
 
     # -- integral-route fields -------------------------------------------------
-
-    def p1_tilde(self, th, p2t) -> np.ndarray:
-        """Quadrature of the transported running weights from each node t_i."""
-        return self.span_p1_tilde(th, p2t, 0, self.terminal())[0]
 
     def span_p1_tilde(self, th, p2t, lo, tail: _Tail):
         """p1t at nodes lo..tail.node, from the state ``tail``, and the suffix-sum row at lo.
@@ -328,85 +326,88 @@ class _Workspace:
         terminal = self.G1[cols] * np.exp(expo[-1] - expo[cols])
         return terminal + contrib.sum(axis=0)
 
-    def apply_map(self, th, theta0, lo, hi, tail: _Tail):
-        """One application of the window map: new values of nodes lo..hi of th, and the state at lo.
+    def integrate(self, th, lo, tail: _Tail) -> _Tail:
+        """P2 and p1t of the gain ``th`` into the buffers at nodes lo..tail.node, and the state at lo.
 
         Only the intervals lo..tail.node - 1 are integrated, from ``tail``,
-        the state at a node tail.node >= hi whose later gains are final; the
-        returned state at lo is the tail of the next window.  Overflow in the
-        transported weights produces non-finite Lambda or Gamma, reported
-        here as an error before pinv sees them, so the float warnings carry
-        no extra information and are silenced.
+        the state at tail.node under gains that ``th`` keeps after it.
+        Overflow leaves non-finite values, which every reader checks for, so
+        the float warnings carry no extra information and are silenced.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             vals = _integrate_p2(self.spec, self.p2_samples, th[:, None, None], (lo, tail.node), tail.p2)
             self.p2t[lo : tail.node + 1] = vals[0::2, 0, 0]
             self.p2_mids[lo : tail.node] = vals[1::2, 0, 0]
-            p1t, row = self.span_p1_tilde(th, self.p2t, lo, tail)
-            cols = slice(lo, hi + 1)
-            self.p1t[cols] = p1t[: hi - lo + 1]
-            diag = {name: v[cols] for name, v in self.diag.items()}
+            self.p1t[lo : tail.node + 1], row = self.span_p1_tilde(th, self.p2t, lo, tail)
+        return _Tail(lo, vals[0], row)
+
+    def apply_map(self, th, theta0, lo, hi, tail: _Tail):
+        """One application of the window map: new values of nodes lo..hi of th, and the state at lo.
+
+        :meth:`integrate` runs from ``tail``, the state at a node
+        tail.node >= hi whose later gains are final; the returned state at
+        lo is the tail of the next window.  Overflow in the transported
+        weights produces non-finite Lambda or Gamma, reported here as an
+        error before pinv sees them.
+        """
+        next_tail = self.integrate(th, lo, tail)
+        cols = slice(lo, hi + 1)
+        diag = {name: v[cols] for name, v in self.diag.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
             lam, gam = _lambda_gamma(diag, self.p1t[cols, None, None], self.p2t[cols, None, None])
             if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(gam))):
                 raise EquilibriumError("non-finite intermediate values in the gain update")
             new_vals = _feedback(lam, gam, theta0[cols, None, None])
-        return new_vals[:, 0, 0], _Tail(lo, vals[0], row)
+        return new_vals[:, 0, 0], next_tail
 
+    def solution(self, theta: Strategy, diagnostics: SolverDiagnostics) -> EquilibriumSolution:
+        """The solution of the gain whose P2 and p1t the buffers hold: the matrix-route
+        diagonals, and Lambda and Gamma formed once for the constraint audit and the residual.
 
-def p1_tilde(spec: ProblemSpec, theta: Strategy, p2: P2Field) -> OneTimeField:
-    """p1t of a scalar gain, as the solver records it at Theta*; ``p2`` is P2 there.
-
-    It comes from the factor recursion for lag kernels and from the dense
-    quadrature otherwise; neither builds the L x L second-moment factor
-    lam(s, t).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        p1t = _Workspace(spec).p1_tilde(theta.flat(), p2.flat())
-    return OneTimeField.from_flat(spec.grid, p1t)
+        RK4 on the Riccati route can blow up where the integral route stays
+        finite (a step far outside its stability region), and a gain read
+        from a file can make every field overflow; either raises
+        :class:`EquilibriumError`.  The consistency gap max |p1t - P1(t;t) -
+        P3(t;t)| between the two routes, which agree in the limit, and the
+        pass-through nodes are written into ``diagnostics``.
+        """
+        spec, grid = self.spec, self.spec.grid
+        p2 = P2Field(grid, self.p2t[:, None, None].copy(), self.p2_mids[:, None, None].copy())
+        p1t = OneTimeField.from_flat(grid, self.p1t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p1d, p3d = two_time_diagonals(spec, theta, p2)
+        if not all(np.all(np.isfinite(a)) for a in (p2.data, p2.mids, p1t.data, p1d.data, p3d.data)):
+            raise EquilibriumError("non-finite Riccati fields at the gain")
+        diagnostics.consistency_gap = float(np.max(np.abs(p1t.flat() - p1d.data[:, 0, 0] - p3d.data[:, 0, 0])))
+        lam, gam = _lambda_gamma(self.diag, p1d.data + p3d.data, p2.data)
+        # The pass-through nodes are where the gain update sent theta0 through,
+        # and the update reads Lambda with p1t in the place of P1 + P3.  The
+        # audit's Lambda differs from that one by D^2 times the consistency gap,
+        # so it can be nonzero where the update's is exactly 0, or the reverse.
+        update_lam, _ = _lambda_gamma(self.diag, p1t.data, p2.data)
+        diagnostics.passthrough_nodes = np.flatnonzero(update_lam[:, 0, 0] == 0.0).tolist()
+        return EquilibriumSolution(
+            spec=spec,
+            theta_star=theta,
+            p1_tilde=p1t,
+            p1_diag=p1d,
+            p2=p2,
+            p3_diag=p3d,
+            lam=OneTimeField(grid, lam),
+            residual=OneTimeField(grid, gam + lam @ theta.data),
+            constraint_report=check_constraints(spec, lam, gam),
+            diagnostics=diagnostics,
+        )
 
 
 def assemble_solution(
-    spec: ProblemSpec,
-    theta_star: Strategy,
-    p2: P2Field,
-    p1t: OneTimeField,
-    diagnostics: SolverDiagnostics,
+    spec: ProblemSpec, theta_star: Strategy, diagnostics: SolverDiagnostics
 ) -> EquilibriumSolution:
-    """The solution of a gain from its P2 and p1t: the matrix-route diagonals, and Lambda
-    and Gamma formed once from them for the constraint audit and the residual.
-
-    RK4 on the Riccati route can blow up where the integral route stays
-    finite (a step far outside its stability region), and a gain read from
-    a file can make every field overflow; either raises
-    :class:`EquilibriumError`.  The consistency gap max |p1t - P1(t;t) -
-    P3(t;t)| between the two routes, which agree in the limit, and the
-    pass-through nodes are written into ``diagnostics``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        p1d, p3d = two_time_diagonals(spec, theta_star, p2)
-    if not all(np.all(np.isfinite(a)) for a in (p2.data, p2.mids, p1t.data, p1d.data, p3d.data)):
-        raise EquilibriumError("non-finite Riccati fields at the gain")
-    diagnostics.consistency_gap = float(np.max(np.abs(p1t.flat() - p1d.data[:, 0, 0] - p3d.data[:, 0, 0])))
-    weights = _diag_weights(spec)
-    lam, gam = _lambda_gamma(weights, p1d.data + p3d.data, p2.data)
-    # The pass-through nodes are where the gain update sent theta0 through,
-    # and the update reads Lambda with p1t in the place of P1 + P3.  The
-    # audit's Lambda differs from that one by D^2 times the consistency gap,
-    # so it can be nonzero where the update's is exactly 0, or the reverse.
-    update_lam, _ = _lambda_gamma(weights, p1t.data, p2.data)
-    diagnostics.passthrough_nodes = np.flatnonzero(update_lam[:, 0, 0] == 0.0).tolist()
-    return EquilibriumSolution(
-        spec=spec,
-        theta_star=theta_star,
-        p1_tilde=p1t,
-        p1_diag=p1d,
-        p2=p2,
-        p3_diag=p3d,
-        lam=OneTimeField(spec.grid, lam),
-        residual=OneTimeField(spec.grid, gam + lam @ theta_star.data),
-        constraint_report=check_constraints(spec, lam, gam),
-        diagnostics=diagnostics,
-    )
+    """The solution of a given scalar gain, as :func:`solve_equilibrium` builds it at Theta*:
+    one whole-grid integration, in the backward steps of the solver's windows."""
+    ws = _Workspace(spec)
+    ws.integrate(theta_star.flat(), 0, ws.terminal())
+    return ws.solution(theta_star, diagnostics)
 
 
 def solve_equilibrium(
@@ -494,6 +495,4 @@ def solve_equilibrium(
 
     # Each window's last map application, at its converged gain, left P2
     # and p1t on its nodes in the workspace's buffers.
-    p2 = P2Field(grid, ws.p2t[:, None, None].copy(), ws.p2_mids[:, None, None].copy())
-    p1t = OneTimeField.from_flat(grid, ws.p1t)
-    return assemble_solution(spec, Strategy.from_flat(grid, th), p2, p1t, diagnostics)
+    return ws.solution(Strategy.from_flat(grid, th), diagnostics)

@@ -20,14 +20,11 @@ from .equilibrium import (
     SolverDiagnostics,
     WindowDiagnostics,
     assemble_solution,
-    p1_tilde,
 )
 from .fields import OneTimeField, Strategy, TwoTimeField
 from .problem import ProblemSpec
-from .riccati import solve_p2
 
 __all__ = [
-    "fmt",
     "write_csv",
     "write_json",
     "one_time_field_rows",
@@ -43,16 +40,12 @@ _DIAGNOSTICS_HEADER = [
 ]
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """Numeric rows of one cell per header column, each printed by one format string."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-            fh.write("\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_json(path, obj: dict) -> None:
@@ -122,8 +115,10 @@ def load_solution_dir(path) -> EquilibriumSolution:
     """Rebuild a solution from a directory written by :func:`write_solution_dir`.
 
     The gain is read from theta.csv; every derived field is recomputed from
-    it, so a corrupted gain shows up in the verification suites rather than
-    being masked by stored values, and one whose fields overflow raises
+    it by :func:`~fbslq.equilibrium.assemble_solution`, in the workspace and
+    the backward steps of the solver, so a loaded solution is the solved one
+    bit for bit.  A corrupted gain shows up in the verification suites rather
+    than being masked by stored values, and one whose fields overflow raises
     :class:`~fbslq.equilibrium.EquilibriumError`.  The window history is read
     back from diagnostics.csv and ``fp_tolerance`` from summary.json; the
     consistency gap and the pass-through nodes are recomputed from the
@@ -145,9 +140,7 @@ def load_solution_dir(path) -> EquilibriumSolution:
 
     theta = Strategy(spec.grid, _read_gain(os.path.join(path, "theta.csv"), spec))
     diagnostics = SolverDiagnostics(windows=_load_windows(path), fp_tolerance=fp_tolerance)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p2 = solve_p2(spec, theta)
-    return assemble_solution(spec, theta, p2, p1_tilde(spec, theta, p2), diagnostics)
+    return assemble_solution(spec, theta, diagnostics)
 
 
 _FP_TOLERANCE = "summary.json: diagnostics.fp_tolerance"

@@ -480,12 +480,15 @@ def two_time_diagonals(
 
 
 def _diag_weights(spec: ProblemSpec):
+    """The node samples that Lambda and Gamma read, and the A and G1 of the scalar integral route."""
     nodes = spec.grid.nodes
     w, c = spec.weights, spec.coeffs
     return {
         "R": w.R(nodes, nodes),
         "N": w.N(nodes, nodes),
+        "G1": w.G1(nodes),
         "G2": w.G2(nodes),
+        "A": c.A(nodes),
         "B": c.B(nodes),
         "C": c.C(nodes),
         "D": c.D(nodes),

@@ -230,8 +230,8 @@ def suite_equilibrium(solution: EquilibriumSolution, sim_cfg: SimConfig) -> Suit
     :func:`~fbslq.simulate.spike_tests`: one draw per RNG block serves every
     node.  Every check reads what the solution already holds: its residual,
     its constraint report, its consistency gap, and Lambda for the spike
-    tests, all formed once by :func:`~fbslq.equilibrium.assemble_solution`
-    from the fields solved for its gain.
+    tests, all formed once with the solution, solved or loaded, from the
+    fields of its gain.
     """
     report = SuiteReport(suite="equilibrium")
     theta = solution.theta_star

@@ -41,7 +41,7 @@ import dataclasses
 import numpy as np
 
 from fbslq import simulate
-from fbslq.equilibrium import _at_nodes, _exponent, _require_scalar, _Workspace
+from fbslq.equilibrium import _exponent, _require_scalar, _Workspace
 from fbslq.fields import OneTimeField, Strategy, TwoTimeField, interval_gain
 from fbslq.kernels import CallableFn, CallableKernel
 from fbslq.matrixkit import min_eig, range_residual, specnorm
@@ -242,7 +242,8 @@ def second_moment_factor(spec: ProblemSpec, theta: Strategy) -> TwoTimeField:
     """
     _require_scalar(spec)
     c = spec.coeffs
-    expo = _exponent(*_at_nodes(spec, c.A, c.B, c.C, c.D), theta.flat(), spec.grid.h)
+    samples = (fn(spec.grid.nodes)[:, 0, 0] for fn in (c.A, c.B, c.C, c.D))
+    expo = _exponent(*samples, theta.flat(), spec.grid.h)
     lam = np.exp(expo[None, :] - expo[:, None])
     ii, jj = np.indices(lam.shape)
     lam[jj < ii] = np.nan

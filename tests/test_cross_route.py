@@ -98,8 +98,8 @@ def test_p1_tilde_matches_the_dense_quadrature(case, data):
     th = theta.flat()
     p2t = solve_p2(spec, theta).flat()
     factor, dense = _Workspace(spec), _Workspace(dense_kernels(spec))
-    want = dense.p1_tilde(th, p2t)
-    assert max_rel_gap(factor.p1_tilde(th, p2t), want) <= RTOL
+    want = dense.span_p1_tilde(th, p2t, 0, dense.terminal())[0]
+    assert max_rel_gap(factor.span_p1_tilde(th, p2t, 0, factor.terminal())[0], want) <= RTOL
     lo = data.draw(st.integers(0, spec.grid.steps))
     hi = data.draw(st.integers(lo, spec.grid.steps))
     span = factor.span_p1_tilde(th, p2t, lo, factor.terminal())[0]

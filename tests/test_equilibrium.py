@@ -13,10 +13,11 @@ from fbslq import equilibrium, riccati
 from fbslq.equilibrium import (
     AssumptionViolatedError,
     SolverConfig,
+    SolverDiagnostics,
     _exponent,
     _Tail,
     _Workspace,
-    p1_tilde,
+    assemble_solution,
     solve_equilibrium,
 )
 from fbslq.fields import Strategy
@@ -70,32 +71,30 @@ class TestSecondMomentFactor:
         assert np.all(lam.data[mask] > 0)
 
     def test_shares_the_fixed_point_exponent(self, smoke_solution):
-        # Sampling only A, B, C and D gives the solver's exponent bit for bit.
+        # Sampling only A, B, C and D gives the solver's exponent bit for bit;
+        # it is summed back from T, so lam(s, 0) reads it against node 0.
         spec, th = smoke_solution.spec, smoke_solution.theta_star
         lam = second_moment_factor(spec, th)
         ws = _Workspace(spec)
         expo = _exponent(ws.A, ws.B, ws.C, ws.D, th.flat(), ws.h)
-        assert np.array_equal(lam.data[0, :, 0, 0], np.exp(expo))
+        assert np.array_equal(lam.data[0, :, 0, 0], np.exp(expo - expo[0]))
 
 
 class TestP1Tilde:
     def test_zero_weights(self):
         spec = build_scalar(A=0.2)
-        th = zero_theta(spec)
-        p1t = p1_tilde(spec, th, solve_p2(spec, th))
+        p1t = assemble_solution(spec, zero_theta(spec), SolverDiagnostics()).p1_tilde
         assert p1t.sup_norm() == 0.0
 
     def test_pure_terminal_transport(self):
         g = 0.8
         spec = build_scalar(G1=g)
-        th = zero_theta(spec)
-        p1t = p1_tilde(spec, th, solve_p2(spec, th))
+        p1t = assemble_solution(spec, zero_theta(spec), SolverDiagnostics()).p1_tilde
         assert np.allclose(p1t.flat(), g, atol=1e-12)
 
     def test_unit_running_weight_hand_integral(self):
         spec = build_scalar(Q=1.0, steps=200)
-        th = zero_theta(spec)
-        p1t = p1_tilde(spec, th, solve_p2(spec, th))
+        p1t = assemble_solution(spec, zero_theta(spec), SolverDiagnostics()).p1_tilde
         assert np.allclose(p1t.flat(), 1.0 - spec.grid.nodes, atol=1e-12)
 
     @pytest.mark.parametrize("build", [
@@ -110,8 +109,8 @@ class TestP1Tilde:
         p2t = solve_p2(spec, Strategy.from_flat(spec.grid, th)).flat()
         factor, dense = _Workspace(spec), _Workspace(dense_kernels(spec))
         assert factor.factors is not None and dense.factors is None
-        want = dense.p1_tilde(th, p2t)
-        assert max_rel_gap(factor.p1_tilde(th, p2t), want) <= 1e-12
+        want = dense.span_p1_tilde(th, p2t, 0, dense.terminal())[0]
+        assert max_rel_gap(factor.span_p1_tilde(th, p2t, 0, factor.terminal())[0], want) <= 1e-12
         lo, hi = spec.grid.steps // 3, spec.grid.steps // 2
         span = factor.span_p1_tilde(th, p2t, lo, factor.terminal())[0]
         assert max_rel_gap(span[: hi - lo], want[lo:hi]) <= 1e-12
@@ -128,10 +127,11 @@ class TestP1Tilde:
         spec = scenario_to_spec(doc)
         th = Strategy.constant(spec.grid, -39.3)
         p2t = solve_p2(spec, th).flat()
-        want = _Workspace(spec).p1_tilde(th.flat(), p2t)
+        factor, dense = _Workspace(spec), _Workspace(dense_kernels(spec))
+        want = factor.span_p1_tilde(th.flat(), p2t, 0, factor.terminal())[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _Workspace(dense_kernels(spec)).p1_tilde(th.flat(), p2t)
+            got = dense.span_p1_tilde(th.flat(), p2t, 0, dense.terminal())[0]
         assert np.all(np.isfinite(got))
         assert max_rel_gap(got, want) <= 1e-12
 
@@ -170,8 +170,8 @@ class TestFrozenTail:
         ws = _Workspace(spec)
         th = 0.3 * rng.standard_normal(spec.grid.num_nodes)
         p2t = solve_p2(spec, Strategy.from_flat(spec.grid, th)).flat()
-        full = ws.p1_tilde(th, p2t)
         tail = ws.terminal()
+        full = ws.span_p1_tilde(th, p2t, 0, tail)[0]
         while tail.node > 0:
             lo = int(rng.integers(0, tail.node))
             p1t, row = ws.span_p1_tilde(th, p2t, lo, tail)
@@ -297,8 +297,8 @@ class TestSolveEquilibrium:
     def test_fields_from_the_windows_are_the_whole_grid_ones(self, route, halve, monkeypatch):
         # P2 and p1t at Theta* are assembled from each window's last map
         # application; they are a whole-grid integration at Theta*, bit for
-        # bit.  The dense quadrature differs in the last bits: a window
-        # cumsums its exponent from node 0 under the gain of that moment.
+        # bit, on both routes: the dense exponent is summed back from T, so a
+        # window's transport reads only gains that are final.
         base = assumption_smoke_problem(200)
         spec = base if route == "factor" else dense_kernels(base)
         if halve:
@@ -309,12 +309,8 @@ class TestSolveEquilibrium:
         p2 = solve_p2(spec, sol.theta_star)
         assert np.array_equal(sol.p2.data, p2.data)
         assert np.array_equal(sol.p2.mids, p2.mids)
-        got = sol.p1_tilde.data
-        want = p1_tilde(spec, sol.theta_star, p2).data
-        if route == "factor":
-            assert np.array_equal(got, want)
-        else:
-            assert max_rel_gap(got, want) <= 8 * np.finfo(float).eps
+        whole = assemble_solution(spec, sol.theta_star, SolverDiagnostics())
+        assert np.array_equal(sol.p1_tilde.data, whole.p1_tilde.data)
 
     def test_trivial_solution_is_zero(self):
         spec = trivial_problem(100)

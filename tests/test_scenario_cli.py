@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fbslq import equilibrium
 from fbslq.cli import main
 from fbslq.equilibrium import SolverConfig, solve_equilibrium
 from fbslq.fields import Strategy
@@ -68,6 +69,20 @@ def test_example_files_solve_to_their_presets_bitwise(tmp_path):
         thetas = [solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1), config).theta_star.data
                   for spec in (loaded, built)]
         assert np.array_equal(*thetas), name
+
+
+def table_smoke_scenario(grid_steps):
+    """The smoke document with R and N as 11 x 11 node tables of 1 + 0.1 (s - t).
+
+    Bilinear interpolation is exact for this linear lag, so the table
+    kernels take the dense route to the lag kernels' gain.
+    """
+    doc = smoke_scenario(grid_steps)
+    nodes = np.linspace(0.0, 1.0, 11)
+    table = {"s_nodes": nodes.tolist(), "t_nodes": nodes.tolist(),
+             "values": (1.0 + 0.1 * (nodes[:, None] - nodes[None, :])).tolist()}
+    doc["weights"]["R"] = doc["weights"]["N"] = {"type": "table", "params": table}
+    return doc
 
 
 def write(tmp_path, name, doc):
@@ -421,17 +436,50 @@ class TestCliSolve:
         assert len(sol.diagnostics.windows) > 1
         assert sol.diagnostics.summary() == solved.diagnostics.summary()
 
-    def test_load_reproduces_integral_state_bitwise(self, tmp_path):
-        doc = smoke_scenario(60)
-        scen = write(tmp_path, "smoke.json", doc)
+    @pytest.mark.parametrize("doc", [smoke_scenario(60)] + [table_smoke_scenario(n) for n in (100, 200, 400)],
+                             ids=["smoke", "table-100", "table-200", "table-400"])
+    def test_load_reproduces_integral_state_bitwise(self, tmp_path, doc):
+        # Both read their solution off one workspace's buffers, so P2, p1t,
+        # Lambda, the residual and the pass-through nodes agree to the bit.
+        # The table kernels take the dense quadrature, whose exponent is
+        # summed back from T: the windows' p1t is the whole grid's.
         out = str(tmp_path / "sol")
-        assert main(["solve", scen, "--out", out]) == 0
+        assert main(["solve", write(tmp_path, "scen.json", doc), "--out", out]) == 0
         spec = scenario_to_spec(doc)
         solved = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
         loaded = load_solution_dir(out)
         assert np.array_equal(loaded.p1_tilde.data, solved.p1_tilde.data)
         assert np.array_equal(second_moment_factor(spec, loaded.theta_star).data,
                               second_moment_factor(spec, solved.theta_star).data, equal_nan=True)
+        assert np.array_equal(loaded.p2.data, solved.p2.data)
+        assert np.array_equal(loaded.p2.mids, solved.p2.mids)
+        assert np.array_equal(loaded.lam.data, solved.lam.data)
+        assert np.array_equal(loaded.residual.data, solved.residual.data)
+        assert loaded.diagnostics.passthrough_nodes == solved.diagnostics.passthrough_nodes
+        assert loaded.diagnostics.consistency_gap == solved.diagnostics.consistency_gap
+
+    def test_one_sampling_per_solution(self, tmp_path, monkeypatch):
+        # The solver and the loader each sample the P2 coefficients and the
+        # diagonal weights once, in the one workspace they read.
+        doc = smoke_scenario(60)
+        out = str(tmp_path / "sol")
+        assert main(["solve", write(tmp_path, "smoke.json", doc), "--out", out]) == 0
+        calls = []
+
+        def counted(fn):
+            def wrapper(spec):
+                calls.append(fn.__name__)
+                return fn(spec)
+            return wrapper
+
+        for name in ("_p2_samples", "_diag_weights"):
+            monkeypatch.setattr(equilibrium, name, counted(getattr(equilibrium, name)))
+        load_solution_dir(out)
+        assert sorted(calls) == ["_diag_weights", "_p2_samples"]
+        calls.clear()
+        spec = scenario_to_spec(doc)
+        solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
+        assert sorted(calls) == ["_diag_weights", "_p2_samples"]
 
     def test_load_reproduces_diagonals_bitwise(self, tmp_path):
         doc = smoke_scenario(60)
@@ -627,20 +675,6 @@ class TestCliSimulate:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
-
-
-def table_smoke_scenario(grid_steps):
-    """The smoke document with R and N as 11 x 11 node tables of 1 + 0.1 (s - t).
-
-    Bilinear interpolation is exact for this linear lag, so the table
-    kernels take the dense route to the lag kernels' gain.
-    """
-    doc = smoke_scenario(grid_steps)
-    nodes = np.linspace(0.0, 1.0, 11)
-    table = {"s_nodes": nodes.tolist(), "t_nodes": nodes.tolist(),
-             "values": (1.0 + 0.1 * (nodes[:, None] - nodes[None, :])).tolist()}
-    doc["weights"]["R"] = doc["weights"]["N"] = {"type": "table", "params": table}
-    return doc
 
 
 def test_table_kernels_run_the_dense_route_through_every_command(tmp_path):

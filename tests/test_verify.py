@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fbslq.equilibrium import SolverConfig, SolverDiagnostics, assemble_solution, p1_tilde, solve_equilibrium
+from fbslq.equilibrium import SolverConfig, SolverDiagnostics, assemble_solution, solve_equilibrium
 from fbslq.fields import Strategy
 from fbslq.presets import classical_reduction_problem
-from fbslq.riccati import characterization_residual, solve_p2
+from fbslq.riccati import characterization_residual
 from fbslq.simulate import SimConfig
 from fbslq.verify import (
     classical_riccati_feedback,
@@ -88,8 +88,7 @@ def test_suite_equilibrium_rejects_corrupted_gain(smoke_solution):
     assert resid.sup_norm() > 1e-6 * scale  # residual is first-order in the corruption
 
     # The solution of the bad gain, as load_solution_dir builds it from a corrupted theta.csv.
-    p2 = solve_p2(spec, bad_theta)
-    corrupted = assemble_solution(spec, bad_theta, p2, p1_tilde(spec, bad_theta, p2), SolverDiagnostics())
+    corrupted = assemble_solution(spec, bad_theta, SolverDiagnostics())
     report = suite_equilibrium(corrupted, SimConfig(paths=500, seed=1, x0=1.0))
     assert not report.passed
     failing = [c.name for c in report.checks if not c.passed]
