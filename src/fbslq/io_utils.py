@@ -59,20 +59,20 @@ def _entry_headers(shape: tuple[int, int]) -> list[str]:
 
 
 def one_time_field_rows(field: OneTimeField):
-    nodes = field.grid.nodes
+    nodes = field.grid.nodes.tolist()
     header = ["t"] + _entry_headers(field.entry_shape)
-    rows = ([nodes[i]] + list(field.data[i].ravel()) for i in range(len(nodes)))
+    rows = ([t] + entries for t, entries in zip(nodes, field.data.reshape(len(nodes), -1).tolist()))
     return header, rows
 
 
 def two_time_field_rows(field: TwoTimeField):
-    """Stored triangle as rows (t, s, entries...)."""
-    nodes = field.grid.nodes
+    """Stored triangle as rows (t, s, entries...) of Python floats, one tolist() per node row."""
+    nodes = field.grid.nodes.tolist()
     header = ["t", "s"] + _entry_headers(field.entry_shape)
     def rows():
-        for i in range(len(nodes)):
-            for j in range(i, len(nodes)):
-                yield [nodes[i], nodes[j]] + list(field.data[i, j].ravel())
+        for i, t in enumerate(nodes):
+            for s, entries in zip(nodes[i:], field.data[i, i:].reshape(len(nodes) - i, -1).tolist()):
+                yield [t, s] + entries
     return header, rows()
 
 

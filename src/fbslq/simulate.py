@@ -9,7 +9,8 @@ which the linear structure makes exact.  The spike correction reads each
 perturbation width's coupling field P7, whose RK4 step maps the widths share.
 
 Every entry point takes the start time of its paths as an argument (``t``
-or ``times``); :class:`SimConfig` holds only what every start shares.
+or ``times``); :class:`SimConfig` holds only what every start shares.  One
+sampling of the coefficients per call serves every start time.
 
 Randomness is counter-based: normals come from independent Philox streams
 keyed by (seed, path-block), drawn in (step, path) order inside each fixed
@@ -285,20 +286,6 @@ def _increments(seed: int, paths: int, steps: int, hf: float):
         helper.join()
 
 
-def _p7_samples(spec: ProblemSpec, p2: P2Field, i0: int, steps: int, v: np.ndarray):
-    """Coefficients of the spike coupling equation on the widest window, sampled once.
-
-    Returns Chat, (steps, 3, m, m), and the source (P2 B + Bhat + Dhat P2 D) v,
-    (steps, 3, m), at the RK4 stages of each interval i0 .. i0 + steps - 1:
-    its right node, midpoint and left node.  Every rung of a ladder
-    integrates over a leading part of them.
-    """
-    c, nodes, window = spec.coeffs, spec.grid.nodes, slice(i0, i0 + steps)
-    times = np.stack([nodes[i0 + 1 : i0 + steps + 1], spec.grid.midpoints[window], nodes[window]], axis=1)
-    p2v = np.stack([p2.data[i0 + 1 : i0 + steps + 1], p2.mids[window], p2.data[window]], axis=1)
-    return c.Chat(times), (p2v @ c.B(times) + c.Bhat(times) + c.Dhat(times) @ p2v @ c.D(times)) @ v
-
-
 def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.ndarray:
     """Spike coupling field of every rung on the range nodes, (rungs, range_nodes, m):
     rung q's is nonzero only on [t, t + eps_q).
@@ -308,8 +295,8 @@ def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.n
     aligned with whole grid steps), so only the window intervals integrate.
     :func:`~fbslq.riccati._rk4_maps` builds the step maps (forcing
     [0 | source]) of the widest window once, and each rung applies its
-    leading ``eps_steps[q]`` maps from 0.  ``samples`` comes from
-    :func:`_p7_samples` for the widest window.  The field is linear in v.
+    leading ``eps_steps[q]`` maps from 0.  ``samples`` are the widest window's
+    :class:`_ClosedLoop` ``chat`` and ``p7_source`` v.  The field is linear in v.
     """
     chat, source = samples
     maps = _rk4_maps(chat, np.concatenate([np.zeros(chat.shape), source[..., None]], axis=-1), h)
@@ -338,7 +325,7 @@ def simulate_closed_loop(
     keep = cfg.paths if keep is None else keep
     if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or not 1 <= keep <= cfg.paths:
         raise ValueError(f"keep must be an integer from 1 to paths = {cfg.paths}, got {keep!r}")
-    run = _LadderRun(spec, theta, p2, cfg, t, np.zeros(spec.dims.k), [])
+    run = _LadderRun(_ClosedLoop(spec, theta, p2, cfg.sub_steps), cfg, t, np.zeros(spec.dims.k), [])
     X = np.empty((keep, run.n_coarse + 1, run.n))
     with _increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for start, width, rows in blocks:
@@ -580,74 +567,83 @@ class _Stepper:
         self.psi[...] = np.eye(n)[:, :, None]
 
 
+class _ClosedLoop:
+    """The coefficients of the closed loop under ``theta`` on the whole grid,
+    sampled once per Monte-Carlo call; each :class:`_LadderRun` of the call
+    reads their tails.  Fine step j lies at hf j from 0 (hf = h / sub): at
+    one sub-step these are the grid nodes bit for bit, and a run from node
+    i0 reads fine steps i0 sub on, whatever other times share its call.
+    """
+
+    def __init__(self, spec, theta, p2, sub: int):
+        grid, c = spec.grid, spec.coeffs
+        self.spec, self.p2, self.sub, self.hf = spec, p2, sub, grid.h / sub
+        fine_t = self.hf * np.arange(grid.steps * sub)
+        # Gains from interval_gain: each fine step's start, both ends of each coarse interval.
+        th = interval_gain(theta.data, 0, grid.steps, [q / sub for q in range(sub)])
+        self.theta_fine = th.reshape(len(fine_t), spec.dims.k, spec.dims.n)
+        self.b_fine, self.d_fine = c.B(fine_t), c.D(fine_t)
+        self.a_fine = c.A(fine_t) + self.b_fine @ self.theta_fine  # (F, n, n)
+        self.c_fine = c.C(fine_t) + self.d_fine @ self.theta_fine
+        self.a_h = np.swapaxes(self.a_fine, 1, 2)[..., None] * self.hf  # the stepper's factors, (F, n, n, 1)
+        self.c_t = np.swapaxes(self.c_fine, 1, 2)[..., None]
+        nodes, th = grid.nodes, interval_gain(theta.data, 0, grid.steps, (0.0, 1.0))
+        self.theta_left = th[:, 0]  # (steps, k, n)
+        c_nodes, self.d_nodes = c.C(nodes), c.D(nodes)
+        # Z = (P2 C_Th) x + chi P2 D v at both ends of each interval: P2 C_Th here.
+        self.z_left = p2.data[:-1] @ (c_nodes[:-1] + self.d_nodes[:-1] @ th[:, 0])  # (steps, m, n)
+        self.z_right = p2.data[1:] @ (c_nodes[1:] + self.d_nodes[1:] @ th[:, 1])
+        # Chat and the spike coupling source before its v, at the RK4 stages of each interval.
+        stages = np.stack([nodes[1:], grid.midpoints, nodes[:-1]], axis=1)  # (steps, 3)
+        p2s = np.stack([p2.data[1:], p2.mids, p2.data[:-1]], axis=1)
+        self.chat = c.Chat(stages)
+        self.p7_source = p2s @ c.B(stages) + c.Bhat(stages) + c.Dhat(stages) @ p2s @ c.D(stages)
+
+
 class _LadderRun:
     """Closed loop plus the +v perturbation of every spike rung, from time
     ``t`` to the horizon, one pass per block.
 
     Holds every deterministic array that the stepper and its consumers
-    read.  Rung q applies the spike of ``eps_steps[q]`` coarse steps, which
-    must not increase with q, so that the rungs still open at any node are
-    a leading run; every rung shares each block's increments with the
-    closed loop (common random numbers).
+    read: the tails of a :class:`_ClosedLoop`'s and, with no kernel call,
+    what depends on v or on the rungs.  Rung q applies the spike of
+    ``eps_steps[q]`` coarse steps, which must not increase with q, so that
+    the rungs still open at any node are a leading run; every rung shares
+    each block's increments with the closed loop (common random numbers).
     """
 
-    def __init__(self, spec, theta, p2, cfg, t: float, v: np.ndarray, eps_steps: list[int]):
-        grid, c, w = spec.grid, spec.coeffs, spec.weights
-        self.cfg = cfg
-        self.t = t
-        self.v = v
-        self.eps_steps = eps_steps
+    def __init__(self, loop, cfg, t: float, v: np.ndarray, eps_steps: list[int]):
+        grid, dims = loop.spec.grid, loop.spec.dims
+        self.loop, self.cfg, self.t, self.v, self.eps_steps = loop, cfg, t, v, eps_steps
         if any(wide < narrow for wide, narrow in zip(eps_steps, eps_steps[1:])):
             raise ValueError("the spike ladder's eps_steps must be non-increasing")
         self.ends = set(eps_steps)  # the nodes where rungs close
-        self.i0 = grid.index_of(t)
-        self.n_coarse = grid.steps - self.i0
+        self.i0 = i0 = grid.index_of(t)
+        self.n_coarse = grid.steps - i0
         if self.n_coarse < 1:
             raise ValueError("the start time must lie strictly before the horizon")
-        self.sub = cfg.sub_steps
-        self.h = grid.h
-        self.hf = grid.h / self.sub
-        self.F = self.n_coarse * self.sub
-        nodes = grid.nodes[self.i0 :]  # (range_nodes,)
-        self.n, self.m, self.k = spec.dims.n, spec.dims.m, spec.dims.k
+        self.sub, self.h, self.hf, self.F = loop.sub, grid.h, loop.hf, self.n_coarse * loop.sub
+        self.n, self.m, self.k = dims.n, dims.m, dims.k
         self.x0 = _as_vector(cfg.x0, self.n, "x0", "state")
 
-        # Gains from interval_gain: each fine step's start, both ends of each coarse interval.
-        fine_t = grid.nodes[self.i0] + self.hf * np.arange(self.F)
-        th = interval_gain(theta.data, self.i0, grid.steps, [q / self.sub for q in range(self.sub)])
-        self.theta_fine = th.reshape(self.F, self.k, self.n)
-        self.a_fine = c.A(fine_t) + c.B(fine_t) @ self.theta_fine  # (F, n, n)
-        self.c_fine = c.C(fine_t) + c.D(fine_t) @ self.theta_fine
-        left_t, right_t = nodes[:-1], nodes[1:]
-        th = interval_gain(theta.data, self.i0, grid.steps, (0.0, 1.0))
-        self.theta_left = th[:, 0]  # (n_coarse, k, n)
-        self.p2_range = p2.data[self.i0 :]  # (range_nodes, m, n)
-        p2_left, p2_right = self.p2_range[:-1], self.p2_range[1:]
-        # Z = (P2 C_Th) x + chi P2 D v at both ends of each interval: P2 C_Th here.
-        self.z_left = p2_left @ (c.C(left_t) + c.D(left_t) @ th[:, 0])  # (n_coarse, m, n)
-        self.z_right = p2_right @ (c.C(right_t) + c.D(right_t) @ th[:, 1])
-        self.a_h = np.swapaxes(self.a_fine, 1, 2)[..., None] * self.hf  # the stepper's factors, (F, n, n, 1)
-        self.c_t = np.swapaxes(self.c_fine, 1, 2)[..., None]
+        fine = slice(i0 * self.sub, None)
+        self.theta_fine, self.a_fine, self.c_fine = loop.theta_fine[fine], loop.a_fine[fine], loop.c_fine[fine]
+        self.a_h, self.c_t = loop.a_h[fine], loop.c_t[fine]
+        self.theta_left = loop.theta_left[i0:]  # (n_coarse, k, n)
+        self.p2_range = loop.p2.data[i0:]  # (range_nodes, m, n)
+        self.z_left, self.z_right = loop.z_left[i0:], loop.z_right[i0:]  # (n_coarse, m, n)
 
         # The spike indicators per coarse interval (closed left, open right),
         # each rung's coupling field, the spike drive of an open rung and Z's
         # chi P2 D v.
         self.chi_node = (np.arange(self.n_coarse) < np.asarray(eps_steps, dtype=int).reshape(-1, 1)).astype(float)
-        samples = _p7_samples(spec, p2, self.i0, max(eps_steps, default=0), v)
-        self.p7v = _solve_p7(samples, self.h, eps_steps, self.n_coarse + 1)
-        self.drive_h = ((c.B(fine_t) @ v) * self.hf)[:, :, None, None]  # (F, n, 1, 1)
-        self.drive_w = (c.D(fine_t) @ v)[:, :, None, None]
+        window = slice(i0, i0 + max(eps_steps, default=0))
+        self.p7v = _solve_p7((loop.chat[window], loop.p7_source[window] @ v), self.h, eps_steps, self.n_coarse + 1)
+        self.drive_h = ((loop.b_fine[fine] @ v) * self.hf)[:, :, None, None]  # (F, n, 1, 1)
+        self.drive_w = (loop.d_fine[fine] @ v)[:, :, None, None]
         chi = self.chi_node[:, :, None]
-        self.zv_left = chi * (p2_left @ (c.D(left_t) @ v)[:, :, None])[..., 0]  # (rungs, n_coarse, m)
-        self.zv_right = chi * (p2_right @ (c.D(right_t) @ v)[:, :, None])[..., 0]
-
-        self.qk = w.Q(nodes, t)
-        rk = w.R(nodes, t)
-        self.rk_iv = 0.5 * (rk[:-1] + rk[1:])
-        self.mk = w.M(nodes, t)
-        self.nk = w.N(nodes, t)
-        self.g1 = w.G1(t)
-        self.g2 = w.G2(t)
+        p2_dv = (self.p2_range @ (loop.d_nodes[i0:] @ v)[:, :, None])[..., 0]  # (range_nodes, m)
+        self.zv_left, self.zv_right = chi * p2_dv[:-1], chi * p2_dv[1:]  # (rungs, n_coarse, m)
 
     def kernel(self):
         """From a block width and a :func:`_scratch` buffer to a primed coroutine
@@ -681,23 +677,26 @@ class _LadderRun:
         gamma = sum wt s'W s.  The gammas are the same on every path and are
         summed once.  Each contraction multiplies wt W by L, or by the outer
         product of L or of s, so that at m = n = k = 1 the weights are the
-        plain products wt l^2, (wt l) s and wt s^2.  Returns alpha (nodes, n,
-        n), beta (nodes, n, rungs, 1) and gamma (rungs,), laid out for the
+        plain products wt l^2, (wt l) s and wt s^2.  The weights Q, R, M, N,
+        G1 and G2 of the start time are sampled here.  Returns alpha (nodes,
+        n, n), beta (nodes, n, rungs, 1) and gamma (rungs,), laid out for the
         states of :class:`_Stepper`.
         """
-        h, nc, p2 = self.h, self.n_coarse, self.p2_range
+        h, nc, p2, t = self.h, self.n_coarse, self.p2_range, self.t
+        w, nodes = self.loop.spec.weights, self.loop.spec.grid.nodes[self.i0 :]
+        rk, nk = w.R(nodes, t), w.N(nodes, t)
         w_state = np.full(nc + 1, h)
         w_state[0] = w_state[-1] = 0.5 * h
         eye = np.eye(self.n)[None]
         left, right, every = slice(0, nc), slice(1, nc + 1), slice(0, nc + 1)
         terms = (  # (nodes, weight, W, L, source per rung or None)
-            (every, w_state, self.qk, eye, None),
-            (slice(nc, nc + 1), 1.0, self.g1[None], eye, None),
-            (left, h, self.rk_iv, self.theta_left, self.chi_node[:, :, None] * self.v),
-            (left, 0.5 * h, self.nk[:-1], self.z_left, self.zv_left),
-            (right, 0.5 * h, self.nk[1:], self.z_right, self.zv_right),
-            (every, w_state, self.mk, p2, self.p7v),
-            (slice(0, 1), 1.0, self.g2[None], p2[:1], self.p7v[:, :1]),  # G2 Y(t) at the deterministic start
+            (every, w_state, w.Q(nodes, t), eye, None),
+            (slice(nc, nc + 1), 1.0, w.G1(t)[None], eye, None),
+            (left, h, 0.5 * (rk[:-1] + rk[1:]), self.theta_left, self.chi_node[:, :, None] * self.v),
+            (left, 0.5 * h, nk[:-1], self.z_left, self.zv_left),
+            (right, 0.5 * h, nk[1:], self.z_right, self.zv_right),
+            (every, w_state, w.M(nodes, t), p2, self.p7v),
+            (slice(0, 1), 1.0, w.G2(t)[None], p2[:1], self.p7v[:, :1]),  # G2 Y(t) at the deterministic start
         )
         alpha = np.zeros((nc + 1, self.n, self.n))
         beta = np.zeros((nc + 1, self.n, len(self.eps_steps)))
@@ -843,9 +842,10 @@ def spike_tests(
 
     ladders, runs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
+        loop = _ClosedLoop(spec, theta, p2, cfg.sub_steps)
         for t in times:
             ladders.append(_snap_eps(grid, grid.index_of(t), spike.epsilons))
-            runs.append(_LadderRun(spec, theta, p2, cfg, t, v, [steps for _, steps in ladders[-1]]))
+            runs.append(_LadderRun(loop, cfg, t, v, [steps for _, steps in ladders[-1]]))
         totals = _stream(runs)
     for sum_d, sumsq_d, (_, mean_j, m2_j) in totals:
         if not all(np.all(np.isfinite(s)) for s in (sum_d, sumsq_d, mean_j, m2_j)):

@@ -56,6 +56,7 @@ from fbslq.simulate import (
     SpikeSpec,
     _as_vector,
     _dotter,
+    _ClosedLoop,
     _LadderRun,
     _mixer,
     _snap_eps,
@@ -324,7 +325,7 @@ def simulate_spike(
     if grid.index_of(t) + steps > grid.steps:
         raise ValueError("spike window extends past the horizon")
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    run = _LadderRun(spec, theta, p2, cfg, t, v, [steps])
+    run = _LadderRun(_ClosedLoop(spec, theta, p2, cfg.sub_steps), cfg, t, v, [steps])
     X = np.empty((cfg.paths, run.n_coarse + 1, run.n))
     with simulate._increments(cfg.seed, cfg.paths, run.F, run.hf) as blocks:
         for start, width, rows in blocks:
@@ -475,7 +476,7 @@ def perturbation_scaling(
     grid = spec.grid
     ladder = _snap_eps(grid, grid.index_of(t), spike.epsilons)
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
-    run = _LadderRun(spec, theta, p2, cfg, t, v, [steps for _, steps in ladder])
+    run = _LadderRun(_ClosedLoop(spec, theta, p2, cfg.sub_steps), cfg, t, v, [steps for _, steps in ladder])
     p7v = np.moveaxis(run.p7v, 2, 0)[..., None]  # (m, rungs, nodes, 1)
     zv = np.moveaxis(run.zv_left, 2, 0)[..., None]  # (m, rungs, intervals, 1): chi P2 D v
     sum_x = sum_yz = 0.0
@@ -520,7 +521,7 @@ def bsde_residual_check(spec: ProblemSpec, theta: Strategy, p2: P2Field, cfg: Si
     ``sub_steps`` halves it.  The paths are the program's stepper, read at
     every fine step.
     """
-    run = _LadderRun(spec, theta, p2, cfg, 0.0, np.zeros(spec.dims.k), [])
+    run = _LadderRun(_ClosedLoop(spec, theta, p2, cfg.sub_steps), cfg, 0.0, np.zeros(spec.dims.k), [])
     grid = spec.grid
     c = spec.coeffs
 

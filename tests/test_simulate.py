@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fbslq import simulate
 from fbslq.equilibrium import solve_equilibrium
 from fbslq.fields import Strategy
+from fbslq.kernels import TwoTimeKernel
 from fbslq.presets import assumption_smoke_problem
 from fbslq.riccati import solve_p2
 from fbslq.simulate import (
@@ -22,6 +23,7 @@ from fbslq.simulate import (
     SimConfig,
     SpikeSpec,
     _as_vector,
+    _ClosedLoop,
     _LadderRun,
     _PassSums,
     _primed,
@@ -276,10 +278,11 @@ class TestSpikePaths:
         left = grid.nodes[i0:-1]
         ct = c.C(left) + c.D(left) @ th.data[i0:-1]  # (intervals, n, n)
         p2r = p2.data[i0:]
+        loop = _ClosedLoop(spec, th, p2, sub)
         for row in rows:
             steps = round(row["eps_used"] / grid.h)
             dx = direct_spiked_euler(spec, th, cfg, t, v, steps, incs) - base
-            p7v = _LadderRun(spec, th, p2, cfg, t, v, [steps]).p7v[0]
+            p7v = _LadderRun(loop, cfg, t, v, [steps]).p7v[0]
             dy = np.einsum("rmn,prn->prm", p2r, dx) + p7v
             zc = np.einsum("rij,prj->pri", ct, dx[:, :-1])
             zc[:, :steps] += c.D(left[:steps]) @ v
@@ -580,7 +583,7 @@ class TestSpikeDirections:
         left = spec.grid.steps - spec.grid.index_of(t)
         bases = []
         for rungs in ([left // 4, left // 8, 1], [left, left // 4, left // 8, 1]):
-            run = _LadderRun(spec, th, p2, cfg, t, np.asarray(v, dtype=float).reshape(-1), rungs)
+            run = _LadderRun(_ClosedLoop(spec, th, p2, sub), cfg, t, np.asarray(v, dtype=float).reshape(-1), rungs)
             incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
             got = send_all(run.kernel()(cfg.paths, _scratch(run, cfg.paths)), incs)
             assert_sums_close(got, carried_block(run, incs, run._weights()))
@@ -647,7 +650,7 @@ class TestCloseSchedule:
         cfg = SimConfig(paths=300, seed=31, sub_steps=sub, x0=1.0)
         steps = [s for _, s in _snap_eps(grid, grid.index_of(t), spike.epsilons)]
         assert steps == expected(grid.steps - grid.index_of(t))
-        run = _LadderRun(spec, th, p2, cfg, t, _as_vector(v, spec.dims.k, "v", "control"), steps)
+        run = _LadderRun(_ClosedLoop(spec, th, p2, sub), cfg, t, _as_vector(v, spec.dims.k, "v", "control"), steps)
         incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
         got = send_all(run.kernel()(cfg.paths, _scratch(run, cfg.paths)), incs)
         assert_sums_close(got, carried_block(run, incs, run._weights()))
@@ -670,8 +673,8 @@ class TestCloseSchedule:
         left = spec.grid.steps - i0
         steps = sorted(data.draw(st.lists(st.integers(1, left), min_size=1, max_size=6)), reverse=True)
         cfg = SimConfig(paths=64, seed=data.draw(st.integers(0, 9)), sub_steps=data.draw(st.integers(1, 2)), x0=1.0)
-        run = _LadderRun(spec, th, p2, cfg, float(spec.grid.nodes[i0]), _as_vector(v, spec.dims.k, "v", "control"),
-                         steps)
+        run = _LadderRun(_ClosedLoop(spec, th, p2, cfg.sub_steps), cfg, float(spec.grid.nodes[i0]),
+                         _as_vector(v, spec.dims.k, "v", "control"), steps)
         incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
         got = send_all(run.kernel()(cfg.paths, _scratch(run, cfg.paths)), incs)
         assert_sums_close(got, carried_block(run, incs, run._weights()))
@@ -679,10 +682,11 @@ class TestCloseSchedule:
     def test_the_ladder_must_not_widen(self, smoke_200):
         spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
         cfg = SimConfig(paths=8, seed=0, x0=1.0)
-        _LadderRun(spec, th, p2, cfg, 0.0, np.array([1.0]), [3, 3, 1])  # ties are fine
+        loop = _ClosedLoop(spec, th, p2, cfg.sub_steps)
+        _LadderRun(loop, cfg, 0.0, np.array([1.0]), [3, 3, 1])  # ties are fine
         for steps in ([1, 3], [3, 1, 2]):
             with pytest.raises(ValueError, match="non-increasing"):
-                _LadderRun(spec, th, p2, cfg, 0.0, np.array([1.0]), steps)
+                _LadderRun(loop, cfg, 0.0, np.array([1.0]), steps)
 
     @pytest.mark.parametrize("problem", ["smoke", "coupled", "narrow"])
     def test_one_p7_sweep_is_each_rungs_own(self, smoke_solution, problem):
@@ -691,11 +695,12 @@ class TestCloseSchedule:
         # <= 3.9e-15 of a rung's largest entry.
         spec, th, p2, v, _ = ladder_inputs(smoke_solution, problem)
         v = _as_vector(v, spec.dims.k, "v", "control")
+        loop = _ClosedLoop(spec, th, p2, 1)
         for t in (0.0, 0.25, 0.5, 0.75):
             i0 = spec.grid.index_of(t)
             steps = [s for _, s in _snap_eps(spec.grid, i0, SpikeSpec().epsilons)]
             assert len(set(steps)) < len(steps)  # the ladder ties at one step
-            run = _LadderRun(spec, th, p2, SimConfig(paths=8, seed=0), t, v, steps)
+            run = _LadderRun(loop, SimConfig(paths=8, seed=0), t, v, steps)
             want = np.stack([p7_per_rung(spec, p2, v, i0, s, run.n_coarse + 1) for s in steps])
             assert np.all(np.abs(run.p7v - want) <= 1e-14 * np.abs(want).max(axis=(1, 2), keepdims=True))
             assert np.all((want != 0).any(axis=2)[:, :-1] == run.chi_node)  # nonzero exactly on each window
@@ -763,15 +768,11 @@ class TestSpikeTests:
 
     @pytest.mark.parametrize("sub", [1, 2])
     @pytest.mark.parametrize("paths", [300, BLOCK_PATHS + 200])
-    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled"])
+    @pytest.mark.parametrize("problem", ["smoke", "matrix", "coupled", "narrow"])
     def test_every_time_is_its_separate_test_bitwise(self, smoke_solution, problem, paths, sub):
-        if problem == "smoke":  # n = 1
-            spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
-            v, kw = 1.0, {"lam": smoke_solution.lam, "residual": smoke_solution.residual}
-        else:  # n = k = 2
-            spec, th, p2 = matrix_inputs(problem)
-            lam, residual = spike_fields(spec, th, p2)
-            v, kw = np.array([1.0, -0.5]), {"lam": lam, "residual": residual}
+        # Each time reads the tails of one sampling from node 0, so a report
+        # does not depend on the times that share its call.
+        spec, th, p2, v, kw = ladder_inputs(smoke_solution, problem)
         spike = SpikeSpec(v=v, epsilons=(0.25, 0.1, 0.05))
         cfg = SimConfig(paths=paths, seed=14, sub_steps=sub, x0=1.0)
         times = [0.5, 0.0, 0.75, 0.25]  # unsorted: the earliest is not first
@@ -782,6 +783,38 @@ class TestSpikeTests:
             assert rep.summary() == alone.summary()
             assert rep.closed_loop == alone.closed_loop
             assert any(r.delta != 0.0 for r in rep.rows)
+
+    def test_one_sampling_per_call(self, smoke_200, monkeypatch):
+        # The closed loop samples A, B, C and D at the fine steps, C and D at
+        # the nodes and Chat, B, Bhat, Dhat and D at the RK4 stages: 11 calls.
+        # Each spike time samples its own weights Q, R, M, N, G1 and G2.
+        calls = []
+        call = TwoTimeKernel.__call__
+
+        def counting(kernel, *args, **kwargs):
+            calls.append(kernel)
+            return call(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(TwoTimeKernel, "__call__", counting)
+        suite_equilibrium(smoke_200, SimConfig(paths=200, seed=1))
+        assert len(calls) == 11 + 6 * 4  # the suite's four spike times
+        calls.clear()
+        simulate_closed_loop(smoke_200.spec, smoke_200.theta_star, smoke_200.p2, SimConfig(paths=200, seed=1), 0.25)
+        assert len(calls) == 11
+
+    def test_fine_step_j_lies_at_j_fine_steps_from_0(self):
+        # At one sub-step a run from t = 0.25 samples at the grid nodes, and at
+        # two its rows are those of the run from t = 0 from fine step 2 i0.
+        spec, th, p2 = matrix_inputs("coupled")
+        c, i0 = spec.coeffs, spec.grid.index_of(0.25)
+        left = spec.grid.nodes[i0:-1]
+        run = _LadderRun(_ClosedLoop(spec, th, p2, 1), SimConfig(paths=8), 0.25, np.zeros(2), [])
+        assert np.array_equal(run.a_fine, c.A(left) + c.B(left) @ th.data[i0:-1])
+        assert np.array_equal(run.c_fine, c.C(left) + c.D(left) @ th.data[i0:-1])
+        cfg, v = SimConfig(paths=8, sub_steps=2), np.array([1.0, -0.5])
+        late, early = (_LadderRun(_ClosedLoop(spec, th, p2, 2), cfg, t, v, [3]) for t in (0.25, 0.0))
+        for name in ("a_fine", "c_fine", "a_h", "c_t", "drive_h", "drive_w"):
+            assert np.array_equal(getattr(late, name), getattr(early, name)[2 * i0 :]), name
 
     def test_no_times_no_reports(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
@@ -796,7 +829,7 @@ class TestSpikeTests:
             left = spec.grid.steps - spec.grid.index_of(t)
             # The last ladder has a rung that reaches the horizon.
             for rungs in ([64, 20, 5, 1], [left, 3]):
-                run = _LadderRun(spec, th, p2, cfg, t, np.array([1.0]), rungs)
+                run = _LadderRun(_ClosedLoop(spec, th, p2, sub), cfg, t, np.array([1.0]), rungs)
                 incs = whole_block(cfg.seed, 0, run.F, cfg.paths, run.hf)
                 weights = run._weights()
                 got = send_all(_primed(run._block(cfg.paths, weights, _scratch(run, cfg.paths))), incs)
