@@ -12,13 +12,14 @@ Every entry point takes the start time of its paths as an argument (``t``
 or ``times``); :class:`SimConfig` holds only what every start shares.  One
 sampling of the coefficients per call serves every start time.
 
-Randomness is counter-based: normals come from independent Philox streams
-keyed by (seed, path-block), drawn in (step, path) order inside each fixed
-8192-path block.  Chunked or streamed execution therefore reproduces the
-bundle API bit for bit, and every spike rung shares its block's
-increments with the closed loop (common random numbers).  A run that
-starts later reads the leading rows of an earlier run's draw, so one draw
-per block serves every spike time of a pass (:func:`spike_tests`).
+Randomness is keyed: normals come from independent SFC64 streams keyed by
+(seed, path-block) through ``SeedSequence``, drawn in (step, path) order
+inside each fixed 8192-path block.  Chunked or streamed execution
+therefore reproduces the bundle API bit for bit, and every spike rung
+shares its block's increments with the closed loop (common random
+numbers).  A run that starts later reads the leading rows of an earlier
+run's draw, so one draw per block serves every spike time of a pass
+(:func:`spike_tests`).
 
 The increments are streamed in rows, one row (the increments of all paths
 of a block over one fine step) at a time; no block is ever held whole.
@@ -28,7 +29,7 @@ scales them to Brownian increments and hands the slots over by index; since
 a stream is filled in (step, path) order, the chunks are the rows of the
 whole block's draw, bit for bit.  Every Euler step, every cost sum and the
 caller's ``np.errstate`` stay in the calling thread, which consumes the
-rows as they arrive: the Philox draw of the next rows overlaps the kernels,
+rows as they arrive: the draw of the next rows overlaps the kernels,
 and the memory a pass holds grows with neither the path count nor the step
 count.  The steppers of one stream share one scratch, since they run one
 after another, so each spike time of a pass adds only its own state.  An
@@ -47,11 +48,12 @@ have ended share one n x n transition per path.  It has two consumers.
 The spike ladder's kernel, one for every dimension, groups the cost terms
 by node and splits the cost sums into a part linear and a part quadratic
 in v, so one pass yields the ladder for +v and for -v, and the closed-loop
-cost estimate from the same paths.  The closed-loop bundle, which has no
-rung and never closes, records X at the coarse nodes and builds Y and Z
-from it, each with one einsum over the nodes; it keeps no increments.  The
-test oracles in ``tests/oracles.py`` drive the same stepper for a spiked
-bundle, the perturbation moments and the backward-equation check.
+cost estimate from the same paths; after the last close it steps the
+transition alone.  The closed-loop bundle, which has no rung and never
+closes, records X at the coarse nodes and builds Y and Z from it, each with
+one einsum over the nodes; it keeps no increments.  The test oracles in
+``tests/oracles.py`` drive the same stepper for a spiked bundle, the
+perturbation moments and the backward-equation check.
 """
 
 from __future__ import annotations
@@ -209,10 +211,13 @@ class SpikeReport:
         }
 
 
-def _philox(seed: int, block: int) -> np.random.Generator:
-    """The stream of standard normals keyed by (seed, block)."""
-    key = np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(block)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _generator(seed: int, block: int) -> np.random.Generator:
+    """The stream of standard normals keyed by (seed, block): an SFC64 stream
+    seeded through ``SeedSequence``, block b's the b-th child of the seed's
+    (its spawn key), so that every key has a stream of its own.  The seed
+    enters modulo 2**64, since ``SeedSequence`` takes no negative entropy."""
+    sequence = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(block,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def _blocks(paths: int):
@@ -253,7 +258,7 @@ def _increments(seed: int, paths: int, steps: int, hf: float):
     def draw():
         try:
             for block, _, width in _blocks(paths):
-                gen = _philox(seed, block)
+                gen = _generator(seed, block)
                 for lo in range(0, steps, CHUNK_ROWS):
                     slot = free.get()
                     if stop.is_set():
@@ -296,7 +301,8 @@ def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.n
     :func:`~fbslq.riccati._rk4_maps` builds the step maps (forcing
     [0 | source]) of the widest window once, and each rung applies its
     leading ``eps_steps[q]`` maps from 0.  ``samples`` are the widest window's
-    :class:`_ClosedLoop` ``chat`` and ``p7_source`` v.  The field is linear in v.
+    :class:`_ClosedLoop` ``p7_stages``, the source times v.  The field is
+    linear in v.
     """
     chat, source = samples
     maps = _rk4_maps(chat, np.concatenate([np.zeros(chat.shape), source[..., None]], axis=-1), h)
@@ -375,7 +381,9 @@ def simulate_closed_loop(
 # directions, bit for bit what a separate -v pass gives.  The kernel groups
 # the terms by node (``_LadderRun._weights``); for the closed rungs it
 # accumulates the terms in Psi and contracts them with d_q(g) at the next
-# close and, after the last, at the horizon.
+# close and, after the last, at the horizon.  After the last close g* the
+# closed loop joins them: x(r) = Psi(r) x(g*), so its terms are
+# x(g*)' (sum Psi' alpha Psi) x(g*), and x steps no more.
 # ---------------------------------------------------------------------------
 
 
@@ -509,10 +517,13 @@ class _Stepper:
     transition since the last close g) and ``group``, the closed rungs'
     d_q(g); without rungs, x alone.  A step is y <- y + y F, F = C_Th' dW +
     A_Th' h_f per path, on x, the open rungs and, once a rung has closed,
-    Psi, plus the open rungs' spike drive.  It writes into buffers allocated
-    once (a fresh (rungs, width) temporary per operation is large enough for
-    the allocator to map and unmap it each time), so a consumer that keeps a
-    state copies it.  Between steps the scratch ``yt`` and ``f`` are free;
+    Psi, plus the open rungs' spike drive.  A consumer that reads x no more
+    after the last close g* (the ladder kernel) may freeze it there: from
+    g* on x(r) = Psi(r) x(g*), so x stays at x(g*) and Psi alone steps, the
+    stepped columns starting at ``first`` = 1, not 0.  It writes into
+    buffers allocated once (a fresh (rungs, width) temporary per operation
+    is large enough for the allocator to map and unmap it each time), so a
+    consumer that keeps a state copies it.  Between steps the scratch ``yt`` and ``f`` are free;
     that is why they are views of a flat buffer that the caller hands in
     (:func:`_scratch`) and that the steppers of one stream share, run after
     run and block after block, so that each added run costs only its state.
@@ -522,6 +533,7 @@ class _Stepper:
         rungs, n = len(run.eps_steps), run.n
         self.run = run
         self.ell = 0  # fine steps taken
+        self.first = 0  # the first stepped column: 1 once x is frozen
         self.y = np.zeros((n, 1 + rungs + n if rungs else 1, width))
         self.y[:, 0] = run.x0[:, None]
         yt, f = _scratch_shapes(run, width)
@@ -531,11 +543,11 @@ class _Stepper:
         self._bind(rungs)
 
     def _bind(self, k: int) -> None:
-        """Step x, the open rungs :k and, once a rung has closed, Psi."""
-        n = self.run.n
+        """Step x unless it is frozen, the open rungs :k and, once a rung has closed, Psi."""
+        n, first = self.run.n, self.first
         self.open, self.live = k, 1 + k + (n if k < len(self.run.eps_steps) else 0)
         self.psi, self.group = self.y[:, 1 + k : 1 + k + n], self.y[:, 1 + k + n :]
-        self.mix = _mixer(self.y[:, : self.live], self.yt[:, : self.live])  # yt = y m
+        self.mix = _mixer(self.y[:, first : self.live], self.yt[:, first : self.live])  # yt = y m
 
     def step(self, dw: np.ndarray) -> None:
         """Take the next fine step, on that step's Brownian increments (width,)."""
@@ -544,8 +556,8 @@ class _Stepper:
         np.multiply(run.c_t[ell], dw, out=f)
         np.add(f, run.a_h[ell], out=f)
         self.mix(f)
-        state = self.y[:, : self.live]
-        np.add(state, self.yt[:, : self.live], out=state)
+        state = self.y[:, self.first : self.live]
+        np.add(state, self.yt[:, self.first : self.live], out=state)
         if k:
             drive, d = f[:, :1], self.y[:, 1 : 1 + k]
             np.multiply(run.drive_w[ell], dw, out=drive)
@@ -553,23 +565,26 @@ class _Stepper:
             np.add(d, drive, out=d)
         self.ell = ell + 1
 
-    def close(self) -> None:
+    def close(self, freeze: bool = False) -> None:
         """At node e, the end of some rungs: the group's d_q(g) advance to
         Psi(e) d_q(g) = d_q(e), the rungs ending at e join the group, and Psi
-        restarts at I."""
+        restarts at I.  With ``freeze``, x stays at x(e) from here on once
+        no rung is open."""
         k, n, size = self.open, self.run.n, self.group.shape[1]
         if size:  # Psi d_q(g), through the scratch
             _mixer(self.group, self.yt[:, :size])(np.swapaxes(self.psi, 0, 1))
             self.group[...] = self.yt[:, :size]
         left = sum(steps > self.ell // self.run.sub for steps in self.run.eps_steps)
         self.y[:, 1 + left + n : 1 + k + n] = self.y[:, 1 + left : 1 + k]
+        self.first = int(freeze and not left)
         self._bind(left)
         self.psi[...] = np.eye(n)[:, :, None]
 
 
 class _ClosedLoop:
     """The coefficients of the closed loop under ``theta`` on the whole grid,
-    sampled once per Monte-Carlo call; each :class:`_LadderRun` of the call
+    sampled once per Monte-Carlo call, the spike coupling's RK4 stages on
+    the first read by a run with rungs; each :class:`_LadderRun` of the call
     reads their tails.  Fine step j lies at hf j from 0 (hf = h / sub): at
     one sub-step these are the grid nodes bit for bit, and a run from node
     i0 reads fine steps i0 sub on, whatever other times share its call.
@@ -593,11 +608,16 @@ class _ClosedLoop:
         # Z = (P2 C_Th) x + chi P2 D v at both ends of each interval: P2 C_Th here.
         self.z_left = p2.data[:-1] @ (c_nodes[:-1] + self.d_nodes[:-1] @ th[:, 0])  # (steps, m, n)
         self.z_right = p2.data[1:] @ (c_nodes[1:] + self.d_nodes[1:] @ th[:, 1])
-        # Chat and the spike coupling source before its v, at the RK4 stages of each interval.
-        stages = np.stack([nodes[1:], grid.midpoints, nodes[:-1]], axis=1)  # (steps, 3)
+
+    @functools.cached_property
+    def p7_stages(self):
+        """Chat and the spike coupling source before its v, P2 B + Bhat + Dhat
+        P2 D, at the RK4 stages of each interval, (steps, 3, m, m) and (steps,
+        3, m, k): sampled on first read, so a call without rungs samples neither."""
+        grid, c, p2 = self.spec.grid, self.spec.coeffs, self.p2
+        stages = np.stack([grid.nodes[1:], grid.midpoints, grid.nodes[:-1]], axis=1)  # (steps, 3)
         p2s = np.stack([p2.data[1:], p2.mids, p2.data[:-1]], axis=1)
-        self.chat = c.Chat(stages)
-        self.p7_source = p2s @ c.B(stages) + c.Bhat(stages) + c.Dhat(stages) @ p2s @ c.D(stages)
+        return c.Chat(stages), p2s @ c.B(stages) + c.Bhat(stages) + c.Dhat(stages) @ p2s @ c.D(stages)
 
 
 class _LadderRun:
@@ -637,8 +657,10 @@ class _LadderRun:
         # each rung's coupling field, the spike drive of an open rung and Z's
         # chi P2 D v.
         self.chi_node = (np.arange(self.n_coarse) < np.asarray(eps_steps, dtype=int).reshape(-1, 1)).astype(float)
-        window = slice(i0, i0 + max(eps_steps, default=0))
-        self.p7v = _solve_p7((loop.chat[window], loop.p7_source[window] @ v), self.h, eps_steps, self.n_coarse + 1)
+        self.p7v = np.zeros((0, self.n_coarse + 1, self.m))
+        if eps_steps:  # the widest window's stage samples
+            chat, source = (stage[i0 : i0 + eps_steps[0]] for stage in loop.p7_stages)
+            self.p7v = _solve_p7((chat, source @ v), self.h, eps_steps, self.n_coarse + 1)
         self.drive_h = ((loop.b_fine[fine] @ v) * self.hf)[:, :, None, None]  # (F, n, 1, 1)
         self.drive_w = (loop.d_fine[fine] @ v)[:, :, None, None]
         chi = self.chi_node[:, :, None]
@@ -715,7 +737,10 @@ class _LadderRun:
         The open rungs add their terms at every node; the closed group sums
         A = sum Psi' alpha Psi and B = sum Psi' alpha x, which its d_q(g)
         contract into its sums at the next close, before the stepper closes,
-        and after the last close at the horizon.  The stepper's scratch
+        and after the last close at the horizon.  At the last close g* the
+        stepper freezes x, since x(r) = Psi(r) x(g*) from there on: the nodes
+        after g* add A alone, and at the horizon base takes x' A x and B =
+        A x before the group's last fold.  The stepper's scratch
         ``yt`` holds y alpha and the contractions, ``f`` the products; both
         are views of ``scratch``, which nothing reads across a send.  The
         operations and their order are those of the comments; at n = 1 each
@@ -739,6 +764,10 @@ class _LadderRun:
             psi_xt, pa_psi = _dotter(psi, xt[:, None], f[0]), _dotter(pa[:, :, None], psi[:, None], f)
             dx_alpha = _mixer(dx, dt)
 
+            def tail(r):  # x frozen at x(g*), no rung open:  pa = Psi' alpha;  A += pa Psi
+                stepper.mix(alpha[r])
+                np.add(big_a, pa_psi(), out=big_a)
+
             def sums(r):
                 # xt, dt, pa = x alpha, dx alpha, Psi' alpha;  base += xt x;  B += Psi' xt;  A += pa Psi
                 # t = dt + beta;  cross += (2 x) t;  then, t spent, dt = dx alpha again:  quad += dx (dt + beta + beta)
@@ -756,7 +785,7 @@ class _LadderRun:
                     np.add(dt, beta_k[r], out=dt)
                     np.add(quad_k, dx_t(), out=quad_k)
 
-            return sums
+            return tail if stepper.first else sums
 
         def fold(last=False):  # the group k: takes A and B: cross += (2 d) B;  quad += (d d) A (+ gamma)
             k, d = stepper.open, stepper.group
@@ -779,8 +808,12 @@ class _LadderRun:
             sums(r)
             if r in self.ends:  # the group, empty before the first close, takes its sums first
                 fold()
-                stepper.close()
+                stepper.close(freeze=True)
                 sums = bound(stepper.open)
+        if stepper.first:  # B = A x(g*);  base += x B
+            x = stepper.y[:, 0]
+            _mixer(x, big_b)(np.swapaxes(big_a, 0, 1))
+            np.add(base, _dotter(x, big_b, f[0, 0])(), out=base)
         fold(last=True)
         yield base, cross, quad
 
@@ -839,6 +872,9 @@ def spike_tests(
     """
     grid = spec.grid
     v = _as_vector(spike.v, spec.dims.k, "v", "control")
+    times = list(times)
+    if not times:
+        return []
 
     ladders, runs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
