@@ -23,18 +23,18 @@ run's draw, so one draw per block serves every spike time of a pass
 
 The increments are streamed in rows, one row (the increments of all paths
 of a block over one fine step) at a time; no block is ever held whole.
-One helper thread per call draws each block in chunks of ``CHUNK_ROWS``
+One worker thread per call draws each block in chunks of ``CHUNK_ROWS``
 rows, in place into the slots of one buffer that the call allocates once,
-scales them to Brownian increments and hands the slots over by index; since
-a stream is filled in (step, path) order, the chunks are the rows of the
-whole block's draw, bit for bit.  Every Euler step, every cost sum and the
-caller's ``np.errstate`` stay in the calling thread, which consumes the
-rows as they arrive: the draw of the next rows overlaps the kernels,
-and the memory a pass holds grows with neither the path count nor the step
-count.  The steppers of one stream share one scratch, since they run one
-after another, so each spike time of a pass adds only its own state.  An
-error on either side stops the helper before the call returns; one raised
-by the draw is raised again in the caller.
+and scales them to Brownian increments, up to three chunks ahead of the
+kernels; since a stream is filled in (step, path) order, the chunks are the
+rows of the whole block's draw, bit for bit.  Every Euler step, every cost
+sum and the caller's ``np.errstate`` stay in the calling thread, which
+consumes the rows as they arrive: the draw of the next rows overlaps the
+kernels, and the memory a pass holds grows with neither the path count nor
+the step count.  The steppers of one stream share one scratch, since they
+run one after another, so each spike time of a pass adds only its own
+state.  The worker is joined before the call returns, by an error too; an
+error raised by the draw is raised again in the caller.
 
 Cost quadrature is trapezoidal in time, applied interval by interval with
 one-sided limits: the control (and hence Z) is frozen at its interval value,
@@ -60,9 +60,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +85,7 @@ __all__ = [
 ]
 
 BLOCK_PATHS = 8192  # paths per RNG block; fixed so chunking cannot reorder draws
-CHUNK_ROWS = 4  # fine steps per hand-over from the drawing thread: 256 KiB at a full block
+CHUNK_ROWS = 4  # fine steps per draw of the worker thread: 256 KiB at a full block
 _SLOTS = 4  # chunks of the one draw buffer of a call: read, ready or being drawn
 
 
@@ -232,63 +232,46 @@ def _blocks(paths: int):
 
 @contextlib.contextmanager
 def _increments(seed: int, paths: int, steps: int, hf: float):
-    """Brownian increments sqrt(hf) xi of every RNG block, drawn on one helper thread.
+    """Brownian increments sqrt(hf) xi of every RNG block, drawn by one worker thread.
 
     Yields an iterator over the blocks in order, each as (start, width,
     rows): the block's first path, its path count and an iterator over its
     ``steps`` rows, one per fine step and (width,) each, which must be read
-    to the end before the next block.  The helper draws ``CHUNK_ROWS`` rows at a
-    time into one of ``_SLOTS`` slots of a buffer allocated once per call,
-    and the two threads hand the slots back and forth by index.  Every
-    consumer is done with a row before it asks for the next; the row
-    iterator relies on that for correctness, not only for memory: once it is
-    asked for the row after a chunk, it hands that chunk's slot back to the
-    helper, which draws the next chunk over it.  Leaving the context, by an
-    error too, stops and joins the helper; an exception raised by the draw
-    is raised again by the row iterator.
+    to the end before the next block.  The worker draws the chunks of
+    ``CHUNK_ROWS`` rows of every block in turn, chunk i in place into slot
+    i mod ``_SLOTS`` of a buffer allocated once per call, up to three chunks
+    ahead of the reader, into the next block too.  Every consumer is done
+    with a row before it asks for the next; the row iterator relies on that
+    for correctness, not only for memory: once it is asked for a row of
+    chunk i, it sets chunk i + 3 to be drawn over chunk i - 1.  An exception
+    raised by the draw is raised again by the row iterator, and leaving the
+    context, by an error too, joins the worker.
     """
     scale = np.sqrt(hf)
     size = CHUNK_ROWS * min(paths, BLOCK_PATHS)
     ring = np.empty(_SLOTS * size)
-    free, full = queue.SimpleQueue(), queue.SimpleQueue()
-    for slot in range(_SLOTS):
-        free.put(slot)
-    stop = threading.Event()
 
-    def draw():
-        try:
-            for block, _, width in _blocks(paths):
-                gen = _generator(seed, block)
-                for lo in range(0, steps, CHUNK_ROWS):
-                    slot = free.get()
-                    if stop.is_set():
-                        return
-                    count = min(CHUNK_ROWS, steps - lo)
-                    chunk = ring[slot * size : slot * size + count * width].reshape(count, width)
-                    gen.standard_normal(out=chunk)
-                    np.multiply(chunk, scale, out=chunk)
-                    full.put((slot, chunk))
-        except BaseException as exc:  # handed to the reader, which raises it
-            if not stop.is_set():
-                full.put(exc)
+    def draw(gen, chunk):
+        gen.standard_normal(out=chunk)
+        return np.multiply(chunk, scale, out=chunk)
 
-    def rows():
-        for _ in range(0, steps, CHUNK_ROWS):
-            item = full.get()
-            if isinstance(item, BaseException):
-                raise item
-            slot, chunk = item
-            yield from chunk
-            free.put(slot)  # asked for the next row: the consumer is done with this chunk
+    def chunks():  # (stream, slot view) of every chunk of the call, in draw order
+        slots = itertools.cycle(range(0, ring.size, size))
+        for block, _, width in _blocks(paths):
+            gen = _generator(seed, block)
+            for lo, at in zip(range(0, steps, CHUNK_ROWS), slots):
+                yield gen, ring[at : at + min(CHUNK_ROWS, steps - lo) * width].reshape(-1, width)
 
-    helper = threading.Thread(target=draw, name="fbslq-increments", daemon=True)
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="fbslq-increments") as worker:
+        jobs = (worker.submit(draw, gen, chunk) for gen, chunk in chunks())
+        ahead = list(itertools.islice(jobs, _SLOTS - 1))
+
+        def rows():
+            for _ in range(0, steps, CHUNK_ROWS):
+                ahead.extend(itertools.islice(jobs, 1))  # over the chunk the consumer is done with
+                yield from ahead.pop(0).result()
+
         yield ((start, width, rows()) for _, start, width in _blocks(paths))
-    finally:
-        stop.set()
-        free.put(None)  # wakes a helper waiting for a slot; it sees stop and returns
-        helper.join()
 
 
 def _solve_p7(samples, h: float, eps_steps: list[int], range_nodes: int) -> np.ndarray:
@@ -822,9 +805,8 @@ def _snap_eps(grid, i0: int, epsilons) -> list[tuple[float, int]]:
     """Snap each requested eps to whole coarse steps, at least one, inside [t, T]."""
     out = []
     max_steps = grid.steps - i0
-    for eps in epsilons:
-        steps = max(1, int(round(eps / grid.h)))
-        steps = min(steps, max_steps)
+    for eps in epsilons:  # clamped before rounding: eps / h may overflow to inf
+        steps = max(1, round(min(eps / grid.h, max_steps)))
         out.append((float(eps), steps))
     return out
 

@@ -57,7 +57,7 @@ def smoke_200():
 
 def whole_block(seed, block, steps, width, hf):
     """One RNG block's Brownian increments (steps, width), drawn whole from the
-    program's keyed stream: the oracle of the rows that the helper thread streams."""
+    program's keyed stream: the oracle of the rows that the worker thread streams."""
     return simulate._generator(seed, block).standard_normal((steps, width)) * np.sqrt(hf)
 
 
@@ -134,6 +134,17 @@ class TestForwardPaths:
             kept = simulate_closed_loop(spec, th, p2, cfg, 0.25, keep=keep)
             for name in ("X", "Y", "Z"):
                 assert np.array_equal(getattr(kept, name), getattr(full, name)[:keep]), (keep, name)
+
+    def test_a_stream_left_early_leaves_no_worker(self, smoke_200):
+        # keep = 100 leaves the stream after block 0, while the chunks of
+        # block 1 may still be drawn ahead: the call joins its worker.
+        spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
+        cfg = SimConfig(paths=2 * BLOCK_PATHS + 5, seed=4, x0=1.0)
+        full = simulate_closed_loop(spec, th, p2, cfg, 0.25)
+        before = threading.active_count()
+        kept = simulate_closed_loop(spec, th, p2, cfg, 0.25, keep=100)
+        assert threading.active_count() == before
+        assert np.array_equal(kept.X, full.X[:100])
 
     @pytest.mark.parametrize("keep", [0, BLOCK_PATHS + 6, True, 2.0])
     def test_keep_is_a_path_count_of_the_config(self, smoke_200, keep):
@@ -393,6 +404,22 @@ class TestSpikeTest:
                          residual=smoke_solution.residual)
         assert all(r.delta == 0.0 and r.stderr == 0.0 for r in rep.rows)
         assert rep.liminf_pass
+
+    def test_an_eps_whose_step_count_overflows_snaps_to_the_whole_range(self):
+        # eps / h is inf: the rung spans [t, T], as any eps past T - t does.
+        spec = assumption_smoke_problem(40)
+        sol = solve_equilibrium(spec, Strategy.zeros(spec.grid, 1, 1))
+        cfg = SimConfig(paths=64, seed=1, x0=1.0)
+
+        def row(eps):
+            (rep,) = spike_tests(spec, sol.theta_star, sol.p2, cfg, SpikeSpec(v=1.0, epsilons=(eps,)), [0.0],
+                                 lam=sol.lam, residual=sol.residual)
+            return rep.rows[0]
+
+        huge, past = row(1e308), row(2.0)
+        assert huge.eps_requested == 1e308
+        assert (huge.eps_used, huge.delta, huge.stderr) == (past.eps_used, past.delta, past.stderr)
+        assert _snap_eps(spec.grid, 0, (1e308,)) == [(1e308, spec.grid.steps)]
 
     def test_streaming_matches_bundle_route(self, smoke_solution):
         spec, th, p2 = smoke_solution.spec, smoke_solution.theta_star, smoke_solution.p2
@@ -909,9 +936,9 @@ class TestSpikeTests:
         before = threading.active_count()
         report = suite_equilibrium(smoke_solution, SimConfig(paths=BLOCK_PATHS + 100, seed=5, x0=1.0))
         assert report.passed
-        # One helper thread draws every block, and it is gone after the call.
-        ((helper, count),) = threads
-        assert helper is not threading.current_thread() and count == before + 1
+        # One worker thread draws every block, and it is gone after the call.
+        ((worker, count),) = threads
+        assert worker is not threading.current_thread() and count == before + 1
         assert threading.active_count() == before
         steps = smoke_solution.spec.grid.steps
         assert list(draws) == [(5, 0), (5, 1)]
@@ -921,7 +948,7 @@ class TestSpikeTests:
             assert {width for _, width in sizes} == {(BLOCK_PATHS, 100)[block]}
 
     def test_every_chunk_of_a_call_is_drawn_into_one_buffer(self, smoke_200, monkeypatch):
-        # The helper draws in place, into the slots of one buffer per call;
+        # The worker draws in place, into the slots of one buffer per call;
         # the chunks recorded keep the first call's buffer alive, so the
         # second call's cannot take its place.
         generator = simulate._generator
@@ -1149,7 +1176,7 @@ class TestStreamedRows:
     def test_bitwise_the_whole_block_oracle_under_fast_switching(self, smoke_200, problem, monkeypatch):
         # The interpreter switching threads every microsecond: a consumer
         # that read a row after asking for the next would see its slot drawn
-        # over by the helper.
+        # over by the worker.
         outputs = oracle_outputs(smoke_200, problem, SimConfig(paths=2 * BLOCK_PATHS + 5, seed=14, x0=1.0))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1163,7 +1190,7 @@ class TestStreamedRows:
 
 
     def test_concurrent_calls_under_fast_switching(self, smoke_200):
-        # Four callers, each with a helper thread of its own, on a machine of
+        # Four callers, each with a worker thread of its own, on a machine of
         # a few cores, the interpreter switching threads every microsecond:
         # every call still reads its own rows, in order.
         spec, th, p2 = smoke_200.spec, smoke_200.theta_star, smoke_200.p2
@@ -1208,7 +1235,7 @@ def call_in_thread(fn, timeout=60.0):
 
 
 class TestStreamFailure:
-    """An error on either side of the hand-over ends the call and its helper thread."""
+    """An error on either side of the hand-over ends the call and its worker thread."""
 
     @pytest.fixture
     def two_block_spike_tests(self, smoke_200):
@@ -1225,7 +1252,7 @@ class TestStreamFailure:
                 def failing():
                     for _ in range(3 * CHUNK_ROWS):
                         yield
-                    time.sleep(0.5)  # the helper fills every slot and waits for a free one
+                    time.sleep(0.5)  # the worker draws every chunk it may and waits for the next
                     raise boom
 
                 return _primed(failing())
